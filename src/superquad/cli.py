@@ -2,7 +2,8 @@
 
 Verbs: list, validate, cohomology, betti, poisson, double-extend, export.
 Targets are catalog keys or JSON algebra files.  Exit codes: 0 success,
-1 validation failure, 2 usage or input error.
+1 validation failure, 2 usage or input error.  ``betti`` and
+``cohomology`` validate the algebra first and exit 1 on a violation.
 """
 from __future__ import annotations
 
@@ -124,15 +125,29 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _validation(obj) -> tuple[ValidationReport, str]:
+    if isinstance(obj, QuadraticLieSuperalgebra):
+        return validate_quadratic(obj), "quadratic Lie superalgebra"
+    return validate_lie_superalgebra(obj), "Lie superalgebra"
+
+
+def _violation_lines(report: ValidationReport) -> list[str]:
+    return [
+        f"violation: {v.rule} at ({', '.join(map(str, v.witness))}): {v.message}"
+        for v in report.violations
+    ]
+
+
+def _invalid_text(report: ValidationReport) -> str:
+    lines = _violation_lines(report)
+    lines.append(f"INVALID: {len(report.violations)} violation(s)")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_validate(args) -> int:
     obj = _resolve_target(args.target, _parse_params(args.param))
+    report, kind = _validation(obj)
     quadratic = isinstance(obj, QuadraticLieSuperalgebra)
-    if quadratic:
-        report = validate_quadratic(obj)
-        kind = "quadratic Lie superalgebra"
-    else:
-        report = validate_lie_superalgebra(obj)
-        kind = "Lie superalgebra"
     if args.format == "json":
         doc = {
             "schema": 1,
@@ -149,12 +164,7 @@ def _cmd_validate(args) -> int:
     if report.ok:
         _emit(f"{kind}: OK\n", None)
         return 0
-    lines = [
-        f"violation: {v.rule} at ({', '.join(map(str, v.witness))}): {v.message}"
-        for v in report.violations
-    ]
-    lines.append(f"INVALID: {len(report.violations)} violation(s)")
-    _emit("\n".join(lines) + "\n", None)
+    _emit(_invalid_text(report), None)
     return 1
 
 
@@ -181,6 +191,12 @@ def _betti_text(report: dict, representatives: bool) -> str:
 
 def _cohomology_common(args, representatives: bool) -> int:
     obj = _resolve_target(args.target, _parse_params(args.param))
+    # cohomology of a table that breaks the axioms means nothing:
+    # delta does not square to zero there
+    report, _ = _validation(obj)
+    if not report.ok:
+        _emit(_invalid_text(report), None)
+        return 1
     name = (
         obj.algebra.name
         if isinstance(obj, QuadraticLieSuperalgebra)
@@ -290,11 +306,7 @@ def _cmd_double_extend(args) -> int:
         raise InputError("--labels must be two comma-separated names")
     report = is_skew_superderivation(obj, deriv, 0)
     if not report.ok:
-        lines = [
-            f"violation: {v.rule} at ({', '.join(map(str, v.witness))}): "
-            f"{v.message}"
-            for v in report.violations
-        ]
+        lines = _violation_lines(report)
         lines.append(
             "INVALID derivation: not an even skew-supersymmetric "
             f"superderivation ({len(report.violations)} violation(s))"

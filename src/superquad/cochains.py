@@ -21,6 +21,12 @@ Evaluation convention (fixed once, everything else is derived from it):
 Under this convention the differential of the dual of a Heisenberg
 central element comes out as sum_i X_{n+i}*^X_i* - 1/2 sum_j (Y_j*)^2,
 which is the regression the whole sign machinery is pinned to.
+
+The differential is built from the Leibniz rule: a monomial is the
+wedge of its letters, and delta is a superderivation, so only the
+degree-1 images delta(t*) = -[., .]_t are read from the structure
+constants.  The evaluation formula for delta on argument tuples is the
+test suite's oracle for it.
 """
 
 from __future__ import annotations
@@ -173,13 +179,6 @@ class Cochain:
             return degs.pop()
         return None
 
-    def alt_sym_bidegree(self) -> tuple[int, int] | None:
-        """(alternating degree, symmetric degree) when uniform, else None."""
-        degs = {(m.alt_degree, m.sym_degree) for m, _ in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def __add__(self, other: "Cochain") -> "Cochain":
         _same_basis(self, other)
         acc = dict(self.terms)
@@ -274,19 +273,6 @@ def evaluate(c: Cochain, args: Sequence[int]) -> Rat:
     return sign * value * target.mult_factor()
 
 
-def canonical_tuples(basis: GradedBasis, k: int) -> list[tuple[int, ...]]:
-    """All canonical argument tuples of length k: evens strictly
-    increasing first, then odds weakly increasing."""
-    ne, n = basis.even_dim, basis.dim
-    out = []
-    for a in range(min(k, ne), -1, -1):
-        b = k - a
-        for ev in itertools.combinations(range(ne), a):
-            for od in itertools.combinations_with_replacement(range(ne, n), b):
-                out.append(ev + od)
-    return out
-
-
 def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
     """Deterministic monomial enumeration of C^k: by alternating degree
     ascending, then lexicographic."""
@@ -347,15 +333,6 @@ def _merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ..
             if x > y:
                 inv += 1
     return tuple(sorted(e1 + e2)), (-1 if inv % 2 else 1)
-
-
-def wedge_all(cochains: Sequence[Cochain]) -> Cochain:
-    if not cochains:
-        raise InputError("empty wedge product")
-    out = cochains[0]
-    for c in cochains[1:]:
-        out = wedge(out, c)
-    return out
 
 
 def contract_index(i: int, c: Cochain) -> Cochain:
@@ -428,43 +405,50 @@ def contract(g: LieSuperalgebra, x, a: Cochain) -> Cochain:
 
 
 def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
-    """Chevalley-Eilenberg style differential, computed by evaluation.
+    """The differential, built from the Leibniz rule on degree-1 duals.
 
-    For a degree-k piece omega,
-    (delta omega)(X_0..X_k) = sum_{r<s} (-1)^{s + x_s(x_{r+1}+..+x_{s-1})}
-        omega(X_0,..,X_{r-1}, [X_r,X_s], X_{r+1},.., X_s omitted,.., X_k),
-    evaluated on every canonical tuple of length k+1 and re-expanded in
-    monomials.  The degree-0 piece maps to zero.
+    delta is a superderivation of the wedge product,
+    delta(A ^ B) = delta(A) ^ B + (-1)^{deg A} A ^ delta(B),
+    so it is fixed by its values on the duals t* of the basis vectors:
+    delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j).  A
+    monomial is the wedge of its letters (evens ascending, then odds
+    with multiplicity) with coefficient 1, hence
+    delta(L_1 ^ ... ^ L_k) = sum_p (-1)^(p-1) L_1 ^ .. ^ delta(L_p) ^ .. ^ L_k.
+    Degree-0 terms map to zero.  The evaluation formula on every
+    canonical (k+1)-tuple is kept in the tests as the oracle.
     """
     basis = g.basis
-    parities = basis.parities
-    out = Cochain.zero(basis)
-    degrees = sorted({m.degree for m, _ in c.terms})
-    for k in degrees:
-        if k == 0:
-            continue
-        piece = Cochain.from_terms(basis, {m: v for m, v in c.terms if m.degree == k})
+    ne = basis.even_dim
+    images: dict[int, dict[Monomial, Rat]] = {
+        t: {} for m, _ in c.terms for t in m.even + m.odd
+    }
+    for (i, j), br in g.constants.items():
+        if i == j and i < ne:
+            continue  # no canonical pair repeats an even index
+        pair = _letters(ne, (i, j))
+        for t, v in br.items():
+            if t in images:
+                images[t][pair] = -v / (2 if i == j else 1)
+    deltas = {t: Cochain.from_terms(basis, terms) for t, terms in images.items()}
+    out: list[tuple[Monomial, Rat]] = []
+    for m, coeff in c.terms:
+        letters = m.even + m.odd
+        for p, t in enumerate(letters):
+            if deltas[t].is_zero:
+                continue
+            sign = -1 if p % 2 else 1
+            prefix = Cochain(basis, ((_letters(ne, letters[:p]), sign * coeff),))
+            suffix = Cochain(basis, ((_letters(ne, letters[p + 1 :]), Fraction(1)),))
+            out.extend(wedge(wedge(prefix, deltas[t]), suffix).terms)
+    return Cochain.from_terms(basis, out)
 
-        def value_on(args: tuple[int, ...], piece=piece, k=k) -> Rat:
-            total = Fraction(0)
-            n_args = len(args)
-            for s in range(n_args):
-                xs = parities[args[s]]
-                for r in range(s):
-                    # parity sum of arguments strictly between r and s
-                    between = sum(parities[args[t]] for t in range(r + 1, s))
-                    sgn = -1 if (s + xs * between) % 2 else 1
-                    br = g.bracket_pair(args[r], args[s])
-                    if not br:
-                        continue
-                    # the bracket replaces slot r; slot s is omitted
-                    for target, coeff in br.items():
-                        plugged = args[:r] + (target,) + args[r + 1 : s] + args[s + 1 :]
-                        total += sgn * coeff * evaluate(piece, plugged)
-            return total
 
-        out = out + from_values(basis, k + 1, value_on)
-    return out
+def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:
+    """The monomial of a canonically ordered run of letters."""
+    return Monomial(
+        even=tuple(i for i in letters if i < even_dim),
+        odd=tuple(i for i in letters if i >= even_dim),
+    )
 
 
 def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:

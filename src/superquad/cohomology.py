@@ -116,14 +116,6 @@ class DifferentialMatrix:
             return 0
         return rank([list(row) for row in self.entries])
 
-    def apply(self, vec: list[Rat]) -> list[Rat]:
-        if len(vec) != self.source.dimension:
-            raise InputError("vector length does not match source dimension")
-        return [
-            sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0))
-            for row in self.entries
-        ]
-
 
 def differential_matrix(
     q: QuadraticLieSuperalgebra | LieSuperalgebra,

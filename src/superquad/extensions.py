@@ -219,15 +219,11 @@ def skew_superderivation_space(
                     add((r, t), r, Fraction(c))
             # [D e_i, e_j] = sum_s D[s][i] [e_s, e_j], and its mirror
             for s in range(n):
-                bracket_sj = g.bracket(g.basis_vector(s), g.basis_vector(j))
-                for r in range(n):
-                    if bracket_sj[r] != 0:
-                        add((s, i), r, -bracket_sj[r])
+                for r, c in g.bracket_pair(s, j).items():
+                    add((s, i), r, -c)
             for s in range(n):
-                bracket_is = g.bracket(g.basis_vector(i), g.basis_vector(s))
-                for r in range(n):
-                    if bracket_is[r] != 0:
-                        add((s, j), r, Fraction(-sign) * bracket_is[r])
+                for r, c in g.bracket_pair(i, s).items():
+                    add((s, j), r, Fraction(-sign) * c)
             for r in range(n):
                 if coeffs[r]:
                     row = new_row()

@@ -39,6 +39,10 @@ def rat(value) -> Rat:
             return Fraction(text)
         except ZeroDivisionError:
             raise InputError(f"zero denominator: {value!r}") from None
+        except ValueError:  # beyond the interpreter's int digit limit
+            raise InputError(
+                f"rational literal of {len(text)} characters is too long"
+            ) from None
     raise InputError(f"not an exact rational: {value!r} of type {type(value).__name__}")
 
 
@@ -47,9 +51,6 @@ def rat_str(x: Rat) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-Matrix = list
 
 
 def zeros(rows: int, cols: int) -> list[list[Rat]]:
@@ -74,10 +75,6 @@ def mat_mul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list
         raise InputError("matrix product shape mismatch")
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def mat_vec(m: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> list[Rat]:
-    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in m]
 
 
 def rref(m: Sequence[Sequence[Rat]]) -> tuple[list[list[Rat]], list[int]]:

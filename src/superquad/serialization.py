@@ -21,13 +21,12 @@ axiom-violating table can be loaded and then reported by the validator.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Mapping
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat
+from .linalg import Rat, rat
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "load",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
 
 def rational_to_str(x: Rat) -> str:
     x = Fraction(x)
@@ -52,15 +49,11 @@ def rational_to_str(x: Rat) -> str:
 
 
 def rational_from_str(s: object) -> Fraction:
-    if isinstance(s, bool):
-        raise InputError(f"not a rational literal: {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise InputError(
             f"not a rational literal: {s!r} (expected 'p' or 'p/q')"
         )
-    return Fraction(s.strip())
+    return rat(s)
 
 
 def algebra_to_dict(obj) -> dict:

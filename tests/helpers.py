@@ -1,6 +1,9 @@
 """Shared test utilities, including independent oracles.
 
-The Poisson oracle here deliberately avoids the closed-form double sum
+The evaluation differential here is the formula of README.md applied on
+every canonical argument tuple; the engine builds delta from the
+Leibniz rule on degree-1 duals instead, so agreement is a real check.
+The Poisson oracle deliberately avoids the closed-form double sum
 used by the engine: it extends the degree-1 dual pairings (inverse Gram
 blocks) by the graded biderivation rules alone.  Agreement between the
 two is a meaningful check, not a tautology.
@@ -10,8 +13,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from superquad import QuadraticLieSuperalgebra
-from superquad.cochains import Cochain, Monomial, monomials_of_degree, wedge
+from superquad import LieSuperalgebra, QuadraticLieSuperalgebra
+from superquad.cochains import (
+    Cochain,
+    Monomial,
+    evaluate,
+    from_values,
+    monomials_of_degree,
+    wedge,
+)
 from superquad.linalg import Rat, inverse
 
 QUADRATIC_KEYS = (
@@ -50,6 +60,42 @@ def bidegree(m: Monomial) -> tuple[int, int]:
 
 def koszul(d1: tuple[int, int], d2: tuple[int, int]) -> int:
     return -1 if (d1[0] * d2[0] + d1[1] * d2[1]) % 2 else 1
+
+
+def differential_by_evaluation(g: LieSuperalgebra, c: Cochain) -> Cochain:
+    """The differential computed by evaluation.
+
+    For a degree-k piece omega,
+    (delta omega)(X_0..X_k) = sum_{r<s} (-1)^{s + x_s(x_{r+1}+..+x_{s-1})}
+        omega(X_0,..,X_{r-1}, [X_r,X_s], X_{r+1},.., X_s omitted,.., X_k),
+    evaluated on every canonical tuple of length k+1 and re-expanded in
+    monomials.  The degree-0 piece maps to zero.
+    """
+    basis = g.basis
+    parities = basis.parities
+    out = Cochain.zero(basis)
+    degrees = sorted({m.degree for m, _ in c.terms})
+    for k in degrees:
+        if k == 0:
+            continue
+        piece = Cochain.from_terms(basis, {m: v for m, v in c.terms if m.degree == k})
+
+        def value_on(args: tuple[int, ...], piece=piece) -> Rat:
+            total = Fraction(0)
+            for s in range(len(args)):
+                xs = parities[args[s]]
+                for r in range(s):
+                    # parity sum of arguments strictly between r and s
+                    between = sum(parities[args[t]] for t in range(r + 1, s))
+                    sgn = -1 if (s + xs * between) % 2 else 1
+                    # the bracket replaces slot r; slot s is omitted
+                    for target, coeff in g.bracket_pair(args[r], args[s]).items():
+                        plugged = args[:r] + (target,) + args[r + 1 : s] + args[s + 1 :]
+                        total += sgn * coeff * evaluate(piece, plugged)
+            return total
+
+        out = out + from_values(basis, k + 1, value_on)
+    return out
 
 
 def random_homogeneous(

@@ -27,6 +27,21 @@ BROKEN_DOC = {
 }
 
 
+# [a,b] = a, [a,c] = c, [b,c] = a: super Jacobi fails at (a, b, c)
+NON_JACOBI_DOC = {
+    "basis": [
+        {"label": "a", "parity": 0},
+        {"label": "b", "parity": 0},
+        {"label": "c", "parity": 0},
+    ],
+    "brackets": [
+        {"left": "a", "right": "b", "terms": [{"basis": "a", "coeff": "1"}]},
+        {"left": "a", "right": "c", "terms": [{"basis": "c", "coeff": "1"}]},
+        {"left": "b", "right": "c", "terms": [{"basis": "a", "coeff": "1"}]},
+    ],
+}
+
+
 def test_list_text(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -85,6 +100,25 @@ def test_betti_text_matches_frozen_table(capsys):
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.strip()]
     assert lines[-3:] == ["b_0 = 1", "b_1 = 1", "b_2 = 0"]
+
+
+@pytest.mark.parametrize("verb", ["betti", "cohomology"])
+def test_cohomology_verbs_reject_non_jacobi_algebra(verb, tmp_path, capsys):
+    path = tmp_path / "non_jacobi.json"
+    path.write_text(json.dumps(NON_JACOBI_DOC))
+    assert main(["validate", str(path)]) == 1
+    expected = capsys.readouterr().out
+    assert main([verb, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == expected
+    assert "violation: jacobi at (a, b, c)" in out
+    assert "b_0" not in out
+
+
+def test_oversized_rational_param_is_an_input_error(capsys):
+    assert main(["betti", "g_6_2", "--param", "lam=" + "1" * 4400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_betti_json(capsys):

@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PoissonOracle, bidegree, koszul, mono, random_homogeneous
-from superquad import build
-from superquad.algebra import GradedBasis, LieSuperalgebra
+from helpers import (
+    PoissonOracle,
+    bidegree,
+    differential_by_evaluation,
+    koszul,
+    mono,
+    random_homogeneous,
+)
+from superquad import build, catalog_keys
+from superquad.algebra import GradedBasis, LieSuperalgebra, validate_super_jacobi
 from superquad.cochains import (
     Cochain,
     Monomial,
@@ -164,18 +171,54 @@ def test_differential_squares_to_zero():
 
 
 def test_differential_is_a_superderivation_of_wedge():
+    # the engine's delta is built from this rule, so check the
+    # evaluation formula obeys it
     rng = random.Random(11)
     q = build("g_6_s")
     g = q.algebra
     for _ in range(40):
         a, da = random_homogeneous(g.basis, rng, max_degree=2)
         b, _ = random_homogeneous(g.basis, rng, max_degree=2)
-        lhs = differential_direct(g, wedge(a, b))
+        lhs = differential_by_evaluation(g, wedge(a, b))
         sign = Fraction(-1 if da[0] % 2 else 1)
-        rhs = wedge(differential_direct(g, a), b) + wedge(
-            a, differential_direct(g, b)
+        rhs = wedge(differential_by_evaluation(g, a), b) + wedge(
+            a, differential_by_evaluation(g, b)
         ).scale(sign)
         assert (lhs - rhs).is_zero
+
+
+def non_jacobi_bracket(seed: int) -> LieSuperalgebra:
+    """Seeded parity-respecting bracket table on 3 even + 2 odd vectors."""
+    rng = random.Random(seed)
+    parities = (0, 0, 0, 1, 1)
+    basis = GradedBasis(labels=("a", "b", "c", "u", "v"), parities=parities)
+    rows = []
+    for i in range(5):
+        for j in range(i, 5):
+            if i == j and parities[i] == 0:
+                continue
+            targets = [k for k in range(5) if parities[k] == (parities[i] + parities[j]) % 2]
+            rows.append((i, j, {k: rng.choice((-2, -1, 1, 2)) for k in targets if rng.random() < 0.5}))
+    return LieSuperalgebra.from_index_table(basis, rows)
+
+
+def test_differential_matches_evaluation_oracle():
+    cases = [(build(key), range(3)) for key in catalog_keys()]
+    cases.append((build("g_8_2_5_s"), (3,)))
+    for seed in (5, 6):
+        g = non_jacobi_bracket(seed)
+        assert validate_super_jacobi(g)
+        cases.append((g, range(4)))
+    checked = 0
+    for obj, degrees in cases:
+        g = getattr(obj, "algebra", obj)
+        for k in degrees:
+            for m in monomials_of_degree(g.basis, k):
+                c = Cochain.from_terms(g.basis, {m: Fraction(1)})
+                assert differential_direct(g, c) == differential_by_evaluation(g, c), m
+                checked += 1
+    # 515 catalog monomials to degree 2, 72 of g_8_2_5_s, 2 x 38 seeded
+    assert checked == 515 + 72 + 2 * 38
 
 
 def test_differential_matches_bracket_duality_in_degree_one():

@@ -12,6 +12,7 @@ from superquad.linalg import (
     mat_mul,
     nullspace,
     rank,
+    rat,
     rref,
     solve,
 )
@@ -101,3 +102,14 @@ def test_echelon_basis_removes_dependence():
     leads = [next(j for j, x in enumerate(v) if x != 0) for v in basis]
     assert leads == sorted(leads)
     assert all(v[j] == 1 for v, j in zip(basis, leads))
+
+
+def test_rat_literals():
+    assert rat(" -7/2 ") == Fraction(-7, 2)
+    assert rat(3) == Fraction(3)
+    for bad in ("0.5", "1/0", "1/-2", "", 0.5):
+        with pytest.raises(InputError):
+            rat(bad)
+    # beyond the interpreter's 4300-digit limit for int parsing
+    with pytest.raises(InputError):
+        rat("1" * 4400)

@@ -22,9 +22,16 @@ def test_rational_literals():
     assert rational_from_str("3/4") == rational_from_str("3/4")
     assert rational_to_str(rational_from_str("-7/2")) == "-7/2"
     assert rational_to_str(rational_from_str("5")) == "5"
-    for bad in ("0.5", "1/0", "1/-2", "a", "", "1 / 2", "--3"):
+    for bad in ("0.5", "1/0", "1/-2", "a", "", "1 / 2", "--3", True, 0.5, None):
         with pytest.raises(InputError):
             rational_from_str(bad)
+
+
+def test_oversized_rational_literal_is_an_input_error():
+    # beyond the interpreter's 4300-digit limit for int parsing
+    for text in ("1" * 4400, "1/" + "3" * 4400):
+        with pytest.raises(InputError):
+            rational_from_str(text)
 
 
 def test_round_trip_every_catalog_entry():
