@@ -16,6 +16,7 @@ from fractions import Fraction
 from superquad import (
     Cochain,
     associated_three_form,
+    betti_table,
     build,
     cohomology,
     darboux_frame,
@@ -28,7 +29,7 @@ def betti_section() -> None:
     print("== Betti tables ==")
     for key in ("g_4_1_s", "g_4_2_s", "g_6_s"):
         q = build(key)
-        rows = [cohomology(q, k) for k in range(3)]
+        rows = betti_table(q, 2)
         cells = ", ".join(f"b_{r.degree}={r.betti}" for r in rows)
         r2 = rows[2]
         print(

@@ -6,9 +6,10 @@ computed by exact elimination over the rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .cochains import (
@@ -21,7 +22,7 @@ from .cochains import (
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Rat, echelon_basis, nullspace, rank, solve
+from .linalg import Rat, nullspace, rank, transpose
 from .quadratic import QuadraticLieSuperalgebra, darboux_frame
 
 __all__ = [
@@ -117,6 +118,16 @@ class DifferentialMatrix:
         return rank([list(row) for row in self.entries])
 
 
+def _algebra(
+    q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain | None = None
+) -> LieSuperalgebra:
+    """The algebra of q, checked to be the one the cochain c lives over."""
+    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
+    if c is not None and c.basis != g.basis:
+        raise InputError("cochain is over another basis than the algebra")
+    return g
+
+
 def differential_matrix(
     q: QuadraticLieSuperalgebra | LieSuperalgebra,
     k: int,
@@ -132,7 +143,7 @@ def differential_matrix(
     is recomputed as -{I, monomial} and the two must agree exactly.
     """
     quad = q if isinstance(q, QuadraticLieSuperalgebra) else None
-    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
+    g = _algebra(q)
     basis = g.basis
     src = cochain_basis(basis, k)
     tgt = cochain_basis(basis, k + 1)
@@ -163,6 +174,54 @@ def differential_matrix(
     )
 
 
+class _Quotient:
+    """Sparse rows (column -> nonzero), each zero at the pivots of the rows
+    before it: a basis of B^k, then one per representative of Z^k / B^k.
+    Representative i is fed with a 1 in the tag column n + i (n = dim C^k)
+    that row operations carry along, so a cocycle reduced to zero in the
+    cochain columns leaves minus its class vector in the tag columns, and
+    nothing exactly when it is a coboundary."""
+
+    def __init__(
+        self,
+        basis: GradedBasis,
+        source: CochainBasis,
+        d_prev: DifferentialMatrix | None,
+    ) -> None:
+        self.basis, self.source, self.n = basis, source, source.dimension
+        self.rows: list[tuple[int, dict[int, Rat]]] = []
+        for col in zip(*d_prev.entries) if d_prev is not None else ():
+            self.add(col, tag=False)
+        self.dim_boundary = len(self.rows)
+
+    def reduce(self, v: dict[int, Rat]) -> dict[int, Rat]:
+        """Clear v, in place, at the pivot of each row in turn."""
+        for pivot, row in self.rows:
+            a = v.get(pivot)
+            if a:
+                for j, x in row.items():
+                    v[j] = v.get(j, 0) - a * x
+                    if not v[j]:
+                        del v[j]
+        return v
+
+    def add(self, vec: Sequence[Rat], tag: bool = True) -> bool:
+        """Feed a dense vector; if it grows the span, its remainder becomes
+        a row with its leftmost column as the pivot, scaled to 1."""
+        v = {j: x for j, x in enumerate(vec) if x}
+        if tag:
+            v[self.n + len(self.rows) - self.dim_boundary] = Fraction(1)
+        pivot = min(self.reduce(v), default=self.n)
+        if pivot >= self.n:
+            return False
+        self.rows.append((pivot, {j: x / v[pivot] for j, x in v.items()}))
+        return True
+
+    def remainder(self, c: Cochain) -> dict[int, Rat]:
+        idx = self.source.index_map()
+        return self.reduce({idx[m]: x for m, x in c.terms})
+
+
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int
@@ -171,54 +230,29 @@ class CohomologyResult:
     dim_coboundaries: int
     betti: int
     representatives: tuple[Cochain, ...]
+    _quotient: _Quotient | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.betti != self.dim_cocycles - self.dim_coboundaries:
             raise EngineError("betti must equal dim cocycles - dim coboundaries")
 
 
-def _cocycle_vectors(d_k: DifferentialMatrix) -> list[list[Rat]]:
-    rows, cols = d_k.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        # zero map out of a nonzero space: everything is a cocycle
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(cols)]
-            for i in range(cols)
-        ]
-    return nullspace([list(r) for r in d_k.entries])
+def _degree(c: Cochain, what: str) -> int:
+    degrees = {m.degree for m, _ in c.terms}
+    if len(degrees) != 1:
+        raise InputError(f"{what} requires a Z-homogeneous cochain")
+    return degrees.pop()
 
 
-def _coboundary_vectors(d_prev: DifferentialMatrix | None) -> list[list[Rat]]:
-    if d_prev is None:
-        return []
-    rows, cols = d_prev.shape
-    if rows == 0 or cols == 0:
-        return []
-    columns = [
-        [d_prev.entries[i][j] for i in range(rows)] for j in range(cols)
-    ]
-    return echelon_basis(columns)
-
-
-def _quotient_representatives(
-    cocycles: list[list[Rat]], coboundaries: list[list[Rat]]
-) -> list[list[Rat]]:
-    """Reduced-echelon completion of the coboundary space inside the
-    cocycle space: scan the echelonized cocycles and keep those that grow
-    the rank of the running span."""
-    reps: list[list[Rat]] = []
-    span: list[list[Rat]] = [list(v) for v in coboundaries]
-    current = rank(span) if span else 0
-    for v in echelon_basis(cocycles):
-        candidate = span + [list(v)]
-        r = rank(candidate)
-        if r > current:
-            reps.append(v)
-            span = candidate
-            current = r
-    return reps
+def _check_cochain_dimensions(
+    basis: GradedBasis, k_max: int, limit: int = DEFAULT_MONOMIAL_LIMIT
+) -> None:
+    """Refuse, before any work, a dim C^k over ``limit`` for k <= k_max + 1."""
+    for k in range(k_max + 2):
+        if (dim := cochain_dimension(basis, k)) > limit:
+            raise ResourceLimitError(
+                f"dim C^{k} = {dim} exceeds the monomial limit {limit}"
+            )
 
 
 def cohomology(
@@ -232,29 +266,38 @@ def cohomology(
     """H^k = Ker delta_k / Im delta_{k-1} with echelonized representatives."""
     if k < 0:
         raise InputError("cohomology degree must be non-negative")
-    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
-    basis = g.basis
+    basis = _algebra(q).basis
     if d_k is None:
+        _check_cochain_dimensions(basis, k)
         d_k = differential_matrix(q, k, verify=verify)
     if k > 0 and d_prev is None:
         d_prev = differential_matrix(q, k - 1, verify=verify)
     src = d_k.source
-    cocycles = _cocycle_vectors(d_k)
-    coboundaries = _coboundary_vectors(d_prev if k > 0 else None)
-    reps_vec = _quotient_representatives(cocycles, coboundaries)
-    reps = tuple(src.from_coordinates(basis, v) for v in reps_vec)
-    n_z = len(cocycles)
-    n_b = rank([list(v) for v in coboundaries]) if coboundaries else 0
-    # rank-nullity sanity: dim C^k = rank delta_k + dim Ker delta_k
-    if src.dimension != d_k.rank() + n_z:
+    # With the columns reversed, the free-column kernel basis has its
+    # leading 1 at its own free column: read back, it is the reduced
+    # echelon basis of Z^k, last row first.
+    kernel = nullspace([row[::-1] for row in d_k.entries], src.dimension)
+    cocycles = [v[::-1] for v in reversed(kernel)]
+    quotient = _Quotient(basis, src, d_prev if k > 0 else None)
+    reps = [v for v in cocycles if quotient.add(v)]
+    n_z, n_b = len(cocycles), quotient.dim_boundary
+    # rank-nullity, the rank taken over delta_k's columns: a second route,
+    # independent of the row elimination behind the kernel
+    if src.dimension != rank(transpose(d_k.entries)) + n_z:
         raise EngineError("rank-nullity violated in cohomology assembly")
+    if n_b + len(reps) > n_z:
+        raise InputError(
+            f"B^{k} is not inside Z^{k}: delta_{k} o delta_{k - 1} != 0, "
+            "so the bracket fails super Jacobi"
+        )
     return CohomologyResult(
         degree=k,
         dim_cochains=src.dimension,
         dim_cocycles=n_z,
         dim_coboundaries=n_b,
         betti=n_z - n_b,
-        representatives=reps,
+        representatives=tuple(src.from_coordinates(basis, v) for v in reps),
+        _quotient=quotient,
     )
 
 
@@ -268,52 +311,29 @@ def betti_table(
     """Cohomology in degrees 0..k_max, reusing each differential once."""
     if k_max < 0:
         raise InputError("k_max must be non-negative")
-    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
-    basis = g.basis
-    for k in range(0, k_max + 2):
-        dim = cochain_dimension(basis, k)
-        if dim > max_monomials:
-            raise ResourceLimitError(
-                f"dim C^{k} = {dim} exceeds the monomial limit "
-                f"{max_monomials}; raise max_monomials to proceed"
-            )
+    _check_cochain_dimensions(_algebra(q).basis, k_max, max_monomials)
     mats = [differential_matrix(q, k, verify=verify) for k in range(k_max + 1)]
-    out: list[CohomologyResult] = []
-    for k in range(k_max + 1):
-        out.append(
-            cohomology(
-                q,
-                k,
-                verify=verify,
-                d_k=mats[k],
-                d_prev=mats[k - 1] if k > 0 else None,
-            )
-        )
-    return out
+    return [
+        cohomology(q, k, verify=verify, d_k=mats[k], d_prev=mats[k - 1] if k else None)
+        for k in range(k_max + 1)
+    ]
 
 
 def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
-    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
-    return differential_direct(g, c).is_zero
+    return differential_direct(_algebra(q, c), c).is_zero
 
 
-def is_coboundary(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain
-) -> bool:
+def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous)."""
+    g = _algebra(q, c)
     if c.is_zero:
         return True
-    degrees = {m.degree for m, _ in c.terms}
-    if len(degrees) != 1:
-        raise InputError("coboundary test requires a Z-homogeneous cochain")
-    k = degrees.pop()
+    k = _degree(c, "coboundary test")
     if k == 0:
         return False
+    _check_cochain_dimensions(g.basis, k - 1)
     d_prev = differential_matrix(q, k - 1, verify=False)
-    vec = d_prev.target.coordinates(c)
-    coboundaries = _coboundary_vectors(d_prev)
-    base_rank = rank([list(v) for v in coboundaries]) if coboundaries else 0
-    return rank([list(v) for v in coboundaries] + [vec]) == base_rank
+    return not _Quotient(g.basis, d_prev.target, d_prev).remainder(c)
 
 
 def class_vector(
@@ -324,35 +344,28 @@ def class_vector(
 ) -> list[Rat]:
     """Coordinates of the class [c] in the representative basis of H^k.
 
-    Raises InputError when c is not a cocycle of pure degree k.
+    Raises InputError when c is not a cocycle of pure degree k, or when
+    ``result`` is not this algebra's cohomology() in degree k.
     """
+    g = _algebra(q, c)
     if c.is_zero:
         if result is None:
             raise InputError("class_vector of 0 needs an explicit result")
         return [Fraction(0)] * result.betti
-    degrees = {m.degree for m, _ in c.terms}
-    if len(degrees) != 1:
-        raise InputError("class_vector requires a Z-homogeneous cochain")
-    k = degrees.pop()
+    k = _degree(c, "class_vector")
     if not is_cocycle(q, c):
         raise InputError("class_vector requires a cocycle")
     if result is None:
         result = cohomology(q, k, verify=False)
-    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
-    src = cochain_basis(g.basis, k)
-    d_prev = (
-        differential_matrix(q, k - 1, verify=False) if k > 0 else None
-    )
-    coboundaries = _coboundary_vectors(d_prev)
-    reps = [src.coordinates(r) for r in result.representatives]
-    # solve c = (coboundary combination) + sum_i t_i rep_i exactly
-    ncols = src.dimension
-    cols = [list(v) for v in coboundaries] + [list(r) for r in reps]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(ncols)]
-    sol = solve(mat, src.coordinates(c))
-    if sol is None:
+    if result.degree != k:
+        raise InputError(f"result is for degree {result.degree}, not {k}")
+    quotient = result._quotient
+    if quotient is None or quotient.basis != g.basis:
+        raise InputError("result is not a cohomology() of this algebra's basis")
+    v, n = quotient.remainder(c), quotient.n
+    if min(v, default=n) < n:
         raise EngineError("cocycle does not decompose over B + representatives")
-    return sol[len(coboundaries):]
+    return [-v.get(n + i, Fraction(0)) for i in range(result.betti)]
 
 
 def cohomology_report(

@@ -22,7 +22,7 @@ from superquad.cochains import (
     monomials_of_degree,
     wedge,
 )
-from superquad.linalg import Rat, inverse
+from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank
 
 QUADRATIC_KEYS = (
     "g_4_1_s",
@@ -42,6 +42,21 @@ QUADRATIC_KEYS = (
     "g_8_2_9_s",
     "g_dec",
 )
+
+
+# [a,b] = a, [a,c] = c, [b,c] = a: super Jacobi fails at (a, b, c)
+NON_JACOBI_DOC = {
+    "basis": [
+        {"label": "a", "parity": 0},
+        {"label": "b", "parity": 0},
+        {"label": "c", "parity": 0},
+    ],
+    "brackets": [
+        {"left": "a", "right": "b", "terms": [{"basis": "a", "coeff": "1"}]},
+        {"left": "a", "right": "c", "terms": [{"basis": "c", "coeff": "1"}]},
+        {"left": "b", "right": "c", "terms": [{"basis": "a", "coeff": "1"}]},
+    ],
+}
 
 
 def mono(q_or_basis, even_labels=(), odd_labels=(), coeff=1) -> Cochain:
@@ -96,6 +111,28 @@ def differential_by_evaluation(g: LieSuperalgebra, c: Cochain) -> Cochain:
 
         out = out + from_values(basis, k + 1, value_on)
     return out
+
+
+def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
+    """Reference H^k representatives from dense elimination.
+
+    Scan the echelonized cocycles (the kernel of the DifferentialMatrix
+    d_k) and keep those that grow the rank of the running span of the
+    coboundaries (the columns of d_prev, or none when d_prev is None),
+    taking the rank from scratch once per cocycle.
+    """
+    cocycles = nullspace([list(r) for r in d_k.entries], d_k.shape[1])
+    span = [list(col) for col in zip(*d_prev.entries)] if d_prev is not None else []
+    current = rank(span) if span else 0
+    reps: list[list[Rat]] = []
+    for v in echelon_basis(cocycles):
+        candidate = span + [list(v)]
+        r = rank(candidate)
+        if r > current:
+            reps.append(v)
+            span = candidate
+            current = r
+    return reps
 
 
 def random_homogeneous(

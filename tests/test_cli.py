@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import NON_JACOBI_DOC
 from superquad import validate_quadratic
 from superquad.cli import main
 from superquad.extensions import skew_superderivation_space
@@ -23,21 +24,6 @@ BROKEN_DOC = {
         {"left": "a", "right": "b", "terms": [{"basis": "c", "coeff": "1"}]},
         {"left": "b", "right": "c", "terms": [{"basis": "a", "coeff": "1"}]},
         {"left": "c", "right": "a", "terms": [{"basis": "c", "coeff": "1"}]},
-    ],
-}
-
-
-# [a,b] = a, [a,c] = c, [b,c] = a: super Jacobi fails at (a, b, c)
-NON_JACOBI_DOC = {
-    "basis": [
-        {"label": "a", "parity": 0},
-        {"label": "b", "parity": 0},
-        {"label": "c", "parity": 0},
-    ],
-    "brackets": [
-        {"left": "a", "right": "b", "terms": [{"basis": "a", "coeff": "1"}]},
-        {"left": "a", "right": "c", "terms": [{"basis": "c", "coeff": "1"}]},
-        {"left": "b", "right": "c", "terms": [{"basis": "a", "coeff": "1"}]},
     ],
 }
 

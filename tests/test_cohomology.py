@@ -1,15 +1,18 @@
 """Exact Betti numbers, cocycle/coboundary tests, representatives."""
+import importlib
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from helpers import mono
-from superquad import build
+from helpers import NON_JACOBI_DOC, mono, representatives_by_rank
+from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra
 from superquad.cochains import Cochain, Monomial, monomials_of_degree
 from superquad.cohomology import (
     CochainBasis,
+    CohomologyResult,
     betti_table,
     class_vector,
     cochain_basis,
@@ -21,6 +24,7 @@ from superquad.cohomology import (
     is_cocycle,
 )
 from superquad.errors import InputError, ResourceLimitError
+from superquad.serialization import loads
 
 
 def test_cochain_dimension_matches_enumeration():
@@ -127,6 +131,107 @@ def test_representatives_are_honest():
                 assert is_cocycle(q, rep)
                 if r.degree > 0:
                     assert not is_coboundary(q, rep)
+
+
+def test_representatives_match_the_rank_oracle():
+    cases = [(key, k) for key in catalog_keys() for k in range(3)]
+    cases.append(("g_8_2_5_s", 3))
+    for key, k in cases:
+        q = build(key)
+        d_k = differential_matrix(q, k, verify=False)
+        d_prev = differential_matrix(q, k - 1, verify=False) if k else None
+        res = cohomology(q, k, d_k=d_k, d_prev=d_prev)
+        got = [d_k.source.coordinates(r) for r in res.representatives]
+        assert got == representatives_by_rank(d_k, d_prev), (key, k)
+        for i, rep in enumerate(res.representatives):
+            unit = [Fraction(int(j == i)) for j in range(res.betti)]
+            assert class_vector(q, rep, result=res) == unit, (key, k, i)
+
+
+def _foreign_cochain():
+    # s(T1) over the 6-dimensional basis: letter 5 is not in g_4_1_s
+    return Cochain.from_terms(
+        build("g_6_s").basis, {Monomial(even=(), odd=(5,)): Fraction(1)}
+    )
+
+
+def test_is_cocycle_rejects_a_cochain_over_another_basis():
+    with pytest.raises(InputError):
+        is_cocycle(build("g_4_1_s"), _foreign_cochain())
+
+
+def test_is_coboundary_rejects_a_cochain_over_another_basis():
+    with pytest.raises(InputError):
+        is_coboundary(build("g_4_1_s"), _foreign_cochain())
+
+
+def test_class_vector_rejects_a_cochain_over_another_basis():
+    q = build("g_4_1_s")
+    with pytest.raises(InputError):
+        class_vector(q, _foreign_cochain(), result=cohomology(q, 1))
+
+
+def test_class_vector_rejects_a_result_of_another_degree():
+    q = build("g_4_1_s")
+    rep = cohomology(q, 2).representatives[0]
+    with pytest.raises(InputError):
+        class_vector(q, rep, result=cohomology(q, 1))
+
+
+def test_class_vector_rejects_a_result_over_another_basis():
+    q = build("g_4_1_s")
+    rep = cohomology(q, 2).representatives[0]
+    with pytest.raises(InputError):
+        class_vector(q, rep, result=cohomology(build("g_6_s"), 2))
+
+
+def test_class_vector_rejects_a_result_not_from_cohomology():
+    # a result assembled by hand carries no quotient to read the class from
+    q = build("g_4_1_s")
+    res = cohomology(q, 2)
+    rep = res.representatives[0]
+    bare = CohomologyResult(
+        degree=2,
+        dim_cochains=res.dim_cochains,
+        dim_cocycles=res.dim_cocycles,
+        dim_coboundaries=res.dim_coboundaries,
+        betti=res.betti,
+        representatives=res.representatives,
+    )
+    assert bare == res
+    with pytest.raises(InputError):
+        class_vector(q, rep, result=bare)
+
+
+def test_api_rejects_a_bracket_that_fails_jacobi():
+    g = loads(json.dumps(NON_JACOBI_DOC))
+    with pytest.raises(InputError, match="super Jacobi"):
+        betti_table(g, 3)
+    with pytest.raises(InputError, match="super Jacobi"):
+        cohomology(g, 2)
+
+
+def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
+    basis = GradedBasis(
+        labels=tuple(f"u{i}" for i in range(30)), parities=(1,) * 30
+    )
+    g = LieSuperalgebra(basis=basis, constants={})
+    assert cochain_dimension(basis, 6) == comb(35, 6) > 200000
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("elimination started")
+
+    # the package re-exports the function ``cohomology`` under the module's name
+    module = importlib.import_module("superquad.cohomology")
+    monkeypatch.setattr(module, "differential_matrix", no_elimination)
+    monkeypatch.setattr(module, "nullspace", no_elimination)
+    c = Cochain.from_terms(basis, {Monomial(even=(), odd=(0,) * 6): Fraction(1)})
+    with pytest.raises(ResourceLimitError):
+        cohomology(g, 6)
+    with pytest.raises(ResourceLimitError):
+        is_coboundary(g, c)
+    with pytest.raises(ResourceLimitError):
+        class_vector(g, c)
 
 
 def test_resource_limit_guard():
