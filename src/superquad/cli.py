@@ -23,7 +23,7 @@ from .cochains import (
     poisson_bracket,
     Cochain,
 )
-from .cohomology import cohomology_report
+from .cohomology import _check_cochain_dimensions, cohomology_report
 from .errors import InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
 from .quadratic import QuadraticLieSuperalgebra, darboux_frame, validate_quadratic
@@ -231,6 +231,7 @@ def _cmd_poisson(args) -> int:
         raise InputError(
             "the poisson command needs a quadratic algebra (a form)"
         )
+    _check_cochain_dimensions(obj.basis, args.max_degree)
     frame = darboux_frame(obj)
     three = associated_three_form(obj)
     i_i = poisson_bracket(obj, frame, three, three)

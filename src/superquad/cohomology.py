@@ -22,7 +22,7 @@ from .cochains import (
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Rat, nullspace, rank, transpose
+from .linalg import Echelon, Rat, nullspace, rank, transpose
 from .quadratic import QuadraticLieSuperalgebra, darboux_frame
 
 __all__ = [
@@ -113,9 +113,7 @@ class DifferentialMatrix:
         return (self.target.dimension, self.source.dimension)
 
     def rank(self) -> int:
-        if not self.entries or not self.entries[0]:
-            return 0
-        return rank([list(row) for row in self.entries])
+        return rank(self.entries)
 
 
 def _algebra(
@@ -174,13 +172,13 @@ def differential_matrix(
     )
 
 
-class _Quotient:
-    """Sparse rows (column -> nonzero), each zero at the pivots of the rows
-    before it: a basis of B^k, then one per representative of Z^k / B^k.
-    Representative i is fed with a 1 in the tag column n + i (n = dim C^k)
-    that row operations carry along, so a cocycle reduced to zero in the
-    cochain columns leaves minus its class vector in the tag columns, and
-    nothing exactly when it is a coboundary."""
+class _Quotient(Echelon):
+    """The echelon of B^k (the columns of delta_{k-1}), then one row per
+    representative of Z^k / B^k.  Representative i is fed with a 1 in the
+    tag column n + i (n = dim C^k) that row operations carry along, so a
+    cocycle reduced to zero in the cochain columns leaves minus its class
+    vector in the tag columns, and nothing exactly when it is a
+    coboundary."""
 
     def __init__(
         self,
@@ -189,37 +187,17 @@ class _Quotient:
         d_prev: DifferentialMatrix | None,
     ) -> None:
         self.basis, self.source, self.n = basis, source, source.dimension
-        self.rows: list[tuple[int, dict[int, Rat]]] = []
-        for col in zip(*d_prev.entries) if d_prev is not None else ():
-            self.add(col, tag=False)
+        super().__init__(zip(*d_prev.entries) if d_prev else (), limit=self.n)
         self.dim_boundary = len(self.rows)
 
-    def reduce(self, v: dict[int, Rat]) -> dict[int, Rat]:
-        """Clear v, in place, at the pivot of each row in turn."""
-        for pivot, row in self.rows:
-            a = v.get(pivot)
-            if a:
-                for j, x in row.items():
-                    v[j] = v.get(j, 0) - a * x
-                    if not v[j]:
-                        del v[j]
-        return v
-
-    def add(self, vec: Sequence[Rat], tag: bool = True) -> bool:
-        """Feed a dense vector; if it grows the span, its remainder becomes
-        a row with its leftmost column as the pivot, scaled to 1."""
+    def add_cocycle(self, vec: Sequence[Rat]) -> bool:
         v = {j: x for j, x in enumerate(vec) if x}
-        if tag:
-            v[self.n + len(self.rows) - self.dim_boundary] = Fraction(1)
-        pivot = min(self.reduce(v), default=self.n)
-        if pivot >= self.n:
-            return False
-        self.rows.append((pivot, {j: x / v[pivot] for j, x in v.items()}))
-        return True
+        v[self.n + len(self.rows) - self.dim_boundary] = Fraction(1)
+        return self.add(v)
 
-    def remainder(self, c: Cochain) -> dict[int, Rat]:
+    def remainder_of(self, c: Cochain) -> dict[int, Rat]:
         idx = self.source.index_map()
-        return self.reduce({idx[m]: x for m, x in c.terms})
+        return self.remainder({idx[m]: x for m, x in c.terms})
 
 
 @dataclass(frozen=True)
@@ -247,7 +225,10 @@ def _degree(c: Cochain, what: str) -> int:
 def _check_cochain_dimensions(
     basis: GradedBasis, k_max: int, limit: int = DEFAULT_MONOMIAL_LIMIT
 ) -> None:
-    """Refuse, before any work, a dim C^k over ``limit`` for k <= k_max + 1."""
+    """Refuse, before any work, a negative k_max and a dim C^k over
+    ``limit`` for k <= k_max + 1."""
+    if k_max < 0:
+        raise InputError("k_max must be non-negative")
     for k in range(k_max + 2):
         if (dim := cochain_dimension(basis, k)) > limit:
             raise ResourceLimitError(
@@ -279,7 +260,7 @@ def cohomology(
     kernel = nullspace([row[::-1] for row in d_k.entries], src.dimension)
     cocycles = [v[::-1] for v in reversed(kernel)]
     quotient = _Quotient(basis, src, d_prev if k > 0 else None)
-    reps = [v for v in cocycles if quotient.add(v)]
+    reps = [v for v in cocycles if quotient.add_cocycle(v)]
     n_z, n_b = len(cocycles), quotient.dim_boundary
     # rank-nullity, the rank taken over delta_k's columns: a second route,
     # independent of the row elimination behind the kernel
@@ -309,8 +290,6 @@ def betti_table(
     max_monomials: int = DEFAULT_MONOMIAL_LIMIT,
 ) -> list[CohomologyResult]:
     """Cohomology in degrees 0..k_max, reusing each differential once."""
-    if k_max < 0:
-        raise InputError("k_max must be non-negative")
     _check_cochain_dimensions(_algebra(q).basis, k_max, max_monomials)
     mats = [differential_matrix(q, k, verify=verify) for k in range(k_max + 1)]
     return [
@@ -333,7 +312,7 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
         return False
     _check_cochain_dimensions(g.basis, k - 1)
     d_prev = differential_matrix(q, k - 1, verify=False)
-    return not _Quotient(g.basis, d_prev.target, d_prev).remainder(c)
+    return not _Quotient(g.basis, d_prev.target, d_prev).remainder_of(c)
 
 
 def class_vector(
@@ -362,7 +341,7 @@ def class_vector(
     quotient = result._quotient
     if quotient is None or quotient.basis != g.basis:
         raise InputError("result is not a cohomology() of this algebra's basis")
-    v, n = quotient.remainder(c), quotient.n
+    v, n = quotient.remainder_of(c), quotient.n
     if min(v, default=n) < n:
         raise EngineError("cocycle does not decompose over B + representatives")
     return [-v.get(n + i, Fraction(0)) for i in range(result.betti)]

@@ -1,16 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Everything in the engine reduces, at the bottom, to row reduction of
-matrices with ``fractions.Fraction`` entries.  The helpers here are
-deliberately plain: lists of lists, no numpy, no pivoting heuristics.
-Exactness is the point; speed is adequate for the dimensions at hand
-(a dozen basis vectors, cochain spaces up to a few thousand monomials).
+matrices with ``fractions.Fraction`` entries, and all of it goes through
+one sparse reduced-echelon routine, ``Echelon``: rows hold only their
+nonzeros, because the differentials of the cochain complex are very
+sparse.  Matrices at the API are plain lists of lists; no numpy, no
+pivoting heuristics.  Exactness is the point.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -77,41 +79,64 @@ def mat_mul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
+class Echelon:
+    """Sparse reduced row echelon form over Q, fed dense rows in order.
+
+    ``rows`` maps each pivot to its row {column: nonzero}, 1 at its pivot
+    (its leftmost nonzero) and 0 at every other pivot.  Columns from
+    ``limit`` on never become pivots; row operations carry them along.
+    """
+
+    def __init__(self, rows: Iterable[Sequence[Rat]] = (), limit: float = inf) -> None:
+        self.rows: dict[int, dict[int, Rat]] = {}
+        self.limit = limit
+        for row in rows:
+            self.add({j: x for j, x in enumerate(row) if x})
+
+    def remainder(self, v: dict[int, Rat]) -> dict[int, Rat]:
+        """Clear v, in place, at every pivot: what is left is the one vector
+        of v + span(rows) zero there, whatever order the rows came in."""
+        for p in [j for j in v if j in self.rows]:
+            _subtract(v, v[p], self.rows[p])
+        return v
+
+    def add(self, v: dict[int, Rat]) -> bool:
+        """Reduce v; if a nonzero is left before ``limit``, v becomes the row
+        of its leftmost column, scaled to 1, cleared from the other rows."""
+        pivot = min(self.remainder(v), default=self.limit)
+        if pivot >= self.limit:
+            return False
+        inv = Fraction(1) / v[pivot]
+        new = {j: x * inv for j, x in v.items()}
+        for row in self.rows.values():
+            if a := row.get(pivot):
+                _subtract(row, a, new)
+        self.rows[pivot] = new
+        return True
+
+
+def _subtract(v: dict[int, Rat], a: Rat, row: dict[int, Rat]) -> None:
+    """v -= a * row, in place, dropping the zeros this makes."""
+    for j, x in row.items():
+        if y := v.get(j, 0) - a * x:
+            v[j] = y
+        else:
+            del v[j]
+
+
 def rref(m: Sequence[Sequence[Rat]]) -> tuple[list[list[Rat]], list[int]]:
     """Reduced row echelon form with leftmost pivots.
 
     Returns (R, pivots) where pivots[i] is the column of the leading 1
-    in row i; zero rows are dropped from R.
+    in row i; zero rows are dropped from R.  Only R is made dense.
     """
-    work = [list(row) for row in m]
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c] ** -1
-        work[r] = [x * inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return work[:r], pivots
+    rows, zero = Echelon(m).rows, Fraction(0)
+    pivots, cols = sorted(rows), range(len(m[0]) if m else 0)
+    return [[rows[p].get(j, zero) for j in cols] for p in pivots], pivots
 
 
 def rank(m: Sequence[Sequence[Rat]]) -> int:
-    return len(rref(m)[0])
+    return len(Echelon(m).rows)
 
 
 def nullspace(m: Sequence[Sequence[Rat]], cols: int | None = None) -> list[list[Rat]]:
@@ -124,7 +149,7 @@ def nullspace(m: Sequence[Sequence[Rat]], cols: int | None = None) -> list[list[
         if not m:
             raise InputError("nullspace of an empty matrix needs an explicit column count")
         cols = len(m[0])
-    reduced, pivots = rref(m) if m else ([], [])
+    reduced, pivots = rref(m)
     pivot_set = set(pivots)
     basis: list[list[Rat]] = []
     for free in range(cols):
@@ -151,10 +176,7 @@ def inverse(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
 
 def echelon_basis(vectors: Iterable[Sequence[Rat]]) -> list[list[Rat]]:
     """RREF basis of the span of the given vectors (dropping zero rows)."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return []
-    return rref(rows)[0]
+    return rref([list(v) for v in vectors])[0]
 
 
 def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat] | None:

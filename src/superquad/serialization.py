@@ -136,9 +136,12 @@ def algebra_from_dict(doc: Mapping):
         _require(
             isinstance(label, str) and label, "basis labels must be strings"
         )
-        _require(parity in (0, 1), f"parity of {label!r} must be 0 or 1")
+        _require(
+            type(parity) is int and parity in (0, 1),
+            f"parity of {label!r} must be the integer 0 or 1",
+        )
         labels.append(label)
-        parities.append(int(parity))
+        parities.append(parity)
     _require(
         len(set(labels)) == len(labels), "basis labels must be distinct"
     )
@@ -157,8 +160,10 @@ def algebra_from_dict(doc: Mapping):
         )
         return index[label]
 
+    brackets = doc.get("brackets", [])
+    _require(isinstance(brackets, list), "'brackets' must be an array")
     rows = []
-    for entry in doc.get("brackets", []) or []:
+    for entry in brackets:
         _require(
             isinstance(entry, Mapping)
             and {"left", "right", "terms"} <= set(entry),

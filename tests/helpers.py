@@ -7,6 +7,8 @@ The Poisson oracle deliberately avoids the closed-form double sum
 used by the engine: it extends the degree-1 dual pairings (inverse Gram
 blocks) by the graded biderivation rules alone.  Agreement between the
 two is a meaningful check, not a tautology.
+``rref_dense`` is the dense Gauss-Jordan elimination the engine's sparse
+echelon replaced; RREF is unique, so the two must agree exactly.
 """
 from __future__ import annotations
 
@@ -133,6 +135,40 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
             span = candidate
             current = r
     return reps
+
+
+def rref_dense(m) -> tuple[list[list[Rat]], list[int]]:
+    """Reference reduced row echelon form by dense Gauss-Jordan elimination.
+
+    Every row is a full list of Fractions; the pivot of each column is the
+    first nonzero at or below the current row.  Returns (R, pivots) like
+    ``linalg.rref``: R is unique, so the two must agree exactly.
+    """
+    work = [list(row) for row in m]
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = work[r][c] ** -1
+        work[r] = [x * inv for x in work[r]]
+        for i in range(rows):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return work[:r], pivots
 
 
 def random_homogeneous(

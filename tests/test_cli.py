@@ -5,6 +5,7 @@ import pytest
 
 from helpers import NON_JACOBI_DOC
 from superquad import validate_quadratic
+from superquad import cli
 from superquad.cli import main
 from superquad.extensions import skew_superderivation_space
 from superquad.catalog import build
@@ -135,6 +136,44 @@ def test_poisson_check(capsys):
 def test_poisson_needs_quadratic(capsys):
     assert main(["poisson", "h"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_poisson_rejects_a_negative_degree(capsys):
+    assert main(["poisson", "g_4_1_s", "--max-degree", "-1"]) == 2
+    assert "k_max must be non-negative" in capsys.readouterr().err
+
+
+def test_poisson_checks_the_size_first(tmp_path, capsys, monkeypatch):
+    # 30 odd generators, zero bracket, a symplectic form: dim C^6 = C(35, 6)
+    labels = [f"u{i}" for i in range(30)]
+    doc = {
+        "basis": [{"label": lab, "parity": 1} for lab in labels],
+        "brackets": [],
+        "form": [
+            {"left": labels[i], "right": labels[i + 1], "value": "1"}
+            for i in range(0, 30, 2)
+        ],
+    }
+    path = tmp_path / "odd30.json"
+    path.write_text(json.dumps(doc))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "darboux_frame", no_work)
+    monkeypatch.setattr(cli, "monomials_of_degree", no_work)
+    assert main(["poisson", str(path), "--max-degree", "5"]) == 2
+    assert "exceeds the monomial limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["validate", "betti"])
+def test_non_array_brackets_are_an_input_error(verb, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BROKEN_DOC, brackets=5)))
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'brackets' must be an array")
+    assert "Traceback" not in err
 
 
 def test_export_round_trip(capsys):

@@ -1,9 +1,12 @@
 """Exact linear algebra over Fraction."""
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import rref_dense
+from superquad import linalg
 from superquad.errors import InputError
 from superquad.linalg import (
     echelon_basis,
@@ -22,12 +25,48 @@ fractions = st.fractions(
 )
 
 
-def matrices(rows, cols):
-    return st.lists(
-        st.lists(fractions, min_size=cols, max_size=cols),
-        min_size=rows,
-        max_size=rows,
-    )
+def cell(draw, sparsity: int) -> Fraction:
+    """A fraction in one of ``sparsity`` draws, else 0."""
+    return draw(fractions) if draw(st.integers(1, sparsity)) == 1 else Fraction(0)
+
+
+@st.composite
+def matrices(draw, min_dim=0, max_dim=8):
+    """(m, cols): up to max_dim x max_dim, dense or sparse, with zero rows
+    and exact copies of earlier rows mixed in."""
+    rows = draw(st.integers(min_dim, max_dim))
+    cols = draw(st.integers(min_dim, max_dim))
+    sparsity = draw(st.sampled_from([1, 4, 12]))  # ~1 in sparsity cells drawn
+    m: list[list[Fraction]] = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh"] * 4 + ["zero", "copy"]))
+        if kind == "zero":
+            m.append([Fraction(0)] * cols)
+        elif kind == "copy" and m:
+            m.append(list(m[draw(st.integers(0, len(m) - 1))]))
+        else:
+            m.append([cell(draw, sparsity) for _ in range(cols)])
+    return m, cols
+
+
+@st.composite
+def squares(draw, max_dim=8):
+    """Square matrices: L * U with unit L and invertible U (nonsingular),
+    or a square from ``matrices`` with a zero or repeated row (singular)."""
+    n = draw(st.integers(0, max_dim))
+    if draw(st.booleans()):
+        nonzero = fractions.filter(lambda x: x != 0)
+        low, up = identity(n), identity(n)
+        for i in range(n):
+            low[i][:i] = [draw(fractions) for _ in range(i)]
+            up[i][i:] = [draw(nonzero)] + [draw(fractions) for _ in range(i + 1, n)]
+        return mat_mul(low, up)
+    m, _ = draw(matrices(min_dim=n, max_dim=n))
+    if n:
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        m[i] = list(m[j]) if i != j else [Fraction(0)] * n
+    return m
 
 
 def test_rref_identity():
@@ -44,8 +83,9 @@ def test_rank_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(matrices(3, 4))
-def test_rref_pivots_are_unit_columns(m):
+@given(matrices())
+def test_rref_pivots_are_unit_columns(mc):
+    m, _ = mc
     r, pivots = rref(m)
     for row_idx, col in enumerate(pivots):
         column = [r[i][col] for i in range(len(r))]
@@ -54,22 +94,25 @@ def test_rref_pivots_are_unit_columns(m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(matrices(4, 3))
-def test_nullspace_vectors_are_in_kernel(m):
-    ns = nullspace(m)
-    assert len(ns) == 3 - rank(m)
+@given(matrices())
+def test_nullspace_vectors_are_in_kernel(mc):
+    m, cols = mc
+    ns = nullspace(m, cols)
+    assert len(ns) == cols - rank(m)
     for v in ns:
-        image = [sum(row[j] * v[j] for j in range(3)) for row in m]
+        image = [sum(row[j] * v[j] for j in range(cols)) for row in m]
         assert all(x == 0 for x in image)
 
 
 @settings(max_examples=40, deadline=None)
-@given(matrices(3, 3), st.lists(fractions, min_size=3, max_size=3))
-def test_solve_round_trip(m, x):
-    b = [sum(m[i][j] * x[j] for j in range(3)) for i in range(3)]
+@given(matrices(min_dim=1), st.data())
+def test_solve_round_trip(mc, data):
+    m, cols = mc
+    x = data.draw(st.lists(fractions, min_size=cols, max_size=cols))
+    b = [sum(row[j] * x[j] for j in range(cols)) for row in m]
     got = solve(m, b)
     assert got is not None
-    back = [sum(m[i][j] * got[j] for j in range(3)) for i in range(3)]
+    back = [sum(row[j] * got[j] for j in range(cols)) for row in m]
     assert back == b
 
 
@@ -79,15 +122,48 @@ def test_solve_inconsistent_returns_none():
 
 
 @settings(max_examples=30, deadline=None)
-@given(matrices(3, 3))
+@given(squares())
 def test_inverse_when_nonsingular(m):
-    if rank(m) < 3:
+    n = len(m)
+    if rank(m) < n:
         with pytest.raises(InputError):
             inverse(m)
     else:
         inv = inverse(m)
-        assert mat_mul(m, inv) == identity(3)
-        assert mat_mul(inv, m) == identity(3)
+        assert mat_mul(m, inv) == identity(n)
+        assert mat_mul(inv, m) == identity(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_matches_the_dense_oracle(mc, data):
+    m, cols = mc
+    expected = rref_dense(m)
+    assert rref(m) == expected
+    assert rank(m) == len(expected[0])
+    if data.draw(st.booleans()):  # b in the column space, or anything
+        x = data.draw(st.lists(fractions, min_size=cols, max_size=cols))
+        b = [sum(row[j] * x[j] for j in range(cols)) for row in m]
+    else:
+        b = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
+    got = (nullspace(m, cols), echelon_basis(m), solve(m, b))
+    with patch.object(linalg, "rref", rref_dense):
+        assert got == (nullspace(m, cols), echelon_basis(m), solve(m, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(squares())
+def test_inverse_matches_the_dense_oracle(m):
+    def inverse_or_none():
+        try:
+            return inverse(m)
+        except InputError:
+            return None
+
+    got = inverse_or_none()
+    with patch.object(linalg, "rref", rref_dense):
+        assert got == inverse_or_none()
+    assert (got is None) == (len(rref_dense(m)[0]) < len(m))
 
 
 def test_echelon_basis_removes_dependence():

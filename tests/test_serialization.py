@@ -1,11 +1,15 @@
 """JSON interchange format round-trips and input rejection."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superquad import build, validate_quadratic
-from superquad.algebra import validate_lie_superalgebra
+from superquad.algebra import LieSuperalgebra, validate_lie_superalgebra
 from superquad.catalog import catalog_keys, get_entry
+from superquad.cli import main
 from superquad.errors import InputError
 from superquad.quadratic import QuadraticLieSuperalgebra
 from superquad.serialization import (
@@ -87,6 +91,86 @@ def test_from_dict_rejects_structural_errors():
     unknown["brackets"][0]["left"] = "nope"
     with pytest.raises(InputError):
         algebra_from_dict(unknown)
+
+
+@pytest.mark.parametrize("brackets", [5, True, "ab", {"left": "X0"}, None])
+def test_brackets_must_be_an_array(brackets):
+    doc = algebra_to_dict(build("g_4_1_s"))
+    doc["brackets"] = brackets
+    with pytest.raises(InputError, match="'brackets' must be an array"):
+        algebra_from_dict(doc)
+
+
+def test_absent_brackets_mean_an_abelian_algebra():
+    g = algebra_from_dict({"basis": [{"label": "a", "parity": 0}]})
+    assert isinstance(g, LieSuperalgebra) and not g.constants
+
+
+@pytest.mark.parametrize("parity", [True, False, 1.0, 0.0, "1", None, 2])
+def test_parity_must_be_the_integer_0_or_1(parity):
+    doc = {"basis": [{"label": "a", "parity": parity}], "brackets": []}
+    with pytest.raises(InputError, match="parity"):
+        algebra_from_dict(doc)
+
+
+# JSON-like values: nested lists and objects over the document's keys
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.sampled_from(["a", "X0", "1/2", "-1", "0"]),
+)
+_keys = st.sampled_from(
+    ["basis", "brackets", "form", "label", "parity", "left", "right", "terms",
+     "coeff", "value", "name"]
+) | st.text(max_size=3)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_keys, inner, max_size=3),
+    max_leaves=8,
+)
+_VALID_DOCS = [algebra_to_dict(build("g_4_1_s")), algebra_to_dict(build("h"))]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with one field, at any depth, replaced by a
+    JSON-like value or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_VALID_DOCS))))
+    node = doc
+    while node:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        if isinstance(node[key], (dict, list)) and draw(st.booleans()):
+            node = node[key]
+        elif draw(st.integers(0, 4)):
+            node[key] = draw(_scalars | _values)
+            break
+        else:
+            del node[key]
+            break
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values | _mutated_documents(), st.booleans())
+def test_fuzzed_documents_load_or_raise_input_error(tmp_path_factory, doc, via_cli):
+    """Every document loads or is an InputError; the CLI exits 0, 1 or 2."""
+    text = json.dumps(doc)
+    try:
+        loads(text)
+    except InputError:
+        pass
+    if via_cli:
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            assert main(["validate", str(path)]) in (0, 1, 2)
 
 
 def test_loading_does_not_force_validity():
