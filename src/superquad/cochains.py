@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
-from .errors import EngineError, InputError
+from .errors import InputError
 from .linalg import Rat, rat_str
 from .quadratic import DarbouxFrame, QuadraticLieSuperalgebra, darboux_frame
 
@@ -132,17 +132,10 @@ class Cochain:
     @classmethod
     def from_terms(cls, basis: GradedBasis, terms: Mapping[Monomial, Rat] | Iterable[tuple[Monomial, Rat]]) -> "Cochain":
         acc: dict[Monomial, Rat] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
-            if c == 0:
-                continue
-            val = acc.get(m, Fraction(0)) + c
-            if val:
-                acc[m] = val
-            elif m in acc:
-                del acc[m]
-        ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
-        return cls(basis=basis, terms=ordered)
+        zero = Fraction(0)
+        for m, c in terms.items() if isinstance(terms, Mapping) else terms:
+            acc[m] = acc.get(m, zero) + c
+        return _cochain(basis, acc)
 
     @classmethod
     def zero(cls, basis: GradedBasis) -> "Cochain":
@@ -181,14 +174,7 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         _same_basis(self, other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            val = acc.get(m, Fraction(0)) + c
-            if val:
-                acc[m] = val
-            elif m in acc:
-                del acc[m]
-        return Cochain.from_terms(self.basis, acc)
+        return Cochain.from_terms(self.basis, self.terms + other.terms)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(Fraction(-1))
@@ -212,6 +198,12 @@ class Cochain:
         for m, c in self.terms:
             parts.append(f"{rat_str(c)} * {_format_monomial(m, ne)}")
         return "  +  ".join(parts)
+
+
+def _cochain(basis: GradedBasis, acc: Mapping[Monomial, Rat]) -> Cochain:
+    """The cochain of an accumulator: zero entries dropped, terms sorted."""
+    terms = ((m, c) for m, c in acc.items() if c)
+    return Cochain(basis, tuple(sorted(terms, key=lambda kv: kv[0].sort_key())))
 
 
 def _same_basis(a: Cochain, b: Cochain):
@@ -298,29 +290,41 @@ def from_values(basis: GradedBasis, k: int, value_fn: Callable[[tuple[int, ...]]
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:
-    """Super-exterior product.
+    """Super-exterior product (see ``_wedge_into`` for the rule)."""
+    _same_basis(a, b)
+    acc: dict[Monomial, Rat] = {}
+    _wedge_into(acc, a.terms, b.terms, 1)
+    return _cochain(a.basis, acc)
+
+
+def _wedge_into(
+    acc: dict[Monomial, Rat],
+    terms1: Iterable[tuple[Monomial, Rat]],
+    terms2: Iterable[tuple[Monomial, Rat]],
+    scale: Rat,
+) -> None:
+    """acc += scale * (terms1 ^ terms2), merged term by term.
 
     On monomials
     (E (x) O) ^ (E' (x) O') = sgn * merge(E, E') (x) merge(O, O')
     with sgn = (-1)^{|O|*|E'|} times the sign of the shuffle merging E
     and E' into increasing order; coinciding even indices kill the term.
     """
-    _same_basis(a, b)
-    acc: dict[Monomial, Rat] = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            merged = _merge_even(m1.even, m2.even)
+    zero = Fraction(0)
+    terms2 = list(terms2)
+    for m1, c1 in terms1:
+        even1, odd1 = m1.even, m1.odd
+        c1 = scale * c1
+        for m2, c2 in terms2:
+            merged = _merge_even(even1, m2.even)
             if merged is None:
                 continue
-            even, shuffle_sign = merged
-            sign = shuffle_sign * (-1 if (m1.sym_degree * m2.alt_degree) % 2 else 1)
-            m = Monomial(even=even, odd=tuple(sorted(m1.odd + m2.odd)))
-            val = acc.get(m, Fraction(0)) + sign * c1 * c2
-            if val:
-                acc[m] = val
-            elif m in acc:
-                del acc[m]
-    return Cochain.from_terms(a.basis, acc)
+            even, sign = merged
+            if len(odd1) * len(m2.even) % 2:
+                sign = -sign
+            m = Monomial(even=even, odd=tuple(sorted(odd1 + m2.odd)))
+            val = c1 * c2
+            acc[m] = acc.get(m, zero) + (val if sign > 0 else -val)
 
 
 def _merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -335,49 +339,57 @@ def _merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(sorted(e1 + e2)), (-1 if inv % 2 else 1)
 
 
-def contract_index(i: int, c: Cochain) -> Cochain:
-    """Contraction with basis vector number i.
+def _contractions(
+    terms: Iterable[tuple[Monomial, Rat]],
+) -> dict[int, dict[Monomial, Rat]]:
+    """The contraction i_t(A) by every letter t of A, in one pass over
+    A's terms.
 
-    Defined by i_X(A)(args) = (-1)^{x * b(A)} A(X, args) where x is the
-    parity of X and b(A) the Z2-degree of A.  On a monomial with even
-    part E (length a) and odd part O (length b):
+    i_X(A)(args) = (-1)^{x * b(A)} A(X, args) where x is the parity of X
+    and b(A) the Z2-degree of A.  On a monomial with even part E (length
+    a) and odd part O (length b):
 
-    * even i at position p of E: delete it, coefficient factor (-1)^p;
-    * odd i of multiplicity mu in O: delete one occurrence, coefficient
+    * even t at position p of E: delete it, coefficient factor (-1)^p;
+    * odd t of multiplicity mu in O: delete one occurrence, coefficient
       factor mu * (-1)^(a+b) (the (-1)^a from carrying the argument past
       the a alternating slots, the (-1)^b from the Z2 prefactor, the mu
       from the symmetric slots that can absorb it).
     """
-    basis = c.basis
-    x_par = basis.parities[i]
+    zero = Fraction(0)
+    out: dict[int, dict[Monomial, Rat]] = {}
+    for m, c in terms:
+        even, odd = m.even, m.odd
+        for p, t in enumerate(even):
+            mm = Monomial(even=even[:p] + even[p + 1 :], odd=odd)
+            acc = out.setdefault(t, {})
+            acc[mm] = acc.get(mm, zero) + (-c if p % 2 else c)
+        odd_sign = -1 if (len(even) + len(odd)) % 2 else 1
+        for p, t in enumerate(odd):
+            if p and odd[p - 1] == t:
+                continue  # one term per distinct odd letter
+            mm = Monomial(even=even, odd=odd[:p] + odd[p + 1 :])
+            acc = out.setdefault(t, {})
+            acc[mm] = acc.get(mm, zero) + odd_sign * odd.count(t) * c
+    return out
+
+
+def _combination(
+    parts: Iterable[tuple[Rat, Mapping[Monomial, Rat]]],
+) -> dict[Monomial, Rat]:
+    """sum_i x_i * A_i over (x_i, terms of A_i) pairs."""
+    zero = Fraction(0)
     acc: dict[Monomial, Rat] = {}
-    for m, coeff in c.terms:
-        b = m.z2_degree
-        prefactor = -1 if (x_par * b) % 2 else 1
-        if x_par == 0:
-            if i not in m.even:
-                continue
-            p = m.even.index(i)
-            rest = m.even[:p] + m.even[p + 1 :]
-            sign = prefactor * (-1 if p % 2 else 1)
-            mm = Monomial(even=rest, odd=m.odd)
-            val = acc.get(mm, Fraction(0)) + sign * coeff
-        else:
-            mu = m.odd.count(i)
-            if mu == 0:
-                continue
-            odd = list(m.odd)
-            odd.remove(i)
-            # moving the odd argument past the a even slots gives (-1)^a;
-            # summing over which symmetric slot absorbs it gives mu
-            sign_val = prefactor * (-1 if m.alt_degree % 2 else 1) * mu
-            mm = Monomial(even=m.even, odd=tuple(odd))
-            val = acc.get(mm, Fraction(0)) + sign_val * coeff
-        if val:
-            acc[mm] = val
-        elif mm in acc:
-            del acc[mm]
-    return Cochain.from_terms(basis, acc)
+    for x, terms in parts:
+        if x:
+            for m, c in terms.items():
+                acc[m] = acc.get(m, zero) + x * c
+    return acc
+
+
+def contract_index(i: int, c: Cochain) -> Cochain:
+    """Contraction with basis vector number i, i_X(A)(args) =
+    (-1)^{x * b(A)} A(X, args); ``_contractions`` has the rule on monomials."""
+    return _cochain(c.basis, _contractions(c.terms).get(i, {}))
 
 
 def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
@@ -388,11 +400,10 @@ def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
     parity = c.basis.parity_of_vector(v)
     if parity is None and any(x != 0 for x in v):
         raise InputError("contraction vector must be parity-homogeneous")
-    out = Cochain.zero(c.basis)
-    for i, coeff in enumerate(v):
-        if coeff != 0:
-            out = out + contract_index(i, c).scale(coeff)
-    return out
+    contractions = _contractions(c.terms)
+    return _cochain(
+        c.basis, _combination((x, contractions.get(i, {})) for i, x in enumerate(v))
+    )
 
 
 def contract(g: LieSuperalgebra, x, a: Cochain) -> Cochain:
@@ -413,9 +424,10 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j).  A
     monomial is the wedge of its letters (evens ascending, then odds
     with multiplicity) with coefficient 1, hence
-    delta(L_1 ^ ... ^ L_k) = sum_p (-1)^(p-1) L_1 ^ .. ^ delta(L_p) ^ .. ^ L_k.
-    Degree-0 terms map to zero.  The evaluation formula on every
-    canonical (k+1)-tuple is kept in the tests as the oracle.
+    delta(L_1 ^ ... ^ L_k) = sum_p (-1)^(p-1) L_1 ^ .. ^ delta(L_p) ^ .. ^ L_k,
+    each summand being, up to sign, the other letters' monomial wedged
+    with delta(L_p).  Degree-0 terms map to zero.  The evaluation formula
+    on every canonical (k+1)-tuple is kept in the tests as the oracle.
     """
     basis = g.basis
     ne = basis.even_dim
@@ -425,22 +437,23 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     for (i, j), br in g.constants.items():
         if i == j and i < ne:
             continue  # no canonical pair repeats an even index
-        pair = _letters(ne, (i, j))
         for t, v in br.items():
             if t in images:
-                images[t][pair] = -v / (2 if i == j else 1)
-    deltas = {t: Cochain.from_terms(basis, terms) for t, terms in images.items()}
-    out: list[tuple[Monomial, Rat]] = []
+                images[t][_letters(ne, (i, j))] = -v / (2 if i == j else 1)
+    acc: dict[Monomial, Rat] = {}
     for m, coeff in c.terms:
         letters = m.even + m.odd
+        k = len(letters)
         for p, t in enumerate(letters):
-            if deltas[t].is_zero:
+            if not images[t]:
                 continue
-            sign = -1 if p % 2 else 1
-            prefix = Cochain(basis, ((_letters(ne, letters[:p]), sign * coeff),))
-            suffix = Cochain(basis, ((_letters(ne, letters[p + 1 :]), Fraction(1)),))
-            out.extend(wedge(wedge(prefix, deltas[t]), suffix).terms)
-    return Cochain.from_terms(basis, out)
+            # delta(t*) has bidegree (2, |t|), so moving it right past the
+            # k - p - 1 letters after it, all odd when t is, adds
+            # (-1)^(|t| (k - p - 1)) to the (-1)^p of the Leibniz rule
+            flips = k - 1 if t >= ne else p
+            rest = _letters(ne, letters[:p] + letters[p + 1 :])
+            _wedge_into(acc, ((rest, -coeff if flips % 2 else coeff),), images[t].items(), 1)
+    return _cochain(basis, acc)
 
 
 def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:
@@ -461,30 +474,36 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     g = q.algebra
     basis = g.basis
     n = basis.dim
-
-    def value_on(args: tuple[int, ...]) -> Rat:
-        i, j, k = args
-        return sum(
-            (c * q.form.gram[t][k] for t, c in g.bracket_pair(i, j).items()),
-            Fraction(0),
-        )
-
-    icochain = from_values(basis, 3, value_on)
+    zero = Fraction(0)
+    gram = [{k: x for k, x in enumerate(row) if x} for row in q.form.gram]
+    # row (i, j) is B([e_i, e_j], .), computed once per pair
+    rows: dict[tuple[int, int], dict[int, Rat]] = {}
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                expected = sum(
-                    (c * q.form.gram[t][k] for t, c in g.bracket_pair(i, j).items()),
-                    Fraction(0),
-                )
-                if evaluate(icochain, (i, j, k)) != expected:
-                    raise EngineError(
-                        "associated 3-form is inconsistent with B([.,.],.); "
-                        "the input form is not invariant or not supersymmetric"
-                    )
+            row = rows[i, j] = {}
+            for t, c in g.bracket_pair(i, j).items():
+                for k, x in gram[t].items():
+                    row[k] = row.get(k, zero) + c * x
+    icochain = from_values(basis, 3, lambda args: rows[args[:2]].get(args[2], zero))
+    # I is nonzero only on the orderings of its monomials' letters, each
+    # ordering of one monomial, so comparing the nonzero values compares
+    # every triple
+    values = {
+        args: evaluate(Cochain(basis, (term,)), args)
+        for term in icochain.terms
+        for args in itertools.permutations(term[0].even + term[0].odd)
+    }
+    expected = {(i, j, k): x for (i, j), row in rows.items() for k, x in row.items() if x}
+    if {args: v for args, v in values.items() if v} != expected:
+        raise InputError(
+            "associated 3-form is inconsistent with B([.,.],.); "
+            "the input form is not invariant or not supersymmetric"
+        )
     deg = icochain.homogeneous_bidegree()
     if not icochain.is_zero and deg != (3, 0):
-        raise EngineError("associated 3-form must have bidegree (3, even)")
+        raise InputError(
+            "associated 3-form must have bidegree (3, even); the input form is not even"
+        )
     return icochain
 
 
@@ -524,63 +543,39 @@ def poisson_bracket(
     _same_basis(a, b)
     if frame is None:
         frame = darboux_frame(q)
-    basis = q.basis
-    ne = basis.even_dim
-    acc = Cochain.zero(basis)
-    # group the left factor by (alternating, symmetric) degree: the
-    # global prefactors depend only on the left bidegree
-    groups: dict[tuple[int, int], dict[Monomial, Rat]] = {}
-    for m, c in a.terms:
-        groups.setdefault((m.alt_degree, m.sym_degree), {})[m] = c
-    # even-even coefficient matrix B(Y0^i, Y0^j) = inverse even Gram
-    even_coeff = frame.even_dual
-    # odd Darboux vectors as full coordinate vectors
+    ne, no = q.basis.even_dim, q.basis.odd_dim
     pairs = frame.odd_pairs
-    xs: list[list[Rat]] = []
-    ys: list[list[Rat]] = []
-    for k in range(pairs):
-        xv = [Fraction(0)] * basis.dim
-        yv = [Fraction(0)] * basis.dim
-        for r in range(basis.odd_dim):
-            xv[ne + r] = frame.odd_darboux[r][k]
-            yv[ne + r] = frame.odd_darboux[r][k + pairs]
-        xs.append(xv)
-        ys.append(yv)
-    # group the right factor by symmetric degree: the odd-sum prefactor
-    # depends on it
-    right_groups: dict[int, dict[Monomial, Rat]] = {}
-    for m, c in b.terms:
-        right_groups.setdefault(m.sym_degree, {})[m] = c
-    for (omega, f), terms in sorted(groups.items()):
-        left = Cochain.from_terms(basis, terms)
-        sign_even = -1 if (omega + f + 1) % 2 else 1
-        part = Cochain.zero(basis)
-        if ne:
-            left_contr = [contract_index(i, left) for i in range(ne)]
-            right_contr = [contract_index(j, b) for j in range(ne)]
-            for i in range(ne):
-                if left_contr[i].is_zero:
-                    continue
-                for j in range(ne):
-                    cij = even_coeff[i][j]
-                    if cij == 0 or right_contr[j].is_zero:
-                        continue
-                    part = part + wedge(left_contr[i], right_contr[j]).scale(
-                        Fraction(sign_even) * cij
-                    )
-        if pairs:
-            left_x = [contract_vector(left, xs[k]) for k in range(pairs)]
-            left_y = [contract_vector(left, ys[k]) for k in range(pairs)]
-            for g_deg, rterms in sorted(right_groups.items()):
-                right = Cochain.from_terms(basis, rterms)
-                sign_odd = -1 if (omega + f + g_deg + 1) % 2 else 1
-                for k in range(pairs):
-                    bx = contract_vector(right, xs[k])
-                    by = contract_vector(right, ys[k])
-                    term = wedge(left_x[k], by) - wedge(left_y[k], bx)
-                    part = part + term.scale(Fraction(sign_odd))
-        acc = acc + part
-    return acc
+
+    def darboux(contractions: dict[int, dict[Monomial, Rat]]) -> list[dict[Monomial, Rat]]:
+        """iota_{X1^1..X1^n}, then iota_{Y1^1..Y1^n}: combinations of the
+        contractions by the odd letters."""
+        return [
+            _combination(
+                (frame.odd_darboux[r][col], contractions.get(ne + r, {}))
+                for r in range(no)
+            )
+            for col in range(2 * pairs)
+        ]
+
+    # (-1)^{omega+f+1} depends only on the degree of a left term, so it
+    # goes into the left coefficients before contracting
+    left = _contractions((m, c if m.degree % 2 else -c) for m, c in a.terms)
+    left_xy = darboux(left)
+    acc: dict[Monomial, Rat] = {}
+    # the odd sum's (-1)^g depends on the symmetric degree g of a right
+    # term: contract the right terms of each parity of g apart
+    for parity in (0, 1):
+        right = _contractions((m, c) for m, c in b.terms if m.sym_degree % 2 == parity)
+        for i, left_i in left.items():
+            for j, right_j in right.items():
+                if i < ne and j < ne and frame.even_dual[i][j]:
+                    _wedge_into(acc, left_i.items(), right_j.items(), frame.even_dual[i][j])
+        right_xy = darboux(right)
+        sign = -1 if parity else 1
+        for k in range(pairs):
+            _wedge_into(acc, left_xy[k].items(), right_xy[pairs + k].items(), sign)
+            _wedge_into(acc, left_xy[pairs + k].items(), right_xy[k].items(), -sign)
+    return _cochain(q.basis, acc)
 
 
 def differential_via_poisson(

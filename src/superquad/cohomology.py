@@ -143,6 +143,7 @@ def differential_matrix(
     quad = q if isinstance(q, QuadraticLieSuperalgebra) else None
     g = _algebra(q)
     basis = g.basis
+    _check_cochain_dimensions(basis, k)
     src = cochain_basis(basis, k)
     tgt = cochain_basis(basis, k + 1)
     if verify and quad is not None:
@@ -150,8 +151,9 @@ def differential_matrix(
             frame = darboux_frame(quad)
         if three_form is None:
             three_form = associated_three_form(quad)
-    cols: list[list[Rat]] = []
-    for m in src.monomials:
+    idx = tgt.index_map()
+    entries = [[Fraction(0)] * src.dimension for _ in range(tgt.dimension)]
+    for col, m in enumerate(src.monomials):
         c = Cochain.from_terms(basis, {m: Fraction(1)})
         image = differential_direct(g, c)
         if verify and quad is not None:
@@ -163,12 +165,10 @@ def differential_matrix(
                     "differential_direct and differential_via_poisson "
                     f"disagree on {m} in degree {k}"
                 )
-        cols.append(tgt.coordinates(image))
-    entries = tuple(
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(tgt.dimension)
-    )
+        for mm, x in image.terms:
+            entries[idx[mm]][col] = x
     return DifferentialMatrix(
-        source_degree=k, source=src, target=tgt, entries=entries
+        source_degree=k, source=src, target=tgt, entries=tuple(map(tuple, entries))
     )
 
 
@@ -291,7 +291,9 @@ def betti_table(
 ) -> list[CohomologyResult]:
     """Cohomology in degrees 0..k_max, reusing each differential once."""
     _check_cochain_dimensions(_algebra(q).basis, k_max, max_monomials)
-    mats = [differential_matrix(q, k, verify=verify) for k in range(k_max + 1)]
+    quad = verify and isinstance(q, QuadraticLieSuperalgebra)
+    shared = {"frame": darboux_frame(q), "three_form": associated_three_form(q)} if quad else {}
+    mats = [differential_matrix(q, k, verify=verify, **shared) for k in range(k_max + 1)]
     return [
         cohomology(q, k, verify=verify, d_k=mats[k], d_prev=mats[k - 1] if k else None)
         for k in range(k_max + 1)

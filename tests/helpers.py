@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from superquad import LieSuperalgebra, QuadraticLieSuperalgebra
+from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
 from superquad.cochains import (
     Cochain,
     Monomial,
@@ -59,6 +59,18 @@ NON_JACOBI_DOC = {
         {"left": "b", "right": "c", "terms": [{"basis": "a", "coeff": "1"}]},
     ],
 }
+
+
+def doubled_odd_form(key: str = "g_4_1_s") -> QuadraticLieSuperalgebra:
+    """A catalog algebra with its odd Gram block doubled: the form stays
+    non-degenerate and supersymmetric but is no longer invariant."""
+    q = build(key)
+    p = q.basis.parities
+    gram = tuple(
+        tuple(2 * x if p[i] and p[j] else x for j, x in enumerate(row))
+        for i, row in enumerate(q.form.gram)
+    )
+    return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, gram))
 
 
 def mono(q_or_basis, even_labels=(), odd_labels=(), coeff=1) -> Cochain:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from helpers import NON_JACOBI_DOC
+from helpers import NON_JACOBI_DOC, QUADRATIC_KEYS, doubled_odd_form
 from superquad import validate_quadratic
 from superquad import cli
 from superquad.cli import main
@@ -131,6 +131,23 @@ def test_poisson_check(capsys):
     out = capsys.readouterr().out
     assert "{I, I} = 0: OK" in out
     assert "delta == -{I, .}" in out
+
+
+@pytest.mark.parametrize("key", QUADRATIC_KEYS)
+def test_poisson_json_agrees_on_every_quadratic_key(key, capsys):
+    assert main(["poisson", key, "--max-degree", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["i_i_zero"] is True
+    assert doc["differential_agreements"] is True
+
+
+def test_poisson_rejects_a_form_that_is_not_invariant(tmp_path, capsys):
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(algebra_to_dict(doubled_odd_form())))
+    assert main(["poisson", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: associated 3-form is inconsistent")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_poisson_needs_quadratic(capsys):

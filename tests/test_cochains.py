@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    QUADRATIC_KEYS,
     PoissonOracle,
     bidegree,
     differential_by_evaluation,
@@ -20,6 +21,7 @@ from superquad.cochains import (
     Monomial,
     associated_three_form,
     contract_index,
+    contract_vector,
     differential_direct,
     differential_via_poisson,
     evaluate,
@@ -147,6 +149,14 @@ def test_contraction_against_evaluation():
                 for args in _tuples(b.dim, k - 1):
                     assert evaluate(contracted, args) == sign * evaluate(
                         c, (i,) + args
+                    )
+            # and by a parity-homogeneous combination of basis vectors
+            for parity, v in ((0, (1, -2, 0, 0)), (1, (0, 0, 3, -1))):
+                contracted = contract_vector(c, [Fraction(x) for x in v])
+                sign = -1 if (parity * m.z2_degree) % 2 else 1
+                for args in _tuples(b.dim, k - 1):
+                    assert evaluate(contracted, args) == sign * sum(
+                        x * evaluate(c, (i,) + args) for i, x in enumerate(v)
                     )
 
 
@@ -276,6 +286,38 @@ def test_poisson_bracket_matches_rule_based_oracle():
                         got = poisson_bracket(q, frame, ca, cb)
                         want = oracle.bracket(ca, cb)
                         assert (got - want).is_zero, (ma, mb)
+    # {I, m} and {m, I} for every quadratic key and monomial of degree <= 2
+    for key in QUADRATIC_KEYS:
+        q = build(key)
+        frame = darboux_frame(q)
+        oracle = PoissonOracle(q)
+        I = associated_three_form(q)
+        for k in (0, 1, 2):
+            for m in monomials_of_degree(q.basis, k):
+                c = Cochain.from_terms(q.basis, {m: Fraction(1)})
+                assert (poisson_bracket(q, frame, I, c) - oracle.bracket(I, c)).is_zero, (key, m)
+                assert (poisson_bracket(q, frame, c, I) - oracle.bracket(c, I)).is_zero, (key, m)
+    # one factor with a term in every (alternating, symmetric) group of
+    # degree 1 to 3, so several grouped sign prefactors meet in one call
+    q = build("g_8_2_5_s")
+    frame = darboux_frame(q)
+    oracle = PoissonOracle(q)
+    firsts = {}
+    for k in (1, 2, 3):
+        for m in monomials_of_degree(q.basis, k):
+            firsts.setdefault((m.alt_degree, m.sym_degree), m)
+    assert len(firsts) == 9
+    mixed = Cochain.from_terms(
+        q.basis, {m: Fraction((-1) ** n * (n + 1), 2) for n, m in enumerate(firsts.values())}
+    )
+    others = [associated_three_form(q), mixed] + [
+        Cochain.from_terms(q.basis, {m: Fraction(1)})
+        for k in (0, 1, 2)
+        for m in monomials_of_degree(q.basis, k)
+    ]
+    for c in others:
+        assert (poisson_bracket(q, frame, mixed, c) - oracle.bracket(mixed, c)).is_zero, c
+        assert (poisson_bracket(q, frame, c, mixed) - oracle.bracket(c, mixed)).is_zero, c
 
 
 def test_three_form_self_bracket_vanishes():

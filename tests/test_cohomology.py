@@ -6,10 +6,10 @@ from math import comb
 
 import pytest
 
-from helpers import NON_JACOBI_DOC, mono, representatives_by_rank
+from helpers import NON_JACOBI_DOC, doubled_odd_form, mono, representatives_by_rank
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra
-from superquad.cochains import Cochain, Monomial, monomials_of_degree
+from superquad.cochains import Cochain, Monomial, associated_three_form, monomials_of_degree
 from superquad.cohomology import (
     CochainBasis,
     CohomologyResult,
@@ -24,6 +24,7 @@ from superquad.cohomology import (
     is_cocycle,
 )
 from superquad.errors import InputError, ResourceLimitError
+from superquad.quadratic import validate_quadratic
 from superquad.serialization import loads
 
 
@@ -211,6 +212,15 @@ def test_api_rejects_a_bracket_that_fails_jacobi():
         cohomology(g, 2)
 
 
+def test_api_rejects_a_form_that_is_not_invariant():
+    q = doubled_odd_form()
+    assert {v.rule for v in validate_quadratic(q).violations} == {"invariance"}
+    with pytest.raises(InputError, match="not invariant"):
+        associated_three_form(q)
+    with pytest.raises(InputError, match="not invariant"):
+        betti_table(q, 1)
+
+
 def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
     basis = GradedBasis(
         labels=tuple(f"u{i}" for i in range(30)), parities=(1,) * 30
@@ -225,6 +235,8 @@ def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
     module = importlib.import_module("superquad.cohomology")
     monkeypatch.setattr(module, "differential_matrix", no_elimination)
     monkeypatch.setattr(module, "nullspace", no_elimination)
+    monkeypatch.setattr(module, "cochain_basis", no_elimination)
+    monkeypatch.setattr(module, "monomials_of_degree", no_elimination)
     c = Cochain.from_terms(basis, {Monomial(even=(), odd=(0,) * 6): Fraction(1)})
     with pytest.raises(ResourceLimitError):
         cohomology(g, 6)
@@ -232,6 +244,8 @@ def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
         is_coboundary(g, c)
     with pytest.raises(ResourceLimitError):
         class_vector(g, c)
+    with pytest.raises(ResourceLimitError):
+        differential_matrix(g, 6)
 
 
 def test_resource_limit_guard():
