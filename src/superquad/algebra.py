@@ -171,6 +171,15 @@ class LieSuperalgebra:
         sign = _pair_sign(self.basis.parities[i], self.basis.parities[j])
         return {k: sign * c for k, c in self.constants.get((j, i), {}).items()}
 
+    def bracket_table(self) -> dict[tuple[int, int], dict[int, Rat]]:
+        """Every nonzero bracket [e_i, e_j], in both orders, as {(i, j): {k: coeff}},
+        the skew-supersymmetry sign applied once.  Built on each call."""
+        table: dict[tuple[int, int], dict[int, Rat]] = {}
+        for i, j in self.constants:
+            table[i, j] = self.bracket_pair(i, j)
+            table[j, i] = self.bracket_pair(j, i)
+        return table
+
     def bracket(self, x: Sequence[Rat], y: Sequence[Rat]) -> list[Rat]:
         """Bracket of two coordinate vectors."""
         n = self.dim
@@ -256,45 +265,32 @@ def validate_grading_and_skew(g: LieSuperalgebra) -> list[Violation]:
     return out
 
 
-def _double_bracket(g: LieSuperalgebra, i: int, j: int, k: int) -> dict[int, Rat]:
-    """[[e_i, e_j], e_k] as a sparse map."""
-    out: dict[int, Rat] = {}
-    for m, c in g.bracket_pair(i, j).items():
-        for t, d in g.bracket_pair(m, k).items():
-            val = out.get(t, Fraction(0)) + c * d
-            if val:
-                out[t] = val
-            elif t in out:
-                del out[t]
-    return out
-
-
 def validate_super_jacobi(g: LieSuperalgebra) -> list[Violation]:
-    """Check the cyclic super Jacobi identity on all basis triples."""
+    """Check the cyclic super Jacobi identity on all basis triples,
+    reading every double bracket from one bracket table."""
     out: list[Violation] = []
     n = g.dim
     p = g.basis.parities
     labels = g.basis.labels
+    table = g.bracket_table()
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 acc: dict[int, Rat] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    sign = Fraction(-1) ** (p[c] * p[a])
-                    for t, val in _double_bracket(g, a, b, c).items():
-                        new = acc.get(t, Fraction(0)) + sign * val
-                        if new:
-                            acc[t] = new
-                        elif t in acc:
-                            del acc[t]
-                if acc:
+                    negate = p[c] and p[a]
+                    for m, x in table.get((a, b), {}).items():
+                        for t, y in table.get((m, c), {}).items():
+                            acc[t] = acc.get(t, 0) + (-x * y if negate else x * y)
+                residual = {t: v for t, v in acc.items() if v}
+                if residual:
                     out.append(
                         Violation(
                             rule="jacobi",
                             witness=(labels[i], labels[j], labels[k]),
                             message=(
                                 f"super Jacobi fails on ({labels[i]}, {labels[j]}, "
-                                f"{labels[k]}): residual {_sparse_str(g, acc)}"
+                                f"{labels[k]}): residual {_sparse_str(g, residual)}"
                             ),
                         )
                     )

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat, rat_str
+from .linalg import Rat, _combine, _sparse_rows, rat_str
 from .quadratic import DarbouxFrame, QuadraticLieSuperalgebra, darboux_frame
 
 
@@ -473,18 +473,10 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     """
     g = q.algebra
     basis = g.basis
-    n = basis.dim
     zero = Fraction(0)
-    gram = [{k: x for k, x in enumerate(row) if x} for row in q.form.gram]
-    # row (i, j) is B([e_i, e_j], .), computed once per pair
-    rows: dict[tuple[int, int], dict[int, Rat]] = {}
-    for i in range(n):
-        for j in range(n):
-            row = rows[i, j] = {}
-            for t, c in g.bracket_pair(i, j).items():
-                for k, x in gram[t].items():
-                    row[k] = row.get(k, zero) + c * x
-    icochain = from_values(basis, 3, lambda args: rows[args[:2]].get(args[2], zero))
+    # row (i, j) is B([e_i, e_j], .), computed once per nonzero bracket
+    rows = _combine(g.bracket_table(), _sparse_rows(q.form.gram))
+    icochain = from_values(basis, 3, lambda args: rows.get(args[:2], {}).get(args[2], zero))
     # I is nonzero only on the orderings of its monomials' letters, each
     # ordering of one monomial, so comparing the nonzero values compares
     # every triple
@@ -493,7 +485,7 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
         for term in icochain.terms
         for args in itertools.permutations(term[0].even + term[0].odd)
     }
-    expected = {(i, j, k): x for (i, j), row in rows.items() for k, x in row.items() if x}
+    expected = {(i, j, k): x for (i, j), row in rows.items() for k, x in row.items()}
     if {args: v for args, v in values.items() if v} != expected:
         raise InputError(
             "associated 3-form is inconsistent with B([.,.],.); "

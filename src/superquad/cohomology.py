@@ -236,6 +236,14 @@ def _check_cochain_dimensions(
             )
 
 
+def _cross_check_data(q: QuadraticLieSuperalgebra | LieSuperalgebra, verify: bool) -> dict:
+    """The Darboux frame and 3-form the -{I,.} cross-check reads, built once
+    for every differential a call assembles."""
+    if verify and isinstance(q, QuadraticLieSuperalgebra):
+        return {"frame": darboux_frame(q), "three_form": associated_three_form(q)}
+    return {}
+
+
 def cohomology(
     q: QuadraticLieSuperalgebra | LieSuperalgebra,
     k: int,
@@ -250,9 +258,12 @@ def cohomology(
     basis = _algebra(q).basis
     if d_k is None:
         _check_cochain_dimensions(basis, k)
-        d_k = differential_matrix(q, k, verify=verify)
-    if k > 0 and d_prev is None:
-        d_prev = differential_matrix(q, k - 1, verify=verify)
+    if d_k is None or (k > 0 and d_prev is None):
+        shared = _cross_check_data(q, verify)
+        if d_k is None:
+            d_k = differential_matrix(q, k, verify=verify, **shared)
+        if k > 0 and d_prev is None:
+            d_prev = differential_matrix(q, k - 1, verify=verify, **shared)
     src = d_k.source
     # With the columns reversed, the free-column kernel basis has its
     # leading 1 at its own free column: read back, it is the reduced
@@ -291,8 +302,7 @@ def betti_table(
 ) -> list[CohomologyResult]:
     """Cohomology in degrees 0..k_max, reusing each differential once."""
     _check_cochain_dimensions(_algebra(q).basis, k_max, max_monomials)
-    quad = verify and isinstance(q, QuadraticLieSuperalgebra)
-    shared = {"frame": darboux_frame(q), "three_form": associated_three_form(q)} if quad else {}
+    shared = _cross_check_data(q, verify)
     mats = [differential_matrix(q, k, verify=verify, **shared) for k in range(k_max + 1)]
     return [
         cohomology(q, k, verify=verify, d_k=mats[k], d_prev=mats[k - 1] if k else None)

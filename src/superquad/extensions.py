@@ -17,7 +17,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, echelon_basis, mat_mul, nullspace, rat
+from .linalg import Rat, _combine, _sparse_rows, echelon_basis, nullspace, rat, transpose
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -114,21 +114,23 @@ def is_superderivation(
     if d.dim != basis.dim:
         raise InputError("matrix size does not match the algebra dimension")
     violations = _grading_violations(basis, d.matrix, degree)
+    table = g.bracket_table()
+    cols = _sparse_rows(transpose(d.matrix))  # column s of D as {r: D[r][s]}
     for i in range(basis.dim):
+        sign = -1 if degree and basis.parities[i] else 1
         for j in range(i, basis.dim):
-            x = basis.parities[i]
-            # D[X_i, X_j]
-            lhs = [Fraction(0)] * basis.dim
-            for t, c in g.bracket_pair(i, j).items():
-                col = d.column(t)
-                for r in range(basis.dim):
-                    lhs[r] += c * col[r]
-            # [D X_i, X_j] + (-1)^{alpha x}[X_i, D X_j]
-            rhs = g.bracket(d.column(i), g.basis_vector(j))
-            sign = -1 if (degree * x) % 2 else 1
-            second = g.bracket(g.basis_vector(i), d.column(j))
-            rhs = [rhs[r] + sign * second[r] for r in range(basis.dim)]
-            if lhs != rhs:
+            # D[e_i, e_j] - [D e_i, e_j] - (-1)^{alpha x}[e_i, D e_j]
+            acc: dict[int, Rat] = {}
+            for t, c in table.get((i, j), {}).items():
+                for r, x in cols[t].items():
+                    acc[r] = acc.get(r, 0) + c * x
+            for s, c in cols[i].items():
+                for r, x in table.get((s, j), {}).items():
+                    acc[r] = acc.get(r, 0) - c * x
+            for s, c in cols[j].items():
+                for r, x in table.get((i, s), {}).items():
+                    acc[r] = acc.get(r, 0) - sign * c * x
+            if any(acc.values()):
                 violations.append(
                     Violation(
                         rule="superderivation-leibniz",
@@ -153,13 +155,15 @@ def is_skew_superderivation(
     report = is_superderivation(q.algebra, d, degree)
     violations = list(report.violations)
     basis = q.basis
+    gram = q.form.gram
+    cols = dict(enumerate(_sparse_rows(transpose(d.matrix))))
+    left = _combine(cols, _sparse_rows(gram))  # i -> {j: B(D e_i, e_j)}
+    right = _combine(cols, _sparse_rows(transpose(gram)))  # j -> {i: B(e_i, D e_j)}
+    zero = Fraction(0)
     for i in range(basis.dim):
-        x = basis.parities[i]
-        sign = -1 if (degree * x) % 2 else 1
+        sign = -1 if degree and basis.parities[i] else 1
         for j in range(basis.dim):
-            lhs = q.form.value(d.column(i), q.algebra.basis_vector(j))
-            rhs = q.form.value(q.algebra.basis_vector(i), d.column(j))
-            if lhs != -sign * rhs:
+            if left[i].get(j, zero) != -sign * right[j].get(i, zero):
                 violations.append(
                     Violation(
                         rule="skew-supersymmetry-of-derivation",
@@ -201,11 +205,10 @@ def skew_superderivation_space(
 
     # Leibniz: for each basis pair i <= j and each output coordinate r:
     # sum_t c_t D[r][t] - [D e_i, e_j]_r - sign [e_i, D e_j]_r = 0
+    table = g.bracket_table()
     for i in range(n):
-        x = basis.parities[i]
+        sign = -1 if degree and basis.parities[i] else 1
         for j in range(i, n):
-            sign = -1 if (degree * x) % 2 else 1
-            br = g.bracket_pair(i, j)
             coeffs: list[dict[int, Rat]] = [dict() for _ in range(n)]
 
             def add(slot: tuple[int, int], r: int, value: Rat) -> None:
@@ -214,16 +217,15 @@ def skew_superderivation_space(
                     return
                 coeffs[r][k] = coeffs[r].get(k, Fraction(0)) + value
 
-            for t, c in br.items():
+            for t, c in table.get((i, j), {}).items():
                 for r in range(n):
-                    add((r, t), r, Fraction(c))
+                    add((r, t), r, c)
             # [D e_i, e_j] = sum_s D[s][i] [e_s, e_j], and its mirror
             for s in range(n):
-                for r, c in g.bracket_pair(s, j).items():
+                for r, c in table.get((s, j), {}).items():
                     add((s, i), r, -c)
-            for s in range(n):
-                for r, c in g.bracket_pair(i, s).items():
-                    add((s, j), r, Fraction(-sign) * c)
+                for r, c in table.get((i, s), {}).items():
+                    add((s, j), r, -sign * c)
             for r in range(n):
                 if coeffs[r]:
                     row = new_row()
@@ -231,20 +233,20 @@ def skew_superderivation_space(
                         row[k] = v
                     rows.append(row)
     # skew: B(D e_i, e_j) + sign_i B(e_i, D e_j) = 0 for all i, j
+    gram_rows = _sparse_rows(q.form.gram)
+    gram_cols = _sparse_rows(transpose(q.form.gram))
     for i in range(n):
-        x = basis.parities[i]
-        sign = -1 if (degree * x) % 2 else 1
+        sign = -1 if degree and basis.parities[i] else 1
         for j in range(n):
             row = new_row()
             nonzero = False
-            for s in range(n):
-                v = q.form.gram[s][j]
-                if v != 0 and (s, i) in slot_index:
+            for s, v in gram_cols[j].items():
+                if (s, i) in slot_index:
                     row[slot_index[(s, i)]] += v
                     nonzero = True
-                w = q.form.gram[i][s]
-                if w != 0 and (s, j) in slot_index:
-                    row[slot_index[(s, j)]] += Fraction(sign) * w
+            for s, w in gram_rows[i].items():
+                if (s, j) in slot_index:
+                    row[slot_index[(s, j)]] += sign * w
                     nonzero = True
             if nonzero:
                 rows.append(row)
@@ -324,23 +326,22 @@ def validate_extension_datum(d: ExtensionDatum) -> ValidationReport:
                 )
             )
     # morphism: psi([Z,W]_h) = psi(Z) psi(W) - (-1)^{zw} psi(W) psi(Z)
+    h_table = d.h.bracket_table()
+    cols = [_sparse_rows(transpose(dk.matrix)) for dk in d.psi]  # column s: {r: psi[r][s]}
     for i in range(hbasis.dim):
         for j in range(i, hbasis.dim):
-            z, w = hbasis.parities[i], hbasis.parities[j]
-            target = [[Fraction(0)] * basis.dim for _ in range(basis.dim)]
-            for t, c in d.h.bracket_pair(i, j).items():
-                for r in range(basis.dim):
-                    for s in range(basis.dim):
-                        target[r][s] += c * d.psi[t].matrix[r][s]
-            a = [list(row) for row in d.psi[i].matrix]
-            b = [list(row) for row in d.psi[j].matrix]
-            comm = mat_mul(a, b)
-            ba = mat_mul(b, a)
-            sign = -1 if (z * w) % 2 else 1
-            for r in range(basis.dim):
-                for s in range(basis.dim):
-                    comm[r][s] -= sign * ba[r][s]
-            if comm != target:
+            sign = -1 if hbasis.parities[i] and hbasis.parities[j] else 1
+            # entries (r, s) of psi_i psi_j - sign psi_j psi_i - psi([Z, W]_h)
+            acc: dict[tuple[int, int], Rat] = {}
+            for scale, a, b in ((1, i, j), (-sign, j, i)):
+                for s, col in _combine(dict(enumerate(cols[b])), cols[a]).items():
+                    for r, x in col.items():
+                        acc[r, s] = acc.get((r, s), 0) + scale * x
+            for t, c in h_table.get((i, j), {}).items():
+                for s, col in enumerate(cols[t]):
+                    for r, x in col.items():
+                        acc[r, s] = acc.get((r, s), 0) - c * x
+            if any(acc.values()):
                 violations.append(
                     Violation(
                         rule="psi-morphism",

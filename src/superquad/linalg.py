@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -77,6 +77,27 @@ def mat_mul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list
         raise InputError("matrix product shape mismatch")
     bt = transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def _sparse_rows(m: Sequence[Sequence[Rat]]) -> list[dict[int, Rat]]:
+    """Rows of m as {column: nonzero}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def _combine(vectors: Mapping, rows: Sequence[Mapping[int, Rat]]) -> dict:
+    """{key: sum over t -> c in vectors[key] of c * rows[t]}, zeros dropped.
+
+    With the bracket table as ``vectors`` and the sparse Gram rows as
+    ``rows`` this is B([e_i, e_j], .) for every pair at once.
+    """
+    out = {}
+    for key, v in vectors.items():
+        acc: dict[int, Rat] = {}
+        for t, c in v.items():
+            for k, x in rows[t].items():
+                acc[k] = acc.get(k, 0) + c * x
+        out[key] = {k: x for k, x in acc.items() if x}
+    return out
 
 
 class Echelon:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra, Subspace, ValidationReport, Violation, validate_lie_superalgebra
 from .errors import EngineError, InputError
-from .linalg import Rat, echelon_basis, inverse, nullspace, rank, rat
+from .linalg import Rat, _combine, _sparse_rows, echelon_basis, inverse, nullspace, rank, rat, transpose
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class BilinearForm:
         n = self.basis.dim
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise InputError("Gram matrix shape does not match the basis")
+        gram = tuple(tuple(rat(v) for v in row) for row in self.gram)
+        object.__setattr__(self, "gram", gram)
 
     @classmethod
     def from_pairs(
@@ -128,32 +130,35 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
                         ),
                     )
                 )
-    # invariance B([x,y],z) = B(x,[y,z]) on all basis triples
-    for i in range(n):
-        for j in range(n):
-            bij = g.bracket_pair(i, j)
-            for k in range(n):
-                left = sum((c * gram[t][k] for t, c in bij.items()), Fraction(0))
-                right = sum(
-                    (c * gram[i][t] for t, c in g.bracket_pair(j, k).items()), Fraction(0)
+    # invariance B([x,y],z) = B(x,[y,z]) on all basis triples: both sides
+    # vanish off the union of the supports of B([e_i,e_j],.) and B(.,[e_j,e_k])
+    table = g.bracket_table()
+    left = _combine(table, _sparse_rows(gram))  # (i, j) -> {k: B([e_i,e_j],e_k)}
+    right = _combine(table, _sparse_rows(transpose(gram)))  # (j, k) -> {i: B(e_i,[e_j,e_k])}
+    triples = {(i, j, k) for (i, j), row in left.items() for k in row}
+    triples.update((i, j, k) for (j, k), col in right.items() for i in col)
+    zero = Fraction(0)
+    for i, j, k in sorted(triples):
+        lhs = left.get((i, j), {}).get(k, zero)
+        rhs = right.get((j, k), {}).get(i, zero)
+        if lhs != rhs:
+            out.append(
+                Violation(
+                    rule="invariance",
+                    witness=(labels[i], labels[j], labels[k]),
+                    message=(
+                        f"B([{labels[i]}, {labels[j]}], {labels[k]}) = {lhs} but "
+                        f"B({labels[i]}, [{labels[j]}, {labels[k]}]) = {rhs}"
+                    ),
                 )
-                if left != right:
-                    out.append(
-                        Violation(
-                            rule="invariance",
-                            witness=(labels[i], labels[j], labels[k]),
-                            message=(
-                                f"B([{labels[i]}, {labels[j]}], {labels[k]}) = {left} but "
-                                f"B({labels[i]}, [{labels[j]}, {labels[k]}]) = {right}"
-                            ),
-                        )
-                    )
-    if rank([list(row) for row in gram]) != n:
+            )
+    gram_rank = rank([list(row) for row in gram])
+    if gram_rank != n:
         out.append(
             Violation(
                 rule="nondegenerate",
                 witness=(),
-                message=f"Gram matrix has rank {rank([list(r) for r in gram])} < {n}",
+                message=f"Gram matrix has rank {gram_rank} < {n}",
             )
         )
     return out

@@ -9,6 +9,10 @@ blocks) by the graded biderivation rules alone.  Agreement between the
 two is a meaningful check, not a tautology.
 ``rref_dense`` is the dense Gauss-Jordan elimination the engine's sparse
 echelon replaced; RREF is unique, so the two must agree exactly.
+The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
+engine's bracket-table checks replaced: one ``bracket_pair`` or
+``form.value`` per basis triple or pair.  They must report the same
+violations, in the same order, with the same messages.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import random
 from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
+from superquad.algebra import Violation, _sparse_str
 from superquad.cochains import (
     Cochain,
     Monomial,
@@ -24,6 +29,7 @@ from superquad.cochains import (
     monomials_of_degree,
     wedge,
 )
+from superquad.extensions import Superderivation, _grading_violations
 from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank
 
 QUADRATIC_KEYS = (
@@ -305,3 +311,198 @@ class PoissonOracle:
             for mb, cb in b.terms:
                 out = out + self.monomial_bracket(ma, mb).scale(ca * cb)
         return out
+
+
+def perturbed(key: str, rng: random.Random) -> QuadraticLieSuperalgebra:
+    """Catalog algebra with one structure constant and one Gram entry moved.
+
+    The constant may land on any target, so the grading or the skew rule
+    can break; the Gram entry moves without its partner and may pair
+    opposite parities, so the form can stop being even or supersymmetric.
+    A Lie-only key gets the identity Gram matrix before the move.
+    """
+    obj = build(key)
+    g = obj.algebra if isinstance(obj, QuadraticLieSuperalgebra) else obj
+    n = g.dim
+    i, j = sorted((rng.randrange(n), rng.randrange(n)))
+    k = rng.randrange(n)
+    step = Fraction(rng.choice((-2, -1, 1, 2, 3))) / rng.choice((1, 2))
+    constants = {pair: dict(terms) for pair, terms in g.constants.items()}
+    entry = constants.setdefault((i, j), {})
+    entry[k] = entry.get(k, Fraction(0)) + step
+    if not entry[k]:
+        del entry[k]
+    if not entry:
+        del constants[i, j]
+    algebra = LieSuperalgebra(basis=g.basis, constants=constants, name=g.name)
+    if isinstance(obj, QuadraticLieSuperalgebra):
+        gram = [list(row) for row in obj.form.gram]
+    else:
+        gram = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    r, c = rng.randrange(n), rng.randrange(n)
+    gram[r][c] += Fraction(rng.choice((-1, 1, 2)))
+    form = BilinearForm(basis=g.basis, gram=tuple(map(tuple, gram)))
+    return QuadraticLieSuperalgebra(algebra=algebra, form=form)
+
+
+def _double_bracket(g: LieSuperalgebra, i: int, j: int, k: int) -> dict[int, Rat]:
+    """[[e_i, e_j], e_k] as a sparse map."""
+    out: dict[int, Rat] = {}
+    for m, c in g.bracket_pair(i, j).items():
+        for t, d in g.bracket_pair(m, k).items():
+            val = out.get(t, Fraction(0)) + c * d
+            if val:
+                out[t] = val
+            elif t in out:
+                del out[t]
+    return out
+
+
+def super_jacobi_by_triples(g: LieSuperalgebra) -> list[Violation]:
+    """Cyclic super Jacobi identity, two bracket_pair calls per term."""
+    out: list[Violation] = []
+    n = g.dim
+    p = g.basis.parities
+    labels = g.basis.labels
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                acc: dict[int, Rat] = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    sign = Fraction(-1) ** (p[c] * p[a])
+                    for t, val in _double_bracket(g, a, b, c).items():
+                        new = acc.get(t, Fraction(0)) + sign * val
+                        if new:
+                            acc[t] = new
+                        elif t in acc:
+                            del acc[t]
+                if acc:
+                    out.append(
+                        Violation(
+                            rule="jacobi",
+                            witness=(labels[i], labels[j], labels[k]),
+                            message=(
+                                f"super Jacobi fails on ({labels[i]}, {labels[j]}, "
+                                f"{labels[k]}): residual {_sparse_str(g, acc)}"
+                            ),
+                        )
+                    )
+    return out
+
+
+def validate_form_by_triples(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
+    """Evenness, supersymmetry, invariance on every basis triple, rank."""
+    out: list[Violation] = []
+    basis = g.basis
+    n = basis.dim
+    p = basis.parities
+    labels = basis.labels
+    gram = form.gram
+    for i in range(n):
+        for j in range(i, n):
+            if p[i] != p[j] and gram[i][j] != 0:
+                out.append(
+                    Violation(
+                        rule="even",
+                        witness=(labels[i], labels[j]),
+                        message=f"B({labels[i]}, {labels[j]}) pairs opposite parities but is nonzero",
+                    )
+                )
+            sign = Fraction(-1) ** (p[i] * p[j])
+            if gram[j][i] != sign * gram[i][j]:
+                out.append(
+                    Violation(
+                        rule="supersymmetry",
+                        witness=(labels[i], labels[j]),
+                        message=(
+                            f"B({labels[j]}, {labels[i]}) != "
+                            f"(-1)^(|{labels[i]}||{labels[j]}|) B({labels[i]}, {labels[j]})"
+                        ),
+                    )
+                )
+    for i in range(n):
+        for j in range(n):
+            bij = g.bracket_pair(i, j)
+            for k in range(n):
+                left = sum((c * gram[t][k] for t, c in bij.items()), Fraction(0))
+                right = sum(
+                    (c * gram[i][t] for t, c in g.bracket_pair(j, k).items()), Fraction(0)
+                )
+                if left != right:
+                    out.append(
+                        Violation(
+                            rule="invariance",
+                            witness=(labels[i], labels[j], labels[k]),
+                            message=(
+                                f"B([{labels[i]}, {labels[j]}], {labels[k]}) = {left} but "
+                                f"B({labels[i]}, [{labels[j]}, {labels[k]}]) = {right}"
+                            ),
+                        )
+                    )
+    if rank([list(row) for row in gram]) != n:
+        out.append(
+            Violation(
+                rule="nondegenerate",
+                witness=(),
+                message=f"Gram matrix has rank {rank([list(r) for r in gram])} < {n}",
+            )
+        )
+    return out
+
+
+def superderivation_by_pairs(g: LieSuperalgebra, d: Superderivation) -> list[Violation]:
+    """Grading, then D[X,Y] = [DX,Y] + (-1)^{alpha x}[X,DY] on dense vectors."""
+    basis = g.basis
+    degree = d.degree
+    violations = _grading_violations(basis, d.matrix, degree)
+    for i in range(basis.dim):
+        for j in range(i, basis.dim):
+            x = basis.parities[i]
+            lhs = [Fraction(0)] * basis.dim
+            for t, c in g.bracket_pair(i, j).items():
+                col = d.column(t)
+                for r in range(basis.dim):
+                    lhs[r] += c * col[r]
+            rhs = g.bracket(d.column(i), g.basis_vector(j))
+            sign = -1 if (degree * x) % 2 else 1
+            second = g.bracket(g.basis_vector(i), d.column(j))
+            rhs = [rhs[r] + sign * second[r] for r in range(basis.dim)]
+            if lhs != rhs:
+                violations.append(
+                    Violation(
+                        rule="superderivation-leibniz",
+                        witness=(basis.labels[i], basis.labels[j]),
+                        message=(
+                            f"D[{basis.labels[i]},{basis.labels[j]}] != "
+                            f"[D{basis.labels[i]},{basis.labels[j]}] + "
+                            f"(-1)^(alpha.x)[{basis.labels[i]},D{basis.labels[j]}]"
+                        ),
+                    )
+                )
+    return violations
+
+
+def skew_superderivation_by_pairs(
+    q: QuadraticLieSuperalgebra, d: Superderivation
+) -> list[Violation]:
+    """Superderivation oracle, then B(DX,Y) = -(-1)^{alpha x} B(X,DY) by form.value."""
+    violations = superderivation_by_pairs(q.algebra, d)
+    basis = q.basis
+    for i in range(basis.dim):
+        x = basis.parities[i]
+        sign = -1 if (d.degree * x) % 2 else 1
+        for j in range(basis.dim):
+            lhs = q.form.value(d.column(i), q.algebra.basis_vector(j))
+            rhs = q.form.value(q.algebra.basis_vector(i), d.column(j))
+            if lhs != -sign * rhs:
+                violations.append(
+                    Violation(
+                        rule="skew-supersymmetry-of-derivation",
+                        witness=(basis.labels[i], basis.labels[j]),
+                        message=(
+                            f"B(D{basis.labels[i]},{basis.labels[j]}) != "
+                            f"-(-1)^(alpha.x) B({basis.labels[i]},D{basis.labels[j]})"
+                        ),
+                    )
+                )
+    return violations

@@ -66,6 +66,70 @@ def test_validate_broken_file(tmp_path, capsys):
     assert "INVALID" in out
 
 
+# even a, b and odd u, v; the bracket breaks super Jacobi and the form
+# B(a, b) = B(u, v) = 1 is not invariant for it
+JACOBI_AND_INVARIANCE_DOC = {
+    "basis": [
+        {"label": "a", "parity": 0},
+        {"label": "b", "parity": 0},
+        {"label": "u", "parity": 1},
+        {"label": "v", "parity": 1},
+    ],
+    "brackets": [
+        {"left": "a", "right": "u", "terms": [{"basis": "u", "coeff": "1"}]},
+        {"left": "u", "right": "u", "terms": [{"basis": "b", "coeff": "1/2"}]},
+        {"left": "u", "right": "v", "terms": [{"basis": "a", "coeff": "1"}]},
+    ],
+    "form": [
+        {"left": "a", "right": "b", "value": "1"},
+        {"left": "u", "right": "v", "value": "1"},
+    ],
+}
+
+JACOBI_AND_INVARIANCE_VIOLATIONS = [
+    ("jacobi", ["a", "u", "u"], "super Jacobi fails on (a, u, u): residual 1*b"),
+    ("jacobi", ["a", "u", "v"], "super Jacobi fails on (a, u, v): residual 1*a"),
+    ("jacobi", ["u", "u", "v"], "super Jacobi fails on (u, u, v): residual -2*u"),
+    ("invariance", ["a", "u", "u"], "B([a, u], u) = 0 but B(a, [u, u]) = 1/2"),
+    ("invariance", ["a", "u", "v"], "B([a, u], v) = 1 but B(a, [u, v]) = 0"),
+    ("invariance", ["b", "u", "v"], "B([b, u], v) = 0 but B(b, [u, v]) = 1"),
+    ("invariance", ["b", "v", "u"], "B([b, v], u) = 0 but B(b, [v, u]) = 1"),
+    ("invariance", ["u", "a", "v"], "B([u, a], v) = -1 but B(u, [a, v]) = 0"),
+    ("invariance", ["u", "u", "a"], "B([u, u], a) = 1/2 but B(u, [u, a]) = 0"),
+    ("invariance", ["u", "v", "b"], "B([u, v], b) = 1 but B(u, [v, b]) = 0"),
+    ("invariance", ["v", "a", "u"], "B([v, a], u) = 0 but B(v, [a, u]) = -1"),
+    ("invariance", ["v", "u", "a"], "B([v, u], a) = 0 but B(v, [u, a]) = 1"),
+    ("invariance", ["v", "u", "b"], "B([v, u], b) = 1 but B(v, [u, b]) = 0"),
+]
+
+
+def test_validate_prints_every_violation_in_order(tmp_path, capsys):
+    path = tmp_path / "broken_quadratic.json"
+    path.write_text(json.dumps(JACOBI_AND_INVARIANCE_DOC))
+    assert main(["validate", str(path)]) == 1
+    expected_text = "".join(
+        f"violation: {rule} at ({', '.join(witness)}): {message}\n"
+        for rule, witness, message in JACOBI_AND_INVARIANCE_VIOLATIONS
+    )
+    assert capsys.readouterr().out == expected_text + "INVALID: 13 violation(s)\n"
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["quadratic"] is True
+    assert [
+        (v["rule"], v["witness"], v["message"]) for v in doc["violations"]
+    ] == JACOBI_AND_INVARIANCE_VIOLATIONS
+
+
+def test_float_form_value_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(JACOBI_AND_INVARIANCE_DOC))
+    doc["form"][0]["value"] = 1.0
+    path = tmp_path / "float_form.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_validate_file_round_trip(tmp_path, capsys):
     path = tmp_path / "alg.json"
     assert main(["export", "g_8_2_5_s", "--output", str(path)]) == 0

@@ -280,3 +280,21 @@ def test_cochain_basis_coordinates_round_trip():
     vec = cb.coordinates(c)
     back = cb.from_coordinates(basis, vec)
     assert (back - c).is_zero
+
+
+def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
+    module = importlib.import_module("superquad.cohomology")
+    calls = {"darboux_frame": 0, "associated_three_form": 0}
+    for name in calls:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    q = build("g_8_2_5_s")
+    result = cohomology(q, 3)
+    assert calls == {"darboux_frame": 1, "associated_three_form": 1}
+    assert result.betti == betti_table(q, 3)[3].betti
+    assert calls == {"darboux_frame": 2, "associated_three_form": 2}

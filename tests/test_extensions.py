@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import QUADRATIC_KEYS, skew_superderivation_by_pairs
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra
 from superquad.errors import EngineError, InputError
@@ -254,3 +255,29 @@ def test_custom_labels_and_collision_rejection():
     assert "P" in out.basis.labels and "Q" in out.basis.labels
     with pytest.raises(InputError):
         one_dim_double_extension(q, zero, labels=("A", "f"))
+
+
+def test_skew_check_matches_dense_oracle_on_perturbed_space_elements():
+    # elements of the skew superderivation space pass both checks; with one
+    # matrix entry moved, the table-based check must give the dense
+    # oracle's violation list exactly
+    rules: set[str] = set()
+    for key in QUADRATIC_KEYS:
+        q = build(key)
+        n = q.dim
+        rng = random.Random(f"skew:{key}")
+        for degree in (0, 1):
+            for d in skew_superderivation_space(q, degree)[:4]:
+                assert is_skew_superderivation(q, d, degree).violations == ()
+                assert skew_superderivation_by_pairs(q, d) == []
+                matrix = [list(row) for row in d.matrix]
+                matrix[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1, 3))
+                bad = Superderivation(matrix=tuple(map(tuple, matrix)), degree=degree)
+                expected = skew_superderivation_by_pairs(q, bad)
+                assert list(is_skew_superderivation(q, bad, degree).violations) == expected
+                rules.update(v.rule for v in expected)
+    assert rules == {
+        "superderivation-grading",
+        "superderivation-leibniz",
+        "skew-supersymmetry-of-derivation",
+    }
