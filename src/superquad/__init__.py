@@ -34,7 +34,6 @@ from .cochains import (
     Cochain,
     Monomial,
     associated_three_form,
-    contract,
     contract_vector,
     differential_direct,
     differential_via_poisson,

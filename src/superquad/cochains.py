@@ -406,15 +406,6 @@ def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
     )
 
 
-def contract(g: LieSuperalgebra, x, a: Cochain) -> Cochain:
-    """Contraction i_x(a); x is a basis label or a coordinate vector."""
-    if g.basis != a.basis:
-        raise InputError("cochain and algebra bases differ")
-    if isinstance(x, str):
-        return contract_index(g.basis.index(x), a)
-    return contract_vector(a, x)
-
-
 def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     """The differential, built from the Leibniz rule on degree-1 duals.
 

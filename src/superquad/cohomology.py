@@ -1,15 +1,14 @@
 """Exact cohomology of the super-exterior complex.
 
-The differential of ``cochains`` is assembled into exact rational matrices
+The differential of ``cochains`` is assembled into exact sparse columns
 between enumerated monomial bases, and kernels / images / quotients are
-computed by exact elimination over the rationals.
+computed by exact sparse elimination over the rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .cochains import (
@@ -22,7 +21,7 @@ from .cochains import (
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, nullspace, rank, transpose
+from .linalg import Echelon, Rat, _sparse_rows, rank
 from .quadratic import QuadraticLieSuperalgebra, darboux_frame
 
 __all__ = [
@@ -75,9 +74,8 @@ class CochainBasis:
     def index_map(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.monomials)}
 
-    def coordinates(self, c: Cochain) -> list[Rat]:
-        idx = self.index_map()
-        vec: list[Rat] = [Fraction(0)] * len(self.monomials)
+    def coordinates(self, c: Cochain) -> dict[int, Rat]:
+        idx, vec = self.index_map(), {}
         for m, coeff in c.terms:
             if m not in idx:
                 raise InputError(
@@ -86,12 +84,10 @@ class CochainBasis:
             vec[idx[m]] = coeff
         return vec
 
-    def from_coordinates(self, basis: GradedBasis, vec: list[Rat]) -> Cochain:
-        if len(vec) != len(self.monomials):
-            raise InputError("coordinate vector has the wrong length")
-        return Cochain.from_terms(
-            basis, {m: v for m, v in zip(self.monomials, vec) if v != 0}
-        )
+    def from_coordinates(self, basis: GradedBasis, vec: dict[int, Rat]) -> Cochain:
+        if any(not 0 <= i < len(self.monomials) for i in vec):
+            raise InputError("coordinate index out of range")
+        return Cochain.from_terms(basis, {self.monomials[i]: x for i, x in vec.items()})
 
 
 def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
@@ -101,19 +97,27 @@ def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
 
 @dataclass(frozen=True)
 class DifferentialMatrix:
-    """delta_k as a matrix: rows indexed by C^{k+1}, columns by C^k."""
+    """delta_k as columns {target index: nonzero}, one per source monomial."""
 
     source_degree: int
     source: CochainBasis
     target: CochainBasis
-    entries: tuple[tuple[Rat, ...], ...]
+    columns: tuple[dict[int, Rat], ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.target.dimension, self.source.dimension)
 
+    @property
+    def entries(self) -> tuple[tuple[Rat, ...], ...]:
+        """The dense matrix, built on each access."""
+        zero = Fraction(0)
+        return tuple(
+            tuple(col.get(i, zero) for col in self.columns) for i in range(self.target.dimension)
+        )
+
     def rank(self) -> int:
-        return rank(self.entries)
+        return rank(self.columns)
 
 
 def _algebra(
@@ -152,8 +156,8 @@ def differential_matrix(
         if three_form is None:
             three_form = associated_three_form(quad)
     idx = tgt.index_map()
-    entries = [[Fraction(0)] * src.dimension for _ in range(tgt.dimension)]
-    for col, m in enumerate(src.monomials):
+    columns = []
+    for m in src.monomials:
         c = Cochain.from_terms(basis, {m: Fraction(1)})
         image = differential_direct(g, c)
         if verify and quad is not None:
@@ -165,10 +169,9 @@ def differential_matrix(
                     "differential_direct and differential_via_poisson "
                     f"disagree on {m} in degree {k}"
                 )
-        for mm, x in image.terms:
-            entries[idx[mm]][col] = x
+        columns.append({idx[mm]: x for mm, x in image.terms})
     return DifferentialMatrix(
-        source_degree=k, source=src, target=tgt, entries=tuple(map(tuple, entries))
+        source_degree=k, source=src, target=tgt, columns=tuple(columns)
     )
 
 
@@ -187,17 +190,16 @@ class _Quotient(Echelon):
         d_prev: DifferentialMatrix | None,
     ) -> None:
         self.basis, self.source, self.n = basis, source, source.dimension
-        super().__init__(zip(*d_prev.entries) if d_prev else (), limit=self.n)
+        super().__init__(_sparse_rows(d_prev.columns) if d_prev else (), limit=self.n)
         self.dim_boundary = len(self.rows)
 
-    def add_cocycle(self, vec: Sequence[Rat]) -> bool:
-        v = {j: x for j, x in enumerate(vec) if x}
+    def add_cocycle(self, vec: dict[int, Rat]) -> bool:
+        v = dict(vec)  # vec may become a representative: not reduced in place
         v[self.n + len(self.rows) - self.dim_boundary] = Fraction(1)
         return self.add(v)
 
     def remainder_of(self, c: Cochain) -> dict[int, Rat]:
-        idx = self.source.index_map()
-        return self.remainder({idx[m]: x for m, x in c.terms})
+        return self.remainder(self.source.coordinates(c))
 
 
 @dataclass(frozen=True)
@@ -264,18 +266,22 @@ def cohomology(
             d_k = differential_matrix(q, k, verify=verify, **shared)
         if k > 0 and d_prev is None:
             d_prev = differential_matrix(q, k - 1, verify=verify, **shared)
-    src = d_k.source
+    src, last = d_k.source, d_k.source.dimension - 1
     # With the columns reversed, the free-column kernel basis has its
     # leading 1 at its own free column: read back, it is the reduced
     # echelon basis of Z^k, last row first.
-    kernel = nullspace([row[::-1] for row in d_k.entries], src.dimension)
-    cocycles = [v[::-1] for v in reversed(kernel)]
+    rows: dict[int, dict[int, Rat]] = {}
+    for j, col in enumerate(d_k.columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[last - j] = x
+    kernel = Echelon(rows.values()).kernel(src.dimension)
+    cocycles = [{last - j: x for j, x in v.items()} for v in reversed(kernel)]
     quotient = _Quotient(basis, src, d_prev if k > 0 else None)
     reps = [v for v in cocycles if quotient.add_cocycle(v)]
     n_z, n_b = len(cocycles), quotient.dim_boundary
     # rank-nullity, the rank taken over delta_k's columns: a second route,
     # independent of the row elimination behind the kernel
-    if src.dimension != rank(transpose(d_k.entries)) + n_z:
+    if src.dimension != rank(d_k.columns) + n_z:
         raise EngineError("rank-nullity violated in cohomology assembly")
     if n_b + len(reps) > n_z:
         raise InputError(

@@ -531,12 +531,6 @@ def one_dim_double_extension(
     """
     if deriv.degree != 0:
         raise InputError("a 1-dimensional double extension needs an even map")
-    rep = is_skew_superderivation(q, deriv, 0)
-    if not rep.ok:
-        first = rep.violations[0]
-        raise InputError(
-            f"derivation invalid: {first.rule} at {first.witness}"
-        )
     e_label, f_label = labels
     hbasis = GradedBasis(labels=(e_label,), parities=(0,))
     h = LieSuperalgebra.from_index_table(hbasis, [])

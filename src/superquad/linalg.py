@@ -4,8 +4,8 @@ Everything in the engine reduces, at the bottom, to row reduction of
 matrices with ``fractions.Fraction`` entries, and all of it goes through
 one sparse reduced-echelon routine, ``Echelon``: rows hold only their
 nonzeros, because the differentials of the cochain complex are very
-sparse.  Matrices at the API are plain lists of lists; no numpy, no
-pivoting heuristics.  Exactness is the point.
+sparse.  Matrix rows at the API are sequences or {column: nonzero}
+mappings; no numpy, no pivoting heuristics.  Exactness is the point.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import InputError
 
 Rat = Fraction
+Rows = Sequence[Sequence[Rat] | Mapping[int, Rat]]  # dense rows or {column: nonzero}
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -79,9 +80,9 @@ def mat_mul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def _sparse_rows(m: Sequence[Sequence[Rat]]) -> list[dict[int, Rat]]:
-    """Rows of m as {column: nonzero}."""
-    return [{j: x for j, x in enumerate(row) if x} for row in m]
+def _sparse_rows(m: Rows) -> list[dict[int, Rat]]:
+    """Rows of m as new {column: nonzero} dicts, for Echelon to reduce in place."""
+    return [{j: x for j, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x} for r in m]
 
 
 def _combine(vectors: Mapping, rows: Sequence[Mapping[int, Rat]]) -> dict:
@@ -101,18 +102,19 @@ def _combine(vectors: Mapping, rows: Sequence[Mapping[int, Rat]]) -> dict:
 
 
 class Echelon:
-    """Sparse reduced row echelon form over Q, fed dense rows in order.
+    """Sparse reduced row echelon form over Q, fed {column: nonzero} rows in
+    order, which it reduces in place.
 
     ``rows`` maps each pivot to its row {column: nonzero}, 1 at its pivot
     (its leftmost nonzero) and 0 at every other pivot.  Columns from
     ``limit`` on never become pivots; row operations carry them along.
     """
 
-    def __init__(self, rows: Iterable[Sequence[Rat]] = (), limit: float = inf) -> None:
+    def __init__(self, rows: Iterable[dict[int, Rat]] = (), limit: float = inf) -> None:
         self.rows: dict[int, dict[int, Rat]] = {}
         self.limit = limit
         for row in rows:
-            self.add({j: x for j, x in enumerate(row) if x})
+            self.add(row)
 
     def remainder(self, v: dict[int, Rat]) -> dict[int, Rat]:
         """Clear v, in place, at every pivot: what is left is the one vector
@@ -135,6 +137,16 @@ class Echelon:
         self.rows[pivot] = new
         return True
 
+    def kernel(self, cols: int) -> list[dict[int, Rat]]:
+        """Basis of {v : row . v = 0 for every row} in ``cols`` columns, one
+        vector per free column, ascending: 1 at its free column f and minus
+        row[f] at the pivot of each row."""
+        minus: dict[int, dict[int, Rat]] = {}  # column f -> {pivot: -row[f]}
+        for p, row in self.rows.items():
+            for j, x in row.items():
+                minus.setdefault(j, {})[p] = -x
+        return [{f: Fraction(1), **minus.get(f, {})} for f in range(cols) if f not in self.rows]
+
 
 def _subtract(v: dict[int, Rat], a: Rat, row: dict[int, Rat]) -> None:
     """v -= a * row, in place, dropping the zeros this makes."""
@@ -145,43 +157,37 @@ def _subtract(v: dict[int, Rat], a: Rat, row: dict[int, Rat]) -> None:
             del v[j]
 
 
-def rref(m: Sequence[Sequence[Rat]]) -> tuple[list[list[Rat]], list[int]]:
+def rref(m: Rows) -> tuple[list, list[int]]:
     """Reduced row echelon form with leftmost pivots.
 
     Returns (R, pivots) where pivots[i] is the column of the leading 1
-    in row i; zero rows are dropped from R.  Only R is made dense.
+    in row i; zero rows are dropped from R.  R has the form of m's rows:
+    dense lists, or {column: nonzero} when m's rows are mappings.
     """
-    rows, zero = Echelon(m).rows, Fraction(0)
-    pivots, cols = sorted(rows), range(len(m[0]) if m else 0)
-    return [[rows[p].get(j, zero) for j in cols] for p in pivots], pivots
+    rows = Echelon(_sparse_rows(m)).rows
+    pivots = sorted(rows)
+    if m and isinstance(m[0], Mapping):
+        return [rows[p] for p in pivots], pivots
+    return [[rows[p].get(j, Fraction(0)) for j in range(len(m[0]))] for p in pivots], pivots
 
 
-def rank(m: Sequence[Sequence[Rat]]) -> int:
-    return len(Echelon(m).rows)
+def rank(m: Rows) -> int:
+    return len(Echelon(_sparse_rows(m)).rows)
 
 
-def nullspace(m: Sequence[Sequence[Rat]], cols: int | None = None) -> list[list[Rat]]:
-    """Basis of the right kernel {v : m v = 0}, one vector per free column.
+def nullspace(m: Rows, cols: int | None = None) -> list[list[Rat]]:
+    """Basis of the right kernel {v : m v = 0}: ``Echelon.kernel`` made dense.
 
     The vectors are normalized so the free coordinate is 1; listing free
-    columns in ascending order makes the output canonical.
+    columns in ascending order makes the output canonical.  Mapping rows
+    do not tell the column count, so they need ``cols``.
     """
     if cols is None:
-        if not m:
-            raise InputError("nullspace of an empty matrix needs an explicit column count")
+        if not m or isinstance(m[0], Mapping):
+            raise InputError("nullspace of an empty or sparse matrix needs an explicit column count")
         cols = len(m[0])
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[list[Rat]] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[free]
-        basis.append(v)
-    return basis
+    zero = Fraction(0)
+    return [[v.get(j, zero) for j in range(cols)] for v in Echelon(_sparse_rows(m)).kernel(cols)]
 
 
 def inverse(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:

@@ -9,6 +9,8 @@ blocks) by the graded biderivation rules alone.  Agreement between the
 two is a meaningful check, not a tautology.
 ``rref_dense`` is the dense Gauss-Jordan elimination the engine's sparse
 echelon replaced; RREF is unique, so the two must agree exactly.
+``nullspace_dense`` reads the kernel basis off it, as the engine's dense
+``nullspace`` did before ``Echelon.kernel`` replaced it.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
@@ -187,6 +189,19 @@ def rref_dense(m) -> tuple[list[list[Rat]], list[int]]:
         if r == rows:
             break
     return work[:r], pivots
+
+
+def nullspace_dense(m, cols: int) -> list[list[Rat]]:
+    """Reference right-kernel basis read off ``rref_dense``: one vector per
+    free column f, ascending, 1 at f and minus R[i][f] at pivot i."""
+    reduced, pivots = rref_dense(m)
+    basis = []
+    for free in (f for f in range(cols) if f not in pivots):
+        v = [Fraction(int(j == free)) for j in range(cols)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
 
 
 def random_homogeneous(

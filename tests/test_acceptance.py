@@ -224,11 +224,12 @@ def test_c06_dual_differential():
         for k in range(0, 3):
             dk = differential_matrix(obj, k)
             dk1 = differential_matrix(obj, k + 1)
+            a, b = dk1.entries, dk.entries  # each access builds the dense view
             for i in range(dk1.shape[0]):
                 for j in range(dk.shape[1]):
                     acc = Fraction(0)
                     for t in range(dk.shape[0]):
-                        acc += dk1.entries[i][t] * dk.entries[t][j]
+                        acc += a[i][t] * b[t][j]
                     assert acc == 0, (key, k)
 
 

@@ -9,7 +9,13 @@ import pytest
 from helpers import NON_JACOBI_DOC, doubled_odd_form, mono, representatives_by_rank
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra
-from superquad.cochains import Cochain, Monomial, associated_three_form, monomials_of_degree
+from superquad.cochains import (
+    Cochain,
+    Monomial,
+    associated_three_form,
+    differential_direct,
+    monomials_of_degree,
+)
 from superquad.cohomology import (
     CochainBasis,
     CohomologyResult,
@@ -58,12 +64,31 @@ def test_differential_matrices_compose_to_zero():
         dk = differential_matrix(q, k)
         dk1 = differential_matrix(q, k + 1)
         rows, cols = dk1.shape[0], dk.shape[1]
+        a, b = dk1.entries, dk.entries  # each access builds the dense view
         for i in range(rows):
             for j in range(cols):
                 acc = Fraction(0)
                 for t in range(dk.shape[0]):
-                    acc += dk1.entries[i][t] * dk.entries[t][j]
+                    acc += a[i][t] * b[t][j]
                 assert acc == 0
+
+
+def test_differential_columns_are_the_sparse_images():
+    cases = [(key, k) for key in catalog_keys() for k in range(4)]
+    cases.append(("g_8_2_5_s", 4))
+    for key, k in cases:
+        q = build(key)
+        g = getattr(q, "algebra", q)  # some keys are not quadratic
+        d = differential_matrix(q, k, verify=False)
+        dense = d.entries
+        assert len(d.columns) == d.shape[1] and len(dense) == d.shape[0]
+        for j, m in enumerate(d.source.monomials):
+            assert all(d.columns[j].values()), (key, k, m)
+            image = dict(
+                differential_direct(g, Cochain.from_terms(g.basis, {m: Fraction(1)})).terms
+            )
+            for i, target in enumerate(d.target.monomials):
+                assert dense[i][j] == image.get(target, 0), (key, k, m, target)
 
 
 def test_rank_nullity_consistency():
@@ -142,7 +167,11 @@ def test_representatives_match_the_rank_oracle():
         d_k = differential_matrix(q, k, verify=False)
         d_prev = differential_matrix(q, k - 1, verify=False) if k else None
         res = cohomology(q, k, d_k=d_k, d_prev=d_prev)
-        got = [d_k.source.coordinates(r) for r in res.representatives]
+        n, zero = d_k.shape[1], Fraction(0)
+        got = [
+            [d_k.source.coordinates(r).get(j, zero) for j in range(n)]
+            for r in res.representatives
+        ]
         assert got == representatives_by_rank(d_k, d_prev), (key, k)
         for i, rep in enumerate(res.representatives):
             unit = [Fraction(int(j == i)) for j in range(res.betti)]
@@ -234,7 +263,7 @@ def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
     # the package re-exports the function ``cohomology`` under the module's name
     module = importlib.import_module("superquad.cohomology")
     monkeypatch.setattr(module, "differential_matrix", no_elimination)
-    monkeypatch.setattr(module, "nullspace", no_elimination)
+    monkeypatch.setattr(module, "Echelon", no_elimination)
     monkeypatch.setattr(module, "cochain_basis", no_elimination)
     monkeypatch.setattr(module, "monomials_of_degree", no_elimination)
     c = Cochain.from_terms(basis, {Monomial(even=(), odd=(0,) * 6): Fraction(1)})
@@ -278,8 +307,12 @@ def test_cochain_basis_coordinates_round_trip():
         },
     )
     vec = cb.coordinates(c)
+    assert vec == {cb.monomials.index(m): x for m, x in c.terms}
     back = cb.from_coordinates(basis, vec)
     assert (back - c).is_zero
+    for bad in (-1, cb.dimension):
+        with pytest.raises(InputError):
+            cb.from_coordinates(basis, {bad: Fraction(1)})
 
 
 def test_cohomology_builds_the_cross_check_data_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from helpers import QUADRATIC_KEYS, skew_superderivation_by_pairs
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra
-from superquad.errors import EngineError, InputError
+from superquad.errors import InputError
 from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
@@ -241,8 +241,24 @@ def test_one_dim_extension_rejects_non_skew():
     rows = [[Fraction(0)] * q.dim for _ in range(q.dim)]
     rows[0][0] = Fraction(1)  # symmetric stretch: not skew for B
     d = Superderivation(matrix=tuple(tuple(r) for r in rows), degree=0)
-    with pytest.raises((InputError, EngineError)):
+    with pytest.raises(InputError, match="psi-"):
         one_dim_double_extension(q, d)
+
+
+def test_one_dim_extension_checks_its_derivation_once(monkeypatch):
+    import superquad.extensions as module
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_skew_superderivation(*args, **kwargs)
+
+    monkeypatch.setattr(module, "is_skew_superderivation", counted)
+    q = build("g_4_1_s")
+    d = skew_superderivation_space(q, 0)[0]
+    one_dim_double_extension(q, d)
+    assert len(calls) == 1
 
 
 def test_custom_labels_and_collision_rejection():

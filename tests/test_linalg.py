@@ -5,7 +5,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rref_dense
+from helpers import nullspace_dense, rref_dense
 from superquad import linalg
 from superquad.errors import InputError
 from superquad.linalg import (
@@ -147,8 +147,16 @@ def test_elimination_matches_the_dense_oracle(mc, data):
     else:
         b = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
     got = (nullspace(m, cols), echelon_basis(m), solve(m, b))
+    assert got[0] == nullspace_dense(m, cols)
     with patch.object(linalg, "rref", rref_dense):
         assert got == (nullspace(m, cols), echelon_basis(m), solve(m, b))
+    # the same matrix as {column: nonzero} rows; rref answers in that form
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    reduced = [{j: x for j, x in enumerate(row) if x} for row in expected[0]]
+    assert rref(sparse) == (reduced, expected[1])
+    assert rank(sparse) == len(expected[0])
+    assert nullspace(sparse, cols) == got[0]
+    assert sparse == [{j: x for j, x in enumerate(row) if x} for row in m]  # not reduced in place
 
 
 @settings(max_examples=80, deadline=None)
