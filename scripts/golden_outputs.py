@@ -15,7 +15,9 @@ directories:
 * ``cohomology <key> --max-degree 3 --format json`` for every catalog
   key, and ``g_8_2_5_s`` also to degrees 4 and 6 (delta_5 has 192
   columns, so the larger eliminations are covered too);
-* ``poisson <key> --max-degree 2`` for every quadratic key;
+* ``poisson <key> --max-degree 2`` for every quadratic key, and
+  ``g_8_2_5_s`` also to degree 3 (111 monomials of the largest
+  algebra);
 * ``validate <key>`` for every key;
 * the standard output of ``scripts/reproduce_tables.py``.
 
@@ -41,9 +43,8 @@ def commands() -> list[tuple[str, list[str]]]:
         for k, d in [(k, 3) for k in keys] + [("g_8_2_5_s", 4), ("g_8_2_5_s", 6)]
     ]
     out += [
-        (f"poisson_{k}_2.txt", ["poisson", k, "--max-degree", "2"])
-        for k in keys
-        if get_entry(k).quadratic
+        (f"poisson_{k}_{d}.txt", ["poisson", k, "--max-degree", str(d)])
+        for k, d in [(k, 2) for k in keys if get_entry(k).quadratic] + [("g_8_2_5_s", 3)]
     ]
     out += [(f"validate_{k}.txt", ["validate", k]) for k in keys]
     return out

@@ -55,11 +55,11 @@ class GradedBasis:
 
     @property
     def even_dim(self) -> int:
-        return sum(1 for p in self.parities if p == 0)
+        return self.parities.count(0)
 
     @property
     def odd_dim(self) -> int:
-        return sum(1 for p in self.parities if p == 1)
+        return self.parities.count(1)
 
     def index(self, label: str) -> int:
         try:

@@ -45,9 +45,6 @@ class CatalogEntry:
     quadratic: bool
     builder: Callable[[dict[str, Rat]], object]
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
 
 def _normalize_params(
     entry: CatalogEntry, params: Mapping[str, object] | None

@@ -22,6 +22,8 @@ from .cochains import (
     monomials_of_degree,
     poisson_bracket,
     Cochain,
+    _dual_differentials,
+    _poisson_left,
 )
 from .cohomology import _check_cochain_dimensions, cohomology_report
 from .errors import InputError, ResourceLimitError
@@ -235,13 +237,14 @@ def _cmd_poisson(args) -> int:
     frame = darboux_frame(obj)
     three = associated_three_form(obj)
     i_i = poisson_bracket(obj, frame, three, three)
+    duals, left = _dual_differentials(obj.algebra), _poisson_left(frame, three)
     failures: list[str] = []
     checked = 0
     for k in range(args.max_degree + 1):
         for m in monomials_of_degree(obj.basis, k):
             c = Cochain.from_terms(obj.basis, {m: Fraction(1)})
-            direct = differential_direct(obj.algebra, c)
-            via = differential_via_poisson(obj, c, three_form=three, frame=frame)
+            direct = differential_direct(obj.algebra, c, duals=duals)
+            via = differential_via_poisson(obj, c, left=left)
             checked += 1
             if direct != via:
                 failures.append(str(c))

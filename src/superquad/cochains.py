@@ -96,6 +96,15 @@ class Monomial:
 UNIT = Monomial(even=(), odd=())
 
 
+def _monomial(even: tuple[int, ...], odd: tuple[int, ...]) -> Monomial:
+    """The monomial of parts already in order, without the order check
+    (for the kernels, which build monomials only from ordered parts)."""
+    m = object.__new__(Monomial)
+    fields = m.__dict__
+    fields["even"], fields["odd"] = even, odd
+    return m
+
+
 def _format_monomial(m: Monomial, even_dim: int) -> str:
     parts = []
     if m.even:
@@ -274,7 +283,7 @@ def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
         b = k - a
         for ev in itertools.combinations(range(ne), a):
             for od in itertools.combinations_with_replacement(range(ne, n), b):
-                out.append(Monomial(even=ev, odd=od))
+                out.append(_monomial(ev, od))
     return out
 
 
@@ -301,33 +310,40 @@ def _wedge_into(
     acc: dict[Monomial, Rat],
     terms1: Iterable[tuple[Monomial, Rat]],
     terms2: Iterable[tuple[Monomial, Rat]],
-    scale: Rat,
+    sign: int,
 ) -> None:
-    """acc += scale * (terms1 ^ terms2), merged term by term.
+    """acc += sign * (terms1 ^ terms2) for a sign of +1 or -1, merged term
+    by term.
 
     On monomials
     (E (x) O) ^ (E' (x) O') = sgn * merge(E, E') (x) merge(O, O')
     with sgn = (-1)^{|O|*|E'|} times the sign of the shuffle merging E
     and E' into increasing order; coinciding even indices kill the term.
     """
-    zero = Fraction(0)
     terms2 = list(terms2)
     for m1, c1 in terms1:
         even1, odd1 = m1.even, m1.odd
-        c1 = scale * c1
         for m2, c2 in terms2:
             merged = _merge_even(even1, m2.even)
             if merged is None:
                 continue
-            even, sign = merged
+            even, shuffle = merged
             if len(odd1) * len(m2.even) % 2:
-                sign = -sign
-            m = Monomial(even=even, odd=tuple(sorted(odd1 + m2.odd)))
+                shuffle = -shuffle
+            odd2 = m2.odd
+            m = _monomial(even, tuple(sorted(odd1 + odd2)) if odd1 and odd2 else odd1 or odd2)
             val = c1 * c2
-            acc[m] = acc.get(m, zero) + (val if sign > 0 else -val)
+            positive = shuffle == sign
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = val if positive else -val
+            else:
+                acc[m] = prev + val if positive else prev - val
 
 
 def _merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+    if not e1 or not e2:
+        return e1 or e2, 1
     if set(e1) & set(e2):
         return None
     # count inversions between the blocks (each crossing is one swap)
@@ -355,21 +371,25 @@ def _contractions(
       the a alternating slots, the (-1)^b from the Z2 prefactor, the mu
       from the symmetric slots that can absorb it).
     """
-    zero = Fraction(0)
     out: dict[int, dict[Monomial, Rat]] = {}
     for m, c in terms:
         even, odd = m.even, m.odd
         for p, t in enumerate(even):
-            mm = Monomial(even=even[:p] + even[p + 1 :], odd=odd)
+            mm = _monomial(even[:p] + even[p + 1 :], odd)
+            val = -c if p % 2 else c
             acc = out.setdefault(t, {})
-            acc[mm] = acc.get(mm, zero) + (-c if p % 2 else c)
+            prev = acc.get(mm)
+            acc[mm] = val if prev is None else prev + val
         odd_sign = -1 if (len(even) + len(odd)) % 2 else 1
         for p, t in enumerate(odd):
             if p and odd[p - 1] == t:
                 continue  # one term per distinct odd letter
-            mm = Monomial(even=even, odd=odd[:p] + odd[p + 1 :])
+            mm = _monomial(even, odd[:p] + odd[p + 1 :])
+            mu = odd_sign * odd.count(t)
+            val = c if mu == 1 else -c if mu == -1 else mu * c
             acc = out.setdefault(t, {})
-            acc[mm] = acc.get(mm, zero) + odd_sign * odd.count(t) * c
+            prev = acc.get(mm)
+            acc[mm] = val if prev is None else prev + val
     return out
 
 
@@ -377,12 +397,13 @@ def _combination(
     parts: Iterable[tuple[Rat, Mapping[Monomial, Rat]]],
 ) -> dict[Monomial, Rat]:
     """sum_i x_i * A_i over (x_i, terms of A_i) pairs."""
-    zero = Fraction(0)
     acc: dict[Monomial, Rat] = {}
     for x, terms in parts:
         if x:
             for m, c in terms.items():
-                acc[m] = acc.get(m, zero) + x * c
+                val = x * c
+                prev = acc.get(m)
+                acc[m] = val if prev is None else prev + val
     return acc
 
 
@@ -406,52 +427,70 @@ def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
     )
 
 
-def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
+def _dual_differentials(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
+    """delta(t*) for every basis index t.
+
+    delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j): the
+    coefficient of the monomial of (i, j) is -c_ij^t, halved when i = j
+    (an odd square, whose canonical value is twice its coefficient).
+    """
+    ne = g.basis.even_dim
+    images: dict[int, dict[Monomial, Rat]] = {t: {} for t in range(g.basis.dim)}
+    for (i, j), br in g.constants.items():
+        if i == j and i < ne:
+            continue  # no canonical pair repeats an even index
+        pair = _letters(ne, (i, j))
+        for t, v in br.items():
+            images[t][pair] = -v / 2 if i == j else -v
+    return images
+
+
+def differential_direct(
+    g: LieSuperalgebra,
+    c: Cochain,
+    *,
+    duals: Mapping[int, Mapping[Monomial, Rat]] | None = None,
+) -> Cochain:
     """The differential, built from the Leibniz rule on degree-1 duals.
 
     delta is a superderivation of the wedge product,
     delta(A ^ B) = delta(A) ^ B + (-1)^{deg A} A ^ delta(B),
-    so it is fixed by its values on the duals t* of the basis vectors:
-    delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j).  A
-    monomial is the wedge of its letters (evens ascending, then odds
-    with multiplicity) with coefficient 1, hence
+    so it is fixed by its values on the duals t* of the basis vectors
+    (``_dual_differentials``).  A monomial is the wedge of its letters
+    (evens ascending, then odds with multiplicity) with coefficient 1,
+    hence
     delta(L_1 ^ ... ^ L_k) = sum_p (-1)^(p-1) L_1 ^ .. ^ delta(L_p) ^ .. ^ L_k,
     each summand being, up to sign, the other letters' monomial wedged
     with delta(L_p).  Degree-0 terms map to zero.  The evaluation formula
     on every canonical (k+1)-tuple is kept in the tests as the oracle.
+
+    ``duals`` is ``_dual_differentials(g)``, built once by a caller that
+    differentiates many cochains; without it the table is built here.
     """
-    basis = g.basis
-    ne = basis.even_dim
-    images: dict[int, dict[Monomial, Rat]] = {
-        t: {} for m, _ in c.terms for t in m.even + m.odd
-    }
-    for (i, j), br in g.constants.items():
-        if i == j and i < ne:
-            continue  # no canonical pair repeats an even index
-        for t, v in br.items():
-            if t in images:
-                images[t][_letters(ne, (i, j))] = -v / (2 if i == j else 1)
+    ne = g.basis.even_dim
+    if duals is None:
+        duals = _dual_differentials(g)
     acc: dict[Monomial, Rat] = {}
     for m, coeff in c.terms:
         letters = m.even + m.odd
         k = len(letters)
         for p, t in enumerate(letters):
-            if not images[t]:
+            if not duals[t]:
                 continue
             # delta(t*) has bidegree (2, |t|), so moving it right past the
             # k - p - 1 letters after it, all odd when t is, adds
             # (-1)^(|t| (k - p - 1)) to the (-1)^p of the Leibniz rule
             flips = k - 1 if t >= ne else p
             rest = _letters(ne, letters[:p] + letters[p + 1 :])
-            _wedge_into(acc, ((rest, -coeff if flips % 2 else coeff),), images[t].items(), 1)
-    return _cochain(basis, acc)
+            _wedge_into(acc, ((rest, coeff),), duals[t].items(), -1 if flips % 2 else 1)
+    return _cochain(g.basis, acc)
 
 
 def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:
     """The monomial of a canonically ordered run of letters."""
-    return Monomial(
-        even=tuple(i for i in letters if i < even_dim),
-        odd=tuple(i for i in letters if i >= even_dim),
+    return _monomial(
+        tuple(i for i in letters if i < even_dim),
+        tuple(i for i in letters if i >= even_dim),
     )
 
 
@@ -526,50 +565,89 @@ def poisson_bracket(
     _same_basis(a, b)
     if frame is None:
         frame = darboux_frame(q)
-    ne, no = q.basis.even_dim, q.basis.odd_dim
-    pairs = frame.odd_pairs
+    return _bracket(_poisson_left(frame, a), b, 1)
 
-    def darboux(contractions: dict[int, dict[Monomial, Rat]]) -> list[dict[Monomial, Rat]]:
-        """iota_{X1^1..X1^n}, then iota_{Y1^1..Y1^n}: combinations of the
-        contractions by the odd letters."""
-        return [
-            _combination(
-                (frame.odd_darboux[r][col], contractions.get(ne + r, {}))
-                for r in range(no)
-            )
-            for col in range(2 * pairs)
-        ]
 
+@dataclass(frozen=True)
+class _PoissonLeft:
+    """The left operand A of {A, .} with everything that does not depend
+    on the right operand done.  A's contractions carry the sign
+    (-1)^{omega+f+1}; ``even[j]`` is sum_i B(Y0^i, Y0^j) iota_{X0^i}(A),
+    and ``darboux`` is iota_{X1^1..X1^n}(A), then iota_{Y1^1..Y1^n}(A)."""
+
+    frame: DarbouxFrame
+    even: list[dict[Monomial, Rat]]
+    darboux: list[dict[Monomial, Rat]]
+
+
+def _poisson_left(frame: DarbouxFrame, a: Cochain) -> _PoissonLeft:
+    """A prepared as the left operand of ``poisson_bracket``, built once
+    by a caller that brackets it with many cochains."""
+    if a.basis != frame.basis:
+        raise InputError("the cochain and the Darboux frame live over different bases")
     # (-1)^{omega+f+1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
-    left = _contractions((m, c if m.degree % 2 else -c) for m, c in a.terms)
-    left_xy = darboux(left)
+    contractions = _contractions((m, c if m.degree % 2 else -c) for m, c in a.terms)
+    ne = a.basis.even_dim
+    even = [
+        _combination((frame.even_dual[i][j], contractions.get(i, {})) for i in range(ne))
+        for j in range(ne)
+    ]
+    return _PoissonLeft(frame, even, _darboux(frame, contractions))
+
+
+def _darboux(
+    frame: DarbouxFrame, contractions: dict[int, dict[Monomial, Rat]]
+) -> list[dict[Monomial, Rat]]:
+    """iota_{X1^1..X1^n}, then iota_{Y1^1..Y1^n}: combinations of the
+    contractions by the odd letters."""
+    ne, no = frame.basis.even_dim, frame.basis.odd_dim
+    return [
+        _combination(
+            (frame.odd_darboux[r][col], contractions.get(ne + r, {})) for r in range(no)
+        )
+        for col in range(2 * frame.odd_pairs)
+    ]
+
+
+def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
+    """scale * {A, b} for the prepared left operand A: the right operand's
+    contractions, the even sum and the Darboux wedges of the bracket
+    formula."""
+    frame = left.frame
+    if b.basis != frame.basis:
+        raise InputError("cochains live over different bases")
+    ne, pairs = b.basis.even_dim, frame.odd_pairs
     acc: dict[Monomial, Rat] = {}
     # the odd sum's (-1)^g depends on the symmetric degree g of a right
     # term: contract the right terms of each parity of g apart
     for parity in (0, 1):
         right = _contractions((m, c) for m, c in b.terms if m.sym_degree % 2 == parity)
-        for i, left_i in left.items():
-            for j, right_j in right.items():
-                if i < ne and j < ne and frame.even_dual[i][j]:
-                    _wedge_into(acc, left_i.items(), right_j.items(), frame.even_dual[i][j])
-        right_xy = darboux(right)
-        sign = -1 if parity else 1
+        if not right:
+            continue
+        for j, right_j in right.items():
+            if j < ne and left.even[j]:
+                _wedge_into(acc, left.even[j].items(), right_j.items(), scale)
+        right_xy = _darboux(frame, right)
+        sign = -scale if parity else scale
         for k in range(pairs):
-            _wedge_into(acc, left_xy[k].items(), right_xy[pairs + k].items(), sign)
-            _wedge_into(acc, left_xy[pairs + k].items(), right_xy[k].items(), -sign)
-    return _cochain(q.basis, acc)
+            _wedge_into(acc, left.darboux[k].items(), right_xy[pairs + k].items(), sign)
+            _wedge_into(acc, left.darboux[pairs + k].items(), right_xy[k].items(), -sign)
+    return _cochain(b.basis, acc)
 
 
 def differential_via_poisson(
     q: QuadraticLieSuperalgebra,
     c: Cochain,
-    three_form: Cochain | None = None,
-    frame: DarbouxFrame | None = None,
+    *,
+    left: _PoissonLeft | None = None,
 ) -> Cochain:
-    """delta = -{I, .} with I the associated 3-form."""
-    if three_form is None:
-        three_form = associated_three_form(q)
-    if frame is None:
-        frame = darboux_frame(q)
-    return -poisson_bracket(q, frame, three_form, c)
+    """delta = -{I, .} with I the associated 3-form.
+
+    ``left`` is ``_poisson_left(darboux_frame(q), I)``, built once by a
+    caller that differentiates many cochains; without it it is built
+    here.  The minus sign goes into the accumulation of the bracket.
+    """
+    if left is None:
+        left = _poisson_left(darboux_frame(q), associated_three_form(q))
+    return _bracket(left, c, -1)

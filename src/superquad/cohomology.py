@@ -15,6 +15,8 @@ from .cochains import (
     Cochain,
     DarbouxFrame,
     Monomial,
+    _dual_differentials,
+    _poisson_left,
     associated_three_form,
     differential_direct,
     differential_via_poisson,
@@ -143,6 +145,13 @@ def differential_matrix(
     Each column is differential_direct applied to a basis monomial.  When
     ``verify`` is true and a quadratic structure is available, every column
     is recomputed as -{I, monomial} and the two must agree exactly.
+
+    What does not depend on the column is built once per call: the images
+    delta(t*) of the degree-1 duals (``_dual_differentials``) and I's side
+    of {I, .} (``_poisson_left``: I's signed contractions, combined by the
+    even dual frame and by the odd Darboux frame).  Each column's
+    -{I, monomial} is still a full evaluation of the bracket formula on
+    the monomial's side, compared exactly with the Leibniz column.
     """
     quad = q if isinstance(q, QuadraticLieSuperalgebra) else None
     g = _algebra(q)
@@ -150,20 +159,21 @@ def differential_matrix(
     _check_cochain_dimensions(basis, k)
     src = cochain_basis(basis, k)
     tgt = cochain_basis(basis, k + 1)
+    left = None
     if verify and quad is not None:
         if frame is None:
             frame = darboux_frame(quad)
         if three_form is None:
             three_form = associated_three_form(quad)
+        left = _poisson_left(frame, three_form)
+    duals = _dual_differentials(g)
     idx = tgt.index_map()
     columns = []
     for m in src.monomials:
         c = Cochain.from_terms(basis, {m: Fraction(1)})
-        image = differential_direct(g, c)
-        if verify and quad is not None:
-            alt = differential_via_poisson(
-                quad, c, three_form=three_form, frame=frame
-            )
+        image = differential_direct(g, c, duals=duals)
+        if left is not None:
+            alt = differential_via_poisson(quad, c, left=left)
             if image.terms != alt.terms:
                 raise EngineError(
                     "differential_direct and differential_via_poisson "

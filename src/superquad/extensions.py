@@ -63,14 +63,6 @@ class Superderivation:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def apply(self, vec: list[Rat]) -> list[Rat]:
-        if len(vec) != self.dim:
-            raise InputError("vector length does not match derivation size")
-        return [
-            sum((row[j] * vec[j] for j in range(self.dim)), Fraction(0))
-            for row in self.matrix
-        ]
-
     def column(self, j: int) -> list[Rat]:
         return [self.matrix[i][j] for i in range(self.dim)]
 

@@ -19,6 +19,7 @@ from superquad.algebra import GradedBasis, LieSuperalgebra, validate_super_jacob
 from superquad.cochains import (
     Cochain,
     Monomial,
+    _poisson_left,
     associated_three_form,
     contract_index,
     contract_vector,
@@ -29,6 +30,7 @@ from superquad.cochains import (
     poisson_bracket,
     wedge,
 )
+from superquad.cohomology import differential_matrix
 from superquad.errors import InputError
 from superquad.quadratic import (
     BilinearForm,
@@ -329,11 +331,30 @@ def test_three_form_self_bracket_vanishes():
 
 
 def test_differential_via_poisson_matches_direct():
-    q = build("g_4_1_s")
-    g = q.algebra
-    for k in (0, 1, 2, 3):
-        for m in monomials_of_degree(g.basis, k):
+    # each column of differential_matrix, assembled from the letter table
+    # and I's side of {I, .} built once per call, is the differential of
+    # its monomial computed alone, both ways
+    cases = [(key, k) for key in catalog_keys() for k in range(3)]
+    cases += [("g_4_1_s", 3), ("g_8_2_5_s", 3)]
+    for key, k in cases:
+        q = build(key)
+        quadratic = isinstance(q, QuadraticLieSuperalgebra)
+        g = q.algebra if quadratic else q
+        d = differential_matrix(q, k)
+        for m, column in zip(d.source.monomials, d.columns):
             c = Cochain.from_terms(g.basis, {m: Fraction(1)})
-            assert (
-                differential_via_poisson(q, c) - differential_direct(g, c)
-            ).is_zero
+            direct = differential_direct(g, c)
+            assert d.target.coordinates(direct) == column, (key, m)
+            if quadratic:
+                assert differential_via_poisson(q, c) == direct, (key, m)
+
+
+def test_prepared_left_operand_rejects_another_basis():
+    q = build("g_4_1_s")
+    three = associated_three_form(q)
+    left = _poisson_left(darboux_frame(q), three)
+    foreign = mono(build("g_6_s").basis, even_labels=("X0",))
+    with pytest.raises(InputError):
+        differential_via_poisson(q, foreign, left=left)
+    with pytest.raises(InputError):
+        _poisson_left(darboux_frame(build("g_6_s")), three)

@@ -29,7 +29,7 @@ from superquad.cohomology import (
     is_coboundary,
     is_cocycle,
 )
-from superquad.errors import InputError, ResourceLimitError
+from superquad.errors import EngineError, InputError, ResourceLimitError
 from superquad.quadratic import validate_quadratic
 from superquad.serialization import loads
 
@@ -121,6 +121,15 @@ def test_is_cocycle_and_is_coboundary():
     mixed = y0 + c
     with pytest.raises(InputError):
         is_coboundary(q, mixed)
+
+
+def test_differential_matrix_cross_check_fires():
+    # delta = -{I, .}, so -{2I, .} = 2 delta disagrees with every nonzero column
+    q = build("g_4_1_s")
+    doubled = associated_three_form(q).scale(Fraction(2))
+    assert not doubled.is_zero
+    with pytest.raises(EngineError, match="disagree"):
+        differential_matrix(q, 1, three_form=doubled)
 
 
 def test_class_vector_separates_classes():
