@@ -19,6 +19,16 @@ directories:
   ``g_8_2_5_s`` also to degree 3 (111 monomials of the largest
   algebra);
 * ``validate <key>`` for every key;
+* ``export <key>`` for every key;
+* ``double-extend <key> --derivation deriv_<key>.json`` for every
+  quadratic key, the derivation being a fixed integer combination of
+  the key's degree-0 skew superderivation basis, written into the
+  output directory too;
+* ``validate`` (text and JSON) on three invalid documents, also written
+  there: a bracket coefficient scaled by 3/2 (``g_8_2_5_s``, super
+  Jacobi fails), a Gram value moved by 1/2 (``g_6_s``, invariance
+  fails), and both (``g_6_3``), so violation messages with their
+  printed residuals are compared too;
 * the standard output of ``scripts/reproduce_tables.py``.
 
 ``exit_codes.txt`` lists each command's exit code; a command that
@@ -28,15 +38,78 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from superquad import catalog_keys, cli, get_entry
+from superquad import (
+    algebra_to_dict,
+    build,
+    catalog_keys,
+    cli,
+    get_entry,
+    rational_to_str,
+    skew_superderivation_space,
+)
+
+COEFFS = (1, -2, 3, -1, 2)  # derivation = sum_t COEFFS[t % 5] * (skew basis)_t
+# (name, catalog key, scale a bracket coefficient, move a Gram value)
+BROKEN = (
+    ("non_jacobi", "g_8_2_5_s", True, False),
+    ("perturbed_gram", "g_6_s", False, True),
+    ("both", "g_6_3", True, True),
+)
 
 
-def commands() -> list[tuple[str, list[str]]]:
-    """(file name, CLI arguments) for every output, in a fixed order."""
+def derivation(key: str) -> list[list[str]]:
+    """The fixed integer combination of the degree-0 skew superderivation
+    basis of ``key``, as a matrix of rational strings."""
+    q = build(key)
+    basis = skew_superderivation_space(q, 0)
+    n = q.basis.dim
+    return [
+        [
+            rational_to_str(sum((COEFFS[t % 5] * d.matrix[i][j] for t, d in enumerate(basis)), Fraction(0)))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _scaled(value: str, factor: Fraction, shift: Fraction = Fraction(0)) -> str:
+    return rational_to_str(Fraction(value) * factor + shift)
+
+
+def invalid_documents() -> dict[str, dict]:
+    """Catalog documents broken on purpose: a bracket coefficient scaled by
+    3/2, a Gram value moved by 1/2, or both."""
+    out = {}
+    for name, key, bracket, form in BROKEN:
+        doc = algebra_to_dict(build(key))
+        if bracket:
+            term = doc["brackets"][-1]["terms"][0]
+            term["coeff"] = _scaled(term["coeff"], Fraction(3, 2))
+        if form:
+            entry = doc["form"][0]
+            entry["value"] = _scaled(entry["value"], Fraction(1), Fraction(1, 2))
+        out[name] = doc
+    return out
+
+
+def inputs(target: Path) -> None:
+    """Write the derivation matrices and invalid documents the commands read."""
+    for key in catalog_keys():
+        if get_entry(key).quadratic:
+            (target / f"deriv_{key}.json").write_text(json.dumps(derivation(key)) + "\n", encoding="utf-8")
+    for name, doc in invalid_documents().items():
+        (target / f"invalid_{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def commands(target: Path) -> list[tuple[str, list[str]]]:
+    """(file name, CLI arguments) for every output, in a fixed order; the
+    inputs ``inputs(target)`` writes are read from ``target``."""
     keys = catalog_keys()
     out = [
         (f"cohomology_{k}_{d}.json", ["cohomology", k, "--max-degree", str(d), "--format", "json"])
@@ -47,6 +120,18 @@ def commands() -> list[tuple[str, list[str]]]:
         for k, d in [(k, 2) for k in keys if get_entry(k).quadratic] + [("g_8_2_5_s", 3)]
     ]
     out += [(f"validate_{k}.txt", ["validate", k]) for k in keys]
+    out += [(f"export_{k}.json", ["export", k]) for k in keys]
+    out += [
+        (f"double_extend_{k}.json", ["double-extend", k, "--derivation", str(target / f"deriv_{k}.json")])
+        for k in keys
+        if get_entry(k).quadratic
+    ]
+    for name, *_ in BROKEN:
+        path = str(target / f"invalid_{name}.json")
+        out += [
+            (f"validate_invalid_{name}.txt", ["validate", path]),
+            (f"validate_invalid_{name}.json", ["validate", path, "--format", "json"]),
+        ]
     return out
 
 
@@ -69,8 +154,9 @@ def main(argv: list[str]) -> int:
         return 2
     target = Path(argv[0])
     target.mkdir(parents=True, exist_ok=True)
+    inputs(target)
     codes = []
-    for name, args in commands():
+    for name, args in commands(target):
         rc, stdout, stderr = capture(lambda: cli.main(args))
         write(target, name, stdout, stderr)
         codes.append(f"{name} {rc}\n")

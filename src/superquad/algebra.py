@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import Rat, echelon_basis, nullspace, rat, rref
+from .linalg import Rat, _num, echelon_basis, nullspace, rat, rref
 
 Vector = tuple[Rat, ...]
 
@@ -171,13 +171,17 @@ class LieSuperalgebra:
         sign = _pair_sign(self.basis.parities[i], self.basis.parities[j])
         return {k: sign * c for k, c in self.constants.get((j, i), {}).items()}
 
-    def bracket_table(self) -> dict[tuple[int, int], dict[int, Rat]]:
+    def bracket_table(self) -> dict[tuple[int, int], dict[int, Rat | int]]:
         """Every nonzero bracket [e_i, e_j], in both orders, as {(i, j): {k: coeff}},
-        the skew-supersymmetry sign applied once.  Built on each call."""
-        table: dict[tuple[int, int], dict[int, Rat]] = {}
-        for i, j in self.constants:
-            table[i, j] = self.bracket_pair(i, j)
-            table[j, i] = self.bracket_pair(j, i)
+        the skew-supersymmetry sign applied once.  Built on each call, for the
+        exact kernels: an integral coeff is an int."""
+        p = self.basis.parities
+        table: dict[tuple[int, int], dict[int, Rat | int]] = {}
+        for (i, j), terms in self.constants.items():
+            row = {k: _num(c) for k, c in terms.items()}
+            table[i, j] = row
+            if i != j:
+                table[j, i] = dict(row) if p[i] and p[j] else {k: -c for k, c in row.items()}
         return table
 
     def bracket(self, x: Sequence[Rat], y: Sequence[Rat]) -> list[Rat]:

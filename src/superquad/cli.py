@@ -415,9 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing reads the parser and changes nothing in it
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ResourceLimitError) as exc:

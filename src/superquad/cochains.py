@@ -39,16 +39,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat, _combine, _sparse_rows, rat_str
+from .linalg import Rat, _combine, _frac, _num, _sparse_rows, rat_str
 from .quadratic import DarbouxFrame, QuadraticLieSuperalgebra, darboux_frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Monomial:
     """Basis cochain: strictly increasing even part, sorted odd part.
 
     Indices are positions in the algebra's full basis list, so even
     entries are < basis.even_dim and odd entries are >= basis.even_dim.
+    The hash is taken once, at construction: monomials are the keys of
+    every accumulator the kernels merge into.
     """
 
     even: tuple[int, ...]
@@ -59,6 +61,15 @@ class Monomial:
             raise InputError("even indices must be strictly increasing")
         if any(a > b for a, b in zip(self.odd, self.odd[1:])):
             raise InputError("odd indices must be weakly increasing")
+        object.__setattr__(self, "_hash", hash((self.even, self.odd)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.even == other.even and self.odd == other.odd
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def alt_degree(self) -> int:
@@ -101,7 +112,7 @@ def _monomial(even: tuple[int, ...], odd: tuple[int, ...]) -> Monomial:
     (for the kernels, which build monomials only from ordered parts)."""
     m = object.__new__(Monomial)
     fields = m.__dict__
-    fields["even"], fields["odd"] = even, odd
+    fields["even"], fields["odd"], fields["_hash"] = even, odd, hash((even, odd))
     return m
 
 
@@ -144,7 +155,7 @@ class Cochain:
         zero = Fraction(0)
         for m, c in terms.items() if isinstance(terms, Mapping) else terms:
             acc[m] = acc.get(m, zero) + c
-        return _cochain(basis, acc)
+        return cls(basis, _terms(acc))
 
     @classmethod
     def zero(cls, basis: GradedBasis) -> "Cochain":
@@ -209,10 +220,20 @@ class Cochain:
         return "  +  ".join(parts)
 
 
-def _cochain(basis: GradedBasis, acc: Mapping[Monomial, Rat]) -> Cochain:
-    """The cochain of an accumulator: zero entries dropped, terms sorted."""
-    terms = ((m, c) for m, c in acc.items() if c)
-    return Cochain(basis, tuple(sorted(terms, key=lambda kv: kv[0].sort_key())))
+def _terms(acc: Mapping[Monomial, Rat | int]) -> tuple[tuple[Monomial, Rat], ...]:
+    """The terms of an accumulator: zero entries dropped, every coefficient
+    a Fraction, sorted."""
+    terms = ((m, _frac(c)) for m, c in acc.items() if c)
+    return tuple(sorted(terms, key=lambda kv: kv[0].sort_key()))
+
+
+def _cochain(basis: GradedBasis, acc: Mapping[Monomial, Rat | int]) -> Cochain:
+    """The cochain of a kernel's accumulator, without the checks of
+    ``Cochain(...)``: the kernels make each monomial once, in range, from
+    the letters of checked cochains and of the algebra."""
+    c = object.__new__(Cochain)
+    c.__dict__.update(basis=basis, terms=_terms(acc))
+    return c
 
 
 def _same_basis(a: Cochain, b: Cochain):
@@ -294,7 +315,7 @@ def from_values(basis: GradedBasis, k: int, value_fn: Callable[[tuple[int, ...]]
     for m in monomials_of_degree(basis, k):
         v = value_fn(m.even + m.odd)
         if v != 0:
-            terms[m] = v / m.mult_factor()
+            terms[m] = Fraction(v, m.mult_factor())
     return Cochain.from_terms(basis, terms)
 
 
@@ -428,7 +449,8 @@ def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
 
 
 def _dual_differentials(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
-    """delta(t*) for every basis index t.
+    """delta(t*) for every basis index t, coefficients in the kernels'
+    form (see ``linalg._num``).
 
     delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j): the
     coefficient of the monomial of (i, j) is -c_ij^t, halved when i = j
@@ -441,7 +463,7 @@ def _dual_differentials(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
             continue  # no canonical pair repeats an even index
         pair = _letters(ne, (i, j))
         for t, v in br.items():
-            images[t][pair] = -v / 2 if i == j else -v
+            images[t][pair] = _num(Fraction(-v, 2)) if i == j else -_num(v)
     return images
 
 
@@ -472,6 +494,7 @@ def differential_direct(
         duals = _dual_differentials(g)
     acc: dict[Monomial, Rat] = {}
     for m, coeff in c.terms:
+        coeff = _num(coeff)
         letters = m.even + m.odd
         k = len(letters)
         for p, t in enumerate(letters):
@@ -503,20 +526,21 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     """
     g = q.algebra
     basis = g.basis
-    zero = Fraction(0)
     # row (i, j) is B([e_i, e_j], .), computed once per nonzero bracket
     rows = _combine(g.bracket_table(), _sparse_rows(q.form.gram))
-    icochain = from_values(basis, 3, lambda args: rows.get(args[:2], {}).get(args[2], zero))
+    icochain = from_values(basis, 3, lambda args: rows.get(args[:2], {}).get(args[2], 0))
     # I is nonzero only on the orderings of its monomials' letters, each
     # ordering of one monomial, so comparing the nonzero values compares
-    # every triple
-    values = {
-        args: evaluate(Cochain(basis, (term,)), args)
-        for term in icochain.terms
-        for args in itertools.permutations(term[0].even + term[0].odd)
-    }
+    # every triple.  An ordering's value is ``evaluate``'s: the reordering
+    # sign times the term's canonical value, coefficient * mult_factor
+    parities = basis.parities
+    values = {}
+    for m, c in icochain.terms:
+        canonical_value = c * m.mult_factor()
+        for args in itertools.permutations(m.even + m.odd):
+            values[args] = reorder_to_canonical(parities, args)[2] * canonical_value
     expected = {(i, j, k): x for (i, j), row in rows.items() for k, x in row.items()}
-    if {args: v for args, v in values.items() if v} != expected:
+    if values != expected:
         raise InputError(
             "associated 3-form is inconsistent with B([.,.],.); "
             "the input form is not invariant or not supersymmetric"
@@ -573,9 +597,11 @@ class _PoissonLeft:
     """The left operand A of {A, .} with everything that does not depend
     on the right operand done.  A's contractions carry the sign
     (-1)^{omega+f+1}; ``even[j]`` is sum_i B(Y0^i, Y0^j) iota_{X0^i}(A),
-    and ``darboux`` is iota_{X1^1..X1^n}(A), then iota_{Y1^1..Y1^n}(A)."""
+    and ``darboux`` is iota_{X1^1..X1^n}(A), then iota_{Y1^1..Y1^n}(A).
+    ``odd_darboux`` is the frame's, in the kernels' form."""
 
     frame: DarbouxFrame
+    odd_darboux: list[list[Rat | int]]
     even: list[dict[Monomial, Rat]]
     darboux: list[dict[Monomial, Rat]]
 
@@ -587,26 +613,27 @@ def _poisson_left(frame: DarbouxFrame, a: Cochain) -> _PoissonLeft:
         raise InputError("the cochain and the Darboux frame live over different bases")
     # (-1)^{omega+f+1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
-    contractions = _contractions((m, c if m.degree % 2 else -c) for m, c in a.terms)
+    contractions = _contractions(
+        (m, _num(c) if m.degree % 2 else -_num(c)) for m, c in a.terms
+    )
     ne = a.basis.even_dim
+    even_dual = [[_num(x) for x in row] for row in frame.even_dual]
     even = [
-        _combination((frame.even_dual[i][j], contractions.get(i, {})) for i in range(ne))
+        _combination((even_dual[i][j], contractions.get(i, {})) for i in range(ne))
         for j in range(ne)
     ]
-    return _PoissonLeft(frame, even, _darboux(frame, contractions))
+    odd_darboux = [[_num(x) for x in row] for row in frame.odd_darboux]
+    return _PoissonLeft(frame, odd_darboux, even, _darboux(odd_darboux, ne, contractions))
 
 
 def _darboux(
-    frame: DarbouxFrame, contractions: dict[int, dict[Monomial, Rat]]
+    odd_darboux: list[list[Rat | int]], ne: int, contractions: dict[int, dict[Monomial, Rat]]
 ) -> list[dict[Monomial, Rat]]:
     """iota_{X1^1..X1^n}, then iota_{Y1^1..Y1^n}: combinations of the
-    contractions by the odd letters."""
-    ne, no = frame.basis.even_dim, frame.basis.odd_dim
+    contractions by the odd letters (``ne`` even letters come first)."""
     return [
-        _combination(
-            (frame.odd_darboux[r][col], contractions.get(ne + r, {})) for r in range(no)
-        )
-        for col in range(2 * frame.odd_pairs)
+        _combination((row[col], contractions.get(ne + r, {})) for r, row in enumerate(odd_darboux))
+        for col in range(len(odd_darboux[0]) if odd_darboux else 0)
     ]
 
 
@@ -622,13 +649,13 @@ def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
     # the odd sum's (-1)^g depends on the symmetric degree g of a right
     # term: contract the right terms of each parity of g apart
     for parity in (0, 1):
-        right = _contractions((m, c) for m, c in b.terms if m.sym_degree % 2 == parity)
+        right = _contractions((m, _num(c)) for m, c in b.terms if m.sym_degree % 2 == parity)
         if not right:
             continue
         for j, right_j in right.items():
             if j < ne and left.even[j]:
                 _wedge_into(acc, left.even[j].items(), right_j.items(), scale)
-        right_xy = _darboux(frame, right)
+        right_xy = _darboux(left.odd_darboux, ne, right)
         sign = -scale if parity else scale
         for k in range(pairs):
             _wedge_into(acc, left.darboux[k].items(), right_xy[pairs + k].items(), sign)

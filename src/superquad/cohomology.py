@@ -23,7 +23,7 @@ from .cochains import (
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, _sparse_rows, rank
+from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank
 from .quadratic import QuadraticLieSuperalgebra, darboux_frame
 
 __all__ = [
@@ -205,7 +205,7 @@ class _Quotient(Echelon):
 
     def add_cocycle(self, vec: dict[int, Rat]) -> bool:
         v = dict(vec)  # vec may become a representative: not reduced in place
-        v[self.n + len(self.rows) - self.dim_boundary] = Fraction(1)
+        v[self.n + len(self.rows) - self.dim_boundary] = 1
         return self.add(v)
 
     def remainder_of(self, c: Cochain) -> dict[int, Rat]:
@@ -283,7 +283,7 @@ def cohomology(
     rows: dict[int, dict[int, Rat]] = {}
     for j, col in enumerate(d_k.columns):
         for i, x in col.items():
-            rows.setdefault(i, {})[last - j] = x
+            rows.setdefault(i, {})[last - j] = _num(x)
     kernel = Echelon(rows.values()).kernel(src.dimension)
     cocycles = [{last - j: x for j, x in v.items()} for v in reversed(kernel)]
     quotient = _Quotient(basis, src, d_prev if k > 0 else None)
@@ -372,7 +372,7 @@ def class_vector(
     v, n = quotient.remainder_of(c), quotient.n
     if min(v, default=n) < n:
         raise EngineError("cocycle does not decompose over B + representatives")
-    return [-v.get(n + i, Fraction(0)) for i in range(result.betti)]
+    return [_frac(-v.get(n + i, 0)) for i in range(result.betti)]
 
 
 def cohomology_report(

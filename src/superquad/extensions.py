@@ -151,11 +151,10 @@ def is_skew_superderivation(
     cols = dict(enumerate(_sparse_rows(transpose(d.matrix))))
     left = _combine(cols, _sparse_rows(gram))  # i -> {j: B(D e_i, e_j)}
     right = _combine(cols, _sparse_rows(transpose(gram)))  # j -> {i: B(e_i, D e_j)}
-    zero = Fraction(0)
     for i in range(basis.dim):
         sign = -1 if degree and basis.parities[i] else 1
         for j in range(basis.dim):
-            if left[i].get(j, zero) != -sign * right[j].get(i, zero):
+            if left[i].get(j, 0) != -sign * right[j].get(i, 0):
                 violations.append(
                     Violation(
                         rule="skew-supersymmetry-of-derivation",
@@ -190,10 +189,7 @@ def skew_superderivation_space(
         if basis.parities[i] == (basis.parities[j] + degree) % 2
     ]
     slot_index = {s: k for k, s in enumerate(slots)}
-    rows: list[list[Rat]] = []
-
-    def new_row() -> list[Rat]:
-        return [Fraction(0)] * len(slots)
+    rows: list[dict[int, Rat]] = []  # {slot: coefficient}, zeros dropped
 
     # Leibniz: for each basis pair i <= j and each output coordinate r:
     # sum_t c_t D[r][t] - [D e_i, e_j]_r - sign [e_i, D e_j]_r = 0
@@ -207,7 +203,7 @@ def skew_superderivation_space(
                 k = slot_index.get(slot)
                 if k is None:
                     return
-                coeffs[r][k] = coeffs[r].get(k, Fraction(0)) + value
+                coeffs[r][k] = coeffs[r].get(k, 0) + value
 
             for t, c in table.get((i, j), {}).items():
                 for r in range(n):
@@ -218,29 +214,21 @@ def skew_superderivation_space(
                     add((s, i), r, -c)
                 for r, c in table.get((i, s), {}).items():
                     add((s, j), r, -sign * c)
-            for r in range(n):
-                if coeffs[r]:
-                    row = new_row()
-                    for k, v in coeffs[r].items():
-                        row[k] = v
-                    rows.append(row)
+            rows.extend(row for r in range(n) if (row := {k: v for k, v in coeffs[r].items() if v}))
     # skew: B(D e_i, e_j) + sign_i B(e_i, D e_j) = 0 for all i, j
     gram_rows = _sparse_rows(q.form.gram)
     gram_cols = _sparse_rows(transpose(q.form.gram))
     for i in range(n):
         sign = -1 if degree and basis.parities[i] else 1
         for j in range(n):
-            row = new_row()
-            nonzero = False
+            row: dict[int, Rat] = {}
             for s, v in gram_cols[j].items():
-                if (s, i) in slot_index:
-                    row[slot_index[(s, i)]] += v
-                    nonzero = True
+                if (k := slot_index.get((s, i))) is not None:
+                    row[k] = row.get(k, 0) + v
             for s, w in gram_rows[i].items():
-                if (s, j) in slot_index:
-                    row[slot_index[(s, j)]] += sign * w
-                    nonzero = True
-            if nonzero:
+                if (k := slot_index.get((s, j))) is not None:
+                    row[k] = row.get(k, 0) + sign * w
+            if row := {k: v for k, v in row.items() if v}:
                 rows.append(row)
     if not slots:
         return []
@@ -250,7 +238,7 @@ def skew_superderivation_space(
             for k in range(len(slots))
         ]
     else:
-        vectors = nullspace(rows)
+        vectors = nullspace(rows, cols=len(slots))
         vectors = echelon_basis(vectors) if vectors else []
     out: list[Superderivation] = []
     for v in vectors:

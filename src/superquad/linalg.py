@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything in the engine reduces, at the bottom, to row reduction of
-matrices with ``fractions.Fraction`` entries, and all of it goes through
-one sparse reduced-echelon routine, ``Echelon``: rows hold only their
-nonzeros, because the differentials of the cochain complex are very
-sparse.  Matrix rows at the API are sequences or {column: nonzero}
-mappings; no numpy, no pivoting heuristics.  Exactness is the point.
+matrices over Q, and all of it goes through one sparse reduced-echelon
+routine, ``Echelon``: rows hold only their nonzeros, because the
+differentials of the cochain complex are very sparse.  Matrix rows at the
+API are sequences or {column: nonzero} mappings; no numpy, no pivoting
+heuristics.  Exactness is the point.
+
+Inside the kernels an integral value is a plain ``int`` (``_num``) and
+only a true fraction is a ``Fraction``; every value the API returns is a
+``Fraction`` (``_frac``).  Every division is ``Fraction(p, q)``, so two
+ints never divide into a float.
 """
 
 from __future__ import annotations
@@ -80,9 +85,26 @@ def mat_mul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
+def _num(x: Rat | int) -> Rat | int:
+    """x in the kernels' form: an int when integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _frac(x: Rat | int) -> Rat:
+    """A kernel value in the API's form, a Fraction."""
+    return Fraction(x) if type(x) is int else x
+
+
 def _sparse_rows(m: Rows) -> list[dict[int, Rat]]:
-    """Rows of m as new {column: nonzero} dicts, for Echelon to reduce in place."""
-    return [{j: x for j, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x} for r in m]
+    """Rows of m as new {column: nonzero} dicts in the kernels' form (see
+    ``_num``), for Echelon to reduce in place."""
+    try:
+        return [
+            {j: _num(x) for j, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x}
+            for r in m
+        ]
+    except AttributeError:  # a float, or anything else without a denominator
+        raise InputError("matrix entries must be exact rationals (int or Fraction)") from None
 
 
 def _combine(vectors: Mapping, rows: Sequence[Mapping[int, Rat]]) -> dict:
@@ -129,8 +151,14 @@ class Echelon:
         pivot = min(self.remainder(v), default=self.limit)
         if pivot >= self.limit:
             return False
-        inv = Fraction(1) / v[pivot]
-        new = {j: x * inv for j, x in v.items()}
+        lead = v[pivot]
+        if lead == 1:
+            new = v
+        elif lead == -1:
+            new = {j: -x for j, x in v.items()}
+        else:
+            inv = Fraction(1, lead)
+            new = {j: _num(x * inv) for j, x in v.items()}
         for row in self.rows.values():
             if a := row.get(pivot):
                 _subtract(row, a, new)
@@ -145,7 +173,7 @@ class Echelon:
         for p, row in self.rows.items():
             for j, x in row.items():
                 minus.setdefault(j, {})[p] = -x
-        return [{f: Fraction(1), **minus.get(f, {})} for f in range(cols) if f not in self.rows]
+        return [{f: 1, **minus.get(f, {})} for f in range(cols) if f not in self.rows]
 
 
 def _subtract(v: dict[int, Rat], a: Rat, row: dict[int, Rat]) -> None:
@@ -167,8 +195,9 @@ def rref(m: Rows) -> tuple[list, list[int]]:
     rows = Echelon(_sparse_rows(m)).rows
     pivots = sorted(rows)
     if m and isinstance(m[0], Mapping):
-        return [rows[p] for p in pivots], pivots
-    return [[rows[p].get(j, Fraction(0)) for j in range(len(m[0]))] for p in pivots], pivots
+        return [{j: _frac(x) for j, x in rows[p].items()} for p in pivots], pivots
+    zero = Fraction(0)
+    return [[_frac(rows[p].get(j, zero)) for j in range(len(m[0]))] for p in pivots], pivots
 
 
 def rank(m: Rows) -> int:
@@ -187,7 +216,7 @@ def nullspace(m: Rows, cols: int | None = None) -> list[list[Rat]]:
             raise InputError("nullspace of an empty or sparse matrix needs an explicit column count")
         cols = len(m[0])
     zero = Fraction(0)
-    return [[v.get(j, zero) for j in range(cols)] for v in Echelon(_sparse_rows(m)).kernel(cols)]
+    return [[_frac(v.get(j, zero)) for j in range(cols)] for v in Echelon(_sparse_rows(m)).kernel(cols)]
 
 
 def inverse(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:

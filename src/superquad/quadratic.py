@@ -108,9 +108,12 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
     p = basis.parities
     labels = basis.labels
     gram = form.gram
+    rows = _sparse_rows(gram)  # B(e_i, .) as {j: B(e_i, e_j)}
+    cols = _sparse_rows(transpose(gram))  # B(., e_j) as {i: B(e_i, e_j)}
     for i in range(n):
         for j in range(i, n):
-            if p[i] != p[j] and gram[i][j] != 0:
+            gij = rows[i].get(j, 0)
+            if p[i] != p[j] and gij:
                 out.append(
                     Violation(
                         rule="even",
@@ -118,8 +121,7 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
                         message=f"B({labels[i]}, {labels[j]}) pairs opposite parities but is nonzero",
                     )
                 )
-            sign = Fraction(-1) ** (p[i] * p[j])
-            if gram[j][i] != sign * gram[i][j]:
+            if rows[j].get(i, 0) != (-gij if p[i] and p[j] else gij):
                 out.append(
                     Violation(
                         rule="supersymmetry",
@@ -133,14 +135,13 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
     # invariance B([x,y],z) = B(x,[y,z]) on all basis triples: both sides
     # vanish off the union of the supports of B([e_i,e_j],.) and B(.,[e_j,e_k])
     table = g.bracket_table()
-    left = _combine(table, _sparse_rows(gram))  # (i, j) -> {k: B([e_i,e_j],e_k)}
-    right = _combine(table, _sparse_rows(transpose(gram)))  # (j, k) -> {i: B(e_i,[e_j,e_k])}
+    left = _combine(table, rows)  # (i, j) -> {k: B([e_i,e_j],e_k)}
+    right = _combine(table, cols)  # (j, k) -> {i: B(e_i,[e_j,e_k])}
     triples = {(i, j, k) for (i, j), row in left.items() for k in row}
     triples.update((i, j, k) for (j, k), col in right.items() for i in col)
-    zero = Fraction(0)
     for i, j, k in sorted(triples):
-        lhs = left.get((i, j), {}).get(k, zero)
-        rhs = right.get((j, k), {}).get(i, zero)
+        lhs = left.get((i, j), {}).get(k, 0)
+        rhs = right.get((j, k), {}).get(i, 0)
         if lhs != rhs:
             out.append(
                 Violation(
@@ -217,7 +218,7 @@ def symplectic_darboux(gram: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
         a, b = pair
         u = remaining[a]
         val = beta(u, remaining[b])
-        v = [c / val for c in remaining[b]]
+        v = [Fraction(c, val) for c in remaining[b]]
         rest = [remaining[t] for t in range(len(remaining)) if t not in (a, b)]
         projected = []
         for w in rest:

@@ -116,7 +116,7 @@ def check_commuting_dependence(
     # find a coordinate where m1 is non-zero and scale m2 against it
     for x1, x2 in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c)):
         if x1 != 0:
-            t = x2 / x1
+            t = Fraction(x2, x1)
             if (m2 - m1.scale(t)).is_zero:
                 return (t, Fraction(-1))
             raise EngineError(

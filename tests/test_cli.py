@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, text output, JSON reports."""
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from superquad import cli
 from superquad.cli import main
 from superquad.extensions import skew_superderivation_space
 from superquad.catalog import build
+from superquad.errors import InputError
 from superquad.serialization import (
     algebra_to_dict,
     loads,
@@ -307,3 +309,36 @@ def test_output_determinism(tmp_path):
     main(["export", "g_8_2_2_s", "--output", str(a)])
     main(["export", "g_8_2_2_s", "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_repeated_main_calls_do_not_accumulate(capsys):
+    # one parser serves every call; --param is an append action, so a list
+    # carried over from an earlier call would change the algebra built
+    calls = [
+        ["export", "g_8_2_1_s", "--param", "lam=2", "--param", "mu=1/2"],
+        ["export", "g_8_2_1_s", "--param", "nu=3"],
+        ["export", "g_8_2_1_s"],
+        ["validate", "g_8_2_1_s", "--param", "lam=0"],  # (lam, mu, nu) = 0: exit 2
+        ["betti", "g_6_2", "--param", "lam=1/3", "--max-degree", "1"],
+    ]
+
+    def single_call(argv):
+        """What main does, with a parser of its own."""
+        args = cli._build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    def outcomes(run):
+        out = []
+        for argv in calls:
+            rc = run(argv)
+            out.append((rc, *capsys.readouterr()))
+        return out
+
+    single = outcomes(single_call)
+    assert [rc for rc, _, _ in single] == [0, 0, 0, 2, 0]
+    assert len({text for _, text, _ in single[:3]}) == 3
+    assert outcomes(main) + outcomes(main) == single + single

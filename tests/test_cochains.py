@@ -61,6 +61,53 @@ def test_monomial_validation():
         Monomial(even=(), odd=(3, 2))
 
 
+def test_public_cochain_constructors_keep_every_check():
+    b = build("g_4_1_s").basis  # X0 Y0 | X1 Y1
+    m = Monomial(even=(0,), odd=(2,))
+    with pytest.raises(InputError, match="duplicate"):
+        Cochain(b, ((m, Fraction(1)), (m, Fraction(2))))
+    with pytest.raises(InputError, match="zero coefficient"):
+        Cochain(b, ((m, Fraction(0)),))
+    for bad in (Monomial(even=(2,), odd=()), Monomial(even=(), odd=(1,)), Monomial(even=(), odd=(4,))):
+        with pytest.raises(InputError, match="out of range"):
+            Cochain(b, ((bad, Fraction(1)),))
+        with pytest.raises(InputError, match="out of range"):
+            Cochain.from_terms(b, {bad: Fraction(1)})
+    with pytest.raises(InputError):
+        Cochain.dual(b, "Z0")
+
+
+def test_kernel_cochains_pass_the_public_checks():
+    # every delta column, Leibniz and -{I, .}, of all 17 keys to degree 2
+    for key in catalog_keys():
+        q = build(key)
+        quadratic = isinstance(q, QuadraticLieSuperalgebra)
+        g = q.algebra if quadratic else q
+        for k in range(3):
+            for m in monomials_of_degree(g.basis, k):
+                c = Cochain.from_terms(g.basis, {m: Fraction(1)})
+                images = [differential_direct(g, c)]
+                if quadratic and k < 2:
+                    images.append(differential_via_poisson(q, c))
+                for d in images:
+                    assert Cochain(d.basis, d.terms) == d
+
+
+def test_monomial_hash_and_equality_agree_however_built():
+    b = build("g_6_s").basis
+    kernel_made = monomials_of_degree(b, 3)  # built without the order check
+    public = [Monomial(even=m.even, odd=m.odd) for m in kernel_made]
+    for a, p in zip(kernel_made, public):
+        assert a == p and hash(a) == hash(p) and a is not p
+        assert repr(p) == f"Monomial(even={p.even}, odd={p.odd})"
+    index = {m: i for i, m in enumerate(public)}
+    assert [index[m] for m in kernel_made] == list(range(len(public)))
+    assert len(set(kernel_made) | set(public)) == len(public)
+    assert len({*kernel_made[:5], *public[3:8]}) == 8
+    assert Monomial(even=(0,), odd=()) != Monomial(even=(), odd=(0,))
+    assert Monomial(even=(0,), odd=()) != ((0,), ())
+
+
 def test_evaluation_normalization():
     q = build("g_4_1_s")  # basis X0 Y0 | X1 Y1 -> indices 0 1 | 2 3
     b = q.basis
