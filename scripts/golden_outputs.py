@@ -29,6 +29,12 @@ directories:
   Jacobi fails), a Gram value moved by 1/2 (``g_6_s``, invariance
   fails), and both (``g_6_3``), so violation messages with their
   printed residuals are compared too;
+* ``queries.txt``: for every catalog key and degrees 1 to 3, a fixed
+  seeded set of cochains (sums of representatives, a coboundary and,
+  for a third of them, a random monomial), each with its
+  ``is_cocycle``, ``is_coboundary`` and ``class_vector(..., result=...)``
+  verdicts, so the query path, which no CLI verb reaches, is compared
+  too;
 * the standard output of ``scripts/reproduce_tables.py``.
 
 ``exit_codes.txt`` lists each command's exit code; a command that
@@ -39,17 +45,26 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from superquad import (
+    Cochain,
+    InputError,
     algebra_to_dict,
     build,
     catalog_keys,
+    class_vector,
     cli,
+    cohomology,
+    differential_direct,
     get_entry,
+    is_coboundary,
+    is_cocycle,
+    monomials_of_degree,
     rational_to_str,
     skew_superderivation_space,
 )
@@ -96,6 +111,43 @@ def invalid_documents() -> dict[str, dict]:
             entry["value"] = _scaled(entry["value"], Fraction(1), Fraction(1, 2))
         out[name] = doc
     return out
+
+
+QUERY_DEGREES = (1, 2, 3)
+QUERIES_PER_DEGREE = 6
+
+
+def queries() -> str:
+    """One line per query: key, degree, the cochain c, and the verdicts of
+    is_cocycle, is_coboundary and class_vector (InputError for a non-cocycle)."""
+    lines = []
+    for key in catalog_keys():
+        q = build(key)
+        g = getattr(q, "algebra", q)
+        rng = random.Random(f"queries {key}")
+        for k in QUERY_DEGREES:
+            res = cohomology(q, k, verify=False)
+            lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
+            for i in range(QUERIES_PER_DEGREE):
+                b = {
+                    m: Fraction(rng.choice(COEFFS), rng.choice((1, 2)))
+                    for m in rng.sample(lower, min(2, len(lower)))
+                }
+                c = differential_direct(g, Cochain.from_terms(g.basis, b))
+                if i % 2:  # a nonzero class, most of the time
+                    for rep in res.representatives:
+                        c = c + rep.scale(Fraction(rng.choice(COEFFS)))
+                if i % 3 == 2:
+                    c = c + Cochain.from_terms(g.basis, {rng.choice(same): Fraction(1)})
+                try:
+                    vector = " ".join(rational_to_str(x) for x in class_vector(q, c, result=res))
+                except InputError as exc:
+                    vector = f"InputError: {exc}"
+                lines.append(
+                    f"{key} {k} {i} [{c}] cocycle={is_cocycle(q, c)} "
+                    f"coboundary={is_coboundary(q, c)} class=[{vector}]\n"
+                )
+    return "".join(lines)
 
 
 def inputs(target: Path) -> None:
@@ -163,6 +215,7 @@ def main(argv: list[str]) -> int:
     script = Path(__file__).resolve().with_name("reproduce_tables.py")
     _, stdout, stderr = capture(lambda: runpy.run_path(str(script), run_name="__main__"))
     write(target, "reproduce_tables.txt", stdout, stderr)
+    (target / "queries.txt").write_text(queries(), encoding="utf-8")
     (target / "exit_codes.txt").write_text("".join(codes), encoding="utf-8")
     return 0
 

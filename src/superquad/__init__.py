@@ -15,6 +15,7 @@ from .algebra import (
     Violation,
     center,
     derived_series,
+    diagonal_weights,
     is_solvable,
     validate_grading_and_skew,
     validate_lie_superalgebra,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import Rat, _num, echelon_basis, nullspace, rat, rref
+from .linalg import Echelon, Rat, _num, echelon_basis, nullspace, rat, rref
 
 Vector = tuple[Rat, ...]
 
@@ -312,6 +312,27 @@ def validate_lie_superalgebra(g: LieSuperalgebra) -> ValidationReport:
     violations = validate_grading_and_skew(g)
     violations += validate_super_jacobi(g)
     return ValidationReport(tuple(violations))
+
+
+def diagonal_weights(g: LieSuperalgebra) -> list[tuple[Rat | int, ...]]:
+    """The torus of diagonal derivations in the given basis, per letter.
+
+    A weight is a vector lambda with lambda_i + lambda_j = lambda_t for
+    every nonzero c_ij^t, so that diag(lambda) is an even derivation.
+    Entry t is (lambda^1_t, ..., lambda^r_t, |t|): the t-th coordinates
+    of an exact basis lambda^1..lambda^r of the weights (one ``Echelon``
+    kernel), then the parity of letter t.  Built on each call, for the
+    exact kernels: an integral value is an int.
+    """
+    rows = []
+    for (i, j), terms in g.constants.items():
+        for t in terms:
+            row = {i: 1}
+            row[j] = row.get(j, 0) + 1
+            row[t] = row.get(t, 0) - 1
+            rows.append({s: x for s, x in row.items() if x})
+    kernel = Echelon(rows).kernel(g.dim)
+    return [tuple(v.get(t, 0) for v in kernel) + (p,) for t, p in enumerate(g.basis.parities)]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
+from typing import Mapping
 
-from .algebra import GradedBasis, LieSuperalgebra
+from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights
 from .cochains import (
     Cochain,
     DarbouxFrame,
     Monomial,
+    _cochain,
     _dual_differentials,
     _poisson_left,
     associated_three_form,
@@ -68,16 +71,19 @@ class CochainBasis:
         for m in self.monomials:
             if m.degree != self.degree:
                 raise InputError("monomial degree disagrees with basis degree")
+        # built once: every coordinates() call and every delta assembly reads it
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.monomials)})
 
     @property
     def dimension(self) -> int:
         return len(self.monomials)
 
-    def index_map(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
+    def index_map(self) -> Mapping[Monomial, int]:
+        """Monomial -> position, a read-only view of the map built once."""
+        return MappingProxyType(self._index)
 
     def coordinates(self, c: Cochain) -> dict[int, Rat]:
-        idx, vec = self.index_map(), {}
+        idx, vec = self._index, {}
         for m, coeff in c.terms:
             if m not in idx:
                 raise InputError(
@@ -167,10 +173,10 @@ def differential_matrix(
             three_form = associated_three_form(quad)
         left = _poisson_left(frame, three_form)
     duals = _dual_differentials(g)
-    idx = tgt.index_map()
+    idx = tgt._index
     columns = []
     for m in src.monomials:
-        c = Cochain.from_terms(basis, {m: Fraction(1)})
+        c = _cochain(basis, {m: 1})
         image = differential_direct(g, c, duals=duals)
         if left is not None:
             alt = differential_via_poisson(quad, c, left=left)
@@ -330,8 +336,27 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     return differential_direct(_algebra(q, c), c).is_zero
 
 
+def _weight_key(weights: list[tuple[Rat | int, ...]], m: Monomial) -> tuple:
+    """The block of m: the sums of its letters' weights (``diagonal_weights``),
+    the last one, the number of odd letters, taken mod 2 (the sym-parity)."""
+    letters = m.even + m.odd
+    if not letters:
+        return (0,) * len(weights[0])
+    *lam, odd = map(sum, zip(*[weights[t] for t in letters]))
+    return (*lam, odd % 2)
+
+
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
-    """True iff c = delta(b) for some cochain b (c must be Z-homogeneous)."""
+    """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
+
+    delta keeps the weight of every diagonal derivation and the
+    sym-parity, so it maps each block of C^{k-1} (``_weight_key``) into
+    the block of C^k with the same key, and c is a coboundary exactly
+    when it is delta of a cochain in the blocks of c's own terms
+    (Hochschild-Serre).  Only those columns of delta_{k-1} are built.
+    Certificate: every term of every built column must lie in its
+    source's block, or the torus or delta is wrong (EngineError).
+    """
     g = _algebra(q, c)
     if c.is_zero:
         return True
@@ -339,8 +364,30 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     if k == 0:
         return False
     _check_cochain_dimensions(g.basis, k - 1)
-    d_prev = differential_matrix(q, k - 1, verify=False)
-    return not _Quotient(g.basis, d_prev.target, d_prev).remainder_of(c)
+    weights = diagonal_weights(g)
+    keys = {_weight_key(weights, m) for m, _ in c.terms}
+    duals = _dual_differentials(g)
+    index: dict[Monomial, int] = {}  # target monomials, in order of appearance
+    columns = []
+    for m in monomials_of_degree(g.basis, k - 1):
+        key = _weight_key(weights, m)
+        if key not in keys:
+            continue
+        column = {}
+        for mm, x in differential_direct(g, _cochain(g.basis, {m: 1}), duals=duals).terms:
+            if _weight_key(weights, mm) != key:
+                raise EngineError(
+                    f"delta of {m} leaves its weight block {key}: "
+                    "the torus or delta is wrong"
+                )
+            column[index.setdefault(mm, len(index))] = _num(x)
+        columns.append(column)
+    target = {}
+    for m, x in c.terms:
+        if m not in index:
+            return False
+        target[index[m]] = _num(x)
+    return not Echelon(columns).remainder(target)
 
 
 def class_vector(

@@ -34,7 +34,8 @@ class BilinearForm:
         n = self.basis.dim
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise InputError("Gram matrix shape does not match the basis")
-        gram = tuple(tuple(rat(v) for v in row) for row in self.gram)
+        # forms built by the catalog and the loaders hold Fractions already: only the rest needs rat
+        gram = tuple(tuple(v if type(v) is Fraction else rat(v) for v in row) for row in self.gram)
         object.__setattr__(self, "gram", gram)
 
     @classmethod

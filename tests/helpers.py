@@ -11,6 +11,8 @@ two is a meaningful check, not a tautology.
 echelon replaced; RREF is unique, so the two must agree exactly.
 ``nullspace_dense`` reads the kernel basis off it, as the engine's dense
 ``nullspace`` did before ``Echelon.kernel`` replaced it.
+``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
+which the engine's weight-restricted ``is_coboundary`` replaced.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
@@ -31,6 +33,7 @@ from superquad.cochains import (
     monomials_of_degree,
     wedge,
 )
+from superquad.cohomology import _Quotient, differential_matrix
 from superquad.extensions import Superderivation, _grading_violations
 from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank
 
@@ -155,6 +158,18 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
             span = candidate
             current = r
     return reps
+
+
+def is_coboundary_full(q, c: Cochain) -> bool:
+    """True iff c = delta(b): c reduced against the columns of the whole
+    delta_{k-1} (c nonzero and of one degree k)."""
+    degrees = {m.degree for m, _ in c.terms}
+    assert len(degrees) == 1, "the oracle takes a nonzero cochain of one degree"
+    k = degrees.pop()
+    if k == 0:
+        return False
+    d_prev = differential_matrix(q, k - 1, verify=False)
+    return not _Quotient(c.basis, d_prev.target, d_prev).remainder_of(c)
 
 
 def rref_dense(m) -> tuple[list[list[Rat]], list[int]]:

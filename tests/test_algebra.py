@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from superquad import build, validate_quadratic
+from superquad import build, catalog_keys, is_superderivation, validate_quadratic
 from superquad.algebra import (
     GradedBasis,
     LieSuperalgebra,
     Subspace,
     center,
     derived_series,
+    diagonal_weights,
     is_solvable,
     validate_lie_superalgebra,
 )
 from superquad.errors import InputError
+from superquad.linalg import rank
 from superquad.quadratic import reorder_quadratic
 
 
@@ -153,3 +155,43 @@ def test_reorder_quadratic_round_trip():
     back = reorder_quadratic(q2, labels)
     assert back.algebra.constants == q.algebra.constants
     assert back.form.gram == q.form.gram
+
+
+# rank of the torus of diagonal derivations, per catalog key at default parameters
+TORUS_RANK = {
+    "h": 2,
+    "g_4_1_s": 2,
+    "g_4_2_s": 2,
+    "g_6_s": 3,
+    "g_6_1": 3,
+    "g_6_2": 3,
+    "g_6_3": 2,
+    "g_8_2_1_s": 3,
+    "g_8_2_2_s": 1,
+    "g_8_2_3_s": 3,
+    "g_8_2_4_s": 4,
+    "g_8_2_5_s": 3,
+    "g_8_2_6_s": 2,
+    "g_8_2_7_s": 2,
+    "g_8_2_8_s": 3,
+    "g_8_2_9_s": 2,
+    "g_dec": 5,
+}
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_diagonal_weights_are_derivation_weights(key):
+    q = build(key)
+    g = getattr(q, "algebra", q)
+    weights = diagonal_weights(g)
+    r = TORUS_RANK[key]
+    assert len(weights) == g.dim and all(len(w) == r + 1 for w in weights)
+    assert [w[-1] for w in weights] == list(g.basis.parities)
+    lams = [[w[s] for w in weights] for s in range(r)]
+    assert rank(lams) == r  # an exact basis: independent weights
+    for lam in lams:
+        for (i, j), terms in g.constants.items():
+            for t in terms:
+                assert lam[i] + lam[j] == lam[t], (lam, i, j, t)
+        diag = [[lam[i] if i == j else 0 for j in range(g.dim)] for i in range(g.dim)]
+        assert is_superderivation(g, diag, 0).ok

@@ -1,14 +1,15 @@
 """Exact Betti numbers, cocycle/coboundary tests, representatives."""
 import importlib
 import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from helpers import NON_JACOBI_DOC, doubled_odd_form, mono, representatives_by_rank
+from helpers import NON_JACOBI_DOC, doubled_odd_form, is_coboundary_full, mono, representatives_by_rank
 from superquad import build, catalog_keys
-from superquad.algebra import GradedBasis, LieSuperalgebra
+from superquad.algebra import GradedBasis, LieSuperalgebra, diagonal_weights
 from superquad.cochains import (
     Cochain,
     Monomial,
@@ -121,6 +122,50 @@ def test_is_cocycle_and_is_coboundary():
     mixed = y0 + c
     with pytest.raises(InputError):
         is_coboundary(q, mixed)
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_is_coboundary_agrees_with_the_full_delta_oracle(key):
+    """Seeded coboundaries delta(b), alone, plus a random monomial of C^k,
+    or plus a representative of H^k (never a coboundary)."""
+    q = build(key)
+    g = getattr(q, "algebra", q)
+    rng = random.Random(f"is_coboundary {key}")
+    for k in (1, 2, 3) + ((4,) if key == "g_8_2_5_s" else ()):
+        lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
+        reps = cohomology(q, k, verify=False).representatives
+        for i in range(9):
+            picked = rng.sample(lower, min(3, len(lower)))
+            coeffs = (Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for _ in picked)
+            c = differential_direct(g, Cochain.from_terms(g.basis, dict(zip(picked, coeffs))))
+            kind = i % 3
+            if kind == 1:
+                c = c + Cochain.from_terms(g.basis, {rng.choice(same): Fraction(1)})
+            elif kind == 2 and reps:
+                c = c + rng.choice(reps)
+            if c.is_zero:
+                continue
+            got = is_coboundary(q, c)
+            assert got == is_coboundary_full(q, c), (k, str(c))
+            if kind == 0:
+                assert got
+            elif kind == 2 and reps:
+                assert not got
+
+
+def test_is_coboundary_certificate_catches_a_weight_that_is_no_derivation_weight(monkeypatch):
+    q = build("g_4_1_s")  # [Y1, Y1] = -2 X0: lambda_X0 = 2 lambda_Y1 for every weight
+    weights = diagonal_weights(q.algebra)
+    x0, y1 = q.basis.index("X0"), q.basis.index("Y1")
+    wrong = [(w[0] + 1, *w[1:]) if t == x0 else w for t, w in enumerate(weights)]
+    assert wrong[y1][0] * 2 != wrong[x0][0]
+    # delta(X0* X1*) = X1* Y1* Y1* - 2 X0* Y0* Y1*: a term with X0 and a term without
+    c = differential_direct(q.algebra, mono(q, ("X0",), ("X1",)))
+    assert is_coboundary(q, c)
+    module = importlib.import_module("superquad.cohomology")
+    monkeypatch.setattr(module, "diagonal_weights", lambda g: wrong)
+    with pytest.raises(EngineError, match="weight block"):
+        is_coboundary(q, c)
 
 
 def test_differential_matrix_cross_check_fires():
@@ -317,6 +362,10 @@ def test_cochain_basis_coordinates_round_trip():
     )
     vec = cb.coordinates(c)
     assert vec == {cb.monomials.index(m): x for m, x in c.terms}
+    index = cb.index_map()  # built once, read-only
+    assert dict(index) == {m: i for i, m in enumerate(cb.monomials)}
+    with pytest.raises(TypeError):
+        index[cb.monomials[0]] = 1
     back = cb.from_coordinates(basis, vec)
     assert (back - c).is_zero
     for bad in (-1, cb.dimension):

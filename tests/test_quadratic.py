@@ -220,6 +220,20 @@ def test_float_gram_entries_are_rejected():
         BilinearForm(basis=q.basis, gram=gram)
 
 
+def test_one_inexact_gram_entry_among_fractions_is_rejected():
+    q = build("g_4_1_s")
+    for bad in (0.5, "9" * 5000, "1/0", "0.5"):
+        gram = tuple(
+            tuple(bad if (i, j) == (1, 2) else x for j, x in enumerate(row))
+            for i, row in enumerate(q.form.gram)
+        )
+        with pytest.raises(InputError):
+            BilinearForm(basis=q.basis, gram=gram)
+    # Fraction entries are taken as they are, not coerced again
+    form = BilinearForm(basis=q.basis, gram=q.form.gram)
+    assert all(x is y for row, old in zip(form.gram, q.form.gram) for x, y in zip(row, old))
+
+
 def test_gram_entries_are_normalised_to_fractions():
     q = build("g_4_1_s")
     gram = tuple(tuple(int(x) if x.denominator == 1 else str(x) for x in row) for row in q.form.gram)
