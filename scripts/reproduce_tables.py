@@ -13,16 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from superquad import (
-    Cochain,
-    associated_three_form,
-    betti_table,
-    build,
-    cohomology,
-    darboux_frame,
-    monomials_of_degree,
-    poisson_bracket,
-)
+from superquad import Cochain, Complex, betti_table, build, cohomology, poisson_bracket
 
 
 def betti_section() -> None:
@@ -56,13 +47,12 @@ def heisenberg_section() -> None:
 
 def poisson_section() -> None:
     print("== Poisson bracket table for g_4_1_s ==")
-    q = build("g_4_1_s")
-    frame = darboux_frame(q)
-    three = associated_three_form(q)
+    cx = Complex(build("g_4_1_s"))
+    q, frame, three = cx.quadratic, cx.frame, cx.three_form
     print(f"I = {three}")
     print(f"{{I, I}} = {poisson_bracket(q, frame, three, three)}")
     for k in (1, 2):
-        for m in monomials_of_degree(q.basis, k):
+        for m in cx.cochains(k).monomials:
             c = Cochain.from_terms(q.basis, {m: Fraction(1)})
             print(f"{{I, {c}}} = {poisson_bracket(q, frame, three, c)}")
     print()

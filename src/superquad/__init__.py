@@ -46,6 +46,7 @@ from .cochains import (
 from .cohomology import (
     CochainBasis,
     CohomologyResult,
+    Complex,
     DifferentialMatrix,
     betti_table,
     class_vector,

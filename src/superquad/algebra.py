@@ -18,12 +18,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import Echelon, Rat, _num, echelon_basis, nullspace, rat, rref
+from .linalg import Echelon, Rat, _frac, _num, echelon_basis, rat, reduced_kernel
 
 Vector = tuple[Rat, ...]
 
@@ -397,34 +397,23 @@ def center(g: LieSuperalgebra) -> Subspace:
 
     For x = sum_i x_i e_i the condition is sum_i x_i c_{i,j}^k = 0 for
     every j, k.  Solving separately for even and odd x keeps the result
-    homogeneous and the stacked echelon rows canonical.
+    homogeneous; the two reduced kernels have disjoint supports, so
+    stacked they are the reduced basis of the center.
     """
     n = g.dim
     ne = g.basis.even_dim
-    rows_out: list[list[Rat]] = []
+    rows: list[tuple[Rat, ...]] = []
     for lo, hi in ((0, ne), (ne, n)):
-        width = hi - lo
-        if width == 0:
-            continue
-        system: list[list[Rat]] = []
+        system: list[dict[int, Rat]] = []
         for j in range(n):
             cols: dict[int, dict[int, Rat]] = {}
             for i in range(lo, hi):
                 for k, c in g.bracket_pair(i, j).items():
                     cols.setdefault(k, {})[i - lo] = c
-            for k, coeffs in sorted(cols.items()):
-                system.append([coeffs.get(t, Fraction(0)) for t in range(width)])
-        if not system:
-            kernel = [[Fraction(1) if t == s else Fraction(0) for t in range(width)] for s in range(width)]
-        else:
-            kernel = nullspace(system, cols=width)
-        for v in kernel:
-            full = [Fraction(0)] * n
-            for t, c in enumerate(v):
-                full[lo + t] = c
-            rows_out.append(full)
-    rows = echelon_basis(rows_out)
-    return Subspace(ambient=g.basis, rows=tuple(tuple(r) for r in rows))
+            system.extend(cols.values())
+        kernel = reduced_kernel(system, hi - lo)
+        rows.extend(tuple(_frac(v.get(t - lo, 0)) for t in range(n)) for v in kernel)
+    return Subspace(ambient=g.basis, rows=tuple(rows))
 
 
 def reorder_basis(g: LieSuperalgebra, new_labels: Sequence[str]) -> LieSuperalgebra:

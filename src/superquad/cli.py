@@ -14,21 +14,12 @@ import sys
 from fractions import Fraction
 
 from . import catalog, serialization
-from .algebra import LieSuperalgebra, ValidationReport, validate_lie_superalgebra
-from .cochains import (
-    associated_three_form,
-    differential_direct,
-    differential_via_poisson,
-    monomials_of_degree,
-    poisson_bracket,
-    Cochain,
-    _dual_differentials,
-    _poisson_left,
-)
-from .cohomology import _check_cochain_dimensions, cohomology_report
+from .algebra import ValidationReport, validate_lie_superalgebra
+from .cochains import Cochain, differential_direct, differential_via_poisson, poisson_bracket
+from .cohomology import Complex, cohomology_report
 from .errors import InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
-from .quadratic import QuadraticLieSuperalgebra, darboux_frame, validate_quadratic
+from .quadratic import QuadraticLieSuperalgebra, validate_quadratic
 from .serialization import rational_from_str, rational_to_str
 
 __all__ = ["main"]
@@ -233,18 +224,16 @@ def _cmd_poisson(args) -> int:
         raise InputError(
             "the poisson command needs a quadratic algebra (a form)"
         )
-    _check_cochain_dimensions(obj.basis, args.max_degree)
-    frame = darboux_frame(obj)
-    three = associated_three_form(obj)
-    i_i = poisson_bracket(obj, frame, three, three)
-    duals, left = _dual_differentials(obj.algebra), _poisson_left(frame, three)
+    cx = Complex(obj)
+    cx.check_size(args.max_degree)
+    i_i = poisson_bracket(obj, cx.frame, cx.three_form, cx.three_form)
     failures: list[str] = []
     checked = 0
     for k in range(args.max_degree + 1):
-        for m in monomials_of_degree(obj.basis, k):
+        for m in cx.cochains(k).monomials:
             c = Cochain.from_terms(obj.basis, {m: Fraction(1)})
-            direct = differential_direct(obj.algebra, c, duals=duals)
-            via = differential_via_poisson(obj, c, left=left)
+            direct = differential_direct(obj.algebra, c, duals=cx.duals)
+            via = differential_via_poisson(obj, c, left=cx.left)
             checked += 1
             if direct != via:
                 failures.append(str(c))
@@ -253,7 +242,7 @@ def _cmd_poisson(args) -> int:
         doc = {
             "schema": 1,
             "kind": "poisson",
-            "three_form": str(three),
+            "three_form": str(cx.three_form),
             "i_i_zero": i_i.is_zero,
             "max_degree": args.max_degree,
             "monomials_checked": checked,
@@ -265,7 +254,7 @@ def _cmd_poisson(args) -> int:
             doc["name"] = name
         _emit(_json_dump(doc), None)
         return 0 if ok else 1
-    lines = [f"associated 3-form I = {three}"]
+    lines = [f"associated 3-form I = {cx.three_form}"]
     lines.append(f"{{I, I}} = 0: {'OK' if i_i.is_zero else 'FAIL'}")
     lines.append(
         f"delta == -{{I, .}} on monomials of degree <= {args.max_degree}: "

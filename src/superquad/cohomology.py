@@ -1,36 +1,41 @@
 """Exact cohomology of the super-exterior complex.
 
-The differential of ``cochains`` is assembled into exact sparse columns
-between enumerated monomial bases, and kernels / images / quotients are
-computed by exact sparse elimination over the rationals.
+One ``Complex`` per algebra holds what the engine reads more than once:
+the cochain bases, the delta(t*) table, the torus blocks, the Darboux
+frame and I, and each delta_k as exact sparse columns between
+enumerated monomial bases.  Kernels, images and quotients are computed
+by exact sparse elimination over the rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from types import MappingProxyType
-from typing import Mapping
+from typing import Collection, Mapping
+from weakref import ref
 
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights
 from .cochains import (
     Cochain,
-    DarbouxFrame,
     Monomial,
     _cochain,
     _dual_differentials,
     _poisson_left,
+    _PoissonLeft,
     associated_three_form,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank
-from .quadratic import QuadraticLieSuperalgebra, darboux_frame
+from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, reduced_kernel
+from .quadratic import DarbouxFrame, QuadraticLieSuperalgebra, darboux_frame
 
 __all__ = [
     "CochainBasis",
+    "Complex",
     "DifferentialMatrix",
     "CohomologyResult",
     "cochain_dimension",
@@ -68,11 +73,13 @@ class CochainBasis:
     monomials: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        for m in self.monomials:
-            if m.degree != self.degree:
-                raise InputError("monomial degree disagrees with basis degree")
-        # built once: every coordinates() call and every delta assembly reads it
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.monomials)})
+        if any(len(m.even) + len(m.odd) != self.degree for m in self.monomials):
+            raise InputError("monomial degree disagrees with basis degree")
+
+    @cached_property
+    def _index(self) -> dict[Monomial, int]:
+        """Monomial -> position, built once, on first use."""
+        return {m: i for i, m in enumerate(self.monomials)}
 
     @property
     def dimension(self) -> int:
@@ -107,7 +114,6 @@ def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
 class DifferentialMatrix:
     """delta_k as columns {target index: nonzero}, one per source monomial."""
 
-    source_degree: int
     source: CochainBasis
     target: CochainBasis
     columns: tuple[dict[int, Rat], ...]
@@ -128,67 +134,149 @@ class DifferentialMatrix:
         return rank(self.columns)
 
 
-def _algebra(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain | None = None
-) -> LieSuperalgebra:
-    """The algebra of q, checked to be the one the cochain c lives over."""
-    g = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
-    if c is not None and c.basis != g.basis:
+class Complex:
+    """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
+    quadratic.  Each part is built once, on first use, and kept: the basis
+    of each C^k and the block key of each monomial (``block``), the images
+    delta(t*) of the degree-1 duals, the torus of diagonal derivations,
+    the Darboux frame, I and I's side of {I, .}, each delta_k, and each
+    H^k while a caller holds it.  The caller holds the complex; every
+    function of this module takes it in place of the algebra, or builds
+    one for the call.  A delta_k or H^k built without the -{I, .}
+    cross-check never serves a call that asks for it.  ``check_size`` is
+    the monomial guard each of those functions runs before any work.
+    """
+
+    def __init__(self, q: QuadraticLieSuperalgebra | LieSuperalgebra) -> None:
+        self.quadratic = q if isinstance(q, QuadraticLieSuperalgebra) else None
+        self.algebra = q if self.quadratic is None else q.algebra
+        self.basis = self.algebra.basis
+        self._sized: dict[int, int] = {}  # limit -> largest k_max passed
+        self._cochains: dict[int, CochainBasis] = {}
+        self._keys: dict[int, tuple[tuple, ...]] = {}
+        # degree -> (delta_k or H^k, built with the cross-check or not);
+        # H^k is held weakly, since it holds its complex
+        self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
+        self._results: dict[int, tuple[ref, bool]] = {}
+
+    @cached_property
+    def duals(self) -> dict[int, dict[Monomial, Rat]]:
+        return _dual_differentials(self.algebra)
+
+    @cached_property
+    def weights(self) -> list[tuple[Rat | int, ...]]:
+        return diagonal_weights(self.algebra)
+
+    @cached_property
+    def frame(self) -> DarbouxFrame:
+        return darboux_frame(self.quadratic)
+
+    @cached_property
+    def three_form(self) -> Cochain:
+        return associated_three_form(self.quadratic)
+
+    @cached_property
+    def left(self) -> _PoissonLeft:
+        return _poisson_left(self.frame, self.three_form)
+
+    def check_size(self, k_max: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> None:
+        """Refuse, before any work, a negative k_max and a dim C^k over
+        ``limit`` for k <= k_max + 1."""
+        if k_max < 0:
+            raise InputError("k_max must be non-negative")
+        if k_max > self._sized.get(limit, -1):
+            for k in range(k_max + 2):
+                if (dim := cochain_dimension(self.basis, k)) > limit:
+                    raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {limit}")
+            self._sized[limit] = k_max
+
+    def cochains(self, k: int) -> CochainBasis:
+        if k not in self._cochains:
+            self._cochains[k] = cochain_basis(self.basis, k)
+        return self._cochains[k]
+
+    def block(self, m: Monomial) -> tuple:
+        """The block of m: the sums of its letters' weights, the last one,
+        the number of odd letters, taken mod 2 (the sym-parity)."""
+        letters = m.even + m.odd
+        if not letters:
+            return (0,) * len(self.weights[0])
+        *lam, odd = map(sum, zip(*map(self.weights.__getitem__, letters)))
+        return (*lam, odd % 2)
+
+    def keys(self, k: int) -> tuple[tuple, ...]:
+        """The block of each monomial of C^k, in basis order."""
+        if k not in self._keys:
+            self._keys[k] = tuple(map(self.block, self.cochains(k).monomials))
+        return self._keys[k]
+
+    def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
+        """delta_k, built by ``differential_matrix`` on first use, and once
+        more if the cross-check is asked for and the first build had none."""
+        hit = self._deltas.get(k)
+        if hit is None or verify and not hit[1]:
+            hit = self._deltas[k] = (differential_matrix(self, k, verify=verify), verify)
+        return hit[0]
+
+
+def _complex(
+    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain | None = None
+) -> Complex:
+    """The complex of q, checked to be over the basis the cochain c lives over."""
+    cx = q if isinstance(q, Complex) else Complex(q)
+    if c is not None and c.basis != cx.basis:
         raise InputError("cochain is over another basis than the algebra")
-    return g
+    return cx
 
 
 def differential_matrix(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
     k: int,
     *,
     verify: bool = True,
-    frame: DarbouxFrame | None = None,
-    three_form: Cochain | None = None,
+    blocks: Collection[tuple] | None = None,
 ) -> DifferentialMatrix:
-    """Assemble delta_k column by column.
+    """Assemble delta_k column by column; no other code makes its columns.
 
-    Each column is differential_direct applied to a basis monomial.  When
-    ``verify`` is true and a quadratic structure is available, every column
-    is recomputed as -{I, monomial} and the two must agree exactly.
+    Each column is differential_direct of a basis monomial, with the
+    complex's delta(t*) table.  When ``verify`` is true and q is
+    quadratic, every column is recomputed in full as -{I, monomial} from
+    the complex's side of I, and the two must agree exactly.
 
-    What does not depend on the column is built once per call: the images
-    delta(t*) of the degree-1 duals (``_dual_differentials``) and I's side
-    of {I, .} (``_poisson_left``: I's signed contractions, combined by the
-    even dual frame and by the odd Darboux frame).  Each column's
-    -{I, monomial} is still a full evaluation of the bracket formula on
-    the monomial's side, compared exactly with the Leibniz column.
+    ``blocks`` keeps only the source monomials whose ``Complex.block`` is
+    in it; the target is then the monomials the columns reach, in order
+    of appearance.  delta keeps the weight of every diagonal derivation
+    and the sym-parity (Hochschild-Serre), so it maps each block into the
+    block with the same key.  Certificate of a restricted build: every
+    term of every column must lie in its source's block, or the torus or
+    delta is wrong (EngineError).
     """
-    quad = q if isinstance(q, QuadraticLieSuperalgebra) else None
-    g = _algebra(q)
-    basis = g.basis
-    _check_cochain_dimensions(basis, k)
-    src = cochain_basis(basis, k)
-    tgt = cochain_basis(basis, k + 1)
-    left = None
-    if verify and quad is not None:
-        if frame is None:
-            frame = darboux_frame(quad)
-        if three_form is None:
-            three_form = associated_three_form(quad)
-        left = _poisson_left(frame, three_form)
-    duals = _dual_differentials(g)
-    idx = tgt._index
-    columns = []
-    for m in src.monomials:
-        c = _cochain(basis, {m: 1})
-        image = differential_direct(g, c, duals=duals)
-        if left is not None:
-            alt = differential_via_poisson(quad, c, left=left)
-            if image.terms != alt.terms:
-                raise EngineError(
-                    "differential_direct and differential_via_poisson "
-                    f"disagree on {m} in degree {k}"
-                )
-        columns.append({idx[mm]: x for mm, x in image.terms})
-    return DifferentialMatrix(
-        source_degree=k, source=src, target=tgt, columns=tuple(columns)
-    )
+    cx = _complex(q)
+    cx.check_size(k)
+    g, duals, src = cx.algebra, cx.duals, cx.cochains(k)
+    left = cx.left if verify and cx.quadratic is not None else None
+    if blocks is None:
+        sources = [(m, None) for m in src.monomials]
+    else:
+        sources = [(m, b) for m, b in zip(src.monomials, cx.keys(k)) if b in blocks]
+        src = CochainBasis(k, tuple(m for m, _ in sources))
+    images, block = [], cx.block
+    for m, key in sources:
+        c = _cochain(g.basis, {m: 1})
+        image = differential_direct(g, c, duals=duals).terms
+        if left is not None and image != differential_via_poisson(cx.quadratic, c, left=left).terms:
+            raise EngineError(
+                f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
+            )
+        if key is not None and any(block(mm) != key for mm, _ in image):
+            raise EngineError(f"delta of {m} leaves its weight block {key}: the torus or delta is wrong")
+        images.append(image)
+    if blocks is None:
+        tgt = cx.cochains(k + 1)
+    else:  # the monomials the columns reach, in order of appearance
+        tgt = CochainBasis(k + 1, tuple(dict.fromkeys(mm for image in images for mm, _ in image)))
+    index = tgt._index
+    return DifferentialMatrix(src, tgt, tuple({index[mm]: x for mm, x in image} for image in images))
 
 
 class _Quotient(Echelon):
@@ -199,13 +287,8 @@ class _Quotient(Echelon):
     vector in the tag columns, and nothing exactly when it is a
     coboundary."""
 
-    def __init__(
-        self,
-        basis: GradedBasis,
-        source: CochainBasis,
-        d_prev: DifferentialMatrix | None,
-    ) -> None:
-        self.basis, self.source, self.n = basis, source, source.dimension
+    def __init__(self, source: CochainBasis, d_prev: DifferentialMatrix | None) -> None:
+        self.source, self.n = source, source.dimension
         super().__init__(_sparse_rows(d_prev.columns) if d_prev else (), limit=self.n)
         self.dim_boundary = len(self.rows)
 
@@ -213,9 +296,6 @@ class _Quotient(Echelon):
         v = dict(vec)  # vec may become a representative: not reduced in place
         v[self.n + len(self.rows) - self.dim_boundary] = 1
         return self.add(v)
-
-    def remainder_of(self, c: Cochain) -> dict[int, Rat]:
-        return self.remainder(self.source.coordinates(c))
 
 
 @dataclass(frozen=True)
@@ -226,6 +306,7 @@ class CohomologyResult:
     dim_coboundaries: int
     betti: int
     representatives: tuple[Cochain, ...]
+    _complex: Complex | None = field(default=None, compare=False, repr=False)
     _quotient: _Quotient | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -240,59 +321,30 @@ def _degree(c: Cochain, what: str) -> int:
     return degrees.pop()
 
 
-def _check_cochain_dimensions(
-    basis: GradedBasis, k_max: int, limit: int = DEFAULT_MONOMIAL_LIMIT
-) -> None:
-    """Refuse, before any work, a negative k_max and a dim C^k over
-    ``limit`` for k <= k_max + 1."""
-    if k_max < 0:
-        raise InputError("k_max must be non-negative")
-    for k in range(k_max + 2):
-        if (dim := cochain_dimension(basis, k)) > limit:
-            raise ResourceLimitError(
-                f"dim C^{k} = {dim} exceeds the monomial limit {limit}"
-            )
-
-
-def _cross_check_data(q: QuadraticLieSuperalgebra | LieSuperalgebra, verify: bool) -> dict:
-    """The Darboux frame and 3-form the -{I,.} cross-check reads, built once
-    for every differential a call assembles."""
-    if verify and isinstance(q, QuadraticLieSuperalgebra):
-        return {"frame": darboux_frame(q), "three_form": associated_three_form(q)}
-    return {}
-
-
 def cohomology(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
     k: int,
     *,
     verify: bool = True,
-    d_k: DifferentialMatrix | None = None,
-    d_prev: DifferentialMatrix | None = None,
 ) -> CohomologyResult:
-    """H^k = Ker delta_k / Im delta_{k-1} with echelonized representatives."""
+    """H^k = Ker delta_k / Im delta_{k-1} with echelonized representatives,
+    computed once per Complex while a caller holds the result (once more
+    if the cross-check is asked for and the first computation had none)."""
     if k < 0:
         raise InputError("cohomology degree must be non-negative")
-    basis = _algebra(q).basis
-    if d_k is None:
-        _check_cochain_dimensions(basis, k)
-    if d_k is None or (k > 0 and d_prev is None):
-        shared = _cross_check_data(q, verify)
-        if d_k is None:
-            d_k = differential_matrix(q, k, verify=verify, **shared)
-        if k > 0 and d_prev is None:
-            d_prev = differential_matrix(q, k - 1, verify=verify, **shared)
-    src, last = d_k.source, d_k.source.dimension - 1
-    # With the columns reversed, the free-column kernel basis has its
-    # leading 1 at its own free column: read back, it is the reduced
-    # echelon basis of Z^k, last row first.
+    cx = _complex(q)
+    cx.check_size(k)
+    held, checked = cx._results.get(k, (None, False))
+    if held is not None and (hit := held()) is not None and (checked or not verify):
+        return hit
+    d_k = cx.delta(k, verify)
+    src = d_k.source
     rows: dict[int, dict[int, Rat]] = {}
     for j, col in enumerate(d_k.columns):
         for i, x in col.items():
-            rows.setdefault(i, {})[last - j] = _num(x)
-    kernel = Echelon(rows.values()).kernel(src.dimension)
-    cocycles = [{last - j: x for j, x in v.items()} for v in reversed(kernel)]
-    quotient = _Quotient(basis, src, d_prev if k > 0 else None)
+            rows.setdefault(i, {})[j] = x
+    cocycles = reduced_kernel(list(rows.values()), src.dimension)
+    quotient = _Quotient(src, cx.delta(k - 1, verify) if k else None)
     reps = [v for v in cocycles if quotient.add_cocycle(v)]
     n_z, n_b = len(cocycles), quotient.dim_boundary
     # rank-nullity, the rank taken over delta_k's columns: a second route,
@@ -304,94 +356,65 @@ def cohomology(
             f"B^{k} is not inside Z^{k}: delta_{k} o delta_{k - 1} != 0, "
             "so the bracket fails super Jacobi"
         )
-    return CohomologyResult(
+    result = CohomologyResult(
         degree=k,
         dim_cochains=src.dimension,
         dim_cocycles=n_z,
         dim_coboundaries=n_b,
         betti=n_z - n_b,
-        representatives=tuple(src.from_coordinates(basis, v) for v in reps),
+        representatives=tuple(src.from_coordinates(cx.basis, v) for v in reps),
+        _complex=cx,
         _quotient=quotient,
     )
+    cx._results[k] = (ref(result), verify)
+    return result
 
 
 def betti_table(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
     k_max: int,
     *,
     verify: bool = True,
     max_monomials: int = DEFAULT_MONOMIAL_LIMIT,
 ) -> list[CohomologyResult]:
-    """Cohomology in degrees 0..k_max, reusing each differential once."""
-    _check_cochain_dimensions(_algebra(q).basis, k_max, max_monomials)
-    shared = _cross_check_data(q, verify)
-    mats = [differential_matrix(q, k, verify=verify, **shared) for k in range(k_max + 1)]
-    return [
-        cohomology(q, k, verify=verify, d_k=mats[k], d_prev=mats[k - 1] if k else None)
-        for k in range(k_max + 1)
-    ]
+    """Cohomology in degrees 0..k_max over one Complex: each delta_k is
+    built once."""
+    cx = _complex(q)
+    cx.check_size(k_max, max_monomials)
+    return [cohomology(cx, k, verify=verify) for k in range(k_max + 1)]
 
 
-def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
-    return differential_direct(_algebra(q, c), c).is_zero
+def is_cocycle(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
+    cx = _complex(q, c)
+    return differential_direct(cx.algebra, c, duals=cx.duals).is_zero
 
 
-def _weight_key(weights: list[tuple[Rat | int, ...]], m: Monomial) -> tuple:
-    """The block of m: the sums of its letters' weights (``diagonal_weights``),
-    the last one, the number of odd letters, taken mod 2 (the sym-parity)."""
-    letters = m.even + m.odd
-    if not letters:
-        return (0,) * len(weights[0])
-    *lam, odd = map(sum, zip(*[weights[t] for t in letters]))
-    return (*lam, odd % 2)
-
-
-def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
+def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
-    delta keeps the weight of every diagonal derivation and the
-    sym-parity, so it maps each block of C^{k-1} (``_weight_key``) into
-    the block of C^k with the same key, and c is a coboundary exactly
-    when it is delta of a cochain in the blocks of c's own terms
-    (Hochschild-Serre).  Only those columns of delta_{k-1} are built.
-    Certificate: every term of every built column must lie in its
-    source's block, or the torus or delta is wrong (EngineError).
+    delta maps each block of C^{k-1} into the block of C^k with the same
+    key, so c is a coboundary exactly when it is delta of a cochain in the
+    blocks of c's own terms: only those columns of delta_{k-1} are built
+    (``differential_matrix`` with ``blocks``, whose certificate runs).
     """
-    g = _algebra(q, c)
+    cx = _complex(q, c)
     if c.is_zero:
         return True
     k = _degree(c, "coboundary test")
     if k == 0:
         return False
-    _check_cochain_dimensions(g.basis, k - 1)
-    weights = diagonal_weights(g)
-    keys = {_weight_key(weights, m) for m, _ in c.terms}
-    duals = _dual_differentials(g)
-    index: dict[Monomial, int] = {}  # target monomials, in order of appearance
-    columns = []
-    for m in monomials_of_degree(g.basis, k - 1):
-        key = _weight_key(weights, m)
-        if key not in keys:
-            continue
-        column = {}
-        for mm, x in differential_direct(g, _cochain(g.basis, {m: 1}), duals=duals).terms:
-            if _weight_key(weights, mm) != key:
-                raise EngineError(
-                    f"delta of {m} leaves its weight block {key}: "
-                    "the torus or delta is wrong"
-                )
-            column[index.setdefault(mm, len(index))] = _num(x)
-        columns.append(column)
-    target = {}
+    cx.check_size(k - 1)
+    d = differential_matrix(cx, k - 1, verify=False, blocks={cx.block(m) for m, _ in c.terms})
+    index, target = d.target._index, {}
     for m, x in c.terms:
         if m not in index:
             return False
         target[index[m]] = _num(x)
-    return not Echelon(columns).remainder(target)
+    return not Echelon(_sparse_rows(d.columns)).remainder(target)
 
 
 def class_vector(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
     c: Cochain,
     *,
     result: CohomologyResult | None = None,
@@ -399,31 +422,39 @@ def class_vector(
     """Coordinates of the class [c] in the representative basis of H^k.
 
     Raises InputError when c is not a cocycle of pure degree k, or when
-    ``result`` is not this algebra's cohomology() in degree k.
+    ``result`` is not a cohomology() in degree k of an algebra with this
+    basis and these structure constants.  With a ``result``, c is tested
+    on the result's Complex.
     """
-    g = _algebra(q, c)
+    cx = _complex(q, c)
+    if result is not None:
+        rcx, g = result._complex, cx.algebra
+        # the same basis and structure constants give the same delta
+        if rcx is None or rcx.algebra is not g and (
+            (rcx.basis, rcx.algebra.constants) != (g.basis, g.constants)
+        ):
+            raise InputError("result is not a cohomology() of this algebra")
+        cx = rcx
     if c.is_zero:
         if result is None:
             raise InputError("class_vector of 0 needs an explicit result")
         return [Fraction(0)] * result.betti
     k = _degree(c, "class_vector")
-    if not is_cocycle(q, c):
+    if not is_cocycle(cx, c):
         raise InputError("class_vector requires a cocycle")
     if result is None:
-        result = cohomology(q, k, verify=False)
+        result = cohomology(cx, k, verify=False)
     if result.degree != k:
         raise InputError(f"result is for degree {result.degree}, not {k}")
     quotient = result._quotient
-    if quotient is None or quotient.basis != g.basis:
-        raise InputError("result is not a cohomology() of this algebra's basis")
-    v, n = quotient.remainder_of(c), quotient.n
+    v, n = quotient.remainder(quotient.source.coordinates(c)), quotient.n
     if min(v, default=n) < n:
         raise EngineError("cocycle does not decompose over B + representatives")
     return [_frac(-v.get(n + i, 0)) for i in range(result.betti)]
 
 
 def cohomology_report(
-    q: QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
     k_max: int,
     *,
     name: str | None = None,

@@ -6,7 +6,7 @@ superderivations of g into a quadratic structure on h (+) g (+) h*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -17,7 +17,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _sparse_rows, echelon_basis, nullspace, rat, transpose
+from .linalg import Rat, _combine, _frac, _sparse_rows, rat, reduced_kernel, transpose
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -230,21 +230,12 @@ def skew_superderivation_space(
                     row[k] = row.get(k, 0) + sign * w
             if row := {k: v for k, v in row.items() if v}:
                 rows.append(row)
-    if not slots:
-        return []
-    if not rows:
-        vectors = [
-            [Fraction(1) if t == k else Fraction(0) for t in range(len(slots))]
-            for k in range(len(slots))
-        ]
-    else:
-        vectors = nullspace(rows, cols=len(slots))
-        vectors = echelon_basis(vectors) if vectors else []
     out: list[Superderivation] = []
-    for v in vectors:
+    for v in reduced_kernel(rows, len(slots)):
         matrix = [[Fraction(0)] * n for _ in range(n)]
-        for k, (i, j) in enumerate(slots):
-            matrix[i][j] = v[k]
+        for k, x in v.items():
+            i, j = slots[k]
+            matrix[i][j] = _frac(x)
         out.append(
             Superderivation(
                 matrix=tuple(tuple(row) for row in matrix), degree=degree

@@ -61,28 +61,14 @@ def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def zeros(rows: int, cols: int) -> list[list[Rat]]:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> list[list[Rat]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def transpose(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
     if not m:
         return []
     return [list(col) for col in zip(*m)]
-
-
-def mat_mul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
-    if a and b and len(a[0]) != len(b):
-        raise InputError("matrix product shape mismatch")
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
 def _num(x: Rat | int) -> Rat | int:
@@ -217,6 +203,19 @@ def nullspace(m: Rows, cols: int | None = None) -> list[list[Rat]]:
         cols = len(m[0])
     zero = Fraction(0)
     return [[_frac(v.get(j, zero)) for j in range(cols)] for v in Echelon(_sparse_rows(m)).kernel(cols)]
+
+
+def reduced_kernel(m: Rows, cols: int) -> list[dict[int, Rat]]:
+    """The reduced row echelon basis of {v : m v = 0} in ``cols`` columns,
+    as {column: nonzero} in the kernels' form (see ``_num``), ascending.
+
+    ``Echelon.kernel`` puts each vector's 1 at its own free column, so its
+    basis is reduced when read with the columns reversed: m is eliminated
+    with its columns reversed and the kernel read back, last vector first.
+    """
+    last = cols - 1
+    rows = [{last - j: x for j, x in r.items()} for r in _sparse_rows(m)]
+    return [{last - j: x for j, x in v.items()} for v in reversed(Echelon(rows).kernel(cols))]
 
 
 def inverse(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra, Subspace, ValidationReport, Violation, validate_lie_superalgebra
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _sparse_rows, echelon_basis, inverse, nullspace, rank, rat, transpose
+from .linalg import Rat, _combine, _frac, _sparse_rows, echelon_basis, inverse, rank, rat, reduced_kernel, transpose
 
 
 @dataclass(frozen=True)
@@ -294,14 +294,9 @@ def orthogonal_complement(q: QuadraticLieSuperalgebra, ideal: Subspace) -> Subsp
     if not is_graded_ideal(q.algebra, ideal):
         raise InputError("orthogonal_complement requires a graded ideal")
     n = q.dim
-    system = []
-    for row in ideal.rows:
-        system.append([q.form.value(_unit(n, i), list(row)) for i in range(n)])
-    if not system:
-        vectors = [_unit(n, i) for i in range(n)]
-    else:
-        vectors = nullspace(system, cols=n)
-    comp = Subspace.from_vectors(q.basis, vectors)
+    system = [[q.form.value(_unit(n, i), list(row)) for i in range(n)] for row in ideal.rows]
+    kernel = reduced_kernel(system, n)
+    comp = Subspace(q.basis, tuple(tuple(_frac(v.get(j, 0)) for j in range(n)) for v in kernel))
     if comp.dim + ideal.dim != n:
         raise EngineError("complement dimension defect: the form must be degenerate")
     k = ideal.dim

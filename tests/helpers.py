@@ -35,7 +35,7 @@ from superquad.cochains import (
 )
 from superquad.cohomology import _Quotient, differential_matrix
 from superquad.extensions import Superderivation, _grading_violations
-from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank
+from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank, transpose
 
 QUADRATIC_KEYS = (
     "g_4_1_s",
@@ -169,7 +169,14 @@ def is_coboundary_full(q, c: Cochain) -> bool:
     if k == 0:
         return False
     d_prev = differential_matrix(q, k - 1, verify=False)
-    return not _Quotient(c.basis, d_prev.target, d_prev).remainder_of(c)
+    return not _Quotient(d_prev.target, d_prev).remainder(d_prev.target.coordinates(c))
+
+
+def mat_mul(a, b) -> list[list[Rat]]:
+    """The dense matrix product a b."""
+    assert not (a and b) or len(a[0]) == len(b), "matrix product shape mismatch"
+    bt = transpose(b)
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
 def rref_dense(m) -> tuple[list[list[Rat]], list[int]]:

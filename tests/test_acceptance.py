@@ -449,7 +449,8 @@ def test_c10_sp2_lemmas():
 
 
 def _conjugate(m: Sp2Element, g) -> Sp2Element:
-    from superquad.linalg import inverse, mat_mul
+    from helpers import mat_mul
+    from superquad.linalg import inverse
 
     conj = mat_mul(inverse(g), mat_mul(m.matrix(), g))
     return Sp2Element(conj[0][0], conj[0][1], conj[1][0])

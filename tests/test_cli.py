@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, text output, JSON reports."""
+import importlib
 import json
 import sys
 
@@ -243,8 +244,10 @@ def test_poisson_checks_the_size_first(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(cli, "darboux_frame", no_work)
-    monkeypatch.setattr(cli, "monomials_of_degree", no_work)
+    # the verb reads its frame and monomials from a cohomology.Complex
+    module = importlib.import_module("superquad.cohomology")
+    monkeypatch.setattr(module, "darboux_frame", no_work)
+    monkeypatch.setattr(module, "monomials_of_degree", no_work)
     assert main(["poisson", str(path), "--max-degree", "5"]) == 2
     assert "exceeds the monomial limit" in capsys.readouterr().err
 

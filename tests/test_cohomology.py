@@ -20,6 +20,7 @@ from superquad.cochains import (
 from superquad.cohomology import (
     CochainBasis,
     CohomologyResult,
+    Complex,
     betti_table,
     class_vector,
     cochain_basis,
@@ -173,8 +174,21 @@ def test_differential_matrix_cross_check_fires():
     q = build("g_4_1_s")
     doubled = associated_three_form(q).scale(Fraction(2))
     assert not doubled.is_zero
+    cx = Complex(q)
+    cx.three_form = doubled
     with pytest.raises(EngineError, match="disagree"):
-        differential_matrix(q, 1, three_form=doubled)
+        differential_matrix(cx, 1)
+    with pytest.raises(EngineError, match="disagree"):
+        betti_table(cx, 1)
+    # unchecked, the same complex builds delta_1 and H^1; a checked call
+    # still checks, while the unchecked result is held
+    unchecked = cohomology(cx, 1, verify=False)
+    assert cx.delta(1, verify=False).shape == differential_matrix(q, 1).shape
+    with pytest.raises(EngineError, match="disagree"):
+        cohomology(cx, 1)
+    with pytest.raises(EngineError, match="disagree"):
+        cx.delta(1)
+    assert cohomology(cx, 1, verify=False) is unchecked
 
 
 def test_class_vector_separates_classes():
@@ -217,10 +231,12 @@ def test_representatives_match_the_rank_oracle():
     cases = [(key, k) for key in catalog_keys() for k in range(3)]
     cases.append(("g_8_2_5_s", 3))
     for key, k in cases:
-        q = build(key)
-        d_k = differential_matrix(q, k, verify=False)
-        d_prev = differential_matrix(q, k - 1, verify=False) if k else None
-        res = cohomology(q, k, d_k=d_k, d_prev=d_prev)
+        cx = Complex(build(key))
+        res = cohomology(cx, k, verify=False)
+        # the differentials res was computed from, kept by the complex
+        d_k = cx.delta(k, verify=False)
+        d_prev = cx.delta(k - 1, verify=False) if k else None
+        q = cx.quadratic or cx.algebra
         n, zero = d_k.shape[1], Fraction(0)
         got = [
             [d_k.source.coordinates(r).get(j, zero) for j in range(n)]
@@ -373,10 +389,11 @@ def test_cochain_basis_coordinates_round_trip():
             cb.from_coordinates(basis, {bad: Fraction(1)})
 
 
-def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
+def _count_calls(monkeypatch, names) -> dict:
+    """Count the calls the cohomology module makes to each of ``names``."""
     module = importlib.import_module("superquad.cohomology")
-    calls = {"darboux_frame": 0, "associated_three_form": 0}
-    for name in calls:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -384,8 +401,88 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+TABLES = (
+    "darboux_frame",
+    "associated_three_form",
+    "_poisson_left",
+    "_dual_differentials",
+    "cochain_basis",
+    "differential_matrix",
+)
+
+
+def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
+    calls = _count_calls(monkeypatch, TABLES)
     q = build("g_8_2_5_s")
     result = cohomology(q, 3)
-    assert calls == {"darboux_frame": 1, "associated_three_form": 1}
-    assert result.betti == betti_table(q, 3)[3].betti
-    assert calls == {"darboux_frame": 2, "associated_three_form": 2}
+    # one complex: each table once, C^2..C^4 once each, delta_2 and delta_3
+    once = dict.fromkeys(TABLES[:4], 1)
+    assert calls == {**once, "cochain_basis": 3, "differential_matrix": 2}
+    table = betti_table(q, 3)
+    assert result.betti == table[3].betti
+    # a second complex: each table once more, C^0..C^4, delta_0..delta_3
+    twice = dict.fromkeys(TABLES[:4], 2)
+    assert calls == {**twice, "cochain_basis": 3 + 5, "differential_matrix": 2 + 4}
+
+
+def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
+    calls = _count_calls(monkeypatch, TABLES)
+    cx = Complex(build("g_6_s"))
+    table = betti_table(cx, 3)
+    assert calls == {**dict.fromkeys(TABLES[:4], 1), "cochain_basis": 5, "differential_matrix": 4}
+    # the complex keeps each H^k and each delta_k
+    assert betti_table(cx, 3) == table and cohomology(cx, 2) is table[2]
+    assert cx.delta(2) is cx.delta(2, verify=False)
+    assert calls["differential_matrix"] == 4
+
+
+def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
+    calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights", "cochain_basis"))
+    q = build("g_6_s")
+    cx = Complex(q)
+    c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
+    assert is_coboundary(cx, c)
+    # the restricted delta_1 enumerates C^1 and not its target C^2
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 1, "cochain_basis": 1}
+    res = cohomology(cx, 2, verify=False)
+    for i, rep in enumerate(res.representatives):
+        query = rep + c
+        assert is_cocycle(cx, query) and not is_coboundary(cx, query)
+        unit = [Fraction(int(j == i)) for j in range(res.betti)]
+        assert class_vector(cx, query, result=res) == unit
+        assert class_vector(cx, query) == unit
+        # an algebra and a result read the result's complex
+        assert class_vector(q, query, result=res) == unit
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 1, "cochain_basis": 3}
+
+
+def test_class_vector_rejects_a_result_of_another_algebra_with_the_same_basis():
+    q1, q2 = build("g_6_2"), build("g_6_2", {"lam": Fraction(2)})
+    assert q1.basis == q2.basis
+    assert cohomology(q1, 2).betti == 3 and cohomology(q2, 2).betti == 1
+    for k in (2, 3):
+        rep = cohomology(q2, k).representatives[0]
+        with pytest.raises(InputError, match="this algebra"):
+            class_vector(q2, rep, result=cohomology(q1, k))
+        # the same algebra built anew has the same delta
+        again = cohomology(build("g_6_2", {"lam": Fraction(2)}), k)
+        assert class_vector(q2, rep, result=again)[0] == 1
+
+
+def test_restricted_differential_matrix_is_the_blocks_of_the_full_one():
+    for key in ("g_4_1_s", "g_6_s", "g_8_2_5_s", "h"):
+        cx = Complex(build(key))
+        for k in range(3):
+            full = cx.delta(k)
+            for key_ in set(cx.keys(k)):
+                part = differential_matrix(cx, k, blocks={key_})
+                assert set(part.source.monomials) == {
+                    m for m, b in zip(full.source.monomials, cx.keys(k)) if b == key_
+                }
+                for m, col in zip(part.source.monomials, part.columns):
+                    whole = full.columns[full.source._index[m]]
+                    got = {part.target.monomials[i]: x for i, x in col.items()}
+                    assert got == {full.target.monomials[i]: x for i, x in whole.items()}

@@ -5,17 +5,17 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import nullspace_dense, rref_dense
+from helpers import mat_mul, nullspace_dense, rref_dense
 from superquad import linalg
 from superquad.errors import InputError
 from superquad.linalg import (
     echelon_basis,
     identity,
     inverse,
-    mat_mul,
     nullspace,
     rank,
     rat,
+    reduced_kernel,
     rref,
     solve,
 )
@@ -172,6 +172,23 @@ def test_inverse_matches_the_dense_oracle(m):
     with patch.object(linalg, "rref", rref_dense):
         assert got == inverse_or_none()
     assert (got is None) == (len(rref_dense(m)[0]) < len(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_reduced_kernel_is_the_reduced_basis_of_the_kernel(mc):
+    # a subspace has exactly one reduced echelon basis
+    m, cols = mc
+    got = reduced_kernel(m, cols)
+    want = rref_dense(nullspace_dense(m, cols))[0] if cols else []
+    assert [[v.get(j, 0) for j in range(cols)] for v in got] == want
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert reduced_kernel(sparse, cols) == got
+
+
+def test_reduced_kernel_of_no_equations_is_the_identity():
+    assert reduced_kernel([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert reduced_kernel([], 0) == []
 
 
 def test_echelon_basis_removes_dependence():

@@ -8,7 +8,8 @@ from helpers import perturbed, super_jacobi_by_triples, validate_form_by_triples
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra, Subspace, validate_super_jacobi
 from superquad.errors import InputError
-from superquad.linalg import mat_mul, transpose
+from helpers import mat_mul
+from superquad.linalg import transpose
 from superquad.quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,

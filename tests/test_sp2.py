@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from superquad.errors import InputError
-from superquad.linalg import inverse, mat_mul, nullspace, rank
+from helpers import mat_mul
+from superquad.linalg import inverse, nullspace, rank
 from superquad.sp2 import (
     H,
     Sp2Element,
