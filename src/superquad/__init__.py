@@ -63,6 +63,7 @@ from .extensions import (
     ExtensionDatum,
     Superderivation,
     ad_superderivation,
+    central_reduction,
     double_extension,
     is_skew_superderivation,
     is_superderivation,

@@ -198,16 +198,6 @@ class LieSuperalgebra:
                     out[k] += xi * yj * c
         return out
 
-    def ad_matrix(self, x: Sequence[Rat]) -> list[list[Rat]]:
-        """Matrix of ad(x) = [x, -] acting on coordinate columns."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            basis_vec = [Fraction(0)] * n
-            basis_vec[j] = Fraction(1)
-            cols.append(self.bracket(list(x), basis_vec))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
     def basis_vector(self, i: int) -> list[Rat]:
         v = [Fraction(0)] * self.dim
         v[i] = Fraction(1)
@@ -367,12 +357,15 @@ class Subspace:
         return len(pieces) == self.dim
 
 
-def derived_series(g: LieSuperalgebra, max_steps: int = 64) -> list[Subspace]:
-    """Derived series g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until it stabilizes."""
+def derived_series(g: LieSuperalgebra) -> list[Subspace]:
+    """Derived series g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until it stabilizes.
+
+    Until it stabilizes each term is strictly smaller than the one before,
+    so the loop breaks within g.dim + 1 steps."""
     ambient = g.basis
     current = Subspace.from_vectors(ambient, [g.basis_vector(i) for i in range(g.dim)])
     series = [current]
-    for _ in range(max_steps):
+    for _ in range(g.dim + 1):
         vectors = []
         rows = [list(r) for r in current.rows]
         for a in rows:

@@ -12,7 +12,7 @@ from typing import Callable, Mapping
 
 from .algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from .errors import EngineError, InputError
-from .extensions import Superderivation
+from .extensions import Superderivation, central_reduction
 from .linalg import Rat, rat, solve, transpose
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra, validate_quadratic
 
@@ -25,7 +25,6 @@ __all__ = [
     "default_params",
     "build",
     "reconstruction_datum",
-    "RECONSTRUCTIBLE_KEYS",
 ]
 
 
@@ -576,8 +575,8 @@ def build(key: str, params: Mapping[str, object] | None = None):
 # --------------------------------------------------- reconstruction recipes
 @dataclass(frozen=True)
 class OneDimExtensionRecipe:
-    """Data rebuilding an 8-dimensional entry as a one-dimensional double
-    extension of the abelian quadratic space span{Z1,Z2,X1,X2 | Y,T}."""
+    """Data rebuilding a catalog entry as a one-dimensional double
+    extension of its central reduction."""
 
     key: str
     base: QuadraticLieSuperalgebra
@@ -586,65 +585,18 @@ class OneDimExtensionRecipe:
     catalog_order: tuple[str, ...]
 
 
-RECONSTRUCTIBLE_KEYS = ("g_8_2_3_s", "g_8_2_4_s", "g_8_2_7_s", "g_8_2_8_s")
-
-
-def _abelian_base() -> QuadraticLieSuperalgebra:
-    return _quadratic(
-        ["Z1", "Z2", "X1", "X2", "Y", "T"],
-        [0, 0, 0, 0, 1, 1],
-        [],
-        [("Z1", "X1", 1), ("Z2", "X2", 1), ("Y", "T", 1)],
-        "abelian_2_2_plus_1_1",
-    )
-
-
-def _block_derivation(even4, odd2) -> Superderivation:
-    z = Fraction(0)
-    rows = []
-    for i in range(4):
-        rows.append(tuple(rat(even4[i][j]) for j in range(4)) + (z, z))
-    for i in range(2):
-        rows.append((z, z, z, z) + tuple(rat(odd2[i][j]) for j in range(2)))
-    return Superderivation(matrix=tuple(rows), degree=0)
-
-
 def reconstruction_datum(
     key: str, params: Mapping[str, object] | None = None
 ) -> OneDimExtensionRecipe:
-    """One-dimensional double-extension data for the entries that are
-    documented as such, with the new even generator X3 dual to Z3."""
-    if key not in RECONSTRUCTIBLE_KEYS:
-        raise InputError(
-            f"no reconstruction recipe for {key!r}; available: "
-            + ", ".join(RECONSTRUCTIBLE_KEYS)
-        )
-    entry = get_entry(key)
-    bound = _normalize_params(entry, params)
-    diag_22 = lambda lam: [[1, 0, 0, 0], [0, lam, 0, 0], [0, 0, -1, 0], [0, 0, 0, -lam]]
-    jordan_even = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, -1, -1]]
-    nilpotent_odd = [[0, 1], [0, 0]]
-    if key == "g_8_2_3_s":
-        lam = bound["lam"]
-        if lam == 0:
-            raise InputError("g_8_2_3_s requires lam != 0")
-        deriv = _block_derivation(diag_22(lam), nilpotent_odd)
-    elif key == "g_8_2_4_s":
-        lam, mu = bound["lam"], bound["mu"]
-        if lam == 0 or mu == 0:
-            raise InputError("g_8_2_4_s requires lam != 0 and mu != 0")
-        deriv = _block_derivation(diag_22(lam), [[mu, 0], [0, -mu]])
-    elif key == "g_8_2_7_s":
-        deriv = _block_derivation(jordan_even, nilpotent_odd)
-    else:  # g_8_2_8_s
-        lam = bound["lam"]
-        if lam == 0:
-            raise InputError("g_8_2_8_s requires lam != 0")
-        deriv = _block_derivation(jordan_even, [[lam, 0], [0, -lam]])
+    """One-dimensional double-extension data for an entry with a central
+    Z3 dual to X3, computed by ``central_reduction(build(key, params),
+    "Z3", "X3")``, whose certificate rebuilds the entry exactly."""
+    q = build(key, params)
+    base, derivation = central_reduction(q, "Z3", "X3")
     return OneDimExtensionRecipe(
         key=key,
-        base=_abelian_base(),
-        derivation=deriv,
+        base=base,
+        derivation=derivation,
         labels=("X3", "Z3"),
-        catalog_order=tuple(_LABELS8),
+        catalog_order=q.basis.labels,
     )

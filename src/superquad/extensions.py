@@ -21,6 +21,7 @@ from .linalg import Rat, _combine, _frac, _sparse_rows, rat, reduced_kernel, tra
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
+    reorder_quadratic,
     validate_form,
     validate_quadratic,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "validate_extension_datum",
     "double_extension",
     "one_dim_double_extension",
+    "central_reduction",
 ]
 
 
@@ -65,9 +67,6 @@ class Superderivation:
 
     def column(self, j: int) -> list[Rat]:
         return [self.matrix[i][j] for i in range(self.dim)]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.matrix for v in row)
 
 
 def _grading_violations(
@@ -245,11 +244,15 @@ def skew_superderivation_space(
 
 
 def ad_superderivation(q: QuadraticLieSuperalgebra, label: str) -> Superderivation:
-    """ad(X) for a homogeneous basis vector X, packaged with its degree."""
+    """ad(X) for a homogeneous basis vector X, packaged with its degree;
+    column j is [X, e_j]."""
     idx = q.basis.index(label)
+    matrix = [[Fraction(0)] * q.dim for _ in range(q.dim)]
+    for j in range(q.dim):
+        for r, c in q.algebra.bracket_pair(idx, j).items():
+            matrix[r][j] = c
     return Superderivation(
-        matrix=tuple(tuple(row) for row in q.algebra.ad_matrix(q.algebra.basis_vector(idx))),
-        degree=q.basis.parities[idx],
+        matrix=tuple(map(tuple, matrix)), degree=q.basis.parities[idx]
     )
 
 
@@ -363,6 +366,8 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
       (pi(Z)g)(W) = -(-1)^{zg} g([Z,W]_h)   (coadjoint action),
 
     and form  B~(Z+X+f, W+Y+g) = B(X,Y) + gamma(Z,W) + f(W) + (-1)^{xy} g(Z).
+    Each bracket and form entry is written once, from the nonzeros of the
+    data; the other order of a pair follows by skew supersymmetry.
     The datum is validated first; the output is validated afterwards, and a
     failure there is an internal error, since a valid datum always yields a
     valid quadratic structure.
@@ -377,104 +382,61 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     base, h = d.base, d.h
     nh, ng = h.basis.dim, base.basis.dim
     h_labels, g_labels, dual_labels = _extension_labels(d)
-    parities = (
-        list(h.basis.parities) + list(base.basis.parities) + list(h.basis.parities)
-    )
+    hp, gp = h.basis.parities, base.basis.parities
+    parities = hp + gp + hp
     labels = h_labels + g_labels + dual_labels
-    # sort into evens-then-odds while remembering original positions
+    # evens then odds, each in the order h, g, h*
     order = sorted(range(len(labels)), key=lambda t: (parities[t], t))
-    new_labels = tuple(labels[t] for t in order)
-    new_parities = tuple(parities[t] for t in order)
-    new_basis = GradedBasis(labels=new_labels, parities=new_parities)
-    position = {t: k for k, t in enumerate(order)}  # old index -> new index
+    new_basis = GradedBasis(
+        labels=tuple(labels[t] for t in order),
+        parities=tuple(parities[t] for t in order),
+    )
+    position = {t: k for k, t in enumerate(order)}
+    hi = [position[k] for k in range(nh)]
+    gi = [position[nh + s] for s in range(ng)]
+    fi = [position[nh + ng + k] for k in range(nh)]
+    rows: dict[tuple[int, int], dict[int, Rat]] = {}
 
-    def old_parity(t: int) -> int:
-        return parities[t]
+    def add(a: int, b: int, t: int, c: Rat) -> None:
+        entry = rows.setdefault((a, b), {})
+        entry[t] = entry.get(t, 0) + c
 
-    def bracket_old(i: int, j: int) -> dict[int, Rat]:
-        """Bracket of old-indexed basis vectors, result in old indices."""
-        x, y = old_parity(i), old_parity(j)
-        sign_xy = -1 if (x * y) % 2 else 1
-        out: dict[int, Rat] = {}
-
-        def add(t: int, v: Rat) -> None:
-            if v == 0:
-                return
-            out[t] = out.get(t, Fraction(0)) + v
-            if out[t] == 0:
-                del out[t]
-
-        in_h = lambda t: t < nh
-        in_g = lambda t: nh <= t < nh + ng
-        in_dual = lambda t: t >= nh + ng
-        if in_h(i) and in_h(j):
-            for t, c in h.bracket_pair(i, j).items():
-                add(t, c)
-        elif in_h(i) and in_g(j):
-            col = d.psi[i].column(j - nh)
-            for r in range(ng):
-                add(nh + r, col[r])
-        elif in_g(i) and in_h(j):
-            col = d.psi[j].column(i - nh)
-            for r in range(ng):
-                add(nh + r, Fraction(-sign_xy) * col[r])
-        elif in_h(i) and in_dual(j):
-            # pi(Z)(g) with Z = e_i, g = dual_j: result in h*
-            gp = old_parity(j)
-            sign = -1 if (old_parity(i) * gp) % 2 else 1
-            for w in range(nh):
-                c = h.bracket_pair(i, w).get(j - nh - ng, Fraction(0))
-                add(nh + ng + w, Fraction(-sign) * c)
-        elif in_dual(i) and in_h(j):
-            fp = old_parity(i)
-            sign_pi = -1 if (old_parity(j) * fp) % 2 else 1
-            for w in range(nh):
-                c = h.bracket_pair(j, w).get(i - nh - ng, Fraction(0))
-                add(nh + ng + w, Fraction(sign_xy) * Fraction(sign_pi) * c)
-        elif in_g(i) and in_g(j):
-            for t, c in base.algebra.bracket_pair(i - nh, j - nh).items():
-                add(nh + t, c)
-            # phi(X,Y)(Z_k) = (-1)^{(x+y)z} B(psi(Z_k)(X), Y)
-            for k in range(nh):
-                z = h.basis.parities[k]
-                sign = -1 if ((x + y) * z) % 2 else 1
-                val = base.form.value(
-                    d.psi[k].column(i - nh), base.algebra.basis_vector(j - nh)
-                )
-                add(nh + ng + k, Fraction(sign) * val)
-        # g with h*, h* with h*, and anything else: zero
-        return out
-
-    table: list[tuple[int, int, dict[int, Rat]]] = []
-    total = nh + ng + nh
-    for inew in range(total):
-        for jnew in range(inew, total):
-            iold = order[inew]
-            jold = order[jnew]
-            br = bracket_old(iold, jold)
-            if br:
-                table.append(
-                    (inew, jnew, {position[t]: v for t, v in br.items()})
-                )
-    algebra = LieSuperalgebra.from_index_table(new_basis, table)
-    # the extended form
-    gram = [[Fraction(0)] * total for _ in range(total)]
-    for inew in range(total):
-        for jnew in range(total):
-            i, j = order[inew], order[jnew]
-            x, y = old_parity(i), old_parity(j)
-            v = Fraction(0)
-            if i < nh and j < nh:
-                v = d.gamma.gram[i][j] if d.gamma is not None else Fraction(0)
-            elif nh <= i < nh + ng and nh <= j < nh + ng:
-                v = base.form.gram[i - nh][j - nh]
-            elif i >= nh + ng and j < nh:
-                # f(W)
-                v = Fraction(1) if i - nh - ng == j else Fraction(0)
-            elif i < nh and j >= nh + ng:
-                sign = -1 if (x * y) % 2 else 1
-                v = Fraction(sign) if j - nh - ng == i else Fraction(0)
-            gram[inew][jnew] = v
+    for (i, j), terms in h.constants.items():
+        for t, c in terms.items():
+            add(hi[i], hi[j], hi[t], c)
+    for (i, j), terms in base.algebra.constants.items():
+        for t, c in terms.items():
+            add(gi[i], gi[j], gi[t], c)
+    gram_rows = _sparse_rows(base.form.gram)
+    for k, dk in enumerate(d.psi):
+        cols = dict(enumerate(_sparse_rows(transpose(dk.matrix))))
+        for s, col in cols.items():  # psi(Z_k)(X_s)
+            for r, c in col.items():
+                add(hi[k], gi[s], gi[r], c)
+        # phi(X_i, X_j)(Z_k) for i <= j
+        for i, row in _combine(cols, gram_rows).items():
+            for j, v in row.items():
+                if j >= i:
+                    add(gi[i], gi[j], fi[k], -v if hp[k] and (gp[i] + gp[j]) % 2 else v)
+    # pi(Z_i)(f_t) = -(-1)^{z f} sum_w c_{iw}^t f_w
+    for (i, w), terms in h.bracket_table().items():
+        for t, c in terms.items():
+            add(hi[i], fi[t], fi[w], c if hp[i] and hp[t] else -c)
+    algebra = LieSuperalgebra.from_index_table(
+        new_basis, [(a, b, terms) for (a, b), terms in rows.items()]
+    )
+    total = 2 * nh + ng
+    gram: list[list[Rat]] = [[Fraction(0)] * total for _ in range(total)]
+    for i, row in enumerate(gram_rows):
+        for j, v in row.items():
+            gram[gi[i]][gi[j]] = v
+    if d.gamma is not None:
+        for i, row in enumerate(_sparse_rows(d.gamma.gram)):
+            for j, v in row.items():
+                gram[hi[i]][hi[j]] = v
+    for k in range(nh):  # f(W) and (-1)^{xy} g(Z)
+        gram[fi[k]][hi[k]] = 1
+        gram[hi[k]][fi[k]] = -1 if hp[k] else 1
     form = BilinearForm(basis=new_basis, gram=tuple(tuple(r) for r in gram))
     out = QuadraticLieSuperalgebra(algebra=algebra, form=form)
     check = validate_quadratic(out)
@@ -497,81 +459,116 @@ def one_dim_double_extension(
 
     [X,Y]~ = [X,Y] + B(D X, Y) f,  [e, X] = D X,  [f, .] = 0,
     B~(e,f) = 1, B~ restricted to g is B, e and f are isotropic.
-    Built through the general constructor and re-derived directly from the
-    displayed formulas; the two must agree exactly.
+    The basis is e, the evens of g, f, the odds of g.  Built directly from
+    the displayed formulas and through the general constructor (where f
+    is labelled e*); the two must agree exactly.
     """
     if deriv.degree != 0:
         raise InputError("a 1-dimensional double extension needs an even map")
     e_label, f_label = labels
-    hbasis = GradedBasis(labels=(e_label,), parities=(0,))
-    h = LieSuperalgebra.from_index_table(hbasis, [])
-    # general path; relabel the dual from "e*" to the requested f label
-    general = double_extension(
-        ExtensionDatum(base=q, h=h, psi=(deriv,), gamma=None)
+    h = LieSuperalgebra(
+        basis=GradedBasis(labels=(e_label,), parities=(0,)), constants={}
     )
-    mapping = {e_label + "*": f_label}
-    relabeled = GradedBasis(
-        labels=tuple(mapping.get(lab, lab) for lab in general.basis.labels),
-        parities=general.basis.parities,
+    general = double_extension(ExtensionDatum(base=q, h=h, psi=(deriv,)))
+    ng, ne = q.basis.dim, q.basis.even_dim
+    basis = GradedBasis(
+        labels=(e_label, *q.basis.labels[:ne], f_label, *q.basis.labels[ne:]),
+        parities=(0,) * (ne + 2) + (1,) * (ng - ne),
     )
-    general = QuadraticLieSuperalgebra(
-        algebra=LieSuperalgebra(
-            basis=relabeled, constants=general.algebra.constants
-        ),
-        form=BilinearForm(basis=relabeled, gram=general.form.gram),
+    new = [1 + t if t < ne else 2 + t for t in range(ng)]
+    rows = {
+        (new[i], new[j]): {new[t]: c for t, c in terms.items()}
+        for (i, j), terms in q.algebra.constants.items()
+    }
+    cols = dict(enumerate(_sparse_rows(transpose(deriv.matrix))))
+    for i, row in _combine(cols, _sparse_rows(q.form.gram)).items():
+        for j, v in row.items():
+            if j >= i:  # B(D X_i, X_j) f
+                rows.setdefault((new[i], new[j]), {})[ne + 1] = v
+    for s, col in cols.items():  # [e, X_s] = D X_s
+        if col:
+            rows[0, new[s]] = {new[r]: c for r, c in col.items()}
+    algebra = LieSuperalgebra.from_index_table(
+        basis, [(a, b, terms) for (a, b), terms in rows.items()]
     )
-    # direct path from the displayed formulas
-    ng = q.basis.dim
-    ne = q.basis.even_dim
-    labels_direct = (
-        [e_label]
-        + list(q.basis.labels[:ne])
-        + [f_label]
-        + list(q.basis.labels[ne:])
-    )
-    parities_direct = [0] * (ne + 2) + [1] * (ng - ne)
-    dbasis = GradedBasis(labels=tuple(labels_direct), parities=tuple(parities_direct))
-
-    def to_new(t: int) -> int:
-        # base index -> direct-basis index
-        return 1 + t if t < ne else 2 + t
-
-    rows: list[tuple[int, int, dict[int, Rat]]] = []
-    for i in range(ng):
-        for j in range(i, ng):
-            terms: dict[int, Rat] = {}
-            for t, c in q.algebra.bracket_pair(i, j).items():
-                terms[to_new(t)] = c
-            pairing = q.form.value(
-                deriv.column(i), q.algebra.basis_vector(j)
-            )
-            if pairing != 0:
-                terms[ne + 1] = terms.get(ne + 1, Fraction(0)) + pairing
-            if terms:
-                rows.append((to_new(i), to_new(j), terms))
-    for i in range(ng):
-        col = deriv.column(i)
-        terms = {to_new(t): col[t] for t in range(ng) if col[t] != 0}
-        if terms:
-            rows.append((0, to_new(i), terms))
-    direct_algebra = LieSuperalgebra.from_index_table(dbasis, rows)
-    gram = [[Fraction(0)] * (ng + 2) for _ in range(ng + 2)]
-    gram[0][ne + 1] = Fraction(1)
-    gram[ne + 1][0] = Fraction(1)
-    for i in range(ng):
-        for j in range(ng):
-            gram[to_new(i)][to_new(j)] = q.form.gram[i][j]
+    gram: list[list[Rat]] = [[Fraction(0)] * (ng + 2) for _ in range(ng + 2)]
+    gram[0][ne + 1] = gram[ne + 1][0] = Fraction(1)
+    for i, row in enumerate(q.form.gram):
+        for j, v in enumerate(row):
+            gram[new[i]][new[j]] = v
     direct = QuadraticLieSuperalgebra(
-        algebra=direct_algebra,
-        form=BilinearForm(basis=dbasis, gram=tuple(tuple(r) for r in gram)),
+        algebra=algebra,
+        form=BilinearForm(basis=basis, gram=tuple(tuple(r) for r in gram)),
     )
     if (
-        direct.basis != general.basis
-        or direct.algebra.constants != general.algebra.constants
-        or direct.form.gram != general.form.gram
+        general.basis.labels != basis.labels[: ne + 1] + (e_label + "*",) + basis.labels[ne + 2 :]
+        or general.basis.parities != basis.parities
+        or general.algebra.constants != algebra.constants
+        or general.form.gram != direct.form.gram
     ):
         raise EngineError(
             "one-dimensional double extension: direct formulas and the "
             "general constructor disagree"
         )
-    return general
+    return direct
+
+
+def central_reduction(
+    q: QuadraticLieSuperalgebra, z: str, x: str
+) -> tuple[QuadraticLieSuperalgebra, Superderivation]:
+    """q as a one-dimensional double extension: the base and D.
+
+    z must be an even central vector and x an even vector with
+    B(x, z) = 1, both isotropic and B-orthogonal to every other basis
+    vector.  The other basis vectors then span a copy of z^perp / z: the
+    base, with the bracket less its z-component and the restricted form;
+    D = ad x there.  Certificate, on every call: the double extension
+    ``one_dim_double_extension(base, D, labels=(x, z))``, put back in q's
+    basis order, is q exactly.
+    """
+    if not isinstance(q, QuadraticLieSuperalgebra):
+        raise InputError("central_reduction needs a quadratic Lie superalgebra")
+    if not validate_quadratic(q).ok:
+        raise InputError("central_reduction needs a valid quadratic Lie superalgebra")
+    basis, gram = q.basis, q.form.gram
+    iz, ix = basis.index(z), basis.index(x)
+    if basis.parities[iz] or basis.parities[ix]:
+        raise InputError(f"central_reduction needs even {z} and {x}")
+    if any(iz in pair for pair in q.algebra.constants):
+        raise InputError(f"{z} is not central")
+    support = lambda i: {j: v for j, v in enumerate(gram[i]) if v}
+    if support(iz) != {ix: 1} or support(ix) != {iz: 1}:
+        raise InputError(
+            f"{x} and {z} must be isotropic, with B({x}, {z}) = 1 and "
+            "B-orthogonal to every other basis vector"
+        )
+    keep = [i for i in range(basis.dim) if i not in (iz, ix)]
+    new = {i: k for k, i in enumerate(keep)}
+    sub = GradedBasis(
+        labels=tuple(basis.labels[i] for i in keep),
+        parities=tuple(basis.parities[i] for i in keep),
+    )
+    constants = {}
+    for (i, j), terms in q.algebra.constants.items():
+        entry = {new[t]: c for t, c in terms.items() if t in new}
+        if i in new and j in new and entry:
+            constants[new[i], new[j]] = entry
+    base = QuadraticLieSuperalgebra(
+        algebra=LieSuperalgebra(basis=sub, constants=constants),
+        form=BilinearForm(
+            basis=sub, gram=tuple(tuple(gram[i][j] for j in keep) for i in keep)
+        ),
+    )
+    ad = ad_superderivation(q, x).matrix
+    deriv = Superderivation(
+        matrix=tuple(tuple(ad[i][j] for j in keep) for i in keep), degree=0
+    )
+    rebuilt = reorder_quadratic(
+        one_dim_double_extension(base, deriv, labels=(x, z)), basis.labels
+    )
+    if rebuilt.algebra.constants != q.algebra.constants or rebuilt.form.gram != gram:
+        raise EngineError(
+            f"central reduction by ({z}, {x}): the double extension of the "
+            "base does not rebuild the algebra"
+        )
+    return base, deriv

@@ -322,17 +322,13 @@ def _unit(n: int, i: int) -> list[Rat]:
     return v
 
 
-def find_nondegenerate_central_line(
-    q: QuadraticLieSuperalgebra, search_bound: int = 2
-) -> list[Rat] | None:
+def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | None:
     """An even central vector x with B(x, x) != 0, if one exists.
 
     Restricting B to the even part of the center gives a symmetric
     form; a vector of nonzero square exists iff that restriction is
     nonzero, and then one is found among the basis vectors and simple
     sums v + w (since B(v+w, v+w) = 2 B(v, w) when both squares vanish).
-    The ``search_bound`` is kept for interface compatibility; the
-    two-step search above is already exhaustive.
     """
     from .algebra import center
 

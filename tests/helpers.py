@@ -17,6 +17,10 @@ The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
 violations, in the same order, with the same messages.
+``double_extension_dense`` is the double extension the engine's sparse
+constructor replaced: every pair of the new basis through a six-branch
+bracket of dense ``column``/``bracket_pair``/``form.value`` calls.  The
+two must give the same basis, structure constants and Gram matrix.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import random
 from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
-from superquad.algebra import Violation, _sparse_str
+from superquad.algebra import GradedBasis, Violation, _sparse_str
 from superquad.cochains import (
     Cochain,
     Monomial,
@@ -34,8 +38,16 @@ from superquad.cochains import (
     wedge,
 )
 from superquad.cohomology import _Quotient, differential_matrix
-from superquad.extensions import Superderivation, _grading_violations
+from superquad.errors import EngineError, InputError
+from superquad.extensions import (
+    ExtensionDatum,
+    Superderivation,
+    _extension_labels,
+    _grading_violations,
+    validate_extension_datum,
+)
 from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank, transpose
+from superquad.quadratic import validate_quadratic
 
 QUADRATIC_KEYS = (
     "g_4_1_s",
@@ -543,3 +555,138 @@ def skew_superderivation_by_pairs(
                     )
                 )
     return violations
+
+
+def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
+    """The quadratic Lie superalgebra on h (+) g (+) h*.
+
+    Bracket (x, y the parities of the homogeneous arguments):
+
+      [Z+X+f, W+Y+g] = [Z,W]_h + [X,Y]_g + psi(Z)(Y) - (-1)^{xy} psi(W)(X)
+                       + pi(Z)(g) - (-1)^{xy} pi(W)(f) + phi(X,Y),
+      phi(X,Y)(Z) = (-1)^{(x+y)z} B(psi(Z)(X), Y),
+      (pi(Z)g)(W) = -(-1)^{zg} g([Z,W]_h)   (coadjoint action),
+
+    and form  B~(Z+X+f, W+Y+g) = B(X,Y) + gamma(Z,W) + f(W) + (-1)^{xy} g(Z).
+    The datum is validated first; the output is validated afterwards, and a
+    failure there is an internal error, since a valid datum always yields a
+    valid quadratic structure.
+    """
+    report = validate_extension_datum(d)
+    if not report.ok:
+        first = report.violations[0]
+        raise InputError(
+            f"extension datum invalid: {first.rule} at {first.witness}: "
+            f"{first.message}"
+        )
+    base, h = d.base, d.h
+    nh, ng = h.basis.dim, base.basis.dim
+    h_labels, g_labels, dual_labels = _extension_labels(d)
+    parities = (
+        list(h.basis.parities) + list(base.basis.parities) + list(h.basis.parities)
+    )
+    labels = h_labels + g_labels + dual_labels
+    # sort into evens-then-odds while remembering original positions
+    order = sorted(range(len(labels)), key=lambda t: (parities[t], t))
+    new_labels = tuple(labels[t] for t in order)
+    new_parities = tuple(parities[t] for t in order)
+    new_basis = GradedBasis(labels=new_labels, parities=new_parities)
+    position = {t: k for k, t in enumerate(order)}  # old index -> new index
+
+    def old_parity(t: int) -> int:
+        return parities[t]
+
+    def bracket_old(i: int, j: int) -> dict[int, Rat]:
+        """Bracket of old-indexed basis vectors, result in old indices."""
+        x, y = old_parity(i), old_parity(j)
+        sign_xy = -1 if (x * y) % 2 else 1
+        out: dict[int, Rat] = {}
+
+        def add(t: int, v: Rat) -> None:
+            if v == 0:
+                return
+            out[t] = out.get(t, Fraction(0)) + v
+            if out[t] == 0:
+                del out[t]
+
+        in_h = lambda t: t < nh
+        in_g = lambda t: nh <= t < nh + ng
+        in_dual = lambda t: t >= nh + ng
+        if in_h(i) and in_h(j):
+            for t, c in h.bracket_pair(i, j).items():
+                add(t, c)
+        elif in_h(i) and in_g(j):
+            col = d.psi[i].column(j - nh)
+            for r in range(ng):
+                add(nh + r, col[r])
+        elif in_g(i) and in_h(j):
+            col = d.psi[j].column(i - nh)
+            for r in range(ng):
+                add(nh + r, Fraction(-sign_xy) * col[r])
+        elif in_h(i) and in_dual(j):
+            # pi(Z)(g) with Z = e_i, g = dual_j: result in h*
+            gp = old_parity(j)
+            sign = -1 if (old_parity(i) * gp) % 2 else 1
+            for w in range(nh):
+                c = h.bracket_pair(i, w).get(j - nh - ng, Fraction(0))
+                add(nh + ng + w, Fraction(-sign) * c)
+        elif in_dual(i) and in_h(j):
+            fp = old_parity(i)
+            sign_pi = -1 if (old_parity(j) * fp) % 2 else 1
+            for w in range(nh):
+                c = h.bracket_pair(j, w).get(i - nh - ng, Fraction(0))
+                add(nh + ng + w, Fraction(sign_xy) * Fraction(sign_pi) * c)
+        elif in_g(i) and in_g(j):
+            for t, c in base.algebra.bracket_pair(i - nh, j - nh).items():
+                add(nh + t, c)
+            # phi(X,Y)(Z_k) = (-1)^{(x+y)z} B(psi(Z_k)(X), Y)
+            for k in range(nh):
+                z = h.basis.parities[k]
+                sign = -1 if ((x + y) * z) % 2 else 1
+                val = base.form.value(
+                    d.psi[k].column(i - nh), base.algebra.basis_vector(j - nh)
+                )
+                add(nh + ng + k, Fraction(sign) * val)
+        # g with h*, h* with h*, and anything else: zero
+        return out
+
+    table: list[tuple[int, int, dict[int, Rat]]] = []
+    total = nh + ng + nh
+    for inew in range(total):
+        for jnew in range(inew, total):
+            iold = order[inew]
+            jold = order[jnew]
+            br = bracket_old(iold, jold)
+            if br:
+                table.append(
+                    (inew, jnew, {position[t]: v for t, v in br.items()})
+                )
+    algebra = LieSuperalgebra.from_index_table(new_basis, table)
+    # the extended form
+    gram = [[Fraction(0)] * total for _ in range(total)]
+    for inew in range(total):
+        for jnew in range(total):
+            i, j = order[inew], order[jnew]
+            x, y = old_parity(i), old_parity(j)
+            v = Fraction(0)
+            if i < nh and j < nh:
+                v = d.gamma.gram[i][j] if d.gamma is not None else Fraction(0)
+            elif nh <= i < nh + ng and nh <= j < nh + ng:
+                v = base.form.gram[i - nh][j - nh]
+            elif i >= nh + ng and j < nh:
+                # f(W)
+                v = Fraction(1) if i - nh - ng == j else Fraction(0)
+            elif i < nh and j >= nh + ng:
+                sign = -1 if (x * y) % 2 else 1
+                v = Fraction(sign) if j - nh - ng == i else Fraction(0)
+            gram[inew][jnew] = v
+    form = BilinearForm(basis=new_basis, gram=tuple(tuple(r) for r in gram))
+    out = QuadraticLieSuperalgebra(algebra=algebra, form=form)
+    check = validate_quadratic(out)
+    if not check.ok:
+        first = check.violations[0]
+        raise EngineError(
+            "double extension of a valid datum failed validation: "
+            f"{first.rule} at {first.witness}: {first.message}"
+        )
+    return out

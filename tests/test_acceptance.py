@@ -17,10 +17,7 @@ from helpers import (
 )
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra, is_solvable
-from superquad.catalog import (
-    RECONSTRUCTIBLE_KEYS,
-    reconstruction_datum,
-)
+from superquad.catalog import reconstruction_datum
 from superquad.cochains import (
     Cochain,
     _poisson_left,
@@ -347,21 +344,30 @@ def _scale(d: Superderivation, t: Fraction) -> Superderivation:
 
 
 def test_c09_classification_reconstruction():
-    """The documented one-dimensional double-extension data rebuild the
-    four reconstructible 8-dimensional families exactly, at three
-    admissible parameter bindings each; and all nine 8-dimensional
-    families validate and are solvable."""
+    """The one-dimensional double-extension data computed by central
+    reduction rebuild all nine 8-dimensional families exactly, at three
+    admissible parameter bindings each; and all nine validate and are
+    solvable."""
     bindings = {
+        "g_8_2_1_s": [
+            None,
+            {"lam": 2, "mu": -1, "nu": Fraction(1, 3)},
+            {"lam": 0, "mu": 0, "nu": 5},
+        ],
+        "g_8_2_2_s": [None, {"lam": 0, "mu": Fraction(3, 2)}, {"lam": -2, "mu": 0}],
         "g_8_2_3_s": [None, {"lam": 2}, {"lam": Fraction(-1, 2)}],
         "g_8_2_4_s": [
             None,
             {"lam": 3, "mu": Fraction(1, 2)},
             {"lam": Fraction(-2, 3), "mu": -1},
         ],
+        "g_8_2_5_s": [None, {"lam": 2}, {"lam": Fraction(-1, 3)}],
+        "g_8_2_6_s": [None, {"mu": -2}, {"mu": Fraction(5, 4)}],
         "g_8_2_7_s": [None, None, None],
         "g_8_2_8_s": [None, {"lam": 5}, {"lam": Fraction(2, 7)}],
+        "g_8_2_9_s": [None, None, None],
     }
-    for key in RECONSTRUCTIBLE_KEYS:
+    for key in bindings:
         for params in bindings[key]:
             recipe = reconstruction_datum(key, params)
             rebuilt = one_dim_double_extension(

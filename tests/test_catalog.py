@@ -13,7 +13,6 @@ from superquad.algebra import (
     validate_lie_superalgebra,
 )
 from superquad.catalog import (
-    RECONSTRUCTIBLE_KEYS,
     catalog_keys,
     default_params,
     get_entry,
@@ -183,13 +182,44 @@ def test_even_part_is_a_quadratic_subalgebra():
         assert validate_quadratic(sub_q).ok, key
 
 
+def _block_matrix(even4, odd2):
+    """A 6x6 derivation of span{Z1, Z2, X1, X2 | Y, T}, block by block."""
+    rows = [list(row) + [0, 0] for row in even4] + [[0] * 4 + list(row) for row in odd2]
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+# the hand-written recipes the computed central reductions replaced, at
+# default parameters (lam = mu = 1): the base was the abelian quadratic
+# space span{Z1, Z2, X1, X2 | Y, T} with B(Zi, Xi) = B(Y, T) = 1
+_DIAG_22 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+_JORDAN_EVEN = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, -1, -1]]
+_NILPOTENT_ODD = [[0, 1], [0, 0]]
+_HAND_WRITTEN = {
+    "g_8_2_3_s": _block_matrix(_DIAG_22, _NILPOTENT_ODD),
+    "g_8_2_4_s": _block_matrix(_DIAG_22, [[1, 0], [0, -1]]),
+    "g_8_2_7_s": _block_matrix(_JORDAN_EVEN, _NILPOTENT_ODD),
+    "g_8_2_8_s": _block_matrix(_JORDAN_EVEN, [[1, 0], [0, -1]]),
+}
+
+
 def test_reconstruction_data_exist_and_are_consistent():
-    assert set(RECONSTRUCTIBLE_KEYS) <= set(catalog_keys())
-    for key in RECONSTRUCTIBLE_KEYS:
+    abelian = BilinearForm.from_pairs(
+        GradedBasis(labels=("Z1", "Z2", "X1", "X2", "Y", "T"), parities=(0,) * 4 + (1, 1)),
+        [("Z1", "X1", 1), ("Z2", "X2", 1), ("Y", "T", 1)],
+    )
+    for i in range(1, 10):
+        key = f"g_8_2_{i}_s"
         recipe = reconstruction_datum(key)
         assert recipe.key == key
         assert recipe.base.dim == 6
+        assert recipe.base.form.gram == abelian.gram
         assert recipe.derivation.degree == 0
-        assert len(recipe.catalog_order) == 8
-    with pytest.raises(InputError):
-        reconstruction_datum("g_8_2_1_s")
+        assert recipe.labels == ("X3", "Z3")
+        assert recipe.catalog_order == build(key).basis.labels
+        if key in _HAND_WRITTEN:
+            assert recipe.base.basis == abelian.basis
+            assert recipe.base.algebra.constants == {}
+            assert recipe.derivation.matrix == _HAND_WRITTEN[key]
+    for key in ("g_4_1_s", "h"):  # no Z3; not quadratic
+        with pytest.raises(InputError):
+            reconstruction_datum(key)

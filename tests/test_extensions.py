@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS, skew_superderivation_by_pairs
+from helpers import QUADRATIC_KEYS, double_extension_dense, skew_superderivation_by_pairs
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra
-from superquad.errors import InputError
+from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
     ad_superderivation,
+    central_reduction,
     double_extension,
     is_skew_superderivation,
     is_superderivation,
@@ -30,6 +31,54 @@ def abelian_quadratic() -> QuadraticLieSuperalgebra:
         basis, [("A", "A", 2), ("A", "B", 1), ("B", "B", 1), ("U", "V", 2)]
     )
     return QuadraticLieSuperalgebra(algebra=g, form=form)
+
+
+def odd_base() -> QuadraticLieSuperalgebra:
+    """Abelian A, B | U, V with B(A, B) = B(U, V) = 1."""
+    basis = GradedBasis(labels=("A", "B", "U", "V"), parities=(0, 0, 1, 1))
+    g = LieSuperalgebra(basis=basis, constants={})
+    form = BilinearForm.from_pairs(basis, [("A", "B", 1), ("U", "V", 1)])
+    return QuadraticLieSuperalgebra(algebra=g, form=form)
+
+
+def odd_line_psi() -> Superderivation:
+    """psi(c): A -> U, V -> -B on ``odd_base``: odd, skew, and psi^2 = 0."""
+    rows = [[Fraction(0)] * 4 for _ in range(4)]
+    rows[2][0] = Fraction(1)
+    rows[1][3] = Fraction(-1)
+    return Superderivation(matrix=tuple(tuple(r) for r in rows), degree=1)
+
+
+def zero_map(n: int, degree: int) -> Superderivation:
+    return Superderivation(
+        matrix=tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)),
+        degree=degree,
+    )
+
+
+def seeded_even_skew(q, rng) -> Superderivation:
+    """An integer combination of the degree-0 skew superderivation basis."""
+    space = skew_superderivation_space(q, 0)
+    coeffs = [rng.randint(-2, 2) for _ in space]
+    return Superderivation(
+        matrix=tuple(
+            tuple(
+                sum((c * s.matrix[i][j] for c, s in zip(coeffs, space)), Fraction(0))
+                for j in range(q.dim)
+            )
+            for i in range(q.dim)
+        ),
+        degree=0,
+    )
+
+
+def assert_matches_dense_oracle(datum: ExtensionDatum) -> QuadraticLieSuperalgebra:
+    out = double_extension(datum)
+    reference = double_extension_dense(datum)
+    assert out.basis == reference.basis
+    assert out.algebra.constants == reference.algebra.constants
+    assert out.form.gram == reference.form.gram
+    return out
 
 
 def r2() -> LieSuperalgebra:
@@ -108,6 +157,9 @@ def test_ad_is_a_skew_superderivation():
         parity = q.basis.parities[q.basis.index(label)]
         assert d.degree == parity
         assert is_skew_superderivation(q, d, parity).ok
+        x = q.algebra.basis_vector(q.basis.index(label))
+        for j in range(q.dim):
+            assert d.column(j) == q.algebra.bracket(x, q.algebra.basis_vector(j))
 
 
 def test_ad_lies_in_the_even_skew_space():
@@ -188,22 +240,102 @@ def test_double_extension_by_r2():
 
 def test_double_extension_with_odd_line():
     # h = one odd generator with [c, c] = 0; psi(c) an odd skew derivation
+    # with psi(c)^2 = 0, so that psi is a morphism
+    q = odd_base()
+    h = LieSuperalgebra(basis=GradedBasis(labels=("c",), parities=(1,)), constants={})
+    datum = ExtensionDatum(base=q, h=h, psi=(odd_line_psi(),))
+    assert validate_extension_datum(datum).ok
+    out = assert_matches_dense_oracle(datum)
+    assert validate_quadratic(out).ok
+    assert out.basis.odd_dim == q.basis.odd_dim + 2
+
+
+def test_double_extension_matches_the_dense_oracle():
+    rng = random.Random("double-extension-oracle")
     q = abelian_quadratic()
-    hb = GradedBasis(labels=("c",), parities=(1,))
-    h = LieSuperalgebra(basis=hb, constants={})
-    odd_space = skew_superderivation_space(q, 1)
-    psi_c = odd_space[0]
-    datum = ExtensionDatum(base=q, h=h, psi=(psi_c,))
-    report = validate_extension_datum(datum)
-    if report.ok:
-        out = double_extension(datum)
-        assert validate_quadratic(out).ok
-        assert out.basis.odd_dim == q.basis.odd_dim + 2
-    else:
-        # psi([c,c]) = 0 needs [psi(c), psi(c)] = 0; not every odd skew
-        # derivation qualifies, but some scaled representative must
-        rules = {v.rule for v in report.violations}
-        assert "psi-morphism" in rules
+    zero = zero_map(q.dim, 0)
+    d_a = hyperbolic_on_odds(q)
+    h = r2()
+    r2_gamma = BilinearForm(basis=h.basis, gram=((Fraction(3), Fraction(0)), (Fraction(0), Fraction(0))))
+    # h = span{a | c} with [a, c] = c, psi(c) = 0
+    ac_basis = GradedBasis(labels=("a", "c"), parities=(0, 1))
+    ac = LieSuperalgebra.from_label_table(ac_basis, [("a", "c", {"c": 1})])
+    data = [
+        ExtensionDatum(base=q, h=h, psi=(d_a, zero)),
+        ExtensionDatum(base=q, h=h, psi=(d_a, zero), gamma=r2_gamma),
+        ExtensionDatum(base=q, h=ac, psi=(d_a, zero_map(q.dim, 1))),
+    ]
+    line = LieSuperalgebra(basis=GradedBasis(labels=("e0",), parities=(0,)), constants={})
+    for key in QUADRATIC_KEYS:
+        base = build(key)
+        gamma = BilinearForm(basis=line.basis, gram=((Fraction(rng.randint(-2, 2)),),))
+        data.append(ExtensionDatum(base=base, h=line, psi=(seeded_even_skew(base, rng),), gamma=gamma))
+    for datum in data:  # the odd line is test_double_extension_with_odd_line's
+        assert validate_extension_datum(datum).ok
+        assert_matches_dense_oracle(datum)
+
+
+def test_central_reduction_inverts_the_one_dimensional_extension():
+    rng = random.Random("central-reduction")
+    for key in QUADRATIC_KEYS:
+        q = build(key)
+        d = seeded_even_skew(q, rng)
+        base, deriv = central_reduction(
+            one_dim_double_extension(q, d, labels=("E", "F")), "F", "E"
+        )
+        assert base.basis == q.basis, key
+        assert base.algebra.constants == q.algebra.constants, key
+        assert base.form.gram == q.form.gram, key
+        assert deriv.matrix == d.matrix and deriv.degree == 0, key
+
+
+def test_extension_certificates_fire(monkeypatch):
+    import superquad.extensions as module
+
+    q = build("g_8_2_3_s")
+    d = skew_superderivation_space(q, 0)[0]
+    general, one_dim = module.double_extension, module.one_dim_double_extension
+    # the general path fed psi = 0 disagrees with the direct formulas
+    monkeypatch.setattr(
+        module, "double_extension",
+        lambda datum: general(ExtensionDatum(base=q, h=datum.h, psi=(zero_map(q.dim, 0),))),
+    )
+    with pytest.raises(EngineError, match="disagree"):
+        one_dim_double_extension(q, d)
+    monkeypatch.undo()
+    # an extension by D = 0 does not rebuild q
+    monkeypatch.setattr(
+        module, "one_dim_double_extension",
+        lambda base, deriv, labels: one_dim(base, zero_map(base.dim, 0), labels=labels),
+    )
+    with pytest.raises(EngineError, match="rebuild"):
+        central_reduction(q, "Z3", "X3")
+
+
+def test_central_reduction_rejects_unadapted_pairs():
+    q = build("g_8_2_5_s")
+    for z, x, match in (
+        ("X3", "Z3", "not central"),  # X3 acts on Z1
+        ("Z3", "Y", "even"),  # an odd label
+        ("Z3", "Z1", "isotropic"),  # B(Z1, Z3) = 0
+        ("Z3", "W", "unknown basis label"),
+        ("Q", "X3", "unknown basis label"),
+    ):
+        with pytest.raises(InputError, match=match):
+            central_reduction(q, z, x)
+    # B(x, z) = 2: the right vectors, scaled
+    ext = one_dim_double_extension(abelian_quadratic(), zero_map(4, 0))
+    doubled = BilinearForm(
+        basis=ext.basis,
+        gram=tuple(
+            tuple(2 * v if {i, j} == {0, 3} else v for j, v in enumerate(row))
+            for i, row in enumerate(ext.form.gram)
+        ),
+    )
+    with pytest.raises(InputError, match="isotropic"):
+        central_reduction(QuadraticLieSuperalgebra(algebra=ext.algebra, form=doubled), "f", "e")
+    with pytest.raises(InputError, match="quadratic"):
+        central_reduction(build("h"), "Z", "X1")
 
 
 def test_one_dim_double_extension_matches_general_and_validates():
