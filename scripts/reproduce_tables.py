@@ -48,13 +48,13 @@ def heisenberg_section() -> None:
 def poisson_section() -> None:
     print("== Poisson bracket table for g_4_1_s ==")
     cx = Complex(build("g_4_1_s"))
-    q, frame, three = cx.quadratic, cx.frame, cx.three_form
+    q, three = cx.quadratic, cx.three_form
     print(f"I = {three}")
-    print(f"{{I, I}} = {poisson_bracket(q, frame, three, three)}")
+    print(f"{{I, I}} = {poisson_bracket(q, three, three)}")
     for k in (1, 2):
         for m in cx.cochains(k).monomials:
             c = Cochain.from_terms(q.basis, {m: Fraction(1)})
-            print(f"{{I, {c}}} = {poisson_bracket(q, frame, three, c)}")
+            print(f"{{I, {c}}} = {poisson_bracket(q, three, c)}")
     print()
 
 

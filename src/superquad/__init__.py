@@ -74,13 +74,10 @@ from .extensions import (
 from .linalg import Rat, rat, rat_str
 from .quadratic import (
     BilinearForm,
-    DarbouxFrame,
     QuadraticLieSuperalgebra,
-    darboux_frame,
     find_nondegenerate_central_line,
     orthogonal_complement,
     reorder_quadratic,
-    symplectic_darboux,
     validate_quadratic,
 )
 from .serialization import (

@@ -226,7 +226,7 @@ def _cmd_poisson(args) -> int:
         )
     cx = Complex(obj)
     cx.check_size(args.max_degree)
-    i_i = poisson_bracket(obj, cx.frame, cx.three_form, cx.three_form)
+    i_i = poisson_bracket(obj, cx.three_form, cx.three_form)
     failures: list[str] = []
     checked = 0
     for k in range(args.max_degree + 1):

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
 from .linalg import Rat, _combine, _frac, _num, _sparse_rows, rat_str
-from .quadratic import DarbouxFrame, QuadraticLieSuperalgebra, darboux_frame
+from .quadratic import QuadraticLieSuperalgebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,33 +553,26 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     return icochain
 
 
-def poisson_bracket(
-    q: QuadraticLieSuperalgebra,
-    frame: DarbouxFrame | None,
-    a: Cochain,
-    b: Cochain,
-) -> Cochain:
+def poisson_bracket(q: QuadraticLieSuperalgebra, a: Cochain, b: Cochain) -> Cochain:
     """Super Z x Z2-Poisson bracket on cochains.
 
-    For A with (alternating, symmetric) bidegree (omega, f) and A' with
-    symmetric degree g:
+    For A of degree deg A and A' with symmetric degree g:
 
-    {A, A'} = (-1)^{omega+f+1} sum_{i,j} B(Y0^i, Y0^j)
-                 iota_{X0^i}(A) ^ iota_{X0^j}(A')
-            + (-1)^{omega+f+g+1} sum_k ( iota_{X1^k}(A) ^ iota_{Y1^k}(A')
-                                       - iota_{Y1^k}(A) ^ iota_{X1^k}(A') )
+    {A, A'} = (-1)^{deg A + 1} sum_{r,s} (G^{-1})[r][s] eps_s
+                 iota_r(A) ^ iota_s(A')
 
-    where {X0^i} is the even basis with dual frame {Y0^i} and
-    {X1^k, Y1^k} is an odd Darboux basis.  The coefficient matrix
-    B(Y0^i, Y0^j) is the inverse of the even Gram block.
+    where G is the Gram matrix of B (block diagonal, B being even),
+    eps_s = 1 for an even letter s and -(-1)^g for an odd one.  The
+    paper writes the odd part over an odd Darboux basis X^k, Y^k as
+    (-1)^{deg A + g + 1} sum_k (iota_{X^k}(A) ^ iota_{Y^k}(A')
+    - iota_{Y^k}(A) ^ iota_{X^k}(A')); for the Darboux matrix M,
+    M J M^T = -G_odd^{-1}, which is the sum above.
 
     The signs are the unique choice (for this library's evaluation and
     wedge conventions) under which the bracket is the biderivation
     extension of the inverse-Gram pairings on degree-1 duals:
 
-      {u*, v*} = (G_even^{-1})[u][v]   for even duals,
-      {u*, v*} = (G_odd^{-1})[u][v]    for odd duals,
-      {u*, v*} = 0 across parities,
+      {u*, v*} = (G^{-1})[u][v],   zero across parities,
 
     with graded antisymmetry {A',A} = -(-1)^{aa'+bb'}{A,A'} and Leibniz
     {A, A'^A''} = {A,A'}^A'' + (-1)^{aa'+bb'} A'^{A,A''} on Z x Z2
@@ -587,79 +580,55 @@ def poisson_bracket(
     delta = -{I, .} are enforced by the test suite.
     """
     _same_basis(a, b)
-    if frame is None:
-        frame = darboux_frame(q)
-    return _bracket(_poisson_left(frame, a), b, 1)
+    return _bracket(_poisson_left(q, a), b, 1)
 
 
 @dataclass(frozen=True)
 class _PoissonLeft:
     """The left operand A of {A, .} with everything that does not depend
-    on the right operand done.  A's contractions carry the sign
-    (-1)^{omega+f+1}; ``even[j]`` is sum_i B(Y0^i, Y0^j) iota_{X0^i}(A),
-    and ``darboux`` is iota_{X1^1..X1^n}(A), then iota_{Y1^1..Y1^n}(A).
-    ``odd_darboux`` is the frame's, in the kernels' form."""
+    on the right operand done: ``dual[s]`` is
+    (-1)^{deg A + 1} sum_r (G^{-1})[r][s] iota_r(A)."""
 
-    frame: DarbouxFrame
-    odd_darboux: list[list[Rat | int]]
-    even: list[dict[Monomial, Rat]]
-    darboux: list[dict[Monomial, Rat]]
+    basis: GradedBasis
+    dual: list[dict[Monomial, Rat]]
 
 
-def _poisson_left(frame: DarbouxFrame, a: Cochain) -> _PoissonLeft:
+def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     """A prepared as the left operand of ``poisson_bracket``, built once
-    by a caller that brackets it with many cochains."""
-    if a.basis != frame.basis:
-        raise InputError("the cochain and the Darboux frame live over different bases")
-    # (-1)^{omega+f+1} depends only on the degree of a left term, so it
+    by a caller that brackets it with many cochains.  Raises InputError
+    unless B is even, supersymmetric and non-degenerate (see
+    ``BilinearForm.inverse_columns``)."""
+    if a.basis != q.basis:
+        raise InputError("the cochain and the form live over different bases")
+    # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
     contractions = _contractions(
         (m, _num(c) if m.degree % 2 else -_num(c)) for m, c in a.terms
     )
-    ne = a.basis.even_dim
-    even_dual = [[_num(x) for x in row] for row in frame.even_dual]
-    even = [
-        _combination((even_dual[i][j], contractions.get(i, {})) for i in range(ne))
-        for j in range(ne)
-    ]
-    odd_darboux = [[_num(x) for x in row] for row in frame.odd_darboux]
-    return _PoissonLeft(frame, odd_darboux, even, _darboux(odd_darboux, ne, contractions))
-
-
-def _darboux(
-    odd_darboux: list[list[Rat | int]], ne: int, contractions: dict[int, dict[Monomial, Rat]]
-) -> list[dict[Monomial, Rat]]:
-    """iota_{X1^1..X1^n}, then iota_{Y1^1..Y1^n}: combinations of the
-    contractions by the odd letters (``ne`` even letters come first)."""
-    return [
-        _combination((row[col], contractions.get(ne + r, {})) for r, row in enumerate(odd_darboux))
-        for col in range(len(odd_darboux[0]) if odd_darboux else 0)
-    ]
+    return _PoissonLeft(
+        q.basis,
+        [
+            _combination((x, contractions.get(r, {})) for r, x in col.items())
+            for col in q.form.inverse_columns
+        ],
+    )
 
 
 def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
-    """scale * {A, b} for the prepared left operand A: the right operand's
-    contractions, the even sum and the Darboux wedges of the bracket
-    formula."""
-    frame = left.frame
-    if b.basis != frame.basis:
+    """scale * {A, b} for the prepared left operand A: one wedge per
+    letter s of b's contractions."""
+    if b.basis != left.basis:
         raise InputError("cochains live over different bases")
-    ne, pairs = b.basis.even_dim, frame.odd_pairs
+    ne = b.basis.even_dim
     acc: dict[Monomial, Rat] = {}
-    # the odd sum's (-1)^g depends on the symmetric degree g of a right
-    # term: contract the right terms of each parity of g apart
+    # eps_s depends on the symmetric degree g of a right term: contract
+    # the right terms of each parity of g apart
     for parity in (0, 1):
         right = _contractions((m, _num(c)) for m, c in b.terms if m.sym_degree % 2 == parity)
-        if not right:
-            continue
-        for j, right_j in right.items():
-            if j < ne and left.even[j]:
-                _wedge_into(acc, left.even[j].items(), right_j.items(), scale)
-        right_xy = _darboux(left.odd_darboux, ne, right)
-        sign = -scale if parity else scale
-        for k in range(pairs):
-            _wedge_into(acc, left.darboux[k].items(), right_xy[pairs + k].items(), sign)
-            _wedge_into(acc, left.darboux[pairs + k].items(), right_xy[k].items(), -sign)
+        odd_sign = scale if parity else -scale
+        for s, right_s in right.items():
+            if left.dual[s]:
+                _wedge_into(acc, left.dual[s].items(), right_s.items(), scale if s < ne else odd_sign)
     return _cochain(b.basis, acc)
 
 
@@ -671,10 +640,10 @@ def differential_via_poisson(
 ) -> Cochain:
     """delta = -{I, .} with I the associated 3-form.
 
-    ``left`` is ``_poisson_left(darboux_frame(q), I)``, built once by a
-    caller that differentiates many cochains; without it it is built
-    here.  The minus sign goes into the accumulation of the bracket.
+    ``left`` is ``_poisson_left(q, I)``, built once by a caller that
+    differentiates many cochains; without it it is built here.  The
+    minus sign goes into the accumulation of the bracket.
     """
     if left is None:
-        left = _poisson_left(darboux_frame(q), associated_three_form(q))
+        left = _poisson_left(q, associated_three_form(q))
     return _bracket(left, c, -1)

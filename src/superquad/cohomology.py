@@ -1,8 +1,8 @@
 """Exact cohomology of the super-exterior complex.
 
 One ``Complex`` per algebra holds what the engine reads more than once:
-the cochain bases, the delta(t*) table, the torus blocks, the Darboux
-frame and I, and each delta_k as exact sparse columns between
+the cochain bases, the delta(t*) table, the torus blocks, I, and each
+delta_k as exact sparse columns between
 enumerated monomial bases.  Kernels, images and quotients are computed
 by exact sparse elimination over the rationals.
 """
@@ -31,7 +31,7 @@ from .cochains import (
 )
 from .errors import EngineError, InputError, ResourceLimitError
 from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, reduced_kernel
-from .quadratic import DarbouxFrame, QuadraticLieSuperalgebra, darboux_frame
+from .quadratic import QuadraticLieSuperalgebra
 
 __all__ = [
     "CochainBasis",
@@ -138,13 +138,13 @@ class Complex:
     """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
     quadratic.  Each part is built once, on first use, and kept: the basis
     of each C^k and the block key of each monomial (``block``), the images
-    delta(t*) of the degree-1 duals, the torus of diagonal derivations,
-    the Darboux frame, I and I's side of {I, .}, each delta_k, and each
-    H^k while a caller holds it.  The caller holds the complex; every
-    function of this module takes it in place of the algebra, or builds
-    one for the call.  A delta_k or H^k built without the -{I, .}
-    cross-check never serves a call that asks for it.  ``check_size`` is
-    the monomial guard each of those functions runs before any work.
+    delta(t*) of the degree-1 duals, the torus of diagonal derivations, I
+    and I's side of {I, .}, each delta_k, and each H^k while a caller
+    holds it.  The caller holds the complex; every function of this
+    module takes it in place of the algebra, or builds one for the call.
+    A delta_k or H^k built without the -{I, .} cross-check never serves a
+    call that asks for it.  ``check_size`` is the monomial guard each of
+    those functions runs before any work.
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra | LieSuperalgebra) -> None:
@@ -168,16 +168,12 @@ class Complex:
         return diagonal_weights(self.algebra)
 
     @cached_property
-    def frame(self) -> DarbouxFrame:
-        return darboux_frame(self.quadratic)
-
-    @cached_property
     def three_form(self) -> Cochain:
         return associated_three_form(self.quadratic)
 
     @cached_property
     def left(self) -> _PoissonLeft:
-        return _poisson_left(self.frame, self.three_form)
+        return _poisson_left(self.quadratic, self.three_form)
 
     def check_size(self, k_max: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> None:
         """Refuse, before any work, a negative k_max and a dim C^k over

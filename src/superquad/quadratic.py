@@ -2,20 +2,15 @@
 
 A quadratic Lie superalgebra carries an even, supersymmetric, invariant,
 non-degenerate bilinear form B.  This module stores B as a Gram matrix
-over the graded basis, validates the four axioms exactly, and produces
-the dual frames the Poisson-bracket machinery needs:
-
-* an even frame: the even basis itself together with the rows of the
-  inverse even Gram matrix, so that B(dual_i, e_j) = delta_ij;
-* a Darboux frame on the odd part: a symplectic basis X^1..X^n,
-  Y^1..Y^n of the odd space (B restricted to the odd part of a
-  quadratic Lie superalgebra is symplectic).
+over the graded basis, validates the four axioms exactly, and gives the
+Poisson bracket the columns of the inverse Gram matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra, Subspace, ValidationReport, Violation, validate_lie_superalgebra
@@ -63,6 +58,22 @@ class BilinearForm:
         )
         return cls(basis=basis, gram=filled)
 
+    @cached_property
+    def inverse_columns(self) -> list[dict[int, Rat]]:
+        """The columns of G^-1 as {row: nonzero} in the kernels' form (see
+        ``linalg._num``), built once per form.  Raises InputError unless
+        the form is even, supersymmetric and non-degenerate, checking the
+        nonzeros of G before inverting it."""
+        parities = self.basis.parities
+        rows = _sparse_rows(self.gram)
+        for r, row in enumerate(rows):
+            for s, x in row.items():
+                if parities[r] != parities[s]:
+                    raise InputError("the form pairs opposite parities: it is not even")
+                if rows[s].get(r, 0) != (-x if parities[r] else x):
+                    raise InputError("the form is not supersymmetric")
+        return _sparse_rows(transpose(inverse(self.gram)))
+
     def value(self, x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
         total = Fraction(0)
         for i, xi in enumerate(x):
@@ -73,14 +84,6 @@ class BilinearForm:
                 if yj != 0 and row[j] != 0:
                     total += xi * row[j] * yj
         return total
-
-    def even_block(self) -> list[list[Rat]]:
-        ne = self.basis.even_dim
-        return [[self.gram[i][j] for j in range(ne)] for i in range(ne)]
-
-    def odd_block(self) -> list[list[Rat]]:
-        ne, n = self.basis.even_dim, self.basis.dim
-        return [[self.gram[i][j] for j in range(ne, n)] for i in range(ne, n)]
 
 
 @dataclass(frozen=True)
@@ -170,107 +173,6 @@ def validate_quadratic(q: QuadraticLieSuperalgebra) -> ValidationReport:
     violations = list(validate_lie_superalgebra(q.algebra).violations)
     violations += validate_form(q.algebra, q.form)
     return ValidationReport(tuple(violations))
-
-
-def symplectic_darboux(gram: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
-    """Darboux basis of a non-degenerate skew form, as matrix columns.
-
-    Input is the 2n x 2n Gram matrix of a skew-symmetric non-degenerate
-    form beta.  Output M has the new basis vectors as columns ordered
-    X^1..X^n, Y^1..Y^n with beta(X^a, Y^b) = delta_ab and all other
-    pairings zero, i.e. M^T G M = [[0, I], [-I, 0]].
-
-    The construction is symplectic Gram-Schmidt: pick a pair (u, w) with
-    beta(u, w) != 0, normalize, project the rest onto the beta-orthogonal
-    complement of the plane, recurse.
-    """
-    m = len(gram)
-    if m % 2 != 0:
-        raise InputError("skew non-degenerate forms exist only in even dimension")
-    for i in range(m):
-        if gram[i][i] != 0:
-            raise InputError("form is not skew-symmetric (nonzero diagonal)")
-        for j in range(m):
-            if gram[i][j] != -gram[j][i]:
-                raise InputError("form is not skew-symmetric")
-
-    def beta(x: list[Rat], y: list[Rat]) -> Rat:
-        return sum(
-            (xi * gram[i][j] * yj for i, xi in enumerate(x) for j, yj in enumerate(y) if xi and yj),
-            Fraction(0),
-        )
-
-    working = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    working = [list(col) for col in working]  # columns of the identity
-    xs: list[list[Rat]] = []
-    ys: list[list[Rat]] = []
-    remaining = working
-    while remaining:
-        pair = None
-        for a in range(len(remaining)):
-            for b in range(a + 1, len(remaining)):
-                if beta(remaining[a], remaining[b]) != 0:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise InputError("form is degenerate")
-        a, b = pair
-        u = remaining[a]
-        val = beta(u, remaining[b])
-        v = [Fraction(c, val) for c in remaining[b]]
-        rest = [remaining[t] for t in range(len(remaining)) if t not in (a, b)]
-        projected = []
-        for w in rest:
-            w2 = [
-                wi - beta(w, v) * ui + beta(w, u) * vi
-                for wi, ui, vi in zip(w, u, v)
-            ]
-            projected.append(w2)
-        xs.append(u)
-        ys.append(v)
-        remaining = [w for w in projected if any(c != 0 for c in w)]
-        if len(remaining) > m:
-            raise InputError("symplectic reduction failed to shrink")
-    cols = xs + ys
-    if len(cols) != m:
-        raise InputError("form is degenerate")
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-
-@dataclass(frozen=True)
-class DarbouxFrame:
-    """Dual frames used by the Poisson bracket.
-
-    ``even_dual`` row i holds the coordinates (over the even basis) of
-    the vector dual to even basis vector i, i.e. the rows of the inverse
-    even Gram matrix.  ``odd_darboux`` columns are the odd Darboux
-    vectors X^1..X^n, Y^1..Y^n expressed over the odd basis.
-    """
-
-    basis: GradedBasis
-    even_dual: tuple[tuple[Rat, ...], ...]
-    odd_darboux: tuple[tuple[Rat, ...], ...]
-
-    @property
-    def odd_pairs(self) -> int:
-        return len(self.odd_darboux[0]) // 2 if self.odd_darboux else 0
-
-
-def darboux_frame(q: QuadraticLieSuperalgebra) -> DarbouxFrame:
-    basis = q.basis
-    ne = basis.even_dim
-    no = basis.odd_dim
-    even_dual: tuple[tuple[Rat, ...], ...] = ()
-    if ne:
-        inv = inverse(q.form.even_block())
-        even_dual = tuple(tuple(row) for row in inv)
-    odd_darboux: tuple[tuple[Rat, ...], ...] = ()
-    if no:
-        m = symplectic_darboux(q.form.odd_block())
-        odd_darboux = tuple(tuple(row) for row in m)
-    return DarbouxFrame(basis=basis, even_dual=even_dual, odd_darboux=odd_darboux)
 
 
 def is_graded_ideal(g: LieSuperalgebra, space: Subspace) -> bool:

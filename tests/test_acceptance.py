@@ -45,7 +45,7 @@ from superquad.extensions import (
     validate_extension_datum,
 )
 from superquad.linalg import rank
-from superquad.quadratic import BilinearForm, darboux_frame, reorder_quadratic
+from superquad.quadratic import BilinearForm, reorder_quadratic
 from superquad.sp2 import (
     H,
     Sp2Element,
@@ -145,12 +145,11 @@ def test_c05_poisson_table():
     from the degree-1 rows: {I, X0* ^ A} = {I, X0*} ^ A - X0* ^ {I, A}."""
     q = build("g_4_1_s")
     b = q.basis
-    frame = darboux_frame(q)
     i_disp = associated_three_form(q).scale(Fraction(-1))
     assert str(i_disp) == "1 * e(2) ⊗ s(2 2)"  # + Y0* (x) (Y1*)^2
 
     def bk(c):
-        return poisson_bracket(q, frame, i_disp, c)
+        return poisson_bracket(q, i_disp, c)
 
     x0 = mono(b, even_labels=("X0",))
     y0 = mono(b, even_labels=("Y0",))
@@ -190,7 +189,7 @@ def test_c05_poisson_table():
     for arg, want in table:
         assert (bk(arg) - want).is_zero, str(arg)
     # entry 13: the 3-form self-bracket vanishes (either normalization)
-    assert poisson_bracket(q, frame, i_disp, i_disp).is_zero
+    assert poisson_bracket(q, i_disp, i_disp).is_zero
 
     # cross-check rows 6 and 7 via the Leibniz rule they were fixed by
     sign = Fraction(koszul((3, 0), (1, 0)))
@@ -207,7 +206,7 @@ def test_c06_dual_differential():
     for key in QUADRATIC_KEYS:
         q = build(key)
         g = q.algebra
-        left = _poisson_left(darboux_frame(q), associated_three_form(q))
+        left = _poisson_left(q, associated_three_form(q))
         for k in range(0, 4):
             for m in monomials_of_degree(q.basis, k):
                 c = Cochain.from_terms(q.basis, {m: Fraction(1)})
@@ -234,29 +233,28 @@ def test_c07_graded_lie_properties():
     homogeneous triples per quadratic entry."""
     for key in QUADRATIC_KEYS:
         q = build(key)
-        frame = darboux_frame(q)
         rng = random.Random(f"graded-lie:{key}")
         for _ in range(200):
             a, da = random_homogeneous(q.basis, rng, max_degree=2)
             b, db = random_homogeneous(q.basis, rng, max_degree=2)
             c, dc = random_homogeneous(q.basis, rng, max_degree=2)
 
-            ab = poisson_bracket(q, frame, a, b)
+            ab = poisson_bracket(q, a, b)
             # antisymmetry
-            ba = poisson_bracket(q, frame, b, a)
+            ba = poisson_bracket(q, b, a)
             assert (ab + ba.scale(Fraction(koszul(da, db)))).is_zero
 
             # Leibniz rule on the wedge
-            lhs = poisson_bracket(q, frame, a, wedge(b, c))
+            lhs = poisson_bracket(q, a, wedge(b, c))
             rhs = wedge(ab, c) + wedge(
-                b, poisson_bracket(q, frame, a, c)
+                b, poisson_bracket(q, a, c)
             ).scale(Fraction(koszul(da, db)))
             assert (lhs - rhs).is_zero
 
             # graded Jacobi identity
-            jac_lhs = poisson_bracket(q, frame, a, poisson_bracket(q, frame, b, c))
-            jac_rhs = poisson_bracket(q, frame, ab, c) + poisson_bracket(
-                q, frame, b, poisson_bracket(q, frame, a, c)
+            jac_lhs = poisson_bracket(q, a, poisson_bracket(q, b, c))
+            jac_rhs = poisson_bracket(q, ab, c) + poisson_bracket(
+                q, b, poisson_bracket(q, a, c)
             ).scale(Fraction(koszul(da, db)))
             assert (jac_lhs - jac_rhs).is_zero
 

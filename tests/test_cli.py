@@ -244,9 +244,9 @@ def test_poisson_checks_the_size_first(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    # the verb reads its frame and monomials from a cohomology.Complex
+    # the verb reads I and its monomials from a cohomology.Complex
     module = importlib.import_module("superquad.cohomology")
-    monkeypatch.setattr(module, "darboux_frame", no_work)
+    monkeypatch.setattr(module, "associated_three_form", no_work)
     monkeypatch.setattr(module, "monomials_of_degree", no_work)
     assert main(["poisson", str(path), "--max-degree", "5"]) == 2
     assert "exceeds the monomial limit" in capsys.readouterr().err

@@ -32,11 +32,7 @@ from superquad.cochains import (
 )
 from superquad.cohomology import differential_matrix
 from superquad.errors import InputError
-from superquad.quadratic import (
-    BilinearForm,
-    QuadraticLieSuperalgebra,
-    darboux_frame,
-)
+from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 
 
 def dense_abelian() -> QuadraticLieSuperalgebra:
@@ -47,6 +43,12 @@ def dense_abelian() -> QuadraticLieSuperalgebra:
         basis, [("A", "A", 2), ("A", "B", 1), ("B", "B", 1), ("U", "V", 2)]
     )
     return QuadraticLieSuperalgebra(algebra=g, form=form)
+
+
+def rescaled(q: QuadraticLieSuperalgebra, x: Fraction) -> QuadraticLieSuperalgebra:
+    """q with B scaled by x: I scales by x and G^-1 by 1/x."""
+    gram = tuple(tuple(x * v for v in row) for row in q.form.gram)
+    return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, gram))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -323,8 +325,7 @@ def test_associated_three_form_is_evaluation_faithful():
 
 
 def test_poisson_bracket_matches_rule_based_oracle():
-    for q in (build("g_4_1_s"), dense_abelian()):
-        frame = darboux_frame(q)
+    for q in (build("g_4_1_s"), dense_abelian(), rescaled(build("g_6_s"), Fraction(-2, 3))):
         oracle = PoissonOracle(q)
         for ka in (1, 2, 3):
             for kb in (1, 2):
@@ -332,24 +333,26 @@ def test_poisson_bracket_matches_rule_based_oracle():
                     ca = Cochain.from_terms(q.basis, {ma: Fraction(1)})
                     for mb in monomials_of_degree(q.basis, kb):
                         cb = Cochain.from_terms(q.basis, {mb: Fraction(1)})
-                        got = poisson_bracket(q, frame, ca, cb)
+                        got = poisson_bracket(q, ca, cb)
                         want = oracle.bracket(ca, cb)
                         assert (got - want).is_zero, (ma, mb)
+    # q is the rescaled g_6_s, where I and G^-1 scale inversely: -{I, .}
+    # still cross-checks every column of delta_k
+    for k in range(4):
+        assert differential_matrix(q, k).columns == differential_matrix(q.algebra, k).columns
     # {I, m} and {m, I} for every quadratic key and monomial of degree <= 2
     for key in QUADRATIC_KEYS:
         q = build(key)
-        frame = darboux_frame(q)
         oracle = PoissonOracle(q)
         I = associated_three_form(q)
         for k in (0, 1, 2):
             for m in monomials_of_degree(q.basis, k):
                 c = Cochain.from_terms(q.basis, {m: Fraction(1)})
-                assert (poisson_bracket(q, frame, I, c) - oracle.bracket(I, c)).is_zero, (key, m)
-                assert (poisson_bracket(q, frame, c, I) - oracle.bracket(c, I)).is_zero, (key, m)
+                assert (poisson_bracket(q, I, c) - oracle.bracket(I, c)).is_zero, (key, m)
+                assert (poisson_bracket(q, c, I) - oracle.bracket(c, I)).is_zero, (key, m)
     # one factor with a term in every (alternating, symmetric) group of
     # degree 1 to 3, so several grouped sign prefactors meet in one call
     q = build("g_8_2_5_s")
-    frame = darboux_frame(q)
     oracle = PoissonOracle(q)
     firsts = {}
     for k in (1, 2, 3):
@@ -365,16 +368,38 @@ def test_poisson_bracket_matches_rule_based_oracle():
         for m in monomials_of_degree(q.basis, k)
     ]
     for c in others:
-        assert (poisson_bracket(q, frame, mixed, c) - oracle.bracket(mixed, c)).is_zero, c
-        assert (poisson_bracket(q, frame, c, mixed) - oracle.bracket(c, mixed)).is_zero, c
+        assert (poisson_bracket(q, mixed, c) - oracle.bracket(mixed, c)).is_zero, c
+        assert (poisson_bracket(q, c, mixed) - oracle.bracket(c, mixed)).is_zero, c
+
+
+def test_poisson_bracket_rejects_a_malformed_form():
+    # A, B | U, V abelian with B(A, B) = B(U, V) = 1, then one fault each
+    basis = GradedBasis(labels=("A", "B", "U", "V"), parities=(0, 0, 1, 1))
+    g = LieSuperalgebra(basis=basis, constants={})
+    good = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    faults = [
+        ("not even", {(0, 2): 1, (2, 0): 1}),
+        ("not supersymmetric", {(1, 0): 2}),  # even block not symmetric
+        ("not supersymmetric", {(3, 2): 1}),  # odd block not skew
+        ("singular", {(2, 3): 0, (3, 2): 0}),
+    ]
+    a, b = Cochain.dual(basis, "A"), Cochain.dual(basis, "B")
+    for message, entries in faults:
+        gram = [row[:] for row in good]
+        for (i, j), x in entries.items():
+            gram[i][j] = x
+        q = QuadraticLieSuperalgebra(g, BilinearForm(basis, tuple(map(tuple, gram))))
+        with pytest.raises(InputError, match=message):
+            poisson_bracket(q, a, b)
+        with pytest.raises(InputError, match=message):
+            differential_matrix(q, 1)
 
 
 def test_three_form_self_bracket_vanishes():
     for key in ("g_4_1_s", "g_6_2", "g_8_2_9_s"):
         q = build(key)
         I = associated_three_form(q)
-        frame = darboux_frame(q)
-        assert poisson_bracket(q, frame, I, I).is_zero
+        assert poisson_bracket(q, I, I).is_zero
 
 
 def test_differential_via_poisson_matches_direct():
@@ -399,9 +424,9 @@ def test_differential_via_poisson_matches_direct():
 def test_prepared_left_operand_rejects_another_basis():
     q = build("g_4_1_s")
     three = associated_three_form(q)
-    left = _poisson_left(darboux_frame(q), three)
+    left = _poisson_left(q, three)
     foreign = mono(build("g_6_s").basis, even_labels=("X0",))
     with pytest.raises(InputError):
         differential_via_poisson(q, foreign, left=left)
     with pytest.raises(InputError):
-        _poisson_left(darboux_frame(build("g_6_s")), three)
+        _poisson_left(build("g_6_s"), three)

@@ -405,7 +405,6 @@ def _count_calls(monkeypatch, names) -> dict:
 
 
 TABLES = (
-    "darboux_frame",
     "associated_three_form",
     "_poisson_left",
     "_dual_differentials",
@@ -419,12 +418,12 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     q = build("g_8_2_5_s")
     result = cohomology(q, 3)
     # one complex: each table once, C^2..C^4 once each, delta_2 and delta_3
-    once = dict.fromkeys(TABLES[:4], 1)
+    once = dict.fromkeys(TABLES[:3], 1)
     assert calls == {**once, "cochain_basis": 3, "differential_matrix": 2}
     table = betti_table(q, 3)
     assert result.betti == table[3].betti
     # a second complex: each table once more, C^0..C^4, delta_0..delta_3
-    twice = dict.fromkeys(TABLES[:4], 2)
+    twice = dict.fromkeys(TABLES[:3], 2)
     assert calls == {**twice, "cochain_basis": 3 + 5, "differential_matrix": 2 + 4}
 
 
@@ -432,7 +431,7 @@ def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
     calls = _count_calls(monkeypatch, TABLES)
     cx = Complex(build("g_6_s"))
     table = betti_table(cx, 3)
-    assert calls == {**dict.fromkeys(TABLES[:4], 1), "cochain_basis": 5, "differential_matrix": 4}
+    assert calls == {**dict.fromkeys(TABLES[:3], 1), "cochain_basis": 5, "differential_matrix": 4}
     # the complex keeps each H^k and each delta_k
     assert betti_table(cx, 3) == table and cohomology(cx, 2) is table[2]
     assert cx.delta(2) is cx.delta(2, verify=False)

@@ -8,9 +8,11 @@ import pytest
 
 from helpers import QUADRATIC_KEYS
 from superquad import (
+    BilinearForm,
     Cochain,
     GradedBasis,
     LieSuperalgebra,
+    QuadraticLieSuperalgebra,
     Sp2Element,
     associated_three_form,
     betti_table,
@@ -18,14 +20,13 @@ from superquad import (
     catalog_keys,
     check_commuting_dependence,
     class_vector,
-    darboux_frame,
     differential_direct,
     differential_matrix,
     differential_via_poisson,
     one_dim_double_extension,
     poisson_bracket,
     skew_superderivation_space,
-    symplectic_darboux,
+    wedge,
 )
 from superquad.cochains import Monomial, evaluate, from_values, monomials_of_degree
 from superquad.errors import InputError
@@ -62,11 +63,9 @@ def test_cohomology_values_are_fractions(key):
 @pytest.mark.parametrize("key", QUADRATIC_KEYS)
 def test_quadratic_values_are_fractions(key):
     q = build(key)
-    frame = darboux_frame(q)
-    assert all(all_fractions(row) for row in frame.even_dual + frame.odd_darboux)
     three = associated_three_form(q)
     assert all_fractions(coefficients(three))
-    assert all_fractions(coefficients(poisson_bracket(q, frame, three, three)) + [evaluate(three, (0, 0, 0))])
+    assert all_fractions(coefficients(poisson_bracket(q, three, three)) + [evaluate(three, (0, 0, 0))])
     for m in monomials_of_degree(q.basis, 1):
         c = Cochain.from_terms(q.basis, {m: Fraction(1)})
         assert all_fractions(coefficients(differential_via_poisson(q, c)))
@@ -123,10 +122,18 @@ def test_values_divide_by_mult_factor_through_fraction():
     assert square == Fraction(1, 2) and all_fractions(coefficients(c))
 
 
-def test_symplectic_darboux_of_an_int_form_divides_through_fraction():
-    m = symplectic_darboux([[0, 2], [-2, 0]])
-    assert m == [[1, 0], [0, Fraction(1, 2)]]
-    assert all(all_fractions(row) for row in m)
+def test_poisson_bracket_of_an_int_form_divides_through_fraction():
+    # B(A, B) = 1 and B(U, V) = 2 given as ints: {u*, v*} = (G^-1)[u][v]
+    basis = GradedBasis(labels=("A", "B", "U", "V"), parities=(0, 0, 1, 1))
+    gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 2), (0, 0, -2, 0))
+    q = QuadraticLieSuperalgebra(LieSuperalgebra(basis, {}), BilinearForm(basis, gram))
+    a, b, u, v = (Cochain.dual(basis, label) for label in basis.labels)
+    one = Cochain.unit(basis)
+    assert poisson_bracket(q, a, b) == one
+    assert poisson_bracket(q, u, v) == one.scale(Fraction(-1, 2))
+    assert poisson_bracket(q, v, u) == one.scale(Fraction(1, 2))
+    bracket = poisson_bracket(q, wedge(a, u), wedge(b, v))
+    assert all_fractions(coefficients(bracket)) and Fraction(1, 2) in map(abs, coefficients(bracket))
 
 
 def test_sp2_dependence_divides_through_fraction():

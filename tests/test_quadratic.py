@@ -1,4 +1,4 @@
-"""Invariant bilinear forms and Darboux frames."""
+"""Invariant bilinear forms."""
 import random
 from fractions import Fraction
 
@@ -8,15 +8,11 @@ from helpers import perturbed, super_jacobi_by_triples, validate_form_by_triples
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra, Subspace, validate_super_jacobi
 from superquad.errors import InputError
-from helpers import mat_mul
-from superquad.linalg import transpose
 from superquad.quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
-    darboux_frame,
     find_nondegenerate_central_line,
     orthogonal_complement,
-    symplectic_darboux,
     validate_form,
     validate_quadratic,
 )
@@ -84,68 +80,6 @@ def test_validate_form_invariance_rule():
     # the Killing-proportional form B(h,h)=2, B(x,y)=1 is invariant
     good = BilinearForm.from_pairs(basis, [("h", "h", 2), ("x", "y", 1)])
     assert validate_form(g, good) == []
-
-
-def random_symplectic_gram(rng: random.Random, n_pairs: int):
-    """M^T J M for random invertible M: a known-change-of-basis oracle."""
-    n = 2 * n_pairs
-    J = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n_pairs):
-        J[k][n_pairs + k] = Fraction(1)
-        J[n_pairs + k][k] = Fraction(-1)
-    while True:
-        M = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)
-        ]
-        from superquad.linalg import rank
-
-        if rank(M) == n:
-            break
-    return mat_mul(transpose(M), mat_mul(J, M))
-
-
-def test_symplectic_darboux_oracle():
-    rng = random.Random(7)
-    for n_pairs in (1, 2, 3):
-        n = 2 * n_pairs
-        for _ in range(5):
-            gram = random_symplectic_gram(rng, n_pairs)
-            m = symplectic_darboux(gram)
-            got = mat_mul(transpose(m), mat_mul(gram, m))
-            for i in range(n):
-                for j in range(n):
-                    expected = Fraction(0)
-                    if j == i + n_pairs:
-                        expected = Fraction(1)
-                    elif i == j + n_pairs:
-                        expected = Fraction(-1)
-                    assert got[i][j] == expected
-
-
-def test_darboux_frame_normalizes_catalog_algebras():
-    for key in ("g_4_1_s", "g_6_s", "g_8_2_5_s"):
-        q = build(key)
-        frame = darboux_frame(q)
-        ne = q.basis.even_dim
-        # even dual rows: B(dual_i, e_j) = delta_ij
-        for i in range(ne):
-            for j in range(ne):
-                x = list(frame.even_dual[i]) + [Fraction(0)] * q.basis.odd_dim
-                e = [Fraction(0)] * q.dim
-                e[j] = Fraction(1)
-                assert q.form.value(x, e) == (1 if i == j else 0)
-        # odd Darboux columns pair to the standard symplectic matrix
-        m = [list(row) for row in frame.odd_darboux]
-        got = mat_mul(transpose(m), mat_mul(q.form.odd_block(), m))
-        p = frame.odd_pairs
-        for i in range(2 * p):
-            for j in range(2 * p):
-                expected = Fraction(0)
-                if j == i + p:
-                    expected = Fraction(1)
-                elif i == j + p:
-                    expected = Fraction(-1)
-                assert got[i][j] == expected
 
 
 def test_orthogonal_complement_dimensions_and_invariance():
@@ -241,5 +175,3 @@ def test_gram_entries_are_normalised_to_fractions():
     form = BilinearForm(basis=q.basis, gram=gram)
     assert form.gram == q.form.gram
     assert all(type(x) is Fraction for row in form.gram for x in row)
-    frame = darboux_frame(QuadraticLieSuperalgebra(q.algebra, form))
-    assert all(type(x) is Fraction for row in frame.even_dual for x in row)
