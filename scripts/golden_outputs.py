@@ -24,11 +24,16 @@ directories:
   quadratic key, the derivation being a fixed integer combination of
   the key's degree-0 skew superderivation basis, written into the
   output directory too;
+* ``double-extend <key> --derivation deriv_bad_<key>.json`` for every
+  quadratic key, the same derivation with one seeded entry moved, so
+  the printed violations of the superderivation check are compared;
 * ``validate`` (text and JSON) on three invalid documents, also written
   there: a bracket coefficient scaled by 3/2 (``g_8_2_5_s``, super
   Jacobi fails), a Gram value moved by 1/2 (``g_6_s``, invariance
   fails), and both (``g_6_3``), so violation messages with their
-  printed residuals are compared too;
+  printed residuals are compared too, and ``double-extend`` on the
+  moved Gram value (``g_6_s``'s derivation), so an invalid base is
+  compared too;
 * ``queries.txt``: for every catalog key and degrees 1 to 3, a fixed
   seeded set of cochains (sums of representatives, a coboundary and,
   for a third of them, a random monomial), each with its
@@ -38,7 +43,9 @@ directories:
 * the standard output of ``scripts/reproduce_tables.py``.
 
 ``exit_codes.txt`` lists each command's exit code; a command that
-writes to standard error also leaves a ``.err`` file.
+writes to standard error also leaves a ``.err`` file.  A command that
+raises is recorded as the interpreter would end it: its traceback in
+the ``.err`` file and exit code 1.
 """
 from __future__ import annotations
 
@@ -48,6 +55,7 @@ import json
 import random
 import runpy
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,6 +99,16 @@ def derivation(key: str) -> list[list[str]]:
         ]
         for i in range(n)
     ]
+
+
+def bad_derivation(key: str, matrix: list[list[str]]) -> list[list[str]]:
+    """``matrix`` with one seeded entry moved."""
+    rng = random.Random(f"bad derivation {key}")
+    n = len(matrix)
+    i, j = rng.randrange(n), rng.randrange(n)
+    out = [list(row) for row in matrix]
+    out[i][j] = _scaled(out[i][j], Fraction(1), Fraction(rng.choice((-2, -1, 1, 3))))
+    return out
 
 
 def _scaled(value: str, factor: Fraction, shift: Fraction = Fraction(0)) -> str:
@@ -154,7 +172,10 @@ def inputs(target: Path) -> None:
     """Write the derivation matrices and invalid documents the commands read."""
     for key in catalog_keys():
         if get_entry(key).quadratic:
-            (target / f"deriv_{key}.json").write_text(json.dumps(derivation(key)) + "\n", encoding="utf-8")
+            matrix = derivation(key)
+            (target / f"deriv_{key}.json").write_text(json.dumps(matrix) + "\n", encoding="utf-8")
+            bad = json.dumps(bad_derivation(key, matrix)) + "\n"
+            (target / f"deriv_bad_{key}.json").write_text(bad, encoding="utf-8")
     for name, doc in invalid_documents().items():
         (target / f"invalid_{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -173,24 +194,33 @@ def commands(target: Path) -> list[tuple[str, list[str]]]:
     ]
     out += [(f"validate_{k}.txt", ["validate", k]) for k in keys]
     out += [(f"export_{k}.json", ["export", k]) for k in keys]
-    out += [
-        (f"double_extend_{k}.json", ["double-extend", k, "--derivation", str(target / f"deriv_{k}.json")])
-        for k in keys
-        if get_entry(k).quadratic
-    ]
+    for k in keys:
+        if get_entry(k).quadratic:
+            out += [
+                (f"double_extend_{k}.json", ["double-extend", k, "--derivation", str(target / f"deriv_{k}.json")]),
+                (f"double_extend_bad_{k}.txt", ["double-extend", k, "--derivation", str(target / f"deriv_bad_{k}.json")]),
+            ]
     for name, *_ in BROKEN:
         path = str(target / f"invalid_{name}.json")
         out += [
             (f"validate_invalid_{name}.txt", ["validate", path]),
             (f"validate_invalid_{name}.json", ["validate", path, "--format", "json"]),
         ]
+    base = str(target / "invalid_perturbed_gram.json")
+    out.append(
+        ("double_extend_invalid_perturbed_gram.txt", ["double-extend", base, "--derivation", str(target / "deriv_g_6_s.json")])
+    )
     return out
 
 
 def capture(run) -> tuple[object, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        result = run()
+        try:
+            result = run()
+        except Exception:
+            traceback.print_exc()
+            result = 1
     return result, stdout.getvalue(), stderr.getvalue()
 
 

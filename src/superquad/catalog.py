@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 from .algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from .errors import EngineError, InputError
 from .extensions import Superderivation, central_reduction
-from .linalg import Rat, rat, solve, transpose
+from .linalg import Rat, _combine, _frac, _sparse_rows, rat, transpose
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra, validate_quadratic
 
 __all__ = [
@@ -77,34 +77,25 @@ def _derive_odd_odd_rows(labels, parities, rows, pairs):
     """Append the odd-odd brackets forced by invariance of the form.
 
     For odd a, b the bracket [a,b] is even and is pinned by
-    B([a,b], u) = -B(a, [u, b]) over even basis vectors u, because the
-    even block of B is non-degenerate.
+    B([a,b], u) = w_u = -B(a, [u, b]) over even basis vectors u, because
+    the even block of B is non-degenerate: [a,b] = sum_u w_u (G^-1 column u),
+    G^-1 being block diagonal and its even block symmetric.
     """
     basis = GradedBasis(labels=tuple(labels), parities=tuple(parities))
-    partial = LieSuperalgebra.from_label_table(basis, rows)
+    table = LieSuperalgebra.from_label_table(basis, rows).bracket_table()
     form = BilinearForm.from_pairs(basis, pairs)
-    ne = basis.even_dim
-    n = basis.dim
-    even_gram = [[form.gram[s][u] for u in range(ne)] for s in range(ne)]
+    ne, n = basis.even_dim, basis.dim
+    right = _combine(table, _sparse_rows(transpose(form.gram)))  # (u, b) -> {a: B(e_a, [e_u, e_b])}
+    w = {
+        (i, j): {u: -x for u in range(ne) if (x := right.get((u, j), {}).get(i))}
+        for i in range(ne, n)
+        for j in range(i, n)
+    }
     out = list(rows)
-    for i in range(ne, n):
-        for j in range(i, n):
-            w = []
-            for u in range(ne):
-                bu_b = partial.bracket(
-                    partial.basis_vector(u), partial.basis_vector(j)
-                )
-                w.append(-form.value(partial.basis_vector(i), bu_b))
-            coeffs = solve(transpose(even_gram), w)
-            if coeffs is None:
-                raise EngineError(
-                    "odd-odd bracket underdetermined: even form degenerate"
-                )
-            terms = {
-                basis.labels[s]: coeffs[s] for s in range(ne) if coeffs[s] != 0
-            }
-            if terms:
-                out.append((basis.labels[i], basis.labels[j], terms))
+    for (i, j), coeffs in _combine(w, form.inverse_columns).items():
+        if coeffs:
+            terms = {basis.labels[s]: _frac(coeffs[s]) for s in sorted(coeffs)}
+            out.append((basis.labels[i], basis.labels[j], terms))
     return out
 
 

@@ -2,8 +2,9 @@
 
 Verbs: list, validate, cohomology, betti, poisson, double-extend, export.
 Targets are catalog keys or JSON algebra files.  Exit codes: 0 success,
-1 validation failure, 2 usage or input error.  ``betti`` and
-``cohomology`` validate the algebra first and exit 1 on a violation.
+1 validation failure, 2 usage or input error.  ``betti``,
+``cohomology`` and ``double-extend`` validate the algebra first and exit 1
+on a violation.
 """
 from __future__ import annotations
 
@@ -293,6 +294,10 @@ def _cmd_double_extend(args) -> int:
     obj = _resolve_target(args.target, _parse_params(args.param))
     if not isinstance(obj, QuadraticLieSuperalgebra):
         raise InputError("double-extend needs a quadratic base algebra")
+    base_report = validate_quadratic(obj)
+    if not base_report.ok:
+        _emit(_invalid_text(base_report), None)
+        return 1
     deriv = _load_derivation_matrix(args.derivation, obj.basis.dim)
     labels = tuple(s.strip() for s in args.labels.split(","))
     if len(labels) != 2 or not all(labels):

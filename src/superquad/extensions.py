@@ -92,145 +92,129 @@ def _grading_violations(
     return out
 
 
-def is_superderivation(
-    g: LieSuperalgebra, matrix, degree: int
-) -> ValidationReport:
-    """Check D[X,Y] = [DX,Y] + (-1)^{alpha x}[X,DY] on all basis pairs."""
+def _defects(q_or_g, degree: int):
+    """The defect of the matrix unit E_rs (D e_s = e_r), as a function
+    unit(r, s) -> {key: nonzero}.
+
+    Both rules are linear in D's entries, so the defect of any D of this
+    degree is sum D[r][s] unit(r, s), and D passes iff it is zero:
+
+    * Leibniz, keys (0, i, j, t) for i <= j: the t-th coordinate of
+      D[e_i,e_j] - [De_i,e_j] - (-1)^{alpha x_i}[e_i,De_j];
+    * skew, keys (1, i, j, 0), only when q_or_g carries a form:
+      B(De_i,e_j) + (-1)^{alpha x_i} B(e_i,De_j).
+    """
+    quadratic = isinstance(q_or_g, QuadraticLieSuperalgebra)
+    g = q_or_g.algebra if quadratic else q_or_g
+    sign = [-1 if degree and x else 1 for x in g.basis.parities]
+    by_target: dict[int, list] = {}  # t -> (i, j, c_ij^t) for i <= j
+    by_first: dict[int, list] = {}  # a -> (j, [e_a, e_j])
+    by_second: dict[int, list] = {}  # b -> (i, [e_i, e_b])
+    for (i, j), terms in g.bracket_table().items():
+        by_first.setdefault(i, []).append((j, terms))
+        by_second.setdefault(j, []).append((i, terms))
+        if i <= j:
+            for t, c in terms.items():
+                by_target.setdefault(t, []).append((i, j, c))
+    if quadratic:
+        gram_rows = _sparse_rows(q_or_g.form.gram)  # r -> {j: B(e_r, e_j)}
+        gram_cols = _sparse_rows(transpose(q_or_g.form.gram))  # r -> {i: B(e_i, e_r)}
+
+    def unit(r: int, s: int) -> dict[tuple[int, int, int, int], Rat]:
+        out: dict[tuple[int, int, int, int], Rat] = {}
+        for i, j, c in by_target.get(s, ()):  # D[e_i, e_j]
+            out[0, i, j, r] = out.get((0, i, j, r), 0) + c
+        for j, terms in by_first.get(r, ()):  # -[D e_s, e_j]
+            if j >= s:
+                for t, c in terms.items():
+                    out[0, s, j, t] = out.get((0, s, j, t), 0) - c
+        for i, terms in by_second.get(r, ()):  # -(-1)^{alpha x_i}[e_i, D e_s]
+            if i <= s:
+                for t, c in terms.items():
+                    out[0, i, s, t] = out.get((0, i, s, t), 0) - sign[i] * c
+        if quadratic:
+            for j, v in gram_rows[r].items():  # B(D e_s, e_j)
+                out[1, s, j, 0] = out.get((1, s, j, 0), 0) + v
+            for i, v in gram_cols[r].items():  # (-1)^{alpha x_i} B(e_i, D e_s)
+                out[1, i, s, 0] = out.get((1, i, s, 0), 0) + sign[i] * v
+        return {key: v for key, v in out.items() if v}
+
+    return unit
+
+
+def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
+    """Grading, then one violation per (rule, i, j) at which the defect of
+    D (see ``_defects``) is nonzero, in sorted order."""
     d = matrix if isinstance(matrix, Superderivation) else Superderivation(
         matrix=tuple(tuple(row) for row in matrix), degree=degree
     )
     if d.degree != degree:
         raise InputError("degree argument disagrees with the Superderivation")
-    basis = g.basis
+    basis = q_or_g.basis
     if d.dim != basis.dim:
         raise InputError("matrix size does not match the algebra dimension")
     violations = _grading_violations(basis, d.matrix, degree)
-    table = g.bracket_table()
-    cols = _sparse_rows(transpose(d.matrix))  # column s of D as {r: D[r][s]}
-    for i in range(basis.dim):
-        sign = -1 if degree and basis.parities[i] else 1
-        for j in range(i, basis.dim):
-            # D[e_i, e_j] - [D e_i, e_j] - (-1)^{alpha x}[e_i, D e_j]
-            acc: dict[int, Rat] = {}
-            for t, c in table.get((i, j), {}).items():
-                for r, x in cols[t].items():
-                    acc[r] = acc.get(r, 0) + c * x
-            for s, c in cols[i].items():
-                for r, x in table.get((s, j), {}).items():
-                    acc[r] = acc.get(r, 0) - c * x
-            for s, c in cols[j].items():
-                for r, x in table.get((i, s), {}).items():
-                    acc[r] = acc.get(r, 0) - sign * c * x
-            if any(acc.values()):
-                violations.append(
-                    Violation(
-                        rule="superderivation-leibniz",
-                        witness=(basis.labels[i], basis.labels[j]),
-                        message=(
-                            f"D[{basis.labels[i]},{basis.labels[j]}] != "
-                            f"[D{basis.labels[i]},{basis.labels[j]}] + "
-                            f"(-1)^(alpha.x)[{basis.labels[i]},D{basis.labels[j]}]"
-                        ),
-                    )
-                )
+    unit = _defects(q_or_g, degree)
+    defect: dict[tuple[int, int, int, int], Rat] = {}
+    for r, row in enumerate(_sparse_rows(d.matrix)):
+        for s, x in row.items():
+            for key, v in unit(r, s).items():
+                defect[key] = defect.get(key, 0) + x * v
+    for rule, i, j in sorted({key[:3] for key, v in defect.items() if v}):
+        a, b = basis.labels[i], basis.labels[j]
+        violations.append(
+            Violation(
+                rule="skew-supersymmetry-of-derivation" if rule else "superderivation-leibniz",
+                witness=(a, b),
+                message=(
+                    f"B(D{a},{b}) != -(-1)^(alpha.x) B({a},D{b})"
+                    if rule
+                    else f"D[{a},{b}] != [D{a},{b}] + (-1)^(alpha.x)[{a},D{b}]"
+                ),
+            )
+        )
     return ValidationReport(violations=tuple(violations))
+
+
+def _require_quadratic(q) -> None:
+    if not isinstance(q, QuadraticLieSuperalgebra):
+        raise InputError("skew superderivations need a quadratic Lie superalgebra")
+
+
+def is_superderivation(
+    g: LieSuperalgebra, matrix, degree: int
+) -> ValidationReport:
+    """Check D[X,Y] = [DX,Y] + (-1)^{alpha x}[X,DY] on all basis pairs."""
+    return _derivation_report(g, matrix, degree)
 
 
 def is_skew_superderivation(
     q: QuadraticLieSuperalgebra, matrix, degree: int
 ) -> ValidationReport:
     """Superderivation check plus B(DX,Y) = -(-1)^{alpha x} B(X,DY)."""
-    d = matrix if isinstance(matrix, Superderivation) else Superderivation(
-        matrix=tuple(tuple(row) for row in matrix), degree=degree
-    )
-    report = is_superderivation(q.algebra, d, degree)
-    violations = list(report.violations)
-    basis = q.basis
-    gram = q.form.gram
-    cols = dict(enumerate(_sparse_rows(transpose(d.matrix))))
-    left = _combine(cols, _sparse_rows(gram))  # i -> {j: B(D e_i, e_j)}
-    right = _combine(cols, _sparse_rows(transpose(gram)))  # j -> {i: B(e_i, D e_j)}
-    for i in range(basis.dim):
-        sign = -1 if degree and basis.parities[i] else 1
-        for j in range(basis.dim):
-            if left[i].get(j, 0) != -sign * right[j].get(i, 0):
-                violations.append(
-                    Violation(
-                        rule="skew-supersymmetry-of-derivation",
-                        witness=(basis.labels[i], basis.labels[j]),
-                        message=(
-                            f"B(D{basis.labels[i]},{basis.labels[j]}) != "
-                            f"-(-1)^(alpha.x) B({basis.labels[i]},D{basis.labels[j]})"
-                        ),
-                    )
-                )
-    return ValidationReport(violations=tuple(violations))
+    _require_quadratic(q)
+    return _derivation_report(q, matrix, degree)
 
 
 def skew_superderivation_space(
     q: QuadraticLieSuperalgebra, degree: int
 ) -> list[Superderivation]:
-    """Echelon basis of the space of skew-supersymmetric superderivations.
-
-    The Leibniz and skew constraints are linear in the matrix entries; the
-    space is the joint kernel, restricted to the parity-compatible block.
-    """
+    """Reduced echelon basis of the skew-supersymmetric superderivations of
+    a degree: the kernel of the defect (see ``_defects``) on the entries
+    (i, j) with parity(i) = parity(j) + degree, in row-major order."""
+    _require_quadratic(q)
     if degree not in (0, 1):
         raise InputError("superderivation degree must be 0 or 1")
-    g = q.algebra
-    basis = q.basis
-    n = basis.dim
-    # unknowns: entries (i, j) with parity(i) = parity(j) + degree
-    slots = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if basis.parities[i] == (basis.parities[j] + degree) % 2
-    ]
-    slot_index = {s: k for k, s in enumerate(slots)}
-    rows: list[dict[int, Rat]] = []  # {slot: coefficient}, zeros dropped
-
-    # Leibniz: for each basis pair i <= j and each output coordinate r:
-    # sum_t c_t D[r][t] - [D e_i, e_j]_r - sign [e_i, D e_j]_r = 0
-    table = g.bracket_table()
-    for i in range(n):
-        sign = -1 if degree and basis.parities[i] else 1
-        for j in range(i, n):
-            coeffs: list[dict[int, Rat]] = [dict() for _ in range(n)]
-
-            def add(slot: tuple[int, int], r: int, value: Rat) -> None:
-                k = slot_index.get(slot)
-                if k is None:
-                    return
-                coeffs[r][k] = coeffs[r].get(k, 0) + value
-
-            for t, c in table.get((i, j), {}).items():
-                for r in range(n):
-                    add((r, t), r, c)
-            # [D e_i, e_j] = sum_s D[s][i] [e_s, e_j], and its mirror
-            for s in range(n):
-                for r, c in table.get((s, j), {}).items():
-                    add((s, i), r, -c)
-                for r, c in table.get((i, s), {}).items():
-                    add((s, j), r, -sign * c)
-            rows.extend(row for r in range(n) if (row := {k: v for k, v in coeffs[r].items() if v}))
-    # skew: B(D e_i, e_j) + sign_i B(e_i, D e_j) = 0 for all i, j
-    gram_rows = _sparse_rows(q.form.gram)
-    gram_cols = _sparse_rows(transpose(q.form.gram))
-    for i in range(n):
-        sign = -1 if degree and basis.parities[i] else 1
-        for j in range(n):
-            row: dict[int, Rat] = {}
-            for s, v in gram_cols[j].items():
-                if (k := slot_index.get((s, i))) is not None:
-                    row[k] = row.get(k, 0) + v
-            for s, w in gram_rows[i].items():
-                if (k := slot_index.get((s, j))) is not None:
-                    row[k] = row.get(k, 0) + sign * w
-            if row := {k: v for k, v in row.items() if v}:
-                rows.append(row)
+    n = q.basis.dim
+    p = q.basis.parities
+    slots = [(i, j) for i in range(n) for j in range(n) if p[i] == (p[j] + degree) % 2]
+    unit = _defects(q, degree)
+    rows: dict[tuple[int, int, int, int], dict[int, Rat]] = {}  # defect key -> {slot: coefficient}
+    for k, slot in enumerate(slots):
+        for key, v in unit(*slot).items():
+            rows.setdefault(key, {})[k] = v
     out: list[Superderivation] = []
-    for v in reduced_kernel(rows, len(slots)):
+    for v in reduced_kernel(list(rows.values()), len(slots)):
         matrix = [[Fraction(0)] * n for _ in range(n)]
         for k, x in v.items():
             i, j = slots[k]
@@ -368,9 +352,11 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     and form  B~(Z+X+f, W+Y+g) = B(X,Y) + gamma(Z,W) + f(W) + (-1)^{xy} g(Z).
     Each bracket and form entry is written once, from the nonzeros of the
     data; the other order of a pair follows by skew supersymmetry.
-    The datum is validated first; the output is validated afterwards, and a
-    failure there is an internal error, since a valid datum always yields a
-    valid quadratic structure.
+    The datum is validated first, except for the base; the output is
+    validated afterwards.  A valid base and datum always yield a valid
+    quadratic structure, so only when the output fails is the base
+    validated: an invalid base is an input error, a valid one an internal
+    error.
     """
     report = validate_extension_datum(d)
     if not report.ok:
@@ -441,6 +427,11 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     out = QuadraticLieSuperalgebra(algebra=algebra, form=form)
     check = validate_quadratic(out)
     if not check.ok:
+        if not (base_check := validate_quadratic(base)).ok:
+            first = base_check.violations[0]
+            raise InputError(
+                f"extension base invalid: {first.rule} at {first.witness}: {first.message}"
+            )
         first = check.violations[0]
         raise EngineError(
             "double extension of a valid datum failed validation: "
@@ -524,12 +515,12 @@ def central_reduction(
     base, with the bracket less its z-component and the restricted form;
     D = ad x there.  Certificate, on every call: the double extension
     ``one_dim_double_extension(base, D, labels=(x, z))``, put back in q's
-    basis order, is q exactly.
+    basis order, is q exactly.  That output is validated, so an invalid q
+    cannot pass; q itself is validated only when the rebuild fails, to
+    tell an input error (q invalid) from an engine fault.
     """
     if not isinstance(q, QuadraticLieSuperalgebra):
         raise InputError("central_reduction needs a quadratic Lie superalgebra")
-    if not validate_quadratic(q).ok:
-        raise InputError("central_reduction needs a valid quadratic Lie superalgebra")
     basis, gram = q.basis, q.form.gram
     iz, ix = basis.index(z), basis.index(x)
     if basis.parities[iz] or basis.parities[ix]:
@@ -563,12 +554,22 @@ def central_reduction(
     deriv = Superderivation(
         matrix=tuple(tuple(ad[i][j] for j in keep) for i in keep), degree=0
     )
-    rebuilt = reorder_quadratic(
-        one_dim_double_extension(base, deriv, labels=(x, z)), basis.labels
-    )
+    try:
+        rebuilt = reorder_quadratic(
+            one_dim_double_extension(base, deriv, labels=(x, z)), basis.labels
+        )
+    except (InputError, EngineError):
+        _require_valid(q)
+        raise
     if rebuilt.algebra.constants != q.algebra.constants or rebuilt.form.gram != gram:
+        _require_valid(q)
         raise EngineError(
             f"central reduction by ({z}, {x}): the double extension of the "
             "base does not rebuild the algebra"
         )
     return base, deriv
+
+
+def _require_valid(q: QuadraticLieSuperalgebra) -> None:
+    if not validate_quadratic(q).ok:
+        raise InputError("central_reduction needs a valid quadratic Lie superalgebra")

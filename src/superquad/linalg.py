@@ -232,19 +232,3 @@ def inverse(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
 def echelon_basis(vectors: Iterable[Sequence[Rat]]) -> list[list[Rat]]:
     """RREF basis of the span of the given vectors (dropping zero rows)."""
     return rref([list(v) for v in vectors])[0]
-
-
-def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat] | None:
-    """One solution of m x = b, or None if inconsistent."""
-    if not m:
-        return None
-    cols = len(m[0])
-    aug = [list(row) + [val] for row, val in zip(m, b)]
-    reduced, pivots = rref(aug)
-    for row, pc in zip(reduced, pivots):
-        if pc == cols:
-            return None
-    x = [Fraction(0)] * cols
-    for row, pc in zip(reduced, pivots):
-        x[pc] = row[cols]
-    return x

@@ -295,6 +295,20 @@ def test_double_extend_rejects_non_skew(tmp_path, capsys):
     assert "INVALID derivation" in out
 
 
+def test_double_extend_validates_its_base(tmp_path, capsys):
+    base = tmp_path / "doubled.json"
+    base.write_text(json.dumps(algebra_to_dict(doubled_odd_form())))
+    assert main(["validate", str(base)]) == 1
+    expected = capsys.readouterr().out
+    deriv = tmp_path / "zero.json"
+    deriv.write_text(json.dumps([[0] * 4 for _ in range(4)]))
+    assert main(["double-extend", str(base), "--derivation", str(deriv)]) == 1
+    out, err = capsys.readouterr()
+    assert out == expected and err == ""
+    assert "violation: invariance at" in out
+    assert out.endswith(" violation(s)\n") and "INVALID: " in out
+
+
 def test_unknown_key_is_a_usage_error(capsys):
     assert main(["validate", "does_not_exist"]) == 2
     assert "error:" in capsys.readouterr().err

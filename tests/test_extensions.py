@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS, double_extension_dense, skew_superderivation_by_pairs
+from helpers import QUADRATIC_KEYS, double_extension_dense, doubled_odd_form, perturbed, skew_superderivation_by_pairs
 from superquad import build, validate_quadratic
-from superquad.algebra import GradedBasis, LieSuperalgebra
+from superquad.algebra import GradedBasis, LieSuperalgebra, ValidationReport, Violation
 from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
@@ -124,6 +124,28 @@ def test_leibniz_violation_reported():
     )
 
 
+# (dim, dim) of the degree-0 and degree-1 skew superderivation spaces at
+# the default parameters, as in perfbench/reference.json
+SKEW_DIMS = {
+    "g_4_1_s": (2, 2),
+    "g_4_2_s": (1, 2),
+    "g_6_s": (5, 4),
+    "g_6_1": (11, 0),
+    "g_6_2": (8, 0),
+    "g_6_3": (6, 0),
+    "g_8_2_1_s": (9, 2),
+    "g_8_2_2_s": (10, 6),
+    "g_8_2_3_s": (9, 2),
+    "g_8_2_4_s": (9, 6),
+    "g_8_2_5_s": (7, 2),
+    "g_8_2_6_s": (7, 2),
+    "g_8_2_7_s": (7, 2),
+    "g_8_2_8_s": (7, 4),
+    "g_8_2_9_s": (6, 2),
+    "g_dec": (14, 6),
+}
+
+
 def test_skew_superderivation_space_dimensions():
     # frozen regressions, confirmed against the block-structure count:
     # on an abelian 2|2 algebra the even skew maps form so(2) + sp(2)
@@ -131,9 +153,20 @@ def test_skew_superderivation_space_dimensions():
     qa = abelian_quadratic()
     assert len(skew_superderivation_space(qa, 0)) == 4
     assert len(skew_superderivation_space(qa, 1)) == 4
-    q = build("g_4_1_s")
-    assert len(skew_superderivation_space(q, 0)) == 2
-    assert len(skew_superderivation_space(q, 1)) == 2
+    assert sorted(SKEW_DIMS) == sorted(QUADRATIC_KEYS)
+    for key, dims in SKEW_DIMS.items():
+        q = build(key)
+        assert tuple(len(skew_superderivation_space(q, d)) for d in (0, 1)) == dims, key
+
+
+def test_skew_checks_need_a_form():
+    g = build("h")
+    for call in (
+        lambda: is_skew_superderivation(g, zero_map(g.dim, 0), 0),
+        lambda: skew_superderivation_space(g, 0),
+    ):
+        with pytest.raises(InputError, match="quadratic"):
+            call()
 
 
 def test_space_members_are_independent_and_valid():
@@ -141,7 +174,8 @@ def test_space_members_are_independent_and_valid():
         for degree in (0, 1):
             space = skew_superderivation_space(q, degree)
             for d in space:
-                assert is_skew_superderivation(q, d, degree).ok
+                assert d.degree == degree
+                assert skew_superderivation_by_pairs(q, d) == []
             flat = [
                 [d.matrix[i][j] for i in range(q.dim) for j in range(q.dim)]
                 for d in space
@@ -312,6 +346,50 @@ def test_extension_certificates_fire(monkeypatch):
         central_reduction(q, "Z3", "X3")
 
 
+def test_an_invalid_base_is_an_input_error():
+    # the datum (psi = 0) is valid, so the output fails only because the
+    # base does, and the base is blamed
+    bad = doubled_odd_form()
+    with pytest.raises(InputError, match="extension base invalid: invariance"):
+        one_dim_double_extension(bad, zero_map(bad.dim, 0))
+    rng = random.Random("invalid base")
+    invalid = 0
+    for key in QUADRATIC_KEYS:
+        q = perturbed(key, rng)
+        if not validate_quadratic(q).ok:
+            invalid += 1
+            with pytest.raises(InputError):
+                one_dim_double_extension(q, zero_map(q.dim, 0))
+    assert invalid > len(QUADRATIC_KEYS) // 2
+
+
+def test_a_valid_base_with_an_invalid_output_is_an_engine_error(monkeypatch):
+    import superquad.extensions as module
+
+    q = build("g_4_1_s")
+    real = module.validate_quadratic
+    broken = ValidationReport((Violation(rule="jacobi", witness=(), message="forced"),))
+    monkeypatch.setattr(module, "validate_quadratic", lambda x: real(x) if x is q else broken)
+    with pytest.raises(EngineError, match="failed validation"):
+        one_dim_double_extension(q, zero_map(q.dim, 0))
+
+
+def test_central_reduction_of_an_invalid_algebra_is_an_input_error():
+    # q is validated only when the rebuild fails; an invalid q must still
+    # end as InputError, wherever it is caught
+    rng = random.Random("invalid reduction")
+    rebuilt = 0
+    for _ in range(4):
+        for i in range(1, 10):
+            q = perturbed(f"g_8_2_{i}_s", rng)
+            if validate_quadratic(q).ok:
+                continue
+            with pytest.raises(InputError) as caught:
+                central_reduction(q, "Z3", "X3")
+            rebuilt += "needs a valid" in str(caught.value)
+    assert rebuilt
+
+
 def test_central_reduction_rejects_unadapted_pairs():
     q = build("g_8_2_5_s")
     for z, x, match in (
@@ -415,7 +493,7 @@ def test_skew_check_matches_dense_oracle_on_perturbed_space_elements():
         n = q.dim
         rng = random.Random(f"skew:{key}")
         for degree in (0, 1):
-            for d in skew_superderivation_space(q, degree)[:4]:
+            for d in skew_superderivation_space(q, degree):
                 assert is_skew_superderivation(q, d, degree).violations == ()
                 assert skew_superderivation_by_pairs(q, d) == []
                 matrix = [list(row) for row in d.matrix]

@@ -17,7 +17,6 @@ from superquad.linalg import (
     rat,
     reduced_kernel,
     rref,
-    solve,
 )
 
 fractions = st.fractions(
@@ -104,23 +103,6 @@ def test_nullspace_vectors_are_in_kernel(mc):
         assert all(x == 0 for x in image)
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices(min_dim=1), st.data())
-def test_solve_round_trip(mc, data):
-    m, cols = mc
-    x = data.draw(st.lists(fractions, min_size=cols, max_size=cols))
-    b = [sum(row[j] * x[j] for j in range(cols)) for row in m]
-    got = solve(m, b)
-    assert got is not None
-    back = [sum(row[j] * got[j] for j in range(cols)) for row in m]
-    assert back == b
-
-
-def test_solve_inconsistent_returns_none():
-    m = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert solve(m, [Fraction(1), Fraction(2)]) is None
-
-
 @settings(max_examples=30, deadline=None)
 @given(squares())
 def test_inverse_when_nonsingular(m):
@@ -135,21 +117,16 @@ def test_inverse_when_nonsingular(m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(), st.data())
-def test_elimination_matches_the_dense_oracle(mc, data):
+@given(matrices())
+def test_elimination_matches_the_dense_oracle(mc):
     m, cols = mc
     expected = rref_dense(m)
     assert rref(m) == expected
     assert rank(m) == len(expected[0])
-    if data.draw(st.booleans()):  # b in the column space, or anything
-        x = data.draw(st.lists(fractions, min_size=cols, max_size=cols))
-        b = [sum(row[j] * x[j] for j in range(cols)) for row in m]
-    else:
-        b = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
-    got = (nullspace(m, cols), echelon_basis(m), solve(m, b))
+    got = (nullspace(m, cols), echelon_basis(m))
     assert got[0] == nullspace_dense(m, cols)
     with patch.object(linalg, "rref", rref_dense):
-        assert got == (nullspace(m, cols), echelon_basis(m), solve(m, b))
+        assert got == (nullspace(m, cols), echelon_basis(m))
     # the same matrix as {column: nonzero} rows; rref answers in that form
     sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
     reduced = [{j: x for j, x in enumerate(row) if x} for row in expected[0]]
