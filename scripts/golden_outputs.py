@@ -27,13 +27,15 @@ directories:
 * ``double-extend <key> --derivation deriv_bad_<key>.json`` for every
   quadratic key, the same derivation with one seeded entry moved, so
   the printed violations of the superderivation check are compared;
-* ``validate`` (text and JSON) on three invalid documents, also written
+* ``validate`` (text and JSON) on four invalid documents, also written
   there: a bracket coefficient scaled by 3/2 (``g_8_2_5_s``, super
   Jacobi fails), a Gram value moved by 1/2 (``g_6_s``, invariance
-  fails), and both (``g_6_3``), so violation messages with their
-  printed residuals are compared too, and ``double-extend`` on the
+  fails), both (``g_6_3``), and a form pairing the first even with the
+  first odd vector (``g_4_1_s``, not even), so violation messages with
+  their printed residuals are compared too; ``double-extend`` on the
   moved Gram value (``g_6_s``'s derivation), so an invalid base is
-  compared too;
+  compared too; and ``poisson`` on the moved Gram value and on the odd
+  pairing, so the error text of the form check is compared too;
 * ``queries.txt``: for every catalog key and degrees 1 to 3, a fixed
   seeded set of cochains (sums of representatives, a coboundary and,
   for a third of them, a random monomial), each with its
@@ -78,11 +80,13 @@ from superquad import (
 )
 
 COEFFS = (1, -2, 3, -1, 2)  # derivation = sum_t COEFFS[t % 5] * (skew basis)_t
-# (name, catalog key, scale a bracket coefficient, move a Gram value)
+# (name, catalog key, scale a bracket coefficient, move a Gram value,
+# pair the first even with the first odd vector)
 BROKEN = (
-    ("non_jacobi", "g_8_2_5_s", True, False),
-    ("perturbed_gram", "g_6_s", False, True),
-    ("both", "g_6_3", True, True),
+    ("non_jacobi", "g_8_2_5_s", True, False, False),
+    ("perturbed_gram", "g_6_s", False, True, False),
+    ("both", "g_6_3", True, True, False),
+    ("not_even", "g_4_1_s", False, False, True),
 )
 
 
@@ -117,9 +121,9 @@ def _scaled(value: str, factor: Fraction, shift: Fraction = Fraction(0)) -> str:
 
 def invalid_documents() -> dict[str, dict]:
     """Catalog documents broken on purpose: a bracket coefficient scaled by
-    3/2, a Gram value moved by 1/2, or both."""
+    3/2, a Gram value moved by 1/2, both, or a form entry B(even, odd) = 1."""
     out = {}
-    for name, key, bracket, form in BROKEN:
+    for name, key, bracket, form, odd_pair in BROKEN:
         doc = algebra_to_dict(build(key))
         if bracket:
             term = doc["brackets"][-1]["terms"][0]
@@ -127,6 +131,9 @@ def invalid_documents() -> dict[str, dict]:
         if form:
             entry = doc["form"][0]
             entry["value"] = _scaled(entry["value"], Fraction(1), Fraction(1, 2))
+        if odd_pair:
+            even, odd = (next(b["label"] for b in doc["basis"] if b["parity"] == p) for p in (0, 1))
+            doc["form"].append({"left": even, "right": odd, "value": "1"})
         out[name] = doc
     return out
 
@@ -210,6 +217,8 @@ def commands(target: Path) -> list[tuple[str, list[str]]]:
     out.append(
         ("double_extend_invalid_perturbed_gram.txt", ["double-extend", base, "--derivation", str(target / "deriv_g_6_s.json")])
     )
+    for name in ("perturbed_gram", "not_even"):
+        out.append((f"poisson_invalid_{name}.txt", ["poisson", str(target / f"invalid_{name}.json")]))
     return out
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .linalg import Echelon, Rat, _frac, _num, echelon_basis, rat, reduced_kernel
+from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
 
 Vector = tuple[Rat, ...]
 
@@ -338,23 +338,21 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
-        rows = echelon_basis([list(v) for v in vectors])
-        return cls(ambient=ambient, rows=tuple(tuple(r) for r in rows))
+        rows = Echelon(_sparse_rows(vectors)).rows
+        return cls(
+            ambient=ambient,
+            rows=tuple(tuple(_frac(rows[p].get(j, 0)) for j in range(ambient.dim)) for p in sorted(rows)),
+        )
 
     def contains(self, v: Sequence[Rat]) -> bool:
-        stacked = [list(r) for r in self.rows] + [list(v)]
-        return len(echelon_basis(stacked)) == self.dim
+        return rank([*self.rows, v]) == self.dim
 
     def is_homogeneous(self) -> bool:
         """True when the subspace is spanned by its even and odd parts."""
         ne = self.ambient.even_dim
-        even_parts = []
-        odd_parts = []
-        for r in self.rows:
-            even_parts.append(list(r[:ne]) + [Fraction(0)] * (self.ambient.dim - ne))
-            odd_parts.append([Fraction(0)] * ne + list(r[ne:]))
-        pieces = echelon_basis(even_parts + odd_parts)
-        return len(pieces) == self.dim
+        evens = [dict(enumerate(r[:ne])) for r in self.rows]
+        odds = [dict(enumerate(r[ne:], ne)) for r in self.rows]
+        return rank(evens + odds) == self.dim
 
 
 def derived_series(g: LieSuperalgebra) -> list[Subspace]:

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 from .algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from .errors import EngineError, InputError
 from .extensions import Superderivation, central_reduction
-from .linalg import Rat, _combine, _frac, _sparse_rows, rat, transpose
+from .linalg import Rat, _combine, _frac, rat
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra, validate_quadratic
 
 __all__ = [
@@ -85,7 +85,7 @@ def _derive_odd_odd_rows(labels, parities, rows, pairs):
     table = LieSuperalgebra.from_label_table(basis, rows).bracket_table()
     form = BilinearForm.from_pairs(basis, pairs)
     ne, n = basis.even_dim, basis.dim
-    right = _combine(table, _sparse_rows(transpose(form.gram)))  # (u, b) -> {a: B(e_a, [e_u, e_b])}
+    right = _combine(table, form.columns)  # (u, b) -> {a: B(e_a, [e_u, e_b])}
     w = {
         (i, j): {u: -x for u in range(ne) if (x := right.get((u, j), {}).get(i))}
         for i in range(ne, n)

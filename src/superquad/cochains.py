@@ -35,11 +35,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat, _combine, _frac, _num, _sparse_rows, rat_str
+from .linalg import Rat, _combine, _frac, _num, rat_str
 from .quadratic import QuadraticLieSuperalgebra
 
 
@@ -183,15 +183,6 @@ class Cochain:
                 return c
         return Fraction(0)
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(m.degree, m.z2_degree) for m, _ in self.terms}
-
-    def homogeneous_bidegree(self) -> tuple[int, int] | None:
-        degs = self.bidegrees()
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def __add__(self, other: "Cochain") -> "Cochain":
         _same_basis(self, other)
         return Cochain.from_terms(self.basis, self.terms + other.terms)
@@ -306,17 +297,6 @@ def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
             for od in itertools.combinations_with_replacement(range(ne, n), b):
                 out.append(_monomial(ev, od))
     return out
-
-
-def from_values(basis: GradedBasis, k: int, value_fn: Callable[[tuple[int, ...]], Rat]) -> Cochain:
-    """Reconstruct the degree-k cochain with the given values on
-    canonical tuples (the inverse of ``evaluate``)."""
-    terms: dict[Monomial, Rat] = {}
-    for m in monomials_of_degree(basis, k):
-        v = value_fn(m.even + m.odd)
-        if v != 0:
-            terms[m] = Fraction(v, m.mult_factor())
-    return Cochain.from_terms(basis, terms)
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:
@@ -520,37 +500,22 @@ def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:
 def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     """The cochain I of bidegree (3, even) with I(X,Y,Z) = B([X,Y],Z).
 
-    Built from values on canonical triples, then checked against
-    B([.,.],.) on every index triple; the check failing means q is not
-    actually quadratic.
+    The coefficient of the monomial of a canonical triple i <= j <= k is
+    B([e_i,e_j],e_k) / mult_factor, its value there.  The form check
+    (``QuadraticLieSuperalgebra.require_form``) makes that I: invariance
+    and supersymmetry give every other ordering its value, and the grading
+    keeps a repeated even letter and an odd I out.
     """
-    g = q.algebra
-    basis = g.basis
-    # row (i, j) is B([e_i, e_j], .), computed once per nonzero bracket
-    rows = _combine(g.bracket_table(), _sparse_rows(q.form.gram))
-    icochain = from_values(basis, 3, lambda args: rows.get(args[:2], {}).get(args[2], 0))
-    # I is nonzero only on the orderings of its monomials' letters, each
-    # ordering of one monomial, so comparing the nonzero values compares
-    # every triple.  An ordering's value is ``evaluate``'s: the reordering
-    # sign times the term's canonical value, coefficient * mult_factor
-    parities = basis.parities
-    values = {}
-    for m, c in icochain.terms:
-        canonical_value = c * m.mult_factor()
-        for args in itertools.permutations(m.even + m.odd):
-            values[args] = reorder_to_canonical(parities, args)[2] * canonical_value
-    expected = {(i, j, k): x for (i, j), row in rows.items() for k, x in row.items()}
-    if values != expected:
-        raise InputError(
-            "associated 3-form is inconsistent with B([.,.],.); "
-            "the input form is not invariant or not supersymmetric"
-        )
-    deg = icochain.homogeneous_bidegree()
-    if not icochain.is_zero and deg != (3, 0):
-        raise InputError(
-            "associated 3-form must have bidegree (3, even); the input form is not even"
-        )
-    return icochain
+    q.require_form()
+    ne = q.basis.even_dim
+    pairs = {(i, j): terms for (i, j), terms in q.algebra.bracket_table().items() if i <= j}
+    acc: dict[Monomial, Rat] = {}
+    for (i, j), row in _combine(pairs, q.form.rows).items():  # B([e_i, e_j], .)
+        for k, x in row.items():
+            if k >= j:
+                m = _letters(ne, (i, j, k))
+                acc[m] = Fraction(x, m.mult_factor())
+    return _cochain(q.basis, acc)
 
 
 def poisson_bracket(q: QuadraticLieSuperalgebra, a: Cochain, b: Cochain) -> Cochain:
@@ -596,10 +561,10 @@ class _PoissonLeft:
 def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     """A prepared as the left operand of ``poisson_bracket``, built once
     by a caller that brackets it with many cochains.  Raises InputError
-    unless B is even, supersymmetric and non-degenerate (see
-    ``BilinearForm.inverse_columns``)."""
+    unless q passes ``QuadraticLieSuperalgebra.require_form``."""
     if a.basis != q.basis:
         raise InputError("the cochain and the form live over different bases")
+    q.require_form()
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
     contractions = _contractions(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     GradedBasis,
@@ -17,7 +18,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _frac, _sparse_rows, rat, reduced_kernel, transpose
+from .linalg import Rat, _combine, _frac, _sparse_rows, rat, reduced_kernel
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -60,6 +61,16 @@ class Superderivation:
                 raise InputError("superderivation matrix must be square")
             rows.append(tuple(rat(v) for v in row))
         object.__setattr__(self, "matrix", tuple(rows))
+
+    @cached_property
+    def columns(self) -> list[dict[int, Rat]]:
+        """D e_s as {r: D[r][s]} for each s, in the kernels' form (see
+        ``linalg._num``), built once: read it, never reduce it in place."""
+        cols: list[dict[int, Rat]] = [{} for _ in self.matrix]
+        for r, row in enumerate(_sparse_rows(self.matrix)):
+            for s, x in row.items():
+                cols[s][r] = x
+        return cols
 
     @property
     def dim(self) -> int:
@@ -117,8 +128,8 @@ def _defects(q_or_g, degree: int):
             for t, c in terms.items():
                 by_target.setdefault(t, []).append((i, j, c))
     if quadratic:
-        gram_rows = _sparse_rows(q_or_g.form.gram)  # r -> {j: B(e_r, e_j)}
-        gram_cols = _sparse_rows(transpose(q_or_g.form.gram))  # r -> {i: B(e_i, e_r)}
+        gram_rows = q_or_g.form.rows  # r -> {j: B(e_r, e_j)}
+        gram_cols = q_or_g.form.columns  # r -> {i: B(e_i, e_r)}
 
     def unit(r: int, s: int) -> dict[tuple[int, int, int, int], Rat]:
         out: dict[tuple[int, int, int, int], Rat] = {}
@@ -285,7 +296,7 @@ def validate_extension_datum(d: ExtensionDatum) -> ValidationReport:
             )
     # morphism: psi([Z,W]_h) = psi(Z) psi(W) - (-1)^{zw} psi(W) psi(Z)
     h_table = d.h.bracket_table()
-    cols = [_sparse_rows(transpose(dk.matrix)) for dk in d.psi]  # column s: {r: psi[r][s]}
+    cols = [dk.columns for dk in d.psi]  # column s: {r: psi[r][s]}
     for i in range(hbasis.dim):
         for j in range(i, hbasis.dim):
             sign = -1 if hbasis.parities[i] and hbasis.parities[j] else 1
@@ -393,9 +404,9 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     for (i, j), terms in base.algebra.constants.items():
         for t, c in terms.items():
             add(gi[i], gi[j], gi[t], c)
-    gram_rows = _sparse_rows(base.form.gram)
+    gram_rows = base.form.rows
     for k, dk in enumerate(d.psi):
-        cols = dict(enumerate(_sparse_rows(transpose(dk.matrix))))
+        cols = dict(enumerate(dk.columns))
         for s, col in cols.items():  # psi(Z_k)(X_s)
             for r, c in col.items():
                 add(hi[k], gi[s], gi[r], c)
@@ -417,7 +428,7 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
         for j, v in row.items():
             gram[gi[i]][gi[j]] = v
     if d.gamma is not None:
-        for i, row in enumerate(_sparse_rows(d.gamma.gram)):
+        for i, row in enumerate(d.gamma.rows):
             for j, v in row.items():
                 gram[hi[i]][hi[j]] = v
     for k in range(nh):  # f(W) and (-1)^{xy} g(Z)
@@ -471,8 +482,8 @@ def one_dim_double_extension(
         (new[i], new[j]): {new[t]: c for t, c in terms.items()}
         for (i, j), terms in q.algebra.constants.items()
     }
-    cols = dict(enumerate(_sparse_rows(transpose(deriv.matrix))))
-    for i, row in _combine(cols, _sparse_rows(q.form.gram)).items():
+    cols = dict(enumerate(deriv.columns))
+    for i, row in _combine(cols, q.form.rows).items():
         for j, v in row.items():
             if j >= i:  # B(D X_i, X_j) f
                 rows.setdefault((new[i], new[j]), {})[ne + 1] = v
@@ -527,8 +538,7 @@ def central_reduction(
         raise InputError(f"central_reduction needs even {z} and {x}")
     if any(iz in pair for pair in q.algebra.constants):
         raise InputError(f"{z} is not central")
-    support = lambda i: {j: v for j, v in enumerate(gram[i]) if v}
-    if support(iz) != {ix: 1} or support(ix) != {iz: 1}:
+    if q.form.rows[iz] != {ix: 1} or q.form.rows[ix] != {iz: 1}:
         raise InputError(
             f"{x} and {z} must be isotropic, with B({x}, {z}) = 1 and "
             "B-orthogonal to every other basis vector"

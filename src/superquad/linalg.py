@@ -55,20 +55,12 @@ def rat(value) -> Rat:
 
 
 def rat_str(x: Rat) -> str:
-    """Render a rational as "p" or "p/q" (no floats ever)."""
+    """Render an exact rational as "p" or "p/q"; anything ``rat`` refuses,
+    a float among them, is an InputError."""
+    x = rat(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def identity(n: int) -> list[list[Rat]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
 
 
 def _num(x: Rat | int) -> Rat | int:
@@ -171,38 +163,8 @@ def _subtract(v: dict[int, Rat], a: Rat, row: dict[int, Rat]) -> None:
             del v[j]
 
 
-def rref(m: Rows) -> tuple[list, list[int]]:
-    """Reduced row echelon form with leftmost pivots.
-
-    Returns (R, pivots) where pivots[i] is the column of the leading 1
-    in row i; zero rows are dropped from R.  R has the form of m's rows:
-    dense lists, or {column: nonzero} when m's rows are mappings.
-    """
-    rows = Echelon(_sparse_rows(m)).rows
-    pivots = sorted(rows)
-    if m and isinstance(m[0], Mapping):
-        return [{j: _frac(x) for j, x in rows[p].items()} for p in pivots], pivots
-    zero = Fraction(0)
-    return [[_frac(rows[p].get(j, zero)) for j in range(len(m[0]))] for p in pivots], pivots
-
-
 def rank(m: Rows) -> int:
     return len(Echelon(_sparse_rows(m)).rows)
-
-
-def nullspace(m: Rows, cols: int | None = None) -> list[list[Rat]]:
-    """Basis of the right kernel {v : m v = 0}: ``Echelon.kernel`` made dense.
-
-    The vectors are normalized so the free coordinate is 1; listing free
-    columns in ascending order makes the output canonical.  Mapping rows
-    do not tell the column count, so they need ``cols``.
-    """
-    if cols is None:
-        if not m or isinstance(m[0], Mapping):
-            raise InputError("nullspace of an empty or sparse matrix needs an explicit column count")
-        cols = len(m[0])
-    zero = Fraction(0)
-    return [[_frac(v.get(j, zero)) for j in range(cols)] for v in Echelon(_sparse_rows(m)).kernel(cols)]
 
 
 def reduced_kernel(m: Rows, cols: int) -> list[dict[int, Rat]]:
@@ -216,19 +178,3 @@ def reduced_kernel(m: Rows, cols: int) -> list[dict[int, Rat]]:
     last = cols - 1
     rows = [{last - j: x for j, x in r.items()} for r in _sparse_rows(m)]
     return [{last - j: x for j, x in v.items()} for v in reversed(Echelon(rows).kernel(cols))]
-
-
-def inverse(m: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InputError("inverse requires a square matrix")
-    aug = [list(row) + list(e) for row, e in zip(m, identity(n))]
-    reduced, pivots = rref(aug)
-    if len(reduced) != n or pivots[:n] != list(range(n)):
-        raise InputError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
-def echelon_basis(vectors: Iterable[Sequence[Rat]]) -> list[list[Rat]]:
-    """RREF basis of the span of the given vectors (dropping zero rows)."""
-    return rref([list(v) for v in vectors])[0]

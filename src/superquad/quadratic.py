@@ -2,8 +2,9 @@
 
 A quadratic Lie superalgebra carries an even, supersymmetric, invariant,
 non-degenerate bilinear form B.  This module stores B as a Gram matrix
-over the graded basis, validates the four axioms exactly, and gives the
-Poisson bracket the columns of the inverse Gram matrix.
+over the graded basis, with its nonzeros by row and by column, validates
+the four axioms exactly, and gives the Poisson bracket the columns of the
+inverse Gram matrix.
 """
 
 from __future__ import annotations
@@ -13,9 +14,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import GradedBasis, LieSuperalgebra, Subspace, ValidationReport, Violation, validate_lie_superalgebra
+from .algebra import (
+    GradedBasis,
+    LieSuperalgebra,
+    Subspace,
+    ValidationReport,
+    Violation,
+    validate_grading_and_skew,
+    validate_lie_superalgebra,
+)
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _frac, _sparse_rows, echelon_basis, inverse, rank, rat, reduced_kernel, transpose
+from .linalg import Echelon, Rat, _combine, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
 
 
 @dataclass(frozen=True)
@@ -59,20 +68,31 @@ class BilinearForm:
         return cls(basis=basis, gram=filled)
 
     @cached_property
+    def rows(self) -> list[dict[int, Rat]]:
+        """B(e_i, .) as {j: B(e_i, e_j)} for each i, in the kernels' form
+        (see ``linalg._num``), built once per form: read it, never reduce
+        it in place."""
+        return _sparse_rows(self.gram)
+
+    @cached_property
+    def columns(self) -> list[dict[int, Rat]]:
+        """B(., e_j) as {i: B(e_i, e_j)} for each j, like ``rows``."""
+        cols: list[dict[int, Rat]] = [{} for _ in self.gram]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
+
+    @cached_property
     def inverse_columns(self) -> list[dict[int, Rat]]:
-        """The columns of G^-1 as {row: nonzero} in the kernels' form (see
-        ``linalg._num``), built once per form.  Raises InputError unless
-        the form is even, supersymmetric and non-degenerate, checking the
-        nonzeros of G before inverting it."""
-        parities = self.basis.parities
-        rows = _sparse_rows(self.gram)
-        for r, row in enumerate(rows):
-            for s, x in row.items():
-                if parities[r] != parities[s]:
-                    raise InputError("the form pairs opposite parities: it is not even")
-                if rows[s].get(r, 0) != (-x if parities[r] else x):
-                    raise InputError("the form is not supersymmetric")
-        return _sparse_rows(transpose(inverse(self.gram)))
+        """The columns of G^-1 as {row: nonzero}, like ``rows``, from one
+        ``Echelon`` of [G^T | 1]: reduced, its row p is e_p followed by
+        column p of G^-1.  Raises InputError when G is singular."""
+        n = self.basis.dim
+        echelon = Echelon(({**col, n + p: 1} for p, col in enumerate(self.columns)), limit=n)
+        if len(echelon.rows) < n:
+            raise InputError("the Gram matrix is singular: the form is degenerate")
+        return [{j - n: _num(x) for j, x in echelon.rows[p].items() if j >= n} for p in range(n)]
 
     def value(self, x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
         total = Fraction(0)
@@ -103,6 +123,21 @@ class QuadraticLieSuperalgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def _form_violations(self) -> tuple[Violation, ...]:
+        """Every rule of ``validate_quadratic`` but super Jacobi, which the
+        cohomology's B^k in Z^k check catches: the grading of the bracket,
+        then the form's axioms.  Run once per object."""
+        return tuple(validate_grading_and_skew(self.algebra) + validate_form(self.algebra, self.form))
+
+    def require_form(self) -> None:
+        """Raise InputError naming the first of ``_form_violations``."""
+        if self._form_violations:
+            first = self._form_violations[0]
+            raise InputError(
+                f"quadratic algebra invalid: {first.rule} at {first.witness}: {first.message}"
+            )
+
 
 def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
     """Check evenness, supersymmetry, invariance, non-degeneracy of B."""
@@ -111,9 +146,7 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
     n = basis.dim
     p = basis.parities
     labels = basis.labels
-    gram = form.gram
-    rows = _sparse_rows(gram)  # B(e_i, .) as {j: B(e_i, e_j)}
-    cols = _sparse_rows(transpose(gram))  # B(., e_j) as {i: B(e_i, e_j)}
+    rows, cols = form.rows, form.columns
     for i in range(n):
         for j in range(i, n):
             gij = rows[i].get(j, 0)
@@ -157,7 +190,7 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
                     ),
                 )
             )
-    gram_rank = rank([list(row) for row in gram])
+    gram_rank = rank(rows)
     if gram_rank != n:
         out.append(
             Violation(
@@ -193,14 +226,16 @@ def orthogonal_complement(q: QuadraticLieSuperalgebra, ideal: Subspace) -> Subsp
     non-degenerate this asserts the stronger splitting facts: the ideal
     and its complement commute, intersect trivially, and together span.
     """
+    q.require_form()
     if not is_graded_ideal(q.algebra, ideal):
         raise InputError("orthogonal_complement requires a graded ideal")
     n = q.dim
-    system = [[q.form.value(_unit(n, i), list(row)) for i in range(n)] for row in ideal.rows]
-    kernel = reduced_kernel(system, n)
+    # one equation per ideal row s: {i: B(e_i, s)}
+    system = _combine(dict(enumerate(_sparse_rows(ideal.rows))), q.form.columns).values()
+    kernel = reduced_kernel(list(system), n)
     comp = Subspace(q.basis, tuple(tuple(_frac(v.get(j, 0)) for j in range(n)) for v in kernel))
     if comp.dim + ideal.dim != n:
-        raise EngineError("complement dimension defect: the form must be degenerate")
+        raise EngineError("complement dimension defect for a non-degenerate form")
     k = ideal.dim
     sub_gram = [
         [q.form.value(list(ideal.rows[i]), list(ideal.rows[j])) for j in range(k)]
@@ -212,16 +247,9 @@ def orthogonal_complement(q: QuadraticLieSuperalgebra, ideal: Subspace) -> Subsp
             for b in comp.rows:
                 if any(c != 0 for c in q.algebra.bracket(list(a), list(b))):
                     raise EngineError("non-degenerate ideal fails to commute with its complement")
-        joint = echelon_basis([list(r) for r in ideal.rows] + [list(r) for r in comp.rows])
-        if len(joint) != n:
+        if rank(ideal.rows + comp.rows) != n:
             raise EngineError("non-degenerate ideal meets its complement nontrivially")
     return comp
-
-
-def _unit(n: int, i: int) -> list[Rat]:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | None:
@@ -234,6 +262,7 @@ def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | 
     """
     from .algebra import center
 
+    q.require_form()
     z = center(q.algebra)
     ne = q.basis.even_dim
     even_rows = [list(r) for r in z.rows if all(c == 0 for c in r[ne:])]

@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat, rat
+from .linalg import rat, rat_str
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra
 
 __all__ = [
@@ -41,11 +41,7 @@ __all__ = [
 ]
 
 
-def rational_to_str(x: Rat) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+rational_to_str = rat_str  # one renderer behind both public names
 
 
 def rational_from_str(s: object) -> Fraction:

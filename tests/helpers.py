@@ -10,7 +10,11 @@ two is a meaningful check, not a tautology.
 ``rref_dense`` is the dense Gauss-Jordan elimination the engine's sparse
 echelon replaced; RREF is unique, so the two must agree exactly.
 ``nullspace_dense`` reads the kernel basis off it, as the engine's dense
-``nullspace`` did before ``Echelon.kernel`` replaced it.
+``nullspace`` did before ``Echelon.kernel`` replaced it, and
+``inverse_dense`` the inverse, as the engine's dense ``inverse`` did
+before ``BilinearForm.inverse_columns`` eliminated [G^T | 1] itself.
+``from_values`` is the cochain with given values on canonical tuples,
+the inverse of ``evaluate``, which ``differential_by_evaluation`` needs.
 ``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
 which the engine's weight-restricted ``is_coboundary`` replaced.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
@@ -33,7 +37,6 @@ from superquad.cochains import (
     Cochain,
     Monomial,
     evaluate,
-    from_values,
     monomials_of_degree,
     wedge,
 )
@@ -46,7 +49,7 @@ from superquad.extensions import (
     _grading_violations,
     validate_extension_datum,
 )
-from superquad.linalg import Rat, echelon_basis, inverse, nullspace, rank, transpose
+from superquad.linalg import Rat, rank
 from superquad.quadratic import validate_quadratic
 
 QUADRATIC_KEYS = (
@@ -114,6 +117,17 @@ def koszul(d1: tuple[int, int], d2: tuple[int, int]) -> int:
     return -1 if (d1[0] * d2[0] + d1[1] * d2[1]) % 2 else 1
 
 
+def from_values(basis, k: int, value_fn) -> Cochain:
+    """The degree-k cochain with the values ``value_fn`` gives on the
+    canonical tuples (the inverse of ``evaluate``)."""
+    terms: dict[Monomial, Rat] = {}
+    for m in monomials_of_degree(basis, k):
+        v = value_fn(m.even + m.odd)
+        if v != 0:
+            terms[m] = Fraction(v, m.mult_factor())
+    return Cochain.from_terms(basis, terms)
+
+
 def differential_by_evaluation(g: LieSuperalgebra, c: Cochain) -> Cochain:
     """The differential computed by evaluation.
 
@@ -158,11 +172,11 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
     coboundaries (the columns of d_prev, or none when d_prev is None),
     taking the rank from scratch once per cocycle.
     """
-    cocycles = nullspace([list(r) for r in d_k.entries], d_k.shape[1])
+    cocycles = nullspace_dense([list(r) for r in d_k.entries], d_k.shape[1])
     span = [list(col) for col in zip(*d_prev.entries)] if d_prev is not None else []
     current = rank(span) if span else 0
     reps: list[list[Rat]] = []
-    for v in echelon_basis(cocycles):
+    for v in rref_dense(cocycles)[0]:
         candidate = span + [list(v)]
         r = rank(candidate)
         if r > current:
@@ -187,7 +201,7 @@ def is_coboundary_full(q, c: Cochain) -> bool:
 def mat_mul(a, b) -> list[list[Rat]]:
     """The dense matrix product a b."""
     assert not (a and b) or len(a[0]) == len(b), "matrix product shape mismatch"
-    bt = transpose(b)
+    bt = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
@@ -238,6 +252,16 @@ def nullspace_dense(m, cols: int) -> list[list[Rat]]:
     return basis
 
 
+def inverse_dense(m) -> list[list[Rat]]:
+    """Reference inverse of a square matrix, read off ``rref_dense`` of
+    [m | 1]; InputError when m is singular."""
+    n = len(m)
+    reduced, pivots = rref_dense([list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
+    if pivots[:n] != list(range(n)):
+        raise InputError("matrix is singular")
+    return [row[n:] for row in reduced]
+
+
 def random_homogeneous(
     basis, rng: random.Random, max_degree: int = 2, max_terms: int = 2
 ) -> tuple[Cochain, tuple[int, int]]:
@@ -262,12 +286,12 @@ class PoissonOracle:
         ne = self.basis.even_dim
         n = self.basis.dim
         even_inv = (
-            inverse([[q.form.gram[i][j] for j in range(ne)] for i in range(ne)])
+            inverse_dense([[q.form.gram[i][j] for j in range(ne)] for i in range(ne)])
             if ne
             else []
         )
         odd_inv = (
-            inverse(
+            inverse_dense(
                 [
                     [q.form.gram[i][j] for j in range(ne, n)]
                     for i in range(ne, n)

@@ -453,8 +453,7 @@ def test_c10_sp2_lemmas():
 
 
 def _conjugate(m: Sp2Element, g) -> Sp2Element:
-    from helpers import mat_mul
-    from superquad.linalg import inverse
+    from helpers import inverse_dense, mat_mul
 
-    conj = mat_mul(inverse(g), mat_mul(m.matrix(), g))
+    conj = mat_mul(inverse_dense(g), mat_mul(m.matrix(), g))
     return Sp2Element(conj[0][0], conj[0][1], conj[1][0])

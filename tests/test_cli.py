@@ -213,7 +213,7 @@ def test_poisson_rejects_a_form_that_is_not_invariant(tmp_path, capsys):
     path.write_text(json.dumps(algebra_to_dict(doubled_odd_form())))
     assert main(["poisson", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: associated 3-form is inconsistent")
+    assert err.startswith("error: quadratic algebra invalid: invariance at")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -378,10 +378,10 @@ def test_poisson_bracket_rejects_a_malformed_form():
     g = LieSuperalgebra(basis=basis, constants={})
     good = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     faults = [
-        ("not even", {(0, 2): 1, (2, 0): 1}),
-        ("not supersymmetric", {(1, 0): 2}),  # even block not symmetric
-        ("not supersymmetric", {(3, 2): 1}),  # odd block not skew
-        ("singular", {(2, 3): 0, (3, 2): 0}),
+        ("even at", {(0, 2): 1, (2, 0): 1}),
+        ("supersymmetry at", {(1, 0): 2}),  # even block not symmetric
+        ("supersymmetry at", {(3, 2): 1}),  # odd block not skew
+        ("nondegenerate at", {(2, 3): 0, (3, 2): 0}),
     ]
     a, b = Cochain.dual(basis, "A"), Cochain.dual(basis, "B")
     for message, entries in faults:

@@ -28,9 +28,11 @@ from superquad import (
     skew_superderivation_space,
     wedge,
 )
-from superquad.cochains import Monomial, evaluate, from_values, monomials_of_degree
+from superquad.algebra import Subspace, center, derived_series
+from superquad.cochains import Monomial, evaluate, monomials_of_degree
 from superquad.errors import InputError
-from superquad.linalg import inverse, nullspace, rank, rref
+from superquad.linalg import Echelon, rank, reduced_kernel
+from superquad.quadratic import orthogonal_complement
 
 
 def all_fractions(values) -> bool:
@@ -79,18 +81,25 @@ def test_quadratic_values_are_fractions(key):
         assert all(all_fractions(row) for row in ext.form.gram)
 
 
+def half_scaled_g_4_1_s() -> QuadraticLieSuperalgebra:
+    """g_4_1_s (X0 Y0 | X1 Y1) with its bracket halved, every value an int:
+    [Y1, Y1] = -X0, [Y0, Y1] = -X1, B(X0, Y0) = B(X1, Y1) = 1."""
+    basis = GradedBasis(labels=("X0", "Y0", "X1", "Y1"), parities=(0, 0, 1, 1))
+    g = LieSuperalgebra.from_index_table(basis, [(3, 3, {0: -1}), (1, 3, {2: -1})])
+    gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+    return QuadraticLieSuperalgebra(g, BilinearForm(basis, gram))
+
+
 def test_linear_algebra_of_int_matrices_returns_fractions():
-    m = [[2, 4, 1], [1, 2, 3], [0, 0, 5]]
-    reduced, _ = rref(m)
-    assert all(all_fractions(row) for row in reduced)
-    sparse, _ = rref([{0: 2, 1: 4}, {1: 3}])
-    assert all(all_fractions(row.values()) for row in sparse)
-    assert all(all_fractions(v) for v in nullspace([[1, 1, 0], [0, 1, -1]]))
-    assert all(all_fractions(row) for row in inverse([[1, 1], [0, 1]]))
+    q = half_scaled_g_4_1_s()
+    z = center(q.algebra)
+    spaces = [z, orthogonal_complement(q, z), *derived_series(q.algebra)]
+    spaces.append(Subspace.from_vectors(q.basis, [[2, 4, 1, 0], [1, 2, 3, 0], [0, 0, 5, 1]]))
+    assert all(all_fractions(row) for space in spaces for row in space.rows)
 
 
 def test_float_matrix_entries_are_input_errors():
-    for f in (rank, rref, nullspace):
+    for f in (rank, lambda m: reduced_kernel(m, 2)):
         with pytest.raises(InputError, match="exact rationals"):
             f([[Fraction(1), 0.5]])
 
@@ -99,10 +108,11 @@ def test_float_matrix_entries_are_input_errors():
 
 
 def test_echelon_pivot_divides_through_fraction():
-    reduced, pivots = rref([[2, 3]])
-    assert reduced == [[1, Fraction(3, 2)]] and pivots == [0]
-    assert all_fractions(reduced[0])
-    assert nullspace([[2, 3]]) == [[Fraction(-3, 2), 1]]
+    echelon = Echelon([{0: 2, 1: 3}])
+    assert echelon.rows == {0: {0: 1, 1: Fraction(3, 2)}}
+    assert echelon.kernel(2) == [{1: 1, 0: Fraction(-3, 2)}]
+    rows = Subspace.from_vectors(GradedBasis(labels=("a", "b"), parities=(0, 0)), [[2, 3]]).rows
+    assert rows == ((1, Fraction(3, 2)),) and all_fractions(rows[0])
 
 
 def test_odd_square_halves_through_fraction():
@@ -115,10 +125,10 @@ def test_odd_square_halves_through_fraction():
 
 
 def test_values_divide_by_mult_factor_through_fraction():
-    q = build("g_4_1_s")  # X0 Y0 | X1 Y1
-    c = from_values(q.basis, 2, lambda args: 1)
-    square = c.coefficient(Monomial(even=(), odd=(2, 2)))
-    assert square == Fraction(1, 2) and all_fractions(coefficients(c))
+    # I on Y0 (x) Y1 Y1 is B([Y0, Y1], Y1) = -1 over the odd square's 2!
+    three = associated_three_form(half_scaled_g_4_1_s())
+    assert three.terms == ((Monomial(even=(1,), odd=(3, 3)), Fraction(-1, 2)),)
+    assert all_fractions(coefficients(three))
 
 
 def test_poisson_bracket_of_an_int_form_divides_through_fraction():

@@ -1,23 +1,16 @@
-"""Exact linear algebra over Fraction."""
+"""Exact linear algebra over Fraction: the sparse ``Echelon`` and what is
+built on it, each against the dense oracles of ``helpers``."""
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mat_mul, nullspace_dense, rref_dense
-from superquad import linalg
+from helpers import inverse_dense, mat_mul, nullspace_dense, rref_dense
+from superquad import BilinearForm, GradedBasis
+from superquad.algebra import Subspace
 from superquad.errors import InputError
-from superquad.linalg import (
-    echelon_basis,
-    identity,
-    inverse,
-    nullspace,
-    rank,
-    rat,
-    reduced_kernel,
-    rref,
-)
+from superquad.linalg import Echelon, rank, rat, rat_str, reduced_kernel
+from superquad.serialization import rational_to_str
 
 fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -48,6 +41,25 @@ def matrices(draw, min_dim=0, max_dim=8):
     return m, cols
 
 
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def sparse(m) -> list[dict[int, Fraction]]:
+    """m as {column: nonzero} rows, new dicts for Echelon to reduce."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def dense(rows, cols: int) -> list[list[Fraction]]:
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def even_form(m) -> BilinearForm:
+    """m as the Gram matrix of a form on an all-even basis."""
+    basis = GradedBasis(labels=tuple(f"e{i}" for i in range(len(m))), parities=(0,) * len(m))
+    return BilinearForm(basis, tuple(map(tuple, m)))
+
+
 @st.composite
 def squares(draw, max_dim=8):
     """Square matrices: L * U with unit L and invertible U (nonsingular),
@@ -69,10 +81,8 @@ def squares(draw, max_dim=8):
 
 
 def test_rref_identity():
-    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    r, pivots = rref(m)
-    assert r == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert pivots == [0, 1]
+    rows = Echelon(sparse([[2, 1], [1, 1]])).rows
+    assert rows == {0: {0: 1}, 1: {1: 1}}
 
 
 def test_rank_examples():
@@ -85,33 +95,32 @@ def test_rank_examples():
 @given(matrices())
 def test_rref_pivots_are_unit_columns(mc):
     m, _ = mc
-    r, pivots = rref(m)
-    for row_idx, col in enumerate(pivots):
-        column = [r[i][col] for i in range(len(r))]
-        assert column[row_idx] == 1
-        assert all(column[i] == 0 for i in range(len(r)) if i != row_idx)
+    rows = Echelon(sparse(m)).rows
+    for p, row in rows.items():
+        assert min(row) == p and row[p] == 1
+        assert all(p not in other for q, other in rows.items() if q != p)
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_nullspace_vectors_are_in_kernel(mc):
     m, cols = mc
-    ns = nullspace(m, cols)
+    ns = Echelon(sparse(m)).kernel(cols)
     assert len(ns) == cols - rank(m)
     for v in ns:
-        image = [sum(row[j] * v[j] for j in range(cols)) for row in m]
-        assert all(x == 0 for x in image)
+        assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in m)
 
 
 @settings(max_examples=30, deadline=None)
 @given(squares())
 def test_inverse_when_nonsingular(m):
     n = len(m)
+    form = even_form(m)
     if rank(m) < n:
-        with pytest.raises(InputError):
-            inverse(m)
+        with pytest.raises(InputError, match="singular"):
+            form.inverse_columns
     else:
-        inv = inverse(m)
+        inv = [list(col) for col in zip(*dense(form.inverse_columns, n))] if n else []
         assert mat_mul(m, inv) == identity(n)
         assert mat_mul(inv, m) == identity(n)
 
@@ -120,35 +129,29 @@ def test_inverse_when_nonsingular(m):
 @given(matrices())
 def test_elimination_matches_the_dense_oracle(mc):
     m, cols = mc
-    expected = rref_dense(m)
-    assert rref(m) == expected
-    assert rank(m) == len(expected[0])
-    got = (nullspace(m, cols), echelon_basis(m))
-    assert got[0] == nullspace_dense(m, cols)
-    with patch.object(linalg, "rref", rref_dense):
-        assert got == (nullspace(m, cols), echelon_basis(m))
-    # the same matrix as {column: nonzero} rows; rref answers in that form
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
-    reduced = [{j: x for j, x in enumerate(row) if x} for row in expected[0]]
-    assert rref(sparse) == (reduced, expected[1])
-    assert rank(sparse) == len(expected[0])
-    assert nullspace(sparse, cols) == got[0]
-    assert sparse == [{j: x for j, x in enumerate(row) if x} for row in m]  # not reduced in place
+    reduced, pivots = rref_dense(m)
+    rows = Echelon(sparse(m)).rows
+    assert sorted(rows) == pivots
+    assert dense([rows[p] for p in pivots], cols) == reduced
+    assert dense(Echelon(sparse(m)).kernel(cols), cols) == nullspace_dense(m, cols)
+    assert rank(m) == len(reduced)
+    # rank copies {column: nonzero} rows: they are not reduced in place
+    rows_in = sparse(m)
+    assert rank(rows_in) == len(reduced) and rows_in == sparse(m)
 
 
 @settings(max_examples=80, deadline=None)
 @given(squares())
 def test_inverse_matches_the_dense_oracle(m):
-    def inverse_or_none():
-        try:
-            return inverse(m)
-        except InputError:
-            return None
-
-    got = inverse_or_none()
-    with patch.object(linalg, "rref", rref_dense):
-        assert got == inverse_or_none()
-    assert (got is None) == (len(rref_dense(m)[0]) < len(m))
+    # an all-even basis: the form's parities put no block structure on m
+    n = len(m)
+    try:
+        want = inverse_dense(m)
+    except InputError:
+        with pytest.raises(InputError):
+            even_form(m).inverse_columns
+    else:
+        assert dense(even_form(m).inverse_columns, n) == [list(col) for col in zip(*want)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -174,8 +177,9 @@ def test_echelon_basis_removes_dependence():
         [Fraction(2), Fraction(4), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(3)],
     ]
-    basis = echelon_basis(vecs)
-    assert len(basis) == 2
+    ambient = GradedBasis(labels=("a", "b", "c"), parities=(0, 0, 0))
+    basis = Subspace.from_vectors(ambient, vecs).rows
+    assert basis == ((1, 2, 0), (0, 0, 1))
     # echelon form: each leading entry is 1 and lies right of the previous
     leads = [next(j for j, x in enumerate(v) if x != 0) for v in basis]
     assert leads == sorted(leads)
@@ -191,3 +195,11 @@ def test_rat_literals():
     # beyond the interpreter's 4300-digit limit for int parsing
     with pytest.raises(InputError):
         rat("1" * 4400)
+
+
+def test_one_renderer_refuses_floats():
+    assert rational_to_str is rat_str
+    assert rat_str(Fraction(-7, 2)) == "-7/2" and rat_str(3) == "3" and rat_str("4/6") == "2/3"
+    for bad in (0.1, 1.0, None):
+        with pytest.raises(InputError, match="not an exact rational"):
+            rat_str(bad)

@@ -1,12 +1,23 @@
 """Invariant bilinear forms."""
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import perturbed, super_jacobi_by_triples, validate_form_by_triples
-from superquad import build, catalog_keys
+from superquad import (
+    Cochain,
+    algebra_to_dict,
+    associated_three_form,
+    betti_table,
+    build,
+    catalog_keys,
+    differential_matrix,
+    poisson_bracket,
+)
 from superquad.algebra import GradedBasis, LieSuperalgebra, Subspace, validate_super_jacobi
+from superquad.cli import main
 from superquad.errors import InputError
 from superquad.quadratic import (
     BilinearForm,
@@ -118,6 +129,66 @@ def test_find_nondegenerate_central_line():
     # the catalog families have isotropic centers: no such line
     assert find_nondegenerate_central_line(build("g_4_1_s")) is None
     assert find_nondegenerate_central_line(build("g_dec")) is None
+
+
+def test_complement_and_central_line_refuse_an_invalid_form():
+    g = abelian(("a", "b"), (0, 0))
+    whole = Subspace.from_vectors(g.basis, [g.basis_vector(0)])
+    for rule, gram in (
+        ("nondegenerate", ((0, 0), (0, 0))),
+        ("supersymmetry", ((0, 1), (2, 0))),
+    ):
+        q = QuadraticLieSuperalgebra(g, BilinearForm(g.basis, gram))
+        with pytest.raises(InputError, match=f"invalid: {rule} at"):
+            orthogonal_complement(q, whole)
+        with pytest.raises(InputError, match=f"invalid: {rule} at"):
+            find_nondegenerate_central_line(q)
+
+
+# A, B | U, V with B(A, B) = B(U, V) = 1, then one fault each
+FIVE_FAULTS = (
+    ("even", {}, {(0, 2): 1, (2, 0): 1}),
+    ("supersymmetry", {}, {(1, 0): 2}),
+    ("nondegenerate", {}, {(2, 3): 0, (3, 2): 0}),
+    ("invariance", {(0, 2): {2: Fraction(1)}}, {}),  # [A, U] = U
+    ("skew", {(0, 0): {1: Fraction(1)}}, {}),  # [A, A] = B
+)
+
+
+@pytest.mark.parametrize("rule, constants, entries", FIVE_FAULTS)
+def test_one_form_check_serves_every_entry_point(rule, constants, entries, tmp_path, capsys):
+    basis = GradedBasis(labels=("A", "B", "U", "V"), parities=(0, 0, 1, 1))
+    gram = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    for (i, j), x in entries.items():
+        gram[i][j] = x
+    g = LieSuperalgebra(basis=basis, constants=constants)
+    q = QuadraticLieSuperalgebra(g, BilinearForm(basis, tuple(map(tuple, gram))))
+    a, b = Cochain.dual(basis, "A"), Cochain.dual(basis, "B")
+    whole = Subspace.from_vectors(basis, [g.basis_vector(i) for i in range(4)])
+    for call in (
+        lambda: associated_three_form(q),
+        lambda: poisson_bracket(q, a, b),
+        lambda: differential_matrix(q, 1),
+        lambda: betti_table(q, 1),
+        lambda: orthogonal_complement(q, whole),
+    ):
+        with pytest.raises(InputError, match=f"quadratic algebra invalid: {rule} at"):
+            call()
+    # every nonzero Gram entry, so the loader sees the fault too
+    doc = algebra_to_dict(q)
+    doc["form"] = [
+        {"left": basis.labels[i], "right": basis.labels[j], "value": str(x)}
+        for i, row in enumerate(gram)
+        for j, x in enumerate(row)
+        if x
+    ]
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["poisson", str(path)]) == 2
+    err = capsys.readouterr().err
+    # the loader fills B(y, x) from B(x, y), so a file cannot hold a form
+    # that is not supersymmetric: it names the conflicting entries
+    assert ("conflicting values" if rule == "supersymmetry" else f"invalid: {rule} at") in err
 
 
 def test_validate_quadratic_accepts_all_catalog_forms():
