@@ -13,8 +13,8 @@ exact output passes ``diff -r`` (byte for byte) between the two
 directories:
 
 * ``cohomology <key> --max-degree 3 --format json`` for every catalog
-  key, and ``g_8_2_5_s`` also to degrees 4 and 6 (delta_5 has 192
-  columns, so the larger eliminations are covered too);
+  key, and ``g_8_2_5_s`` also to degrees 4 and 6 (C^5 has 192
+  monomials, so the larger complexes are covered too);
 * ``poisson <key> --max-degree 2`` for every quadratic key, and
   ``g_8_2_5_s`` also to degree 3 (111 monomials of the largest
   algebra);

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
+
+if TYPE_CHECKING:
+    from .quadratic import QuadraticLieSuperalgebra
 
 Vector = tuple[Rat, ...]
 
@@ -304,6 +307,11 @@ def validate_lie_superalgebra(g: LieSuperalgebra) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _lie(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> LieSuperalgebra:
+    """The Lie superalgebra of g, which may be a quadratic one."""
+    return getattr(g, "algebra", g)
+
+
 def diagonal_weights(g: LieSuperalgebra) -> list[tuple[Rat | int, ...]]:
     """The torus of diagonal derivations in the given basis, per letter.
 
@@ -323,6 +331,35 @@ def diagonal_weights(g: LieSuperalgebra) -> list[tuple[Rat | int, ...]]:
             rows.append({s: x for s, x in row.items() if x})
     kernel = Echelon(rows).kernel(g.dim)
     return [tuple(v.get(t, 0) for v in kernel) + (p,) for t, p in enumerate(g.basis.parities)]
+
+
+def inner_torus(
+    g: LieSuperalgebra | QuadraticLieSuperalgebra,
+) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
+    """The even x whose ad x is diagonal in the given basis, as pairs
+    (x, w): x as {index: nonzero} and [x, e_t] = w_t e_t.
+
+    For x = sum_i a_i e_i over the even letters, ad x is diagonal when
+    sum_i a_i c_{ij}^t = 0 for every j and every t != j: an exact basis
+    of those x is one ``Echelon`` kernel.  A basis vector whose weights
+    all vanish is central and left out, so the list is empty when every
+    such x is central.  Built on each call, for the exact kernels: an
+    integral value is an int.
+    """
+    g = _lie(g)
+    ne, table = g.basis.even_dim, g.bracket_table()
+    rows: dict[tuple[int, int], dict[int, Rat | int]] = {}
+    for (i, j), terms in table.items():
+        if i < ne:
+            for t, c in terms.items():
+                if t != j:
+                    rows.setdefault((j, t), {})[i] = c
+    torus = []
+    for x in Echelon(rows.values()).kernel(ne):
+        w = tuple(sum(a * table.get((i, t), {}).get(t, 0) for i, a in x.items()) for t in range(g.dim))
+        if any(w):
+            torus.append((x, w))
+    return torus
 
 
 @dataclass(frozen=True)
@@ -355,11 +392,12 @@ class Subspace:
         return rank(evens + odds) == self.dim
 
 
-def derived_series(g: LieSuperalgebra) -> list[Subspace]:
+def derived_series(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[Subspace]:
     """Derived series g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until it stabilizes.
 
     Until it stabilizes each term is strictly smaller than the one before,
     so the loop breaks within g.dim + 1 steps."""
+    g = _lie(g)
     ambient = g.basis
     current = Subspace.from_vectors(ambient, [g.basis_vector(i) for i in range(g.dim)])
     series = [current]
@@ -379,11 +417,11 @@ def derived_series(g: LieSuperalgebra) -> list[Subspace]:
     return series
 
 
-def is_solvable(g: LieSuperalgebra) -> bool:
+def is_solvable(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> bool:
     return derived_series(g)[-1].dim == 0
 
 
-def center(g: LieSuperalgebra) -> Subspace:
+def center(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> Subspace:
     """Center {x : [x, y] = 0 for all y}, computed per parity block.
 
     For x = sum_i x_i e_i the condition is sum_i x_i c_{i,j}^k = 0 for
@@ -391,6 +429,7 @@ def center(g: LieSuperalgebra) -> Subspace:
     homogeneous; the two reduced kernels have disjoint supports, so
     stacked they are the reduced basis of the center.
     """
+    g = _lie(g)
     n = g.dim
     ne = g.basis.even_dim
     rows: list[tuple[Rat, ...]] = []

@@ -1,10 +1,15 @@
 """Exact cohomology of the super-exterior complex.
 
 One ``Complex`` per algebra holds what the engine reads more than once:
-the cochain bases, the delta(t*) table, the torus blocks, I, and each
-delta_k as exact sparse columns between
+the cochain bases, the delta(t*) table, the torus blocks, the inner
+torus, I, and each delta_k as exact sparse columns between
 enumerated monomial bases.  Kernels, images and quotients are computed
 by exact sparse elimination over the rationals.
+
+When some even x has a diagonal ad x with a nonzero weight (the inner
+torus), Cartan's formula L_x = delta i_x + i_x delta makes every block
+of nonzero inner weight acyclic: only the blocks of inner weight 0 are
+built and eliminated, and the others are counted.
 """
 from __future__ import annotations
 
@@ -16,12 +21,15 @@ from types import MappingProxyType
 from typing import Collection, Mapping
 from weakref import ref
 
-from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights
+from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
     Cochain,
     Monomial,
     _cochain,
+    _combination,
+    _contractions,
     _dual_differentials,
+    _letters,
     _poisson_left,
     _PoissonLeft,
     associated_three_form,
@@ -138,10 +146,12 @@ class Complex:
     """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
     quadratic.  Each part is built once, on first use, and kept: the basis
     of each C^k and the block key of each monomial (``block``), the images
-    delta(t*) of the degree-1 duals, the torus of diagonal derivations, I
-    and I's side of {I, .}, each delta_k, and each H^k while a caller
-    holds it.  The caller holds the complex; every function of this
-    module takes it in place of the algebra, or builds one for the call.
+    delta(t*) of the degree-1 duals, the torus of diagonal derivations,
+    the inner torus (``torus``), I and I's side of {I, .}, each delta_k
+    (on the blocks of inner weight 0 only, see ``zero_blocks``), and each
+    H^k while a caller holds it.  The caller holds the complex; every
+    function of this module takes it in place of the algebra, or builds
+    one for the call.
     A delta_k or H^k built without the -{I, .} cross-check never serves a
     call that asks for it.  ``check_size`` is the monomial guard each of
     those functions runs before any work.
@@ -158,6 +168,7 @@ class Complex:
         # H^k is held weakly, since it holds its complex
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._results: dict[int, tuple[ref, bool]] = {}
+        self._zero: dict[int, tuple[set[tuple], CochainBasis]] = {}
 
     @cached_property
     def duals(self) -> dict[int, dict[Monomial, Rat]]:
@@ -166,6 +177,73 @@ class Complex:
     @cached_property
     def weights(self) -> list[tuple[Rat | int, ...]]:
         return diagonal_weights(self.algebra)
+
+    @cached_property
+    def torus(self) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
+        """The inner torus (``inner_torus``): pairs (x, w), [x, e_t] = w_t e_t.
+
+        Certificate, on every build: i_x delta(t*) = -w_t t* for each x
+        and letter t.  i_x t* is a constant, so this is Cartan's
+        L_x = delta i_x + i_x delta on the generators, and both sides are
+        even derivations: L_x multiplies a monomial by minus the sum w(m)
+        of its letters' weights (its inner weight).  With
+        delta(delta(t*)) = 0 for every t (super Jacobi), checked too, a
+        block of inner weight s != 0 is acyclic: c = delta(-i_x c / s) for
+        every cocycle c there.
+        """
+        torus, ne, duals = inner_torus(self.algebra), self.basis.even_dim, self.duals
+        for t, image in duals.items() if torus else ():
+            contractions = _contractions(image.items())
+            for x, w in torus:
+                got = _combination((a, contractions.get(i, {})) for i, a in x.items())
+                if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
+                    raise EngineError(f"i_x delta({self.basis.labels[t]}*) != -w t*: the inner torus is wrong")
+            if not differential_direct(self.algebra, _cochain(self.basis, image), duals=duals).is_zero:
+                raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
+        return torus
+
+    def zero_blocks(self, k: int) -> tuple[set[tuple], CochainBasis] | None:
+        """The blocks of C^k of inner weight 0 and their monomials, in basis
+        order: delta_k is built on those only.  None without an inner
+        torus, where delta_k is built on all of C^k.  A block's inner
+        weight, the sum of its letters' w for each x, is read off its
+        first monomial: the weights of ad x are those of a diagonal
+        derivation, so the block key fixes them."""
+        if not self.torus:
+            return None
+        if k not in self._zero:
+            monomials, keys = self.cochains(k).monomials, self.keys(k)
+            zero: dict[tuple, bool] = {}
+            for m, key in zip(monomials, keys):
+                if key not in zero:
+                    zero[key] = not any(sum(w[t] for t in m.even + m.odd) for _, w in self.torus)
+            blocks = {key for key, z in zero.items() if z}
+            self._zero[k] = blocks, CochainBasis(k, tuple(m for m, key in zip(monomials, keys) if key in blocks))
+        return self._zero[k]
+
+    def acyclic_dim(self, k: int) -> int:
+        """dim Z^k = dim B^k over the blocks of nonzero inner weight (0
+        without an inner torus).  Those blocks are acyclic (``torus``), so
+        dim Z^k_w = sum_{j<k} (-1)^(k-1-j) dim C^j_w, counted with no
+        elimination.  dim C^j_0 is the inner-weight-0 coefficient of
+        prod_even (1 + z u^w_t) prod_odd 1/(1 - z u^w_t) at z^j, so no
+        C^j below the degrees asked for is enumerated."""
+        if not self.torus:
+            return 0
+        zero = (0,) * len(self.torus)
+        layers: list[dict[tuple, int]] = [{zero: 1}] + [{} for _ in range(k - 1)]
+        for t, parity in enumerate(self.basis.parities):
+            wt = tuple(w[t] for _, w in self.torus)
+            # an odd letter may repeat: its degree-j layer reads its own j - 1 layer
+            for j in range(1, k) if parity else range(k - 1, 0, -1):
+                layer = layers[j]
+                for w, n in layers[j - 1].items():
+                    key = tuple(a + b for a, b in zip(w, wt))
+                    layer[key] = layer.get(key, 0) + n
+        return sum(
+            (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - layers[j].get(zero, 0))
+            for j in range(k)
+        )
 
     @cached_property
     def three_form(self) -> Cochain:
@@ -208,10 +286,20 @@ class Complex:
 
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k, built by ``differential_matrix`` on first use, and once
-        more if the cross-check is asked for and the first build had none."""
+        more if the cross-check is asked for and the first build had none.
+        With an inner torus it maps the monomials of inner weight 0 of C^k
+        to those of C^{k+1} (``zero_blocks``), the source of delta_{k+1}."""
         hit = self._deltas.get(k)
         if hit is None or verify and not hit[1]:
-            hit = self._deltas[k] = (differential_matrix(self, k, verify=verify), verify)
+            if (zero := self.zero_blocks(k)) is None:
+                d = differential_matrix(self, k, verify=verify)
+            else:
+                d = differential_matrix(self, k, verify=verify, blocks=zero[0])
+                target = self.zero_blocks(k + 1)[1]
+                index, reached = target._index, d.target.monomials
+                columns = tuple({index[reached[i]]: x for i, x in col.items()} for col in d.columns)
+                d = DifferentialMatrix(zero[1], target, columns)
+            hit = self._deltas[k] = (d, verify)
         return hit[0]
 
 
@@ -278,9 +366,9 @@ def differential_matrix(
 class _Quotient(Echelon):
     """The echelon of B^k (the columns of delta_{k-1}), then one row per
     representative of Z^k / B^k.  Representative i is fed with a 1 in the
-    tag column n + i (n = dim C^k) that row operations carry along, so a
-    cocycle reduced to zero in the cochain columns leaves minus its class
-    vector in the tag columns, and nothing exactly when it is a
+    tag column n + i (n = dim source) that row operations carry along, so
+    a cocycle reduced to zero in the cochain columns leaves minus its
+    class vector in the tag columns, and nothing exactly when it is a
     coboundary."""
 
     def __init__(self, source: CochainBasis, d_prev: DifferentialMatrix | None) -> None:
@@ -325,7 +413,13 @@ def cohomology(
 ) -> CohomologyResult:
     """H^k = Ker delta_k / Im delta_{k-1} with echelonized representatives,
     computed once per Complex while a caller holds the result (once more
-    if the cross-check is asked for and the first computation had none)."""
+    if the cross-check is asked for and the first computation had none).
+
+    Only the blocks of inner weight 0 are eliminated (``Complex.delta``);
+    the others add dim Z^k = dim B^k (``Complex.acyclic_dim``) and no
+    representative.  The reduced echelon basis of a direct sum of spaces
+    on disjoint coordinates is the union of theirs, so the cocycles kept,
+    and the representatives among them, are those of the whole C^k."""
     if k < 0:
         raise InputError("cohomology degree must be non-negative")
     cx = _complex(q)
@@ -352,11 +446,12 @@ def cohomology(
             f"B^{k} is not inside Z^{k}: delta_{k} o delta_{k - 1} != 0, "
             "so the bracket fails super Jacobi"
         )
+    acyclic = cx.acyclic_dim(k)
     result = CohomologyResult(
         degree=k,
-        dim_cochains=src.dimension,
-        dim_cocycles=n_z,
-        dim_coboundaries=n_b,
+        dim_cochains=cx.cochains(k).dimension,
+        dim_cocycles=n_z + acyclic,
+        dim_coboundaries=n_b + acyclic,
         betti=n_z - n_b,
         representatives=tuple(src.from_coordinates(cx.basis, v) for v in reps),
         _complex=cx,
@@ -420,7 +515,9 @@ def class_vector(
     Raises InputError when c is not a cocycle of pure degree k, or when
     ``result`` is not a cohomology() in degree k of an algebra with this
     basis and these structure constants.  With a ``result``, c is tested
-    on the result's Complex.
+    on the result's Complex.  The terms of c outside the result's blocks
+    of inner weight 0 are dropped: delta keeps the inner weight, so they
+    make a cocycle of acyclic blocks, a coboundary.
     """
     cx = _complex(q, c)
     if result is not None:
@@ -443,7 +540,8 @@ def class_vector(
     if result.degree != k:
         raise InputError(f"result is for degree {result.degree}, not {k}")
     quotient = result._quotient
-    v, n = quotient.remainder(quotient.source.coordinates(c)), quotient.n
+    index, n = quotient.source._index, quotient.n
+    v = quotient.remainder({index[m]: x for m, x in c.terms if m in index})
     if min(v, default=n) < n:
         raise EngineError("cocycle does not decompose over B + representatives")
     return [_frac(-v.get(n + i, 0)) for i in range(result.betti)]

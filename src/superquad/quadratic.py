@@ -21,7 +21,7 @@ from .algebra import (
     ValidationReport,
     Violation,
     validate_grading_and_skew,
-    validate_lie_superalgebra,
+    validate_super_jacobi,
 )
 from .errors import EngineError, InputError
 from .linalg import Echelon, Rat, _combine, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
@@ -124,11 +124,16 @@ class QuadraticLieSuperalgebra:
         return self.algebra.dim
 
     @cached_property
-    def _form_violations(self) -> tuple[Violation, ...]:
+    def _checks(self) -> tuple[tuple[Violation, ...], tuple[Violation, ...]]:
         """Every rule of ``validate_quadratic`` but super Jacobi, which the
-        cohomology's B^k in Z^k check catches: the grading of the bracket,
-        then the form's axioms.  Run once per object."""
-        return tuple(validate_grading_and_skew(self.algebra) + validate_form(self.algebra, self.form))
+        cohomology's B^k in Z^k check catches: the grading of the bracket
+        and the form's axioms, kept apart.  Run once per object."""
+        return tuple(validate_grading_and_skew(self.algebra)), tuple(validate_form(self.algebra, self.form))
+
+    @property
+    def _form_violations(self) -> tuple[Violation, ...]:
+        grading, form = self._checks
+        return grading + form
 
     def require_form(self) -> None:
         """Raise InputError naming the first of ``_form_violations``."""
@@ -203,9 +208,11 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
 
 
 def validate_quadratic(q: QuadraticLieSuperalgebra) -> ValidationReport:
-    violations = list(validate_lie_superalgebra(q.algebra).violations)
-    violations += validate_form(q.algebra, q.form)
-    return ValidationReport(tuple(violations))
+    """Every rule: the grading, super Jacobi, then the form's axioms.  All
+    but super Jacobi are ``q._checks``, filled here once per object, so a
+    later ``require_form`` checks nothing again."""
+    grading, form = q._checks
+    return ValidationReport(grading + tuple(validate_super_jacobi(q.algebra)) + form)
 
 
 def is_graded_ideal(g: LieSuperalgebra, space: Subspace) -> bool:

@@ -17,6 +17,8 @@ before ``BilinearForm.inverse_columns`` eliminated [G^T | 1] itself.
 the inverse of ``evaluate``, which ``differential_by_evaluation`` needs.
 ``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
 which the engine's weight-restricted ``is_coboundary`` replaced.
+``betti_table_unpruned`` eliminates on all of each C^k, as the engine did
+before it built only the blocks of inner weight 0 and counted the others.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
@@ -40,7 +42,7 @@ from superquad.cochains import (
     monomials_of_degree,
     wedge,
 )
-from superquad.cohomology import _Quotient, differential_matrix
+from superquad.cohomology import CohomologyResult, Complex, _Quotient, differential_matrix
 from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
@@ -49,7 +51,7 @@ from superquad.extensions import (
     _grading_violations,
     validate_extension_datum,
 )
-from superquad.linalg import Rat, rank
+from superquad.linalg import Rat, rank, reduced_kernel
 from superquad.quadratic import validate_quadratic
 
 QUADRATIC_KEYS = (
@@ -184,6 +186,35 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
             span = candidate
             current = r
     return reps
+
+
+def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[CohomologyResult]:
+    """H^0..H^{k_max}, each delta_k built and eliminated on all of C^k."""
+    cx = Complex(q)
+    deltas = [differential_matrix(cx, k, verify=verify) for k in range(k_max + 1)]
+    out = []
+    for k, d_k in enumerate(deltas):
+        src = d_k.source
+        rows: dict[int, dict[int, Rat]] = {}
+        for j, col in enumerate(d_k.columns):
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
+        cocycles = reduced_kernel(list(rows.values()), src.dimension)
+        quotient = _Quotient(src, deltas[k - 1] if k else None)
+        reps = [v for v in cocycles if quotient.add_cocycle(v)]
+        n_z, n_b = len(cocycles), quotient.dim_boundary
+        assert src.dimension == rank(d_k.columns) + n_z and n_b + len(reps) <= n_z
+        out.append(
+            CohomologyResult(
+                degree=k,
+                dim_cochains=src.dimension,
+                dim_cocycles=n_z,
+                dim_coboundaries=n_b,
+                betti=n_z - n_b,
+                representatives=tuple(src.from_coordinates(cx.basis, v) for v in reps),
+            )
+        )
+    return out
 
 
 def is_coboundary_full(q, c: Cochain) -> bool:

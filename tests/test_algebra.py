@@ -11,6 +11,7 @@ from superquad.algebra import (
     center,
     derived_series,
     diagonal_weights,
+    inner_torus,
     is_solvable,
     validate_lie_superalgebra,
 )
@@ -136,6 +137,50 @@ def test_center_and_derived_series_heisenberg():
     assert center(g).dim == 1
     series = derived_series(g)
     assert [s.dim for s in series][:3] == [g.dim, 1, 0]
+
+
+@pytest.mark.parametrize("key", ["g_4_1_s", "g_6_2", "g_8_2_5_s"])
+def test_center_accepts_a_quadratic_algebra(key):
+    q = build(key)
+    assert center(q) == center(q.algebra) and center(q).dim > 0
+
+
+@pytest.mark.parametrize("key", ["g_4_1_s", "g_6_2", "g_8_2_5_s"])
+def test_derived_series_accepts_a_quadratic_algebra(key):
+    q = build(key)
+    assert derived_series(q) == derived_series(q.algebra)
+
+
+def test_is_solvable_accepts_a_quadratic_algebra():
+    for key in ("g_4_1_s", "g_6_2", "g_8_2_5_s"):
+        q = build(key)
+        assert is_solvable(q) == is_solvable(q.algebra)
+
+
+def test_inner_torus_of_the_catalog():
+    """ad x diagonal with a nonzero weight: Y0 in g_4_2_s, X3 in the
+    others, and on no other key at default parameters."""
+    found = {}
+    for key in catalog_keys():
+        obj = build(key)
+        g = getattr(obj, "algebra", obj)
+        torus = inner_torus(obj)
+        assert torus == inner_torus(g)
+        for x, w in torus:
+            vector = [Fraction(x.get(i, 0)) for i in range(g.dim)]
+            for t in range(g.dim):
+                assert g.bracket(vector, g.basis_vector(t)) == [w[t] * v for v in g.basis_vector(t)]
+        if torus:
+            found[key] = [{g.basis.labels[i]: a for i, a in x.items()} for x, _ in torus]
+    assert found == {
+        "g_4_2_s": [{"Y0": 1}],
+        "g_6_2": [{"X3": 1}],
+        "g_8_2_4_s": [{"X3": 1}],
+        "g_8_2_5_s": [{"X3": 1}],
+        "g_8_2_6_s": [{"X3": 1}],
+    }
+    # central x have all weights 0 and are left out
+    assert inner_torus(build("h")) == []
 
 
 def test_subspace_membership():

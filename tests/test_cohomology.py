@@ -7,13 +7,21 @@ from math import comb
 
 import pytest
 
-from helpers import NON_JACOBI_DOC, doubled_odd_form, is_coboundary_full, mono, representatives_by_rank
+from helpers import (
+    NON_JACOBI_DOC,
+    betti_table_unpruned,
+    doubled_odd_form,
+    is_coboundary_full,
+    mono,
+    representatives_by_rank,
+)
 from superquad import build, catalog_keys
-from superquad.algebra import GradedBasis, LieSuperalgebra, diagonal_weights
+from superquad.algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from superquad.cochains import (
     Cochain,
     Monomial,
     associated_three_form,
+    contract_vector,
     differential_direct,
     monomials_of_degree,
 )
@@ -233,9 +241,10 @@ def test_representatives_match_the_rank_oracle():
     for key, k in cases:
         cx = Complex(build(key))
         res = cohomology(cx, k, verify=False)
-        # the differentials res was computed from, kept by the complex
-        d_k = cx.delta(k, verify=False)
-        d_prev = cx.delta(k - 1, verify=False) if k else None
+        # the whole delta_k and delta_{k-1}: with an inner torus, res was
+        # computed on their blocks of inner weight 0 only
+        d_k = differential_matrix(cx, k, verify=False)
+        d_prev = differential_matrix(cx, k - 1, verify=False) if k else None
         q = cx.quadratic or cx.algebra
         n, zero = d_k.shape[1], Fraction(0)
         got = [
@@ -475,7 +484,7 @@ def test_restricted_differential_matrix_is_the_blocks_of_the_full_one():
     for key in ("g_4_1_s", "g_6_s", "g_8_2_5_s", "h"):
         cx = Complex(build(key))
         for k in range(3):
-            full = cx.delta(k)
+            full = differential_matrix(cx, k)
             for key_ in set(cx.keys(k)):
                 part = differential_matrix(cx, k, blocks={key_})
                 assert set(part.source.monomials) == {
@@ -485,3 +494,112 @@ def test_restricted_differential_matrix_is_the_blocks_of_the_full_one():
                     whole = full.columns[full.source._index[m]]
                     got = {part.target.monomials[i]: x for i, x in col.items()}
                     assert got == {full.target.monomials[i]: x for i, x in whole.items()}
+
+
+TORUS_KEYS = ("g_4_2_s", "g_6_2", "g_8_2_4_s", "g_8_2_5_s", "g_8_2_6_s")
+
+
+def _inner_weight(m: Monomial, w) -> Fraction:
+    return sum((w[t] for t in m.even + m.odd), Fraction(0))
+
+
+def _rows_and_reps(results):
+    return [
+        (r.dim_cochains, r.dim_cocycles, r.dim_coboundaries, r.betti, [str(c) for c in r.representatives])
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_pruned_tables_match_the_unpruned_oracle(key):
+    q = build(key)
+    assert _rows_and_reps(betti_table(q, 4)) == _rows_and_reps(betti_table_unpruned(q, 4, verify=False))
+
+
+def test_pruned_deep_table_matches_the_unpruned_oracle():
+    q = build("g_8_2_5_s")
+    want = _rows_and_reps(betti_table_unpruned(q, 8, verify=False))
+    assert _rows_and_reps(betti_table(q, 8)) == want
+    assert _rows_and_reps(betti_table(q, 8, verify=False)) == want
+
+
+def test_only_the_blocks_of_inner_weight_zero_are_built():
+    for key in catalog_keys():
+        cx = Complex(build(key))
+        for k in range(4):
+            d = cx.delta(k)
+            if key not in TORUS_KEYS:
+                assert cx.zero_blocks(k) is None and d.source is cx.cochains(k)
+                continue
+            [(_, w)] = cx.torus
+            zero = [m for m in cx.cochains(k).monomials if not _inner_weight(m, w)]
+            assert d.source.monomials == tuple(zero), (key, k)
+            # delta_k lands in the source of delta_{k+1}
+            assert d.target is cx.zero_blocks(k + 1)[1]
+            assert d.target.monomials == cx.delta(k + 1).source.monomials
+    # g_8_2_5_s: 66 of the 432 monomials of C^0..C^5 have inner weight 0
+    cx = Complex(build("g_8_2_5_s"))
+    shapes = [cx.delta(k).shape for k in range(6)]
+    assert shapes == [(2, 1), (6, 2), (14, 6), (19, 14), (24, 19), (30, 24)]
+    assert sum(cols for _, cols in shapes) == 66
+    assert sum(cochain_dimension(cx.basis, k) for k in range(6)) == 432
+
+
+def test_cartan_certificate_catches_a_wrong_inner_weight(monkeypatch):
+    q = build("g_8_2_5_s")
+    [(x, w)] = inner_torus(q)
+    module = importlib.import_module("superquad.cohomology")
+    monkeypatch.setattr(module, "inner_torus", lambda g: [(x, (w[0] + 1, *w[1:]))])
+    with pytest.raises(EngineError, match="inner torus is wrong"):
+        betti_table(q, 2, verify=False)
+    with pytest.raises(EngineError, match="inner torus is wrong"):
+        cohomology(q, 1)
+
+
+def test_cartan_formula_on_random_cochains():
+    """delta i_x + i_x delta multiplies a monomial by minus its inner
+    weight, in every degree: the certificate checks it on the generators."""
+    rng = random.Random("cartan")
+    for key in TORUS_KEYS:
+        q = build(key)
+        g = q.algebra
+        for x, w in inner_torus(q):
+            vector = [Fraction(x.get(i, 0)) for i in range(g.dim)]
+            for k in range(1, 5):
+                monomials = monomials_of_degree(g.basis, k)
+                for m in rng.sample(monomials, min(6, len(monomials))):
+                    c = Cochain.from_terms(g.basis, {m: Fraction(rng.choice((-2, 1, 3)))})
+                    lie = differential_direct(g, contract_vector(c, vector)) + contract_vector(
+                        differential_direct(g, c), vector
+                    )
+                    assert (lie + c.scale(_inner_weight(m, w))).is_zero, (key, k, m)
+
+
+def test_class_vector_drops_the_terms_of_nonzero_inner_weight():
+    for key, k in (("g_6_2", 3), ("g_8_2_5_s", 2), ("g_8_2_5_s", 4)):
+        q = build(key)
+        [(_, w)] = inner_torus(q)
+        res = cohomology(q, k, verify=False)
+        assert res.betti
+        rng = random.Random(f"class_vector {key} {k}")
+        lower = [m for m in monomials_of_degree(q.basis, k - 1) if _inner_weight(m, w)]
+        for i, rep in enumerate(res.representatives):
+            b = Cochain.from_terms(q.basis, {m: Fraction(rng.choice((-2, 1, 3))) for m in rng.sample(lower, 3)})
+            db = differential_direct(q.algebra, b)
+            assert not db.is_zero and all(_inner_weight(m, w) for m, _ in db.terms)
+            unit = [Fraction(int(j == i)) for j in range(res.betti)]
+            assert class_vector(q, rep + db, result=res) == unit
+            assert class_vector(q, rep + db) == unit
+            assert class_vector(q, db, result=res) == [Fraction(0)] * res.betti
+
+
+def test_a_bracket_that_fails_jacobi_is_refused_before_pruning():
+    # [a, b] = b, [a, c] = -c, [b, c] = b: ad a is diagonal with weights
+    # (0, 1, -1), and [a, [b, c]] = b while [[a, b], c] + [b, [a, c]] = 0
+    basis = GradedBasis(labels=("a", "b", "c"), parities=(0, 0, 0))
+    g = LieSuperalgebra.from_label_table(
+        basis, [("a", "b", {"b": 1}), ("a", "c", {"c": -1}), ("b", "c", {"b": 1})]
+    )
+    assert [w for _, w in inner_torus(g)] == [(0, 1, -1)]
+    with pytest.raises(InputError, match="super Jacobi"):
+        betti_table(g, 1)

@@ -16,7 +16,13 @@ from superquad import (
     differential_matrix,
     poisson_bracket,
 )
-from superquad.algebra import GradedBasis, LieSuperalgebra, Subspace, validate_super_jacobi
+from superquad.algebra import (
+    GradedBasis,
+    LieSuperalgebra,
+    Subspace,
+    validate_lie_superalgebra,
+    validate_super_jacobi,
+)
 from superquad.cli import main
 from superquad.errors import InputError
 from superquad.quadratic import (
@@ -196,6 +202,32 @@ def test_validate_quadratic_accepts_all_catalog_forms():
     report = validate_quadratic(q)
     assert report.ok
     assert isinstance(q, QuadraticLieSuperalgebra)
+
+
+def test_a_catalog_algebra_is_form_checked_once(monkeypatch):
+    import superquad.quadratic as quadratic
+
+    calls = []
+    original = quadratic.validate_form
+
+    def counted(g, form):
+        calls.append(g)
+        return original(g, form)
+
+    monkeypatch.setattr(quadratic, "validate_form", counted)
+    q = build("g_8_2_5_s")
+    betti_table(q, 2)
+    assert calls == [q.algebra]
+    assert validate_quadratic(q).ok and len(calls) == 1
+
+
+def test_validate_quadratic_lists_grading_then_jacobi_then_form():
+    for key in catalog_keys():
+        rng = random.Random(f"validate_quadratic order:{key}")
+        for _ in range(5):
+            q = perturbed(key, rng)
+            want = validate_lie_superalgebra(q.algebra).violations + tuple(validate_form(q.algebra, q.form))
+            assert validate_quadratic(q).violations == want, key
 
 
 def test_validators_match_dense_oracles_on_perturbed_catalog():
