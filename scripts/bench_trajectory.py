@@ -13,7 +13,10 @@ the script runs each checkout's own ``perfbench/run.py --trace 0`` for
 records the median of each end-to-end metric.  Two scale cases, both with the ``-{I,.}``
 cross-check, run in a fresh process per run on each checkout's ``src/``:
 ``betti_table(build("g_8_2_5_s"), 12)`` and ``betti_table(q, 6)`` over
-all 17 catalog keys; the file holds the median wall time of each.
+all 17 catalog keys; the file holds the median wall time of each.  Last,
+the Tier-1 suite (``TIER1``, the command of ROADMAP.md) runs once in each
+checkout on its own ``src/``; the file holds its wall time, exit code and
+pytest's summary line.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ SCALE = {
     "g_8_2_5_s_degree_12_s": "qs = [build('g_8_2_5_s')]; k = 12",
     "sweep_17_keys_degree_6_s": "qs = [build(key) for key in catalog_keys()]; k = 6",
 }
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 SCALE_RUN = (
     "import time\n"
     "from superquad import betti_table, build, catalog_keys\n"
@@ -60,6 +64,15 @@ def run_scale(tree: Path, setup: str) -> float:
     code = SCALE_RUN.format(setup=setup)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return float(out.stdout)
+
+
+def run_tier1(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t = time.perf_counter()
+    out = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t
+    lines = out.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 2), "exit": out.returncode, "summary": lines[-1] if lines else ""}
 
 
 def medians(samples: list[dict]) -> dict:
@@ -92,6 +105,8 @@ def main() -> int:
                 times[side].append(run_scale(tree, setup))
         scale[name] = {side: statistics.median(t) for side, t in times.items()}
         print(name, scale[name], file=sys.stderr)
+    tier1 = {side: run_tier1(tree) for side, tree in trees.items()}
+    print("tier1", tier1, file=sys.stderr)
     report = {
         "settings": {
             "runs": RUNS,
@@ -104,6 +119,7 @@ def main() -> int:
         },
         "end_to_end": workloads,
         "scale_with_cross_check": scale,
+        "tier1": tier1,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from types import MappingProxyType
-from typing import Collection, Mapping
-from weakref import ref
+from typing import Collection
+from weakref import WeakValueDictionary, ref
 
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
@@ -93,10 +92,6 @@ class CochainBasis:
     def dimension(self) -> int:
         return len(self.monomials)
 
-    def index_map(self) -> Mapping[Monomial, int]:
-        """Monomial -> position, a read-only view of the map built once."""
-        return MappingProxyType(self._index)
-
     def coordinates(self, c: Cochain) -> dict[int, Rat]:
         idx, vec = self._index, {}
         for m, coeff in c.terms:
@@ -148,10 +143,13 @@ class Complex:
     of each C^k and the block key of each monomial (``block``), the images
     delta(t*) of the degree-1 duals, the torus of diagonal derivations,
     the inner torus (``torus``), I and I's side of {I, .}, each delta_k
-    (on the blocks of inner weight 0 only, see ``zero_blocks``), and each
-    H^k while a caller holds it.  The caller holds the complex; every
-    function of this module takes it in place of the algebra, or builds
-    one for the call.
+    (on the blocks of inner weight 0 only, see ``zero_blocks``), each
+    H^k while a caller holds it, and B^k on each block a coboundary test
+    read (``boundaries``).  Every function of this module takes a complex
+    in place of the algebra.  Given an algebra, it reads the complex a
+    call given that same object built, while a caller or a
+    CohomologyResult holds it, and builds one only when none is alive
+    (``_complex``).  Algebras are treated as immutable values.
     A delta_k or H^k built without the -{I, .} cross-check never serves a
     call that asks for it.  ``check_size`` is the monomial guard each of
     those functions runs before any work.
@@ -169,6 +167,7 @@ class Complex:
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._results: dict[int, tuple[ref, bool]] = {}
         self._zero: dict[int, tuple[set[tuple], CochainBasis]] = {}
+        self._boundaries: dict[int, dict[tuple, tuple[dict[Monomial, int], Echelon]]] = {}
 
     @cached_property
     def duals(self) -> dict[int, dict[Monomial, Rat]]:
@@ -302,12 +301,39 @@ class Complex:
             hit = self._deltas[k] = (d, verify)
         return hit[0]
 
+    def boundaries(self, k: int, keys: Collection[tuple]) -> list[tuple[dict[Monomial, int], Echelon]]:
+        """B^k on each block of ``keys``, in order: the echelon of the
+        columns of delta_{k-1} from that block, and the index of the
+        monomials of C^k they reach.  Each block is built once.  All the
+        blocks not yet held are built by one ``differential_matrix`` call
+        (whose block certificate runs) before any is returned."""
+        held = self._boundaries.setdefault(k, {})
+        if missing := {key for key in keys if key not in held}:
+            d = differential_matrix(self, k - 1, verify=False, blocks=missing)
+            split: dict[tuple, list[dict[int, Rat]]] = {key: [] for key in missing}
+            for m, col in zip(d.source.monomials, d.columns):
+                split[self.block(m)].append(col)
+            for key, cols in split.items():
+                held[key] = d.target._index, Echelon(_sparse_rows(cols))
+        return [held[key] for key in keys]
+
+
+# the complex a call built for each algebra, while a caller or a result holds
+# it; a complex holds its algebra, so a live entry's id names no other object
+_LIVE: WeakValueDictionary[int, Complex] = WeakValueDictionary()
+
 
 def _complex(
     q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain | None = None
 ) -> Complex:
-    """The complex of q, checked to be over the basis the cochain c lives over."""
-    cx = q if isinstance(q, Complex) else Complex(q)
+    """The complex of q, checked to be over the basis the cochain c lives
+    over.  Given an algebra: the live complex built for that same object,
+    or a new one, held weakly.  A complex the caller builds is its own:
+    no call given the algebra reads it."""
+    if isinstance(q, Complex):
+        cx = q
+    elif (cx := _LIVE.get(id(q))) is None or not (cx.quadratic is q or cx.algebra is q):
+        cx = _LIVE[id(q)] = Complex(q)
     if c is not None and c.basis != cx.basis:
         raise InputError("cochain is over another basis than the algebra")
     return cx
@@ -484,9 +510,10 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
     delta maps each block of C^{k-1} into the block of C^k with the same
-    key, so c is a coboundary exactly when it is delta of a cochain in the
-    blocks of c's own terms: only those columns of delta_{k-1} are built
-    (``differential_matrix`` with ``blocks``, whose certificate runs).
+    key, so c is a coboundary exactly when each block of it is delta of a
+    cochain in that block: c is reduced block by block against the
+    complex's B^k there (``Complex.boundaries``, which builds every block
+    of c it does not hold yet before any is read).
     """
     cx = _complex(q, c)
     if c.is_zero:
@@ -495,13 +522,15 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     if k == 0:
         return False
     cx.check_size(k - 1)
-    d = differential_matrix(cx, k - 1, verify=False, blocks={cx.block(m) for m, _ in c.terms})
-    index, target = d.target._index, {}
+    parts: dict[tuple, list[tuple[Monomial, Rat]]] = {}
     for m, x in c.terms:
-        if m not in index:
+        parts.setdefault(cx.block(m), []).append((m, x))
+    for (index, boundary), terms in zip(cx.boundaries(k, parts), parts.values()):
+        if any(m not in index for m, _ in terms):
             return False
-        target[index[m]] = _num(x)
-    return not Echelon(_sparse_rows(d.columns)).remainder(target)
+        if boundary.remainder({index[m]: _num(x) for m, x in terms}):
+            return False
+    return True
 
 
 def class_vector(

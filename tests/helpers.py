@@ -16,7 +16,9 @@ before ``BilinearForm.inverse_columns`` eliminated [G^T | 1] itself.
 ``from_values`` is the cochain with given values on canonical tuples,
 the inverse of ``evaluate``, which ``differential_by_evaluation`` needs.
 ``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
-which the engine's weight-restricted ``is_coboundary`` replaced.
+which the engine's weight-restricted ``is_coboundary`` replaced;
+``is_coboundary_by_rank`` asks the same of ranks, on a complex of its own,
+so it shares no held block of B^k with the engine.
 ``betti_table_unpruned`` eliminates on all of each C^k, as the engine did
 before it built only the blocks of inner weight 0 and counted the others.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
@@ -227,6 +229,20 @@ def is_coboundary_full(q, c: Cochain) -> bool:
         return False
     d_prev = differential_matrix(q, k - 1, verify=False)
     return not _Quotient(d_prev.target, d_prev).remainder(d_prev.target.coordinates(c))
+
+
+def is_coboundary_by_rank(q, c: Cochain) -> bool:
+    """True iff c = delta(b): c appended to the columns of the whole
+    delta_{k-1}, built on a new Complex, leaves their rank unchanged (c
+    nonzero and of one degree k)."""
+    degrees = {m.degree for m, _ in c.terms}
+    assert len(degrees) == 1, "the oracle takes a nonzero cochain of one degree"
+    k = degrees.pop()
+    if k == 0:
+        return False
+    d_prev = differential_matrix(Complex(q), k - 1, verify=False)
+    columns = list(d_prev.columns)
+    return rank(columns + [d_prev.target.coordinates(c)]) == rank(columns)
 
 
 def mat_mul(a, b) -> list[list[Rat]]:

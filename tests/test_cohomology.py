@@ -1,9 +1,11 @@
 """Exact Betti numbers, cocycle/coboundary tests, representatives."""
+import gc
 import importlib
 import json
 import random
 from fractions import Fraction
 from math import comb
+from weakref import ref
 
 import pytest
 
@@ -11,6 +13,7 @@ from helpers import (
     NON_JACOBI_DOC,
     betti_table_unpruned,
     doubled_odd_form,
+    is_coboundary_by_rank,
     is_coboundary_full,
     mono,
     representatives_by_rank,
@@ -175,6 +178,28 @@ def test_is_coboundary_certificate_catches_a_weight_that_is_no_derivation_weight
     monkeypatch.setattr(module, "diagonal_weights", lambda g: wrong)
     with pytest.raises(EngineError, match="weight block"):
         is_coboundary(q, c)
+
+
+def test_is_coboundary_certificate_runs_on_the_block_not_held_yet(monkeypatch):
+    """As above, on a live complex that already holds B^3 on the block of
+    c's term without X0: only the other block is built, and its
+    certificate still fires."""
+    q = build("g_4_1_s")
+    weights = diagonal_weights(q.algebra)
+    x0 = q.basis.index("X0")
+    wrong = [(w[0] + 1, *w[1:]) if t == x0 else w for t, w in enumerate(weights)]
+    module = importlib.import_module("superquad.cohomology")
+    monkeypatch.setattr(module, "diagonal_weights", lambda g: wrong)
+    held = cohomology(q, 3, verify=False)  # no inner torus: nothing is restricted
+    cx = held._complex
+    c = differential_direct(q.algebra, mono(q, ("X0",), ("X1",)))
+    (without, _), (with_x0, _) = sorted(c.terms, key=lambda term: x0 in term[0].even)
+    assert x0 not in without.even and x0 in with_x0.even and cx.block(without) != cx.block(with_x0)
+    is_coboundary(q, Cochain.from_terms(q.basis, {without: Fraction(1)}))
+    assert list(cx._boundaries[3]) == [cx.block(without)]
+    with pytest.raises(EngineError, match="weight block"):
+        is_coboundary(q, c)
+    assert list(cx._boundaries[3]) == [cx.block(without)]
 
 
 def test_differential_matrix_cross_check_fires():
@@ -387,10 +412,8 @@ def test_cochain_basis_coordinates_round_trip():
     )
     vec = cb.coordinates(c)
     assert vec == {cb.monomials.index(m): x for m, x in c.terms}
-    index = cb.index_map()  # built once, read-only
-    assert dict(index) == {m: i for i, m in enumerate(cb.monomials)}
-    with pytest.raises(TypeError):
-        index[cb.monomials[0]] = 1
+    assert cb._index == {m: i for i, m in enumerate(cb.monomials)}
+    assert cb._index is cb._index  # built once
     back = cb.from_coordinates(basis, vec)
     assert (back - c).is_zero
     for bad in (-1, cb.dimension):
@@ -430,10 +453,17 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     once = dict.fromkeys(TABLES[:3], 1)
     assert calls == {**once, "cochain_basis": 3, "differential_matrix": 2}
     table = betti_table(q, 3)
-    assert result.betti == table[3].betti
-    # a second complex: each table once more, C^0..C^4, delta_0..delta_3
+    assert table[3] is result
+    # while the result holds it, the same complex: only C^0, C^1, delta_0, delta_1
+    assert calls == {**once, "cochain_basis": 3 + 2, "differential_matrix": 2 + 2}
+    # with no result alive, a second complex: each table once more,
+    # C^0..C^4, delta_0..delta_3
+    b3 = result.betti
+    del result, table
+    gc.collect()
+    assert betti_table(q, 3)[3].betti == b3
     twice = dict.fromkeys(TABLES[:3], 2)
-    assert calls == {**twice, "cochain_basis": 3 + 5, "differential_matrix": 2 + 4}
+    assert calls == {**twice, "cochain_basis": 5 + 5, "differential_matrix": 4 + 4}
 
 
 def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
@@ -465,6 +495,102 @@ def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
         # an algebra and a result read the result's complex
         assert class_vector(q, query, result=res) == unit
     assert calls == {"_dual_differentials": 1, "diagonal_weights": 1, "cochain_basis": 3}
+
+
+def _seeded_queries(q, k: int, reps, rng: random.Random, count: int) -> list[Cochain]:
+    """Class queries as perfbench's class_queries makes them: a seeded
+    combination of the representatives (none in every fourth one) plus
+    delta of a sparse cochain, and every fifth one plus a monomial of C^k
+    (mostly a non-cocycle)."""
+    g = getattr(q, "algebra", q)
+    lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
+    queries = []
+    for i in range(count):
+        c = Cochain.zero(g.basis)
+        for rep in reps if i % 4 else ():
+            c = c + rep.scale(Fraction(rng.choice((-2, 0, 1, 3))))
+        picked = rng.sample(lower, min(2, len(lower)))
+        b = {m: Fraction(rng.choice((-3, 1, 2)), rng.choice((1, 2))) for m in picked}
+        c = c + differential_direct(g, Cochain.from_terms(g.basis, b))
+        if i % 5 == 4:
+            c = c + Cochain.from_terms(g.basis, {rng.choice(same): Fraction(1)})
+        queries.append(c)
+    return queries
+
+
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monkeypatch, key):
+    calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights"))
+    module = importlib.import_module("superquad.cohomology")
+    built, original = [], module.differential_matrix
+
+    def recorded(q, k, **kwargs):
+        built.append(kwargs.get("blocks"))
+        return original(q, k, **kwargs)
+
+    monkeypatch.setattr(module, "differential_matrix", recorded)
+    q = build(key)
+    res = cohomology(q, 2, verify=False)
+    assert len(built) == 2  # delta_2 and delta_1
+    seen, new = set(), 0  # the blocks queried, and the queries that brought a new one
+    for c in _seeded_queries(q, 2, res.representatives, random.Random(f"queries {key}"), 34):
+        cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
+        if cocycle:
+            assert coboundary == (not any(class_vector(q, c, result=res)))
+        else:
+            assert not coboundary
+            with pytest.raises(InputError, match="requires a cocycle"):
+                class_vector(q, c, result=res)
+        blocks = {res._complex.block(m) for m, _ in c.terms}
+        new += bool(blocks - seen)
+        seen |= blocks
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 1}
+    # one differential_matrix call per query with blocks not built yet,
+    # and every block queried built exactly once
+    queried = [block for blocks in built[2:] for block in blocks]
+    assert len(built) - 2 == new and sorted(queried) == sorted(seen)
+
+
+def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch):
+    calls = _count_calls(monkeypatch, ("_dual_differentials",))
+    q = build("g_6_s")
+    c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
+    results = betti_table(q, 2, verify=False)
+    live = ref(results[0]._complex)
+    assert is_cocycle(q, c) and is_coboundary(q, c)
+    assert calls["_dual_differentials"] == 1
+    # a complex the caller builds is its own: no call given q reads it
+    cx = Complex(q)
+    assert is_cocycle(q, c) and is_cocycle(cx, c)
+    assert calls["_dual_differentials"] == 2 and live() is results[0]._complex
+    del results
+    gc.collect()
+    assert live() is None
+    # nothing holds a complex of q now: each call builds its own
+    assert is_cocycle(q, c) and is_coboundary(q, c)
+    assert calls["_dual_differentials"] == 4
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_is_coboundary_matches_the_rank_oracle_cold_and_warm(key):
+    q = build(key)
+    module = importlib.import_module("superquad.cohomology")
+    rng = random.Random(f"rank oracle {key}")
+    for k in (1, 2, 3):
+        reps = cohomology(q, k, verify=False).representatives
+        queries = [c for c in _seeded_queries(q, k, reps, rng, 10) if not c.is_zero]
+        want = [is_coboundary_by_rank(q, c) for c in queries]
+        # cold: no complex of q is alive, so each call builds its own
+        assert id(q) not in module._LIVE
+        assert [is_coboundary(q, c) for c in queries] == want, k
+        # warm: a held result keeps one complex, which keeps each block of B^k
+        held = cohomology(q, k, verify=False)
+        for _ in range(2):
+            assert [is_coboundary(q, c) for c in queries] == want, k
+        assert len(held._complex._boundaries[k]) == len(
+            {held._complex.block(m) for c in queries for m, _ in c.terms}
+        )
+        del held
 
 
 def test_class_vector_rejects_a_result_of_another_algebra_with_the_same_basis():
