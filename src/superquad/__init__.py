@@ -38,7 +38,6 @@ from .cochains import (
     contract_vector,
     differential_direct,
     differential_via_poisson,
-    evaluate,
     monomials_of_degree,
     poisson_bracket,
     wedge,
@@ -94,8 +93,6 @@ from .sp2 import (
     Sp2Element,
     X,
     Y,
-    check_commuting_dependence,
-    check_eigenvector_relation,
     classify,
     commutator,
     normal_form,

@@ -22,11 +22,14 @@ Under this convention the differential of the dual of a Heisenberg
 central element comes out as sum_i X_{n+i}*^X_i* - 1/2 sum_j (Y_j*)^2,
 which is the regression the whole sign machinery is pinned to.
 
-The differential is built from the Leibniz rule: a monomial is the
-wedge of its letters, and delta is a superderivation, so only the
-degree-1 images delta(t*) = -[., .]_t are read from the structure
-constants.  The evaluation formula for delta on argument tuples is the
-test suite's oracle for it.
+Wedge and contraction are the two kernels; the rest is built from
+them.  delta is a superderivation, so only the degree-1 images
+delta(t*) = -[., .]_t are read from the structure constants, and
+delta(A) = sum_t +-i_t(A) ^ delta(t*) (``differential_direct``); the
+Poisson bracket is a biderivation, a sum over pairs of letters of
+i_r(A) ^ i_s(A') weighted by the inverse Gram matrix.  The evaluation
+formula for delta on argument tuples, with the evaluation rule above,
+is the test suite's oracle (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat, _combine, _frac, _num, rat_str
-from .quadratic import QuadraticLieSuperalgebra
+from .linalg import Rat, _check_degree, _combine, _frac, _num, rat_str
+from .quadratic import QuadraticLieSuperalgebra, _require_quadratic
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +85,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return len(self.even) + len(self.odd)
-
-    @property
-    def z2_degree(self) -> int:
-        return len(self.odd) % 2
 
     def sort_key(self) -> tuple:
         return (self.degree, self.alt_degree, self.even, self.odd)
@@ -232,63 +231,10 @@ def _same_basis(a: Cochain, b: Cochain):
         raise InputError("cochains live over different bases")
 
 
-def reorder_to_canonical(
-    parities: Sequence[int], args: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-    """Sort an argument index tuple into (evens | odds) canonical order.
-
-    Returns (even_part strictly increasing, odd_part weakly increasing,
-    sign) where sign tracks adjacent transpositions, each contributing
-    -(-1)^{xy}.  Returns None when an even index repeats (alternating
-    slots annihilate).
-
-    The sign bookkeeping splits cleanly: swaps among evens and between
-    an even and an odd contribute -1 each; swaps among odds contribute
-    +1.  So sign = (-1)^{#inversions not involving two odd indices}.
-    """
-    evens = [i for i in args if parities[i] == 0]
-    odds = [i for i in args if parities[i] == 1]
-    # moving all odds to the right past later evens: count (odd, even) pairs
-    inversions = 0
-    seen_odds = 0
-    for i in args:
-        if parities[i] == 1:
-            seen_odds += 1
-        else:
-            inversions += seen_odds
-    # sort evens, counting inversions (bubble count = inversions of the list)
-    sign = -1 if inversions % 2 else 1
-    for i in range(len(evens)):
-        for j in range(i + 1, len(evens)):
-            if evens[i] > evens[j]:
-                sign = -sign
-            elif evens[i] == evens[j]:
-                return None
-    return tuple(sorted(evens)), tuple(sorted(odds)), sign
-
-
-def evaluate(c: Cochain, args: Sequence[int]) -> Rat:
-    """Evaluate on a tuple of basis-vector indices.
-
-    Degree-k terms pair with k arguments; terms of other degrees
-    contribute zero.  A canonical-tuple evaluation of a monomial is
-    coefficient * mult_factor on itself and 0 on any other monomial.
-    """
-    parities = c.basis.parities
-    canonical = reorder_to_canonical(parities, args)
-    if canonical is None:
-        return Fraction(0)
-    even, odd, sign = canonical
-    target = Monomial(even=even, odd=odd)
-    value = c.coefficient(target)
-    if value == 0:
-        return Fraction(0)
-    return sign * value * target.mult_factor()
-
-
 def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
     """Deterministic monomial enumeration of C^k: by alternating degree
     ascending, then lexicographic."""
+    _check_degree(k)
     ne, n = basis.even_dim, basis.dim
     out = []
     for a in range(0, min(k, ne) + 1):
@@ -360,7 +306,8 @@ def _contractions(
     terms: Iterable[tuple[Monomial, Rat]],
 ) -> dict[int, dict[Monomial, Rat]]:
     """The contraction i_t(A) by every letter t of A, in one pass over
-    A's terms.
+    A's terms, each monomial once.  i_t is one to one on the monomials
+    that contain t, so no two terms meet in the same i_t(A).
 
     i_X(A)(args) = (-1)^{x * b(A)} A(X, args) where x is the parity of X
     and b(A) the Z2-degree of A.  On a monomial with even part E (length
@@ -377,20 +324,14 @@ def _contractions(
         even, odd = m.even, m.odd
         for p, t in enumerate(even):
             mm = _monomial(even[:p] + even[p + 1 :], odd)
-            val = -c if p % 2 else c
-            acc = out.setdefault(t, {})
-            prev = acc.get(mm)
-            acc[mm] = val if prev is None else prev + val
+            out.setdefault(t, {})[mm] = -c if p % 2 else c
         odd_sign = -1 if (len(even) + len(odd)) % 2 else 1
         for p, t in enumerate(odd):
             if p and odd[p - 1] == t:
                 continue  # one term per distinct odd letter
             mm = _monomial(even, odd[:p] + odd[p + 1 :])
             mu = odd_sign * odd.count(t)
-            val = c if mu == 1 else -c if mu == -1 else mu * c
-            acc = out.setdefault(t, {})
-            prev = acc.get(mm)
-            acc[mm] = val if prev is None else prev + val
+            out.setdefault(t, {})[mm] = c if mu == 1 else -c if mu == -1 else mu * c
     return out
 
 
@@ -406,12 +347,6 @@ def _combination(
                 prev = acc.get(m)
                 acc[m] = val if prev is None else prev + val
     return acc
-
-
-def contract_index(i: int, c: Cochain) -> Cochain:
-    """Contraction with basis vector number i, i_X(A)(args) =
-    (-1)^{x * b(A)} A(X, args); ``_contractions`` has the rule on monomials."""
-    return _cochain(c.basis, _contractions(c.terms).get(i, {}))
 
 
 def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
@@ -453,18 +388,23 @@ def differential_direct(
     *,
     duals: Mapping[int, Mapping[Monomial, Rat]] | None = None,
 ) -> Cochain:
-    """The differential, built from the Leibniz rule on degree-1 duals.
+    """The differential, one wedge per letter t of c:
+
+    delta(A) = sum_t eps_t i_t(A) ^ delta(t*),  eps_t = 1 for an even t, -1 for an odd t.
 
     delta is a superderivation of the wedge product,
     delta(A ^ B) = delta(A) ^ B + (-1)^{deg A} A ^ delta(B),
     so it is fixed by its values on the duals t* of the basis vectors
-    (``_dual_differentials``).  A monomial is the wedge of its letters
-    (evens ascending, then odds with multiplicity) with coefficient 1,
-    hence
-    delta(L_1 ^ ... ^ L_k) = sum_p (-1)^(p-1) L_1 ^ .. ^ delta(L_p) ^ .. ^ L_k,
-    each summand being, up to sign, the other letters' monomial wedged
-    with delta(L_p).  Degree-0 terms map to zero.  The evaluation formula
-    on every canonical (k+1)-tuple is kept in the tests as the oracle.
+    (``_dual_differentials``).  On a monomial, the wedge of its k
+    letters, the Leibniz rule replaces the letter t at position p by
+    delta(t*) with the sign (-1)^p, and moving delta(t*) (bidegree
+    (2, |t|)) to the end, past the letters after t, all odd when t is,
+    leaves (-1)^p for an even t and (-1)^(k-1) for each occurrence of an
+    odd t.  The contraction i_t (``_contractions``) deletes t with (-1)^p,
+    or with mu (-1)^k for an odd t of multiplicity mu: hence eps_t.  All
+    the terms of c that contain t go into one wedge with delta(t*).
+    Degree-0 terms map to zero.  The evaluation formula on every
+    canonical (k+1)-tuple is kept in the tests as the oracle.
 
     ``duals`` is ``_dual_differentials(g)``, built once by a caller that
     differentiates many cochains; without it the table is built here.
@@ -473,19 +413,9 @@ def differential_direct(
     if duals is None:
         duals = _dual_differentials(g)
     acc: dict[Monomial, Rat] = {}
-    for m, coeff in c.terms:
-        coeff = _num(coeff)
-        letters = m.even + m.odd
-        k = len(letters)
-        for p, t in enumerate(letters):
-            if not duals[t]:
-                continue
-            # delta(t*) has bidegree (2, |t|), so moving it right past the
-            # k - p - 1 letters after it, all odd when t is, adds
-            # (-1)^(|t| (k - p - 1)) to the (-1)^p of the Leibniz rule
-            flips = k - 1 if t >= ne else p
-            rest = _letters(ne, letters[:p] + letters[p + 1 :])
-            _wedge_into(acc, ((rest, coeff),), duals[t].items(), -1 if flips % 2 else 1)
+    for t, contracted in _contractions((m, _num(x)) for m, x in c.terms).items():
+        if duals[t]:
+            _wedge_into(acc, contracted.items(), duals[t].items(), 1 if t < ne else -1)
     return _cochain(g.basis, acc)
 
 
@@ -506,7 +436,7 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     and supersymmetry give every other ordering its value, and the grading
     keeps a repeated even letter and an odd I out.
     """
-    q.require_form()
+    _require_quadratic(q, "associated_three_form").require_form()
     ne = q.basis.even_dim
     pairs = {(i, j): terms for (i, j), terms in q.algebra.bracket_table().items() if i <= j}
     acc: dict[Monomial, Rat] = {}
@@ -544,7 +474,6 @@ def poisson_bracket(q: QuadraticLieSuperalgebra, a: Cochain, b: Cochain) -> Coch
     bidegrees (a, b).  These identities, graded Jacobi, and
     delta = -{I, .} are enforced by the test suite.
     """
-    _same_basis(a, b)
     return _bracket(_poisson_left(q, a), b, 1)
 
 
@@ -561,10 +490,10 @@ class _PoissonLeft:
 def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     """A prepared as the left operand of ``poisson_bracket``, built once
     by a caller that brackets it with many cochains.  Raises InputError
-    unless q passes ``QuadraticLieSuperalgebra.require_form``."""
+    unless q is quadratic and passes its ``require_form``."""
+    _require_quadratic(q, "the Poisson bracket").require_form()
     if a.basis != q.basis:
         raise InputError("the cochain and the form live over different bases")
-    q.require_form()
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
     contractions = _contractions(

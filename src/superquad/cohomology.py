@@ -25,19 +25,18 @@ from .cochains import (
     Cochain,
     Monomial,
     _cochain,
-    _combination,
-    _contractions,
     _dual_differentials,
     _letters,
     _poisson_left,
     _PoissonLeft,
     associated_three_form,
+    contract_vector,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, reduced_kernel
+from .linalg import Echelon, Rat, _check_degree, _frac, _num, _sparse_rows, rank, reduced_kernel
 from .quadratic import QuadraticLieSuperalgebra
 
 __all__ = [
@@ -56,13 +55,12 @@ __all__ = [
     "cohomology_report",
 ]
 
-DEFAULT_MONOMIAL_LIMIT = 200000
+MONOMIAL_LIMIT = 200000
 
 
 def cochain_dimension(basis: GradedBasis, k: int) -> int:
     """dim C^k = sum_m C(dim even, m) * C(dim odd + k - m - 1, k - m)."""
-    if k < 0:
-        raise InputError("cochain degree must be non-negative")
+    _check_degree(k)
     p, q = basis.even_dim, basis.odd_dim
     total = 0
     for m in range(0, min(p, k) + 1):
@@ -133,9 +131,6 @@ class DifferentialMatrix:
             tuple(col.get(i, zero) for col in self.columns) for i in range(self.target.dimension)
         )
 
-    def rank(self) -> int:
-        return rank(self.columns)
-
 
 class Complex:
     """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
@@ -159,7 +154,7 @@ class Complex:
         self.quadratic = q if isinstance(q, QuadraticLieSuperalgebra) else None
         self.algebra = q if self.quadratic is None else q.algebra
         self.basis = self.algebra.basis
-        self._sized: dict[int, int] = {}  # limit -> largest k_max passed
+        self._sized = -1  # the largest k_max check_size passed
         self._cochains: dict[int, CochainBasis] = {}
         self._keys: dict[int, tuple[tuple, ...]] = {}
         # degree -> (delta_k or H^k, built with the cross-check or not);
@@ -190,15 +185,15 @@ class Complex:
         block of inner weight s != 0 is acyclic: c = delta(-i_x c / s) for
         every cocycle c there.
         """
-        torus, ne, duals = inner_torus(self.algebra), self.basis.even_dim, self.duals
+        torus, basis, duals = inner_torus(self.algebra), self.basis, self.duals
         for t, image in duals.items() if torus else ():
-            contractions = _contractions(image.items())
+            label, dt = basis.labels[t], _cochain(basis, image)
             for x, w in torus:
-                got = _combination((a, contractions.get(i, {})) for i, a in x.items())
-                if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
-                    raise EngineError(f"i_x delta({self.basis.labels[t]}*) != -w t*: the inner torus is wrong")
-            if not differential_direct(self.algebra, _cochain(self.basis, image), duals=duals).is_zero:
-                raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
+                i_x = contract_vector(dt, [x.get(i, 0) for i in range(basis.dim)])
+                if i_x != _cochain(basis, {_letters(basis.even_dim, (t,)): -w[t]}):
+                    raise EngineError(f"i_x delta({label}*) != -w t*: the inner torus is wrong")
+            if not differential_direct(self.algebra, dt, duals=duals).is_zero:
+                raise InputError(f"delta(delta({label}*)) != 0, so the bracket fails super Jacobi")
         return torus
 
     def zero_blocks(self, k: int) -> tuple[set[tuple], CochainBasis] | None:
@@ -252,16 +247,15 @@ class Complex:
     def left(self) -> _PoissonLeft:
         return _poisson_left(self.quadratic, self.three_form)
 
-    def check_size(self, k_max: int, limit: int = DEFAULT_MONOMIAL_LIMIT) -> None:
-        """Refuse, before any work, a negative k_max and a dim C^k over
-        ``limit`` for k <= k_max + 1."""
-        if k_max < 0:
-            raise InputError("k_max must be non-negative")
-        if k_max > self._sized.get(limit, -1):
+    def check_size(self, k_max: int) -> None:
+        """Refuse, before any work, a k_max that is not a degree and a
+        dim C^k over ``MONOMIAL_LIMIT`` for k <= k_max + 1."""
+        _check_degree(k_max, "k_max")
+        if k_max > self._sized:
             for k in range(k_max + 2):
-                if (dim := cochain_dimension(self.basis, k)) > limit:
-                    raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {limit}")
-            self._sized[limit] = k_max
+                if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
+                    raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {MONOMIAL_LIMIT}")
+            self._sized = k_max
 
     def cochains(self, k: int) -> CochainBasis:
         if k not in self._cochains:
@@ -446,8 +440,7 @@ def cohomology(
     representative.  The reduced echelon basis of a direct sum of spaces
     on disjoint coordinates is the union of theirs, so the cocycles kept,
     and the representatives among them, are those of the whole C^k."""
-    if k < 0:
-        raise InputError("cohomology degree must be non-negative")
+    _check_degree(k, "cohomology degree")
     cx = _complex(q)
     cx.check_size(k)
     held, checked = cx._results.get(k, (None, False))
@@ -492,12 +485,11 @@ def betti_table(
     k_max: int,
     *,
     verify: bool = True,
-    max_monomials: int = DEFAULT_MONOMIAL_LIMIT,
 ) -> list[CohomologyResult]:
     """Cohomology in degrees 0..k_max over one Complex: each delta_k is
     built once."""
     cx = _complex(q)
-    cx.check_size(k_max, max_monomials)
+    cx.check_size(k_max)
     return [cohomology(cx, k, verify=verify) for k in range(k_max + 1)]
 
 
@@ -583,12 +575,9 @@ def cohomology_report(
     name: str | None = None,
     include_representatives: bool = True,
     verify: bool = True,
-    max_monomials: int = DEFAULT_MONOMIAL_LIMIT,
 ) -> dict:
     """Machine-readable cohomology report (schema 1)."""
-    results = betti_table(
-        q, k_max, verify=verify, max_monomials=max_monomials
-    )
+    results = betti_table(q, k_max, verify=verify)
     rows = []
     for r in results:
         row = {

@@ -22,6 +22,7 @@ from .linalg import Rat, _combine, _frac, _sparse_rows, rat, reduced_kernel
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
+    _require_quadratic,
     reorder_quadratic,
     validate_form,
     validate_quadratic,
@@ -187,11 +188,6 @@ def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
     return ValidationReport(violations=tuple(violations))
 
 
-def _require_quadratic(q) -> None:
-    if not isinstance(q, QuadraticLieSuperalgebra):
-        raise InputError("skew superderivations need a quadratic Lie superalgebra")
-
-
 def is_superderivation(
     g: LieSuperalgebra, matrix, degree: int
 ) -> ValidationReport:
@@ -203,7 +199,7 @@ def is_skew_superderivation(
     q: QuadraticLieSuperalgebra, matrix, degree: int
 ) -> ValidationReport:
     """Superderivation check plus B(DX,Y) = -(-1)^{alpha x} B(X,DY)."""
-    _require_quadratic(q)
+    _require_quadratic(q, "a skew superderivation")
     return _derivation_report(q, matrix, degree)
 
 
@@ -213,7 +209,7 @@ def skew_superderivation_space(
     """Reduced echelon basis of the skew-supersymmetric superderivations of
     a degree: the kernel of the defect (see ``_defects``) on the entries
     (i, j) with parity(i) = parity(j) + degree, in row-major order."""
-    _require_quadratic(q)
+    _require_quadratic(q, "a skew superderivation")
     if degree not in (0, 1):
         raise InputError("superderivation degree must be 0 or 1")
     n = q.basis.dim
@@ -530,8 +526,7 @@ def central_reduction(
     cannot pass; q itself is validated only when the rebuild fails, to
     tell an input error (q invalid) from an engine fault.
     """
-    if not isinstance(q, QuadraticLieSuperalgebra):
-        raise InputError("central_reduction needs a quadratic Lie superalgebra")
+    _require_quadratic(q, "central_reduction")
     basis, gram = q.basis, q.form.gram
     iz, ix = basis.index(z), basis.index(x)
     if basis.parities[iz] or basis.parities[ix]:

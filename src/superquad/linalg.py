@@ -63,6 +63,15 @@ def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _check_degree(k, what: str = "cochain degree") -> None:
+    """Raise InputError unless k is an int (not a bool) and k >= 0: the
+    check of every public function that takes a degree."""
+    if type(k) is bool or not isinstance(k, int):
+        raise InputError(f"{what} must be an int, not {type(k).__name__}")
+    if k < 0:
+        raise InputError(f"{what} must be non-negative")
+
+
 def _num(x: Rat | int) -> Rat | int:
     """x in the kernels' form: an int when integral, else the Fraction."""
     return x.numerator if x.denominator == 1 else x

@@ -144,6 +144,14 @@ class QuadraticLieSuperalgebra:
             )
 
 
+def _require_quadratic(q, what: str) -> QuadraticLieSuperalgebra:
+    """q, or InputError naming ``what`` when q carries no form: the one
+    type check of every entry point that needs a quadratic algebra."""
+    if not isinstance(q, QuadraticLieSuperalgebra):
+        raise InputError(f"{what} needs a quadratic Lie superalgebra, not a {type(q).__name__}")
+    return q
+
+
 def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
     """Check evenness, supersymmetry, invariance, non-degeneracy of B."""
     out: list[Violation] = []
@@ -233,7 +241,7 @@ def orthogonal_complement(q: QuadraticLieSuperalgebra, ideal: Subspace) -> Subsp
     non-degenerate this asserts the stronger splitting facts: the ideal
     and its complement commute, intersect trivially, and together span.
     """
-    q.require_form()
+    _require_quadratic(q, "orthogonal_complement").require_form()
     if not is_graded_ideal(q.algebra, ideal):
         raise InputError("orthogonal_complement requires a graded ideal")
     n = q.dim
@@ -269,7 +277,7 @@ def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | 
     """
     from .algebra import center
 
-    q.require_form()
+    _require_quadratic(q, "find_nondegenerate_central_line").require_form()
     z = center(q.algebra)
     ne = q.basis.even_dim
     even_rows = [list(r) for r in z.rows if all(c == 0 for c in r[ne:])]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EngineError, InputError
 from .linalg import Rat, rat
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "Y",
     "classify",
     "commutator",
-    "check_commuting_dependence",
-    "check_eigenvector_relation",
     "normal_form",
     "rational_sqrt",
 ]
@@ -97,45 +94,6 @@ def commutator(m1: Sp2Element, m2: Sp2Element) -> Sp2Element:
         2 * (a * b2 - a2 * b),
         -2 * (a * c2 - a2 * c),
     )
-
-
-def check_commuting_dependence(
-    m1: Sp2Element, m2: Sp2Element
-) -> tuple[Rat, Rat]:
-    """A dependence certificate (mu, nu) != (0,0) with mu*A + nu*B = 0.
-
-    Requires [A, B] = 0; commuting traceless 2x2 matrices are linearly
-    dependent, so a certificate always exists.
-    """
-    if not commutator(m1, m2).is_zero:
-        raise InputError("dependence certificate requires [A, B] = 0")
-    if m1.is_zero:
-        return (Fraction(1), Fraction(0))
-    if m2.is_zero:
-        return (Fraction(0), Fraction(1))
-    # find a coordinate where m1 is non-zero and scale m2 against it
-    for x1, x2 in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c)):
-        if x1 != 0:
-            t = Fraction(x2, x1)
-            if (m2 - m1.scale(t)).is_zero:
-                return (t, Fraction(-1))
-            raise EngineError(
-                "commuting non-zero traceless 2x2 matrices must be "
-                "linearly dependent; found a counterexample"
-            )
-    raise EngineError("non-zero element with all coordinates zero")
-
-
-def check_eigenvector_relation(
-    m1: Sp2Element, m2: Sp2Element
-) -> tuple[bool, bool]:
-    """Flags (discriminant(A) == 1/4, B nilpotent) for [A, B] = B, B != 0."""
-    if m2.is_zero:
-        raise InputError("eigenvector relation requires B != 0")
-    if commutator(m1, m2) != m2:
-        raise InputError("eigenvector relation requires [A, B] = B")
-    tag, _ = classify(m2)
-    return (m1.discriminant == Fraction(1, 4), tag == "nilpotent")
 
 
 def rational_sqrt(value: Rat) -> Rat | None:

@@ -13,8 +13,10 @@ echelon replaced; RREF is unique, so the two must agree exactly.
 ``nullspace`` did before ``Echelon.kernel`` replaced it, and
 ``inverse_dense`` the inverse, as the engine's dense ``inverse`` did
 before ``BilinearForm.inverse_columns`` eliminated [G^T | 1] itself.
-``from_values`` is the cochain with given values on canonical tuples,
-the inverse of ``evaluate``, which ``differential_by_evaluation`` needs.
+``evaluate`` is the evaluation rule of README.md on an argument tuple
+(``reorder_to_canonical`` brings the tuple to canonical order), and
+``from_values`` the cochain with given values on canonical tuples, its
+inverse; ``differential_by_evaluation`` needs both.
 ``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
 which the engine's weight-restricted ``is_coboundary`` replaced;
 ``is_coboundary_by_rank`` asks the same of ranks, on a complex of its own,
@@ -29,6 +31,8 @@ violations, in the same order, with the same messages.
 constructor replaced: every pair of the new basis through a six-branch
 bracket of dense ``column``/``bracket_pair``/``form.value`` calls.  The
 two must give the same basis, structure constants and Gram matrix.
+``check_commuting_dependence`` and ``check_eigenvector_relation`` are the
+paper's lemmas on traceless 2x2 matrices, checked by acceptance C10.
 """
 from __future__ import annotations
 
@@ -37,13 +41,7 @@ from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
 from superquad.algebra import GradedBasis, Violation, _sparse_str
-from superquad.cochains import (
-    Cochain,
-    Monomial,
-    evaluate,
-    monomials_of_degree,
-    wedge,
-)
+from superquad.cochains import Cochain, Monomial, monomials_of_degree, wedge
 from superquad.cohomology import CohomologyResult, Complex, _Quotient, differential_matrix
 from superquad.errors import EngineError, InputError
 from superquad.extensions import (
@@ -55,6 +53,7 @@ from superquad.extensions import (
 )
 from superquad.linalg import Rat, rank, reduced_kernel
 from superquad.quadratic import validate_quadratic
+from superquad.sp2 import Sp2Element, classify, commutator
 
 QUADRATIC_KEYS = (
     "g_4_1_s",
@@ -114,11 +113,64 @@ def mono(q_or_basis, even_labels=(), odd_labels=(), coeff=1) -> Cochain:
 
 def bidegree(m: Monomial) -> tuple[int, int]:
     """Z x Z2 bidegree (total degree, parity of the symmetric degree)."""
-    return (m.degree, m.z2_degree)
+    return (m.degree, m.sym_degree % 2)
 
 
 def koszul(d1: tuple[int, int], d2: tuple[int, int]) -> int:
     return -1 if (d1[0] * d2[0] + d1[1] * d2[1]) % 2 else 1
+
+
+def reorder_to_canonical(
+    parities, args
+) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """Sort an argument index tuple into (evens | odds) canonical order.
+
+    Returns (even_part strictly increasing, odd_part weakly increasing,
+    sign) where sign tracks adjacent transpositions, each contributing
+    -(-1)^{xy}.  Returns None when an even index repeats (alternating
+    slots annihilate).
+
+    The sign bookkeeping splits cleanly: swaps among evens and between
+    an even and an odd contribute -1 each; swaps among odds contribute
+    +1.  So sign = (-1)^{#inversions not involving two odd indices}.
+    """
+    evens = [i for i in args if parities[i] == 0]
+    odds = [i for i in args if parities[i] == 1]
+    # moving all odds to the right past later evens: count (odd, even) pairs
+    inversions = 0
+    seen_odds = 0
+    for i in args:
+        if parities[i] == 1:
+            seen_odds += 1
+        else:
+            inversions += seen_odds
+    # sort evens, counting inversions (bubble count = inversions of the list)
+    sign = -1 if inversions % 2 else 1
+    for i in range(len(evens)):
+        for j in range(i + 1, len(evens)):
+            if evens[i] > evens[j]:
+                sign = -sign
+            elif evens[i] == evens[j]:
+                return None
+    return tuple(sorted(evens)), tuple(sorted(odds)), sign
+
+
+def evaluate(c: Cochain, args) -> Rat:
+    """Evaluate on a tuple of basis-vector indices.
+
+    Degree-k terms pair with k arguments; terms of other degrees
+    contribute zero.  A canonical-tuple evaluation of a monomial is
+    coefficient * mult_factor on itself and 0 on any other monomial.
+    """
+    canonical = reorder_to_canonical(c.basis.parities, args)
+    if canonical is None:
+        return Fraction(0)
+    even, odd, sign = canonical
+    target = Monomial(even=even, odd=odd)
+    value = c.coefficient(target)
+    if value == 0:
+        return Fraction(0)
+    return sign * value * target.mult_factor()
 
 
 def from_values(basis, k: int, value_fn) -> Cochain:
@@ -761,3 +813,38 @@ def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
             f"{first.rule} at {first.witness}: {first.message}"
         )
     return out
+
+
+def check_commuting_dependence(m1: Sp2Element, m2: Sp2Element) -> tuple[Rat, Rat]:
+    """A dependence certificate (mu, nu) != (0,0) with mu*A + nu*B = 0.
+
+    Requires [A, B] = 0; commuting traceless 2x2 matrices are linearly
+    dependent, so a certificate always exists.
+    """
+    if not commutator(m1, m2).is_zero:
+        raise InputError("dependence certificate requires [A, B] = 0")
+    if m1.is_zero:
+        return (Fraction(1), Fraction(0))
+    if m2.is_zero:
+        return (Fraction(0), Fraction(1))
+    # find a coordinate where m1 is non-zero and scale m2 against it
+    for x1, x2 in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c)):
+        if x1 != 0:
+            t = Fraction(x2, x1)
+            if (m2 - m1.scale(t)).is_zero:
+                return (t, Fraction(-1))
+            raise EngineError(
+                "commuting non-zero traceless 2x2 matrices must be "
+                "linearly dependent; found a counterexample"
+            )
+    raise EngineError("non-zero element with all coordinates zero")
+
+
+def check_eigenvector_relation(m1: Sp2Element, m2: Sp2Element) -> tuple[bool, bool]:
+    """Flags (discriminant(A) == 1/4, B nilpotent) for [A, B] = B, B != 0."""
+    if m2.is_zero:
+        raise InputError("eigenvector relation requires B != 0")
+    if commutator(m1, m2) != m2:
+        raise InputError("eigenvector relation requires [A, B] = B")
+    tag, _ = classify(m2)
+    return (m1.discriminant == Fraction(1, 4), tag == "nilpotent")

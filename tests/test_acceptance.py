@@ -11,6 +11,8 @@ from fractions import Fraction
 from helpers import (
     QUADRATIC_KEYS,
     bidegree,
+    check_commuting_dependence,
+    check_eigenvector_relation,
     koszul,
     mono,
     random_homogeneous,
@@ -51,8 +53,6 @@ from superquad.sp2 import (
     Sp2Element,
     X,
     Y,
-    check_commuting_dependence,
-    check_eigenvector_relation,
     commutator,
 )
 

@@ -10,6 +10,7 @@ from helpers import (
     PoissonOracle,
     bidegree,
     differential_by_evaluation,
+    evaluate,
     koszul,
     mono,
     random_homogeneous,
@@ -21,11 +22,9 @@ from superquad.cochains import (
     Monomial,
     _poisson_left,
     associated_three_form,
-    contract_index,
     contract_vector,
     differential_direct,
     differential_via_poisson,
-    evaluate,
     monomials_of_degree,
     poisson_bracket,
     wedge,
@@ -195,8 +194,8 @@ def test_contraction_against_evaluation():
         for m in monomials_of_degree(b, k):
             c = Cochain.from_terms(b, {m: Fraction(1)})
             for i in idx:
-                contracted = contract_index(i, c)
-                sign = -1 if (b.parities[i] * m.z2_degree) % 2 else 1
+                contracted = contract_vector(c, [Fraction(j == i) for j in idx])
+                sign = -1 if (b.parities[i] * m.sym_degree) % 2 else 1
                 for args in _tuples(b.dim, k - 1):
                     assert evaluate(contracted, args) == sign * evaluate(
                         c, (i,) + args
@@ -204,7 +203,7 @@ def test_contraction_against_evaluation():
             # and by a parity-homogeneous combination of basis vectors
             for parity, v in ((0, (1, -2, 0, 0)), (1, (0, 0, 3, -1))):
                 contracted = contract_vector(c, [Fraction(x) for x in v])
-                sign = -1 if (parity * m.z2_degree) % 2 else 1
+                sign = -1 if (parity * m.sym_degree) % 2 else 1
                 for args in _tuples(b.dim, k - 1):
                     assert evaluate(contracted, args) == sign * sum(
                         x * evaluate(c, (i,) + args) for i, x in enumerate(v)
@@ -280,6 +279,34 @@ def test_differential_matches_evaluation_oracle():
                 checked += 1
     # 515 catalog monomials to degree 2, 72 of g_8_2_5_s, 2 x 38 seeded
     assert checked == 515 + 72 + 2 * 38
+
+    # seeded multi-term cochains: every term that contains a letter t goes
+    # into one wedge with delta(t*)
+    rng = random.Random(7919)
+    for obj, _ in cases:
+        g = getattr(obj, "algebra", obj)
+        for k in (1, 2, 3):
+            pool = monomials_of_degree(g.basis, k)
+            for _ in range(4):
+                picks = rng.sample(pool, min(len(pool), 6))
+                terms = {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for m in picks}
+                c = Cochain.from_terms(g.basis, terms)
+                assert differential_direct(g, c) == differential_by_evaluation(g, c), c
+
+    # degree 4 wherever an odd letter can repeat up to four times: one
+    # seeded cochain on every monomial of C^4 at once
+    fourth_powers = 0
+    for obj in [build(key) for key in catalog_keys()] + [non_jacobi_bracket(seed) for seed in (5, 6)]:
+        g = getattr(obj, "algebra", obj)
+        if g.basis.odd_dim < 2:
+            continue
+        pool = monomials_of_degree(g.basis, 4)
+        fourth_powers += sum(len(set(m.odd)) == 1 and m.sym_degree == 4 for m in pool)
+        c = Cochain.from_terms(g.basis, {m: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for m in pool})
+        assert differential_direct(g, c) == differential_by_evaluation(g, c), obj
+    # the fourth power of every odd letter: 2 on each of 12 catalog keys,
+    # 4 on g_6_s and 2 on each seeded bracket
+    assert fourth_powers == 2 * 12 + 4 + 2 * 2
 
 
 def test_differential_matches_bracket_duality_in_degree_one():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS
+from helpers import QUADRATIC_KEYS, check_commuting_dependence, evaluate
 from superquad import (
     BilinearForm,
     Cochain,
@@ -18,7 +18,6 @@ from superquad import (
     betti_table,
     build,
     catalog_keys,
-    check_commuting_dependence,
     class_vector,
     differential_direct,
     differential_matrix,
@@ -29,7 +28,7 @@ from superquad import (
     wedge,
 )
 from superquad.algebra import Subspace, center, derived_series
-from superquad.cochains import Monomial, evaluate, monomials_of_degree
+from superquad.cochains import Monomial, monomials_of_degree
 from superquad.errors import InputError
 from superquad.linalg import Echelon, rank, reduced_kernel
 from superquad.quadratic import orthogonal_complement

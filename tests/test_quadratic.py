@@ -13,8 +13,12 @@ from superquad import (
     betti_table,
     build,
     catalog_keys,
+    central_reduction,
     differential_matrix,
+    differential_via_poisson,
+    is_skew_superderivation,
     poisson_bracket,
+    skew_superderivation_space,
 )
 from superquad.algebra import (
     GradedBasis,
@@ -278,3 +282,31 @@ def test_gram_entries_are_normalised_to_fractions():
     form = BilinearForm(basis=q.basis, gram=gram)
     assert form.gram == q.form.gram
     assert all(type(x) is Fraction for row in form.gram for x in row)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: poisson_bracket(h, 1, 1),
+        lambda h: associated_three_form(h),
+        lambda h: differential_via_poisson(h, 1),
+        lambda h: orthogonal_complement(h, Subspace.from_vectors(h.basis, [])),
+        lambda h: find_nondegenerate_central_line(h),
+        lambda h: skew_superderivation_space(h, 0),
+        lambda h: is_skew_superderivation(h, [[0] * 3] * 3, 0),
+        lambda h: central_reduction(h, "Z", "X1"),
+    ],
+    ids=[
+        "poisson_bracket",
+        "associated_three_form",
+        "differential_via_poisson",
+        "orthogonal_complement",
+        "find_nondegenerate_central_line",
+        "skew_superderivation_space",
+        "is_skew_superderivation",
+        "central_reduction",
+    ],
+)
+def test_quadratic_entry_points_refuse_a_plain_algebra(call):
+    with pytest.raises(InputError, match="needs a quadratic Lie superalgebra, not a LieSuperalgebra"):
+        call(build("h"))

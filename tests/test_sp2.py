@@ -5,14 +5,18 @@ from fractions import Fraction
 import pytest
 
 from superquad.errors import InputError
-from helpers import inverse_dense, mat_mul, nullspace_dense
+from helpers import (
+    check_commuting_dependence,
+    check_eigenvector_relation,
+    inverse_dense,
+    mat_mul,
+    nullspace_dense,
+)
 from superquad.sp2 import (
     H,
     Sp2Element,
     X,
     Y,
-    check_commuting_dependence,
-    check_eigenvector_relation,
     classify,
     commutator,
     normal_form,
