@@ -396,23 +396,17 @@ def derived_series(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[Subspa
     """Derived series g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until it stabilizes.
 
     Until it stabilizes each term is strictly smaller than the one before,
-    so the loop breaks within g.dim + 1 steps.  Each bracket [a, b] of
-    two rows is summed over their nonzeros from ``bracket_table``."""
+    so the loop breaks within g.dim + 1 steps."""
     g = _lie(g)
-    ambient, table = g.basis, g.bracket_table()
+    ambient = g.basis
     current = Subspace.from_vectors(ambient, [g.basis_vector(i) for i in range(g.dim)])
     series = [current]
     for _ in range(g.dim + 1):
         vectors = []
-        rows = _sparse_rows(current.rows)
+        rows = [list(r) for r in current.rows]
         for a in rows:
             for b in rows:
-                acc: dict[int, Rat] = {}
-                for i, x in a.items():
-                    for j, y in b.items():
-                        for t, c in table.get((i, j), {}).items():
-                            acc[t] = acc.get(t, 0) + x * y * c
-                vectors.append(acc)
+                vectors.append(g.bracket(a, b))
         nxt = Subspace.from_vectors(ambient, vectors)
         series.append(nxt)
         if nxt.dim == current.dim:

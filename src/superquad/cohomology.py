@@ -25,12 +25,13 @@ from .cochains import (
     Cochain,
     Monomial,
     _cochain,
+    _combination,
+    _contractions,
     _dual_differentials,
     _letters,
     _poisson_left,
     _PoissonLeft,
     associated_three_form,
-    contract_vector,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -185,15 +186,15 @@ class Complex:
         block of inner weight s != 0 is acyclic: c = delta(-i_x c / s) for
         every cocycle c there.
         """
-        torus, basis, duals = inner_torus(self.algebra), self.basis, self.duals
+        torus, ne, duals = inner_torus(self.algebra), self.basis.even_dim, self.duals
         for t, image in duals.items() if torus else ():
-            label, dt = basis.labels[t], _cochain(basis, image)
+            contractions = _contractions(image.items())
             for x, w in torus:
-                i_x = contract_vector(dt, [x.get(i, 0) for i in range(basis.dim)])
-                if i_x != _cochain(basis, {_letters(basis.even_dim, (t,)): -w[t]}):
-                    raise EngineError(f"i_x delta({label}*) != -w t*: the inner torus is wrong")
-            if not differential_direct(self.algebra, dt, duals=duals).is_zero:
-                raise InputError(f"delta(delta({label}*)) != 0, so the bracket fails super Jacobi")
+                got = _combination((a, contractions.get(i, {})) for i, a in x.items())
+                if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
+                    raise EngineError(f"i_x delta({self.basis.labels[t]}*) != -w t*: the inner torus is wrong")
+            if not differential_direct(self.algebra, _cochain(self.basis, image), duals=duals).is_zero:
+                raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
         return torus
 
     def zero_blocks(self, k: int) -> tuple[set[tuple], CochainBasis] | None:
@@ -247,10 +248,11 @@ class Complex:
     def left(self) -> _PoissonLeft:
         return _poisson_left(self.quadratic, self.three_form)
 
-    def check_size(self, k_max: int) -> None:
-        """Refuse, before any work, a k_max that is not a degree and a
-        dim C^k over ``MONOMIAL_LIMIT`` for k <= k_max + 1."""
-        _check_degree(k_max, "k_max")
+    def check_size(self, k_max: int, what: str = "k_max") -> None:
+        """Refuse, before any work, a k_max that is not a degree (named
+        ``what`` in the message) and a dim C^k over ``MONOMIAL_LIMIT`` for
+        k <= k_max + 1."""
+        _check_degree(k_max, what)
         if k_max > self._sized:
             for k in range(k_max + 2):
                 if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
@@ -440,9 +442,8 @@ def cohomology(
     representative.  The reduced echelon basis of a direct sum of spaces
     on disjoint coordinates is the union of theirs, so the cocycles kept,
     and the representatives among them, are those of the whole C^k."""
-    _check_degree(k, "cohomology degree")
     cx = _complex(q)
-    cx.check_size(k)
+    cx.check_size(k, "cohomology degree")
     held, checked = cx._results.get(k, (None, False))
     if held is not None and (hit := held()) is not None and (checked or not verify):
         return hit
