@@ -167,10 +167,7 @@ class Cochain:
     @classmethod
     def dual(cls, basis: GradedBasis, label: str) -> "Cochain":
         """The dual vector of a basis element as a degree-1 monomial."""
-        i = basis.index(label)
-        if basis.parities[i] == 0:
-            return cls.from_terms(basis, {Monomial(even=(i,), odd=()): Fraction(1)})
-        return cls.from_terms(basis, {Monomial(even=(), odd=(i,)): Fraction(1)})
+        return cls.from_terms(basis, {_letters(basis.even_dim, (basis.index(label),)): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -183,11 +180,12 @@ class Cochain:
         return Fraction(0)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        _same_basis(self, other)
+        _check_cochain(other, self.basis)
         return Cochain.from_terms(self.basis, self.terms + other.terms)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(Fraction(-1))
+        _check_cochain(other, self.basis)
+        return self + -other
 
     def __neg__(self) -> "Cochain":
         return self.scale(Fraction(-1))
@@ -226,8 +224,11 @@ def _cochain(basis: GradedBasis, acc: Mapping[Monomial, Rat | int]) -> Cochain:
     return c
 
 
-def _same_basis(a: Cochain, b: Cochain):
-    if a.basis != b.basis:
+def _check_cochain(c: object, basis: GradedBasis | None) -> None:
+    """Raise InputError unless c is a Cochain over ``basis`` (any, for None)."""
+    if not isinstance(c, Cochain):
+        raise InputError(f"expected a Cochain, not {type(c).__name__}")
+    if c.basis is not basis and basis is not None and c.basis != basis:
         raise InputError("cochains live over different bases")
 
 
@@ -247,7 +248,8 @@ def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:
     """Super-exterior product (see ``_wedge_into`` for the rule)."""
-    _same_basis(a, b)
+    _check_cochain(a, None)
+    _check_cochain(b, a.basis)
     acc: dict[Monomial, Rat] = {}
     _wedge_into(acc, a.terms, b.terms, 1)
     return _cochain(a.basis, acc)
@@ -351,6 +353,7 @@ def _combination(
 
 def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
     """Contraction with a parity-homogeneous coordinate vector."""
+    _check_cochain(c, None)
     v = list(vector)
     if len(v) != c.basis.dim:
         raise InputError("contraction vector has the wrong length")
@@ -409,6 +412,7 @@ def differential_direct(
     ``duals`` is ``_dual_differentials(g)``, built once by a caller that
     differentiates many cochains; without it the table is built here.
     """
+    _check_cochain(c, g.basis)
     ne = g.basis.even_dim
     if duals is None:
         duals = _dual_differentials(g)
@@ -492,8 +496,7 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     by a caller that brackets it with many cochains.  Raises InputError
     unless q is quadratic and passes its ``require_form``."""
     _require_quadratic(q, "the Poisson bracket").require_form()
-    if a.basis != q.basis:
-        raise InputError("the cochain and the form live over different bases")
+    _check_cochain(a, q.basis)
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
     contractions = _contractions(
@@ -511,8 +514,7 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
 def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
     """scale * {A, b} for the prepared left operand A: one wedge per
     letter s of b's contractions."""
-    if b.basis != left.basis:
-        raise InputError("cochains live over different bases")
+    _check_cochain(b, left.basis)
     ne = b.basis.even_dim
     acc: dict[Monomial, Rat] = {}
     # eps_s depends on the symmetric degree g of a right term: contract

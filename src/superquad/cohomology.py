@@ -24,6 +24,7 @@ from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
     Cochain,
     Monomial,
+    _check_cochain,
     _cochain,
     _combination,
     _contractions,
@@ -201,42 +202,26 @@ class Complex:
         """The blocks of C^k of inner weight 0 and their monomials, in basis
         order: delta_k is built on those only.  None without an inner
         torus, where delta_k is built on all of C^k.  A block's inner
-        weight, the sum of its letters' w for each x, is read off its
-        first monomial: the weights of ad x are those of a diagonal
+        weight, the sum of its letters' w for each x, is read off one of
+        its monomials: the weights of ad x are those of a diagonal
         derivation, so the block key fixes them."""
         if not self.torus:
             return None
         if k not in self._zero:
-            monomials, keys = self.cochains(k).monomials, self.keys(k)
-            zero: dict[tuple, bool] = {}
-            for m, key in zip(monomials, keys):
-                if key not in zero:
-                    zero[key] = not any(sum(w[t] for t in m.even + m.odd) for _, w in self.torus)
-            blocks = {key for key, z in zero.items() if z}
-            self._zero[k] = blocks, CochainBasis(k, tuple(m for m, key in zip(monomials, keys) if key in blocks))
+            first = dict(zip(self.keys(k), self.cochains(k).monomials)).items()  # a monomial of each block
+            blocks = {key for key, m in first if not any(sum(w[t] for t in m.even + m.odd) for _, w in self.torus)}
+            self._zero[k] = blocks, self.restrict(k, blocks)
         return self._zero[k]
 
     def acyclic_dim(self, k: int) -> int:
         """dim Z^k = dim B^k over the blocks of nonzero inner weight (0
         without an inner torus).  Those blocks are acyclic (``torus``), so
         dim Z^k_w = sum_{j<k} (-1)^(k-1-j) dim C^j_w, counted with no
-        elimination.  dim C^j_0 is the inner-weight-0 coefficient of
-        prod_even (1 + z u^w_t) prod_odd 1/(1 - z u^w_t) at z^j, so no
-        C^j below the degrees asked for is enumerated."""
+        elimination, dim C^j_0 being read from ``zero_blocks(j)``."""
         if not self.torus:
             return 0
-        zero = (0,) * len(self.torus)
-        layers: list[dict[tuple, int]] = [{zero: 1}] + [{} for _ in range(k - 1)]
-        for t, parity in enumerate(self.basis.parities):
-            wt = tuple(w[t] for _, w in self.torus)
-            # an odd letter may repeat: its degree-j layer reads its own j - 1 layer
-            for j in range(1, k) if parity else range(k - 1, 0, -1):
-                layer = layers[j]
-                for w, n in layers[j - 1].items():
-                    key = tuple(a + b for a, b in zip(w, wt))
-                    layer[key] = layer.get(key, 0) + n
         return sum(
-            (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - layers[j].get(zero, 0))
+            (-1) ** (k - 1 - j) * (self.cochains(j).dimension - self.zero_blocks(j)[1].dimension)
             for j in range(k)
         )
 
@@ -279,30 +264,31 @@ class Complex:
             self._keys[k] = tuple(map(self.block, self.cochains(k).monomials))
         return self._keys[k]
 
+    def restrict(self, k: int, blocks: Collection[tuple] | None) -> CochainBasis:
+        """The monomials of C^k in ``blocks`` (all of C^k for None), in basis order."""
+        if blocks is None:
+            return self.cochains(k)
+        return CochainBasis(k, tuple(m for m, key in zip(self.cochains(k).monomials, self.keys(k)) if key in blocks))
+
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k, built by ``differential_matrix`` on first use, and once
         more if the cross-check is asked for and the first build had none.
-        With an inner torus it maps the monomials of inner weight 0 of C^k
-        to those of C^{k+1} (``zero_blocks``), the source of delta_{k+1}."""
+        With an inner torus it is restricted to the blocks of inner weight 0
+        of C^k and C^{k+1} (``zero_blocks``): its target is the source of
+        delta_{k+1}."""
         hit = self._deltas.get(k)
         if hit is None or verify and not hit[1]:
-            if (zero := self.zero_blocks(k)) is None:
-                d = differential_matrix(self, k, verify=verify)
-            else:
-                d = differential_matrix(self, k, verify=verify, blocks=zero[0])
-                target = self.zero_blocks(k + 1)[1]
-                index, reached = target._index, d.target.monomials
-                columns = tuple({index[reached[i]]: x for i, x in col.items()} for col in d.columns)
-                d = DifferentialMatrix(zero[1], target, columns)
-            hit = self._deltas[k] = (d, verify)
+            blocks = None if (zero := self.zero_blocks(k)) is None else zero[0] | self.zero_blocks(k + 1)[0]
+            hit = self._deltas[k] = (differential_matrix(self, k, verify=verify, blocks=blocks), verify)
         return hit[0]
 
     def boundaries(self, k: int, keys: Collection[tuple]) -> list[tuple[dict[Monomial, int], Echelon]]:
         """B^k on each block of ``keys``, in order: the echelon of the
         columns of delta_{k-1} from that block, and the index of the
-        monomials of C^k they reach.  Each block is built once.  All the
-        blocks not yet held are built by one ``differential_matrix`` call
-        (whose block certificate runs) before any is returned."""
+        monomials of C^k in the blocks built with it.  Each block is built
+        once.  All the blocks not yet held are built by one
+        ``differential_matrix`` call (whose block certificate runs) before
+        any is returned."""
         held = self._boundaries.setdefault(k, {})
         if missing := {key for key in keys if key not in held}:
             d = differential_matrix(self, k - 1, verify=False, blocks=missing)
@@ -319,19 +305,17 @@ class Complex:
 _LIVE: WeakValueDictionary[int, Complex] = WeakValueDictionary()
 
 
-def _complex(
-    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain | None = None
-) -> Complex:
-    """The complex of q, checked to be over the basis the cochain c lives
-    over.  Given an algebra: the live complex built for that same object,
-    or a new one, held weakly.  A complex the caller builds is its own:
-    no call given the algebra reads it."""
+def _complex(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, *cochains: Cochain) -> Complex:
+    """The complex of q, each of ``cochains`` checked to be a cochain over
+    its basis.  Given an algebra: the live complex built for that same
+    object, or a new one, held weakly.  A complex the caller builds is its
+    own: no call given the algebra reads it."""
     if isinstance(q, Complex):
         cx = q
     elif (cx := _LIVE.get(id(q))) is None or not (cx.quadratic is q or cx.algebra is q):
         cx = _LIVE[id(q)] = Complex(q)
-    if c is not None and c.basis != cx.basis:
-        raise InputError("cochain is over another basis than the algebra")
+    for c in cochains:
+        _check_cochain(c, cx.basis)
     return cx
 
 
@@ -349,40 +333,31 @@ def differential_matrix(
     quadratic, every column is recomputed in full as -{I, monomial} from
     the complex's side of I, and the two must agree exactly.
 
-    ``blocks`` keeps only the source monomials whose ``Complex.block`` is
-    in it; the target is then the monomials the columns reach, in order
-    of appearance.  delta keeps the weight of every diagonal derivation
-    and the sym-parity (Hochschild-Serre), so it maps each block into the
-    block with the same key.  Certificate of a restricted build: every
-    term of every column must lie in its source's block, or the torus or
-    delta is wrong (EngineError).
+    ``blocks`` restricts delta_k to the blocks (``Complex.block``) in it:
+    it maps the monomials of C^k in those blocks to those of C^{k+1}, both
+    in basis order (``Complex.restrict``).  delta keeps the weight of
+    every diagonal derivation and the sym-parity (Hochschild-Serre), so
+    it maps each block into the block with the same key.  Certificate of
+    a restricted build: every term of every column must lie in its
+    source's block, or the torus or delta is wrong (EngineError).
     """
     cx = _complex(q)
     cx.check_size(k)
-    g, duals, src = cx.algebra, cx.duals, cx.cochains(k)
+    g, duals, block = cx.algebra, cx.duals, cx.block
     left = cx.left if verify and cx.quadratic is not None else None
-    if blocks is None:
-        sources = [(m, None) for m in src.monomials]
-    else:
-        sources = [(m, b) for m, b in zip(src.monomials, cx.keys(k)) if b in blocks]
-        src = CochainBasis(k, tuple(m for m, _ in sources))
-    images, block = [], cx.block
-    for m, key in sources:
+    src, tgt = cx.restrict(k, blocks), cx.restrict(k + 1, blocks)
+    index, columns = tgt._index, []
+    for m in src.monomials:
         c = _cochain(g.basis, {m: 1})
         image = differential_direct(g, c, duals=duals).terms
         if left is not None and image != differential_via_poisson(cx.quadratic, c, left=left).terms:
             raise EngineError(
                 f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
             )
-        if key is not None and any(block(mm) != key for mm, _ in image):
-            raise EngineError(f"delta of {m} leaves its weight block {key}: the torus or delta is wrong")
-        images.append(image)
-    if blocks is None:
-        tgt = cx.cochains(k + 1)
-    else:  # the monomials the columns reach, in order of appearance
-        tgt = CochainBasis(k + 1, tuple(dict.fromkeys(mm for image in images for mm, _ in image)))
-    index = tgt._index
-    return DifferentialMatrix(src, tgt, tuple({index[mm]: x for mm, x in image} for image in images))
+        if blocks is not None and {block(mm) for mm, _ in image} - {block(m)}:
+            raise EngineError(f"delta of {m} leaves its weight block {block(m)}: the torus or delta is wrong")
+        columns.append({index[mm]: x for mm, x in image})
+    return DifferentialMatrix(src, tgt, tuple(columns))
 
 
 class _Quotient(Echelon):
@@ -519,8 +494,6 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     for m, x in c.terms:
         parts.setdefault(cx.block(m), []).append((m, x))
     for (index, boundary), terms in zip(cx.boundaries(k, parts), parts.values()):
-        if any(m not in index for m, _ in terms):
-            return False
         if boundary.remainder({index[m]: _num(x) for m, x in terms}):
             return False
     return True

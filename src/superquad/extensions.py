@@ -42,6 +42,12 @@ __all__ = [
 ]
 
 
+def _check_z2_degree(degree: object) -> None:
+    """Raise InputError unless degree is the int 0 or 1 (not a bool)."""
+    if type(degree) is not int or degree not in (0, 1):
+        raise InputError("superderivation degree must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class Superderivation:
     """A homogeneous endomorphism candidate of degree alpha (0 or 1).
@@ -53,8 +59,7 @@ class Superderivation:
     degree: int
 
     def __post_init__(self) -> None:
-        if self.degree not in (0, 1):
-            raise InputError("superderivation degree must be 0 or 1")
+        _check_z2_degree(self.degree)
         n = len(self.matrix)
         rows = []
         for row in self.matrix:
@@ -157,6 +162,7 @@ def _defects(q_or_g, degree: int):
 def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
     """Grading, then one violation per (rule, i, j) at which the defect of
     D (see ``_defects``) is nonzero, in sorted order."""
+    _check_z2_degree(degree)
     d = matrix if isinstance(matrix, Superderivation) else Superderivation(
         matrix=tuple(tuple(row) for row in matrix), degree=degree
     )
@@ -210,8 +216,7 @@ def skew_superderivation_space(
     a degree: the kernel of the defect (see ``_defects``) on the entries
     (i, j) with parity(i) = parity(j) + degree, in row-major order."""
     _require_quadratic(q, "a skew superderivation")
-    if degree not in (0, 1):
-        raise InputError("superderivation degree must be 0 or 1")
+    _check_z2_degree(degree)
     n = q.basis.dim
     p = q.basis.parities
     slots = [(i, j) for i in range(n) for j in range(n) if p[i] == (p[j] + degree) % 2]

@@ -29,7 +29,7 @@ from superquad.cochains import (
     poisson_bracket,
     wedge,
 )
-from superquad.cohomology import differential_matrix
+from superquad.cohomology import class_vector, differential_matrix, is_coboundary, is_cocycle
 from superquad.errors import InputError
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 
@@ -457,3 +457,30 @@ def test_prepared_left_operand_rejects_another_basis():
         differential_via_poisson(q, foreign, left=left)
     with pytest.raises(InputError):
         _poisson_left(build("g_6_s"), three)
+
+
+@pytest.mark.parametrize("bad", [1, None, "foreign"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda q, c, bad: poisson_bracket(q, bad, c), id="poisson_bracket-left"),
+        pytest.param(lambda q, c, bad: poisson_bracket(q, c, bad), id="poisson_bracket-right"),
+        pytest.param(lambda q, c, bad: differential_via_poisson(q, bad), id="differential_via_poisson"),
+        pytest.param(lambda q, c, bad: differential_direct(q.algebra, bad), id="differential_direct"),
+        pytest.param(lambda q, c, bad: is_cocycle(q, bad), id="is_cocycle"),
+        pytest.param(lambda q, c, bad: is_coboundary(q, bad), id="is_coboundary"),
+        pytest.param(lambda q, c, bad: class_vector(q, bad), id="class_vector"),
+        pytest.param(lambda q, c, bad: wedge(c, bad), id="wedge-right"),
+        pytest.param(lambda q, c, bad: wedge(bad, c), id="wedge-left"),
+        pytest.param(lambda q, c, bad: c + bad, id="add"),
+        pytest.param(lambda q, c, bad: c - bad, id="sub"),
+        pytest.param(lambda q, c, bad: contract_vector(bad, [0] * q.dim), id="contract_vector"),
+    ],
+)
+def test_every_entry_point_rejects_what_is_not_a_cochain_over_its_basis(call, bad):
+    q = build("g_4_1_s")
+    c = Cochain.dual(q.basis, "X0")
+    if bad == "foreign":
+        bad = Cochain.dual(build("g_6_s").basis, "T1")  # index 5: past g_4_1_s's basis
+    with pytest.raises(InputError, match="Cochain|different bases|wrong length"):
+        call(q, c, bad)

@@ -124,6 +124,22 @@ def test_leibniz_violation_reported():
     )
 
 
+@pytest.mark.parametrize("degree", [1.0, 0.0, True, False, Fraction(1), 2, -1, "1"])
+def test_the_z2_degree_is_the_int_0_or_1(degree):
+    q = build("g_4_1_s")
+    zeros = tuple((Fraction(0),) * q.dim for _ in range(q.dim))
+    calls = (
+        lambda: skew_superderivation_space(q, degree),
+        lambda: Superderivation(matrix=zeros, degree=degree),
+        lambda: is_superderivation(q.algebra, zeros, degree),
+        lambda: is_skew_superderivation(q, zeros, degree),
+        lambda: is_superderivation(q.algebra, Superderivation(matrix=zeros, degree=1), degree),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="degree must be 0 or 1"):
+            call()
+
+
 # (dim, dim) of the degree-0 and degree-1 skew superderivation spaces at
 # the default parameters, as in perfbench/reference.json
 SKEW_DIMS = {
