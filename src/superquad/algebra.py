@@ -43,7 +43,7 @@ class GradedBasis:
             raise InputError("labels and parities must have equal length")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("basis labels must be distinct")
-        if any(p not in (0, 1) for p in self.parities):
+        if any(type(p) is not int or p not in (0, 1) for p in self.parities):
             raise InputError("parities must be 0 or 1")
         seen_odd = False
         for p in self.parities:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import catalog, serialization
 from .algebra import ValidationReport, validate_lie_superalgebra
-from .cochains import Cochain, differential_direct, differential_via_poisson, poisson_bracket
+from .cochains import Cochain, differential_direct, differential_via_poisson
 from .cohomology import Complex, cohomology_report
 from .errors import InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
@@ -227,7 +227,7 @@ def _cmd_poisson(args) -> int:
         )
     cx = Complex(obj)
     cx.check_size(args.max_degree)
-    i_i = poisson_bracket(obj, cx.three_form, cx.three_form)
+    i_i = differential_via_poisson(obj, cx.three_form, left=cx.left)  # -{I, I}
     failures: list[str] = []
     checked = 0
     for k in range(args.max_degree + 1):

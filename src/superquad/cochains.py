@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
-from .linalg import Rat, _check_degree, _combine, _frac, _num, rat_str
+from .linalg import Rat, _check_degree, _combine, _frac, _num, rat, rat_str
 from .quadratic import QuadraticLieSuperalgebra, _require_quadratic
 
 
@@ -87,7 +87,8 @@ class Monomial:
         return len(self.even) + len(self.odd)
 
     def sort_key(self) -> tuple:
-        return (self.degree, self.alt_degree, self.even, self.odd)
+        even, odd = self.even, self.odd
+        return (len(even) + len(odd), len(even), even, odd)
 
     def mult_factor(self) -> int:
         """prod over distinct odd indices of (multiplicity)!"""
@@ -137,23 +138,28 @@ class Cochain:
         ne = self.basis.even_dim
         n = self.basis.dim
         seen = set()
+        terms = []
         for m, c in self.terms:
             if m in seen:
                 raise InputError("duplicate monomial in cochain terms")
             seen.add(m)
+            c = rat(c)
             if c == 0:
                 raise InputError("zero coefficient stored in cochain")
             if any(not (0 <= i < ne) for i in m.even):
                 raise InputError("even index out of range")
             if any(not (ne <= j < n) for j in m.odd):
                 raise InputError("odd index out of range")
+            terms.append((m, c))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def from_terms(cls, basis: GradedBasis, terms: Mapping[Monomial, Rat] | Iterable[tuple[Monomial, Rat]]) -> "Cochain":
         acc: dict[Monomial, Rat] = {}
-        zero = Fraction(0)
-        for m, c in terms.items() if isinstance(terms, Mapping) else terms:
-            acc[m] = acc.get(m, zero) + c
+        for m, c in terms.items() if hasattr(terms, "items") else terms:
+            c = rat(c)
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
         return cls(basis, _terms(acc))
 
     @classmethod
@@ -180,23 +186,34 @@ class Cochain:
         return Fraction(0)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        _check_cochain(other, self.basis)
-        return Cochain.from_terms(self.basis, self.terms + other.terms)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Cochain", sign: int) -> "Cochain":
+        """self + sign * other for a sign of +1 or -1, merged term by term."""
         _check_cochain(other, self.basis)
-        return self + -other
+        acc = dict(self.terms)
+        for m, c in other.terms if sign == 1 else ((m, -c) for m, c in other.terms):
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+        return _cochain(self.basis, acc)
 
     def __neg__(self) -> "Cochain":
-        return self.scale(Fraction(-1))
+        return _sorted_cochain(self.basis, tuple((m, -v) for m, v in self.terms))
 
     def scale(self, c: Rat) -> "Cochain":
+        """c * self; anything ``rat`` refuses, a float among them, is an
+        InputError.  A nonzero c keeps the monomials, so the terms stay
+        sorted and nonzero."""
+        c = rat(c)
         if c == 0:
             return Cochain.zero(self.basis)
-        return Cochain.from_terms(self.basis, {m: c * v for m, v in self.terms})
+        return _sorted_cochain(self.basis, tuple((m, c * v) for m, v in self.terms))
 
     def __rmul__(self, c) -> "Cochain":
-        return self.scale(Fraction(c))
+        return self.scale(c)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -219,8 +236,14 @@ def _cochain(basis: GradedBasis, acc: Mapping[Monomial, Rat | int]) -> Cochain:
     """The cochain of a kernel's accumulator, without the checks of
     ``Cochain(...)``: the kernels make each monomial once, in range, from
     the letters of checked cochains and of the algebra."""
+    return _sorted_cochain(basis, _terms(acc))
+
+
+def _sorted_cochain(basis: GradedBasis, terms: tuple[tuple[Monomial, Rat], ...]) -> Cochain:
+    """The cochain of terms already in the form ``_terms`` returns, without
+    the checks of ``Cochain(...)``."""
     c = object.__new__(Cochain)
-    c.__dict__.update(basis=basis, terms=_terms(acc))
+    c.__dict__.update(basis=basis, terms=terms)
     return c
 
 

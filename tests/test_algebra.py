@@ -30,6 +30,12 @@ def test_basis_rejects_duplicate_labels():
         GradedBasis(labels=("a", "a"), parities=(0, 0))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, False, 0.0, Fraction(1)], ids=repr)
+def test_basis_parities_are_the_ints_0_and_1(bad):
+    with pytest.raises(InputError, match="parities must be 0 or 1"):
+        GradedBasis(labels=("a", "b"), parities=(0, bad))
+
+
 def test_basis_index_unknown_label():
     basis = GradedBasis(labels=("a",), parities=(0,))
     with pytest.raises(InputError):

@@ -208,6 +208,21 @@ def test_poisson_json_agrees_on_every_quadratic_key(key, capsys):
     assert doc["differential_agreements"] is True
 
 
+def test_poisson_prepares_the_three_form_as_a_left_operand_once(monkeypatch, capsys):
+    calls = []
+    for name in ("superquad.cochains", "superquad.cohomology"):
+        module = importlib.import_module(name)
+
+        def counted(*args, _original=module._poisson_left):
+            calls.append(name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "_poisson_left", counted)
+    assert main(["poisson", "g_6_s"]) == 0
+    assert "{I, I} = 0: OK" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_poisson_rejects_a_form_that_is_not_invariant(tmp_path, capsys):
     path = tmp_path / "doubled.json"
     path.write_text(json.dumps(algebra_to_dict(doubled_odd_form())))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     QUADRATIC_KEYS,
@@ -76,6 +77,86 @@ def test_public_cochain_constructors_keep_every_check():
             Cochain.from_terms(b, {bad: Fraction(1)})
     with pytest.raises(InputError):
         Cochain.dual(b, "Z0")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda b, m: Cochain.dual(b, "X0").scale(0.5), id="scale-float"),
+        pytest.param(lambda b, m: Cochain.dual(b, "X0").scale("0.5"), id="scale-decimal"),
+        pytest.param(lambda b, m: Cochain.dual(b, "X0").scale(None), id="scale-None"),
+        pytest.param(lambda b, m: 2.5 * Cochain.dual(b, "X0"), id="rmul-float"),
+        pytest.param(lambda b, m: Cochain.from_terms(b, {m: 0.5}), id="from_terms-float"),
+        pytest.param(lambda b, m: Cochain.from_terms(b, [(m, 1), (m, 0.5)]), id="from_terms-sum"),
+        pytest.param(lambda b, m: Cochain(b, ((m, 0.25),)), id="Cochain-float"),
+    ],
+)
+def test_cochain_coefficients_are_exact_rationals(make):
+    b = build("g_4_1_s").basis
+    with pytest.raises(InputError, match="exact rational"):
+        make(b, Monomial(even=(0,), odd=(2,)))
+
+
+def test_public_cochain_constructors_store_fractions():
+    b = build("g_4_1_s").basis
+    m = Monomial(even=(0,), odd=(2,))
+    for c in (Cochain(b, [(m, 2)]), Cochain.from_terms(b, {m: "2"}), Cochain.dual(b, "X0").scale("1/2")):
+        assert all(type(x) is Fraction for _, x in c.terms) and type(c.terms) is tuple
+    assert Cochain(b, [(m, 2)]) == Cochain.from_terms(b, [(m, 1), (m, Fraction(1))])
+    assert Cochain.dual(b, "X0").scale("1/2") == Fraction(1, 2) * Cochain.dual(b, "X0")
+
+
+ARITHMETIC_BASES = {key: build(key).basis for key in ("g_4_1_s", "g_6_s", "g_6_2", "h")}
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def operands(draw):
+    """Two cochains a, b over one catalog basis and a rational x.  b is
+    fresh, a itself, a's negation, or shares a's monomials with some of
+    them cancelling."""
+    basis = ARITHMETIC_BASES[draw(st.sampled_from(sorted(ARITHMETIC_BASES)))]
+    monomials = [m for k in range(4) for m in monomials_of_degree(basis, k)]
+
+    def terms():
+        picked = draw(st.lists(st.sampled_from(monomials), max_size=8, unique=True))
+        return {m: draw(coefficients) for m in picked}  # a zero is dropped
+
+    a = Cochain.from_terms(basis, terms())
+    kind = draw(st.sampled_from(["fresh", "same", "negated", "overlap"]))
+    if kind == "fresh":
+        b = Cochain.from_terms(basis, terms())
+    elif kind == "same":
+        b = a
+    elif kind == "negated":
+        b = Cochain.from_terms(basis, {m: -c for m, c in a.terms})
+    else:
+        shared = {m: draw(st.sampled_from([-c, c, 2 * c])) for m, c in a.terms}
+        b = Cochain.from_terms(basis, [*shared.items(), *terms().items()])
+    return a, b, draw(coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_cochain_arithmetic_matches_from_terms_and_passes_the_public_checks(ops):
+    a, b, x = ops
+    basis = a.basis
+    negated = [(m, -c) for m, c in b.terms]
+    cases = [
+        (a + b, Cochain.from_terms(basis, a.terms + b.terms)),
+        (a - b, Cochain.from_terms(basis, [*a.terms, *negated])),
+        (-b, Cochain.from_terms(basis, negated)),
+        (a.scale(x), Cochain.from_terms(basis, {m: x * c for m, c in a.terms})),
+        (x * a, Cochain.from_terms(basis, {m: x * c for m, c in a.terms})),
+    ]
+    for result, oracle in cases:
+        assert result == oracle
+        assert result.basis is basis
+        assert Cochain(result.basis, result.terms) == result
+        keys = [m.sort_key() for m, _ in result.terms]
+        assert keys == sorted(keys)
+        assert all(type(c) is Fraction and c != 0 for _, c in result.terms)
+    assert (a - a).is_zero and (a + -a).is_zero and (b - b).is_zero
 
 
 def test_kernel_cochains_pass_the_public_checks():
