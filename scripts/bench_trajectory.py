@@ -10,10 +10,13 @@ Each checkout is a directory holding ``perfbench/`` and ``src/``.  For
 every workload of the change's ``BENCHMARK.json`` and each of ``SEEDS``,
 the script runs each checkout's own ``perfbench/run.py --trace 0`` for
 ``SECONDS`` per run, ``RUNS`` times, parent and change alternating, and
-records the median of each end-to-end metric.  Two scale cases, both with the ``-{I,.}``
-cross-check, run in a fresh process per run on each checkout's ``src/``:
-``betti_table(build("g_8_2_5_s"), 12)`` and ``betti_table(q, 6)`` over
-all 17 catalog keys; the file holds the median wall time of each.  Last,
+records the median of each end-to-end metric.  Five scale cases (``SCALE``),
+all with the ``-{I,.}`` cross-check, run in a fresh process per run on
+each checkout's ``src/``: ``betti_table(build("g_8_2_5_s"), 12)``,
+``betti_table(q, 6)`` over all 17 catalog keys, and three frontier
+cases, ``g_8_2_5_s`` to degree 30 (inner torus, deep), ``g_8_2_9_s`` to
+degree 20 and ``g_6_s`` to degree 16 (no inner torus, every block
+built); the file holds the median wall time of each.  Last,
 the Tier-1 suite (``TIER1``, the command of ROADMAP.md) runs once in each
 checkout on its own ``src/``; the file holds its wall time, exit code and
 pytest's summary line.
@@ -36,6 +39,9 @@ SEEDS = (1, 7919)
 SCALE = {
     "g_8_2_5_s_degree_12_s": "qs = [build('g_8_2_5_s')]; k = 12",
     "sweep_17_keys_degree_6_s": "qs = [build(key) for key in catalog_keys()]; k = 6",
+    "g_8_2_5_s_degree_30_s": "qs = [build('g_8_2_5_s')]; k = 30",
+    "g_8_2_9_s_degree_20_s": "qs = [build('g_8_2_9_s')]; k = 20",
+    "g_6_s_degree_16_s": "qs = [build('g_6_s')]; k = 16",
 }
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 SCALE_RUN = (

@@ -135,14 +135,16 @@ class Cochain:
     terms: tuple[tuple[Monomial, Rat], ...]
 
     def __post_init__(self):
+        if not isinstance(self.basis, GradedBasis) or not isinstance(self.terms, (tuple, list)):
+            raise InputError("a Cochain takes a GradedBasis and a tuple of (Monomial, coefficient) terms")
         ne = self.basis.even_dim
         n = self.basis.dim
-        seen = set()
-        terms = []
+        terms: dict[Monomial, Rat] = {}
         for m, c in self.terms:
-            if m in seen:
+            if m.__class__ is not Monomial:
+                raise InputError(f"a Cochain's monomials must be Monomials, not {type(m).__name__}")
+            if m in terms:
                 raise InputError("duplicate monomial in cochain terms")
-            seen.add(m)
             c = rat(c)
             if c == 0:
                 raise InputError("zero coefficient stored in cochain")
@@ -150,8 +152,8 @@ class Cochain:
                 raise InputError("even index out of range")
             if any(not (ne <= j < n) for j in m.odd):
                 raise InputError("odd index out of range")
-            terms.append((m, c))
-        object.__setattr__(self, "terms", tuple(terms))
+            terms[m] = c
+        object.__setattr__(self, "terms", _terms(terms))
 
     @classmethod
     def from_terms(cls, basis: GradedBasis, terms: Mapping[Monomial, Rat] | Iterable[tuple[Monomial, Rat]]) -> "Cochain":
@@ -160,7 +162,7 @@ class Cochain:
             c = rat(c)
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
-        return cls(basis, _terms(acc))
+        return cls(basis, [(m, c) for m, c in acc.items() if c])
 
     @classmethod
     def zero(cls, basis: GradedBasis) -> "Cochain":

@@ -1,8 +1,8 @@
 """Exact cohomology of the super-exterior complex.
 
 One ``Complex`` per algebra holds what the engine reads more than once:
-the cochain bases, the delta(t*) table, the torus blocks, the inner
-torus, I, and each delta_k as exact sparse columns between
+the cochain bases, the delta(t*) table, the inner torus, one block index
+per degree, I, and each delta_k as exact sparse columns between
 enumerated monomial bases.  Kernels, images and quotients are computed
 by exact sparse elimination over the rationals.
 
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
-from typing import Collection
+from math import comb, lcm
+from typing import Collection, NamedTuple
 from weakref import WeakValueDictionary, ref
 
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
@@ -134,17 +134,27 @@ class DifferentialMatrix:
         )
 
 
+class BlockIndex(NamedTuple):
+    """The block key of each monomial of C^k and the part delta_k is built on, in basis order."""
+
+    keys: dict[Monomial, tuple[int, ...]]
+    built: CochainBasis
+
+    def restrict(self, blocks: Collection[tuple]) -> CochainBasis:
+        """The monomials in ``blocks``, in basis order: the built part itself when they are it."""
+        part = tuple(m for m, key in self.keys.items() if key in blocks)
+        return self.built if part == self.built.monomials else CochainBasis(self.built.degree, part)
+
+
 class Complex:
     """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
     quadratic.  Each part is built once, on first use, and kept: the basis
-    of each C^k and the block key of each monomial (``block``), the images
-    delta(t*) of the degree-1 duals, the torus of diagonal derivations,
-    the inner torus (``torus``), I and I's side of {I, .}, each delta_k
-    (on the blocks of inner weight 0 only, see ``zero_blocks``), each
-    H^k while a caller holds it, and B^k on each block a coboundary test
-    read (``boundaries``).  Every function of this module takes a complex
-    in place of the algebra.  Given an algebra, it reads the complex a
-    call given that same object built, while a caller or a
+    of each C^k, the images delta(t*), the inner torus (``torus``), the
+    block index of each C^k (``index``), I and I's side of {I, .}, each
+    delta_k, each H^k while a caller holds it, and B^k on each block a
+    coboundary test read (``boundaries``).  Every function of this module
+    takes a complex in place of the algebra.  Given an algebra, it reads
+    the complex a call given that same object built, while a caller or a
     CohomologyResult holds it, and builds one only when none is alive
     (``_complex``).  Algebras are treated as immutable values.
     A delta_k or H^k built without the -{I, .} cross-check never serves a
@@ -158,21 +168,16 @@ class Complex:
         self.basis = self.algebra.basis
         self._sized = -1  # the largest k_max check_size passed
         self._cochains: dict[int, CochainBasis] = {}
-        self._keys: dict[int, tuple[tuple, ...]] = {}
+        self._indices: dict[int, BlockIndex] = {}
         # degree -> (delta_k or H^k, built with the cross-check or not);
         # H^k is held weakly, since it holds its complex
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._results: dict[int, tuple[ref, bool]] = {}
-        self._zero: dict[int, tuple[set[tuple], CochainBasis]] = {}
         self._boundaries: dict[int, dict[tuple, tuple[dict[Monomial, int], Echelon]]] = {}
 
     @cached_property
     def duals(self) -> dict[int, dict[Monomial, Rat]]:
         return _dual_differentials(self.algebra)
-
-    @cached_property
-    def weights(self) -> list[tuple[Rat | int, ...]]:
-        return diagonal_weights(self.algebra)
 
     @cached_property
     def torus(self) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
@@ -198,30 +203,42 @@ class Complex:
                 raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
         return torus
 
-    def zero_blocks(self, k: int) -> tuple[set[tuple], CochainBasis] | None:
-        """The blocks of C^k of inner weight 0 and their monomials, in basis
-        order: delta_k is built on those only.  None without an inner
-        torus, where delta_k is built on all of C^k.  A block's inner
-        weight, the sum of its letters' w for each x, is read off one of
-        its monomials: the weights of ad x are those of a diagonal
-        derivation, so the block key fixes them."""
-        if not self.torus:
-            return None
-        if k not in self._zero:
-            first = dict(zip(self.keys(k), self.cochains(k).monomials)).items()  # a monomial of each block
-            blocks = {key for key, m in first if not any(sum(w[t] for t in m.even + m.odd) for _, w in self.torus)}
-            self._zero[k] = blocks, self.restrict(k, blocks)
-        return self._zero[k]
+    @cached_property
+    def weights(self) -> list[tuple[int, ...]]:
+        """Per letter t: its ``diagonal_weights`` coordinates, then w_t for
+        each (x, w) of the inner torus, each column scaled once by a
+        positive int to ints, then its parity.  ad x is a diagonal
+        derivation, so a column w splits no block: it only carries the
+        inner weight into every block key."""
+        columns = [*zip(*(row[:-1] for row in diagonal_weights(self.algebra))), *(w for _, w in self.torus)]
+        scales = [lcm(*(x.denominator for x in col)) for col in columns]
+        return [(*(int(col[t] * s) for col, s in zip(columns, scales)), p) for t, p in enumerate(self.basis.parities)]
+
+    def index(self, k: int) -> BlockIndex:
+        """The block index of C^k, built in one pass on first use.  A
+        monomial's key is the sums of its letters' ``weights``, the last
+        one (its odd letters) taken mod 2.  The built part is the blocks
+        of inner weight 0, read off the key, or all of C^k without an
+        inner torus: the source of delta_k and the target of delta_{k-1}."""
+        if k not in self._indices:
+            weights, s, keys = self.weights, len(self.torus), {}
+            zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
+            for m in self.cochains(k).monomials:
+                *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
+                keys[m] = (*lam, odd % 2)
+            zero_weight = (m for m, key in keys.items() if not any(key[-1 - s : -1]))
+            self._indices[k] = BlockIndex(keys, CochainBasis(k, tuple(zero_weight)) if s else self.cochains(k))
+        return self._indices[k]
 
     def acyclic_dim(self, k: int) -> int:
         """dim Z^k = dim B^k over the blocks of nonzero inner weight (0
         without an inner torus).  Those blocks are acyclic (``torus``), so
         dim Z^k_w = sum_{j<k} (-1)^(k-1-j) dim C^j_w, counted with no
-        elimination, dim C^j_0 being read from ``zero_blocks(j)``."""
+        elimination: dim C^j (``cochain_dimension``) less the built part."""
         if not self.torus:
             return 0
         return sum(
-            (-1) ** (k - 1 - j) * (self.cochains(j).dimension - self.zero_blocks(j)[1].dimension)
+            (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - self.index(j).built.dimension)
             for j in range(k)
         )
 
@@ -249,54 +266,31 @@ class Complex:
             self._cochains[k] = cochain_basis(self.basis, k)
         return self._cochains[k]
 
-    def block(self, m: Monomial) -> tuple:
-        """The block of m: the sums of its letters' weights, the last one,
-        the number of odd letters, taken mod 2 (the sym-parity)."""
-        letters = m.even + m.odd
-        if not letters:
-            return (0,) * len(self.weights[0])
-        *lam, odd = map(sum, zip(*map(self.weights.__getitem__, letters)))
-        return (*lam, odd % 2)
-
-    def keys(self, k: int) -> tuple[tuple, ...]:
-        """The block of each monomial of C^k, in basis order."""
-        if k not in self._keys:
-            self._keys[k] = tuple(map(self.block, self.cochains(k).monomials))
-        return self._keys[k]
-
-    def restrict(self, k: int, blocks: Collection[tuple] | None) -> CochainBasis:
-        """The monomials of C^k in ``blocks`` (all of C^k for None), in basis order."""
-        if blocks is None:
-            return self.cochains(k)
-        return CochainBasis(k, tuple(m for m, key in zip(self.cochains(k).monomials, self.keys(k)) if key in blocks))
-
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k, built by ``differential_matrix`` on first use, and once
         more if the cross-check is asked for and the first build had none.
-        With an inner torus it is restricted to the blocks of inner weight 0
-        of C^k and C^{k+1} (``zero_blocks``): its target is the source of
-        delta_{k+1}."""
+        With an inner torus it is restricted to the built parts of C^k and
+        C^{k+1} (``index``): its target is the source of delta_{k+1}."""
         hit = self._deltas.get(k)
         if hit is None or verify and not hit[1]:
-            blocks = None if (zero := self.zero_blocks(k)) is None else zero[0] | self.zero_blocks(k + 1)[0]
+            blocks = None
+            if self.torus:
+                blocks = {keys[m] for keys, built in map(self.index, (k, k + 1)) for m in built.monomials}
             hit = self._deltas[k] = (differential_matrix(self, k, verify=verify, blocks=blocks), verify)
         return hit[0]
 
     def boundaries(self, k: int, keys: Collection[tuple]) -> list[tuple[dict[Monomial, int], Echelon]]:
-        """B^k on each block of ``keys``, in order: the echelon of the
-        columns of delta_{k-1} from that block, and the index of the
-        monomials of C^k in the blocks built with it.  Each block is built
-        once.  All the blocks not yet held are built by one
-        ``differential_matrix`` call (whose block certificate runs) before
-        any is returned."""
+        """B^k on each block of ``keys``, in order: an echelon of the
+        columns of delta_{k-1} that spans it, and the index of the
+        monomials of C^k it is written in.  The blocks not yet held are
+        built, once, by one ``differential_matrix`` call (whose block
+        certificate runs) before any is returned, and share its echelon:
+        the blocks lie on disjoint coordinates, so the rows of that echelon
+        on one block are the echelon of B^k there."""
         held = self._boundaries.setdefault(k, {})
         if missing := {key for key in keys if key not in held}:
             d = differential_matrix(self, k - 1, verify=False, blocks=missing)
-            split: dict[tuple, list[dict[int, Rat]]] = {key: [] for key in missing}
-            for m, col in zip(d.source.monomials, d.columns):
-                split[self.block(m)].append(col)
-            for key, cols in split.items():
-                held[key] = d.target._index, Echelon(_sparse_rows(cols))
+            held.update(dict.fromkeys(missing, (d.target._index, Echelon(_sparse_rows(d.columns)))))
         return [held[key] for key in keys]
 
 
@@ -333,19 +327,21 @@ def differential_matrix(
     quadratic, every column is recomputed in full as -{I, monomial} from
     the complex's side of I, and the two must agree exactly.
 
-    ``blocks`` restricts delta_k to the blocks (``Complex.block``) in it:
-    it maps the monomials of C^k in those blocks to those of C^{k+1}, both
-    in basis order (``Complex.restrict``).  delta keeps the weight of
-    every diagonal derivation and the sym-parity (Hochschild-Serre), so
-    it maps each block into the block with the same key.  Certificate of
-    a restricted build: every term of every column must lie in its
-    source's block, or the torus or delta is wrong (EngineError).
+    ``blocks`` restricts delta_k to the blocks in it (``BlockIndex.restrict``).
+    delta keeps the weight of every diagonal derivation and the
+    sym-parity (Hochschild-Serre), so it maps each block into the block
+    with the same key (``Complex.index``).  Certificate of a restricted
+    build: every term of every column must lie in its source's block, or
+    the torus or delta is wrong (EngineError).
     """
     cx = _complex(q)
     cx.check_size(k)
-    g, duals, block = cx.algebra, cx.duals, cx.block
+    g, duals = cx.algebra, cx.duals
     left = cx.left if verify and cx.quadratic is not None else None
-    src, tgt = cx.restrict(k, blocks), cx.restrict(k + 1, blocks)
+    src, tgt = cx.cochains(k), cx.cochains(k + 1)
+    if blocks is not None:
+        source, target = cx.index(k), cx.index(k + 1)
+        src, tgt = source.restrict(blocks), target.restrict(blocks)
     index, columns = tgt._index, []
     for m in src.monomials:
         c = _cochain(g.basis, {m: 1})
@@ -354,8 +350,8 @@ def differential_matrix(
             raise EngineError(
                 f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
             )
-        if blocks is not None and {block(mm) for mm, _ in image} - {block(m)}:
-            raise EngineError(f"delta of {m} leaves its weight block {block(m)}: the torus or delta is wrong")
+        if blocks is not None and any(target.keys[mm] != source.keys[m] for mm, _ in image):
+            raise EngineError(f"delta of {m} leaves its weight block {source.keys[m]}: the torus or delta is wrong")
         columns.append({index[mm]: x for mm, x in image})
     return DifferentialMatrix(src, tgt, tuple(columns))
 
@@ -478,10 +474,9 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
     delta maps each block of C^{k-1} into the block of C^k with the same
-    key, so c is a coboundary exactly when each block of it is delta of a
-    cochain in that block: c is reduced block by block against the
-    complex's B^k there (``Complex.boundaries``, which builds every block
-    of c it does not hold yet before any is read).
+    key (``Complex.index``), so c is a coboundary exactly when each block
+    of it is delta of a cochain in that block: c is reduced block by block
+    against B^k there (``Complex.boundaries``).
     """
     cx = _complex(q, c)
     if c.is_zero:
@@ -490,9 +485,9 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     if k == 0:
         return False
     cx.check_size(k - 1)
-    parts: dict[tuple, list[tuple[Monomial, Rat]]] = {}
+    keys, parts = cx.index(k).keys, {}
     for m, x in c.terms:
-        parts.setdefault(cx.block(m), []).append((m, x))
+        parts.setdefault(keys[m], []).append((m, x))
     for (index, boundary), terms in zip(cx.boundaries(k, parts), parts.values()):
         if boundary.remainder({index[m]: _num(x) for m, x in terms}):
             return False

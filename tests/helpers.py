@@ -23,6 +23,9 @@ which the engine's weight-restricted ``is_coboundary`` replaced;
 so it shares no held block of B^k with the engine.
 ``betti_table_unpruned`` eliminates on all of each C^k, as the engine did
 before it built only the blocks of inner weight 0 and counted the others.
+``block_partition`` keys the monomials of C^k as the engine did before its
+integer block index: ``Fraction`` sums of the diagonal weights and of each
+inner-torus weight, monomial by monomial.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
@@ -40,7 +43,7 @@ import random
 from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
-from superquad.algebra import GradedBasis, Violation, _sparse_str
+from superquad.algebra import GradedBasis, Violation, _sparse_str, diagonal_weights, inner_torus
 from superquad.cochains import Cochain, Monomial, monomials_of_degree, wedge
 from superquad.cohomology import CohomologyResult, Complex, _Quotient, differential_matrix
 from superquad.errors import EngineError, InputError
@@ -269,6 +272,25 @@ def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[Cohomolo
             )
         )
     return out
+
+
+def block_partition(q, k: int) -> tuple[set[frozenset[Monomial]], tuple[Monomial, ...]]:
+    """The blocks of C^k and the part delta_k is built on.  A monomial's
+    block is the Fraction sums of its letters' ``diagonal_weights`` with
+    the parity sum taken mod 2; it is built when its inner weight, the
+    Fraction sum of its letters' w, is 0 for every (x, w) of
+    ``inner_torus`` (so every monomial is, without an inner torus)."""
+    g = getattr(q, "algebra", q)
+    weights, torus = diagonal_weights(g), inner_torus(g)
+    blocks: dict[tuple, set[Monomial]] = {}
+    built = []
+    for m in monomials_of_degree(g.basis, k):
+        letters = m.even + m.odd
+        *lam, odd = (sum((weights[t][i] for t in letters), Fraction(0)) for i in range(len(weights[0])))
+        blocks.setdefault((*lam, odd % 2), set()).add(m)
+        if not any(sum((w[t] for t in letters), Fraction(0)) for _, w in torus):
+            built.append(m)
+    return {frozenset(b) for b in blocks.values()}, tuple(built)
 
 
 def is_coboundary_full(q, c: Cochain) -> bool:

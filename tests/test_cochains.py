@@ -103,6 +103,9 @@ def test_public_cochain_constructors_store_fractions():
     for c in (Cochain(b, [(m, 2)]), Cochain.from_terms(b, {m: "2"}), Cochain.dual(b, "X0").scale("1/2")):
         assert all(type(x) is Fraction for _, x in c.terms) and type(c.terms) is tuple
     assert Cochain(b, [(m, 2)]) == Cochain.from_terms(b, [(m, 1), (m, Fraction(1))])
+    # the terms are stored in basis order, whatever order they are given in
+    later = Monomial(even=(1,), odd=(2,))
+    assert Cochain(b, [(later, 1), (m, 1)]) == Cochain.from_terms(b, {m: 1, later: 1})
     assert Cochain.dual(b, "X0").scale("1/2") == Fraction(1, 2) * Cochain.dual(b, "X0")
 
 
@@ -556,6 +559,10 @@ def test_prepared_left_operand_rejects_another_basis():
         pytest.param(lambda q, c, bad: c + bad, id="add"),
         pytest.param(lambda q, c, bad: c - bad, id="sub"),
         pytest.param(lambda q, c, bad: contract_vector(bad, [0] * q.dim), id="contract_vector"),
+        pytest.param(lambda q, c, bad: Cochain(q.basis, ((bad, 1),)), id="Cochain-monomial"),
+        pytest.param(lambda q, c, bad: Cochain.from_terms(q.basis, {bad: 1}), id="from_terms-monomial"),
+        pytest.param(lambda q, c, bad: Cochain(bad, ()), id="Cochain-basis"),
+        pytest.param(lambda q, c, bad: Cochain(q.basis, bad), id="Cochain-terms"),
     ],
 )
 def test_every_entry_point_rejects_what_is_not_a_cochain_over_its_basis(call, bad):

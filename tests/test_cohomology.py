@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     NON_JACOBI_DOC,
     betti_table_unpruned,
+    block_partition,
     doubled_odd_form,
     is_coboundary_by_rank,
     is_coboundary_full,
@@ -195,12 +196,13 @@ def test_is_coboundary_certificate_runs_on_the_block_not_held_yet(monkeypatch):
     cx = held._complex
     c = differential_direct(q.algebra, mono(q, ("X0",), ("X1",)))
     (without, _), (with_x0, _) = sorted(c.terms, key=lambda term: x0 in term[0].even)
-    assert x0 not in without.even and x0 in with_x0.even and cx.block(without) != cx.block(with_x0)
+    keys = cx.index(3).keys
+    assert x0 not in without.even and x0 in with_x0.even and keys[without] != keys[with_x0]
     is_coboundary(q, Cochain.from_terms(q.basis, {without: Fraction(1)}))
-    assert list(cx._boundaries[3]) == [cx.block(without)]
+    assert list(cx._boundaries[3]) == [keys[without]]
     with pytest.raises(EngineError, match="weight block"):
         is_coboundary(q, c)
-    assert list(cx._boundaries[3]) == [cx.block(without)]
+    assert list(cx._boundaries[3]) == [keys[without]]
 
 
 def test_differential_matrix_cross_check_fires():
@@ -536,6 +538,7 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     res = cohomology(q, 2, verify=False)
     assert len(built) == 2  # delta_2 and delta_1
     seen, new = set(), 0  # the blocks queried, and the queries that brought a new one
+    keys = res._complex.index(2).keys
     for c in _seeded_queries(q, 2, res.representatives, random.Random(f"queries {key}"), 34):
         cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
         if cocycle:
@@ -544,7 +547,7 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
             assert not coboundary
             with pytest.raises(InputError, match="requires a cocycle"):
                 class_vector(q, c, result=res)
-        blocks = {res._complex.block(m) for m, _ in c.terms}
+        blocks = {keys[m] for m, _ in c.terms}
         new += bool(blocks - seen)
         seen |= blocks
     assert calls == {"_dual_differentials": 1, "diagonal_weights": 1}
@@ -590,9 +593,8 @@ def test_is_coboundary_matches_the_rank_oracle_cold_and_warm(key):
         held = cohomology(q, k, verify=False)
         for _ in range(2):
             assert [is_coboundary(q, c) for c in queries] == want, k
-        assert len(held._complex._boundaries[k]) == len(
-            {held._complex.block(m) for c in queries for m, _ in c.terms}
-        )
+        keys = held._complex.index(k).keys
+        assert len(held._complex._boundaries[k]) == len({keys[m] for c in queries for m, _ in c.terms})
         del held
 
 
@@ -626,18 +628,36 @@ def test_restricted_differential_matrix_is_the_blocks_of_the_full_one():
         cx = Complex(build(key))
         for k in range(3):
             full = differential_matrix(cx, k)
-            for key_ in set(cx.keys(k)):
+            keys, above = cx.index(k).keys, cx.index(k + 1).keys
+            # the index holds every monomial, in basis order
+            assert tuple(keys) == full.source.monomials and tuple(above) == full.target.monomials
+            for key_ in set(keys.values()):
                 part = differential_matrix(cx, k, blocks={key_})
-                assert set(part.source.monomials) == {
-                    m for m, b in zip(full.source.monomials, cx.keys(k)) if b == key_
-                }
-                assert part.target.monomials == tuple(
-                    m for m, b in zip(full.target.monomials, cx.keys(k + 1)) if b == key_
-                )
+                assert set(part.source.monomials) == {m for m, b in keys.items() if b == key_}
+                assert part.target.monomials == tuple(m for m, b in above.items() if b == key_)
                 for m, col in zip(part.source.monomials, part.columns):
                     whole = full.columns[full.source._index[m]]
                     got = {part.target.monomials[i]: x for i, x in col.items()}
                     assert got == {full.target.monomials[i]: x for i, x in whole.items()}
+
+
+@pytest.mark.parametrize(
+    "key, degrees",
+    [
+        *(pytest.param(key, range(7), id=f"{key}-0-6") for key in catalog_keys()),
+        pytest.param("g_8_2_5_s", (30,), id="g_8_2_5_s-30"),
+    ],
+)
+def test_the_block_index_is_the_partition_of_the_oracle(key, degrees):
+    q = build(key)
+    cx = Complex(q)
+    for k in degrees:
+        keys, built = cx.index(k)
+        assert tuple(keys) == cx.cochains(k).monomials
+        blocks: dict[tuple, set[Monomial]] = {}
+        for m, b in keys.items():
+            blocks.setdefault(b, set()).add(m)
+        assert ({frozenset(b) for b in blocks.values()}, built.monomials) == block_partition(q, k), (key, k)
 
 
 TORUS_KEYS = ("g_4_2_s", "g_6_2", "g_8_2_4_s", "g_8_2_5_s", "g_8_2_6_s")
@@ -672,15 +692,15 @@ def test_only_the_blocks_of_inner_weight_zero_are_built():
         cx = Complex(build(key))
         for k in range(4):
             d = cx.delta(k)
+            # delta_k runs between the built parts, and lands in the source of delta_{k+1}
+            assert d.source is cx.index(k).built and d.target is cx.index(k + 1).built
+            assert d.target is cx.delta(k + 1).source
             if key not in TORUS_KEYS:
-                assert cx.zero_blocks(k) is None and d.source is cx.cochains(k)
+                assert d.source is cx.cochains(k)
                 continue
             [(_, w)] = cx.torus
             zero = [m for m in cx.cochains(k).monomials if not _inner_weight(m, w)]
             assert d.source.monomials == tuple(zero), (key, k)
-            # delta_k lands in the source of delta_{k+1}
-            assert d.target.monomials == cx.zero_blocks(k + 1)[1].monomials
-            assert d.target.monomials == cx.delta(k + 1).source.monomials
     # g_8_2_5_s: 66 of the 432 monomials of C^0..C^5 have inner weight 0
     cx = Complex(build("g_8_2_5_s"))
     shapes = [cx.delta(k).shape for k in range(6)]
