@@ -16,7 +16,10 @@ each checkout's ``src/``: ``betti_table(build("g_8_2_5_s"), 12)``,
 ``betti_table(q, 6)`` over all 17 catalog keys, and three frontier
 cases, ``g_8_2_5_s`` to degree 30 (inner torus, deep), ``g_8_2_9_s`` to
 degree 20 and ``g_6_s`` to degree 16 (no inner torus, every block
-built); the file holds the median wall time of each.  Last,
+built).  Each runs as ``SCALE_PAIRS`` pairs of parent and change, the
+side that runs first alternating from pair to pair; the file holds, per
+side, the median and quartiles of the wall time and the median peak RSS
+of the process, and the number of pairs the change won.  Last,
 the Tier-1 suite (``TIER1``, the command of ROADMAP.md) runs once in each
 checkout on its own ``src/``; the file holds its wall time, exit code and
 pytest's summary line.
@@ -34,6 +37,7 @@ import time
 from pathlib import Path
 
 RUNS = 3
+SCALE_PAIRS = 10
 SECONDS = 5.0
 SEEDS = (1, 7919)
 SCALE = {
@@ -45,13 +49,13 @@ SCALE = {
 }
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 SCALE_RUN = (
-    "import time\n"
+    "import resource, time\n"
     "from superquad import betti_table, build, catalog_keys\n"
     "{setup}\n"
     "t = time.perf_counter()\n"
     "for q in qs:\n"
     "    betti_table(q, k)\n"
-    "print(time.perf_counter() - t)\n"
+    "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
 )
 
 
@@ -65,11 +69,18 @@ def run_workload(tree: Path, workload: str, seed: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def run_scale(tree: Path, setup: str) -> float:
+def run_scale(tree: Path, setup: str) -> tuple[float, float]:
+    """Wall seconds of one scale case and the peak RSS of its process in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     code = SCALE_RUN.format(setup=setup)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return float(out.stdout)
+    seconds, rss_mb = map(float, out.stdout.split())
+    return seconds, rss_mb
+
+
+def spread(runs: list[tuple[float, float]]) -> dict:
+    q1, median, q3 = statistics.quantiles([s for s, _ in runs], n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "peak_rss_mb": statistics.median(m for _, m in runs)}
 
 
 def run_tier1(tree: Path) -> dict:
@@ -105,17 +116,19 @@ def main() -> int:
             print(w, seed, workloads[w][str(seed)], file=sys.stderr)
     scale: dict = {}
     for name, setup in SCALE.items():
-        times: dict[str, list] = {side: [] for side in trees}
-        for _ in range(RUNS):
-            for side, tree in trees.items():
-                times[side].append(run_scale(tree, setup))
-        scale[name] = {side: statistics.median(t) for side, t in times.items()}
+        runs: dict[str, list] = {side: [] for side in trees}
+        for pair in range(SCALE_PAIRS):
+            for side in sorted(trees, reverse=bool(pair % 2)):
+                runs[side].append(run_scale(trees[side], setup))
+        scale[name] = {side: spread(r) for side, r in runs.items()}
+        scale[name]["change_wins"] = sum(c < p for (p, _), (c, _) in zip(runs["parent"], runs["change"]))
         print(name, scale[name], file=sys.stderr)
     tier1 = {side: run_tier1(tree) for side, tree in trees.items()}
     print("tier1", tier1, file=sys.stderr)
     report = {
         "settings": {
             "runs": RUNS,
+            "scale_pairs": SCALE_PAIRS,
             "seconds": SECONDS,
             "statistic": "median over runs, parent and change alternating",
             "python": platform.python_version(),

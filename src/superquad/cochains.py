@@ -127,6 +127,16 @@ def _format_monomial(m: Monomial, even_dim: int) -> str:
     return " ⊗ ".join(parts)
 
 
+def _term(term: object) -> tuple[Monomial, Rat]:
+    """A cochain term (Monomial, coefficient), its coefficient made exact
+    (``rat``); InputError for anything of another shape."""
+    if not isinstance(term, (tuple, list)) or len(term) != 2:
+        raise InputError("each cochain term must be a (Monomial, coefficient) pair")
+    if term[0].__class__ is not Monomial:
+        raise InputError(f"a Cochain's monomials must be Monomials, not {type(term[0]).__name__}")
+    return term[0], rat(term[1])
+
+
 @dataclass(frozen=True)
 class Cochain:
     """Sparse rational combination of monomials over a fixed basis."""
@@ -140,12 +150,10 @@ class Cochain:
         ne = self.basis.even_dim
         n = self.basis.dim
         terms: dict[Monomial, Rat] = {}
-        for m, c in self.terms:
-            if m.__class__ is not Monomial:
-                raise InputError(f"a Cochain's monomials must be Monomials, not {type(m).__name__}")
+        for term in self.terms:
+            m, c = _term(term)
             if m in terms:
                 raise InputError("duplicate monomial in cochain terms")
-            c = rat(c)
             if c == 0:
                 raise InputError("zero coefficient stored in cochain")
             if any(not (0 <= i < ne) for i in m.even):
@@ -158,8 +166,11 @@ class Cochain:
     @classmethod
     def from_terms(cls, basis: GradedBasis, terms: Mapping[Monomial, Rat] | Iterable[tuple[Monomial, Rat]]) -> "Cochain":
         acc: dict[Monomial, Rat] = {}
-        for m, c in terms.items() if hasattr(terms, "items") else terms:
-            c = rat(c)
+        pairs = terms.items() if hasattr(terms, "items") else terms
+        if not isinstance(pairs, Iterable):
+            raise InputError(f"cochain terms are a mapping or pairs, not {type(terms).__name__}")
+        for term in pairs:
+            m, c = _term(term)
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
         return cls(basis, [(m, c) for m, c in acc.items() if c])

@@ -38,7 +38,7 @@ from .cochains import (
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, _check_degree, _frac, _num, _sparse_rows, rank, reduced_kernel
+from .linalg import Echelon, Rat, _check_degree, _frac, _num, _sparse_rows, reduced_kernel
 from .quadratic import QuadraticLieSuperalgebra
 
 __all__ = [
@@ -151,8 +151,8 @@ class Complex:
     quadratic.  Each part is built once, on first use, and kept: the basis
     of each C^k, the images delta(t*), the inner torus (``torus``), the
     block index of each C^k (``index``), I and I's side of {I, .}, each
-    delta_k, each H^k while a caller holds it, and B^k on each block a
-    coboundary test read (``boundaries``).  Every function of this module
+    delta_k, the echelon of its columns (``image``), and each H^k while a
+    caller holds it.  Every function of this module
     takes a complex in place of the algebra.  Given an algebra, it reads
     the complex a call given that same object built, while a caller or a
     CohomologyResult holds it, and builds one only when none is alive
@@ -172,8 +172,8 @@ class Complex:
         # degree -> (delta_k or H^k, built with the cross-check or not);
         # H^k is held weakly, since it holds its complex
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
+        self._images: dict[int, Echelon] = {}
         self._results: dict[int, tuple[ref, bool]] = {}
-        self._boundaries: dict[int, dict[tuple, tuple[dict[Monomial, int], Echelon]]] = {}
 
     @cached_property
     def duals(self) -> dict[int, dict[Monomial, Rat]]:
@@ -279,19 +279,14 @@ class Complex:
             hit = self._deltas[k] = (differential_matrix(self, k, verify=verify, blocks=blocks), verify)
         return hit[0]
 
-    def boundaries(self, k: int, keys: Collection[tuple]) -> list[tuple[dict[Monomial, int], Echelon]]:
-        """B^k on each block of ``keys``, in order: an echelon of the
-        columns of delta_{k-1} that spans it, and the index of the
-        monomials of C^k it is written in.  The blocks not yet held are
-        built, once, by one ``differential_matrix`` call (whose block
-        certificate runs) before any is returned, and share its echelon:
-        the blocks lie on disjoint coordinates, so the rows of that echelon
-        on one block are the echelon of B^k there."""
-        held = self._boundaries.setdefault(k, {})
-        if missing := {key for key in keys if key not in held}:
-            d = differential_matrix(self, k - 1, verify=False, blocks=missing)
-            held.update(dict.fromkeys(missing, (d.target._index, Echelon(_sparse_rows(d.columns)))))
-        return [held[key] for key in keys]
+    def image(self, k: int, verify: bool = True) -> Echelon:
+        """The echelon of delta_k's columns, B^{k+1} on the built part of
+        C^{k+1}, eliminated once, on first use.  A rebuild of delta_k with
+        the cross-check has the same columns, so it keeps serving."""
+        d = self.delta(k, verify)
+        if k not in self._images:
+            self._images[k] = Echelon(_sparse_rows(d.columns))
+        return self._images[k]
 
 
 # the complex a call built for each algebra, while a caller or a result holds
@@ -357,21 +352,24 @@ def differential_matrix(
 
 
 class _Quotient(Echelon):
-    """The echelon of B^k (the columns of delta_{k-1}), then one row per
-    representative of Z^k / B^k.  Representative i is fed with a 1 in the
-    tag column n + i (n = dim source) that row operations carry along, so
-    a cocycle reduced to zero in the cochain columns leaves minus its
-    class vector in the tag columns, and nothing exactly when it is a
-    coboundary."""
+    """One row per representative of Z^k / B^k, over ``boundary``, the
+    echelon of B^k (``Complex.image``), which it reads and never changes.
+    Representative i is fed with a 1 in the tag column n + i (n = dim
+    source) that row operations carry along, so a cocycle reduced to zero
+    in the cochain columns leaves minus its class vector in the tag
+    columns, and nothing exactly when it is a coboundary."""
 
-    def __init__(self, source: CochainBasis, d_prev: DifferentialMatrix | None) -> None:
-        self.source, self.n = source, source.dimension
-        super().__init__(_sparse_rows(d_prev.columns) if d_prev else (), limit=self.n)
-        self.dim_boundary = len(self.rows)
+    def __init__(self, source: CochainBasis, boundary: Echelon | None) -> None:
+        super().__init__(limit=source.dimension)
+        self.source, self.n, self.boundary = source, source.dimension, boundary or Echelon()
+
+    def remainder(self, v: dict[int, Rat]) -> dict[int, Rat]:
+        """v cleared at B^k's pivots, then at the representatives'."""
+        return super().remainder(self.boundary.remainder(v))
 
     def add_cocycle(self, vec: dict[int, Rat]) -> bool:
         v = dict(vec)  # vec may become a representative: not reduced in place
-        v[self.n + len(self.rows) - self.dim_boundary] = 1
+        v[self.n + len(self.rows)] = 1
         return self.add(v)
 
 
@@ -425,12 +423,12 @@ def cohomology(
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     cocycles = reduced_kernel(list(rows.values()), src.dimension)
-    quotient = _Quotient(src, cx.delta(k - 1, verify) if k else None)
+    quotient = _Quotient(src, cx.image(k - 1, verify) if k else None)
     reps = [v for v in cocycles if quotient.add_cocycle(v)]
-    n_z, n_b = len(cocycles), quotient.dim_boundary
+    n_z, n_b = len(cocycles), len(quotient.boundary.rows)
     # rank-nullity, the rank taken over delta_k's columns: a second route,
     # independent of the row elimination behind the kernel
-    if src.dimension != rank(d_k.columns) + n_z:
+    if src.dimension != len(cx.image(k, verify).rows) + n_z:
         raise EngineError("rank-nullity violated in cohomology assembly")
     if n_b + len(reps) > n_z:
         raise InputError(
@@ -473,10 +471,11 @@ def is_cocycle(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cocha
 def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
-    delta maps each block of C^{k-1} into the block of C^k with the same
-    key (``Complex.index``), so c is a coboundary exactly when each block
-    of it is delta of a cochain in that block: c is reduced block by block
-    against B^k there (``Complex.boundaries``).
+    delta keeps the block key (``Complex.index``).  c's terms in the built
+    part are reduced against B^k there (``Complex.image``); the others are
+    a coboundary exactly when they are delta(b) for the witness b, the sum
+    of -i_x(term) / s over them (Cartan: s != 0 is the term's inner weight
+    for some (x, w) of ``Complex.torus``), checked by one differential.
     """
     cx = _complex(q, c)
     if c.is_zero:
@@ -485,13 +484,14 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     if k == 0:
         return False
     cx.check_size(k - 1)
-    keys, parts = cx.index(k).keys, {}
-    for m, x in c.terms:
-        parts.setdefault(keys[m], []).append((m, x))
-    for (index, boundary), terms in zip(cx.boundaries(k, parts), parts.values()):
-        if boundary.remainder({index[m]: _num(x) for m, x in terms}):
-            return False
-    return True
+    index = cx.index(k).built._index
+    if cx.image(k - 1, False).remainder({index[m]: _num(a) for m, a in c.terms if m in index}):
+        return False
+    rest, witness = tuple((m, a) for m, a in c.terms if m not in index), []
+    for m, a in rest:
+        x, s = next((x, s) for x, w in cx.torus if (s := sum(w[t] for t in m.even + m.odd)))
+        witness += ((x.get(t, 0), part) for t, part in _contractions([(m, -a / s)]).items())
+    return differential_direct(cx.algebra, _cochain(cx.basis, _combination(witness)), duals=cx.duals).terms == rest
 
 
 def class_vector(

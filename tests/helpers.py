@@ -18,7 +18,8 @@ before ``BilinearForm.inverse_columns`` eliminated [G^T | 1] itself.
 ``from_values`` the cochain with given values on canonical tuples, its
 inverse; ``differential_by_evaluation`` needs both.
 ``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
-which the engine's weight-restricted ``is_coboundary`` replaced;
+which the engine's ``is_coboundary`` replaced by B^k on the built part
+and a checked Cartan witness on the other blocks;
 ``is_coboundary_by_rank`` asks the same of ranks, on a complex of its own,
 so it shares no held block of B^k with the engine.
 ``betti_table_unpruned`` eliminates on all of each C^k, as the engine did
@@ -54,7 +55,7 @@ from superquad.extensions import (
     _grading_violations,
     validate_extension_datum,
 )
-from superquad.linalg import Rat, rank, reduced_kernel
+from superquad.linalg import Echelon, Rat, _sparse_rows, rank, reduced_kernel
 from superquad.quadratic import validate_quadratic
 from superquad.sp2 import Sp2Element, classify, commutator
 
@@ -257,9 +258,10 @@ def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[Cohomolo
             for i, x in col.items():
                 rows.setdefault(i, {})[j] = x
         cocycles = reduced_kernel(list(rows.values()), src.dimension)
-        quotient = _Quotient(src, deltas[k - 1] if k else None)
+        # B^k eliminated here, from the whole delta_{k-1}, not read off the complex
+        quotient = _Quotient(src, Echelon(_sparse_rows(deltas[k - 1].columns)) if k else None)
         reps = [v for v in cocycles if quotient.add_cocycle(v)]
-        n_z, n_b = len(cocycles), quotient.dim_boundary
+        n_z, n_b = len(cocycles), len(quotient.boundary.rows)
         assert src.dimension == rank(d_k.columns) + n_z and n_b + len(reps) <= n_z
         out.append(
             CohomologyResult(
@@ -302,7 +304,7 @@ def is_coboundary_full(q, c: Cochain) -> bool:
     if k == 0:
         return False
     d_prev = differential_matrix(q, k - 1, verify=False)
-    return not _Quotient(d_prev.target, d_prev).remainder(d_prev.target.coordinates(c))
+    return not Echelon(_sparse_rows(d_prev.columns)).remainder(d_prev.target.coordinates(c))
 
 
 def is_coboundary_by_rank(q, c: Cochain) -> bool:

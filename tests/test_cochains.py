@@ -77,6 +77,17 @@ def test_public_cochain_constructors_keep_every_check():
             Cochain.from_terms(b, {bad: Fraction(1)})
     with pytest.raises(InputError):
         Cochain.dual(b, "Z0")
+    # terms of another shape than (Monomial, coefficient) pairs
+    malformed = (
+        lambda: Cochain.from_terms(b, [([1], 1)]),
+        lambda: Cochain(b, ((m,),)),
+        lambda: Cochain(b, ((m, 1, 2),)),
+        lambda: Cochain.from_terms(b, 5),
+        lambda: Cochain.from_terms(b, [(m,)]),
+    )
+    for make in malformed:
+        with pytest.raises(InputError, match="pair|Monomials"):
+            make()
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ from superquad.cohomology import (
     is_cocycle,
 )
 from superquad.errors import EngineError, InputError, ResourceLimitError
-from superquad.linalg import rank
+from superquad.linalg import Echelon, _sparse_rows, rank
 from superquad.quadratic import validate_quadratic
 from superquad.serialization import loads
 
@@ -167,42 +167,18 @@ def test_is_coboundary_agrees_with_the_full_delta_oracle(key):
                 assert not got
 
 
-def test_is_coboundary_certificate_catches_a_weight_that_is_no_derivation_weight(monkeypatch):
-    q = build("g_4_1_s")  # [Y1, Y1] = -2 X0: lambda_X0 = 2 lambda_Y1 for every weight
+@pytest.mark.parametrize("key", ["g_4_2_s", "g_8_2_5_s"])
+def test_block_certificate_catches_a_weight_that_is_no_derivation_weight(monkeypatch, key):
+    """One more on the first letter's first diagonal weight is no derivation
+    weight: some delta_k, restricted to the built blocks, leaves its block."""
+    q = build(key)
     weights = diagonal_weights(q.algebra)
-    x0, y1 = q.basis.index("X0"), q.basis.index("Y1")
-    wrong = [(w[0] + 1, *w[1:]) if t == x0 else w for t, w in enumerate(weights)]
-    assert wrong[y1][0] * 2 != wrong[x0][0]
-    # delta(X0* X1*) = X1* Y1* Y1* - 2 X0* Y0* Y1*: a term with X0 and a term without
-    c = differential_direct(q.algebra, mono(q, ("X0",), ("X1",)))
-    assert is_coboundary(q, c)
+    wrong = [(w[0] + 1, *w[1:]) if t == 0 else w for t, w in enumerate(weights)]
+    betti_table(q, 3, verify=False)
     module = importlib.import_module("superquad.cohomology")
     monkeypatch.setattr(module, "diagonal_weights", lambda g: wrong)
     with pytest.raises(EngineError, match="weight block"):
-        is_coboundary(q, c)
-
-
-def test_is_coboundary_certificate_runs_on_the_block_not_held_yet(monkeypatch):
-    """As above, on a live complex that already holds B^3 on the block of
-    c's term without X0: only the other block is built, and its
-    certificate still fires."""
-    q = build("g_4_1_s")
-    weights = diagonal_weights(q.algebra)
-    x0 = q.basis.index("X0")
-    wrong = [(w[0] + 1, *w[1:]) if t == x0 else w for t, w in enumerate(weights)]
-    module = importlib.import_module("superquad.cohomology")
-    monkeypatch.setattr(module, "diagonal_weights", lambda g: wrong)
-    held = cohomology(q, 3, verify=False)  # no inner torus: nothing is restricted
-    cx = held._complex
-    c = differential_direct(q.algebra, mono(q, ("X0",), ("X1",)))
-    (without, _), (with_x0, _) = sorted(c.terms, key=lambda term: x0 in term[0].even)
-    keys = cx.index(3).keys
-    assert x0 not in without.even and x0 in with_x0.even and keys[without] != keys[with_x0]
-    is_coboundary(q, Cochain.from_terms(q.basis, {without: Fraction(1)}))
-    assert list(cx._boundaries[3]) == [keys[without]]
-    with pytest.raises(EngineError, match="weight block"):
-        is_coboundary(q, c)
-    assert list(cx._boundaries[3]) == [keys[without]]
+        betti_table(build(key), 3, verify=False)
 
 
 def test_differential_matrix_cross_check_fires():
@@ -537,8 +513,6 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     q = build(key)
     res = cohomology(q, 2, verify=False)
     assert len(built) == 2  # delta_2 and delta_1
-    seen, new = set(), 0  # the blocks queried, and the queries that brought a new one
-    keys = res._complex.index(2).keys
     for c in _seeded_queries(q, 2, res.representatives, random.Random(f"queries {key}"), 34):
         cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
         if cocycle:
@@ -547,14 +521,9 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
             assert not coboundary
             with pytest.raises(InputError, match="requires a cocycle"):
                 class_vector(q, c, result=res)
-        blocks = {keys[m] for m, _ in c.terms}
-        new += bool(blocks - seen)
-        seen |= blocks
     assert calls == {"_dual_differentials": 1, "diagonal_weights": 1}
-    # one differential_matrix call per query with blocks not built yet,
-    # and every block queried built exactly once
-    queried = [block for blocks in built[2:] for block in blocks]
-    assert len(built) - 2 == new and sorted(queried) == sorted(seen)
+    # the queries read B^2 off the echelon of delta_1 the set-up made
+    assert len(built) == 2
 
 
 def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch):
@@ -589,13 +558,14 @@ def test_is_coboundary_matches_the_rank_oracle_cold_and_warm(key):
         # cold: no complex of q is alive, so each call builds its own
         assert id(q) not in module._LIVE
         assert [is_coboundary(q, c) for c in queries] == want, k
-        # warm: a held result keeps one complex, which keeps each block of B^k
+        # warm: a held result keeps one complex, which keeps one echelon of B^k
         held = cohomology(q, k, verify=False)
+        image = held._complex.image(k - 1, False)
         for _ in range(2):
             assert [is_coboundary(q, c) for c in queries] == want, k
-        keys = held._complex.index(k).keys
-        assert len(held._complex._boundaries[k]) == len({keys[m] for c in queries for m, _ in c.terms})
-        del held
+        assert held._complex._images[k - 1] is image and set(held._complex._images) == {k - 1, k}
+        assert held._quotient.boundary is image
+        del held, image
 
 
 @pytest.mark.parametrize("key", ["g_4_1_s", "g_6_s", "g_6_2", "h"])
@@ -737,6 +707,49 @@ def test_cartan_formula_on_random_cochains():
                         differential_direct(g, c), vector
                     )
                     assert (lie + c.scale(_inner_weight(m, w))).is_zero, (key, k, m)
+
+
+@pytest.mark.parametrize("key", TORUS_KEYS)
+def test_the_cartan_witness_matches_the_rank_oracle(key):
+    """Seeded delta(b), alone or plus or minus a monomial of C^k, each with
+    terms outside the built part, where is_coboundary checks the witness
+    -i_x c / s with one differential in place of reading B^k."""
+    q = build(key)
+    g = q.algebra
+    rng = random.Random(f"cartan witness {key}")
+    answers = []
+    for k in (2, 3, 4):
+        built = Complex(q).index(k).built._index
+        lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
+        for i in range(30):
+            b = {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for m in rng.sample(lower, 3)}
+            c = differential_direct(g, Cochain.from_terms(g.basis, b))
+            if i % 3:
+                c = c + Cochain.from_terms(g.basis, {rng.choice(same): Fraction((-1) ** i)})
+            if all(m in built for m, _ in c.terms):
+                continue
+            answers.append(is_coboundary(q, c))
+            assert answers[-1] == is_coboundary_by_rank(q, c), (k, str(c))
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+def test_each_delta_is_eliminated_once(monkeypatch, key):
+    """betti_table feeds the columns of each delta_k to one echelon, which
+    serves the rank-nullity check of H^k and B^{k+1} of H^{k+1}."""
+    fed, original = [], Echelon.__init__
+
+    def recorded(self, rows=(), *args, **kwargs):
+        rows = list(rows)
+        fed.append([dict(r) for r in rows])
+        original(self, rows, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "__init__", recorded)
+    results = betti_table(build(key), 6)
+    cx = results[0]._complex
+    for k in range(7):
+        columns = _sparse_rows(cx.delta(k).columns)
+        assert sum(rows == columns for rows in fed) == 1, k
 
 
 def test_class_vector_drops_the_terms_of_nonzero_inner_weight():
