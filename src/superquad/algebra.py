@@ -312,7 +312,7 @@ def _lie(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> LieSuperalgebra:
     return getattr(g, "algebra", g)
 
 
-def diagonal_weights(g: LieSuperalgebra) -> list[tuple[Rat | int, ...]]:
+def diagonal_weights(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[tuple[Rat | int, ...]]:
     """The torus of diagonal derivations in the given basis, per letter.
 
     A weight is a vector lambda with lambda_i + lambda_j = lambda_t for
@@ -322,7 +322,7 @@ def diagonal_weights(g: LieSuperalgebra) -> list[tuple[Rat | int, ...]]:
     kernel), then the parity of letter t.  Built on each call, for the
     exact kernels: an integral value is an int.
     """
-    rows = []
+    g, rows = _lie(g), []
     for (i, j), terms in g.constants.items():
         for t in terms:
             row = {i: 1}

@@ -48,6 +48,8 @@ class CatalogEntry:
 def _normalize_params(
     entry: CatalogEntry, params: Mapping[str, object] | None
 ) -> dict[str, Rat]:
+    if params is not None and not isinstance(params, Mapping):
+        raise InputError(f"params of {entry.key} must be a mapping, not {type(params).__name__}")
     given = dict(params or {})
     out: dict[str, Rat] = {}
     for spec in entry.params:
@@ -61,7 +63,7 @@ def _normalize_params(
             )
         out[spec.name] = value
     if given:
-        unknown = ", ".join(sorted(given))
+        unknown = ", ".join(sorted(map(str, given)))
         raise InputError(f"unknown parameter(s) for {entry.key}: {unknown}")
     return out
 

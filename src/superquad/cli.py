@@ -2,9 +2,9 @@
 
 Verbs: list, validate, cohomology, betti, poisson, double-extend, export.
 Targets are catalog keys or JSON algebra files.  Exit codes: 0 success,
-1 validation failure, 2 usage or input error.  ``betti``,
-``cohomology`` and ``double-extend`` validate the algebra first and exit 1
-on a violation.
+1 validation failure, 2 usage or input error, 3 internal error (any other
+``EngineError``).  ``betti``, ``cohomology`` and ``double-extend``
+validate the algebra first and exit 1 on a violation.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from . import catalog, serialization
 from .algebra import ValidationReport, validate_lie_superalgebra
 from .cochains import Cochain, differential_direct, differential_via_poisson
 from .cohomology import Complex, cohomology_report
-from .errors import InputError, ResourceLimitError
+from .errors import EngineError, InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
 from .quadratic import QuadraticLieSuperalgebra, validate_quadratic
 from .serialization import rational_from_str, rational_to_str
@@ -420,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

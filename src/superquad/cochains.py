@@ -268,9 +268,18 @@ def _check_cochain(c: object, basis: GradedBasis | None) -> None:
         raise InputError("cochains live over different bases")
 
 
+def _basis_of(x: object, kinds: tuple[type, ...]) -> GradedBasis:
+    """The GradedBasis of x, one of ``kinds`` (a basis is its own), or
+    InputError: the check of every public function that takes a basis."""
+    if not isinstance(x, kinds):
+        raise InputError(f"expected a {' or '.join(t.__name__ for t in kinds)}, not {type(x).__name__}")
+    return x if isinstance(x, GradedBasis) else x.basis
+
+
 def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
     """Deterministic monomial enumeration of C^k: by alternating degree
     ascending, then lexicographic."""
+    basis = _basis_of(basis, (GradedBasis,))
     _check_degree(k)
     ne, n = basis.even_dim, basis.dim
     out = []
@@ -448,7 +457,7 @@ def differential_direct(
     ``duals`` is ``_dual_differentials(g)``, built once by a caller that
     differentiates many cochains; without it the table is built here.
     """
-    _check_cochain(c, g.basis)
+    _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
     ne = g.basis.even_dim
     if duals is None:
         duals = _dual_differentials(g)

@@ -1,10 +1,10 @@
 """Exact cohomology of the super-exterior complex.
 
 One ``Complex`` per algebra holds what the engine reads more than once:
-the cochain bases, the delta(t*) table, the inner torus, one block index
-per degree, I, and each delta_k as exact sparse columns between
-enumerated monomial bases.  Kernels, images and quotients are computed
-by exact sparse elimination over the rationals.
+the cochain bases and their built parts, the delta(t*) table, the inner
+torus, I, and each delta_k as exact sparse columns between the built
+parts.  Kernels, images and quotients are computed by exact sparse
+elimination over the rationals.
 
 When some even x has a diagonal ad x with a nonzero weight (the inner
 torus), Cartan's formula L_x = delta i_x + i_x delta makes every block
@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Collection, NamedTuple
 from weakref import WeakValueDictionary, ref
 
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
     Cochain,
     Monomial,
+    _basis_of,
     _check_cochain,
     _cochain,
     _combination,
@@ -62,6 +62,7 @@ MONOMIAL_LIMIT = 200000
 
 def cochain_dimension(basis: GradedBasis, k: int) -> int:
     """dim C^k = sum_m C(dim even, m) * C(dim odd + k - m - 1, k - m)."""
+    basis = _basis_of(basis, (GradedBasis,))
     _check_degree(k)
     p, q = basis.even_dim, basis.odd_dim
     total = 0
@@ -109,7 +110,7 @@ class CochainBasis:
 
 
 def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
-    basis = g if isinstance(g, GradedBasis) else g.basis
+    basis = _basis_of(g, (GradedBasis, LieSuperalgebra, QuadraticLieSuperalgebra))
     return CochainBasis(degree=k, monomials=tuple(monomials_of_degree(basis, k)))
 
 
@@ -134,24 +135,12 @@ class DifferentialMatrix:
         )
 
 
-class BlockIndex(NamedTuple):
-    """The block key of each monomial of C^k and the part delta_k is built on, in basis order."""
-
-    keys: dict[Monomial, tuple[int, ...]]
-    built: CochainBasis
-
-    def restrict(self, blocks: Collection[tuple]) -> CochainBasis:
-        """The monomials in ``blocks``, in basis order: the built part itself when they are it."""
-        part = tuple(m for m, key in self.keys.items() if key in blocks)
-        return self.built if part == self.built.monomials else CochainBasis(self.built.degree, part)
-
-
 class Complex:
     """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
     quadratic.  Each part is built once, on first use, and kept: the basis
-    of each C^k, the images delta(t*), the inner torus (``torus``), the
-    block index of each C^k (``index``), I and I's side of {I, .}, each
-    delta_k, the echelon of its columns (``image``), and each H^k while a
+    of each C^k and its built part (``built``), the images delta(t*), the
+    inner torus (``torus``), I and I's side of {I, .}, each delta_k
+    (``delta``), the echelon of its columns (``image``), and each H^k while a
     caller holds it.  Every function of this module
     takes a complex in place of the algebra.  Given an algebra, it reads
     the complex a call given that same object built, while a caller or a
@@ -163,12 +152,12 @@ class Complex:
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra | LieSuperalgebra) -> None:
+        self.basis = _basis_of(q, (QuadraticLieSuperalgebra, LieSuperalgebra))
         self.quadratic = q if isinstance(q, QuadraticLieSuperalgebra) else None
         self.algebra = q if self.quadratic is None else q.algebra
-        self.basis = self.algebra.basis
         self._sized = -1  # the largest k_max check_size passed
         self._cochains: dict[int, CochainBasis] = {}
-        self._indices: dict[int, BlockIndex] = {}
+        self._built: dict[int, CochainBasis] = {}
         # degree -> (delta_k or H^k, built with the cross-check or not);
         # H^k is held weakly, since it holds its complex
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
@@ -209,26 +198,29 @@ class Complex:
         each (x, w) of the inner torus, each column scaled once by a
         positive int to ints, then its parity.  ad x is a diagonal
         derivation, so a column w splits no block: it only carries the
-        inner weight into every block key."""
+        inner weight into every block key (``key``)."""
         columns = [*zip(*(row[:-1] for row in diagonal_weights(self.algebra))), *(w for _, w in self.torus)]
         scales = [lcm(*(x.denominator for x in col)) for col in columns]
         return [(*(int(col[t] * s) for col, s in zip(columns, scales)), p) for t, p in enumerate(self.basis.parities)]
 
-    def index(self, k: int) -> BlockIndex:
-        """The block index of C^k, built in one pass on first use.  A
-        monomial's key is the sums of its letters' ``weights``, the last
-        one (its odd letters) taken mod 2.  The built part is the blocks
-        of inner weight 0, read off the key, or all of C^k without an
-        inner torus: the source of delta_k and the target of delta_{k-1}."""
-        if k not in self._indices:
-            weights, s, keys = self.weights, len(self.torus), {}
-            zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
-            for m in self.cochains(k).monomials:
-                *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
-                keys[m] = (*lam, odd % 2)
-            zero_weight = (m for m, key in keys.items() if not any(key[-1 - s : -1]))
-            self._indices[k] = BlockIndex(keys, CochainBasis(k, tuple(zero_weight)) if s else self.cochains(k))
-        return self._indices[k]
+    def key(self, m: Monomial) -> tuple[int, ...]:
+        """The block key of m, computed on each call: the sums of its
+        letters' ``weights``, the last one (its odd letters) taken mod 2.
+        delta keeps it."""
+        weights = self.weights
+        zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
+        *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
+        return (*lam, odd % 2)
+
+    def built(self, k: int) -> CochainBasis:
+        """The monomials of C^k whose inner weights (``key``) are 0, in
+        basis order, or C^k itself without an inner torus: the source of
+        delta_k and the target of delta_{k-1}, made once, on first use."""
+        if k not in self._built:
+            s, cochains = len(self.torus), self.cochains(k)
+            zero = (m for m in cochains.monomials if not any(self.key(m)[-1 - s : -1]))
+            self._built[k] = CochainBasis(k, tuple(zero)) if s else cochains
+        return self._built[k]
 
     def acyclic_dim(self, k: int) -> int:
         """dim Z^k = dim B^k over the blocks of nonzero inner weight (0
@@ -238,7 +230,7 @@ class Complex:
         if not self.torus:
             return 0
         return sum(
-            (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - self.index(j).built.dimension)
+            (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - self.built(j).dimension)
             for j in range(k)
         )
 
@@ -268,15 +260,10 @@ class Complex:
 
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k, built by ``differential_matrix`` on first use, and once
-        more if the cross-check is asked for and the first build had none.
-        With an inner torus it is restricted to the built parts of C^k and
-        C^{k+1} (``index``): its target is the source of delta_{k+1}."""
+        more if the cross-check is asked for and the first build had none."""
         hit = self._deltas.get(k)
         if hit is None or verify and not hit[1]:
-            blocks = None
-            if self.torus:
-                blocks = {keys[m] for keys, built in map(self.index, (k, k + 1)) for m in built.monomials}
-            hit = self._deltas[k] = (differential_matrix(self, k, verify=verify, blocks=blocks), verify)
+            hit = self._deltas[k] = (differential_matrix(self, k, verify=verify), verify)
         return hit[0]
 
     def image(self, k: int, verify: bool = True) -> Echelon:
@@ -313,30 +300,27 @@ def differential_matrix(
     k: int,
     *,
     verify: bool = True,
-    blocks: Collection[tuple] | None = None,
 ) -> DifferentialMatrix:
-    """Assemble delta_k column by column; no other code makes its columns.
+    """delta_k from the built part of C^k to that of C^{k+1}
+    (``Complex.built``), column by column; no other code makes its columns.
 
     Each column is differential_direct of a basis monomial, with the
     complex's delta(t*) table.  When ``verify`` is true and q is
     quadratic, every column is recomputed in full as -{I, monomial} from
     the complex's side of I, and the two must agree exactly.
 
-    ``blocks`` restricts delta_k to the blocks in it (``BlockIndex.restrict``).
     delta keeps the weight of every diagonal derivation and the
     sym-parity (Hochschild-Serre), so it maps each block into the block
-    with the same key (``Complex.index``).  Certificate of a restricted
-    build: every term of every column must lie in its source's block, or
-    the torus or delta is wrong (EngineError).
+    with the same key (``Complex.key``), and the built part into the
+    built part.  Certificate, with an inner torus: every term of every
+    column must have its source's key, or the torus or delta is wrong
+    (EngineError).
     """
     cx = _complex(q)
     cx.check_size(k)
     g, duals = cx.algebra, cx.duals
     left = cx.left if verify and cx.quadratic is not None else None
-    src, tgt = cx.cochains(k), cx.cochains(k + 1)
-    if blocks is not None:
-        source, target = cx.index(k), cx.index(k + 1)
-        src, tgt = source.restrict(blocks), target.restrict(blocks)
+    src, tgt = cx.built(k), cx.built(k + 1)
     index, columns = tgt._index, []
     for m in src.monomials:
         c = _cochain(g.basis, {m: 1})
@@ -345,8 +329,9 @@ def differential_matrix(
             raise EngineError(
                 f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
             )
-        if blocks is not None and any(target.keys[mm] != source.keys[m] for mm, _ in image):
-            raise EngineError(f"delta of {m} leaves its weight block {source.keys[m]}: the torus or delta is wrong")
+        key = cx.key(m) if cx.torus else None
+        if key is not None and any(cx.key(mm) != key for mm, _ in image):
+            raise EngineError(f"delta of {m} leaves its weight block {key}: the torus or delta is wrong")
         columns.append({index[mm]: x for mm, x in image})
     return DifferentialMatrix(src, tgt, tuple(columns))
 
@@ -471,7 +456,7 @@ def is_cocycle(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cocha
 def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
-    delta keeps the block key (``Complex.index``).  c's terms in the built
+    delta keeps the block key (``Complex.key``).  c's terms in the built
     part are reduced against B^k there (``Complex.image``); the others are
     a coboundary exactly when they are delta(b) for the witness b, the sum
     of -i_x(term) / s over them (Cartan: s != 0 is the term's inner weight
@@ -484,7 +469,7 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     if k == 0:
         return False
     cx.check_size(k - 1)
-    index = cx.index(k).built._index
+    index = cx.built(k)._index
     if cx.image(k - 1, False).remainder({index[m]: _num(a) for m, a in c.terms if m in index}):
         return False
     rest, witness = tuple((m, a) for m, a in c.terms if m not in index), []
@@ -511,7 +496,7 @@ def class_vector(
     """
     cx = _complex(q, c)
     if result is not None:
-        rcx, g = result._complex, cx.algebra
+        rcx, g = result._complex if isinstance(result, CohomologyResult) else None, cx.algebra
         # the same basis and structure constants give the same delta
         if rcx is None or rcx.algebra is not g and (
             (rcx.basis, rcx.algebra.constants) != (g.basis, g.constants)

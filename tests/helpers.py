@@ -17,11 +17,14 @@ before ``BilinearForm.inverse_columns`` eliminated [G^T | 1] itself.
 (``reorder_to_canonical`` brings the tuple to canonical order), and
 ``from_values`` the cochain with given values on canonical tuples, its
 inverse; ``differential_by_evaluation`` needs both.
+``full_differential`` is the whole delta_k, from all of C^k to all of
+C^{k+1}, as the engine's ``differential_matrix`` gave it before it built
+only the part of inner weight 0; the unpruned oracles read it.
 ``is_coboundary_full`` is the coboundary test on all of delta_{k-1},
 which the engine's ``is_coboundary`` replaced by B^k on the built part
 and a checked Cartan witness on the other blocks;
-``is_coboundary_by_rank`` asks the same of ranks, on a complex of its own,
-so it shares no held block of B^k with the engine.
+``is_coboundary_by_rank`` asks the same of ranks, so it shares no
+echelon of B^k with the engine.
 ``betti_table_unpruned`` eliminates on all of each C^k, as the engine did
 before it built only the blocks of inner weight 0 and counted the others.
 ``block_partition`` keys the monomials of C^k as the engine did before its
@@ -45,8 +48,18 @@ from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
 from superquad.algebra import GradedBasis, Violation, _sparse_str, diagonal_weights, inner_torus
-from superquad.cochains import Cochain, Monomial, monomials_of_degree, wedge
-from superquad.cohomology import CohomologyResult, Complex, _Quotient, differential_matrix
+from superquad.cochains import (
+    Cochain,
+    Monomial,
+    _dual_differentials,
+    _poisson_left,
+    associated_three_form,
+    differential_direct,
+    differential_via_poisson,
+    monomials_of_degree,
+    wedge,
+)
+from superquad.cohomology import CohomologyResult, DifferentialMatrix, _Quotient, cochain_basis
 from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
@@ -246,10 +259,25 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
     return reps
 
 
+def full_differential(q, k: int, *, verify: bool = True) -> DifferentialMatrix:
+    """The whole delta_k: differential_direct of every monomial of C^k,
+    each checked against -{I, monomial} when q is quadratic and ``verify``
+    is true."""
+    g = getattr(q, "algebra", q)
+    src, tgt, duals = cochain_basis(g, k), cochain_basis(g, k + 1), _dual_differentials(g)
+    left = _poisson_left(q, associated_three_form(q)) if verify and g is not q else None
+    columns = []
+    for m in src.monomials:
+        c = Cochain.from_terms(g.basis, {m: Fraction(1)})
+        image = differential_direct(g, c, duals=duals)
+        assert left is None or image == differential_via_poisson(q, c, left=left), (k, m)
+        columns.append(tgt.coordinates(image))
+    return DifferentialMatrix(src, tgt, tuple(columns))
+
+
 def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[CohomologyResult]:
     """H^0..H^{k_max}, each delta_k built and eliminated on all of C^k."""
-    cx = Complex(q)
-    deltas = [differential_matrix(cx, k, verify=verify) for k in range(k_max + 1)]
+    deltas = [full_differential(q, k, verify=verify) for k in range(k_max + 1)]
     out = []
     for k, d_k in enumerate(deltas):
         src = d_k.source
@@ -270,7 +298,7 @@ def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[Cohomolo
                 dim_cocycles=n_z,
                 dim_coboundaries=n_b,
                 betti=n_z - n_b,
-                representatives=tuple(src.from_coordinates(cx.basis, v) for v in reps),
+                representatives=tuple(src.from_coordinates(q.basis, v) for v in reps),
             )
         )
     return out
@@ -303,20 +331,20 @@ def is_coboundary_full(q, c: Cochain) -> bool:
     k = degrees.pop()
     if k == 0:
         return False
-    d_prev = differential_matrix(q, k - 1, verify=False)
+    d_prev = full_differential(q, k - 1, verify=False)
     return not Echelon(_sparse_rows(d_prev.columns)).remainder(d_prev.target.coordinates(c))
 
 
 def is_coboundary_by_rank(q, c: Cochain) -> bool:
     """True iff c = delta(b): c appended to the columns of the whole
-    delta_{k-1}, built on a new Complex, leaves their rank unchanged (c
-    nonzero and of one degree k)."""
+    delta_{k-1} leaves their rank unchanged (c nonzero and of one degree
+    k)."""
     degrees = {m.degree for m, _ in c.terms}
     assert len(degrees) == 1, "the oracle takes a nonzero cochain of one degree"
     k = degrees.pop()
     if k == 0:
         return False
-    d_prev = differential_matrix(Complex(q), k - 1, verify=False)
+    d_prev = full_differential(q, k - 1, verify=False)
     columns = list(d_prev.columns)
     return rank(columns + [d_prev.target.coordinates(c)]) == rank(columns)
 

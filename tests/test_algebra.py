@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import QUADRATIC_KEYS
 from superquad import build, catalog_keys, is_superderivation, validate_quadratic
 from superquad.algebra import (
     GradedBasis,
@@ -246,3 +247,9 @@ def test_diagonal_weights_are_derivation_weights(key):
                 assert lam[i] + lam[j] == lam[t], (lam, i, j, t)
         diag = [[lam[i] if i == j else 0 for j in range(g.dim)] for i in range(g.dim)]
         assert is_superderivation(g, diag, 0).ok
+
+
+@pytest.mark.parametrize("key", QUADRATIC_KEYS)
+def test_diagonal_weights_read_a_quadratic_algebra_as_its_lie_superalgebra(key):
+    q = build(key)
+    assert diagonal_weights(q) == diagonal_weights(q.algebra)

@@ -125,6 +125,17 @@ def test_unknown_parameter_rejected():
         build("g_6_2", {"zeta": 1})
 
 
+@pytest.mark.parametrize("params", [5, ["lam"], [("lam", 2)], "lam", 1.5])
+def test_params_that_are_not_a_mapping_are_rejected(params):
+    with pytest.raises(InputError, match="must be a mapping"):
+        build("g_6_2", params)
+
+
+def test_an_unknown_parameter_that_is_not_a_string_is_named():
+    with pytest.raises(InputError, match="unknown parameter.*: 1, lam2"):
+        build("g_6_2", {1: 2, "lam2": 3})
+
+
 def test_odd_brackets_with_default_parameters():
     assert bracket_of(build("g_8_2_1_s"), "Y", "T") == {"Z1": 1}
     assert bracket_of(build("g_8_2_2_s"), "T", "T") == {

@@ -11,7 +11,7 @@ from superquad import cli
 from superquad.cli import main
 from superquad.extensions import skew_superderivation_space
 from superquad.catalog import build
-from superquad.errors import InputError
+from superquad.errors import EngineError, InputError
 from superquad.serialization import (
     algebra_to_dict,
     loads,
@@ -374,3 +374,14 @@ def test_repeated_main_calls_do_not_accumulate(capsys):
     assert [rc for rc, _, _ in single] == [0, 0, 0, 2, 0]
     assert len({text for _, text, _ in single[:3]}) == 3
     assert outcomes(main) + outcomes(main) == single + single
+
+
+def test_an_engine_error_is_one_internal_error_line_and_exit_3(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise EngineError("rank-nullity violated in cohomology assembly")
+
+    monkeypatch.setattr(cli, "cohomology_report", failing)
+    assert main(["betti", "g_4_1_s"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: rank-nullity violated in cohomology assembly\n"
+    assert "Traceback" not in captured.out + captured.err

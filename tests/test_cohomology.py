@@ -14,6 +14,7 @@ from helpers import (
     betti_table_unpruned,
     block_partition,
     doubled_odd_form,
+    full_differential,
     is_coboundary_by_rank,
     is_coboundary_full,
     mono,
@@ -110,9 +111,9 @@ def test_rank_nullity_consistency():
     q = build("g_4_2_s")
     results = betti_table(q, 3)
     for k, r in enumerate(results):
-        assert r.dim_cocycles + rank(differential_matrix(q, k).columns) == r.dim_cochains
+        assert r.dim_cocycles + rank(full_differential(q, k).columns) == r.dim_cochains
         if k > 0:
-            assert r.dim_coboundaries == rank(differential_matrix(q, k - 1).columns)
+            assert r.dim_coboundaries == rank(full_differential(q, k - 1).columns)
         assert r.betti == r.dim_cocycles - r.dim_coboundaries
 
 
@@ -243,13 +244,12 @@ def test_representatives_match_the_rank_oracle():
     cases = [(key, k) for key in catalog_keys() for k in range(3)]
     cases.append(("g_8_2_5_s", 3))
     for key, k in cases:
-        cx = Complex(build(key))
-        res = cohomology(cx, k, verify=False)
+        q = build(key)
+        res = cohomology(q, k, verify=False)
         # the whole delta_k and delta_{k-1}: with an inner torus, res was
         # computed on their blocks of inner weight 0 only
-        d_k = differential_matrix(cx, k, verify=False)
-        d_prev = differential_matrix(cx, k - 1, verify=False) if k else None
-        q = cx.quadratic or cx.algebra
+        d_k = full_differential(q, k, verify=False)
+        d_prev = full_differential(q, k - 1, verify=False) if k else None
         n, zero = d_k.shape[1], Fraction(0)
         got = [
             [d_k.source.coordinates(r).get(j, zero) for j in range(n)]
@@ -464,8 +464,9 @@ def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
     cx = Complex(q)
     c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
     assert is_coboundary(cx, c)
-    # the restricted delta_1 enumerates C^1 and its target C^2
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 1, "cochain_basis": 2}
+    # delta_1 enumerates C^1 and its target C^2; g_6_s has no inner
+    # torus, so no block key is read and the diagonal weights are never made
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "cochain_basis": 2}
     res = cohomology(cx, 2, verify=False)
     for i, rep in enumerate(res.representatives):
         query = rep + c
@@ -475,7 +476,7 @@ def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
         assert class_vector(cx, query) == unit
         # an algebra and a result read the result's complex
         assert class_vector(q, query, result=res) == unit
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 1, "cochain_basis": 3}
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "cochain_basis": 3}
 
 
 def _seeded_queries(q, k: int, reps, rng: random.Random, count: int) -> list[Cochain]:
@@ -506,7 +507,7 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     built, original = [], module.differential_matrix
 
     def recorded(q, k, **kwargs):
-        built.append(kwargs.get("blocks"))
+        built.append(k)
         return original(q, k, **kwargs)
 
     monkeypatch.setattr(module, "differential_matrix", recorded)
@@ -521,7 +522,8 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
             assert not coboundary
             with pytest.raises(InputError, match="requires a cocycle"):
                 class_vector(q, c, result=res)
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 1}
+    # the diagonal weights carry the block keys, read only with an inner torus
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": int(key in TORUS_KEYS)}
     # the queries read B^2 off the echelon of delta_1 the set-up made
     assert len(built) == 2
 
@@ -593,22 +595,24 @@ def test_class_vector_rejects_a_result_of_another_algebra_with_the_same_basis():
         assert class_vector(q2, rep, result=again)[0] == 1
 
 
-def test_restricted_differential_matrix_is_the_blocks_of_the_full_one():
-    for key in ("g_4_1_s", "g_6_s", "g_8_2_5_s", "h"):
-        cx = Complex(build(key))
-        for k in range(3):
-            full = differential_matrix(cx, k)
-            keys, above = cx.index(k).keys, cx.index(k + 1).keys
-            # the index holds every monomial, in basis order
-            assert tuple(keys) == full.source.monomials and tuple(above) == full.target.monomials
-            for key_ in set(keys.values()):
-                part = differential_matrix(cx, k, blocks={key_})
-                assert set(part.source.monomials) == {m for m, b in keys.items() if b == key_}
-                assert part.target.monomials == tuple(m for m, b in above.items() if b == key_)
-                for m, col in zip(part.source.monomials, part.columns):
-                    whole = full.columns[full.source._index[m]]
-                    got = {part.target.monomials[i]: x for i, x in col.items()}
-                    assert got == {full.target.monomials[i]: x for i, x in whole.items()}
+TORUS_KEYS = ("g_4_2_s", "g_6_2", "g_8_2_4_s", "g_8_2_5_s", "g_8_2_6_s")
+
+
+@pytest.mark.parametrize("key", [*TORUS_KEYS, "g_4_1_s", "g_6_s", "h"])
+def test_differential_matrix_is_the_built_block_of_the_full_one(key):
+    q = build(key)
+    cx = Complex(q)
+    for k in range(3):
+        d, full = differential_matrix(cx, k), full_differential(q, k)
+        assert d.source is cx.built(k) and d.target is cx.built(k + 1)
+        assert full.source.monomials == cx.cochains(k).monomials
+        for m, whole in zip(full.source.monomials, full.columns):
+            image = {full.target.monomials[i]: x for i, x in whole.items()}
+            # the whole delta keeps every block key
+            assert all(cx.key(mm) == cx.key(m) for mm in image), (key, k, m)
+            if m in d.source._index:
+                col = d.columns[d.source._index[m]]
+                assert {d.target.monomials[i]: x for i, x in col.items()} == image, (key, k, m)
 
 
 @pytest.mark.parametrize(
@@ -618,19 +622,14 @@ def test_restricted_differential_matrix_is_the_blocks_of_the_full_one():
         pytest.param("g_8_2_5_s", (30,), id="g_8_2_5_s-30"),
     ],
 )
-def test_the_block_index_is_the_partition_of_the_oracle(key, degrees):
+def test_the_block_keys_are_the_partition_of_the_oracle(key, degrees):
     q = build(key)
     cx = Complex(q)
     for k in degrees:
-        keys, built = cx.index(k)
-        assert tuple(keys) == cx.cochains(k).monomials
         blocks: dict[tuple, set[Monomial]] = {}
-        for m, b in keys.items():
-            blocks.setdefault(b, set()).add(m)
-        assert ({frozenset(b) for b in blocks.values()}, built.monomials) == block_partition(q, k), (key, k)
-
-
-TORUS_KEYS = ("g_4_2_s", "g_6_2", "g_8_2_4_s", "g_8_2_5_s", "g_8_2_6_s")
+        for m in cx.cochains(k).monomials:
+            blocks.setdefault(cx.key(m), set()).add(m)
+        assert ({frozenset(b) for b in blocks.values()}, cx.built(k).monomials) == block_partition(q, k), (key, k)
 
 
 def _inner_weight(m: Monomial, w) -> Fraction:
@@ -663,7 +662,7 @@ def test_only_the_blocks_of_inner_weight_zero_are_built():
         for k in range(4):
             d = cx.delta(k)
             # delta_k runs between the built parts, and lands in the source of delta_{k+1}
-            assert d.source is cx.index(k).built and d.target is cx.index(k + 1).built
+            assert d.source is cx.built(k) and d.target is cx.built(k + 1)
             assert d.target is cx.delta(k + 1).source
             if key not in TORUS_KEYS:
                 assert d.source is cx.cochains(k)
@@ -719,7 +718,7 @@ def test_the_cartan_witness_matches_the_rank_oracle(key):
     rng = random.Random(f"cartan witness {key}")
     answers = []
     for k in (2, 3, 4):
-        built = Complex(q).index(k).built._index
+        built = Complex(q).built(k)._index
         lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
         for i in range(30):
             b = {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for m in rng.sample(lower, 3)}
@@ -797,3 +796,32 @@ def test_every_degree_is_checked_alike(k):
     for call in calls:
         with pytest.raises(InputError, match="must be non-negative" if k == -1 else "must be an int"):
             call()
+
+
+@pytest.mark.parametrize("bad", [None, "x", "basis"])
+def test_every_algebra_argument_is_checked_alike(bad):
+    q = build("g_4_1_s")
+    bad = q.basis if bad == "basis" else bad
+    c, rep = mono(q.basis, even_labels=("Y0",)), cohomology(q, 1).representatives[0]
+    calls = [
+        lambda: differential_matrix(bad, 1),
+        lambda: cohomology(bad, 1),
+        lambda: betti_table(bad, 1),
+        lambda: is_cocycle(bad, c),
+        lambda: is_coboundary(bad, c),
+        lambda: class_vector(bad, c),
+        lambda: cohomology_report(bad, 1),
+        lambda: differential_direct(bad, c),
+    ]
+    if not isinstance(bad, GradedBasis):
+        calls += [
+            lambda: cochain_dimension(bad, 1),
+            lambda: cochain_basis(bad, 1),
+            lambda: monomials_of_degree(bad, 1),
+        ]
+    for call in calls:
+        with pytest.raises(InputError, match="expected a"):
+            call()
+    for result in (bad, 5) if bad is not None else (5,):
+        with pytest.raises(InputError, match="not a cohomology"):
+            class_vector(q, rep, result=result)
