@@ -39,18 +39,19 @@ class GradedBasis:
     parities: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.labels, tuple) and isinstance(self.parities, tuple)):
+            raise InputError("labels and parities must be tuples")
         if len(self.labels) != len(self.parities):
             raise InputError("labels and parities must have equal length")
+        for label, p in zip(self.labels, self.parities):
+            if not (isinstance(label, str) and label):
+                raise InputError(f"basis label {label!r} is not a non-empty string")
+            if type(p) is not int or p not in (0, 1):
+                raise InputError(f"parity {p!r} of {label!r}: parities must be 0 or 1")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("basis labels must be distinct")
-        if any(type(p) is not int or p not in (0, 1) for p in self.parities):
-            raise InputError("parities must be 0 or 1")
-        seen_odd = False
-        for p in self.parities:
-            if p == 1:
-                seen_odd = True
-            elif seen_odd:
-                raise InputError("even basis vectors must precede odd ones")
+        if list(self.parities) != sorted(self.parities):
+            raise InputError("even basis vectors must precede odd ones")
 
     @property
     def dim(self) -> int:
@@ -78,9 +79,9 @@ class GradedBasis:
         return None
 
 
-def _pair_sign(pi: int, pj: int) -> Rat:
-    # sign relating c[j,i] to c[i,j]: +1 only when both vectors are odd
-    return Fraction(1) if pi == 1 and pj == 1 else Fraction(-1)
+def _is_index(x: object, n: int) -> bool:
+    """True when x is an int (not a bool) in range(n)."""
+    return type(x) is int and 0 <= x < n
 
 
 @dataclass(frozen=True)
@@ -100,16 +101,17 @@ class LieSuperalgebra:
 
     def __post_init__(self):
         n = self.basis.dim
-        for (i, j), terms in self.constants.items():
-            if not (0 <= i <= j < n):
-                raise InputError(f"constant key ({i}, {j}) out of range or unordered")
-            if not terms:
-                raise InputError(f"empty constant entry for ({i}, {j})")
+        for key, terms in self.constants.items():
+            if not (type(key) is tuple and len(key) == 2 and _is_index(key[0], n)
+                    and _is_index(key[1], n) and key[0] <= key[1]):
+                raise InputError(f"constant key {key!r} out of range or unordered")
+            if not (isinstance(terms, Mapping) and terms):
+                raise InputError(f"constant entry for {key} must be a nonempty mapping")
             for k, c in terms.items():
-                if not (0 <= k < n):
-                    raise InputError(f"constant target {k} out of range")
+                if not _is_index(k, n):
+                    raise InputError(f"constant target {k!r} out of range")
                 if not isinstance(c, Fraction) or c == 0:
-                    raise InputError(f"constant for ({i},{j})->{k} must be a nonzero Fraction")
+                    raise InputError(f"constant for {key}->{k} must be a nonzero Fraction")
 
     @classmethod
     def from_index_table(
@@ -126,21 +128,24 @@ class LieSuperalgebra:
         """
         constants: dict[tuple[int, int], dict[int, Rat]] = {}
         seen: set[tuple[int, int]] = set()
-        for i, j, terms in table:
-            if not (0 <= i < basis.dim and 0 <= j < basis.dim):
-                raise InputError(f"bracket indices ({i}, {j}) out of range")
+        for row in table:
+            if not (isinstance(row, (list, tuple)) and len(row) == 3):
+                raise InputError(f"bracket row {row!r} is not (i, j, {{k: coeff}})")
+            i, j, terms = row
+            if not (_is_index(i, basis.dim) and _is_index(j, basis.dim)):
+                raise InputError(f"bracket indices ({i!r}, {j!r}) out of range")
+            if not isinstance(terms, Mapping):
+                raise InputError(f"bracket terms for ({i}, {j}) must be a mapping {{k: coeff}}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise InputError(f"duplicate bracket entry for pair {key}")
             seen.add(key)
-            sign = Fraction(1)
-            if i > j:
-                sign = _pair_sign(basis.parities[i], basis.parities[j])
+            negate = i > j and not (basis.parities[i] and basis.parities[j])
             entry: dict[int, Rat] = {}
             for k, c in terms.items():
-                coeff = sign * rat(c)
+                coeff = rat(c)
                 if coeff != 0:
-                    entry[int(k)] = coeff
+                    entry[k] = -coeff if negate else coeff
             if entry:
                 constants[key] = entry
         return cls(basis=basis, constants=constants, name=name)
@@ -171,8 +176,9 @@ class LieSuperalgebra:
         """Bracket of basis vectors i and j as a sparse {index: coeff} map."""
         if i <= j:
             return dict(self.constants.get((i, j), {}))
-        sign = _pair_sign(self.basis.parities[i], self.basis.parities[j])
-        return {k: sign * c for k, c in self.constants.get((j, i), {}).items()}
+        # c[j,i] is c[i,j] when both vectors are odd, -c[i,j] otherwise
+        p, terms = self.basis.parities, self.constants.get((j, i), {})
+        return dict(terms) if p[i] and p[j] else {k: -c for k, c in terms.items()}
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Rat | int]]:
         """Every nonzero bracket [e_i, e_j], in both orders, as {(i, j): {k: coeff}},
@@ -309,7 +315,10 @@ def validate_lie_superalgebra(g: LieSuperalgebra) -> ValidationReport:
 
 def _lie(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> LieSuperalgebra:
     """The Lie superalgebra of g, which may be a quadratic one."""
-    return getattr(g, "algebra", g)
+    lie = getattr(g, "algebra", g)
+    if not isinstance(lie, LieSuperalgebra):
+        raise InputError(f"expected a Lie superalgebra, not {type(g).__name__}")
+    return lie
 
 
 def diagonal_weights(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[tuple[Rat | int, ...]]:

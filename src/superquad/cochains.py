@@ -399,7 +399,9 @@ def _combination(
 def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
     """Contraction with a parity-homogeneous coordinate vector."""
     _check_cochain(c, None)
-    v = list(vector)
+    if not isinstance(vector, (list, tuple)):
+        raise InputError("contraction vector must be a list or tuple")
+    v = [rat(x) for x in vector]
     if len(v) != c.basis.dim:
         raise InputError("contraction vector has the wrong length")
     parity = c.basis.parity_of_vector(v)

@@ -60,13 +60,11 @@ class Superderivation:
 
     def __post_init__(self) -> None:
         _check_z2_degree(self.degree)
-        n = len(self.matrix)
-        rows = []
-        for row in self.matrix:
-            if len(row) != n:
-                raise InputError("superderivation matrix must be square")
-            rows.append(tuple(rat(v) for v in row))
-        object.__setattr__(self, "matrix", tuple(rows))
+        m = self.matrix
+        if not (isinstance(m, (list, tuple))
+                and all(isinstance(row, (list, tuple)) and len(row) == len(m) for row in m)):
+            raise InputError("superderivation matrix must be square: a list or tuple of n rows of n values")
+        object.__setattr__(self, "matrix", tuple(tuple(rat(v) for v in row) for row in m))
 
     @cached_property
     def columns(self) -> list[dict[int, Rat]]:
@@ -163,14 +161,12 @@ def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
     """Grading, then one violation per (rule, i, j) at which the defect of
     D (see ``_defects``) is nonzero, in sorted order."""
     _check_z2_degree(degree)
-    d = matrix if isinstance(matrix, Superderivation) else Superderivation(
-        matrix=tuple(tuple(row) for row in matrix), degree=degree
-    )
+    d = matrix if isinstance(matrix, Superderivation) else Superderivation(matrix=matrix, degree=degree)
     if d.degree != degree:
         raise InputError("degree argument disagrees with the Superderivation")
     basis = q_or_g.basis
     if d.dim != basis.dim:
-        raise InputError("matrix size does not match the algebra dimension")
+        raise InputError(f"derivation matrix is {d.dim}x{d.dim}, but the algebra has dimension {basis.dim}")
     violations = _grading_violations(basis, d.matrix, degree)
     unit = _defects(q_or_g, degree)
     defect: dict[tuple[int, int, int, int], Rat] = {}

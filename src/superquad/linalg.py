@@ -31,13 +31,13 @@ _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 def rat(value) -> Rat:
     """Coerce ``value`` to an exact rational.
 
-    Accepts Fraction, int, or a string "p" / "p/q".  Floats and decimal
-    strings are rejected: silent binary rounding has no place in an
-    exact engine.
+    Accepts Fraction, int, or a string "p" / "p/q".  Floats, decimal
+    strings and bools are rejected: silent binary rounding, or True read
+    as 1, has no place in an exact engine.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

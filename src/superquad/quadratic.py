@@ -35,11 +35,12 @@ class BilinearForm:
     gram: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self):
-        n = self.basis.dim
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise InputError("Gram matrix shape does not match the basis")
+        n, gram = self.basis.dim, self.gram
+        if not (isinstance(gram, (list, tuple)) and len(gram) == n
+                and all(isinstance(row, (list, tuple)) and len(row) == n for row in gram)):
+            raise InputError(f"Gram matrix must be {n} lists or tuples of {n} values, one per basis vector")
         # forms built by the catalog and the loaders hold Fractions already: only the rest needs rat
-        gram = tuple(tuple(v if type(v) is Fraction else rat(v) for v in row) for row in self.gram)
+        gram = tuple(tuple(v if type(v) is Fraction else rat(v) for v in row) for row in gram)
         object.__setattr__(self, "gram", gram)
 
     @classmethod

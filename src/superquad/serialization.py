@@ -15,8 +15,11 @@ Document shape::
 
 Omitted bracket pairs are zero.  Coefficients are decimal-free rational
 strings ("p", "-p", "p/q").  A document with a "form" field loads as a
-QuadraticLieSuperalgebra; loading performs structural checks only, so an
-axiom-violating table can be loaded and then reported by the validator.
+QuadraticLieSuperalgebra.  The loader checks only the document's shape;
+each rule of the basis, the bracket and the form, and its message, comes
+from the constructor (``GradedBasis``, ``LieSuperalgebra.from_index_table``,
+``BilinearForm.from_pairs``), and ``rational_from_str`` is ``rat``.  An
+axiom-violating table loads and is then reported by the validator.
 """
 from __future__ import annotations
 
@@ -41,15 +44,8 @@ __all__ = [
 ]
 
 
-rational_to_str = rat_str  # one renderer behind both public names
-
-
-def rational_from_str(s: object) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (int, str)):
-        raise InputError(
-            f"not a rational literal: {s!r} (expected 'p' or 'p/q')"
-        )
-    return rat(s)
+rational_to_str = rat_str  # the engine's own renderer and parser
+rational_from_str = rat
 
 
 def algebra_to_dict(obj) -> dict:
@@ -105,103 +101,53 @@ def algebra_to_dict(obj) -> dict:
     return doc
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InputError(message)
+def _objects(value: object, what: str, keys: tuple[str, ...]) -> list:
+    """value, which must be an array of objects that each hold ``keys``."""
+    if not (
+        isinstance(value, list)
+        and all(
+            isinstance(x, Mapping) and all(k in x for k in keys)
+            for x in value
+        )
+    ):
+        raise InputError(
+            f"{what} must be an array of objects with "
+            + ", ".join(map(repr, keys))
+        )
+    return value
 
 
 def algebra_from_dict(doc: Mapping):
     """Inverse of algebra_to_dict; returns a quadratic algebra iff a
-    "form" field is present."""
-    _require(isinstance(doc, Mapping), "algebra document must be an object")
-    _require("basis" in doc, "algebra document lacks a 'basis' field")
-    raw_basis = doc["basis"]
-    _require(
-        isinstance(raw_basis, list) and raw_basis,
-        "'basis' must be a non-empty array",
+    "form" field is present.  Only the document's shape is checked here:
+    every rule of the basis, bracket and form is its constructor's."""
+    if not isinstance(doc, Mapping):
+        raise InputError("algebra document must be an object")
+    items = _objects(doc.get("basis"), "'basis'", ("label", "parity"))
+    if not items:
+        raise InputError("'basis' must be a non-empty array")
+    basis = GradedBasis(
+        labels=tuple(x["label"] for x in items),
+        parities=tuple(x["parity"] for x in items),
     )
-    labels: list[str] = []
-    parities: list[int] = []
-    for item in raw_basis:
-        _require(
-            isinstance(item, Mapping) and "label" in item and "parity" in item,
-            "each basis item needs 'label' and 'parity'",
-        )
-        label = item["label"]
-        parity = item["parity"]
-        _require(
-            isinstance(label, str) and label, "basis labels must be strings"
-        )
-        _require(
-            type(parity) is int and parity in (0, 1),
-            f"parity of {label!r} must be the integer 0 or 1",
-        )
-        labels.append(label)
-        parities.append(parity)
-    _require(
-        len(set(labels)) == len(labels), "basis labels must be distinct"
-    )
-    order = sorted(range(len(labels)), key=lambda t: (parities[t], t))
-    _require(
-        order == list(range(len(labels))),
-        "basis must list all even vectors before all odd vectors",
-    )
-    basis = GradedBasis(labels=tuple(labels), parities=tuple(parities))
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def lookup(label: object, where: str) -> int:
-        _require(
-            isinstance(label, str) and label in index,
-            f"{where}: unknown basis label {label!r}",
-        )
-        return index[label]
-
-    brackets = doc.get("brackets", [])
-    _require(isinstance(brackets, list), "'brackets' must be an array")
     rows = []
-    for entry in brackets:
-        _require(
-            isinstance(entry, Mapping)
-            and {"left", "right", "terms"} <= set(entry),
-            "each bracket entry needs 'left', 'right', 'terms'",
-        )
-        i = lookup(entry["left"], "bracket")
-        j = lookup(entry["right"], "bracket")
+    brackets = doc.get("brackets", [])
+    for entry in _objects(brackets, "'brackets'", ("left", "right", "terms")):
         terms: dict[int, Fraction] = {}
-        _require(
-            isinstance(entry["terms"], list), "'terms' must be an array"
-        )
-        for term in entry["terms"]:
-            _require(
-                isinstance(term, Mapping)
-                and {"coeff", "basis"} <= set(term),
-                "each term needs 'coeff' and 'basis'",
-            )
-            k = lookup(term["basis"], "bracket term")
-            c = rational_from_str(term["coeff"])
-            terms[k] = terms.get(k, Fraction(0)) + c
+        for term in _objects(entry["terms"], "'terms'", ("coeff", "basis")):
+            k = basis.index(term["basis"])
+            terms[k] = terms.get(k, 0) + rat(term["coeff"])
+        i, j = basis.index(entry["left"]), basis.index(entry["right"])
         rows.append((i, j, terms))
     g = LieSuperalgebra.from_index_table(
         basis, rows, name=str(doc.get("name", "") or "")
     )
-    if "form" not in doc or doc["form"] is None:
+    if doc.get("form") is None:
         return g
-    pairs = []
-    _require(isinstance(doc["form"], list), "'form' must be an array")
-    for entry in doc["form"]:
-        _require(
-            isinstance(entry, Mapping)
-            and {"left", "right", "value"} <= set(entry),
-            "each form entry needs 'left', 'right', 'value'",
-        )
-        pairs.append(
-            (
-                basis.labels[lookup(entry["left"], "form")],
-                basis.labels[lookup(entry["right"], "form")],
-                rational_from_str(entry["value"]),
-            )
-        )
-    form = BilinearForm.from_pairs(basis, pairs)
+    entries = _objects(doc["form"], "'form'", ("left", "right", "value"))
+    form = BilinearForm.from_pairs(
+        basis, [(e["left"], e["right"], e["value"]) for e in entries]
+    )
     return QuadraticLieSuperalgebra(algebra=g, form=form)
 
 

@@ -324,6 +324,27 @@ def test_double_extend_validates_its_base(tmp_path, capsys):
     assert out.endswith(" violation(s)\n") and "INVALID: " in out
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"rows": []}, "superderivation matrix must be square"),
+        ([[0] * 4] * 3 + [[0] * 3], "superderivation matrix must be square"),
+        ([[0] * 4] * 3 + [0], "superderivation matrix must be square"),
+        ([[True, 0, 0, 0]] + [[0] * 4] * 3, "not an exact rational: True"),
+        ([[0.5, 0, 0, 0]] + [[0] * 4] * 3, "not an exact rational: 0.5"),
+        ([[0] * 3] * 3, "derivation matrix is 3x3, but the algebra has dimension 4"),
+    ],
+    ids=["not-a-list", "ragged", "int-row", "true", "float", "wrong-size"],
+)
+def test_bad_derivation_files_are_input_errors(tmp_path, capsys, doc, message):
+    path = tmp_path / "deriv.json"
+    path.write_text(json.dumps(doc))
+    assert main(["double-extend", "g_4_1_s", "--derivation", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_unknown_key_is_a_usage_error(capsys):
     assert main(["validate", "does_not_exist"]) == 2
     assert "error:" in capsys.readouterr().err

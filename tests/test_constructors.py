@@ -1,0 +1,126 @@
+"""Each input rule belongs to the constructor that relies on it: these
+probes reach every check of GradedBasis, LieSuperalgebra and its
+from_index_table, BilinearForm, Superderivation and rat, and each must
+end as InputError, never as a traceback or a silent wrong value."""
+from fractions import Fraction
+
+import pytest
+
+from superquad import BilinearForm, Cochain, GradedBasis, LieSuperalgebra, build
+from superquad.algebra import center, derived_series, diagonal_weights, inner_torus, is_solvable
+from superquad.cochains import contract_vector
+from superquad.errors import InputError
+from superquad.extensions import Superderivation
+from superquad.linalg import rat
+
+AB = GradedBasis(labels=("a", "b"), parities=(0, 0))
+ONE = Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rat(True),
+        lambda: rat(False),
+        lambda: build("g_6_2", {"lam": True}),
+        lambda: Cochain.unit(AB).scale(True),
+        lambda: BilinearForm.from_pairs(AB, [("a", "a", True)]),
+    ],
+    ids=["rat-True", "rat-False", "build-param", "Cochain.scale", "from_pairs"],
+)
+def test_a_bool_is_not_a_rational(call):
+    with pytest.raises(InputError, match="not an exact rational: (True|False) of type bool"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "labels, parities, message",
+    [
+        ((5,), (0,), "basis label 5 is not a non-empty string"),
+        (([1],), (0,), r"basis label \[1\] is not a non-empty string"),
+        (("",), (0,), "basis label '' is not a non-empty string"),
+        (None, (0,), "must be tuples"),
+        (("a",), [0], "must be tuples"),
+        (("a", "b"), (0, 2), "parity 2 of 'b': parities must be 0 or 1"),
+    ],
+    ids=repr,
+)
+def test_graded_basis_rules(labels, parities, message):
+    with pytest.raises(InputError, match=message):
+        GradedBasis(labels=labels, parities=parities)
+
+
+@pytest.mark.parametrize(
+    "constants, message",
+    [
+        ({(0.5, 1): {0: ONE}}, r"constant key \(0.5, 1\)"),
+        ({(True, 1): {0: ONE}}, r"constant key \(True, 1\)"),
+        ({5: {0: ONE}}, "constant key 5"),
+        ({(0, 1, 1): {0: ONE}}, r"constant key \(0, 1, 1\)"),
+        ({(0, 1): 5}, r"constant entry for \(0, 1\) must be a nonempty mapping"),
+        ({(0, 1): {True: ONE}}, "constant target True out of range"),
+        ({(0, 1): {0.0: ONE}}, "constant target 0.0 out of range"),
+    ],
+    ids=repr,
+)
+def test_lie_superalgebra_takes_int_indices_in_range(constants, message):
+    with pytest.raises(InputError, match=message):
+        LieSuperalgebra(AB, constants)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((0, 1, {1.5: 1}), "constant target 1.5 out of range"),
+        ((0, 1, {"1": 1}), "constant target '1' out of range"),
+        ((0.5, 1, {0: 1}), r"bracket indices \(0.5, 1\) out of range"),
+        ((True, 1, {0: 1}), r"bracket indices \(True, 1\) out of range"),
+        (("0", 1, {0: 1}), r"bracket indices \('0', 1\) out of range"),
+        ((0, 1), r"bracket row \(0, 1\) is not"),
+        (5, "bracket row 5 is not"),
+        ((0, 0, 5), "must be a mapping"),
+        ((0, 1, [(0, 1)]), "must be a mapping"),
+    ],
+    ids=repr,
+)
+def test_from_index_table_rules(row, message):
+    with pytest.raises(InputError, match=message):
+        LieSuperalgebra.from_index_table(AB, [row])
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [5, None, (5, 5), ((0, 1), 5), {0: (0, 1), 1: (1, 0)}, ((0, 1), {0: 1, 1: 0})],
+    ids=repr,
+)
+def test_gram_must_be_square_rows(gram):
+    with pytest.raises(InputError, match="Gram matrix must be 2 lists or tuples of 2 values"):
+        BilinearForm(AB, gram=gram)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [5, None, (5,), [{0: 1}], ((0, 1), 5), ((0, 1), {0: 0, 1: 1})],
+    ids=repr,
+)
+def test_superderivation_matrix_must_be_square_rows(matrix):
+    with pytest.raises(InputError, match="superderivation matrix must be square"):
+        Superderivation(matrix=matrix, degree=0)
+
+
+_LIE_READERS = [inner_torus, center, derived_series, is_solvable, diagonal_weights]
+
+
+@pytest.mark.parametrize("bad", [None, "x", "basis"], ids=repr)
+@pytest.mark.parametrize("reader", _LIE_READERS, ids=lambda f: f.__name__)
+def test_algebra_readers_refuse_a_non_algebra(reader, bad):
+    q = build("g_4_1_s")
+    with pytest.raises(InputError, match="expected a Lie superalgebra"):
+        reader(q.basis if bad == "basis" else bad)
+
+
+@pytest.mark.parametrize("bad", [None, "x", "basis", 5], ids=repr)
+def test_contract_vector_refuses_a_non_sequence(bad):
+    q = build("g_4_1_s")
+    with pytest.raises(InputError, match="contraction vector must be a list or tuple"):
+        contract_vector(Cochain.unit(q.basis), q.basis if bad == "basis" else bad)

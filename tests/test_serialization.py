@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superquad import build, validate_quadratic
-from superquad.algebra import LieSuperalgebra, validate_lie_superalgebra
+from superquad.algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from superquad.catalog import catalog_keys, get_entry
 from superquad.cli import main
 from superquad.errors import InputError
-from superquad.quadratic import QuadraticLieSuperalgebra
+from superquad.extensions import Superderivation
+from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 from superquad.serialization import (
     algebra_from_dict,
     algebra_to_dict,
@@ -171,6 +172,66 @@ def test_fuzzed_documents_load_or_raise_input_error(tmp_path_factory, doc, via_c
             io.StringIO()
         ):
             assert main(["validate", str(path)]) in (0, 1, 2)
+
+
+def _build_or_input_error(make) -> None:
+    try:
+        make()
+    except InputError:
+        pass
+
+
+def _tuples(value):
+    """Lists, at any depth, as tuples, so that a fuzzed value can also
+    reach the checks behind the constructors' tuple rule."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+_AB = GradedBasis(labels=("a", "b"), parities=(0, 1))
+_indices = st.integers(-1, 2) | _scalars
+_terms = st.dictionaries(_indices, _values, max_size=3) | _values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _values, st.booleans())
+def test_fuzzed_graded_basis_builds_or_raises_input_error(labels, parities, as_tuples):
+    if as_tuples:
+        labels, parities = _tuples(labels), _tuples(parities)
+    _build_or_input_error(lambda: GradedBasis(labels=labels, parities=parities))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values | st.tuples(_indices, _indices, _terms))
+def test_fuzzed_bracket_rows_build_or_raise_input_error(row):
+    _build_or_input_error(lambda: LieSuperalgebra.from_index_table(_AB, [row]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values | st.lists(st.lists(_scalars, min_size=2, max_size=2), min_size=2, max_size=2), st.booleans())
+def test_fuzzed_gram_and_derivation_matrices_build_or_raise_input_error(matrix, as_tuples):
+    if as_tuples:
+        matrix = _tuples(matrix)
+    _build_or_input_error(lambda: BilinearForm(_AB, gram=matrix))
+    _build_or_input_error(lambda: Superderivation(matrix=matrix, degree=0))
+
+
+_derivation_entries = st.sampled_from(["0", "1", "-1/2", 0, 1]) | _scalars
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _values
+    | st.lists(
+        st.lists(_derivation_entries, min_size=3, max_size=5), min_size=3, max_size=5
+    )
+)
+def test_fuzzed_derivation_documents_exit_0_1_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "derivation.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        assert main(["double-extend", "g_4_1_s", "--derivation", str(path)]) in (0, 1, 2)
 
 
 def test_loading_does_not_force_validity():
