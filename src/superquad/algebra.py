@@ -18,9 +18,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
@@ -84,6 +86,21 @@ def _is_index(x: object, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
+def _table_rows(basis: GradedBasis, table: object) -> Iterator[tuple[object, object, Mapping]]:
+    """The rows of a bracket table, each checked to be a triple (a, b, terms)
+    with a mapping of terms, for a basis that is a ``GradedBasis``."""
+    if not isinstance(basis, GradedBasis):
+        raise InputError(f"basis must be a GradedBasis, not {type(basis).__name__}")
+    if not isinstance(table, Iterable):
+        raise InputError(f"bracket table must be an iterable of rows, not {type(table).__name__}")
+    for row in table:
+        if not (isinstance(row, (list, tuple)) and len(row) == 3):
+            raise InputError(f"bracket row {row!r} is not (i, j, {{k: coeff}})")
+        if not isinstance(row[2], Mapping):
+            raise InputError(f"bracket terms for ({row[0]!r}, {row[1]!r}) must be a mapping {{k: coeff}}")
+        yield row
+
+
 @dataclass(frozen=True)
 class LieSuperalgebra:
     """Structure-constant presentation of a Lie superalgebra.
@@ -100,6 +117,10 @@ class LieSuperalgebra:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.basis, GradedBasis):
+            raise InputError(f"basis must be a GradedBasis, not {type(self.basis).__name__}")
+        if not isinstance(self.constants, Mapping):
+            raise InputError(f"constants must be a mapping, not {type(self.constants).__name__}")
         n = self.basis.dim
         for key, terms in self.constants.items():
             if not (type(key) is tuple and len(key) == 2 and _is_index(key[0], n)
@@ -128,14 +149,9 @@ class LieSuperalgebra:
         """
         constants: dict[tuple[int, int], dict[int, Rat]] = {}
         seen: set[tuple[int, int]] = set()
-        for row in table:
-            if not (isinstance(row, (list, tuple)) and len(row) == 3):
-                raise InputError(f"bracket row {row!r} is not (i, j, {{k: coeff}})")
-            i, j, terms = row
+        for i, j, terms in _table_rows(basis, table):
             if not (_is_index(i, basis.dim) and _is_index(j, basis.dim)):
                 raise InputError(f"bracket indices ({i!r}, {j!r}) out of range")
-            if not isinstance(terms, Mapping):
-                raise InputError(f"bracket terms for ({i}, {j}) must be a mapping {{k: coeff}}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise InputError(f"duplicate bracket entry for pair {key}")
@@ -157,20 +173,20 @@ class LieSuperalgebra:
         table: Iterable[tuple[str, str, Mapping[str, object]]],
         name: str = "",
     ) -> "LieSuperalgebra":
-        rows = []
-        for a, b, terms in table:
-            rows.append(
-                (
-                    basis.index(a),
-                    basis.index(b),
-                    {basis.index(t): c for t, c in terms.items()},
-                )
-            )
+        rows = [
+            (basis.index(a), basis.index(b), {basis.index(t): c for t, c in terms.items()})
+            for a, b, terms in _table_rows(basis, table)
+        ]
         return cls.from_index_table(basis, rows, name=name)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @cached_property
+    def _jacobi(self) -> tuple[Violation, ...]:
+        """``validate_super_jacobi(self)``, run once per object."""
+        return tuple(validate_super_jacobi(self))
 
     def bracket_pair(self, i: int, j: int) -> dict[int, Rat]:
         """Bracket of basis vectors i and j as a sparse {index: coeff} map."""
@@ -269,34 +285,45 @@ def validate_grading_and_skew(g: LieSuperalgebra) -> list[Violation]:
 
 
 def validate_super_jacobi(g: LieSuperalgebra) -> list[Violation]:
-    """Check the cyclic super Jacobi identity on all basis triples,
-    reading every double bracket from one bracket table."""
+    """Check the cyclic super Jacobi identity on all basis triples i <= j <= k,
+    visiting only the nonzero double brackets [[e_a, e_b], e_c]: the bracket
+    table, indexed by its first argument, gives them.  Each is added to the
+    residual of its sorted triple (i, j, k) once for each cyclic rotation
+    (i, j, k), (j, k, i), (k, i, j) that equals (a, b, c): never when
+    (a, b, c) is no rotation of a sorted triple, three times when a = b = c.
+    Violations come in the order of (i, j, k)."""
     out: list[Violation] = []
-    n = g.dim
     p = g.basis.parities
     labels = g.basis.labels
     table = g.bracket_table()
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                acc: dict[int, Rat] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    negate = p[c] and p[a]
-                    for m, x in table.get((a, b), {}).items():
-                        for t, y in table.get((m, c), {}).items():
-                            acc[t] = acc.get(t, 0) + (-x * y if negate else x * y)
-                residual = {t: v for t, v in acc.items() if v}
-                if residual:
-                    out.append(
-                        Violation(
-                            rule="jacobi",
-                            witness=(labels[i], labels[j], labels[k]),
-                            message=(
-                                f"super Jacobi fails on ({labels[i]}, {labels[j]}, "
-                                f"{labels[k]}): residual {_sparse_str(g, residual)}"
-                            ),
-                        )
-                    )
+    by_first: dict[int, list] = {}  # m -> (c, [e_m, e_c])
+    for (m, c), terms in table.items():
+        by_first.setdefault(m, []).append((c, terms))
+    acc: dict[tuple[int, int, int], dict[int, Rat | int]] = {}
+    for (a, b), inner in table.items():
+        for m, x in inner.items():
+            for c, outer in by_first.get(m, ()):
+                times = (a <= b <= c) + (c <= a <= b) + (b <= c <= a)
+                if not times:
+                    continue
+                key = (a, b, c) if a <= b <= c else (c, a, b) if c <= a <= b else (b, c, a)
+                res = acc.setdefault(key, {})
+                factor = -times * x if p[c] and p[a] else times * x
+                for t, y in outer.items():
+                    res[t] = res.get(t, 0) + factor * y
+    for i, j, k in sorted(acc):
+        residual = {t: v for t, v in acc[i, j, k].items() if v}
+        if residual:
+            out.append(
+                Violation(
+                    rule="jacobi",
+                    witness=(labels[i], labels[j], labels[k]),
+                    message=(
+                        f"super Jacobi fails on ({labels[i]}, {labels[j]}, "
+                        f"{labels[k]}): residual {_sparse_str(g, residual)}"
+                    ),
+                )
+            )
     return out
 
 
@@ -308,9 +335,8 @@ def _sparse_str(g: LieSuperalgebra, terms: Mapping[int, Rat]) -> str:
 
 
 def validate_lie_superalgebra(g: LieSuperalgebra) -> ValidationReport:
-    violations = validate_grading_and_skew(g)
-    violations += validate_super_jacobi(g)
-    return ValidationReport(tuple(violations))
+    """The grading, then super Jacobi, which runs once per object."""
+    return ValidationReport(tuple(validate_grading_and_skew(g)) + g._jacobi)
 
 
 def _lie(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> LieSuperalgebra:

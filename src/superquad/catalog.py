@@ -6,9 +6,9 @@ brackets follow from invariance of B and are solved for, not hand-entered.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from .algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from .errors import EngineError, InputError

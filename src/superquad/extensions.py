@@ -361,11 +361,13 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     Each bracket and form entry is written once, from the nonzeros of the
     data; the other order of a pair follows by skew supersymmetry.
     The datum is validated first, except for the base; the output is
-    validated afterwards.  A valid base and datum always yield a valid
-    quadratic structure, so only when the output fails is the base
-    validated: an invalid base is an input error, a valid one an internal
-    error.
+    validated afterwards (see ``_require_extension``).
     """
+    return _require_extension(_assemble(d), d.base)
+
+
+def _assemble(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
+    """``double_extension`` after the datum check, before the output's."""
     report = validate_extension_datum(d)
     if not report.ok:
         first = report.violations[0]
@@ -432,7 +434,16 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
         gram[fi[k]][hi[k]] = 1
         gram[hi[k]][fi[k]] = -1 if hp[k] else 1
     form = BilinearForm(basis=new_basis, gram=tuple(tuple(r) for r in gram))
-    out = QuadraticLieSuperalgebra(algebra=algebra, form=form)
+    return QuadraticLieSuperalgebra(algebra=algebra, form=form)
+
+
+def _require_extension(
+    out: QuadraticLieSuperalgebra, base: QuadraticLieSuperalgebra
+) -> QuadraticLieSuperalgebra:
+    """out, a double extension of base by a valid datum, once validated.
+    A valid base and datum always yield a valid quadratic structure, so
+    only when out fails is the base validated: an invalid base is an
+    input error, a valid one an internal error."""
     check = validate_quadratic(out)
     if not check.ok:
         if not (base_check := validate_quadratic(base)).ok:
@@ -460,15 +471,22 @@ def one_dim_double_extension(
     B~(e,f) = 1, B~ restricted to g is B, e and f are isotropic.
     The basis is e, the evens of g, f, the odds of g.  Built directly from
     the displayed formulas and through the general constructor (where f
-    is labelled e*); the two must agree exactly.
+    is labelled e*); the two must agree exactly.  Having equal constants,
+    Gram matrix and parities, they pass or fail the same rules, so only
+    the direct one is validated, and it keeps that result.
     """
+    _require_quadratic(q, "one_dim_double_extension")
+    if not isinstance(deriv, Superderivation):
+        raise InputError(f"the derivation must be a Superderivation, not {type(deriv).__name__}")
     if deriv.degree != 0:
         raise InputError("a 1-dimensional double extension needs an even map")
+    if not (isinstance(labels, (tuple, list)) and len(labels) == 2):
+        raise InputError(f"labels must be a pair of basis labels (e, f), not {labels!r}")
     e_label, f_label = labels
     h = LieSuperalgebra(
         basis=GradedBasis(labels=(e_label,), parities=(0,)), constants={}
     )
-    general = double_extension(ExtensionDatum(base=q, h=h, psi=(deriv,)))
+    general = _assemble(ExtensionDatum(base=q, h=h, psi=(deriv,)))
     ng, ne = q.basis.dim, q.basis.even_dim
     basis = GradedBasis(
         labels=(e_label, *q.basis.labels[:ne], f_label, *q.basis.labels[ne:]),
@@ -509,7 +527,7 @@ def one_dim_double_extension(
             "one-dimensional double extension: direct formulas and the "
             "general constructor disagree"
         )
-    return direct
+    return _require_extension(direct, q)
 
 
 def central_reduction(

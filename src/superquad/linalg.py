@@ -16,16 +16,16 @@ ints never divide into a float.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
 Rat = Fraction
 Rows = Sequence[Sequence[Rat] | Mapping[int, Rat]]  # dense rows or {column: nonzero}
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def rat(value) -> Rat:
@@ -41,10 +41,11 @@ def rat(value) -> Rat:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not _RAT_RE.match(text):
+        if not (m := _RAT_RE.fullmatch(text)):
             raise InputError(f"not an exact rational literal: {value!r}")
+        p, q = m.groups()
         try:
-            return Fraction(text)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except ZeroDivisionError:
             raise InputError(f"zero denominator: {value!r}") from None
         except ValueError:  # beyond the interpreter's int digit limit

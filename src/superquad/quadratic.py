@@ -21,7 +21,6 @@ from .algebra import (
     ValidationReport,
     Violation,
     validate_grading_and_skew,
-    validate_super_jacobi,
 )
 from .errors import EngineError, InputError
 from .linalg import Echelon, Rat, _combine, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
@@ -53,20 +52,17 @@ class BilinearForm:
         entry B(y, x) = (-1)**(|x||y|) B(x, y) is filled in automatically.
         Conflicting duplicate values are an error.
         """
-        n = basis.dim
+        n, p = basis.dim, basis.parities
         gram: list[list[Rat | None]] = [[None] * n for _ in range(n)]
         for a, b, value in pairs:
             i, j = basis.index(a), basis.index(b)
             v = rat(value)
-            sign = Fraction(-1) ** (basis.parities[i] * basis.parities[j])
-            for (r, c, val) in ((i, j, v), (j, i, sign * v)):
+            for (r, c, val) in ((i, j, v), (j, i, -v if p[i] and p[j] else v)):
                 if gram[r][c] is not None and gram[r][c] != val:
                     raise InputError(f"conflicting values for B({basis.labels[r]}, {basis.labels[c]})")
                 gram[r][c] = val
-        filled = tuple(
-            tuple(v if v is not None else Fraction(0) for v in row) for row in gram
-        )
-        return cls(basis=basis, gram=filled)
+        zero = Fraction(0)
+        return cls(basis=basis, gram=tuple(tuple(zero if v is None else v for v in row) for row in gram))
 
     @cached_property
     def rows(self) -> list[dict[int, Rat]]:
@@ -217,11 +213,11 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
 
 
 def validate_quadratic(q: QuadraticLieSuperalgebra) -> ValidationReport:
-    """Every rule: the grading, super Jacobi, then the form's axioms.  All
-    but super Jacobi are ``q._checks``, filled here once per object, so a
-    later ``require_form`` checks nothing again."""
+    """Every rule: the grading, super Jacobi, then the form's axioms.  Each
+    runs once per object: super Jacobi is ``q.algebra._jacobi`` and the rest
+    ``q._checks``, so a later call or ``require_form`` checks nothing again."""
     grading, form = q._checks
-    return ValidationReport(grading + tuple(validate_super_jacobi(q.algebra)) + form)
+    return ValidationReport(grading + q.algebra._jacobi + form)
 
 
 def is_graded_ideal(g: LieSuperalgebra, space: Subspace) -> bool:

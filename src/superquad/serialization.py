@@ -24,8 +24,8 @@ axiom-violating table loads and is then reported by the validator.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
@@ -135,8 +135,8 @@ def algebra_from_dict(doc: Mapping):
     for entry in _objects(brackets, "'brackets'", ("left", "right", "terms")):
         terms: dict[int, Fraction] = {}
         for term in _objects(entry["terms"], "'terms'", ("coeff", "basis")):
-            k = basis.index(term["basis"])
-            terms[k] = terms.get(k, 0) + rat(term["coeff"])
+            k, c = basis.index(term["basis"]), rat(term["coeff"])
+            terms[k] = terms[k] + c if k in terms else c
         i, j = basis.index(entry["left"]), basis.index(entry["right"])
         rows.append((i, j, terms))
     g = LieSuperalgebra.from_index_table(

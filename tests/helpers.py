@@ -34,6 +34,10 @@ The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
 violations, in the same order, with the same messages.
+``super_jacobi_by_table_triples`` is the loop over every basis triple
+that the engine's sparse super Jacobi check replaced, reading the bracket
+table; ``random_table_algebra`` makes seeded tables on at most 3|3
+letters, valid or not, to compare the two on.
 ``double_extension_dense`` is the double extension the engine's sparse
 constructor replaced: every pair of the new basis through a six-branch
 bracket of dense ``column``/``bracket_pair``/``form.value`` calls.  The
@@ -612,6 +616,78 @@ def super_jacobi_by_triples(g: LieSuperalgebra) -> list[Violation]:
                         )
                     )
     return out
+
+
+def super_jacobi_by_table_triples(g: LieSuperalgebra) -> list[Violation]:
+    """Cyclic super Jacobi identity on every basis triple i <= j <= k, each
+    double bracket read from one bracket table."""
+    out: list[Violation] = []
+    n = g.dim
+    p = g.basis.parities
+    labels = g.basis.labels
+    table = g.bracket_table()
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                acc: dict[int, Rat] = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    negate = p[c] and p[a]
+                    for m, x in table.get((a, b), {}).items():
+                        for t, y in table.get((m, c), {}).items():
+                            acc[t] = acc.get(t, 0) + (-x * y if negate else x * y)
+                residual = {t: v for t, v in acc.items() if v}
+                if residual:
+                    out.append(
+                        Violation(
+                            rule="jacobi",
+                            witness=(labels[i], labels[j], labels[k]),
+                            message=(
+                                f"super Jacobi fails on ({labels[i]}, {labels[j]}, "
+                                f"{labels[k]}): residual {_sparse_str(g, residual)}"
+                            ),
+                        )
+                    )
+    return out
+
+
+def count_validator_passes(monkeypatch) -> dict[str, list[int]]:
+    """From now on, the dimension of each algebra that super Jacobi
+    (``"jacobi"``) or the form axioms (``"form"``) are checked on."""
+    import superquad.algebra as algebra_module
+    import superquad.quadratic as quadratic_module
+
+    passes: dict[str, list[int]] = {"jacobi": [], "form": []}
+    jacobi, form = algebra_module.validate_super_jacobi, quadratic_module.validate_form
+    monkeypatch.setattr(
+        algebra_module, "validate_super_jacobi", lambda g: passes["jacobi"].append(g.dim) or jacobi(g)
+    )
+    monkeypatch.setattr(
+        quadratic_module, "validate_form", lambda g, b: passes["form"].append(g.dim) or form(g, b)
+    )
+    return passes
+
+
+def random_table_algebra(rng: random.Random) -> LieSuperalgebra:
+    """A seeded random bracket table on at most 3|3 letters: each pair i <= j
+    gets, with a random chance, one to three terms on any targets, so the
+    grading and super Jacobi may hold or fail."""
+    ne, no = rng.randint(0, 3), rng.randint(0, 3)
+    if ne + no == 0:
+        ne = 1
+    n = ne + no
+    basis = GradedBasis(
+        labels=tuple(f"x{t}" for t in range(n)), parities=(0,) * ne + (1,) * no
+    )
+    density = rng.choice((0.1, 0.25, 0.5))
+    constants = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                constants[i, j] = {
+                    rng.randrange(n): Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2)))
+                    for _ in range(rng.randint(1, 3))
+                }
+    return LieSuperalgebra(basis=basis, constants=constants)
 
 
 def validate_form_by_triples(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:

@@ -1,9 +1,10 @@
 """Structure constants, axiom validation, and structural invariants."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS
+from helpers import QUADRATIC_KEYS, count_validator_passes, perturbed, random_table_algebra, super_jacobi_by_table_triples
 from superquad import build, catalog_keys, is_superderivation, validate_quadratic
 from superquad.algebra import (
     GradedBasis,
@@ -15,6 +16,7 @@ from superquad.algebra import (
     inner_torus,
     is_solvable,
     validate_lie_superalgebra,
+    validate_super_jacobi,
 )
 from superquad.errors import InputError
 from superquad.linalg import rank
@@ -116,6 +118,44 @@ def test_validator_reports_jacobi_violation_with_witness():
     assert "jacobi" in rules
     witness = next(v for v in report.violations if v.rule == "jacobi").witness
     assert len(witness) == 3
+
+
+def test_sparse_super_jacobi_matches_the_triple_loop():
+    # the nonzero double brackets, each counted once per cyclic rotation of
+    # its sorted triple, must give the triple loop's violations exactly:
+    # same triples in the same order, same witnesses and residuals
+    rng = random.Random("sparse jacobi")
+    valid = violating = 0
+    for _ in range(600):
+        g = random_table_algebra(rng)
+        want = super_jacobi_by_table_triples(g)
+        assert validate_super_jacobi(g) == want, g
+        valid += not want
+        violating += bool(want)
+    assert valid > 100 and violating > 100
+    for key in catalog_keys():
+        obj = build(key)
+        g = getattr(obj, "algebra", obj)
+        assert validate_super_jacobi(g) == super_jacobi_by_table_triples(g) == [], key
+        rng = random.Random(f"sparse jacobi:{key}")
+        for _ in range(3):
+            bad = perturbed(key, rng).algebra
+            assert validate_super_jacobi(bad) == super_jacobi_by_table_triples(bad), key
+
+
+def test_super_jacobi_runs_once_per_algebra(monkeypatch):
+    calls = count_validator_passes(monkeypatch)["jacobi"]
+    g = LieSuperalgebra.from_label_table(
+        GradedBasis(labels=("a", "b", "c"), parities=(0, 0, 0)),
+        [("a", "b", {"c": 1}), ("b", "c", {"a": 1}), ("c", "a", {"c": 1})],
+    )
+    first = validate_lie_superalgebra(g)
+    assert validate_lie_superalgebra(g) == first and not first.ok
+    assert len(calls) == 1
+    # an equal but new object is checked again
+    twin = LieSuperalgebra(basis=g.basis, constants=dict(g.constants))
+    assert validate_lie_superalgebra(twin) == first
+    assert len(calls) == 2
 
 
 def test_validator_reports_grading_violation():

@@ -1,6 +1,7 @@
 """Each input rule belongs to the constructor that relies on it: these
 probes reach every check of GradedBasis, LieSuperalgebra and its
-from_index_table, BilinearForm, Superderivation and rat, and each must
+from_index_table and from_label_table, BilinearForm, Superderivation,
+one_dim_double_extension's arguments and rat, and each must
 end as InputError, never as a traceback or a silent wrong value."""
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from superquad import BilinearForm, Cochain, GradedBasis, LieSuperalgebra, build
 from superquad.algebra import center, derived_series, diagonal_weights, inner_torus, is_solvable
 from superquad.cochains import contract_vector
 from superquad.errors import InputError
-from superquad.extensions import Superderivation
+from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import rat
 
 AB = GradedBasis(labels=("a", "b"), parities=(0, 0))
@@ -86,6 +87,58 @@ def test_lie_superalgebra_takes_int_indices_in_range(constants, message):
 def test_from_index_table_rules(row, message):
     with pytest.raises(InputError, match=message):
         LieSuperalgebra.from_index_table(AB, [row])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LieSuperalgebra(AB, 5), "constants must be a mapping, not int"),
+        (lambda: LieSuperalgebra(AB, [((0, 1), {0: ONE})]), "constants must be a mapping, not list"),
+        (lambda: LieSuperalgebra(None, {}), "basis must be a GradedBasis, not NoneType"),
+        (lambda: LieSuperalgebra.from_index_table(AB, 5), "bracket table must be an iterable of rows, not int"),
+        (lambda: LieSuperalgebra.from_index_table(None, []), "basis must be a GradedBasis, not NoneType"),
+        (lambda: LieSuperalgebra.from_label_table(AB, 5), "bracket table must be an iterable of rows, not int"),
+        (lambda: LieSuperalgebra.from_label_table(AB, [("a", "b", 5)]), r"bracket terms for \('a', 'b'\) must be a mapping"),
+        (lambda: LieSuperalgebra.from_label_table(AB, [("a", "b")]), r"bracket row \('a', 'b'\) is not"),
+        (lambda: LieSuperalgebra.from_label_table(AB, [5]), "bracket row 5 is not"),
+        (lambda: LieSuperalgebra.from_label_table("ab", []), "basis must be a GradedBasis, not str"),
+    ],
+    ids=[
+        "constants-int", "constants-list", "basis-None", "index-table-int", "index-table-basis",
+        "label-table-int", "label-terms-int", "label-row-pair", "label-row-int", "label-table-basis",
+    ],
+)
+def test_lie_superalgebra_checks_its_fields_and_tables(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (("e", "f", "g"), "labels must be a pair"),
+        (("e",), "labels must be a pair"),
+        (5, "labels must be a pair"),
+        ("ef", "labels must be a pair"),
+        ((5, "f"), "basis label 5 is not a non-empty string"),
+        (("e", ""), "basis label '' is not a non-empty string"),
+    ],
+    ids=repr,
+)
+def test_one_dim_double_extension_checks_its_labels(labels, message):
+    q = build("g_4_1_s")
+    d = skew_superderivation_space(q, 0)[0]
+    with pytest.raises(InputError, match=message):
+        one_dim_double_extension(q, d, labels=labels)
+
+
+def test_one_dim_double_extension_checks_its_arguments():
+    q = build("g_4_1_s")
+    d = skew_superderivation_space(q, 0)[0]
+    with pytest.raises(InputError, match="needs a quadratic Lie superalgebra"):
+        one_dim_double_extension(q.algebra, d)
+    with pytest.raises(InputError, match="the derivation must be a Superderivation, not tuple"):
+        one_dim_double_extension(q, d.matrix)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS, double_extension_dense, doubled_odd_form, perturbed, skew_superderivation_by_pairs
+from helpers import QUADRATIC_KEYS, count_validator_passes, double_extension_dense, doubled_odd_form, perturbed, skew_superderivation_by_pairs
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra, ValidationReport, Violation
 from superquad.errors import EngineError, InputError
@@ -344,10 +344,10 @@ def test_extension_certificates_fire(monkeypatch):
 
     q = build("g_8_2_3_s")
     d = skew_superderivation_space(q, 0)[0]
-    general, one_dim = module.double_extension, module.one_dim_double_extension
+    general, one_dim = module._assemble, module.one_dim_double_extension
     # the general path fed psi = 0 disagrees with the direct formulas
     monkeypatch.setattr(
-        module, "double_extension",
+        module, "_assemble",
         lambda datum: general(ExtensionDatum(base=q, h=datum.h, psi=(zero_map(q.dim, 0),))),
     )
     with pytest.raises(EngineError, match="disagree"):
@@ -485,6 +485,20 @@ def test_one_dim_extension_checks_its_derivation_once(monkeypatch):
     d = skew_superderivation_space(q, 0)[0]
     one_dim_double_extension(q, d)
     assert len(calls) == 1
+
+
+def test_one_dim_extension_validates_its_output_once(monkeypatch):
+    # the direct and general outputs have equal tables, so one of them is
+    # validated, once, and the returned algebra keeps that result
+    q = build("g_8_2_5_s")
+    d = skew_superderivation_space(q, 0)[-1]
+    checked = count_validator_passes(monkeypatch)
+    out = one_dim_double_extension(q, d)
+    # one pass each on the (n + 2)-dimensional output; h = C e is checked too
+    assert sorted(checked["jacobi"]) == [1, q.dim + 2] and checked["form"] == [q.dim + 2]
+    assert validate_quadratic(out).ok
+    out.require_form()
+    assert sorted(checked["jacobi"]) == [1, q.dim + 2] and checked["form"] == [q.dim + 2]
 
 
 def test_custom_labels_and_collision_rejection():

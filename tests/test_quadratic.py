@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import perturbed, super_jacobi_by_triples, validate_form_by_triples
+from helpers import count_validator_passes, perturbed, super_jacobi_by_triples, validate_form_by_triples
 from superquad import (
     Cochain,
     algebra_to_dict,
@@ -253,6 +253,32 @@ def test_validators_match_dense_oracles_on_perturbed_catalog():
             violations += len(jacobi) + len(form)
     assert {"jacobi", "invariance", "even", "supersymmetry"} <= rules
     assert reports == 2 * 15 * len(catalog_keys()) and violations > reports
+
+
+def test_validate_quadratic_checks_each_algebra_once(monkeypatch):
+    passes = count_validator_passes(monkeypatch)
+    rng = random.Random("validate once")
+    for key in ("g_4_1_s", "g_8_2_5_s"):
+        # build validates what it returns, so a later report is read, not rerun
+        built = build(key)
+        n = built.dim
+        assert passes == {"jacobi": [n], "form": [n]}
+        assert validate_quadratic(built).ok
+        built.require_form()
+        assert passes == {"jacobi": [n], "form": [n]}
+        for q in (built, perturbed(key, rng)):
+            # a new object with the same tables is checked in full, once
+            twin = QuadraticLieSuperalgebra(
+                algebra=LieSuperalgebra(basis=q.basis, constants=dict(q.algebra.constants)),
+                form=BilinearForm(basis=q.basis, gram=q.form.gram),
+            )
+            passes["jacobi"].clear()
+            passes["form"].clear()
+            first = validate_quadratic(twin)
+            assert validate_quadratic(twin) == first
+            assert passes == {"jacobi": [n], "form": [n]}
+        passes["jacobi"].clear()
+        passes["form"].clear()
 
 
 def test_float_gram_entries_are_rejected():

@@ -2,16 +2,18 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import count_validator_passes
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from superquad.catalog import catalog_keys, get_entry
 from superquad.cli import main
 from superquad.errors import InputError
-from superquad.extensions import Superderivation
+from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 from superquad.serialization import (
     algebra_from_dict,
@@ -37,6 +39,36 @@ def test_oversized_rational_literal_is_an_input_error():
     for text in ("1" * 4400, "1/" + "3" * 4400):
         with pytest.raises(InputError):
             rational_from_str(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("+6/8", Fraction(3, 4)), (" 7 ", Fraction(7)), ("0/5", Fraction(0)), ("-0", Fraction(0)),
+     ("-12/3", Fraction(-4)), ("007/014", Fraction(1, 2)), ("\t-5\n", Fraction(-5))],
+    ids=repr,
+)
+def test_rational_literal_values(text, value):
+    got = rational_from_str(text)
+    assert got == value == Fraction(text.strip()) and type(got) is Fraction
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator: '1/0'"),
+        ("-3/000", "zero denominator"),
+        ("1.5", "not an exact rational literal: '1.5'"),
+        ("1e3", "not an exact rational literal"),
+        ("1/+2", "not an exact rational literal"),
+        ("9" * 4400, "rational literal of 4400 characters is too long"),
+        ("1/" + "9" * 4400, "rational literal of 4402 characters is too long"),
+        ("9" * 4400 + "/0", "rational literal of 4402 characters is too long"),
+    ],
+    ids=lambda x: x if len(x) < 20 else f"{x[:8]}...({len(x)})",
+)
+def test_rational_literal_errors(text, message):
+    with pytest.raises(InputError, match=message):
+        rational_from_str(text)
 
 
 def test_round_trip_every_catalog_entry():
@@ -251,6 +283,30 @@ def test_loading_does_not_force_validity():
     }
     g = algebra_from_dict(doc)
     assert not validate_lie_superalgebra(g).ok
+
+
+def test_each_loaded_document_is_validated_again(tmp_path, monkeypatch, capsys):
+    # an extension carries its own check result, but what is loaded from
+    # its JSON is a new object: it is checked in full, and a constant moved
+    # in the text so that super Jacobi fails is reported through loads and
+    # through the validate verb
+    q = build("g_8_2_5_s")
+    ext = one_dim_double_extension(q, skew_superderivation_space(q, 0)[-1])
+    assert validate_quadratic(ext).ok
+    calls = count_validator_passes(monkeypatch)["jacobi"]
+    back = loads(dumps(ext))
+    assert back == ext and validate_quadratic(back).ok and len(calls) == 1
+    doc = algebra_to_dict(ext)
+    bracket = next(b for b in doc["brackets"] if b["left"] == "e")
+    bracket["terms"][0]["coeff"] = "17"
+    broken = loads(json.dumps(doc))
+    report = validate_quadratic(broken)
+    assert len(calls) == 2 and "jacobi" in {v.rule for v in report.violations}
+    path = tmp_path / "broken_extension.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert len(calls) == 3 and "violation: jacobi" in out and "INVALID" in out
 
 
 def test_form_presence_switches_type():
