@@ -2,6 +2,9 @@
 """Export every catalog entry (at default parameters) as a JSON file.
 
 Usage: python scripts/export_catalog.py [OUTPUT_DIR]
+
+OUTPUT_DIR defaults to ``exports``.  ``-h`` or ``--help`` prints this text;
+any other argument that starts with ``-`` is refused, as is a second one.
 """
 from __future__ import annotations
 
@@ -12,7 +15,15 @@ from superquad import catalog, serialization
 
 
 def main(argv: list[str]) -> int:
-    out_dir = pathlib.Path(argv[1]) if len(argv) > 1 else pathlib.Path("exports")
+    args = argv[1:]
+    if "-h" in args or "--help" in args:
+        print(__doc__.strip())
+        return 0
+    if len(args) > 1 or args and args[0].startswith("-"):
+        print(f"error: expected at most one OUTPUT_DIR, got {args}", file=sys.stderr)
+        print("usage: python scripts/export_catalog.py [OUTPUT_DIR]", file=sys.stderr)
+        return 2
+    out_dir = pathlib.Path(args[0]) if args else pathlib.Path("exports")
     out_dir.mkdir(parents=True, exist_ok=True)
     for key in catalog.catalog_keys():
         obj = catalog.build(key)

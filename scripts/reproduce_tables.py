@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from superquad import Cochain, Complex, betti_table, build, cohomology, poisson_bracket
+from superquad import Cochain, betti_table, build, cochain_basis, cohomology, poisson_bracket
 
 
 def betti_section() -> None:
@@ -47,12 +47,12 @@ def heisenberg_section() -> None:
 
 def poisson_section() -> None:
     print("== Poisson bracket table for g_4_1_s ==")
-    cx = Complex(build("g_4_1_s"))
-    q, three = cx.quadratic, cx.three_form
+    q = build("g_4_1_s")
+    three = q._three_form
     print(f"I = {three}")
     print(f"{{I, I}} = {poisson_bracket(q, three, three)}")
     for k in (1, 2):
-        for m in cx.cochains(k).monomials:
+        for m in cochain_basis(q, k).monomials:
             c = Cochain.from_terms(q.basis, {m: Fraction(1)})
             print(f"{{I, {c}}} = {poisson_bracket(q, three, c)}")
     print()

@@ -28,6 +28,7 @@ from .errors import InputError
 from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
 
 if TYPE_CHECKING:
+    from .cochains import Monomial
     from .quadratic import QuadraticLieSuperalgebra
 
 Vector = tuple[Rat, ...]
@@ -196,10 +197,11 @@ class LieSuperalgebra:
         p, terms = self.basis.parities, self.constants.get((j, i), {})
         return dict(terms) if p[i] and p[j] else {k: -c for k, c in terms.items()}
 
+    @cached_property
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Rat | int]]:
         """Every nonzero bracket [e_i, e_j], in both orders, as {(i, j): {k: coeff}},
-        the skew-supersymmetry sign applied once.  Built on each call, for the
-        exact kernels: an integral coeff is an int."""
+        the skew-supersymmetry sign applied once, in the kernels' form (see
+        ``linalg._num``), built once per object: read it, never change it in place."""
         p = self.basis.parities
         table: dict[tuple[int, int], dict[int, Rat | int]] = {}
         for (i, j), terms in self.constants.items():
@@ -208,6 +210,21 @@ class LieSuperalgebra:
             if i != j:
                 table[j, i] = dict(row) if p[i] and p[j] else {k: -c for k, c in row.items()}
         return table
+
+    @cached_property
+    def _by_first(self) -> dict[int, list[tuple[int, dict[int, Rat | int]]]]:
+        """``bracket_table`` by its first argument, m -> [(c, [e_m, e_c])], built once."""
+        by_first: dict[int, list[tuple[int, dict[int, Rat | int]]]] = {}
+        for (m, c), terms in self.bracket_table.items():
+            by_first.setdefault(m, []).append((c, terms))
+        return by_first
+
+    @cached_property
+    def _duals(self) -> dict[int, dict[Monomial, Rat | int]]:
+        """delta(t*) for every letter t (``cochains._dual_differentials``), built once."""
+        from .cochains import _dual_differentials
+
+        return _dual_differentials(self)
 
     def bracket(self, x: Sequence[Rat], y: Sequence[Rat]) -> list[Rat]:
         """Bracket of two coordinate vectors."""
@@ -295,10 +312,7 @@ def validate_super_jacobi(g: LieSuperalgebra) -> list[Violation]:
     out: list[Violation] = []
     p = g.basis.parities
     labels = g.basis.labels
-    table = g.bracket_table()
-    by_first: dict[int, list] = {}  # m -> (c, [e_m, e_c])
-    for (m, c), terms in table.items():
-        by_first.setdefault(m, []).append((c, terms))
+    table, by_first = g.bracket_table, g._by_first
     acc: dict[tuple[int, int, int], dict[int, Rat | int]] = {}
     for (a, b), inner in table.items():
         for m, x in inner.items():
@@ -382,7 +396,7 @@ def inner_torus(
     integral value is an int.
     """
     g = _lie(g)
-    ne, table = g.basis.even_dim, g.bracket_table()
+    ne, table = g.basis.even_dim, g.bracket_table
     rows: dict[tuple[int, int], dict[int, Rat | int]] = {}
     for (i, j), terms in table.items():
         if i < ne:

@@ -84,7 +84,7 @@ def _derive_odd_odd_rows(labels, parities, rows, pairs):
     G^-1 being block diagonal and its even block symmetric.
     """
     basis = GradedBasis(labels=tuple(labels), parities=tuple(parities))
-    table = LieSuperalgebra.from_label_table(basis, rows).bracket_table()
+    table = LieSuperalgebra.from_label_table(basis, rows).bracket_table
     form = BilinearForm.from_pairs(basis, pairs)
     ne, n = basis.even_dim, basis.dim
     right = _combine(table, form.columns)  # (u, b) -> {a: B(e_a, [e_u, e_b])}

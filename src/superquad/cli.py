@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import catalog, serialization
 from .algebra import ValidationReport, validate_lie_superalgebra
-from .cochains import Cochain, differential_direct, differential_via_poisson
+from .cochains import Cochain, differential_direct, differential_via_poisson, monomials_of_degree
 from .cohomology import Complex, cohomology_report
 from .errors import EngineError, InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
@@ -225,16 +225,15 @@ def _cmd_poisson(args) -> int:
         raise InputError(
             "the poisson command needs a quadratic algebra (a form)"
         )
-    cx = Complex(obj)
-    cx.check_size(args.max_degree)
-    i_i = differential_via_poisson(obj, cx.three_form, left=cx.left)  # -{I, I}
+    Complex(obj).check_size(args.max_degree)
+    i_i = differential_via_poisson(obj, obj._three_form)  # -{I, I}
     failures: list[str] = []
     checked = 0
     for k in range(args.max_degree + 1):
-        for m in cx.cochains(k).monomials:
+        for m in monomials_of_degree(obj.basis, k):
             c = Cochain.from_terms(obj.basis, {m: Fraction(1)})
-            direct = differential_direct(obj.algebra, c, duals=cx.duals)
-            via = differential_via_poisson(obj, c, left=cx.left)
+            direct = differential_direct(obj.algebra, c)
+            via = differential_via_poisson(obj, c)
             checked += 1
             if direct != via:
                 failures.append(str(c))
@@ -243,7 +242,7 @@ def _cmd_poisson(args) -> int:
         doc = {
             "schema": 1,
             "kind": "poisson",
-            "three_form": str(cx.three_form),
+            "three_form": str(obj._three_form),
             "i_i_zero": i_i.is_zero,
             "max_degree": args.max_degree,
             "monomials_checked": checked,
@@ -255,7 +254,7 @@ def _cmd_poisson(args) -> int:
             doc["name"] = name
         _emit(_json_dump(doc), None)
         return 0 if ok else 1
-    lines = [f"associated 3-form I = {cx.three_form}"]
+    lines = [f"associated 3-form I = {obj._three_form}"]
     lines.append(f"{{I, I}} = 0: {'OK' if i_i.is_zero else 'FAIL'}")
     lines.append(
         f"delta == -{{I, .}} on monomials of degree <= {args.max_degree}: "

@@ -432,37 +432,27 @@ def _dual_differentials(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
     return images
 
 
-def differential_direct(
-    g: LieSuperalgebra,
-    c: Cochain,
-    *,
-    duals: Mapping[int, Mapping[Monomial, Rat]] | None = None,
-) -> Cochain:
+def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     """The differential, one wedge per letter t of c:
 
     delta(A) = sum_t eps_t i_t(A) ^ delta(t*),  eps_t = 1 for an even t, -1 for an odd t.
 
     delta is a superderivation of the wedge product,
     delta(A ^ B) = delta(A) ^ B + (-1)^{deg A} A ^ delta(B),
-    so it is fixed by its values on the duals t* of the basis vectors
-    (``_dual_differentials``).  On a monomial, the wedge of its k
-    letters, the Leibniz rule replaces the letter t at position p by
-    delta(t*) with the sign (-1)^p, and moving delta(t*) (bidegree
-    (2, |t|)) to the end, past the letters after t, all odd when t is,
-    leaves (-1)^p for an even t and (-1)^(k-1) for each occurrence of an
-    odd t.  The contraction i_t (``_contractions``) deletes t with (-1)^p,
+    so it is fixed by its values on the duals t* of the basis vectors,
+    built once per algebra (``LieSuperalgebra._duals``).  On a monomial,
+    the wedge of its k letters, the Leibniz rule replaces the letter t at
+    position p by delta(t*) with the sign (-1)^p, and moving delta(t*)
+    (bidegree (2, |t|)) to the end, past the letters after t, all odd when
+    t is, leaves (-1)^p for an even t and (-1)^(k-1) for each occurrence
+    of an odd t.  The contraction i_t (``_contractions``) deletes t with (-1)^p,
     or with mu (-1)^k for an odd t of multiplicity mu: hence eps_t.  All
     the terms of c that contain t go into one wedge with delta(t*).
     Degree-0 terms map to zero.  The evaluation formula on every
     canonical (k+1)-tuple is kept in the tests as the oracle.
-
-    ``duals`` is ``_dual_differentials(g)``, built once by a caller that
-    differentiates many cochains; without it the table is built here.
     """
     _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
-    ne = g.basis.even_dim
-    if duals is None:
-        duals = _dual_differentials(g)
+    ne, duals = g.basis.even_dim, g._duals
     acc: dict[Monomial, Rat] = {}
     for t, contracted in _contractions((m, _num(x)) for m, x in c.terms).items():
         if duals[t]:
@@ -489,7 +479,7 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     """
     _require_quadratic(q, "associated_three_form").require_form()
     ne = q.basis.even_dim
-    pairs = {(i, j): terms for (i, j), terms in q.algebra.bracket_table().items() if i <= j}
+    pairs = {(i, j): terms for (i, j), terms in q.algebra.bracket_table.items() if i <= j}
     acc: dict[Monomial, Rat] = {}
     for (i, j), row in _combine(pairs, q.form.rows).items():  # B([e_i, e_j], .)
         for k, x in row.items():
@@ -539,9 +529,8 @@ class _PoissonLeft:
 
 
 def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
-    """A prepared as the left operand of ``poisson_bracket``, built once
-    by a caller that brackets it with many cochains.  Raises InputError
-    unless q is quadratic and passes its ``require_form``."""
+    """A prepared as the left operand of ``poisson_bracket``.  Raises
+    InputError unless q is quadratic and passes its ``require_form``."""
     _require_quadratic(q, "the Poisson bracket").require_form()
     _check_cochain(a, q.basis)
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
@@ -575,18 +564,8 @@ def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
     return _cochain(b.basis, acc)
 
 
-def differential_via_poisson(
-    q: QuadraticLieSuperalgebra,
-    c: Cochain,
-    *,
-    left: _PoissonLeft | None = None,
-) -> Cochain:
-    """delta = -{I, .} with I the associated 3-form.
-
-    ``left`` is ``_poisson_left(q, I)``, built once by a caller that
-    differentiates many cochains; without it it is built here.  The
-    minus sign goes into the accumulation of the bracket.
-    """
-    if left is None:
-        left = _poisson_left(q, associated_three_form(q))
-    return _bracket(left, c, -1)
+def differential_via_poisson(q: QuadraticLieSuperalgebra, c: Cochain) -> Cochain:
+    """delta = -{I, .}, I the associated 3-form, from I's side of {I, .} as q
+    keeps it (``QuadraticLieSuperalgebra._three_form_left``); the minus sign
+    goes into the accumulation of the bracket."""
+    return _bracket(_require_quadratic(q, "differential_via_poisson")._three_form_left, c, -1)

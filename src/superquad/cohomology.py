@@ -1,10 +1,11 @@
 """Exact cohomology of the super-exterior complex.
 
-One ``Complex`` per algebra holds what the engine reads more than once:
-the cochain bases and their built parts, the delta(t*) table, the inner
-torus, I, and each delta_k as exact sparse columns between the built
-parts.  Kernels, images and quotients are computed by exact sparse
-elimination over the rationals.
+One ``Complex`` per algebra holds what the engine reads more than once
+per degree: the built parts of the cochain spaces, with the inner torus
+that prunes them, and each delta_k as exact sparse columns between them.
+What depends on the algebra alone (its bracket table, delta(t*), I and
+I's side of {I, .}) is kept on the algebra object.  Kernels, images and
+quotients are computed by exact sparse elimination over the rationals.
 
 When some even x has a diagonal ad x with a nonzero weight (the inner
 torus), Cartan's formula L_x = delta i_x + i_x delta makes every block
@@ -28,11 +29,7 @@ from .cochains import (
     _cochain,
     _combination,
     _contractions,
-    _dual_differentials,
     _letters,
-    _poisson_left,
-    _PoissonLeft,
-    associated_three_form,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -137,18 +134,17 @@ class DifferentialMatrix:
 
 class Complex:
     """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
-    quadratic.  Each part is built once, on first use, and kept: the basis
-    of each C^k and its built part (``built``), the images delta(t*), the
-    inner torus (``torus``), I and I's side of {I, .}, each delta_k
-    (``delta``), the echelon of its columns (``image``), and each H^k while a
-    caller holds it.  Every function of this module
-    takes a complex in place of the algebra.  Given an algebra, it reads
-    the complex a call given that same object built, while a caller or a
-    CohomologyResult holds it, and builds one only when none is alive
-    (``_complex``).  Algebras are treated as immutable values.
-    A delta_k or H^k built without the -{I, .} cross-check never serves a
-    call that asks for it.  ``check_size`` is the monomial guard each of
-    those functions runs before any work.
+    quadratic.  Each part is built once, on first use, and kept: the built
+    part of each C^k (``built``), the inner torus (``torus``) and weights,
+    each delta_k (``delta``), the echelon of its columns (``image``), and
+    each H^k while a caller holds it; the algebra keeps the rest.  Every
+    function of this module takes a complex in place of the algebra.
+    Given an algebra, it reads the complex a call given that same object
+    built, while a caller or a CohomologyResult holds it, and builds one
+    only when none is alive (``_complex``).  Algebras are treated as
+    immutable values.  A delta_k or H^k built without the -{I, .}
+    cross-check never serves a call that asks for it.  ``check_size`` is
+    the monomial guard each of those functions runs before any work.
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra | LieSuperalgebra) -> None:
@@ -156,17 +152,12 @@ class Complex:
         self.quadratic = q if isinstance(q, QuadraticLieSuperalgebra) else None
         self.algebra = q if self.quadratic is None else q.algebra
         self._sized = -1  # the largest k_max check_size passed
-        self._cochains: dict[int, CochainBasis] = {}
         self._built: dict[int, CochainBasis] = {}
         # degree -> (delta_k or H^k, built with the cross-check or not);
         # H^k is held weakly, since it holds its complex
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._images: dict[int, Echelon] = {}
         self._results: dict[int, tuple[ref, bool]] = {}
-
-    @cached_property
-    def duals(self) -> dict[int, dict[Monomial, Rat]]:
-        return _dual_differentials(self.algebra)
 
     @cached_property
     def torus(self) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
@@ -181,14 +172,14 @@ class Complex:
         block of inner weight s != 0 is acyclic: c = delta(-i_x c / s) for
         every cocycle c there.
         """
-        torus, ne, duals = inner_torus(self.algebra), self.basis.even_dim, self.duals
-        for t, image in duals.items() if torus else ():
+        torus, ne = inner_torus(self.algebra), self.basis.even_dim
+        for t, image in self.algebra._duals.items() if torus else ():
             contractions = _contractions(image.items())
             for x, w in torus:
                 got = _combination((a, contractions.get(i, {})) for i, a in x.items())
                 if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
                     raise EngineError(f"i_x delta({self.basis.labels[t]}*) != -w t*: the inner torus is wrong")
-            if not differential_direct(self.algebra, _cochain(self.basis, image), duals=duals).is_zero:
+            if not differential_direct(self.algebra, _cochain(self.basis, image)).is_zero:
                 raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
         return torus
 
@@ -217,9 +208,9 @@ class Complex:
         basis order, or C^k itself without an inner torus: the source of
         delta_k and the target of delta_{k-1}, made once, on first use."""
         if k not in self._built:
-            s, cochains = len(self.torus), self.cochains(k)
-            zero = (m for m in cochains.monomials if not any(self.key(m)[-1 - s : -1]))
-            self._built[k] = CochainBasis(k, tuple(zero)) if s else cochains
+            s, monomials = len(self.torus), monomials_of_degree(self.basis, k)
+            zero = (m for m in monomials if not any(self.key(m)[-1 - s : -1])) if s else monomials
+            self._built[k] = CochainBasis(k, tuple(zero))
         return self._built[k]
 
     def acyclic_dim(self, k: int) -> int:
@@ -234,14 +225,6 @@ class Complex:
             for j in range(k)
         )
 
-    @cached_property
-    def three_form(self) -> Cochain:
-        return associated_three_form(self.quadratic)
-
-    @cached_property
-    def left(self) -> _PoissonLeft:
-        return _poisson_left(self.quadratic, self.three_form)
-
     def check_size(self, k_max: int, what: str = "k_max") -> None:
         """Refuse, before any work, a k_max that is not a degree (named
         ``what`` in the message) and a dim C^k over ``MONOMIAL_LIMIT`` for
@@ -252,11 +235,6 @@ class Complex:
                 if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
                     raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {MONOMIAL_LIMIT}")
             self._sized = k_max
-
-    def cochains(self, k: int) -> CochainBasis:
-        if k not in self._cochains:
-            self._cochains[k] = cochain_basis(self.basis, k)
-        return self._cochains[k]
 
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k, built by ``differential_matrix`` on first use, and once
@@ -304,10 +282,10 @@ def differential_matrix(
     """delta_k from the built part of C^k to that of C^{k+1}
     (``Complex.built``), column by column; no other code makes its columns.
 
-    Each column is differential_direct of a basis monomial, with the
-    complex's delta(t*) table.  When ``verify`` is true and q is
-    quadratic, every column is recomputed in full as -{I, monomial} from
-    the complex's side of I, and the two must agree exactly.
+    Each column is differential_direct of a basis monomial.  When
+    ``verify`` is true and q is quadratic, every column is recomputed in
+    full as -{I, monomial} (``differential_via_poisson``), and the two
+    must agree exactly.
 
     delta keeps the weight of every diagonal derivation and the
     sym-parity (Hochschild-Serre), so it maps each block into the block
@@ -318,14 +296,13 @@ def differential_matrix(
     """
     cx = _complex(q)
     cx.check_size(k)
-    g, duals = cx.algebra, cx.duals
-    left = cx.left if verify and cx.quadratic is not None else None
+    g, poisson = cx.algebra, verify and cx.quadratic is not None
     src, tgt = cx.built(k), cx.built(k + 1)
     index, columns = tgt._index, []
     for m in src.monomials:
         c = _cochain(g.basis, {m: 1})
-        image = differential_direct(g, c, duals=duals).terms
-        if left is not None and image != differential_via_poisson(cx.quadratic, c, left=left).terms:
+        image = differential_direct(g, c).terms
+        if poisson and image != differential_via_poisson(cx.quadratic, c).terms:
             raise EngineError(
                 f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
             )
@@ -423,7 +400,7 @@ def cohomology(
     acyclic = cx.acyclic_dim(k)
     result = CohomologyResult(
         degree=k,
-        dim_cochains=cx.cochains(k).dimension,
+        dim_cochains=cochain_dimension(cx.basis, k),
         dim_cocycles=n_z + acyclic,
         dim_coboundaries=n_b + acyclic,
         betti=n_z - n_b,
@@ -450,7 +427,7 @@ def betti_table(
 
 def is_cocycle(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     cx = _complex(q, c)
-    return differential_direct(cx.algebra, c, duals=cx.duals).is_zero
+    return differential_direct(cx.algebra, c).is_zero
 
 
 def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
@@ -476,7 +453,7 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
     for m, a in rest:
         x, s = next((x, s) for x, w in cx.torus if (s := sum(w[t] for t in m.even + m.odd)))
         witness += ((x.get(t, 0), part) for t, part in _contractions([(m, -a / s)]).items())
-    return differential_direct(cx.algebra, _cochain(cx.basis, _combination(witness)), duals=cx.duals).terms == rest
+    return differential_direct(cx.algebra, _cochain(cx.basis, _combination(witness))).terms == rest
 
 
 def class_vector(

@@ -121,13 +121,10 @@ def _defects(q_or_g, degree: int):
     """
     quadratic = isinstance(q_or_g, QuadraticLieSuperalgebra)
     g = q_or_g.algebra if quadratic else q_or_g
-    sign = [-1 if degree and x else 1 for x in g.basis.parities]
+    p, by_first = g.basis.parities, g._by_first  # by_first: a -> (j, [e_a, e_j])
+    sign = [-1 if degree and x else 1 for x in p]
     by_target: dict[int, list] = {}  # t -> (i, j, c_ij^t) for i <= j
-    by_first: dict[int, list] = {}  # a -> (j, [e_a, e_j])
-    by_second: dict[int, list] = {}  # b -> (i, [e_i, e_b])
-    for (i, j), terms in g.bracket_table().items():
-        by_first.setdefault(i, []).append((j, terms))
-        by_second.setdefault(j, []).append((i, terms))
+    for (i, j), terms in g.bracket_table.items():
         if i <= j:
             for t, c in terms.items():
                 by_target.setdefault(t, []).append((i, j, c))
@@ -143,10 +140,11 @@ def _defects(q_or_g, degree: int):
             if j >= s:
                 for t, c in terms.items():
                     out[0, s, j, t] = out.get((0, s, j, t), 0) - c
-        for i, terms in by_second.get(r, ()):  # -(-1)^{alpha x_i}[e_i, D e_s]
-            if i <= s:
+        for i, terms in by_first.get(r, ()):  # -(-1)^{alpha x_i}[e_i, D e_s]
+            if i <= s:  # [e_i, e_r] = -(-1)^{x_i x_r}[e_r, e_i]
+                f = -sign[i] if p[i] and p[r] else sign[i]
                 for t, c in terms.items():
-                    out[0, i, s, t] = out.get((0, i, s, t), 0) - sign[i] * c
+                    out[0, i, s, t] = out.get((0, i, s, t), 0) + f * c
         if quadratic:
             for j, v in gram_rows[r].items():  # B(D e_s, e_j)
                 out[1, s, j, 0] = out.get((1, s, j, 0), 0) + v
@@ -292,7 +290,7 @@ def validate_extension_datum(d: ExtensionDatum) -> ValidationReport:
                 )
             )
     # morphism: psi([Z,W]_h) = psi(Z) psi(W) - (-1)^{zw} psi(W) psi(Z)
-    h_table = d.h.bracket_table()
+    h_table = d.h.bracket_table
     cols = [dk.columns for dk in d.psi]  # column s: {r: psi[r][s]}
     for i in range(hbasis.dim):
         for j in range(i, hbasis.dim):
@@ -415,7 +413,7 @@ def _assemble(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
                 if j >= i:
                     add(gi[i], gi[j], fi[k], -v if hp[k] and (gp[i] + gp[j]) % 2 else v)
     # pi(Z_i)(f_t) = -(-1)^{z f} sum_w c_{iw}^t f_w
-    for (i, w), terms in h.bracket_table().items():
+    for (i, w), terms in h.bracket_table.items():
         for t, c in terms.items():
             add(hi[i], fi[t], fi[w], c if hp[i] and hp[t] else -c)
     algebra = LieSuperalgebra.from_index_table(
@@ -472,8 +470,9 @@ def one_dim_double_extension(
     The basis is e, the evens of g, f, the odds of g.  Built directly from
     the displayed formulas and through the general constructor (where f
     is labelled e*); the two must agree exactly.  Having equal constants,
-    Gram matrix and parities, they pass or fail the same rules, so only
-    the direct one is validated, and it keeps that result.
+    Gram matrix (compared by its nonzeros) and parities, they pass or fail
+    the same rules, so only the direct one is validated, and it keeps that
+    result.
     """
     _require_quadratic(q, "one_dim_double_extension")
     if not isinstance(deriv, Superderivation):
@@ -510,18 +509,15 @@ def one_dim_double_extension(
     )
     gram: list[list[Rat]] = [[Fraction(0)] * (ng + 2) for _ in range(ng + 2)]
     gram[0][ne + 1] = gram[ne + 1][0] = Fraction(1)
-    for i, row in enumerate(q.form.gram):
-        for j, v in enumerate(row):
-            gram[new[i]][new[j]] = v
-    direct = QuadraticLieSuperalgebra(
-        algebra=algebra,
-        form=BilinearForm(basis=basis, gram=tuple(tuple(r) for r in gram)),
-    )
+    for i, row in enumerate(q.form.rows):
+        for j, v in row.items():
+            gram[new[i]][new[j]] = v  # BilinearForm makes an int a Fraction
+    direct = QuadraticLieSuperalgebra(algebra, BilinearForm(basis, gram))
     if (
         general.basis.labels != basis.labels[: ne + 1] + (e_label + "*",) + basis.labels[ne + 2 :]
         or general.basis.parities != basis.parities
         or general.algebra.constants != algebra.constants
-        or general.form.gram != direct.form.gram
+        or general.form.rows != direct.form.rows  # equal nonzeros, equal Gram matrices
     ):
         raise EngineError(
             "one-dimensional double extension: direct formulas and the "

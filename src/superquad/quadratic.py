@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import (
     GradedBasis,
@@ -24,6 +24,9 @@ from .algebra import (
 )
 from .errors import EngineError, InputError
 from .linalg import Echelon, Rat, _combine, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
+
+if TYPE_CHECKING:
+    from .cochains import Cochain, _PoissonLeft
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,20 @@ class QuadraticLieSuperalgebra:
         and the form's axioms, kept apart.  Run once per object."""
         return tuple(validate_grading_and_skew(self.algebra)), tuple(validate_form(self.algebra, self.form))
 
+    @cached_property
+    def _three_form(self) -> Cochain:
+        """I (``cochains.associated_three_form``), built once per object."""
+        from .cochains import associated_three_form
+
+        return associated_three_form(self)
+
+    @cached_property
+    def _three_form_left(self) -> _PoissonLeft:
+        """I's side of {I, .} (``cochains._poisson_left``), built once per object."""
+        from .cochains import _poisson_left
+
+        return _poisson_left(self, self._three_form)
+
     @property
     def _form_violations(self) -> tuple[Violation, ...]:
         grading, form = self._checks
@@ -181,7 +198,7 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
                 )
     # invariance B([x,y],z) = B(x,[y,z]) on all basis triples: both sides
     # vanish off the union of the supports of B([e_i,e_j],.) and B(.,[e_j,e_k])
-    table = g.bracket_table()
+    table = g.bracket_table
     left = _combine(table, rows)  # (i, j) -> {k: B([e_i,e_j],e_k)}
     right = _combine(table, cols)  # (j, k) -> {i: B(e_i,[e_j,e_k])}
     triples = {(i, j, k) for (i, j), row in left.items() for k in row}

@@ -55,9 +55,6 @@ from superquad.algebra import GradedBasis, Violation, _sparse_str, diagonal_weig
 from superquad.cochains import (
     Cochain,
     Monomial,
-    _dual_differentials,
-    _poisson_left,
-    associated_three_form,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -268,13 +265,12 @@ def full_differential(q, k: int, *, verify: bool = True) -> DifferentialMatrix:
     each checked against -{I, monomial} when q is quadratic and ``verify``
     is true."""
     g = getattr(q, "algebra", q)
-    src, tgt, duals = cochain_basis(g, k), cochain_basis(g, k + 1), _dual_differentials(g)
-    left = _poisson_left(q, associated_three_form(q)) if verify and g is not q else None
+    src, tgt, poisson = cochain_basis(g, k), cochain_basis(g, k + 1), verify and g is not q
     columns = []
     for m in src.monomials:
         c = Cochain.from_terms(g.basis, {m: Fraction(1)})
-        image = differential_direct(g, c, duals=duals)
-        assert left is None or image == differential_via_poisson(q, c, left=left), (k, m)
+        image = differential_direct(g, c)
+        assert not poisson or image == differential_via_poisson(q, c), (k, m)
         columns.append(tgt.coordinates(image))
     return DifferentialMatrix(src, tgt, tuple(columns))
 
@@ -625,7 +621,7 @@ def super_jacobi_by_table_triples(g: LieSuperalgebra) -> list[Violation]:
     n = g.dim
     p = g.basis.parities
     labels = g.basis.labels
-    table = g.bracket_table()
+    table = g.bracket_table
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):

@@ -209,18 +209,20 @@ def test_poisson_json_agrees_on_every_quadratic_key(key, capsys):
 
 
 def test_poisson_prepares_the_three_form_as_a_left_operand_once(monkeypatch, capsys):
+    # the algebra builds I and its side of {I, .} from the cochains module,
+    # once, and keeps them
     calls = []
-    for name in ("superquad.cochains", "superquad.cohomology"):
-        module = importlib.import_module(name)
+    module = importlib.import_module("superquad.cochains")
+    for name in ("associated_three_form", "_poisson_left"):
 
-        def counted(*args, _original=module._poisson_left):
-            calls.append(name)
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
             return _original(*args)
 
-        monkeypatch.setattr(module, "_poisson_left", counted)
+        monkeypatch.setattr(module, name, counted)
     assert main(["poisson", "g_6_s"]) == 0
     assert "{I, I} = 0: OK" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert calls == ["associated_three_form", "_poisson_left"]
 
 
 def test_poisson_rejects_a_form_that_is_not_invariant(tmp_path, capsys):
@@ -259,10 +261,11 @@ def test_poisson_checks_the_size_first(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    # the verb reads I and its monomials from a cohomology.Complex
-    module = importlib.import_module("superquad.cohomology")
-    monkeypatch.setattr(module, "associated_three_form", no_work)
-    monkeypatch.setattr(module, "monomials_of_degree", no_work)
+    # the verb reads I from the algebra, which builds it in the cochains
+    # module, and enumerates the monomials itself
+    cochains, cli = (importlib.import_module(f"superquad.{m}") for m in ("cochains", "cli"))
+    monkeypatch.setattr(cochains, "associated_three_form", no_work)
+    monkeypatch.setattr(cli, "monomials_of_degree", no_work)
     assert main(["poisson", str(path), "--max-degree", "5"]) == 2
     assert "exceeds the monomial limit" in capsys.readouterr().err
 

@@ -545,13 +545,13 @@ def test_differential_via_poisson_matches_direct():
 
 def test_prepared_left_operand_rejects_another_basis():
     q = build("g_4_1_s")
-    three = associated_three_form(q)
-    left = _poisson_left(q, three)
     foreign = mono(build("g_6_s").basis, even_labels=("X0",))
     with pytest.raises(InputError):
-        differential_via_poisson(q, foreign, left=left)
+        differential_via_poisson(q, foreign)
+    # the left operand q keeps is I's side of {I, .}, on q's basis only
+    assert q._three_form_left.basis is q.basis
     with pytest.raises(InputError):
-        _poisson_left(build("g_6_s"), three)
+        _poisson_left(build("g_6_s"), q._three_form)
 
 
 @pytest.mark.parametrize("bad", [1, None, "foreign"])
@@ -583,3 +583,10 @@ def test_every_entry_point_rejects_what_is_not_a_cochain_over_its_basis(call, ba
         bad = Cochain.dual(build("g_6_s").basis, "T1")  # index 5: past g_4_1_s's basis
     with pytest.raises(InputError, match="Cochain|different bases|wrong length"):
         call(q, c, bad)
+
+
+def test_contraction_by_a_vector_of_mixed_parity_is_refused():
+    q = build("g_4_1_s")  # X0, Y0 even; X1, Y1 odd
+    c = mono(q, even_labels=("X0",), odd_labels=("X1",))
+    with pytest.raises(InputError, match="contraction vector must be parity-homogeneous"):
+        contract_vector(c, [1, 0, 1, 0])

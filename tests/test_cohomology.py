@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from weakref import ref
 
@@ -28,7 +29,9 @@ from superquad.cochains import (
     associated_three_form,
     contract_vector,
     differential_direct,
+    differential_via_poisson,
     monomials_of_degree,
+    poisson_bracket,
 )
 from superquad.cohomology import (
     CochainBasis,
@@ -45,6 +48,7 @@ from superquad.cohomology import (
     is_cocycle,
 )
 from superquad.errors import EngineError, InputError, ResourceLimitError
+from superquad.extensions import is_skew_superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import Echelon, _sparse_rows, rank
 from superquad.quadratic import validate_quadratic
 from superquad.serialization import loads
@@ -187,8 +191,8 @@ def test_differential_matrix_cross_check_fires():
     q = build("g_4_1_s")
     doubled = associated_three_form(q).scale(Fraction(2))
     assert not doubled.is_zero
+    q.__dict__["_three_form"] = doubled  # where q keeps I, before anything reads it
     cx = Complex(q)
-    cx.three_form = doubled
     with pytest.raises(EngineError, match="disagree"):
         differential_matrix(cx, 1)
     with pytest.raises(EngineError, match="disagree"):
@@ -196,7 +200,7 @@ def test_differential_matrix_cross_check_fires():
     # unchecked, the same complex builds delta_1 and H^1; a checked call
     # still checks, while the unchecked result is held
     unchecked = cohomology(cx, 1, verify=False)
-    assert cx.delta(1, verify=False).shape == differential_matrix(q, 1).shape
+    assert cx.delta(1, verify=False).shape == differential_matrix(build("g_4_1_s"), 1).shape
     with pytest.raises(EngineError, match="disagree"):
         cohomology(cx, 1)
     with pytest.raises(EngineError, match="disagree"):
@@ -402,17 +406,20 @@ def test_cochain_basis_coordinates_round_trip():
 
 
 def _count_calls(monkeypatch, names) -> dict:
-    """Count the calls the cohomology module makes to each of ``names``."""
-    module = importlib.import_module("superquad.cohomology")
+    """Count the calls made to each of ``names`` through the cohomology
+    module and through the cochains module, where the algebra objects find
+    the builders of the tables they keep."""
     calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(module, name)
+    for module in map(importlib.import_module, ("superquad.cohomology", "superquad.cochains")):
+        for name in names:
+            if (original := getattr(module, name, None)) is None:
+                continue
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -420,7 +427,7 @@ TABLES = (
     "associated_three_form",
     "_poisson_left",
     "_dual_differentials",
-    "cochain_basis",
+    "monomials_of_degree",
     "differential_matrix",
 )
 
@@ -429,29 +436,28 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     calls = _count_calls(monkeypatch, TABLES)
     q = build("g_8_2_5_s")
     result = cohomology(q, 3)
-    # one complex: each table once, C^0..C^4 once each (C^0 and C^1 for
-    # the dimensions of their zero blocks), delta_2 and delta_3
+    # one complex: each table once, the built parts of C^0..C^4 once each
+    # (C^0 and C^1 for the dimensions of their acyclic blocks), delta_2 and delta_3
     once = dict.fromkeys(TABLES[:3], 1)
-    assert calls == {**once, "cochain_basis": 5, "differential_matrix": 2}
+    assert calls == {**once, "monomials_of_degree": 5, "differential_matrix": 2}
     table = betti_table(q, 3)
     assert table[3] is result
-    # while the result holds it, the same complex: only C^0, C^1, delta_0, delta_1
-    assert calls == {**once, "cochain_basis": 3 + 2, "differential_matrix": 2 + 2}
-    # with no result alive, a second complex: each table once more,
-    # C^0..C^4, delta_0..delta_3
+    # while the result holds it, the same complex: only delta_0 and delta_1
+    assert calls == {**once, "monomials_of_degree": 5, "differential_matrix": 2 + 2}
+    # with no result alive, a second complex: the built parts of C^0..C^4
+    # and delta_0..delta_3 again, but the tables q keeps are not built again
     b3 = result.betti
     del result, table
     gc.collect()
     assert betti_table(q, 3)[3].betti == b3
-    twice = dict.fromkeys(TABLES[:3], 2)
-    assert calls == {**twice, "cochain_basis": 5 + 5, "differential_matrix": 4 + 4}
+    assert calls == {**once, "monomials_of_degree": 5 + 5, "differential_matrix": 4 + 4}
 
 
 def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
     calls = _count_calls(monkeypatch, TABLES)
     cx = Complex(build("g_6_s"))
     table = betti_table(cx, 3)
-    assert calls == {**dict.fromkeys(TABLES[:3], 1), "cochain_basis": 5, "differential_matrix": 4}
+    assert calls == {**dict.fromkeys(TABLES[:3], 1), "monomials_of_degree": 5, "differential_matrix": 4}
     # the complex keeps each H^k and each delta_k
     assert betti_table(cx, 3) == table and cohomology(cx, 2) is table[2]
     assert cx.delta(2) is cx.delta(2, verify=False)
@@ -459,14 +465,14 @@ def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
 
 
 def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
-    calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights", "cochain_basis"))
+    calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights", "monomials_of_degree"))
     q = build("g_6_s")
     cx = Complex(q)
     c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
     assert is_coboundary(cx, c)
     # delta_1 enumerates C^1 and its target C^2; g_6_s has no inner
     # torus, so no block key is read and the diagonal weights are never made
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "cochain_basis": 2}
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "monomials_of_degree": 2}
     res = cohomology(cx, 2, verify=False)
     for i, rep in enumerate(res.representatives):
         query = rep + c
@@ -476,7 +482,7 @@ def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
         assert class_vector(cx, query) == unit
         # an algebra and a result read the result's complex
         assert class_vector(q, query, result=res) == unit
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "cochain_basis": 3}
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "monomials_of_degree": 3}
 
 
 def _seeded_queries(q, k: int, reps, rng: random.Random, count: int) -> list[Cochain]:
@@ -530,22 +536,90 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
 
 def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch):
     calls = _count_calls(monkeypatch, ("_dual_differentials",))
+    complexes, init = [], Complex.__init__
+
+    def counted(self, q):
+        complexes.append(id(self))  # not self: the list must not keep it alive
+        init(self, q)
+
+    monkeypatch.setattr(Complex, "__init__", counted)
     q = build("g_6_s")
     c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
     results = betti_table(q, 2, verify=False)
     live = ref(results[0]._complex)
     assert is_cocycle(q, c) and is_coboundary(q, c)
-    assert calls["_dual_differentials"] == 1
+    assert len(complexes) == 1
     # a complex the caller builds is its own: no call given q reads it
     cx = Complex(q)
     assert is_cocycle(q, c) and is_cocycle(cx, c)
-    assert calls["_dual_differentials"] == 2 and live() is results[0]._complex
+    assert len(complexes) == 2 and live() is results[0]._complex
     del results
+    complexes.clear()
     gc.collect()
     assert live() is None
     # nothing holds a complex of q now: each call builds its own
     assert is_cocycle(q, c) and is_coboundary(q, c)
-    assert calls["_dual_differentials"] == 4
+    assert len(complexes) == 2
+    # every complex reads delta(t*) off q.algebra, built there once
+    assert calls["_dual_differentials"] == 1
+
+
+def _count_bracket_tables(monkeypatch) -> list:
+    """Every object whose ``bracket_table`` is built, in order, each kept
+    alive so that no two are told apart by a reused id."""
+    built, build_table = [], LieSuperalgebra.__dict__["bracket_table"].func
+
+    def counted(self):
+        built.append(self)
+        return build_table(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(LieSuperalgebra, "bracket_table")
+    monkeypatch.setattr(LieSuperalgebra, "bracket_table", prop)
+    return built
+
+
+def test_the_tables_of_an_algebra_are_built_once_per_object(monkeypatch):
+    calls = _count_calls(monkeypatch, TABLES[:3])
+    tables = _count_bracket_tables(monkeypatch)
+    q = build("g_8_2_5_s")
+    c = Cochain.dual(q.basis, q.basis.labels[-1])
+    assert not differential_direct(q.algebra, c).is_zero
+    for _ in range(2):
+        assert [r.betti for r in betti_table(Complex(q), 3)] == [1, 1, 2, 4]
+    assert is_cocycle(q, differential_direct(q.algebra, c))
+    d = skew_superderivation_space(q, 0)[0]
+    assert skew_superderivation_space(q, 1) and is_skew_superderivation(q, d, 0)
+    assert calls == dict.fromkeys(TABLES[:3], 1)
+    # q.algebra built its table once, as did every other algebra object
+    assert sum(t is q.algebra for t in tables) == 1
+    assert len({id(t) for t in tables}) == len(tables)
+
+
+@pytest.mark.parametrize("key", ["g_8_2_5_s", "g_6_s"])
+def test_the_kept_tables_are_never_changed_in_place(key):
+    """Every engine path that reads the tables an algebra keeps, then the
+    same tables built on an equal new object: a caller that changed one in
+    place would show here."""
+    q = build(key)
+    g, dual = q.algebra, Cochain.dual(q.basis, q.basis.labels[-1])
+    results = betti_table(q, 4)
+    for k in (2, 3):
+        lower = Cochain.from_terms(q.basis, {monomials_of_degree(q.basis, k - 1)[-1]: 1})
+        for rep in cohomology(q, k).representatives:
+            query = rep + differential_direct(g, lower)
+            assert is_cocycle(q, query) and not is_coboundary(q, query)
+            assert any(class_vector(q, query, result=results[k]))
+    assert poisson_bracket(q, q._three_form, dual) == -differential_via_poisson(q, dual)
+    assert validate_quadratic(q).ok and diagonal_weights(q) and inner_torus(q) is not None
+    even = skew_superderivation_space(q, 0)
+    assert skew_superderivation_space(q, 1) is not None and is_skew_superderivation(q, even[0], 0)
+    assert validate_quadratic(one_dim_double_extension(q, even[0])).ok
+    fresh = build(key)
+    assert fresh == q and fresh is not q
+    for name in ("bracket_table", "_by_first", "_duals"):
+        assert getattr(g, name) == getattr(fresh.algebra, name), name
+    assert (q._three_form, q._three_form_left) == (fresh._three_form, fresh._three_form_left)
 
 
 @pytest.mark.parametrize("key", catalog_keys())
@@ -605,7 +679,7 @@ def test_differential_matrix_is_the_built_block_of_the_full_one(key):
     for k in range(3):
         d, full = differential_matrix(cx, k), full_differential(q, k)
         assert d.source is cx.built(k) and d.target is cx.built(k + 1)
-        assert full.source.monomials == cx.cochains(k).monomials
+        assert full.source.monomials == tuple(monomials_of_degree(q.basis, k))
         for m, whole in zip(full.source.monomials, full.columns):
             image = {full.target.monomials[i]: x for i, x in whole.items()}
             # the whole delta keeps every block key
@@ -627,7 +701,7 @@ def test_the_block_keys_are_the_partition_of_the_oracle(key, degrees):
     cx = Complex(q)
     for k in degrees:
         blocks: dict[tuple, set[Monomial]] = {}
-        for m in cx.cochains(k).monomials:
+        for m in monomials_of_degree(q.basis, k):
             blocks.setdefault(cx.key(m), set()).add(m)
         assert ({frozenset(b) for b in blocks.values()}, cx.built(k).monomials) == block_partition(q, k), (key, k)
 
@@ -664,11 +738,12 @@ def test_only_the_blocks_of_inner_weight_zero_are_built():
             # delta_k runs between the built parts, and lands in the source of delta_{k+1}
             assert d.source is cx.built(k) and d.target is cx.built(k + 1)
             assert d.target is cx.delta(k + 1).source
+            monomials = monomials_of_degree(cx.basis, k)
             if key not in TORUS_KEYS:
-                assert d.source is cx.cochains(k)
+                assert d.source.monomials == tuple(monomials)
                 continue
             [(_, w)] = cx.torus
-            zero = [m for m in cx.cochains(k).monomials if not _inner_weight(m, w)]
+            zero = [m for m in monomials if not _inner_weight(m, w)]
             assert d.source.monomials == tuple(zero), (key, k)
     # g_8_2_5_s: 66 of the 432 monomials of C^0..C^5 have inner weight 0
     cx = Complex(build("g_8_2_5_s"))
@@ -825,3 +900,28 @@ def test_every_algebra_argument_is_checked_alike(bad):
     for result in (bad, 5) if bad is not None else (5,):
         with pytest.raises(InputError, match="not a cohomology"):
             class_vector(q, rep, result=result)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda q: CochainBasis(2, tuple(monomials_of_degree(q.basis, 1))),
+            "monomial degree disagrees with basis degree",
+            id="CochainBasis-degree",
+        ),
+        pytest.param(
+            lambda q: cochain_basis(q, 2).coordinates(Cochain.dual(q.basis, "X0")),
+            r"does not live in C\^2",
+            id="coordinates-degree",
+        ),
+        pytest.param(
+            lambda q: class_vector(q, Cochain.zero(q.basis)),
+            "class_vector of 0 needs an explicit result",
+            id="class_vector-zero",
+        ),
+    ],
+)
+def test_a_cochain_of_another_degree_and_a_bare_zero_class_are_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call(build("g_4_1_s"))

@@ -537,3 +537,64 @@ def test_skew_check_matches_dense_oracle_on_perturbed_space_elements():
         "superderivation-leibniz",
         "skew-supersymmetry-of-derivation",
     }
+
+
+def _even_line(label: str = "Z") -> LieSuperalgebra:
+    return LieSuperalgebra(basis=GradedBasis(labels=(label,), parities=(0,)), constants={})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda q: is_superderivation(q.algebra, zero_map(q.dim, 0), 1),
+            "degree argument disagrees with the Superderivation",
+            id="derivation-degree",
+        ),
+        pytest.param(
+            lambda q: ExtensionDatum(base=q, h=_even_line(), psi=()),
+            "psi must assign one derivation per h basis vector",
+            id="psi-length",
+        ),
+        pytest.param(
+            lambda q: validate_extension_datum(ExtensionDatum(base=q, h=_even_line(), psi=(zero_map(q.dim + 1, 0),))),
+            "psi matrices must match the base dimension",
+            id="psi-size",
+        ),
+        pytest.param(
+            lambda q: validate_extension_datum(
+                ExtensionDatum(
+                    base=q, h=_even_line(), psi=(zero_map(q.dim, 0),),
+                    gamma=BilinearForm(_even_line("W").basis, ((1,),)),
+                )
+            ),
+            "gamma must be a bilinear form on the h basis",
+            id="gamma-basis",
+        ),
+        pytest.param(
+            lambda q: one_dim_double_extension(q, zero_map(q.dim, 1)),
+            "a 1-dimensional double extension needs an even map",
+            id="one_dim-odd",
+        ),
+    ],
+)
+def test_extension_inputs_of_the_wrong_shape_are_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call(build("g_4_1_s"))
+
+
+def test_the_direct_and_general_gram_matrices_are_compared(monkeypatch):
+    import superquad.extensions as module
+
+    q = build("g_8_2_3_s")
+    d = skew_superderivation_space(q, 0)[0]
+    general = module._assemble
+    # gamma(e, e) = 1 moves one Gram entry of the general output and no bracket
+    monkeypatch.setattr(
+        module, "_assemble",
+        lambda datum: general(
+            ExtensionDatum(base=datum.base, h=datum.h, psi=datum.psi, gamma=BilinearForm(datum.h.basis, ((1,),)))
+        ),
+    )
+    with pytest.raises(EngineError, match="disagree"):
+        one_dim_double_extension(q, d)
