@@ -75,7 +75,7 @@ from superquad import (
     is_coboundary,
     is_cocycle,
     monomials_of_degree,
-    rational_to_str,
+    rat_str,
     skew_superderivation_space,
 )
 
@@ -98,7 +98,7 @@ def derivation(key: str) -> list[list[str]]:
     n = q.basis.dim
     return [
         [
-            rational_to_str(sum((COEFFS[t % 5] * d.matrix[i][j] for t, d in enumerate(basis)), Fraction(0)))
+            rat_str(sum((COEFFS[t % 5] * d.matrix[i][j] for t, d in enumerate(basis)), Fraction(0)))
             for j in range(n)
         ]
         for i in range(n)
@@ -116,7 +116,7 @@ def bad_derivation(key: str, matrix: list[list[str]]) -> list[list[str]]:
 
 
 def _scaled(value: str, factor: Fraction, shift: Fraction = Fraction(0)) -> str:
-    return rational_to_str(Fraction(value) * factor + shift)
+    return rat_str(Fraction(value) * factor + shift)
 
 
 def invalid_documents() -> dict[str, dict]:
@@ -165,7 +165,7 @@ def queries() -> str:
                 if i % 3 == 2:
                     c = c + Cochain.from_terms(g.basis, {rng.choice(same): Fraction(1)})
                 try:
-                    vector = " ".join(rational_to_str(x) for x in class_vector(q, c, result=res))
+                    vector = " ".join(rat_str(x) for x in class_vector(q, c, result=res))
                 except InputError as exc:
                     vector = f"InputError: {exc}"
                 lines.append(

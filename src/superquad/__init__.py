@@ -45,7 +45,6 @@ from .cochains import (
 from .cohomology import (
     CochainBasis,
     CohomologyResult,
-    Complex,
     DifferentialMatrix,
     betti_table,
     class_vector,
@@ -84,8 +83,6 @@ from .serialization import (
     algebra_to_dict,
     load,
     loads,
-    rational_from_str,
-    rational_to_str,
     save,
 )
 from .sp2 import (

@@ -17,11 +17,11 @@ from fractions import Fraction
 from . import catalog, serialization
 from .algebra import ValidationReport, validate_lie_superalgebra
 from .cochains import Cochain, differential_direct, differential_via_poisson, monomials_of_degree
-from .cohomology import Complex, cohomology_report
+from .cohomology import _complex, cohomology_report
 from .errors import EngineError, InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
+from .linalg import rat, rat_str
 from .quadratic import QuadraticLieSuperalgebra, validate_quadratic
-from .serialization import rational_from_str, rational_to_str
 
 __all__ = ["main"]
 
@@ -37,7 +37,7 @@ def _parse_params(items: list[str] | None) -> dict[str, Fraction]:
         name = name.strip()
         if not name:
             raise InputError(f"bad --param {item!r}: empty name")
-        out[name] = rational_from_str(raw.strip())
+        out[name] = rat(raw.strip())
     return out
 
 
@@ -92,7 +92,7 @@ def _cmd_list(args) -> int:
                     "params": [
                         {
                             "name": p.name,
-                            "default": rational_to_str(p.default),
+                            "default": rat_str(p.default),
                             "constraint": p.constraint,
                         }
                         for p in e.params
@@ -107,7 +107,7 @@ def _cmd_list(args) -> int:
     for e in entries:
         if e.params:
             plist = ", ".join(
-                f"{p.name} (default {rational_to_str(p.default)}; {p.constraint})"
+                f"{p.name} (default {rat_str(p.default)}; {p.constraint})"
                 for p in e.params
             )
         else:
@@ -225,7 +225,7 @@ def _cmd_poisson(args) -> int:
         raise InputError(
             "the poisson command needs a quadratic algebra (a form)"
         )
-    Complex(obj).check_size(args.max_degree)
+    _complex(obj).check_size(args.max_degree)
     i_i = differential_via_poisson(obj, obj._three_form)  # -{I, I}
     failures: list[str] = []
     checked = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from weakref import WeakValueDictionary, ref
+from weakref import WeakValueDictionary
 
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
@@ -40,7 +40,6 @@ from .quadratic import QuadraticLieSuperalgebra
 
 __all__ = [
     "CochainBasis",
-    "Complex",
     "DifferentialMatrix",
     "CohomologyResult",
     "cochain_dimension",
@@ -133,31 +132,28 @@ class DifferentialMatrix:
 
 
 class Complex:
-    """The cochain complex C(g) of one algebra, delta = -{I, .} when it is
-    quadratic.  Each part is built once, on first use, and kept: the built
-    part of each C^k (``built``), the inner torus (``torus``) and weights,
-    each delta_k (``delta``), the echelon of its columns (``image``), and
-    each H^k while a caller holds it; the algebra keeps the rest.  Every
-    function of this module takes a complex in place of the algebra.
-    Given an algebra, it reads the complex a call given that same object
-    built, while a caller or a CohomologyResult holds it, and builds one
-    only when none is alive (``_complex``).  Algebras are treated as
-    immutable values.  A delta_k or H^k built without the -{I, .}
-    cross-check never serves a call that asks for it.  ``check_size`` is
-    the monomial guard each of those functions runs before any work.
+    """The cochain complex C(g) of the algebra ``q``, delta = -{I, .} when
+    it is quadratic.  Each part is built once, on first use, and kept: the
+    built part of each C^k (``built``), the inner torus (``torus``) and
+    weights, each delta_k (``delta``) and the echelon of its columns
+    (``image``); the algebra keeps the rest.  Every function of this
+    module reaches it through ``_complex``: one complex per algebra
+    object, alive while a caller or a CohomologyResult holds it.
+    Algebras are treated as immutable values.  A delta_k built without
+    the -{I, .} cross-check never serves a call that asks for it.
+    ``check_size`` is the monomial guard each of those functions runs
+    before any work.
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra | LieSuperalgebra) -> None:
         self.basis = _basis_of(q, (QuadraticLieSuperalgebra, LieSuperalgebra))
-        self.quadratic = q if isinstance(q, QuadraticLieSuperalgebra) else None
-        self.algebra = q if self.quadratic is None else q.algebra
+        self.q = q
+        self.algebra = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
         self._sized = -1  # the largest k_max check_size passed
         self._built: dict[int, CochainBasis] = {}
-        # degree -> (delta_k or H^k, built with the cross-check or not);
-        # H^k is held weakly, since it holds its complex
+        # degree -> (delta_k, built with the cross-check or not)
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._images: dict[int, Echelon] = {}
-        self._results: dict[int, tuple[ref, bool]] = {}
 
     @cached_property
     def torus(self) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
@@ -241,7 +237,7 @@ class Complex:
         more if the cross-check is asked for and the first build had none."""
         hit = self._deltas.get(k)
         if hit is None or verify and not hit[1]:
-            hit = self._deltas[k] = (differential_matrix(self, k, verify=verify), verify)
+            hit = self._deltas[k] = (differential_matrix(self.q, k, verify=verify), verify)
         return hit[0]
 
     def image(self, k: int, verify: bool = True) -> Echelon:
@@ -259,14 +255,11 @@ class Complex:
 _LIVE: WeakValueDictionary[int, Complex] = WeakValueDictionary()
 
 
-def _complex(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, *cochains: Cochain) -> Complex:
+def _complex(q: QuadraticLieSuperalgebra | LieSuperalgebra, *cochains: Cochain) -> Complex:
     """The complex of q, each of ``cochains`` checked to be a cochain over
-    its basis.  Given an algebra: the live complex built for that same
-    object, or a new one, held weakly.  A complex the caller builds is its
-    own: no call given the algebra reads it."""
-    if isinstance(q, Complex):
-        cx = q
-    elif (cx := _LIVE.get(id(q))) is None or not (cx.quadratic is q or cx.algebra is q):
+    its basis: the live complex built for that same object, or a new one,
+    held weakly."""
+    if (cx := _LIVE.get(id(q))) is None or cx.q is not q:
         cx = _LIVE[id(q)] = Complex(q)
     for c in cochains:
         _check_cochain(c, cx.basis)
@@ -274,7 +267,7 @@ def _complex(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, *cochains:
 
 
 def differential_matrix(
-    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: QuadraticLieSuperalgebra | LieSuperalgebra,
     k: int,
     *,
     verify: bool = True,
@@ -296,13 +289,13 @@ def differential_matrix(
     """
     cx = _complex(q)
     cx.check_size(k)
-    g, poisson = cx.algebra, verify and cx.quadratic is not None
+    g, poisson = cx.algebra, verify and isinstance(q, QuadraticLieSuperalgebra)
     src, tgt = cx.built(k), cx.built(k + 1)
     index, columns = tgt._index, []
     for m in src.monomials:
         c = _cochain(g.basis, {m: 1})
         image = differential_direct(g, c).terms
-        if poisson and image != differential_via_poisson(cx.quadratic, c).terms:
+        if poisson and image != differential_via_poisson(q, c).terms:
             raise EngineError(
                 f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
             )
@@ -343,8 +336,8 @@ class CohomologyResult:
     dim_coboundaries: int
     betti: int
     representatives: tuple[Cochain, ...]
-    _complex: Complex | None = field(default=None, compare=False, repr=False)
-    _quotient: _Quotient | None = field(default=None, compare=False, repr=False)
+    _complex: None | Complex = field(default=None, compare=False, repr=False)
+    _quotient: None | _Quotient = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.betti != self.dim_cocycles - self.dim_coboundaries:
@@ -359,14 +352,13 @@ def _degree(c: Cochain, what: str) -> int:
 
 
 def cohomology(
-    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: QuadraticLieSuperalgebra | LieSuperalgebra,
     k: int,
     *,
     verify: bool = True,
 ) -> CohomologyResult:
     """H^k = Ker delta_k / Im delta_{k-1} with echelonized representatives,
-    computed once per Complex while a caller holds the result (once more
-    if the cross-check is asked for and the first computation had none).
+    derived on each call from the delta_k and echelons the complex keeps.
 
     Only the blocks of inner weight 0 are eliminated (``Complex.delta``);
     the others add dim Z^k = dim B^k (``Complex.acyclic_dim``) and no
@@ -375,9 +367,6 @@ def cohomology(
     and the representatives among them, are those of the whole C^k."""
     cx = _complex(q)
     cx.check_size(k, "cohomology degree")
-    held, checked = cx._results.get(k, (None, False))
-    if held is not None and (hit := held()) is not None and (checked or not verify):
-        return hit
     d_k = cx.delta(k, verify)
     src = d_k.source
     rows: dict[int, dict[int, Rat]] = {}
@@ -398,7 +387,7 @@ def cohomology(
             "so the bracket fails super Jacobi"
         )
     acyclic = cx.acyclic_dim(k)
-    result = CohomologyResult(
+    return CohomologyResult(
         degree=k,
         dim_cochains=cochain_dimension(cx.basis, k),
         dim_cocycles=n_z + acyclic,
@@ -408,29 +397,27 @@ def cohomology(
         _complex=cx,
         _quotient=quotient,
     )
-    cx._results[k] = (ref(result), verify)
-    return result
 
 
 def betti_table(
-    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: QuadraticLieSuperalgebra | LieSuperalgebra,
     k_max: int,
     *,
     verify: bool = True,
 ) -> list[CohomologyResult]:
-    """Cohomology in degrees 0..k_max over one Complex: each delta_k is
+    """Cohomology in degrees 0..k_max over one complex: each delta_k is
     built once."""
     cx = _complex(q)
     cx.check_size(k_max)
-    return [cohomology(cx, k, verify=verify) for k in range(k_max + 1)]
+    return [cohomology(q, k, verify=verify) for k in range(k_max + 1)]
 
 
-def is_cocycle(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
+def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     cx = _complex(q, c)
     return differential_direct(cx.algebra, c).is_zero
 
 
-def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
+def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
     delta keeps the block key (``Complex.key``).  c's terms in the built
@@ -457,7 +444,7 @@ def is_coboundary(q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra, c: Co
 
 
 def class_vector(
-    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: QuadraticLieSuperalgebra | LieSuperalgebra,
     c: Cochain,
     *,
     result: CohomologyResult | None = None,
@@ -467,9 +454,10 @@ def class_vector(
     Raises InputError when c is not a cocycle of pure degree k, or when
     ``result`` is not a cohomology() in degree k of an algebra with this
     basis and these structure constants.  With a ``result``, c is tested
-    on the result's Complex.  The terms of c outside the result's blocks
-    of inner weight 0 are dropped: delta keeps the inner weight, so they
-    make a cocycle of acyclic blocks, a coboundary.
+    on the result's complex; without one, H^k is derived anew on each
+    call, so pass ``result=`` to reuse it.  The terms of c outside the
+    result's blocks of inner weight 0 are dropped: delta keeps the inner
+    weight, so they make a cocycle of acyclic blocks, a coboundary.
     """
     cx = _complex(q, c)
     if result is not None:
@@ -485,10 +473,10 @@ def class_vector(
             raise InputError("class_vector of 0 needs an explicit result")
         return [Fraction(0)] * result.betti
     k = _degree(c, "class_vector")
-    if not is_cocycle(cx, c):
+    if not is_cocycle(cx.q, c):
         raise InputError("class_vector requires a cocycle")
     if result is None:
-        result = cohomology(cx, k, verify=False)
+        result = cohomology(cx.q, k, verify=False)
     if result.degree != k:
         raise InputError(f"result is for degree {result.degree}, not {k}")
     quotient = result._quotient
@@ -500,7 +488,7 @@ def class_vector(
 
 
 def cohomology_report(
-    q: Complex | QuadraticLieSuperalgebra | LieSuperalgebra,
+    q: QuadraticLieSuperalgebra | LieSuperalgebra,
     k_max: int,
     *,
     name: str | None = None,

@@ -18,7 +18,7 @@ strings ("p", "-p", "p/q").  A document with a "form" field loads as a
 QuadraticLieSuperalgebra.  The loader checks only the document's shape;
 each rule of the basis, the bracket and the form, and its message, comes
 from the constructor (``GradedBasis``, ``LieSuperalgebra.from_index_table``,
-``BilinearForm.from_pairs``), and ``rational_from_str`` is ``rat``.  An
+``BilinearForm.from_pairs``), and each rational is read by ``rat``.  An
 axiom-violating table loads and is then reported by the validator.
 """
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .linalg import rat, rat_str
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra
 
 __all__ = [
-    "rational_to_str",
-    "rational_from_str",
     "algebra_to_dict",
     "algebra_from_dict",
     "dumps",
@@ -42,10 +40,6 @@ __all__ = [
     "save",
     "load",
 ]
-
-
-rational_to_str = rat_str  # the engine's own renderer and parser
-rational_from_str = rat
 
 
 def algebra_to_dict(obj) -> dict:
@@ -76,7 +70,7 @@ def algebra_to_dict(obj) -> dict:
                     "right": basis.labels[j],
                     "terms": [
                         {
-                            "coeff": rational_to_str(terms[k]),
+                            "coeff": rat_str(terms[k]),
                             "basis": basis.labels[k],
                         }
                         for k in sorted(terms)
@@ -94,7 +88,7 @@ def algebra_to_dict(obj) -> dict:
                         {
                             "left": basis.labels[i],
                             "right": basis.labels[j],
-                            "value": rational_to_str(v),
+                            "value": rat_str(v),
                         }
                     )
         doc["form"] = entries

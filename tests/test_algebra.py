@@ -15,6 +15,7 @@ from superquad.algebra import (
     diagonal_weights,
     inner_torus,
     is_solvable,
+    reorder_basis,
     validate_lie_superalgebra,
     validate_super_jacobi,
 )
@@ -293,3 +294,16 @@ def test_diagonal_weights_are_derivation_weights(key):
 def test_diagonal_weights_read_a_quadratic_algebra_as_its_lie_superalgebra(key):
     q = build(key)
     assert diagonal_weights(q) == diagonal_weights(q.algebra)
+
+
+def test_a_constant_must_be_a_fraction():
+    basis = GradedBasis(labels=("a", "b"), parities=(0, 0))
+    with pytest.raises(InputError, match=r"constant for \(0, 1\)->1 must be a nonzero Fraction"):
+        LieSuperalgebra(basis=basis, constants={(0, 1): {1: 1}})
+
+
+def test_reorder_basis_needs_the_same_labels():
+    g = build("h")
+    labels = ("nope", *g.basis.labels[1:])
+    with pytest.raises(InputError, match="new order must be a permutation of the basis labels"):
+        reorder_basis(g, labels)

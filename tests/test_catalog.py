@@ -234,3 +234,16 @@ def test_reconstruction_data_exist_and_are_consistent():
     for key in ("g_4_1_s", "h"):  # no Z3; not quadratic
         with pytest.raises(InputError):
             reconstruction_datum(key)
+
+
+def test_heisenberg_refuses_a_negative_odd_count():
+    with pytest.raises(InputError, match="heisenberg requires m >= 0"):
+        build("h", {"m": -1})
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_the_default_params_build_the_default_algebra(key):
+    params = default_params(key)
+    assert list(params) == [p.name for p in get_entry(key).params]
+    assert all(type(v) is Fraction for v in params.values())
+    assert build(key, params) == build(key)

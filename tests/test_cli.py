@@ -1,21 +1,25 @@
 """Command-line interface: exit codes, text output, JSON reports."""
 import importlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import NON_JACOBI_DOC, QUADRATIC_KEYS, doubled_odd_form
+import superquad
 from superquad import validate_quadratic
 from superquad import cli
 from superquad.cli import main
 from superquad.extensions import skew_superderivation_space
 from superquad.catalog import build
 from superquad.errors import EngineError, InputError
+from superquad.linalg import rat_str
 from superquad.serialization import (
     algebra_to_dict,
     loads,
-    rational_to_str,
 )
 
 BROKEN_DOC = {
@@ -293,7 +297,7 @@ def test_double_extend_valid(tmp_path, capsys):
     d = skew_superderivation_space(q, 0)[0]
     path = tmp_path / "deriv.json"
     path.write_text(
-        json.dumps([[rational_to_str(x) for x in row] for row in d.matrix])
+        json.dumps([[rat_str(x) for x in row] for row in d.matrix])
     )
     code = main(
         ["double-extend", "g_4_1_s", "--derivation", str(path), "--labels", "e,f"]
@@ -409,3 +413,106 @@ def test_an_engine_error_is_one_internal_error_line_and_exit_3(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.err == "internal error: rank-nullity violated in cohomology assembly\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("lam", "bad --param 'lam': expected name=p/q"),
+        ("=2", "bad --param '=2': empty name"),
+        (" =2", "bad --param ' =2': empty name"),
+    ],
+)
+def test_a_param_needs_a_name_and_an_equals_sign(param, message, capsys):
+    assert main(["validate", "g_6_2", "--param", param]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _zero_derivation(tmp_path, n: int = 4) -> str:
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps([[0] * n for _ in range(n)]))
+    return str(path)
+
+
+@pytest.mark.parametrize("text, message", [(None, "cannot read"), ("[[0, 0", "malformed JSON in")])
+def test_an_unreadable_derivation_file_is_an_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "deriv.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["double-extend", "g_4_1_s", "--derivation", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message} {path}: ") and err.count("\n") == 1
+
+
+def test_double_extend_needs_a_quadratic_base(tmp_path, capsys):
+    assert main(["double-extend", "h", "--derivation", _zero_derivation(tmp_path, 3)]) == 2
+    assert capsys.readouterr() == ("", "error: double-extend needs a quadratic base algebra\n")
+
+
+@pytest.mark.parametrize("labels", ["e", "e,f,g", "e,", " ,f"])
+def test_double_extend_needs_two_labels(tmp_path, capsys, labels):
+    argv = ["double-extend", "g_4_1_s", "--derivation", _zero_derivation(tmp_path), "--labels", labels]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --labels must be two comma-separated names\n")
+
+
+COHOMOLOGY_G_4_1_S = """\
+k  dim C^k  dim Z^k  dim B^k  b_k
+0  1        1        0        1
+1  4        2        0        2
+2  8        4        2        2
+degree 0 representatives:
+  1 * 1
+degree 1 representatives:
+  1 * s(2)
+  1 * e(2)
+degree 2 representatives:
+  1 * s(1 2)  +  -2 * e(1^2)
+  1 * e(2) \u2297 s(1)
+b_0 = 1
+b_1 = 2
+b_2 = 2
+"""
+
+
+def test_cohomology_text_lists_the_representatives_of_each_degree(capsys):
+    assert main(["cohomology", "g_4_1_s", "--max-degree", "2"]) == 0
+    assert capsys.readouterr() == (COHOMOLOGY_G_4_1_S, "")
+
+
+@pytest.mark.parametrize("key, quadratic, name", [("g_4_1_s", True, "g_4_1_s"), ("h", False, "h_3,0")])
+def test_validate_json_names_the_algebra(key, quadratic, name, capsys):
+    assert main(["validate", key, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "schema": 1, "kind": "validation", "quadratic": quadratic, "ok": True, "violations": [], "name": name,
+    }
+
+
+def test_validate_json_of_an_unnamed_document_has_no_name(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(BROKEN_DOC))
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["ok"] and "name" not in doc
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m superquad.cli`` with ``args``, in a process of its own."""
+    src = str(Path(superquad.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "superquad.cli", *args],
+        capture_output=True, text=True, encoding="utf-8", timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_the_module_entry_point_exits_with_the_code_of_main(capsys):
+    argv = ["betti", "g_4_1_s", "--max-degree", "2"]
+    run = _run_module(*argv)
+    assert main(argv) == 0
+    assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
+    bad = _run_module("betti", "nope")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    [line] = bad.stderr.splitlines()
+    assert line.startswith("error: unknown catalog key 'nope'") and "Traceback" not in bad.stderr

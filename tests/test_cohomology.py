@@ -37,6 +37,7 @@ from superquad.cohomology import (
     CochainBasis,
     CohomologyResult,
     Complex,
+    _complex,
     betti_table,
     class_vector,
     cochain_basis,
@@ -192,20 +193,21 @@ def test_differential_matrix_cross_check_fires():
     doubled = associated_three_form(q).scale(Fraction(2))
     assert not doubled.is_zero
     q.__dict__["_three_form"] = doubled  # where q keeps I, before anything reads it
-    cx = Complex(q)
     with pytest.raises(EngineError, match="disagree"):
-        differential_matrix(cx, 1)
+        differential_matrix(q, 1)
     with pytest.raises(EngineError, match="disagree"):
-        betti_table(cx, 1)
-    # unchecked, the same complex builds delta_1 and H^1; a checked call
-    # still checks, while the unchecked result is held
-    unchecked = cohomology(cx, 1, verify=False)
+        betti_table(q, 1)
+    # unchecked, the complex builds delta_1 and H^1; while the unchecked
+    # result holds that complex, a checked call still checks
+    unchecked = cohomology(q, 1, verify=False)
+    cx = unchecked._complex
     assert cx.delta(1, verify=False).shape == differential_matrix(build("g_4_1_s"), 1).shape
     with pytest.raises(EngineError, match="disagree"):
-        cohomology(cx, 1)
+        cohomology(q, 1)
     with pytest.raises(EngineError, match="disagree"):
         cx.delta(1)
-    assert cohomology(cx, 1, verify=False) is unchecked
+    again = cohomology(q, 1, verify=False)
+    assert again == unchecked and again._complex is cx
 
 
 def test_class_vector_separates_classes():
@@ -441,7 +443,7 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     once = dict.fromkeys(TABLES[:3], 1)
     assert calls == {**once, "monomials_of_degree": 5, "differential_matrix": 2}
     table = betti_table(q, 3)
-    assert table[3] is result
+    assert table[3] == result and table[3]._complex is result._complex
     # while the result holds it, the same complex: only delta_0 and delta_1
     assert calls == {**once, "monomials_of_degree": 5, "differential_matrix": 2 + 2}
     # with no result alive, a second complex: the built parts of C^0..C^4
@@ -453,13 +455,17 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     assert calls == {**once, "monomials_of_degree": 5 + 5, "differential_matrix": 4 + 4}
 
 
-def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
+def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     calls = _count_calls(monkeypatch, TABLES)
-    cx = Complex(build("g_6_s"))
-    table = betti_table(cx, 3)
+    q = build("g_6_s")
+    table = betti_table(q, 3)
     assert calls == {**dict.fromkeys(TABLES[:3], 1), "monomials_of_degree": 5, "differential_matrix": 4}
-    # the complex keeps each H^k and each delta_k
-    assert betti_table(cx, 3) == table and cohomology(cx, 2) is table[2]
+    # the held results keep one complex, which keeps each delta_k; H^k is
+    # derived from them again
+    cx = table[0]._complex
+    again = betti_table(q, 3)
+    assert again == table and all(r._complex is cx for r in again)
+    assert cohomology(q, 2) == table[2]
     assert cx.delta(2) is cx.delta(2, verify=False)
     assert calls["differential_matrix"] == 4
 
@@ -467,21 +473,20 @@ def test_a_held_complex_builds_each_table_and_delta_once(monkeypatch):
 def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
     calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights", "monomials_of_degree"))
     q = build("g_6_s")
-    cx = Complex(q)
+    cx = _complex(q)  # held: every call given q reads it
     c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
-    assert is_coboundary(cx, c)
+    assert is_coboundary(q, c)
     # delta_1 enumerates C^1 and its target C^2; g_6_s has no inner
     # torus, so no block key is read and the diagonal weights are never made
     assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "monomials_of_degree": 2}
-    res = cohomology(cx, 2, verify=False)
+    res = cohomology(q, 2, verify=False)
+    assert res._complex is cx
     for i, rep in enumerate(res.representatives):
         query = rep + c
-        assert is_cocycle(cx, query) and not is_coboundary(cx, query)
+        assert is_cocycle(q, query) and not is_coboundary(q, query)
         unit = [Fraction(int(j == i)) for j in range(res.betti)]
-        assert class_vector(cx, query, result=res) == unit
-        assert class_vector(cx, query) == unit
-        # an algebra and a result read the result's complex
         assert class_vector(q, query, result=res) == unit
+        assert class_vector(q, query) == unit
     assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "monomials_of_degree": 3}
 
 
@@ -548,11 +553,7 @@ def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch
     results = betti_table(q, 2, verify=False)
     live = ref(results[0]._complex)
     assert is_cocycle(q, c) and is_coboundary(q, c)
-    assert len(complexes) == 1
-    # a complex the caller builds is its own: no call given q reads it
-    cx = Complex(q)
-    assert is_cocycle(q, c) and is_cocycle(cx, c)
-    assert len(complexes) == 2 and live() is results[0]._complex
+    assert len(complexes) == 1 and live() is results[0]._complex
     del results
     complexes.clear()
     gc.collect()
@@ -586,7 +587,8 @@ def test_the_tables_of_an_algebra_are_built_once_per_object(monkeypatch):
     c = Cochain.dual(q.basis, q.basis.labels[-1])
     assert not differential_direct(q.algebra, c).is_zero
     for _ in range(2):
-        assert [r.betti for r in betti_table(Complex(q), 3)] == [1, 1, 2, 4]
+        # no result is held between the rounds: each builds a complex of its own
+        assert [r.betti for r in betti_table(q, 3)] == [1, 1, 2, 4]
     assert is_cocycle(q, differential_direct(q.algebra, c))
     d = skew_superderivation_space(q, 0)[0]
     assert skew_superderivation_space(q, 1) and is_skew_superderivation(q, d, 0)
@@ -675,9 +677,9 @@ TORUS_KEYS = ("g_4_2_s", "g_6_2", "g_8_2_4_s", "g_8_2_5_s", "g_8_2_6_s")
 @pytest.mark.parametrize("key", [*TORUS_KEYS, "g_4_1_s", "g_6_s", "h"])
 def test_differential_matrix_is_the_built_block_of_the_full_one(key):
     q = build(key)
-    cx = Complex(q)
+    cx = _complex(q)
     for k in range(3):
-        d, full = differential_matrix(cx, k), full_differential(q, k)
+        d, full = differential_matrix(q, k), full_differential(q, k)
         assert d.source is cx.built(k) and d.target is cx.built(k + 1)
         assert full.source.monomials == tuple(monomials_of_degree(q.basis, k))
         for m, whole in zip(full.source.monomials, full.columns):
@@ -698,7 +700,7 @@ def test_differential_matrix_is_the_built_block_of_the_full_one(key):
 )
 def test_the_block_keys_are_the_partition_of_the_oracle(key, degrees):
     q = build(key)
-    cx = Complex(q)
+    cx = _complex(q)
     for k in degrees:
         blocks: dict[tuple, set[Monomial]] = {}
         for m in monomials_of_degree(q.basis, k):
@@ -732,7 +734,7 @@ def test_pruned_deep_table_matches_the_unpruned_oracle():
 
 def test_only_the_blocks_of_inner_weight_zero_are_built():
     for key in catalog_keys():
-        cx = Complex(build(key))
+        cx = _complex(build(key))
         for k in range(4):
             d = cx.delta(k)
             # delta_k runs between the built parts, and lands in the source of delta_{k+1}
@@ -746,7 +748,7 @@ def test_only_the_blocks_of_inner_weight_zero_are_built():
             zero = [m for m in monomials if not _inner_weight(m, w)]
             assert d.source.monomials == tuple(zero), (key, k)
     # g_8_2_5_s: 66 of the 432 monomials of C^0..C^5 have inner weight 0
-    cx = Complex(build("g_8_2_5_s"))
+    cx = _complex(build("g_8_2_5_s"))
     shapes = [cx.delta(k).shape for k in range(6)]
     assert shapes == [(2, 1), (6, 2), (14, 6), (19, 14), (24, 19), (30, 24)]
     assert sum(cols for _, cols in shapes) == 66
@@ -793,7 +795,7 @@ def test_the_cartan_witness_matches_the_rank_oracle(key):
     rng = random.Random(f"cartan witness {key}")
     answers = []
     for k in (2, 3, 4):
-        built = Complex(q).built(k)._index
+        built = _complex(q).built(k)._index
         lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
         for i in range(30):
             b = {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for m in rng.sample(lower, 3)}
@@ -925,3 +927,9 @@ def test_every_algebra_argument_is_checked_alike(bad):
 def test_a_cochain_of_another_degree_and_a_bare_zero_class_are_refused(call, message):
     with pytest.raises(InputError, match=message):
         call(build("g_4_1_s"))
+
+
+def test_a_nonzero_constant_is_no_coboundary():
+    q = build("g_4_1_s")
+    c = Cochain.from_terms(q.basis, {Monomial(even=(), odd=()): Fraction(3)})
+    assert is_cocycle(q, c) and not is_coboundary(q, c)

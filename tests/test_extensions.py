@@ -598,3 +598,20 @@ def test_the_direct_and_general_gram_matrices_are_compared(monkeypatch):
     )
     with pytest.raises(EngineError, match="disagree"):
         one_dim_double_extension(q, d)
+
+
+def test_a_psi_of_the_wrong_degree_is_a_violation():
+    q = build("g_4_1_s")
+    report = validate_extension_datum(ExtensionDatum(base=q, h=_even_line(), psi=(zero_map(q.dim, 1),)))
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [
+        ("psi-degree", ("Z",), "psi(Z) has degree 1, expected the parity 0")
+    ]
+
+
+def test_a_gamma_that_is_not_supersymmetric_is_a_violation():
+    q = build("g_4_1_s")
+    h = LieSuperalgebra(basis=GradedBasis(labels=("Z", "W"), parities=(0, 0)), constants={})
+    gamma = BilinearForm(h.basis, ((0, 1), (0, 0)))
+    report = validate_extension_datum(ExtensionDatum(base=q, h=h, psi=(zero_map(q.dim, 0),) * 2, gamma=gamma))
+    assert [(v.rule, v.witness) for v in report.violations] == [("gamma-supersymmetry", ("Z", "W"))]
+    assert report.violations[0].message.startswith("gamma: B(W, Z) != ")

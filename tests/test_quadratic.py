@@ -336,3 +336,10 @@ def test_gram_entries_are_normalised_to_fractions():
 def test_quadratic_entry_points_refuse_a_plain_algebra(call):
     with pytest.raises(InputError, match="needs a quadratic Lie superalgebra, not a LieSuperalgebra"):
         call(build("h"))
+
+
+def test_a_form_on_another_basis_is_refused():
+    g = abelian(("a", "b"), (0, 0))
+    other = GradedBasis(labels=("a", "c"), parities=(0, 0))
+    with pytest.raises(InputError, match="form and algebra must share one basis"):
+        QuadraticLieSuperalgebra(algebra=g, form=BilinearForm.from_pairs(other, [("a", "c", 1)]))

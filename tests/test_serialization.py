@@ -14,31 +14,31 @@ from superquad.catalog import catalog_keys, get_entry
 from superquad.cli import main
 from superquad.errors import InputError
 from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
+from superquad.linalg import rat, rat_str
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 from superquad.serialization import (
     algebra_from_dict,
     algebra_to_dict,
     dumps,
+    load,
     loads,
-    rational_from_str,
-    rational_to_str,
 )
 
 
 def test_rational_literals():
-    assert rational_from_str("3/4") == rational_from_str("3/4")
-    assert rational_to_str(rational_from_str("-7/2")) == "-7/2"
-    assert rational_to_str(rational_from_str("5")) == "5"
+    assert rat("3/4") == rat("3/4")
+    assert rat_str(rat("-7/2")) == "-7/2"
+    assert rat_str(rat("5")) == "5"
     for bad in ("0.5", "1/0", "1/-2", "a", "", "1 / 2", "--3", True, 0.5, None):
         with pytest.raises(InputError):
-            rational_from_str(bad)
+            rat(bad)
 
 
 def test_oversized_rational_literal_is_an_input_error():
     # beyond the interpreter's 4300-digit limit for int parsing
     for text in ("1" * 4400, "1/" + "3" * 4400):
         with pytest.raises(InputError):
-            rational_from_str(text)
+            rat(text)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ def test_oversized_rational_literal_is_an_input_error():
     ids=repr,
 )
 def test_rational_literal_values(text, value):
-    got = rational_from_str(text)
+    got = rat(text)
     assert got == value == Fraction(text.strip()) and type(got) is Fraction
 
 
@@ -68,7 +68,7 @@ def test_rational_literal_values(text, value):
 )
 def test_rational_literal_errors(text, message):
     with pytest.raises(InputError, match=message):
-        rational_from_str(text)
+        rat(text)
 
 
 def test_round_trip_every_catalog_entry():
@@ -316,3 +316,14 @@ def test_form_presence_switches_type():
     g = algebra_from_dict(d)
     assert not isinstance(g, QuadraticLieSuperalgebra)
     assert g.constants == q.algebra.constants
+
+
+def test_only_an_algebra_is_serialized():
+    with pytest.raises(InputError, match="cannot serialize int"):
+        dumps(5)
+
+
+def test_loading_a_missing_path_is_an_input_error(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(InputError, match=f"cannot read {path}: "):
+        load(str(path))
