@@ -30,6 +30,7 @@ from .cochains import (
     _combination,
     _contractions,
     _letters,
+    _sorted_cochain,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -413,8 +414,28 @@ def betti_table(
 
 
 def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
+    """True iff delta(c) = 0; c may mix degrees.
+
+    delta keeps the degree and the block key (``Complex.key``), so the
+    terms of c in each ``Complex.built(k)`` map into built(k + 1) and the
+    others outside it: each part is checked on its own.  A term of
+    built(k) whose delta_k the complex already keeps is read off that
+    delta_k's columns, one exact sparse sum per degree.  Every other term
+    (of nonzero inner weight, or of a degree with no delta_k kept) goes
+    through one ``differential_direct`` call.  No delta is built here.
+    """
     cx = _complex(q, c)
-    return differential_direct(cx.algebra, c).is_zero
+    kept: dict[int, list[tuple[Rat, dict[int, Rat]]]] = {}
+    rest = []
+    for m, a in c.terms:
+        hit = cx._deltas.get(k := m.degree)  # (delta_k, verified) or None
+        if hit and (i := hit[0].source._index.get(m)) is not None:
+            kept.setdefault(k, []).append((a, hit[0].columns[i]))
+        else:
+            rest.append((m, a))
+    if any(any(_combination(parts).values()) for parts in kept.values()):
+        return False
+    return not rest or differential_direct(cx.algebra, _sorted_cochain(cx.basis, tuple(rest))).is_zero
 
 
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
@@ -437,6 +458,8 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     if cx.image(k - 1, False).remainder({index[m]: _num(a) for m, a in c.terms if m in index}):
         return False
     rest, witness = tuple((m, a) for m, a in c.terms if m not in index), []
+    if not rest:
+        return True
     for m, a in rest:
         x, s = next((x, s) for x, w in cx.torus if (s := sum(w[t] for t in m.even + m.odd)))
         witness += ((x.get(t, 0), part) for t, part in _contractions([(m, -a / s)]).items())
@@ -481,7 +504,7 @@ def class_vector(
         raise InputError(f"result is for degree {result.degree}, not {k}")
     quotient = result._quotient
     index, n = quotient.source._index, quotient.n
-    v = quotient.remainder({index[m]: x for m, x in c.terms if m in index})
+    v = quotient.remainder({index[m]: _num(x) for m, x in c.terms if m in index})
     if min(v, default=n) < n:
         raise EngineError("cocycle does not decompose over B + representatives")
     return [_frac(-v.get(n + i, 0)) for i in range(result.betti)]

@@ -3,6 +3,7 @@ import gc
 import importlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -525,6 +526,13 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     q = build(key)
     res = cohomology(q, 2, verify=False)
     assert len(built) == 2  # delta_2 and delta_1
+    direct, original_direct = [], module.differential_direct
+
+    def recorded_direct(g, c):
+        direct.append(c)
+        return original_direct(g, c)
+
+    monkeypatch.setattr(module, "differential_direct", recorded_direct)
     for c in _seeded_queries(q, 2, res.representatives, random.Random(f"queries {key}"), 34):
         cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
         if cocycle:
@@ -537,6 +545,66 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     assert calls == {"_dual_differentials": 1, "diagonal_weights": int(key in TORUS_KEYS)}
     # the queries read B^2 off the echelon of delta_1 the set-up made
     assert len(built) == 2
+    # and delta_2 off its columns: only terms outside the built parts, of
+    # nonzero inner weight, are differentiated term by term
+    cx = res._complex
+    assert all(c.terms and all(m not in cx.built(m.degree)._index for m, _ in c.terms) for c in direct)
+    assert bool(direct) == (key in TORUS_KEYS)
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_is_cocycle_matches_the_direct_differential(key):
+    """Seeded cochains of degrees 0-4, half of them plus one of the next
+    degree: delta(b) plus representatives, some plus a monomial (mostly
+    no cocycle then).  Each is checked with no complex alive, with delta_1
+    and delta_2 kept, and with delta_0..delta_4 kept; on the inner-torus
+    keys some have terms both in and outside the built part."""
+    cold, partial, full = build(key), build(key), build(key)
+    g = getattr(cold, "algebra", cold)
+    rng = random.Random(f"is_cocycle {key}")
+    reps = [r.representatives for r in betti_table(build(key), 5, verify=False)]
+
+    def piece(k: int) -> Cochain:
+        lower, same = monomials_of_degree(g.basis, k - 1) if k else [], monomials_of_degree(g.basis, k)
+        b = {m: Fraction(rng.choice((-3, 1, 2)), rng.choice((1, 2))) for m in rng.sample(lower, min(2, len(lower)))}
+        c = differential_direct(g, Cochain.from_terms(g.basis, b))
+        for rep in reps[k]:
+            c = c + rep.scale(Fraction(rng.choice((-1, 0, 2))))
+        if same and rng.random() < 0.4:
+            c = c + Cochain.from_terms(g.basis, {rng.choice(same): Fraction(1)})
+        return c
+
+    held = [cohomology(partial, 2, verify=False), *betti_table(full, 4, verify=False)]
+    cx, answers, split = held[1]._complex, [], False
+    for k in range(5):
+        for i in range(6):
+            c = piece(k) + piece(k + 1) if i % 2 else piece(k)
+            want = differential_direct(g, c).is_zero
+            for q in (cold, partial, full):
+                assert is_cocycle(q, c) == want, (key, str(c))
+            answers.append(want)
+            inside = {m in cx.built(m.degree)._index for m, _ in c.terms if m.degree < 5}
+            split |= inside == {True, False}
+    assert True in answers and False in answers
+    assert split == (key in TORUS_KEYS)
+
+
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+def test_a_cold_is_cocycle_builds_no_delta(monkeypatch, key):
+    """With no delta_k kept, for no complex alive or for a degree the
+    complex has not built, is_cocycle makes one differential_direct call
+    and builds nothing."""
+    q = build(key)
+    queries = _seeded_queries(q, 2, (), random.Random(f"cold {key}"), 10)
+    calls = _count_calls(monkeypatch, ("differential_matrix", "differential_direct"))
+    answers = [is_cocycle(q, c) for c in queries]
+    assert calls == {"differential_matrix": 0, "differential_direct": len(queries)}
+    res = cohomology(q, 1, verify=False)  # keeps delta_0 and delta_1
+    calls.update(differential_matrix=0, differential_direct=0)
+    assert [is_cocycle(q, c) for c in queries] == answers
+    assert calls == {"differential_matrix": 0, "differential_direct": len(queries)}
+    assert 2 not in res._complex._deltas
+    assert is_cocycle(q, Cochain.zero(q.basis)) and calls["differential_direct"] == len(queries)
 
 
 def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch):
@@ -926,6 +994,50 @@ def test_every_algebra_argument_is_checked_alike(bad):
 )
 def test_a_cochain_of_another_degree_and_a_bare_zero_class_are_refused(call, message):
     with pytest.raises(InputError, match=message):
+        call(build("g_4_1_s"))
+
+
+def _mixed(q) -> Cochain:
+    return mono(q.basis, even_labels=("Y0",)) + mono(q.basis, odd_labels=("X1", "X1"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda q: cochain_basis(q, 1).from_coordinates(q.basis, {4: Fraction(1)}),
+            InputError,
+            "coordinate index out of range",
+            id="from_coordinates-index",
+        ),
+        pytest.param(
+            lambda q: class_vector(q, cohomology(q, 2).representatives[0], result=cohomology(q, 1)),
+            InputError,
+            "result is for degree 1, not 2",
+            id="class_vector-result-degree",
+        ),
+        pytest.param(
+            lambda q: is_coboundary(q, _mixed(q)),
+            InputError,
+            "coboundary test requires a Z-homogeneous cochain",
+            id="is_coboundary-mixed",
+        ),
+        pytest.param(
+            lambda q: class_vector(q, _mixed(q)),
+            InputError,
+            "class_vector requires a Z-homogeneous cochain",
+            id="class_vector-mixed",
+        ),
+        pytest.param(
+            lambda q: replace(cohomology(q, 2), betti=3),
+            EngineError,
+            "betti must equal dim cocycles - dim coboundaries",
+            id="CohomologyResult-betti",
+        ),
+    ],
+)
+def test_each_refusal_names_its_rule(call, error, message):
+    with pytest.raises(error, match=message):
         call(build("g_4_1_s"))
 
 
