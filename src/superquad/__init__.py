@@ -35,7 +35,6 @@ from .cochains import (
     Cochain,
     Monomial,
     associated_three_form,
-    contract_vector,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,

@@ -75,10 +75,6 @@ class Monomial:
         return self._hash
 
     @property
-    def alt_degree(self) -> int:
-        return len(self.even)
-
-    @property
     def sym_degree(self) -> int:
         return len(self.odd)
 
@@ -396,23 +392,6 @@ def _combination(
     return acc
 
 
-def contract_vector(c: Cochain, vector: Sequence[Rat]) -> Cochain:
-    """Contraction with a parity-homogeneous coordinate vector."""
-    _check_cochain(c, None)
-    if not isinstance(vector, (list, tuple)):
-        raise InputError("contraction vector must be a list or tuple")
-    v = [rat(x) for x in vector]
-    if len(v) != c.basis.dim:
-        raise InputError("contraction vector has the wrong length")
-    parity = c.basis.parity_of_vector(v)
-    if parity is None and any(x != 0 for x in v):
-        raise InputError("contraction vector must be parity-homogeneous")
-    contractions = _contractions(c.terms)
-    return _cochain(
-        c.basis, _combination((x, contractions.get(i, {})) for i, x in enumerate(v))
-    )
-
-
 def _dual_differentials(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
     """delta(t*) for every basis index t, coefficients in the kernels'
     form (see ``linalg._num``).
@@ -447,17 +426,22 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     t is, leaves (-1)^p for an even t and (-1)^(k-1) for each occurrence
     of an odd t.  The contraction i_t (``_contractions``) deletes t with (-1)^p,
     or with mu (-1)^k for an odd t of multiplicity mu: hence eps_t.  All
-    the terms of c that contain t go into one wedge with delta(t*).
-    Degree-0 terms map to zero.  The evaluation formula on every
-    canonical (k+1)-tuple is kept in the tests as the oracle.
+    the terms of c that contain t go into one wedge with delta(t*)
+    (``_delta``).  Degree-0 terms map to zero.  The evaluation formula on
+    every canonical (k+1)-tuple is kept in the tests as the oracle.
     """
     _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
+    return _cochain(g.basis, _delta(g, ((m, _num(x)) for m, x in c.terms)))
+
+
+def _delta(g: LieSuperalgebra, terms: Iterable[tuple[Monomial, Rat | int]]) -> dict[Monomial, Rat | int]:
+    """delta of (monomial, coefficient in the kernels' form) terms, zero-free."""
     ne, duals = g.basis.even_dim, g._duals
-    acc: dict[Monomial, Rat] = {}
-    for t, contracted in _contractions((m, _num(x)) for m, x in c.terms).items():
+    acc: dict[Monomial, Rat | int] = {}
+    for t, contracted in _contractions(terms).items():
         if duals[t]:
             _wedge_into(acc, contracted.items(), duals[t].items(), 1 if t < ne else -1)
-    return _cochain(g.basis, acc)
+    return {m: x for m, x in acc.items() if x}
 
 
 def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:
@@ -548,20 +532,25 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
 
 
 def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
-    """scale * {A, b} for the prepared left operand A: one wedge per
-    letter s of b's contractions."""
+    """scale * {A, b} for the prepared left operand A (``_poisson``)."""
     _check_cochain(b, left.basis)
-    ne = b.basis.even_dim
-    acc: dict[Monomial, Rat] = {}
+    return _cochain(b.basis, _poisson(left, [(m, _num(c)) for m, c in b.terms], scale))
+
+
+def _poisson(left: _PoissonLeft, terms: Sequence[tuple[Monomial, Rat | int]], scale: int) -> dict:
+    """scale * {A, terms} for the prepared left operand A, zero-free, as in
+    ``_delta``: one wedge per letter s of the terms' contractions."""
+    ne = left.basis.even_dim
+    acc: dict[Monomial, Rat | int] = {}
     # eps_s depends on the symmetric degree g of a right term: contract
     # the right terms of each parity of g apart
     for parity in (0, 1):
-        right = _contractions((m, _num(c)) for m, c in b.terms if m.sym_degree % 2 == parity)
+        right = _contractions((m, c) for m, c in terms if m.sym_degree % 2 == parity)
         odd_sign = scale if parity else -scale
         for s, right_s in right.items():
             if left.dual[s]:
                 _wedge_into(acc, left.dual[s].items(), right_s.items(), scale if s < ne else odd_sign)
-    return _cochain(b.basis, acc)
+    return {m: x for m, x in acc.items() if x}
 
 
 def differential_via_poisson(q: QuadraticLieSuperalgebra, c: Cochain) -> Cochain:

@@ -14,6 +14,7 @@ built and eliminated, and the others are counted.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,13 +27,13 @@ from .cochains import (
     Monomial,
     _basis_of,
     _check_cochain,
-    _cochain,
     _combination,
     _contractions,
+    _delta,
     _letters,
+    _monomial,
+    _poisson,
     _sorted_cochain,
-    differential_direct,
-    differential_via_poisson,
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
@@ -152,6 +153,7 @@ class Complex:
         self.algebra = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
         self._sized = -1  # the largest k_max check_size passed
         self._built: dict[int, CochainBasis] = {}
+        self._keys: dict[int, dict[Monomial, tuple[int, ...]]] = {}  # the block keys of built(k), with a torus
         # degree -> (delta_k, built with the cross-check or not)
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._images: dict[int, Echelon] = {}
@@ -176,7 +178,7 @@ class Complex:
                 got = _combination((a, contractions.get(i, {})) for i, a in x.items())
                 if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
                     raise EngineError(f"i_x delta({self.basis.labels[t]}*) != -w t*: the inner torus is wrong")
-            if not differential_direct(self.algebra, _cochain(self.basis, image)).is_zero:
+            if _delta(self.algebra, image.items()):
                 raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
         return torus
 
@@ -186,28 +188,35 @@ class Complex:
         each (x, w) of the inner torus, each column scaled once by a
         positive int to ints, then its parity.  ad x is a diagonal
         derivation, so a column w splits no block: it only carries the
-        inner weight into every block key (``key``)."""
+        inner weight into every block key (``built``)."""
         columns = [*zip(*(row[:-1] for row in diagonal_weights(self.algebra))), *(w for _, w in self.torus)]
         scales = [lcm(*(x.denominator for x in col)) for col in columns]
         return [(*(int(col[t] * s) for col, s in zip(columns, scales)), p) for t, p in enumerate(self.basis.parities)]
 
-    def key(self, m: Monomial) -> tuple[int, ...]:
-        """The block key of m, computed on each call: the sums of its
-        letters' ``weights``, the last one (its odd letters) taken mod 2.
-        delta keeps it."""
-        weights = self.weights
-        zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
-        *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
-        return (*lam, odd % 2)
-
     def built(self, k: int) -> CochainBasis:
-        """The monomials of C^k whose inner weights (``key``) are 0, in
-        basis order, or C^k itself without an inner torus: the source of
-        delta_k and the target of delta_{k-1}, made once, on first use."""
-        if k not in self._built:
-            s, monomials = len(self.torus), monomials_of_degree(self.basis, k)
-            zero = (m for m in monomials if not any(self.key(m)[-1 - s : -1])) if s else monomials
-            self._built[k] = CochainBasis(k, tuple(zero))
+        """The monomials of C^k of inner weight 0, in basis order, or C^k
+        itself without an inner torus: the source of delta_k and the target
+        of delta_{k-1}, made once, on first use.  With an inner torus, per
+        alternating degree a, the odd multisets of size k - a are grouped by
+        inner weight and each even a-subset takes the group of minus its
+        own; ``_keys[k]`` keeps each one's block key (the sums of its
+        letters' ``weights``, the last one taken mod 2), which delta keeps."""
+        if k not in self._built and not self.torus:
+            self._built[k] = CochainBasis(k, tuple(monomials_of_degree(self.basis, k)))
+        elif k not in self._built:
+            weights, s, ne, keys = self.weights, len(self.torus), self.basis.even_dim, {}
+            zero = (0,) * len(weights[0])  # the key of 1, so an empty part sums too
+            for a in range(min(k, ne) + 1):
+                odd: dict[tuple[int, ...], list] = {}
+                for od in itertools.combinations_with_replacement(range(ne, self.basis.dim), k - a):
+                    w = tuple(map(sum, zip(zero, *map(weights.__getitem__, od))))
+                    odd.setdefault(w[-1 - s : -1], []).append((od, w))
+                for ev in itertools.combinations(range(ne), a):
+                    w = tuple(map(sum, zip(zero, *map(weights.__getitem__, ev))))
+                    for od, v in odd.get(tuple(-x for x in w[-1 - s : -1]), ()):
+                        *lam, p = map(int.__add__, w, v)
+                        keys[_monomial(ev, od)] = (*lam, p % 2)
+            self._keys[k], self._built[k] = keys, CochainBasis(k, tuple(keys))
         return self._built[k]
 
     def acyclic_dim(self, k: int) -> int:
@@ -276,34 +285,30 @@ def differential_matrix(
     """delta_k from the built part of C^k to that of C^{k+1}
     (``Complex.built``), column by column; no other code makes its columns.
 
-    Each column is differential_direct of a basis monomial.  When
-    ``verify`` is true and q is quadratic, every column is recomputed in
-    full as -{I, monomial} (``differential_via_poisson``), and the two
-    must agree exactly.
+    Each column is delta of a basis monomial, the zero-free accumulator
+    of ``differential_direct``'s kernel, stored as Fractions.  When
+    ``verify`` is true and q is quadratic, the accumulator of -{I, monomial}
+    (``differential_via_poisson``'s kernel) must equal it exactly.
 
     delta keeps the weight of every diagonal derivation and the
     sym-parity (Hochschild-Serre), so it maps each block into the block
-    with the same key (``Complex.key``), and the built part into the
-    built part.  Certificate, with an inner torus: every term of every
-    column must have its source's key, or the torus or delta is wrong
-    (EngineError).
+    with the same key, and the built part into the built part.
+    Certificate, with an inner torus: every term of every column must have
+    its source's key among those ``Complex.built`` keeps for C^{k+1}, or
+    the torus or delta is wrong (EngineError).
     """
     cx = _complex(q)
     cx.check_size(k)
-    g, poisson = cx.algebra, verify and isinstance(q, QuadraticLieSuperalgebra)
+    g, three = cx.algebra, verify and isinstance(q, QuadraticLieSuperalgebra) and q._three_form_left
     src, tgt = cx.built(k), cx.built(k + 1)
-    index, columns = tgt._index, []
+    index, columns, keys, target_keys = tgt._index, [], cx._keys.get(k), cx._keys.get(k + 1)
     for m in src.monomials:
-        c = _cochain(g.basis, {m: 1})
-        image = differential_direct(g, c).terms
-        if poisson and image != differential_via_poisson(q, c).terms:
-            raise EngineError(
-                f"differential_direct and differential_via_poisson disagree on {m} in degree {k}"
-            )
-        key = cx.key(m) if cx.torus else None
-        if key is not None and any(cx.key(mm) != key for mm, _ in image):
-            raise EngineError(f"delta of {m} leaves its weight block {key}: the torus or delta is wrong")
-        columns.append({index[mm]: x for mm, x in image})
+        image = _delta(g, ((m, 1),))
+        if three and image != _poisson(three, ((m, 1),), -1):
+            raise EngineError(f"differential_direct and differential_via_poisson disagree on {m} in degree {k}")
+        if keys is not None and any(target_keys.get(mm) != keys[m] for mm in image):
+            raise EngineError(f"delta of {m} leaves its weight block {keys[m]}: the torus or delta is wrong")
+        columns.append({index[mm]: _frac(x) for mm, x in image.items()})
     return DifferentialMatrix(src, tgt, tuple(columns))
 
 
@@ -416,13 +421,14 @@ def betti_table(
 def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff delta(c) = 0; c may mix degrees.
 
-    delta keeps the degree and the block key (``Complex.key``), so the
+    delta keeps the degree and the block key (``Complex.built``), so the
     terms of c in each ``Complex.built(k)`` map into built(k + 1) and the
     others outside it: each part is checked on its own.  A term of
     built(k) whose delta_k the complex already keeps is read off that
     delta_k's columns, one exact sparse sum per degree.  Every other term
     (of nonzero inner weight, or of a degree with no delta_k kept) goes
-    through one ``differential_direct`` call.  No delta is built here.
+    through one call of ``differential_direct``'s kernel.  No delta is
+    built here.
     """
     cx = _complex(q, c)
     kept: dict[int, list[tuple[Rat, dict[int, Rat]]]] = {}
@@ -435,13 +441,13 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
             rest.append((m, a))
     if any(any(_combination(parts).values()) for parts in kept.values()):
         return False
-    return not rest or differential_direct(cx.algebra, _sorted_cochain(cx.basis, tuple(rest))).is_zero
+    return not rest or not _delta(cx.algebra, ((m, _num(a)) for m, a in rest))
 
 
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
-    delta keeps the block key (``Complex.key``).  c's terms in the built
+    delta keeps the block key (``Complex.built``).  c's terms in the built
     part are reduced against B^k there (``Complex.image``); the others are
     a coboundary exactly when they are delta(b) for the witness b, the sum
     of -i_x(term) / s over them (Cartan: s != 0 is the term's inner weight
@@ -463,7 +469,7 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     for m, a in rest:
         x, s = next((x, s) for x, w in cx.torus if (s := sum(w[t] for t in m.even + m.odd)))
         witness += ((x.get(t, 0), part) for t, part in _contractions([(m, -a / s)]).items())
-    return differential_direct(cx.algebra, _cochain(cx.basis, _combination(witness))).terms == rest
+    return _delta(cx.algebra, _combination(witness).items()) == dict(rest)
 
 
 def class_vector(
@@ -481,6 +487,10 @@ def class_vector(
     call, so pass ``result=`` to reuse it.  The terms of c outside the
     result's blocks of inner weight 0 are dropped: delta keeps the inner
     weight, so they make a cocycle of acyclic blocks, a coboundary.
+    With a ``result`` of degree k, c's built part is reduced first: it is
+    a cocycle exactly when it decomposes, so ``is_cocycle`` runs only on
+    the other terms, or on c to tell a non-cocycle from a failed
+    decomposition (EngineError).
     """
     cx = _complex(q, c)
     if result is not None:
@@ -496,7 +506,7 @@ def class_vector(
             raise InputError("class_vector of 0 needs an explicit result")
         return [Fraction(0)] * result.betti
     k = _degree(c, "class_vector")
-    if not is_cocycle(cx.q, c):
+    if (tested := result is None or result.degree != k) and not is_cocycle(cx.q, c):
         raise InputError("class_vector requires a cocycle")
     if result is None:
         result = cohomology(cx.q, k, verify=False)
@@ -505,7 +515,10 @@ def class_vector(
     quotient = result._quotient
     index, n = quotient.source._index, quotient.n
     v = quotient.remainder({index[m]: _num(x) for m, x in c.terms if m in index})
-    if min(v, default=n) < n:
+    rest, failed = tuple((m, x) for m, x in c.terms if m not in index), min(v, default=n) < n
+    if not tested and (failed or rest) and not is_cocycle(cx.q, c if failed else _sorted_cochain(cx.basis, rest)):
+        raise InputError("class_vector requires a cocycle")
+    if failed:
         raise EngineError("cocycle does not decompose over B + representatives")
     return [_frac(-v.get(n + i, 0)) for i in range(result.betti)]
 

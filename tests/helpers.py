@@ -30,6 +30,13 @@ before it built only the blocks of inner weight 0 and counted the others.
 ``block_partition`` keys the monomials of C^k as the engine did before its
 integer block index: ``Fraction`` sums of the diagonal weights and of each
 inner-torus weight, monomial by monomial.
+``block_key`` is the integer block key of one monomial, summed from the
+complex's ``weights`` on each call, and ``built_by_filter`` the built part
+of C^k with its keys as the engine made it before it enumerated the
+monomials of inner weight 0 directly: all of C^k listed, each keyed, those
+of inner weight 0 kept.
+``contract_vector`` is the contraction with a coordinate vector, and
+``alt_degree`` the alternating degree of a monomial, both once public.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
@@ -55,6 +62,10 @@ from superquad.algebra import GradedBasis, Violation, _sparse_str, diagonal_weig
 from superquad.cochains import (
     Cochain,
     Monomial,
+    _check_cochain,
+    _cochain,
+    _combination,
+    _contractions,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -69,7 +80,7 @@ from superquad.extensions import (
     _grading_violations,
     validate_extension_datum,
 )
-from superquad.linalg import Echelon, Rat, _sparse_rows, rank, reduced_kernel
+from superquad.linalg import Echelon, Rat, _sparse_rows, rank, rat, reduced_kernel
 from superquad.quadratic import validate_quadratic
 from superquad.sp2 import Sp2Element, classify, commutator
 
@@ -132,6 +143,25 @@ def mono(q_or_basis, even_labels=(), odd_labels=(), coeff=1) -> Cochain:
 def bidegree(m: Monomial) -> tuple[int, int]:
     """Z x Z2 bidegree (total degree, parity of the symmetric degree)."""
     return (m.degree, m.sym_degree % 2)
+
+
+def alt_degree(m: Monomial) -> int:
+    return len(m.even)
+
+
+def contract_vector(c: Cochain, vector) -> Cochain:
+    """Contraction with a parity-homogeneous coordinate vector."""
+    _check_cochain(c, None)
+    if not isinstance(vector, (list, tuple)):
+        raise InputError("contraction vector must be a list or tuple")
+    v = [rat(x) for x in vector]
+    if len(v) != c.basis.dim:
+        raise InputError("contraction vector has the wrong length")
+    parity = c.basis.parity_of_vector(v)
+    if parity is None and any(x != 0 for x in v):
+        raise InputError("contraction vector must be parity-homogeneous")
+    contractions = _contractions(c.terms)
+    return _cochain(c.basis, _combination((x, contractions.get(i, {})) for i, x in enumerate(v)))
 
 
 def koszul(d1: tuple[int, int], d2: tuple[int, int]) -> int:
@@ -321,6 +351,23 @@ def block_partition(q, k: int) -> tuple[set[frozenset[Monomial]], tuple[Monomial
         if not any(sum((w[t] for t in letters), Fraction(0)) for _, w in torus):
             built.append(m)
     return {frozenset(b) for b in blocks.values()}, tuple(built)
+
+
+def block_key(cx, m: Monomial) -> tuple[int, ...]:
+    """The block key of m in the complex ``cx``: the sums of its letters'
+    ``weights``, the last one (its odd letters) taken mod 2."""
+    weights = cx.weights
+    zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
+    *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
+    return (*lam, odd % 2)
+
+
+def built_by_filter(cx, k: int) -> dict[Monomial, tuple[int, ...]]:
+    """The monomials of C^k of inner weight 0 (the torus entries of
+    ``block_key``), in basis order, each with its key."""
+    s = len(cx.torus)
+    keys = {m: block_key(cx, m) for m in monomials_of_degree(cx.basis, k)}
+    return {m: key for m, key in keys.items() if not any(key[-1 - s : -1])}
 
 
 def is_coboundary_full(q, c: Cochain) -> bool:

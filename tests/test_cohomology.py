@@ -14,7 +14,10 @@ import pytest
 from helpers import (
     NON_JACOBI_DOC,
     betti_table_unpruned,
+    block_key,
     block_partition,
+    built_by_filter,
+    contract_vector,
     doubled_odd_form,
     full_differential,
     is_coboundary_by_rank,
@@ -28,7 +31,6 @@ from superquad.cochains import (
     Cochain,
     Monomial,
     associated_three_form,
-    contract_vector,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -430,6 +432,7 @@ TABLES = (
     "associated_three_form",
     "_poisson_left",
     "_dual_differentials",
+    "CochainBasis",
     "monomials_of_degree",
     "differential_matrix",
 )
@@ -440,27 +443,30 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     q = build("g_8_2_5_s")
     result = cohomology(q, 3)
     # one complex: each table once, the built parts of C^0..C^4 once each
-    # (C^0 and C^1 for the dimensions of their acyclic blocks), delta_2 and delta_3
+    # (C^0 and C^1 for the dimensions of their acyclic blocks), delta_2 and
+    # delta_3; with an inner torus no C^k is listed in full
     once = dict.fromkeys(TABLES[:3], 1)
-    assert calls == {**once, "monomials_of_degree": 5, "differential_matrix": 2}
+    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "differential_matrix": 2}
     table = betti_table(q, 3)
     assert table[3] == result and table[3]._complex is result._complex
     # while the result holds it, the same complex: only delta_0 and delta_1
-    assert calls == {**once, "monomials_of_degree": 5, "differential_matrix": 2 + 2}
+    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "differential_matrix": 2 + 2}
     # with no result alive, a second complex: the built parts of C^0..C^4
     # and delta_0..delta_3 again, but the tables q keeps are not built again
     b3 = result.betti
     del result, table
     gc.collect()
     assert betti_table(q, 3)[3].betti == b3
-    assert calls == {**once, "monomials_of_degree": 5 + 5, "differential_matrix": 4 + 4}
+    assert calls == {**once, "CochainBasis": 5 + 5, "monomials_of_degree": 0, "differential_matrix": 4 + 4}
 
 
 def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     calls = _count_calls(monkeypatch, TABLES)
     q = build("g_6_s")
     table = betti_table(q, 3)
-    assert calls == {**dict.fromkeys(TABLES[:3], 1), "monomials_of_degree": 5, "differential_matrix": 4}
+    # no inner torus: each built part is all of its C^k, listed once
+    once = dict.fromkeys(TABLES[:3], 1)
+    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 5, "differential_matrix": 4}
     # the held results keep one complex, which keeps each delta_k; H^k is
     # derived from them again
     cx = table[0]._complex
@@ -526,13 +532,13 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     q = build(key)
     res = cohomology(q, 2, verify=False)
     assert len(built) == 2  # delta_2 and delta_1
-    direct, original_direct = [], module.differential_direct
+    direct, original_direct = [], module._delta
 
-    def recorded_direct(g, c):
-        direct.append(c)
-        return original_direct(g, c)
+    def recorded_direct(g, terms):
+        direct.append(terms := list(terms))
+        return original_direct(g, terms)
 
-    monkeypatch.setattr(module, "differential_direct", recorded_direct)
+    monkeypatch.setattr(module, "_delta", recorded_direct)
     for c in _seeded_queries(q, 2, res.representatives, random.Random(f"queries {key}"), 34):
         cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
         if cocycle:
@@ -548,8 +554,39 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     # and delta_2 off its columns: only terms outside the built parts, of
     # nonzero inner weight, are differentiated term by term
     cx = res._complex
-    assert all(c.terms and all(m not in cx.built(m.degree)._index for m, _ in c.terms) for c in direct)
+    assert all(terms and all(m not in cx.built(m.degree)._index for m, _ in terms) for terms in direct)
     assert bool(direct) == (key in TORUS_KEYS)
+
+
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+def test_a_class_query_tests_the_cocycle_once(monkeypatch, key):
+    """A class query as the class_queries workload makes it (is_cocycle,
+    is_coboundary, then class_vector with the held result) tests c once:
+    class_vector reduces c's built part first and runs is_cocycle only on
+    the terms outside it, or on c when the decomposition fails."""
+    q = build(key)
+    res = cohomology(q, 2, verify=False)
+    index = res._complex.built(2)._index
+    module = importlib.import_module("superquad.cohomology")
+    tested, original = [], module.is_cocycle
+    monkeypatch.setattr(module, "is_cocycle", lambda q, c: tested.append(c) or original(q, c))
+    queries = _seeded_queries(q, 2, res.representatives, random.Random(f"once {key}"), 34)
+    kinds = set()
+    for c in queries:
+        tested.clear()
+        cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
+        rest = Cochain.from_terms(q.basis, [(m, x) for m, x in c.terms if m not in index])
+        if cocycle:
+            assert coboundary == (not any(class_vector(q, c, result=res)))
+            # no second test of c: none at all, or one of the terms outside built(2)
+            assert tested == ([rest] if rest.terms else []), str(c)
+        else:
+            with pytest.raises(InputError, match="requires a cocycle"):
+                class_vector(q, c, result=res)
+            assert len(tested) == 1 and tested[0] in (c, rest), str(c)
+        kinds.add((cocycle, bool(tested)))
+    # g_6_s has no inner torus: every cocycle query is tested once in all
+    assert kinds == ({(True, False), (False, True)} | ({(True, True)} if key in TORUS_KEYS else set()))
 
 
 @pytest.mark.parametrize("key", catalog_keys())
@@ -592,19 +629,19 @@ def test_is_cocycle_matches_the_direct_differential(key):
 @pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
 def test_a_cold_is_cocycle_builds_no_delta(monkeypatch, key):
     """With no delta_k kept, for no complex alive or for a degree the
-    complex has not built, is_cocycle makes one differential_direct call
-    and builds nothing."""
+    complex has not built, is_cocycle makes one call of
+    differential_direct's kernel and builds nothing."""
     q = build(key)
     queries = _seeded_queries(q, 2, (), random.Random(f"cold {key}"), 10)
-    calls = _count_calls(monkeypatch, ("differential_matrix", "differential_direct"))
+    calls = _count_calls(monkeypatch, ("differential_matrix", "_delta"))
     answers = [is_cocycle(q, c) for c in queries]
-    assert calls == {"differential_matrix": 0, "differential_direct": len(queries)}
+    assert calls == {"differential_matrix": 0, "_delta": len(queries)}
     res = cohomology(q, 1, verify=False)  # keeps delta_0 and delta_1
-    calls.update(differential_matrix=0, differential_direct=0)
+    calls.update(differential_matrix=0, _delta=0)
     assert [is_cocycle(q, c) for c in queries] == answers
-    assert calls == {"differential_matrix": 0, "differential_direct": len(queries)}
+    assert calls == {"differential_matrix": 0, "_delta": len(queries)}
     assert 2 not in res._complex._deltas
-    assert is_cocycle(q, Cochain.zero(q.basis)) and calls["differential_direct"] == len(queries)
+    assert is_cocycle(q, Cochain.zero(q.basis)) and calls["_delta"] == len(queries)
 
 
 def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch):
@@ -753,7 +790,7 @@ def test_differential_matrix_is_the_built_block_of_the_full_one(key):
         for m, whole in zip(full.source.monomials, full.columns):
             image = {full.target.monomials[i]: x for i, x in whole.items()}
             # the whole delta keeps every block key
-            assert all(cx.key(mm) == cx.key(m) for mm in image), (key, k, m)
+            assert all(block_key(cx, mm) == block_key(cx, m) for mm in image), (key, k, m)
             if m in d.source._index:
                 col = d.columns[d.source._index[m]]
                 assert {d.target.monomials[i]: x for i, x in col.items()} == image, (key, k, m)
@@ -772,8 +809,53 @@ def test_the_block_keys_are_the_partition_of_the_oracle(key, degrees):
     for k in degrees:
         blocks: dict[tuple, set[Monomial]] = {}
         for m in monomials_of_degree(q.basis, k):
-            blocks.setdefault(cx.key(m), set()).add(m)
+            blocks.setdefault(block_key(cx, m), set()).add(m)
         assert ({frozenset(b) for b in blocks.values()}, cx.built(k).monomials) == block_partition(q, k), (key, k)
+
+
+@pytest.mark.parametrize(
+    "key, degrees",
+    [
+        *(pytest.param(key, range(7), id=f"{key}-0-6") for key in catalog_keys()),
+        pytest.param("g_8_2_5_s", range(31), id="g_8_2_5_s-0-30"),
+    ],
+)
+def test_the_built_parts_are_those_of_the_filter_oracle(key, degrees):
+    """built(k), enumerated directly, is all of C^k keyed and filtered by
+    inner weight: the same monomials in the same order, the same keys."""
+    cx = _complex(build(key))
+    for k in degrees:
+        want = built_by_filter(cx, k)
+        assert cx.built(k).monomials == tuple(want), (key, k)
+        assert cx._keys.get(k) == (want if cx.torus else None), (key, k)
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["nonzero-inner-weight", "another-built-block"])
+def test_block_certificate_catches_an_injected_term_of_another_block(monkeypatch, inside):
+    """A term of another block injected into delta of one monomial raises
+    the block certificate's EngineError, never a KeyError: one of nonzero
+    inner weight has no key among those of built(k + 1)."""
+    q, k = build("g_8_2_5_s"), 2
+    cx = _complex(q)
+    cx.built(k + 1)
+    m0, targets = cx.built(k).monomials[0], cx._keys[k + 1]
+    if inside:
+        stray = next(m for m, key in targets.items() if key != cx._keys[k][m0])
+    else:
+        stray = next(m for m in monomials_of_degree(q.basis, k + 1) if m not in targets)
+    module = importlib.import_module("superquad.cohomology")
+    original = module._delta
+
+    def leaking(g, terms):
+        terms = list(terms)
+        image = original(g, terms)
+        if terms == [(m0, 1)]:
+            image[stray] = 1
+        return image
+
+    monkeypatch.setattr(module, "_delta", leaking)
+    with pytest.raises(EngineError, match="leaves its weight block"):
+        differential_matrix(q, k, verify=False)
 
 
 def _inner_weight(m: Monomial, w) -> Fraction:

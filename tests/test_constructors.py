@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import contract_vector
 from superquad import BilinearForm, Cochain, GradedBasis, LieSuperalgebra, build
 from superquad.algebra import center, derived_series, diagonal_weights, inner_torus, is_solvable
-from superquad.cochains import contract_vector
 from superquad.errors import InputError
 from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import rat
