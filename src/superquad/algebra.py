@@ -226,6 +226,20 @@ class LieSuperalgebra:
 
         return _dual_differentials(self)
 
+    @cached_property
+    def _torus(self) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
+        """The inner torus, certified (``cohomology._certified_torus``), built once."""
+        from .cohomology import _certified_torus
+
+        return _certified_torus(self)
+
+    @cached_property
+    def _weights(self) -> list[tuple[int, ...]]:
+        """The block weights (``cohomology._block_weights``), built once."""
+        from .cohomology import _block_weights
+
+        return _block_weights(self)
+
     def bracket(self, x: Sequence[Rat], y: Sequence[Rat]) -> list[Rat]:
         """Bracket of two coordinate vectors."""
         n = self.dim

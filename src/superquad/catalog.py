@@ -13,7 +13,7 @@ from fractions import Fraction
 from .algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from .errors import EngineError, InputError
 from .extensions import Superderivation, central_reduction
-from .linalg import Rat, _combine, _frac, rat
+from .linalg import Rat, _combine, rat
 from .quadratic import BilinearForm, QuadraticLieSuperalgebra, validate_quadratic
 
 __all__ = [
@@ -96,7 +96,7 @@ def _derive_odd_odd_rows(labels, parities, rows, pairs):
     out = list(rows)
     for (i, j), coeffs in _combine(w, form.inverse_columns).items():
         if coeffs:
-            terms = {basis.labels[s]: _frac(coeffs[s]) for s in sorted(coeffs)}
+            terms = {basis.labels[s]: coeffs[s] for s in sorted(coeffs)}
             out.append((basis.labels[i], basis.labels[j], terms))
     return out
 

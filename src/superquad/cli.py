@@ -57,8 +57,11 @@ def _resolve_target(target: str, params: dict[str, Fraction]):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

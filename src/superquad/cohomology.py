@@ -1,10 +1,10 @@
 """Exact cohomology of the super-exterior complex.
 
 One ``Complex`` per algebra holds what the engine reads more than once
-per degree: the built parts of the cochain spaces, with the inner torus
-that prunes them, and each delta_k as exact sparse columns between them.
-What depends on the algebra alone (its bracket table, delta(t*), I and
-I's side of {I, .}) is kept on the algebra object.  Kernels, images and
+per degree: the built parts of the cochain spaces and each delta_k as
+exact sparse columns between them.  What depends on the algebra alone
+(its bracket table, delta(t*), the inner torus, I and I's side of
+{I, .}) is kept on the algebra object.  Kernels, images and
 quotients are computed by exact sparse elimination over the rationals.
 
 When some even x has a diagonal ad x with a nonzero weight (the inner
@@ -26,6 +26,7 @@ from .cochains import (
     Cochain,
     Monomial,
     _basis_of,
+    _cochain,
     _check_cochain,
     _combination,
     _contractions,
@@ -37,7 +38,7 @@ from .cochains import (
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, _check_degree, _frac, _num, _sparse_rows, reduced_kernel
+from .linalg import Echelon, Rat, _check_degree, _frac, _num, reduced_kernel
 from .quadratic import QuadraticLieSuperalgebra
 
 __all__ = [
@@ -91,21 +92,6 @@ class CochainBasis:
     def dimension(self) -> int:
         return len(self.monomials)
 
-    def coordinates(self, c: Cochain) -> dict[int, Rat]:
-        idx, vec = self._index, {}
-        for m, coeff in c.terms:
-            if m not in idx:
-                raise InputError(
-                    f"cochain term {m} does not live in C^{self.degree}"
-                )
-            vec[idx[m]] = coeff
-        return vec
-
-    def from_coordinates(self, basis: GradedBasis, vec: dict[int, Rat]) -> Cochain:
-        if any(not 0 <= i < len(self.monomials) for i in vec):
-            raise InputError("coordinate index out of range")
-        return Cochain.from_terms(basis, {self.monomials[i]: x for i, x in vec.items()})
-
 
 def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
     basis = _basis_of(g, (GradedBasis, LieSuperalgebra, QuadraticLieSuperalgebra))
@@ -114,11 +100,12 @@ def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
 
 @dataclass(frozen=True)
 class DifferentialMatrix:
-    """delta_k as columns {target index: nonzero}, one per source monomial."""
+    """delta_k as columns {target index: nonzero}, one per source monomial,
+    in the kernels' form (``linalg._num``) or, at the API, as Fractions."""
 
     source: CochainBasis
     target: CochainBasis
-    columns: tuple[dict[int, Rat], ...]
+    columns: tuple[dict[int, Rat | int], ...]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,18 +120,49 @@ class DifferentialMatrix:
         )
 
 
+def _certified_torus(g: LieSuperalgebra) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
+    """The inner torus of g (``inner_torus``): pairs (x, w), [x, e_t] = w_t e_t.
+
+    Certificate, on every build: i_x delta(t*) = -w_t t* for each x and
+    letter t.  i_x t* is a constant, so this is Cartan's
+    L_x = delta i_x + i_x delta on the generators, and both sides are even
+    derivations: L_x multiplies a monomial by minus the sum w(m) of its
+    letters' weights (its inner weight).  With delta(delta(t*)) = 0 for
+    every t (super Jacobi), checked too, a block of inner weight s != 0 is
+    acyclic: c = delta(-i_x c / s) for every cocycle c there.
+    """
+    torus, ne, labels = inner_torus(g), g.basis.even_dim, g.basis.labels
+    for t, image in g._duals.items() if torus else ():
+        contractions = _contractions(image.items())
+        for x, w in torus:
+            got = _combination((a, contractions.get(i, {})) for i, a in x.items())
+            if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
+                raise EngineError(f"i_x delta({labels[t]}*) != -w t*: the inner torus is wrong")
+        if _delta(g, image.items()):
+            raise InputError(f"delta(delta({labels[t]}*)) != 0, so the bracket fails super Jacobi")
+    return torus
+
+
+def _block_weights(g: LieSuperalgebra) -> list[tuple[int, ...]]:
+    """Per letter t: its ``diagonal_weights`` coordinates, then w_t for
+    each (x, w) of the inner torus, each column scaled once by a positive
+    int to ints, then its parity.  ad x is a diagonal derivation, so a
+    column w splits no block: it only carries the inner weight into every
+    block key (``Complex.built``)."""
+    columns = [*zip(*(row[:-1] for row in diagonal_weights(g))), *(w for _, w in g._torus)]
+    scales = [lcm(*(x.denominator for x in col)) for col in columns]
+    return [(*(int(col[t] * s) for col, s in zip(columns, scales)), p) for t, p in enumerate(g.basis.parities)]
+
+
 class Complex:
     """The cochain complex C(g) of the algebra ``q``, delta = -{I, .} when
-    it is quadratic.  Each part is built once, on first use, and kept: the
-    built part of each C^k (``built``), the inner torus (``torus``) and
-    weights, each delta_k (``delta``) and the echelon of its columns
-    (``image``); the algebra keeps the rest.  Every function of this
-    module reaches it through ``_complex``: one complex per algebra
-    object, alive while a caller or a CohomologyResult holds it.
-    Algebras are treated as immutable values.  A delta_k built without
-    the -{I, .} cross-check never serves a call that asks for it.
-    ``check_size`` is the monomial guard each of those functions runs
-    before any work.
+    it is quadratic.  It keeps only per-degree parts, each built once, on
+    first use: the built part of each C^k (``built``), each delta_k
+    (``delta``) and the echelon of its columns (``image``).  Every
+    function of this module reaches it through ``_complex``: one complex
+    per algebra object, alive while a caller or a CohomologyResult holds
+    it.  Algebras are treated as immutable values.  ``check_size`` is the
+    monomial guard each of those functions runs before any work.
     """
 
     def __init__(self, q: QuadraticLieSuperalgebra | LieSuperalgebra) -> None:
@@ -158,41 +176,6 @@ class Complex:
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._images: dict[int, Echelon] = {}
 
-    @cached_property
-    def torus(self) -> list[tuple[dict[int, Rat | int], tuple[Rat | int, ...]]]:
-        """The inner torus (``inner_torus``): pairs (x, w), [x, e_t] = w_t e_t.
-
-        Certificate, on every build: i_x delta(t*) = -w_t t* for each x
-        and letter t.  i_x t* is a constant, so this is Cartan's
-        L_x = delta i_x + i_x delta on the generators, and both sides are
-        even derivations: L_x multiplies a monomial by minus the sum w(m)
-        of its letters' weights (its inner weight).  With
-        delta(delta(t*)) = 0 for every t (super Jacobi), checked too, a
-        block of inner weight s != 0 is acyclic: c = delta(-i_x c / s) for
-        every cocycle c there.
-        """
-        torus, ne = inner_torus(self.algebra), self.basis.even_dim
-        for t, image in self.algebra._duals.items() if torus else ():
-            contractions = _contractions(image.items())
-            for x, w in torus:
-                got = _combination((a, contractions.get(i, {})) for i, a in x.items())
-                if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
-                    raise EngineError(f"i_x delta({self.basis.labels[t]}*) != -w t*: the inner torus is wrong")
-            if _delta(self.algebra, image.items()):
-                raise InputError(f"delta(delta({self.basis.labels[t]}*)) != 0, so the bracket fails super Jacobi")
-        return torus
-
-    @cached_property
-    def weights(self) -> list[tuple[int, ...]]:
-        """Per letter t: its ``diagonal_weights`` coordinates, then w_t for
-        each (x, w) of the inner torus, each column scaled once by a
-        positive int to ints, then its parity.  ad x is a diagonal
-        derivation, so a column w splits no block: it only carries the
-        inner weight into every block key (``built``)."""
-        columns = [*zip(*(row[:-1] for row in diagonal_weights(self.algebra))), *(w for _, w in self.torus)]
-        scales = [lcm(*(x.denominator for x in col)) for col in columns]
-        return [(*(int(col[t] * s) for col, s in zip(columns, scales)), p) for t, p in enumerate(self.basis.parities)]
-
     def built(self, k: int) -> CochainBasis:
         """The monomials of C^k of inner weight 0, in basis order, or C^k
         itself without an inner torus: the source of delta_k and the target
@@ -200,11 +183,11 @@ class Complex:
         alternating degree a, the odd multisets of size k - a are grouped by
         inner weight and each even a-subset takes the group of minus its
         own; ``_keys[k]`` keeps each one's block key (the sums of its
-        letters' ``weights``, the last one taken mod 2), which delta keeps."""
-        if k not in self._built and not self.torus:
+        letters' ``_block_weights``, the last taken mod 2), which delta keeps."""
+        if k not in self._built and not self.algebra._torus:
             self._built[k] = CochainBasis(k, tuple(monomials_of_degree(self.basis, k)))
         elif k not in self._built:
-            weights, s, ne, keys = self.weights, len(self.torus), self.basis.even_dim, {}
+            weights, s, ne, keys = self.algebra._weights, len(self.algebra._torus), self.basis.even_dim, {}
             zero = (0,) * len(weights[0])  # the key of 1, so an empty part sums too
             for a in range(min(k, ne) + 1):
                 odd: dict[tuple[int, ...], list] = {}
@@ -221,10 +204,10 @@ class Complex:
 
     def acyclic_dim(self, k: int) -> int:
         """dim Z^k = dim B^k over the blocks of nonzero inner weight (0
-        without an inner torus).  Those blocks are acyclic (``torus``), so
+        without an inner torus).  They are acyclic (``_certified_torus``), so
         dim Z^k_w = sum_{j<k} (-1)^(k-1-j) dim C^j_w, counted with no
         elimination: dim C^j (``cochain_dimension``) less the built part."""
-        if not self.torus:
+        if not self.algebra._torus:
             return 0
         return sum(
             (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - self.built(j).dimension)
@@ -243,20 +226,46 @@ class Complex:
             self._sized = k_max
 
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
-        """delta_k, built by ``differential_matrix`` on first use, and once
-        more if the cross-check is asked for and the first build had none."""
+        """delta_k from ``built(k)`` to ``built(k + 1)``, built on first use
+        and once more if the cross-check is asked for and the first build
+        had none; no other code makes its columns.  Column j is the
+        zero-free accumulator of ``differential_direct``'s kernel on source
+        monomial j, kept as it comes, {target index: int | Fraction}.  When
+        ``verify`` is true and q is quadratic, the accumulator of
+        -{I, monomial} (``differential_via_poisson``'s kernel) must equal it.
+
+        delta keeps the weight of every diagonal derivation and the
+        sym-parity (Hochschild-Serre), so it maps each block into the block
+        with the same key.  Certificate, with an inner torus: every term of
+        every column has its source's key among those ``built`` keeps for
+        C^{k+1}, or the torus or delta is wrong (EngineError).
+        """
         hit = self._deltas.get(k)
-        if hit is None or verify and not hit[1]:
-            hit = self._deltas[k] = (differential_matrix(self.q, k, verify=verify), verify)
-        return hit[0]
+        if hit is not None and (hit[1] or not verify):
+            return hit[0]
+        self.check_size(k)
+        q, g = self.q, self.algebra
+        three = verify and isinstance(q, QuadraticLieSuperalgebra) and q._three_form_left
+        src, tgt = self.built(k), self.built(k + 1)
+        index, columns, keys, target_keys = tgt._index, [], self._keys.get(k), self._keys.get(k + 1)
+        for m in src.monomials:
+            image = _delta(g, ((m, 1),))
+            if three and image != _poisson(three, ((m, 1),), -1):
+                raise EngineError(f"differential_direct and differential_via_poisson disagree on {m} in degree {k}")
+            if keys is not None and any(target_keys.get(mm) != keys[m] for mm in image):
+                raise EngineError(f"delta of {m} leaves its weight block {keys[m]}: the torus or delta is wrong")
+            columns.append({index[mm]: x for mm, x in image.items()})
+        d = DifferentialMatrix(src, tgt, tuple(columns))
+        self._deltas[k] = (d, verify)
+        return d
 
     def image(self, k: int, verify: bool = True) -> Echelon:
-        """The echelon of delta_k's columns, B^{k+1} on the built part of
-        C^{k+1}, eliminated once, on first use.  A rebuild of delta_k with
-        the cross-check has the same columns, so it keeps serving."""
+        """The echelon of copies of delta_k's columns, B^{k+1} on the built
+        part of C^{k+1}, eliminated once, on first use.  A rebuild of delta_k
+        with the cross-check has the same columns, so it keeps serving."""
         d = self.delta(k, verify)
         if k not in self._images:
-            self._images[k] = Echelon(_sparse_rows(d.columns))
+            self._images[k] = Echelon(dict(c) for c in d.columns)
         return self._images[k]
 
 
@@ -282,34 +291,11 @@ def differential_matrix(
     *,
     verify: bool = True,
 ) -> DifferentialMatrix:
-    """delta_k from the built part of C^k to that of C^{k+1}
-    (``Complex.built``), column by column; no other code makes its columns.
-
-    Each column is delta of a basis monomial, the zero-free accumulator
-    of ``differential_direct``'s kernel, stored as Fractions.  When
-    ``verify`` is true and q is quadratic, the accumulator of -{I, monomial}
-    (``differential_via_poisson``'s kernel) must equal it exactly.
-
-    delta keeps the weight of every diagonal derivation and the
-    sym-parity (Hochschild-Serre), so it maps each block into the block
-    with the same key, and the built part into the built part.
-    Certificate, with an inner torus: every term of every column must have
-    its source's key among those ``Complex.built`` keeps for C^{k+1}, or
-    the torus or delta is wrong (EngineError).
-    """
-    cx = _complex(q)
-    cx.check_size(k)
-    g, three = cx.algebra, verify and isinstance(q, QuadraticLieSuperalgebra) and q._three_form_left
-    src, tgt = cx.built(k), cx.built(k + 1)
-    index, columns, keys, target_keys = tgt._index, [], cx._keys.get(k), cx._keys.get(k + 1)
-    for m in src.monomials:
-        image = _delta(g, ((m, 1),))
-        if three and image != _poisson(three, ((m, 1),), -1):
-            raise EngineError(f"differential_direct and differential_via_poisson disagree on {m} in degree {k}")
-        if keys is not None and any(target_keys.get(mm) != keys[m] for mm in image):
-            raise EngineError(f"delta of {m} leaves its weight block {keys[m]}: the torus or delta is wrong")
-        columns.append({index[mm]: _frac(x) for mm, x in image.items()})
-    return DifferentialMatrix(src, tgt, tuple(columns))
+    """delta_k from the built part of C^k to that of C^{k+1}, with every
+    entry a Fraction: a view of the delta_k the complex of q builds and
+    keeps (``Complex.delta``, with its cross-check and certificate)."""
+    d = _complex(q).delta(k, verify)
+    return DifferentialMatrix(d.source, d.target, tuple({i: _frac(x) for i, x in c.items()} for c in d.columns))
 
 
 class _Quotient(Echelon):
@@ -399,7 +385,7 @@ def cohomology(
         dim_cocycles=n_z + acyclic,
         dim_coboundaries=n_b + acyclic,
         betti=n_z - n_b,
-        representatives=tuple(src.from_coordinates(cx.basis, v) for v in reps),
+        representatives=tuple(_cochain(cx.basis, {src.monomials[i]: x for i, x in v.items()}) for v in reps),
         _complex=cx,
         _quotient=quotient,
     )
@@ -436,7 +422,7 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     for m, a in c.terms:
         hit = cx._deltas.get(k := m.degree)  # (delta_k, verified) or None
         if hit and (i := hit[0].source._index.get(m)) is not None:
-            kept.setdefault(k, []).append((a, hit[0].columns[i]))
+            kept.setdefault(k, []).append((_num(a), hit[0].columns[i]))
         else:
             rest.append((m, a))
     if any(any(_combination(parts).values()) for parts in kept.values()):
@@ -451,7 +437,7 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     part are reduced against B^k there (``Complex.image``); the others are
     a coboundary exactly when they are delta(b) for the witness b, the sum
     of -i_x(term) / s over them (Cartan: s != 0 is the term's inner weight
-    for some (x, w) of ``Complex.torus``), checked by one differential.
+    for some (x, w) of the inner torus), checked by one differential.
     """
     cx = _complex(q, c)
     if c.is_zero:
@@ -467,7 +453,7 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     if not rest:
         return True
     for m, a in rest:
-        x, s = next((x, s) for x, w in cx.torus if (s := sum(w[t] for t in m.even + m.odd)))
+        x, s = next((x, s) for x, w in cx.algebra._torus if (s := sum(w[t] for t in m.even + m.odd)))
         witness += ((x.get(t, 0), part) for t, part in _contractions([(m, -a / s)]).items())
     return _delta(cx.algebra, _combination(witness).items()) == dict(rest)
 

@@ -18,7 +18,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _frac, _sparse_rows, rat, reduced_kernel
+from .linalg import Rat, _combine, _sparse_rows, rat, reduced_kernel
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -224,12 +224,8 @@ def skew_superderivation_space(
         matrix = [[Fraction(0)] * n for _ in range(n)]
         for k, x in v.items():
             i, j = slots[k]
-            matrix[i][j] = _frac(x)
-        out.append(
-            Superderivation(
-                matrix=tuple(tuple(row) for row in matrix), degree=degree
-            )
-        )
+            matrix[i][j] = x
+        out.append(Superderivation(matrix=matrix, degree=degree))
     return out
 
 

@@ -31,12 +31,15 @@ before it built only the blocks of inner weight 0 and counted the others.
 integer block index: ``Fraction`` sums of the diagonal weights and of each
 inner-torus weight, monomial by monomial.
 ``block_key`` is the integer block key of one monomial, summed from the
-complex's ``weights`` on each call, and ``built_by_filter`` the built part
+algebra's ``_weights`` on each call, and ``built_by_filter`` the built part
 of C^k with its keys as the engine made it before it enumerated the
 monomials of inner weight 0 directly: all of C^k listed, each keyed, those
 of inner weight 0 kept.
 ``contract_vector`` is the contraction with a coordinate vector, and
 ``alt_degree`` the alternating degree of a monomial, both once public.
+``coordinates`` and ``from_coordinates`` map a cochain to its coordinates
+in a ``CochainBasis`` and back, as that class's methods did before the
+engine kept delta_k's columns and made its representatives itself.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form.value`` per basis triple or pair.  They must report the same
@@ -71,7 +74,7 @@ from superquad.cochains import (
     monomials_of_degree,
     wedge,
 )
-from superquad.cohomology import CohomologyResult, DifferentialMatrix, _Quotient, cochain_basis
+from superquad.cohomology import CochainBasis, CohomologyResult, DifferentialMatrix, _Quotient, cochain_basis
 from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
@@ -290,6 +293,24 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
     return reps
 
 
+def coordinates(cb: CochainBasis, c: Cochain) -> dict[int, Rat]:
+    """c as {position in cb: coefficient}; InputError for a term outside cb."""
+    idx, vec = cb._index, {}
+    for m, coeff in c.terms:
+        if m not in idx:
+            raise InputError(f"cochain term {m} does not live in C^{cb.degree}")
+        vec[idx[m]] = coeff
+    return vec
+
+
+def from_coordinates(cb: CochainBasis, basis: GradedBasis, vec: dict[int, Rat]) -> Cochain:
+    """The cochain over ``basis`` with coordinates ``vec`` in cb;
+    InputError for a position outside cb."""
+    if any(not 0 <= i < len(cb.monomials) for i in vec):
+        raise InputError("coordinate index out of range")
+    return Cochain.from_terms(basis, {cb.monomials[i]: x for i, x in vec.items()})
+
+
 def full_differential(q, k: int, *, verify: bool = True) -> DifferentialMatrix:
     """The whole delta_k: differential_direct of every monomial of C^k,
     each checked against -{I, monomial} when q is quadratic and ``verify``
@@ -301,7 +322,7 @@ def full_differential(q, k: int, *, verify: bool = True) -> DifferentialMatrix:
         c = Cochain.from_terms(g.basis, {m: Fraction(1)})
         image = differential_direct(g, c)
         assert not poisson or image == differential_via_poisson(q, c), (k, m)
-        columns.append(tgt.coordinates(image))
+        columns.append(coordinates(tgt, image))
     return DifferentialMatrix(src, tgt, tuple(columns))
 
 
@@ -328,7 +349,7 @@ def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[Cohomolo
                 dim_cocycles=n_z,
                 dim_coboundaries=n_b,
                 betti=n_z - n_b,
-                representatives=tuple(src.from_coordinates(q.basis, v) for v in reps),
+                representatives=tuple(from_coordinates(src, q.basis, v) for v in reps),
             )
         )
     return out
@@ -355,8 +376,9 @@ def block_partition(q, k: int) -> tuple[set[frozenset[Monomial]], tuple[Monomial
 
 def block_key(cx, m: Monomial) -> tuple[int, ...]:
     """The block key of m in the complex ``cx``: the sums of its letters'
-    ``weights``, the last one (its odd letters) taken mod 2."""
-    weights = cx.weights
+    ``_weights`` (kept on cx's algebra), the last one (its odd letters)
+    taken mod 2."""
+    weights = cx.algebra._weights
     zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
     *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
     return (*lam, odd % 2)
@@ -365,7 +387,7 @@ def block_key(cx, m: Monomial) -> tuple[int, ...]:
 def built_by_filter(cx, k: int) -> dict[Monomial, tuple[int, ...]]:
     """The monomials of C^k of inner weight 0 (the torus entries of
     ``block_key``), in basis order, each with its key."""
-    s = len(cx.torus)
+    s = len(cx.algebra._torus)
     keys = {m: block_key(cx, m) for m in monomials_of_degree(cx.basis, k)}
     return {m: key for m, key in keys.items() if not any(key[-1 - s : -1])}
 
@@ -379,7 +401,7 @@ def is_coboundary_full(q, c: Cochain) -> bool:
     if k == 0:
         return False
     d_prev = full_differential(q, k - 1, verify=False)
-    return not Echelon(_sparse_rows(d_prev.columns)).remainder(d_prev.target.coordinates(c))
+    return not Echelon(_sparse_rows(d_prev.columns)).remainder(coordinates(d_prev.target, c))
 
 
 def is_coboundary_by_rank(q, c: Cochain) -> bool:
@@ -393,7 +415,7 @@ def is_coboundary_by_rank(q, c: Cochain) -> bool:
         return False
     d_prev = full_differential(q, k - 1, verify=False)
     columns = list(d_prev.columns)
-    return rank(columns + [d_prev.target.coordinates(c)]) == rank(columns)
+    return rank(columns + [coordinates(d_prev.target, c)]) == rank(columns)
 
 
 def mat_mul(a, b) -> list[list[Rat]]:

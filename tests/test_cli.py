@@ -444,6 +444,18 @@ def test_an_unreadable_derivation_file_is_an_input_error(tmp_path, capsys, text,
     assert out == "" and err.startswith(f"error: {message} {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["betti", "export", "double-extend"])
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, verb):
+    path = tmp_path / "missing" / "out.txt"
+    argv = [verb, "g_4_1_s", "--output", str(path)]
+    if verb == "double-extend":
+        argv += ["--derivation", _zero_derivation(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_double_extend_needs_a_quadratic_base(tmp_path, capsys):
     assert main(["double-extend", "h", "--derivation", _zero_derivation(tmp_path, 3)]) == 2
     assert capsys.readouterr() == ("", "error: double-extend needs a quadratic base algebra\n")

@@ -18,7 +18,9 @@ from helpers import (
     block_partition,
     built_by_filter,
     contract_vector,
+    coordinates,
     doubled_odd_form,
+    from_coordinates,
     full_differential,
     is_coboundary_by_rank,
     is_coboundary_full,
@@ -261,7 +263,7 @@ def test_representatives_match_the_rank_oracle():
         d_prev = full_differential(q, k - 1, verify=False) if k else None
         n, zero = d_k.shape[1], Fraction(0)
         got = [
-            [d_k.source.coordinates(r).get(j, zero) for j in range(n)]
+            [coordinates(d_k.source, r).get(j, zero) for j in range(n)]
             for r in res.representatives
         ]
         assert got == representatives_by_rank(d_k, d_prev), (key, k)
@@ -354,7 +356,7 @@ def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
 
     # the package re-exports the function ``cohomology`` under the module's name
     module = importlib.import_module("superquad.cohomology")
-    monkeypatch.setattr(module, "differential_matrix", no_elimination)
+    monkeypatch.setattr(module, "DifferentialMatrix", no_elimination)
     monkeypatch.setattr(module, "Echelon", no_elimination)
     monkeypatch.setattr(module, "cochain_basis", no_elimination)
     monkeypatch.setattr(module, "monomials_of_degree", no_elimination)
@@ -399,15 +401,15 @@ def test_cochain_basis_coordinates_round_trip():
             Monomial(even=(), odd=(2, 3)): Fraction(-1, 2),
         },
     )
-    vec = cb.coordinates(c)
+    vec = coordinates(cb, c)
     assert vec == {cb.monomials.index(m): x for m, x in c.terms}
     assert cb._index == {m: i for i, m in enumerate(cb.monomials)}
     assert cb._index is cb._index  # built once
-    back = cb.from_coordinates(basis, vec)
+    back = from_coordinates(cb, basis, vec)
     assert (back - c).is_zero
     for bad in (-1, cb.dimension):
         with pytest.raises(InputError):
-            cb.from_coordinates(basis, {bad: Fraction(1)})
+            from_coordinates(cb, basis, {bad: Fraction(1)})
 
 
 def _count_calls(monkeypatch, names) -> dict:
@@ -434,30 +436,33 @@ TABLES = (
     "_dual_differentials",
     "CochainBasis",
     "monomials_of_degree",
-    "differential_matrix",
+    "DifferentialMatrix",
 )
 
 
 def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
-    calls = _count_calls(monkeypatch, TABLES)
+    tables = (*TABLES, "inner_torus", "diagonal_weights")
+    calls = _count_calls(monkeypatch, tables)
     q = build("g_8_2_5_s")
     result = cohomology(q, 3)
-    # one complex: each table once, the built parts of C^0..C^4 once each
-    # (C^0 and C^1 for the dimensions of their acyclic blocks), delta_2 and
-    # delta_3; with an inner torus no C^k is listed in full
-    once = dict.fromkeys(TABLES[:3], 1)
-    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "differential_matrix": 2}
+    # one complex: each table once (the inner torus and the block weights
+    # too), the built parts of C^0..C^4 once each (C^0 and C^1 for the
+    # dimensions of their acyclic blocks), delta_2 and delta_3; with an
+    # inner torus no C^k is listed in full
+    once = dict.fromkeys((*TABLES[:3], *tables[-2:]), 1)
+    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "DifferentialMatrix": 2}
     table = betti_table(q, 3)
     assert table[3] == result and table[3]._complex is result._complex
     # while the result holds it, the same complex: only delta_0 and delta_1
-    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "differential_matrix": 2 + 2}
+    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "DifferentialMatrix": 2 + 2}
     # with no result alive, a second complex: the built parts of C^0..C^4
-    # and delta_0..delta_3 again, but the tables q keeps are not built again
+    # and delta_0..delta_3 again, but the tables q keeps, the inner torus
+    # and the block weights among them, are not built again
     b3 = result.betti
     del result, table
     gc.collect()
     assert betti_table(q, 3)[3].betti == b3
-    assert calls == {**once, "CochainBasis": 5 + 5, "monomials_of_degree": 0, "differential_matrix": 4 + 4}
+    assert calls == {**once, "CochainBasis": 5 + 5, "monomials_of_degree": 0, "DifferentialMatrix": 4 + 4}
 
 
 def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
@@ -466,7 +471,7 @@ def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     table = betti_table(q, 3)
     # no inner torus: each built part is all of its C^k, listed once
     once = dict.fromkeys(TABLES[:3], 1)
-    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 5, "differential_matrix": 4}
+    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 5, "DifferentialMatrix": 4}
     # the held results keep one complex, which keeps each delta_k; H^k is
     # derived from them again
     cx = table[0]._complex
@@ -474,7 +479,36 @@ def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     assert again == table and all(r._complex is cx for r in again)
     assert cohomology(q, 2) == table[2]
     assert cx.delta(2) is cx.delta(2, verify=False)
-    assert calls["differential_matrix"] == 4
+    assert calls["DifferentialMatrix"] == 4
+
+
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key):
+    """betti_table converts no entry of delta on its way to the quotient:
+    the cohomology module calls neither ``_frac`` nor ``_sparse_rows``.
+    differential_matrix is a view of the kept delta_k: the same entries,
+    each a Fraction, where the complex keeps the kernels' form."""
+    module = importlib.import_module("superquad.cohomology")
+    calls = {"_frac": 0, "_sparse_rows": 0}
+    for name in calls:
+        if (original := getattr(module, name, None)) is not None:
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    q = build(key)
+    table = betti_table(q, 4)
+    assert calls == {"_frac": 0, "_sparse_rows": 0}
+    cx = table[0]._complex
+    for k in range(5):
+        kept = cx.delta(k)
+        d = differential_matrix(q, k)
+        assert cx.delta(k) is kept and d.source is kept.source and d.target is kept.target
+        assert d.columns == kept.columns
+        assert all(type(x) is Fraction for col in d.columns for x in col.values())
+        assert all((type(x) is int) == (x.denominator == 1) for col in kept.columns for x in col.values())
 
 
 def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
@@ -522,13 +556,13 @@ def _seeded_queries(q, k: int, reps, rng: random.Random, count: int) -> list[Coc
 def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monkeypatch, key):
     calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights"))
     module = importlib.import_module("superquad.cohomology")
-    built, original = [], module.differential_matrix
+    built, original = [], module.DifferentialMatrix
 
-    def recorded(q, k, **kwargs):
-        built.append(k)
-        return original(q, k, **kwargs)
+    def recorded(source, target, columns):  # one per delta_k built
+        built.append(source.degree)
+        return original(source, target, columns)
 
-    monkeypatch.setattr(module, "differential_matrix", recorded)
+    monkeypatch.setattr(module, "DifferentialMatrix", recorded)
     q = build(key)
     res = cohomology(q, 2, verify=False)
     assert len(built) == 2  # delta_2 and delta_1
@@ -633,13 +667,13 @@ def test_a_cold_is_cocycle_builds_no_delta(monkeypatch, key):
     differential_direct's kernel and builds nothing."""
     q = build(key)
     queries = _seeded_queries(q, 2, (), random.Random(f"cold {key}"), 10)
-    calls = _count_calls(monkeypatch, ("differential_matrix", "_delta"))
+    calls = _count_calls(monkeypatch, ("DifferentialMatrix", "_delta"))
     answers = [is_cocycle(q, c) for c in queries]
-    assert calls == {"differential_matrix": 0, "_delta": len(queries)}
+    assert calls == {"DifferentialMatrix": 0, "_delta": len(queries)}
     res = cohomology(q, 1, verify=False)  # keeps delta_0 and delta_1
-    calls.update(differential_matrix=0, _delta=0)
+    calls.update(DifferentialMatrix=0, _delta=0)
     assert [is_cocycle(q, c) for c in queries] == answers
-    assert calls == {"differential_matrix": 0, "_delta": len(queries)}
+    assert calls == {"DifferentialMatrix": 0, "_delta": len(queries)}
     assert 2 not in res._complex._deltas
     assert is_cocycle(q, Cochain.zero(q.basis)) and calls["_delta"] == len(queries)
 
@@ -827,7 +861,7 @@ def test_the_built_parts_are_those_of_the_filter_oracle(key, degrees):
     for k in degrees:
         want = built_by_filter(cx, k)
         assert cx.built(k).monomials == tuple(want), (key, k)
-        assert cx._keys.get(k) == (want if cx.torus else None), (key, k)
+        assert cx._keys.get(k) == (want if cx.algebra._torus else None), (key, k)
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["nonzero-inner-weight", "another-built-block"])
@@ -894,7 +928,7 @@ def test_only_the_blocks_of_inner_weight_zero_are_built():
             if key not in TORUS_KEYS:
                 assert d.source.monomials == tuple(monomials)
                 continue
-            [(_, w)] = cx.torus
+            [(_, w)] = cx.algebra._torus
             zero = [m for m in monomials if not _inner_weight(m, w)]
             assert d.source.monomials == tuple(zero), (key, k)
     # g_8_2_5_s: 66 of the 432 monomials of C^0..C^5 have inner weight 0
@@ -1063,7 +1097,7 @@ def test_every_algebra_argument_is_checked_alike(bad):
             id="CochainBasis-degree",
         ),
         pytest.param(
-            lambda q: cochain_basis(q, 2).coordinates(Cochain.dual(q.basis, "X0")),
+            lambda q: coordinates(cochain_basis(q, 2), Cochain.dual(q.basis, "X0")),
             r"does not live in C\^2",
             id="coordinates-degree",
         ),
@@ -1087,7 +1121,7 @@ def _mixed(q) -> Cochain:
     "call, error, message",
     [
         pytest.param(
-            lambda q: cochain_basis(q, 1).from_coordinates(q.basis, {4: Fraction(1)}),
+            lambda q: from_coordinates(cochain_basis(q, 1), q.basis, {4: Fraction(1)}),
             InputError,
             "coordinate index out of range",
             id="from_coordinates-index",
