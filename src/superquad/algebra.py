@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
+from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, rat_str, reduced_kernel
 
 if TYPE_CHECKING:
     from .cochains import Monomial
@@ -356,8 +356,6 @@ def validate_super_jacobi(g: LieSuperalgebra) -> list[Violation]:
 
 
 def _sparse_str(g: LieSuperalgebra, terms: Mapping[int, Rat]) -> str:
-    from .linalg import rat_str
-
     parts = [f"{rat_str(c)}*{g.basis.labels[k]}" for k, c in sorted(terms.items())]
     return " + ".join(parts) if parts else "0"
 
@@ -501,7 +499,7 @@ def center(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> Subspace:
         for j in range(n):
             cols: dict[int, dict[int, Rat]] = {}
             for i in range(lo, hi):
-                for k, c in g.bracket_pair(i, j).items():
+                for k, c in g.bracket_table.get((i, j), {}).items():
                     cols.setdefault(k, {})[i - lo] = c
             system.extend(cols.values())
         kernel = reduced_kernel(system, hi - lo)

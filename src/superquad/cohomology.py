@@ -34,7 +34,6 @@ from .cochains import (
     _letters,
     _monomial,
     _poisson,
-    _sorted_cochain,
     monomials_of_degree,
 )
 from .errors import EngineError, InputError, ResourceLimitError
@@ -78,10 +77,6 @@ class CochainBasis:
 
     degree: int
     monomials: tuple[Monomial, ...]
-
-    def __post_init__(self) -> None:
-        if any(len(m.even) + len(m.odd) != self.degree for m in self.monomials):
-            raise InputError("monomial degree disagrees with basis degree")
 
     @cached_property
     def _index(self) -> dict[Monomial, int]:
@@ -301,14 +296,14 @@ def differential_matrix(
 class _Quotient(Echelon):
     """One row per representative of Z^k / B^k, over ``boundary``, the
     echelon of B^k (``Complex.image``), which it reads and never changes.
-    Representative i is fed with a 1 in the tag column n + i (n = dim
-    source) that row operations carry along, so a cocycle reduced to zero
-    in the cochain columns leaves minus its class vector in the tag
-    columns, and nothing exactly when it is a coboundary."""
+    Representative i is fed with a 1 in the tag column n + i (n = dim of
+    the built part of C^k) that row operations carry along, so a cocycle
+    reduced to zero in the cochain columns leaves minus its class vector
+    in the tag columns, and nothing exactly when it is a coboundary."""
 
-    def __init__(self, source: CochainBasis, boundary: Echelon | None) -> None:
-        super().__init__(limit=source.dimension)
-        self.source, self.n, self.boundary = source, source.dimension, boundary or Echelon()
+    def __init__(self, n: int, boundary: Echelon | None) -> None:
+        super().__init__(limit=n)
+        self.n, self.boundary = n, boundary or Echelon()
 
     def remainder(self, v: dict[int, Rat]) -> dict[int, Rat]:
         """v cleared at B^k's pivots, then at the representatives'."""
@@ -366,7 +361,7 @@ def cohomology(
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     cocycles = reduced_kernel(list(rows.values()), src.dimension)
-    quotient = _Quotient(src, cx.image(k - 1, verify) if k else None)
+    quotient = _Quotient(src.dimension, cx.image(k - 1, verify) if k else None)
     reps = [v for v in cocycles if quotient.add_cocycle(v)]
     n_z, n_b = len(cocycles), len(quotient.boundary.rows)
     # rank-nullity, the rank taken over delta_k's columns: a second route,
@@ -430,14 +425,26 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     return not rest or not _delta(cx.algebra, ((m, _num(a)) for m, a in rest))
 
 
+def _split(cx: Complex, k: int, c: Cochain) -> tuple[dict[int, Rat | int], list[tuple[Monomial, Rat | int]]]:
+    """c's terms in ``cx.built(k)`` as {index: value} over it, and the
+    others as (monomial, value) pairs, values in the kernels' form."""
+    index, built, rest = cx.built(k)._index, {}, []
+    for m, a in c.terms:
+        if (i := index.get(m)) is None:
+            rest.append((m, _num(a)))
+        else:
+            built[i] = _num(a)
+    return built, rest
+
+
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
     delta keeps the block key (``Complex.built``).  c's terms in the built
-    part are reduced against B^k there (``Complex.image``); the others are
-    a coboundary exactly when they are delta(b) for the witness b, the sum
-    of -i_x(term) / s over them (Cartan: s != 0 is the term's inner weight
-    for some (x, w) of the inner torus), checked by one differential.
+    part are reduced against B^k there (``Complex.image``).  The others lie
+    in blocks of nonzero inner weight, which are acyclic
+    (``_certified_torus``): they are a coboundary exactly when delta of
+    them is 0, one differential.
     """
     cx = _complex(q, c)
     if c.is_zero:
@@ -446,16 +453,8 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     if k == 0:
         return False
     cx.check_size(k - 1)
-    index = cx.built(k)._index
-    if cx.image(k - 1, False).remainder({index[m]: _num(a) for m, a in c.terms if m in index}):
-        return False
-    rest, witness = tuple((m, a) for m, a in c.terms if m not in index), []
-    if not rest:
-        return True
-    for m, a in rest:
-        x, s = next((x, s) for x, w in cx.algebra._torus if (s := sum(w[t] for t in m.even + m.odd)))
-        witness += ((x.get(t, 0), part) for t, part in _contractions([(m, -a / s)]).items())
-    return _delta(cx.algebra, _combination(witness).items()) == dict(rest)
+    built, rest = _split(cx, k, c)
+    return not cx.image(k - 1, False).remainder(built) and not (rest and _delta(cx.algebra, rest))
 
 
 def class_vector(
@@ -466,43 +465,33 @@ def class_vector(
 ) -> list[Rat]:
     """Coordinates of the class [c] in the representative basis of H^k.
 
-    Raises InputError when c is not a cocycle of pure degree k, or when
-    ``result`` is not a cohomology() in degree k of an algebra with this
-    basis and these structure constants.  With a ``result``, c is tested
-    on the result's complex; without one, H^k is derived anew on each
-    call, so pass ``result=`` to reuse it.  The terms of c outside the
-    result's blocks of inner weight 0 are dropped: delta keeps the inner
-    weight, so they make a cocycle of acyclic blocks, a coboundary.
-    With a ``result`` of degree k, c's built part is reduced first: it is
-    a cocycle exactly when it decomposes, so ``is_cocycle`` runs only on
-    the other terms, or on c to tell a non-cocycle from a failed
-    decomposition (EngineError).
+    ``result`` is required: a cohomology() in degree k of an algebra with
+    this basis and these structure constants, whose quotient is read; no
+    H^k is derived here.  Raises InputError without one, or when c is not
+    a cocycle of pure degree k.  c's terms in the built part are reduced
+    over B^k and the representatives.  The others lie in acyclic blocks of
+    nonzero inner weight (``_certified_torus``): they are dropped once
+    delta of them is 0.  ``is_cocycle`` runs only when the built part does
+    not reduce, to tell a non-cocycle from a failed decomposition
+    (EngineError).
     """
     cx = _complex(q, c)
-    if result is not None:
-        rcx, g = result._complex if isinstance(result, CohomologyResult) else None, cx.algebra
-        # the same basis and structure constants give the same delta
-        if rcx is None or rcx.algebra is not g and (
-            (rcx.basis, rcx.algebra.constants) != (g.basis, g.constants)
-        ):
-            raise InputError("result is not a cohomology() of this algebra")
-        cx = rcx
+    rcx, g = result._complex if isinstance(result, CohomologyResult) else None, cx.algebra
+    # the same basis and structure constants give the same delta
+    if rcx is None or rcx.algebra is not g and (
+        (rcx.basis, rcx.algebra.constants) != (g.basis, g.constants)
+    ):
+        raise InputError("result is not a cohomology() of this algebra")
     if c.is_zero:
-        if result is None:
-            raise InputError("class_vector of 0 needs an explicit result")
         return [Fraction(0)] * result.betti
     k = _degree(c, "class_vector")
-    if (tested := result is None or result.degree != k) and not is_cocycle(cx.q, c):
-        raise InputError("class_vector requires a cocycle")
-    if result is None:
-        result = cohomology(cx.q, k, verify=False)
     if result.degree != k:
         raise InputError(f"result is for degree {result.degree}, not {k}")
+    built, rest = _split(rcx, k, c)
     quotient = result._quotient
-    index, n = quotient.source._index, quotient.n
-    v = quotient.remainder({index[m]: _num(x) for m, x in c.terms if m in index})
-    rest, failed = tuple((m, x) for m, x in c.terms if m not in index), min(v, default=n) < n
-    if not tested and (failed or rest) and not is_cocycle(cx.q, c if failed else _sorted_cochain(cx.basis, rest)):
+    v, n = quotient.remainder(built), quotient.n
+    failed = min(v, default=n) < n
+    if rest and _delta(rcx.algebra, rest) or failed and not is_cocycle(rcx.q, c):
         raise InputError("class_vector requires a cocycle")
     if failed:
         raise EngineError("cocycle does not decompose over B + representatives")

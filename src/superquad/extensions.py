@@ -168,8 +168,8 @@ def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
     violations = _grading_violations(basis, d.matrix, degree)
     unit = _defects(q_or_g, degree)
     defect: dict[tuple[int, int, int, int], Rat] = {}
-    for r, row in enumerate(_sparse_rows(d.matrix)):
-        for s, x in row.items():
+    for s, column in enumerate(d.columns):
+        for r, x in column.items():
             for key, v in unit(r, s).items():
                 defect[key] = defect.get(key, 0) + x * v
     for rule, i, j in sorted({key[:3] for key, v in defect.items() if v}):

@@ -177,14 +177,16 @@ def rank(m: Rows) -> int:
     return len(Echelon(_sparse_rows(m)).rows)
 
 
-def reduced_kernel(m: Rows, cols: int) -> list[dict[int, Rat]]:
+def reduced_kernel(m: Sequence[Mapping[int, Rat]], cols: int) -> list[dict[int, Rat]]:
     """The reduced row echelon basis of {v : m v = 0} in ``cols`` columns,
-    as {column: nonzero} in the kernels' form (see ``_num``), ascending.
+    as {column: nonzero}, ascending, in the kernels' form (see ``_num``)
+    when m is.  The rows of m are zero-free {column: exact value} dicts,
+    read, never changed.
 
     ``Echelon.kernel`` puts each vector's 1 at its own free column, so its
     basis is reduced when read with the columns reversed: m is eliminated
     with its columns reversed and the kernel read back, last vector first.
     """
     last = cols - 1
-    rows = [{last - j: x for j, x in r.items()} for r in _sparse_rows(m)]
+    rows = [{last - j: x for j, x in r.items()} for r in m]
     return [{last - j: x for j, x in v.items()} for v in reversed(Echelon(rows).kernel(cols))]

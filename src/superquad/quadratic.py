@@ -20,6 +20,8 @@ from .algebra import (
     Subspace,
     ValidationReport,
     Violation,
+    center,
+    reorder_basis,
     validate_grading_and_skew,
 )
 from .errors import EngineError, InputError
@@ -289,8 +291,6 @@ def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | 
     nonzero, and then one is found among the basis vectors and simple
     sums v + w (since B(v+w, v+w) = 2 B(v, w) when both squares vanish).
     """
-    from .algebra import center
-
     _require_quadratic(q, "find_nondegenerate_central_line").require_form()
     z = center(q.algebra)
     ne = q.basis.even_dim
@@ -314,8 +314,6 @@ def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | 
 def reorder_quadratic(
     q: QuadraticLieSuperalgebra, new_labels: Sequence[str]
 ) -> QuadraticLieSuperalgebra:
-    from .algebra import reorder_basis
-
     g2 = reorder_basis(q.algebra, new_labels)
     old_index = {lab: i for i, lab in enumerate(q.basis.labels)}
     gram = tuple(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .linalg import Rat, rat
 
@@ -110,8 +111,6 @@ def rational_sqrt(value: Rat) -> Rat | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 

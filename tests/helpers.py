@@ -338,7 +338,7 @@ def betti_table_unpruned(q, k_max: int, *, verify: bool = True) -> list[Cohomolo
                 rows.setdefault(i, {})[j] = x
         cocycles = reduced_kernel(list(rows.values()), src.dimension)
         # B^k eliminated here, from the whole delta_{k-1}, not read off the complex
-        quotient = _Quotient(src, Echelon(_sparse_rows(deltas[k - 1].columns)) if k else None)
+        quotient = _Quotient(src.dimension, Echelon(_sparse_rows(deltas[k - 1].columns)) if k else None)
         reps = [v for v in cocycles if quotient.add_cocycle(v)]
         n_z, n_b = len(cocycles), len(quotient.boundary.rows)
         assert src.dimension == rank(d_k.columns) + n_z and n_b + len(reps) <= n_z

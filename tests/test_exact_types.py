@@ -2,6 +2,7 @@
 plain int, but every value the public API returns is a Fraction, never a
 float or a bare int, and every division goes through Fraction so that
 two ints never divide into a float."""
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from superquad import (
 from superquad.algebra import Subspace, center, derived_series
 from superquad.cochains import Monomial, monomials_of_degree
 from superquad.errors import InputError
-from superquad.linalg import Echelon, rank, reduced_kernel
+from superquad.linalg import Echelon, rank
 from superquad.quadratic import orthogonal_complement
 
 
@@ -97,10 +98,35 @@ def test_linear_algebra_of_int_matrices_returns_fractions():
     assert all(all_fractions(row) for space in spaces for row in space.rows)
 
 
+def test_every_kernel_reads_zero_free_rows_in_the_kernels_form(monkeypatch):
+    """reduced_kernel converts nothing: cohomology, center,
+    orthogonal_complement and skew_superderivation_space each hand it
+    fresh {column: nonzero} rows in the kernels' form, and still return
+    Fractions."""
+    fed = []
+    for name in ("cohomology", "algebra", "quadratic", "extensions"):
+        module = importlib.import_module(f"superquad.{name}")
+
+        def recorded(m, cols, original=module.reduced_kernel, name=name):
+            fed.append(name)
+            assert all(x and (type(x) is int) == (x.denominator == 1) for row in m for x in row.values()), name
+            return original(m, cols)
+
+        monkeypatch.setattr(module, "reduced_kernel", recorded)
+    q = half_scaled_g_4_1_s()
+    z = center(q.algebra)
+    assert all_fractions(x for space in (z, orthogonal_complement(q, z)) for row in space.rows for x in row)
+    derivations = skew_superderivation_space(q, 0) + skew_superderivation_space(q, 1)
+    assert derivations and all(all_fractions(row) for d in derivations for row in d.matrix)
+    assert all(all_fractions(coefficients(rep)) for r in betti_table(q, 2) for rep in r.representatives)
+    assert set(fed) == {"cohomology", "algebra", "quadratic", "extensions"}
+
+
 def test_float_matrix_entries_are_input_errors():
-    for f in (rank, lambda m: reduced_kernel(m, 2)):
-        with pytest.raises(InputError, match="exact rationals"):
-            f([[Fraction(1), 0.5]])
+    # reduced_kernel takes rows already in the kernels' form, which only
+    # the engine builds: rank is the entry point that converts a matrix
+    with pytest.raises(InputError, match="exact rationals"):
+        rank([[Fraction(1), 0.5]])
 
 
 # one test per division site, each fed ints
