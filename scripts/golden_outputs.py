@@ -48,6 +48,15 @@ directories:
 writes to standard error also leaves a ``.err`` file.  A command that
 raises is recorded as the interpreter would end it: its traceback in
 the ``.err`` file and exit code 1.
+
+``tests/golden.sha256`` holds one ``sha256  name`` line per file of the
+set, and ``tests/test_scripts.py`` writes the set into a temporary
+directory and compares it with that manifest.  When a change to an
+output is deliberate, refresh the manifest from the repository root:
+
+    PYTHONPATH=src python3 scripts/golden_outputs.py golden
+    (cd golden && LC_ALL=C sha256sum -- *) > tests/golden.sha256
+    rm -r golden
 """
 from __future__ import annotations
 

@@ -72,8 +72,6 @@ from .linalg import Rat, rat, rat_str
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
-    find_nondegenerate_central_line,
-    orthogonal_complement,
     reorder_quadratic,
     validate_quadratic,
 )

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rank, rat, rat_str, reduced_kernel
+from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rat, rat_str, reduced_kernel
 
 if TYPE_CHECKING:
     from .cochains import Monomial
@@ -73,13 +73,6 @@ class GradedBasis:
             return self.labels.index(label)
         except ValueError:
             raise InputError(f"unknown basis label {label!r}") from None
-
-    def parity_of_vector(self, v: Sequence[Rat]) -> int | None:
-        """Parity of a homogeneous coordinate vector, None if mixed or zero."""
-        parities = {self.parities[i] for i, c in enumerate(v) if c != 0}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
 
 
 def _is_index(x: object, n: int) -> bool:
@@ -278,6 +271,12 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def _raise_first(self, prefix: str, error: type[Exception]) -> None:
+        """Raise ``error`` naming the first violation after ``prefix``, if any."""
+        if self.violations:
+            first = self.violations[0]
+            raise error(f"{prefix}: {first.rule} at {first.witness}: {first.message}")
+
 
 def validate_grading_and_skew(g: LieSuperalgebra) -> list[Violation]:
     """Check the bracket respects the grading and skew supersymmetry.
@@ -441,16 +440,6 @@ class Subspace:
             ambient=ambient,
             rows=tuple(tuple(_frac(rows[p].get(j, 0)) for j in range(ambient.dim)) for p in sorted(rows)),
         )
-
-    def contains(self, v: Sequence[Rat]) -> bool:
-        return rank([*self.rows, v]) == self.dim
-
-    def is_homogeneous(self) -> bool:
-        """True when the subspace is spanned by its even and odd parts."""
-        ne = self.ambient.even_dim
-        evens = [dict(enumerate(r[:ne])) for r in self.rows]
-        odds = [dict(enumerate(r[ne:], ne)) for r in self.rows]
-        return rank(evens + odds) == self.dim
 
 
 def derived_series(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[Subspace]:

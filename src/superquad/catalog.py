@@ -556,12 +556,7 @@ def build(key: str, params: Mapping[str, object] | None = None):
         report = validate_quadratic(out)
     else:
         report = validate_lie_superalgebra(out)
-    if not report.ok:
-        first = report.violations[0]
-        raise EngineError(
-            f"catalog entry {key} failed validation: {first.rule} at "
-            f"{first.witness}: {first.message}"
-        )
+    report._raise_first(f"catalog entry {key} failed validation", EngineError)
     return out
 
 

@@ -188,12 +188,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, m: Monomial) -> Rat:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "Cochain") -> "Cochain":
         return self._plus(other, 1)
 
@@ -435,13 +429,14 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
 
 
 def _delta(g: LieSuperalgebra, terms: Iterable[tuple[Monomial, Rat | int]]) -> dict[Monomial, Rat | int]:
-    """delta of (monomial, coefficient in the kernels' form) terms, zero-free."""
+    """delta of (monomial, coefficient in the kernels' form) terms, zero-free
+    and in the kernels' form: fractional terms may sum to an integer."""
     ne, duals = g.basis.even_dim, g._duals
     acc: dict[Monomial, Rat | int] = {}
     for t, contracted in _contractions(terms).items():
         if duals[t]:
             _wedge_into(acc, contracted.items(), duals[t].items(), 1 if t < ne else -1)
-    return {m: x for m, x in acc.items() if x}
+    return {m: _num(x) for m, x in acc.items() if x}
 
 
 def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:

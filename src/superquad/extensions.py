@@ -18,7 +18,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _sparse_rows, rat, reduced_kernel
+from .linalg import Rat, _combine, _num, _sparse_rows, rat, reduced_kernel
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -80,9 +80,6 @@ class Superderivation:
     def dim(self) -> int:
         return len(self.matrix)
 
-    def column(self, j: int) -> list[Rat]:
-        return [self.matrix[i][j] for i in range(self.dim)]
-
 
 def _grading_violations(
     basis: GradedBasis, matrix: tuple[tuple[Rat, ...], ...], degree: int
@@ -109,7 +106,7 @@ def _grading_violations(
 
 def _defects(q_or_g, degree: int):
     """The defect of the matrix unit E_rs (D e_s = e_r), as a function
-    unit(r, s) -> {key: nonzero}.
+    unit(r, s) -> {key: nonzero in the kernels' form}.
 
     Both rules are linear in D's entries, so the defect of any D of this
     degree is sum D[r][s] unit(r, s), and D passes iff it is zero:
@@ -150,7 +147,7 @@ def _defects(q_or_g, degree: int):
                 out[1, s, j, 0] = out.get((1, s, j, 0), 0) + v
             for i, v in gram_cols[r].items():  # (-1)^{alpha x_i} B(e_i, D e_s)
                 out[1, i, s, 0] = out.get((1, i, s, 0), 0) + sign[i] * v
-        return {key: v for key, v in out.items() if v}
+        return {key: _num(v) for key, v in out.items() if v}
 
     return unit
 
@@ -362,13 +359,7 @@ def double_extension(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
 
 def _assemble(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     """``double_extension`` after the datum check, before the output's."""
-    report = validate_extension_datum(d)
-    if not report.ok:
-        first = report.violations[0]
-        raise InputError(
-            f"extension datum invalid: {first.rule} at {first.witness}: "
-            f"{first.message}"
-        )
+    validate_extension_datum(d)._raise_first("extension datum invalid", InputError)
     base, h = d.base, d.h
     nh, ng = h.basis.dim, base.basis.dim
     h_labels, g_labels, dual_labels = _extension_labels(d)
@@ -440,16 +431,8 @@ def _require_extension(
     input error, a valid one an internal error."""
     check = validate_quadratic(out)
     if not check.ok:
-        if not (base_check := validate_quadratic(base)).ok:
-            first = base_check.violations[0]
-            raise InputError(
-                f"extension base invalid: {first.rule} at {first.witness}: {first.message}"
-            )
-        first = check.violations[0]
-        raise EngineError(
-            "double extension of a valid datum failed validation: "
-            f"{first.rule} at {first.witness}: {first.message}"
-        )
+        validate_quadratic(base)._raise_first("extension base invalid", InputError)
+        check._raise_first("double extension of a valid datum failed validation", EngineError)
     return out
 
 

@@ -17,15 +17,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .algebra import (
     GradedBasis,
     LieSuperalgebra,
-    Subspace,
     ValidationReport,
     Violation,
-    center,
     reorder_basis,
     validate_grading_and_skew,
 )
-from .errors import EngineError, InputError
-from .linalg import Echelon, Rat, _combine, _frac, _num, _sparse_rows, rank, rat, reduced_kernel
+from .errors import InputError
+from .linalg import Echelon, Rat, _combine, _num, _sparse_rows, rank, rat
 
 if TYPE_CHECKING:
     from .cochains import Cochain, _PoissonLeft
@@ -96,17 +94,6 @@ class BilinearForm:
             raise InputError("the Gram matrix is singular: the form is degenerate")
         return [{j - n: _num(x) for j, x in echelon.rows[p].items() if j >= n} for p in range(n)]
 
-    def value(self, x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    total += xi * row[j] * yj
-        return total
-
 
 @dataclass(frozen=True)
 class QuadraticLieSuperalgebra:
@@ -153,11 +140,7 @@ class QuadraticLieSuperalgebra:
 
     def require_form(self) -> None:
         """Raise InputError naming the first of ``_form_violations``."""
-        if self._form_violations:
-            first = self._form_violations[0]
-            raise InputError(
-                f"quadratic algebra invalid: {first.rule} at {first.witness}: {first.message}"
-            )
+        ValidationReport(self._form_violations)._raise_first("quadratic algebra invalid", InputError)
 
 
 def _require_quadratic(q, what: str) -> QuadraticLieSuperalgebra:
@@ -237,78 +220,6 @@ def validate_quadratic(q: QuadraticLieSuperalgebra) -> ValidationReport:
     ``q._checks``, so a later call or ``require_form`` checks nothing again."""
     grading, form = q._checks
     return ValidationReport(grading + q.algebra._jacobi + form)
-
-
-def is_graded_ideal(g: LieSuperalgebra, space: Subspace) -> bool:
-    if not space.is_homogeneous():
-        return False
-    for row in space.rows:
-        for j in range(g.dim):
-            if not space.contains(g.bracket(list(row), g.basis_vector(j))):
-                return False
-    return True
-
-
-def orthogonal_complement(q: QuadraticLieSuperalgebra, ideal: Subspace) -> Subspace:
-    """B-orthogonal complement of a graded ideal.
-
-    Computes {x : B(x, s) = 0 for all s in the ideal}, which is again a
-    graded ideal by invariance of B.  When B restricted to the ideal is
-    non-degenerate this asserts the stronger splitting facts: the ideal
-    and its complement commute, intersect trivially, and together span.
-    """
-    _require_quadratic(q, "orthogonal_complement").require_form()
-    if not is_graded_ideal(q.algebra, ideal):
-        raise InputError("orthogonal_complement requires a graded ideal")
-    n = q.dim
-    # one equation per ideal row s: {i: B(e_i, s)}
-    system = _combine(dict(enumerate(_sparse_rows(ideal.rows))), q.form.columns).values()
-    kernel = reduced_kernel(list(system), n)
-    comp = Subspace(q.basis, tuple(tuple(_frac(v.get(j, 0)) for j in range(n)) for v in kernel))
-    if comp.dim + ideal.dim != n:
-        raise EngineError("complement dimension defect for a non-degenerate form")
-    k = ideal.dim
-    sub_gram = [
-        [q.form.value(list(ideal.rows[i]), list(ideal.rows[j])) for j in range(k)]
-        for i in range(k)
-    ]
-    if rank(sub_gram) == k:
-        # non-degenerate ideal: the splitting conclusions must hold exactly
-        for a in ideal.rows:
-            for b in comp.rows:
-                if any(c != 0 for c in q.algebra.bracket(list(a), list(b))):
-                    raise EngineError("non-degenerate ideal fails to commute with its complement")
-        if rank(ideal.rows + comp.rows) != n:
-            raise EngineError("non-degenerate ideal meets its complement nontrivially")
-    return comp
-
-
-def find_nondegenerate_central_line(q: QuadraticLieSuperalgebra) -> list[Rat] | None:
-    """An even central vector x with B(x, x) != 0, if one exists.
-
-    Restricting B to the even part of the center gives a symmetric
-    form; a vector of nonzero square exists iff that restriction is
-    nonzero, and then one is found among the basis vectors and simple
-    sums v + w (since B(v+w, v+w) = 2 B(v, w) when both squares vanish).
-    """
-    _require_quadratic(q, "find_nondegenerate_central_line").require_form()
-    z = center(q.algebra)
-    ne = q.basis.even_dim
-    even_rows = [list(r) for r in z.rows if all(c == 0 for c in r[ne:])]
-    if not even_rows:
-        return None
-    k = len(even_rows)
-    sub_gram = [
-        [q.form.value(even_rows[i], even_rows[j]) for j in range(k)] for i in range(k)
-    ]
-    for i in range(k):
-        if sub_gram[i][i] != 0:
-            return even_rows[i]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if sub_gram[i][j] != 0:
-                return [a + b for a, b in zip(even_rows[i], even_rows[j])]
-    return None
 
 
 def reorder_quadratic(

@@ -37,12 +37,16 @@ monomials of inner weight 0 directly: all of C^k listed, each keyed, those
 of inner weight 0 kept.
 ``contract_vector`` is the contraction with a coordinate vector, and
 ``alt_degree`` the alternating degree of a monomial, both once public.
+``parity_of_vector``, ``coefficient``, ``form_value`` and
+``derivation_column`` are the dense readers that ``GradedBasis``,
+``Cochain``, ``BilinearForm`` and ``Superderivation`` once carried as
+methods, when only these oracles read them.
 ``coordinates`` and ``from_coordinates`` map a cochain to its coordinates
 in a ``CochainBasis`` and back, as that class's methods did before the
 engine kept delta_k's columns and made its representatives itself.
 The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
-``form.value`` per basis triple or pair.  They must report the same
+``form_value`` per basis triple or pair.  They must report the same
 violations, in the same order, with the same messages.
 ``super_jacobi_by_table_triples`` is the loop over every basis triple
 that the engine's sparse super Jacobi check replaced, reading the bracket
@@ -50,7 +54,7 @@ table; ``random_table_algebra`` makes seeded tables on at most 3|3
 letters, valid or not, to compare the two on.
 ``double_extension_dense`` is the double extension the engine's sparse
 constructor replaced: every pair of the new basis through a six-branch
-bracket of dense ``column``/``bracket_pair``/``form.value`` calls.  The
+bracket of dense ``derivation_column``/``bracket_pair``/``form_value`` calls.  The
 two must give the same basis, structure constants and Gram matrix.
 ``check_commuting_dependence`` and ``check_eigenvector_relation`` are the
 paper's lemmas on traceless 2x2 matrices, checked by acceptance C10.
@@ -152,6 +156,31 @@ def alt_degree(m: Monomial) -> int:
     return len(m.even)
 
 
+def parity_of_vector(basis: GradedBasis, v) -> int | None:
+    """Parity of a homogeneous coordinate vector, None if mixed or zero."""
+    parities = {basis.parities[i] for i, c in enumerate(v) if c != 0}
+    return parities.pop() if len(parities) == 1 else None
+
+
+def coefficient(c: Cochain, m: Monomial) -> Rat:
+    """The coefficient of m in c, 0 when m is no term of c."""
+    return next((x for mm, x in c.terms if mm == m), Fraction(0))
+
+
+def form_value(form: BilinearForm, x, y) -> Rat:
+    """B(x, y) of two dense coordinate vectors, read off the Gram matrix."""
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            total += xi * sum(form.gram[i][j] * yj for j, yj in enumerate(y) if yj)
+    return total
+
+
+def derivation_column(d: Superderivation, j: int) -> list[Rat]:
+    """D e_j as a dense coordinate vector."""
+    return [row[j] for row in d.matrix]
+
+
 def contract_vector(c: Cochain, vector) -> Cochain:
     """Contraction with a parity-homogeneous coordinate vector."""
     _check_cochain(c, None)
@@ -160,7 +189,7 @@ def contract_vector(c: Cochain, vector) -> Cochain:
     v = [rat(x) for x in vector]
     if len(v) != c.basis.dim:
         raise InputError("contraction vector has the wrong length")
-    parity = c.basis.parity_of_vector(v)
+    parity = parity_of_vector(c.basis, v)
     if parity is None and any(x != 0 for x in v):
         raise InputError("contraction vector must be parity-homogeneous")
     contractions = _contractions(c.terms)
@@ -218,7 +247,7 @@ def evaluate(c: Cochain, args) -> Rat:
         return Fraction(0)
     even, odd, sign = canonical
     target = Monomial(even=even, odd=odd)
-    value = c.coefficient(target)
+    value = coefficient(c, target)
     if value == 0:
         return Fraction(0)
     return sign * value * target.mult_factor()
@@ -825,12 +854,12 @@ def superderivation_by_pairs(g: LieSuperalgebra, d: Superderivation) -> list[Vio
             x = basis.parities[i]
             lhs = [Fraction(0)] * basis.dim
             for t, c in g.bracket_pair(i, j).items():
-                col = d.column(t)
+                col = derivation_column(d, t)
                 for r in range(basis.dim):
                     lhs[r] += c * col[r]
-            rhs = g.bracket(d.column(i), g.basis_vector(j))
+            rhs = g.bracket(derivation_column(d, i), g.basis_vector(j))
             sign = -1 if (degree * x) % 2 else 1
-            second = g.bracket(g.basis_vector(i), d.column(j))
+            second = g.bracket(g.basis_vector(i), derivation_column(d, j))
             rhs = [rhs[r] + sign * second[r] for r in range(basis.dim)]
             if lhs != rhs:
                 violations.append(
@@ -850,15 +879,15 @@ def superderivation_by_pairs(g: LieSuperalgebra, d: Superderivation) -> list[Vio
 def skew_superderivation_by_pairs(
     q: QuadraticLieSuperalgebra, d: Superderivation
 ) -> list[Violation]:
-    """Superderivation oracle, then B(DX,Y) = -(-1)^{alpha x} B(X,DY) by form.value."""
+    """Superderivation oracle, then B(DX,Y) = -(-1)^{alpha x} B(X,DY) by form_value."""
     violations = superderivation_by_pairs(q.algebra, d)
     basis = q.basis
     for i in range(basis.dim):
         x = basis.parities[i]
         sign = -1 if (d.degree * x) % 2 else 1
         for j in range(basis.dim):
-            lhs = q.form.value(d.column(i), q.algebra.basis_vector(j))
-            rhs = q.form.value(q.algebra.basis_vector(i), d.column(j))
+            lhs = form_value(q.form, derivation_column(d, i), q.algebra.basis_vector(j))
+            rhs = form_value(q.form, q.algebra.basis_vector(i), derivation_column(d, j))
             if lhs != -sign * rhs:
                 violations.append(
                     Violation(
@@ -932,11 +961,11 @@ def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
             for t, c in h.bracket_pair(i, j).items():
                 add(t, c)
         elif in_h(i) and in_g(j):
-            col = d.psi[i].column(j - nh)
+            col = derivation_column(d.psi[i], j - nh)
             for r in range(ng):
                 add(nh + r, col[r])
         elif in_g(i) and in_h(j):
-            col = d.psi[j].column(i - nh)
+            col = derivation_column(d.psi[j], i - nh)
             for r in range(ng):
                 add(nh + r, Fraction(-sign_xy) * col[r])
         elif in_h(i) and in_dual(j):
@@ -959,8 +988,8 @@ def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
             for k in range(nh):
                 z = h.basis.parities[k]
                 sign = -1 if ((x + y) * z) % 2 else 1
-                val = base.form.value(
-                    d.psi[k].column(i - nh), base.algebra.basis_vector(j - nh)
+                val = form_value(
+                    base.form, derivation_column(d.psi[k], i - nh), base.algebra.basis_vector(j - nh)
                 )
                 add(nh + ng + k, Fraction(sign) * val)
         # g with h*, h* with h*, and anything else: zero

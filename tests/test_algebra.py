@@ -233,10 +233,10 @@ def test_inner_torus_of_the_catalog():
 
 def test_subspace_membership():
     basis = GradedBasis(labels=("a", "b"), parities=(0, 0))
-    s = Subspace.from_vectors(basis, [[Fraction(1), Fraction(1)]])
-    assert s.dim == 1
-    assert s.contains([Fraction(2), Fraction(2)])
-    assert not s.contains([Fraction(1), Fraction(0)])
+    s = Subspace.from_vectors(basis, [[Fraction(2), Fraction(2)], [Fraction(1), Fraction(1)]])
+    assert s.dim == 1 and s.rows == ((Fraction(1), Fraction(1)),)
+    assert rank([*s.rows, [Fraction(2), Fraction(2)]]) == s.dim
+    assert rank([*s.rows, [Fraction(1), Fraction(0)]]) > s.dim
 
 
 def test_reorder_quadratic_round_trip():

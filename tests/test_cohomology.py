@@ -43,6 +43,7 @@ from superquad.cohomology import (
     CohomologyResult,
     Complex,
     _complex,
+    _Quotient,
     betti_table,
     class_vector,
     cochain_basis,
@@ -268,6 +269,27 @@ def test_class_vector_separates_classes():
     # non-cocycles are rejected
     with pytest.raises(InputError):
         class_vector(q, mono(q.basis, even_labels=("X0",)), result=None)
+
+
+def test_a_kernel_that_drops_a_cocycle_breaks_rank_nullity(monkeypatch):
+    """Fault injected: reduced_kernel loses one cocycle, and the rank of
+    delta_k's columns, a second route to dim Z^k, catches it."""
+    module = importlib.import_module("superquad.cohomology")
+    real = module.reduced_kernel
+    monkeypatch.setattr(module, "reduced_kernel", lambda m, cols: real(m, cols)[:-1])
+    with pytest.raises(EngineError, match="^rank-nullity violated in cohomology assembly$"):
+        cohomology(build("g_4_1_s"), 2)
+
+
+def test_a_remainder_left_in_a_cochain_column_is_an_engine_error(monkeypatch):
+    """Fault injected: the quotient leaves an entry in a cochain column, so
+    a true cocycle seems not to decompose over B^k + representatives."""
+    q = build("g_4_1_s")
+    res = cohomology(q, 2)
+    real = _Quotient.remainder
+    monkeypatch.setattr(_Quotient, "remainder", lambda self, v: {**real(self, v), 0: 1})
+    with pytest.raises(EngineError, match="^cocycle does not decompose over B \\+ representatives$"):
+        class_vector(q, res.representatives[0], result=res)
 
 
 def test_representatives_are_honest():
@@ -514,7 +536,7 @@ def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     assert calls["DifferentialMatrix"] == 4
 
 
-@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s", "g_8_2_9_s"])
 def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key):
     """betti_table converts no entry of delta on its way to the quotient:
     the cohomology module calls neither ``_frac`` nor ``_sparse_rows``.

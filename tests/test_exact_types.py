@@ -32,7 +32,6 @@ from superquad.algebra import Subspace, center, derived_series
 from superquad.cochains import Monomial, monomials_of_degree
 from superquad.errors import InputError
 from superquad.linalg import Echelon, rank
-from superquad.quadratic import orthogonal_complement
 
 
 def all_fractions(values) -> bool:
@@ -93,18 +92,17 @@ def half_scaled_g_4_1_s() -> QuadraticLieSuperalgebra:
 def test_linear_algebra_of_int_matrices_returns_fractions():
     q = half_scaled_g_4_1_s()
     z = center(q.algebra)
-    spaces = [z, orthogonal_complement(q, z), *derived_series(q.algebra)]
+    spaces = [z, *derived_series(q.algebra)]
     spaces.append(Subspace.from_vectors(q.basis, [[2, 4, 1, 0], [1, 2, 3, 0], [0, 0, 5, 1]]))
     assert all(all_fractions(row) for space in spaces for row in space.rows)
 
 
 def test_every_kernel_reads_zero_free_rows_in_the_kernels_form(monkeypatch):
-    """reduced_kernel converts nothing: cohomology, center,
-    orthogonal_complement and skew_superderivation_space each hand it
-    fresh {column: nonzero} rows in the kernels' form, and still return
-    Fractions."""
+    """reduced_kernel converts nothing: cohomology, center and
+    skew_superderivation_space each hand it fresh {column: nonzero} rows in
+    the kernels' form, and still return Fractions."""
     fed = []
-    for name in ("cohomology", "algebra", "quadratic", "extensions"):
+    for name in ("cohomology", "algebra", "extensions"):
         module = importlib.import_module(f"superquad.{name}")
 
         def recorded(m, cols, original=module.reduced_kernel, name=name):
@@ -115,11 +113,11 @@ def test_every_kernel_reads_zero_free_rows_in_the_kernels_form(monkeypatch):
         monkeypatch.setattr(module, "reduced_kernel", recorded)
     q = half_scaled_g_4_1_s()
     z = center(q.algebra)
-    assert all_fractions(x for space in (z, orthogonal_complement(q, z)) for row in space.rows for x in row)
+    assert all_fractions(x for row in z.rows for x in row)
     derivations = skew_superderivation_space(q, 0) + skew_superderivation_space(q, 1)
     assert derivations and all(all_fractions(row) for d in derivations for row in d.matrix)
     assert all(all_fractions(coefficients(rep)) for r in betti_table(q, 2) for rep in r.representatives)
-    assert set(fed) == {"cohomology", "algebra", "quadratic", "extensions"}
+    assert set(fed) == {"cohomology", "algebra", "extensions"}
 
 
 def test_float_matrix_entries_are_input_errors():

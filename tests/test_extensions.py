@@ -4,13 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS, count_validator_passes, double_extension_dense, doubled_odd_form, perturbed, skew_superderivation_by_pairs
+from helpers import (
+    QUADRATIC_KEYS,
+    count_validator_passes,
+    derivation_column,
+    double_extension_dense,
+    doubled_odd_form,
+    form_value,
+    perturbed,
+    skew_superderivation_by_pairs,
+)
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra, ValidationReport, Violation
 from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
+    _defects,
     ad_superderivation,
     central_reduction,
     double_extension,
@@ -200,6 +210,17 @@ def test_space_members_are_independent_and_valid():
                 assert rank(flat) == len(space)
 
 
+def test_every_defect_value_is_in_the_kernels_form():
+    """unit(r, s) gives reduced_kernel an int wherever a value is integral,
+    also where fractional terms sum to an integer."""
+    for key in QUADRATIC_KEYS:
+        q = build(key)
+        for degree in (0, 1):
+            unit = _defects(q, degree)
+            values = [x for r in range(q.dim) for s in range(q.dim) for x in unit(r, s).values()]
+            assert all(x and (type(x) is int) == (x.denominator == 1) for x in values), (key, degree)
+
+
 def test_ad_is_a_skew_superderivation():
     for key, label in (("g_6_1", "X1"), ("g_4_1_s", "X1"), ("g_8_2_5_s", "T")):
         q = build(key)
@@ -209,7 +230,7 @@ def test_ad_is_a_skew_superderivation():
         assert is_skew_superderivation(q, d, parity).ok
         x = q.algebra.basis_vector(q.basis.index(label))
         for j in range(q.dim):
-            assert d.column(j) == q.algebra.bracket(x, q.algebra.basis_vector(j))
+            assert derivation_column(d, j) == q.algebra.bracket(x, q.algebra.basis_vector(j))
 
 
 def test_ad_lies_in_the_even_skew_space():
@@ -279,13 +300,13 @@ def test_double_extension_by_r2():
     ea[ia] = Fraction(1)
     eas = [Fraction(0)] * out.dim
     eas[ias] = Fraction(1)
-    assert out.form.value(ea, eas) == 1
+    assert form_value(out.form, ea, eas) == 1
     iu, iv = out.basis.index("U"), out.basis.index("V")
     eu = [Fraction(0)] * out.dim
     eu[iu] = Fraction(1)
     ev = [Fraction(0)] * out.dim
     ev[iv] = Fraction(1)
-    assert out.form.value(eu, ev) == 2
+    assert form_value(out.form, eu, ev) == 2
 
 
 def test_double_extension_with_odd_line():
@@ -459,7 +480,7 @@ def test_one_dim_double_extension_matches_general_and_validates():
         ee[ie] = Fraction(1)
         ef = [Fraction(0)] * out.dim
         ef[if_] = Fraction(1)
-        assert out.form.value(ee, ef) == 1
+        assert form_value(out.form, ee, ef) == 1
 
 
 def test_one_dim_extension_rejects_non_skew():

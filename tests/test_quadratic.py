@@ -23,7 +23,6 @@ from superquad import (
 from superquad.algebra import (
     GradedBasis,
     LieSuperalgebra,
-    Subspace,
     validate_lie_superalgebra,
     validate_super_jacobi,
 )
@@ -32,8 +31,6 @@ from superquad.errors import InputError
 from superquad.quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
-    find_nondegenerate_central_line,
-    orthogonal_complement,
     validate_form,
     validate_quadratic,
 )
@@ -103,58 +100,6 @@ def test_validate_form_invariance_rule():
     assert validate_form(g, good) == []
 
 
-def test_orthogonal_complement_dimensions_and_invariance():
-    q = build("g_6_1")
-    g = q.algebra
-    # span{Z1} is a graded ideal (central)
-    z1 = [Fraction(0)] * q.dim
-    z1[q.basis.index("Z1")] = Fraction(1)
-    ideal = Subspace.from_vectors(q.basis, [z1])
-    comp = orthogonal_complement(q, ideal)
-    assert comp.dim == q.dim - ideal.dim
-    # complement of an ideal is again an ideal for an invariant form
-    from superquad.quadratic import is_graded_ideal
-
-    assert is_graded_ideal(g, comp)
-
-
-def test_find_nondegenerate_central_line():
-    # a central basis vector of nonzero square is found directly
-    g1 = abelian(("a",), (0,))
-    f1 = BilinearForm.from_pairs(g1.basis, [("a", "a", 1)])
-    q1 = QuadraticLieSuperalgebra(algebra=g1, form=f1)
-    line = find_nondegenerate_central_line(q1)
-    assert line is not None and q1.form.value(line, line) != 0
-
-    # all squares vanish but a cross pairing exists: a sum is returned
-    g2 = abelian(("a", "b"), (0, 0))
-    f2 = BilinearForm.from_pairs(g2.basis, [("a", "b", 1)])
-    q2 = QuadraticLieSuperalgebra(algebra=g2, form=f2)
-    line2 = find_nondegenerate_central_line(q2)
-    assert line2 is not None and q2.form.value(line2, line2) != 0
-    from superquad.algebra import center
-
-    assert center(q2.algebra).contains(line2)
-
-    # the catalog families have isotropic centers: no such line
-    assert find_nondegenerate_central_line(build("g_4_1_s")) is None
-    assert find_nondegenerate_central_line(build("g_dec")) is None
-
-
-def test_complement_and_central_line_refuse_an_invalid_form():
-    g = abelian(("a", "b"), (0, 0))
-    whole = Subspace.from_vectors(g.basis, [g.basis_vector(0)])
-    for rule, gram in (
-        ("nondegenerate", ((0, 0), (0, 0))),
-        ("supersymmetry", ((0, 1), (2, 0))),
-    ):
-        q = QuadraticLieSuperalgebra(g, BilinearForm(g.basis, gram))
-        with pytest.raises(InputError, match=f"invalid: {rule} at"):
-            orthogonal_complement(q, whole)
-        with pytest.raises(InputError, match=f"invalid: {rule} at"):
-            find_nondegenerate_central_line(q)
-
-
 # A, B | U, V with B(A, B) = B(U, V) = 1, then one fault each
 FIVE_FAULTS = (
     ("even", {}, {(0, 2): 1, (2, 0): 1}),
@@ -174,13 +119,11 @@ def test_one_form_check_serves_every_entry_point(rule, constants, entries, tmp_p
     g = LieSuperalgebra(basis=basis, constants=constants)
     q = QuadraticLieSuperalgebra(g, BilinearForm(basis, tuple(map(tuple, gram))))
     a, b = Cochain.dual(basis, "A"), Cochain.dual(basis, "B")
-    whole = Subspace.from_vectors(basis, [g.basis_vector(i) for i in range(4)])
     for call in (
         lambda: associated_three_form(q),
         lambda: poisson_bracket(q, a, b),
         lambda: differential_matrix(q, 1),
         lambda: betti_table(q, 1),
-        lambda: orthogonal_complement(q, whole),
     ):
         with pytest.raises(InputError, match=f"quadratic algebra invalid: {rule} at"):
             call()
@@ -316,8 +259,6 @@ def test_gram_entries_are_normalised_to_fractions():
         lambda h: poisson_bracket(h, 1, 1),
         lambda h: associated_three_form(h),
         lambda h: differential_via_poisson(h, 1),
-        lambda h: orthogonal_complement(h, Subspace.from_vectors(h.basis, [])),
-        lambda h: find_nondegenerate_central_line(h),
         lambda h: skew_superderivation_space(h, 0),
         lambda h: is_skew_superderivation(h, [[0] * 3] * 3, 0),
         lambda h: central_reduction(h, "Z", "X1"),
@@ -326,8 +267,6 @@ def test_gram_entries_are_normalised_to_fractions():
         "poisson_bracket",
         "associated_three_form",
         "differential_via_poisson",
-        "orthogonal_complement",
-        "find_nondegenerate_central_line",
         "skew_superderivation_space",
         "is_skew_superderivation",
         "central_reduction",

@@ -1,4 +1,5 @@
 """The scripts under ``scripts/``, run in-process."""
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from superquad import catalog_keys, load
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().with_name("golden.sha256")
 
 
 def test_reproduce_tables_runs_and_reports_no_mismatch(capsys):
@@ -43,3 +45,13 @@ def test_export_catalog_writes_every_entry(export_main, tmp_path, capsys):
     assert export_main(["export_catalog.py", str(out)]) == 0
     assert sorted(p.stem for p in out.iterdir()) == sorted(catalog_keys())
     assert load(str(out / "g_4_1_s.json")).basis.labels == ("X0", "Y0", "X1", "Y1")
+
+
+def test_golden_outputs_match_the_manifest(tmp_path, capsys):
+    """The golden set, written in-process, is byte for byte the set that
+    ``tests/golden.sha256`` records: the same file names, the same hashes."""
+    main = runpy.run_path(str(SCRIPTS / "golden_outputs.py"))["main"]
+    assert main([str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    want = {name: digest for digest, name in (line.split("  ", 1) for line in GOLDEN.read_text().splitlines())}
+    assert sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name)) == []
