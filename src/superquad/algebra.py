@@ -28,7 +28,6 @@ from .errors import InputError
 from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rat, rat_str, reduced_kernel
 
 if TYPE_CHECKING:
-    from .cochains import Monomial
     from .quadratic import QuadraticLieSuperalgebra
 
 Vector = tuple[Rat, ...]
@@ -213,8 +212,8 @@ class LieSuperalgebra:
         return by_first
 
     @cached_property
-    def _duals(self) -> dict[int, dict[Monomial, Rat | int]]:
-        """delta(t*) for every letter t (``cochains._dual_differentials``), built once."""
+    def _duals(self) -> list[list[tuple[int, int, int, Rat | int]]]:
+        """delta(t*) for every letter t, packed (``cochains._dual_differentials``), built once."""
         from .cochains import _dual_differentials
 
         return _dual_differentials(self)
@@ -227,7 +226,7 @@ class LieSuperalgebra:
         return _certified_torus(self)
 
     @cached_property
-    def _weights(self) -> list[tuple[int, ...]]:
+    def _weights(self) -> tuple[list[int], list[int]]:
         """The block weights (``cohomology._block_weights``), built once."""
         from .cohomology import _block_weights
 

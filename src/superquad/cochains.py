@@ -22,14 +22,25 @@ Under this convention the differential of the dual of a Heisenberg
 central element comes out as sum_i X_{n+i}*^X_i* - 1/2 sum_j (Y_j*)^2,
 which is the regression the whole sign machinery is pinned to.
 
-Wedge and contraction are the two kernels; the rest is built from
+Wedge and contraction are the two operations; the rest is built from
 them.  delta is a superderivation, so only the degree-1 images
 delta(t*) = -[., .]_t are read from the structure constants, and
 delta(A) = sum_t +-i_t(A) ^ delta(t*) (``differential_direct``); the
 Poisson bracket is a biderivation, a sum over pairs of letters of
 i_r(A) ^ i_s(A') weighted by the inverse Gram matrix.  The evaluation
 formula for delta on argument tuples, with the evaluation rule above,
-is the test suite's oracle (``tests/helpers.py``).
+is the test suite's oracle (``tests/helpers.py``), as are the kernels
+on ``Monomial`` tuples that the packed ones replaced.
+
+Inside the kernels a monomial is one int (``_pack``): bit t is the even
+letter t, and above the even bits each odd letter has a WIDTH-bit field
+holding its multiplicity.  A product is an AND (a shared even letter
+kills it) and one addition, a shuffle sign the parity of a popcount
+against a mask, i_t a bit clear or a field decrement.  A field holds at
+most DEGREE_LIMIT, so whatever packs refuses a monomial whose product
+would pass it (ResourceLimitError), and no field overflows into the
+next.  ``Monomial`` is the API's form: user cochains, representatives,
+``CochainBasis.monomials`` and printing.
 """
 
 from __future__ import annotations
@@ -41,9 +52,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .linalg import Rat, _check_degree, _combine, _frac, _num, rat, rat_str
 from .quadratic import QuadraticLieSuperalgebra, _require_quadratic
+
+WIDTH = 8  # the bits of an odd letter's field in a packed monomial
+DEGREE_LIMIT = (1 << WIDTH) - 1  # the largest multiplicity, and degree, a packed monomial holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +66,8 @@ class Monomial:
 
     Indices are positions in the algebra's full basis list, so even
     entries are < basis.even_dim and odd entries are >= basis.even_dim.
-    The hash is taken once, at construction: monomials are the keys of
-    every accumulator the kernels merge into.
+    The hash and the degree are taken once, at construction: a class
+    query reads each term's degree several times.
     """
 
     even: tuple[int, ...]
@@ -64,7 +78,7 @@ class Monomial:
             raise InputError("even indices must be strictly increasing")
         if any(a > b for a, b in zip(self.odd, self.odd[1:])):
             raise InputError("odd indices must be weakly increasing")
-        object.__setattr__(self, "_hash", hash((self.even, self.odd)))
+        self.__dict__.update(_hash=hash((self.even, self.odd)), degree=len(self.even) + len(self.odd))
 
     def __eq__(self, other):
         if other.__class__ is not Monomial:
@@ -78,13 +92,8 @@ class Monomial:
     def sym_degree(self) -> int:
         return len(self.odd)
 
-    @property
-    def degree(self) -> int:
-        return len(self.even) + len(self.odd)
-
     def sort_key(self) -> tuple:
-        even, odd = self.even, self.odd
-        return (len(even) + len(odd), len(even), even, odd)
+        return (self.degree, len(self.even), self.even, self.odd)
 
     def mult_factor(self) -> int:
         """prod over distinct odd indices of (multiplicity)!"""
@@ -108,8 +117,47 @@ def _monomial(even: tuple[int, ...], odd: tuple[int, ...]) -> Monomial:
     (for the kernels, which build monomials only from ordered parts)."""
     m = object.__new__(Monomial)
     fields = m.__dict__
-    fields["even"], fields["odd"], fields["_hash"] = even, odd, hash((even, odd))
+    fields["even"], fields["odd"], fields["_hash"], fields["degree"] = even, odd, hash((even, odd)), len(even) + len(odd)
     return m
+
+
+def _unit(ne: int, t: int) -> int:
+    """Letter t packed, for ``ne`` even letters."""
+    return 1 << t if t < ne else 1 << ne + WIDTH * (t - ne)
+
+
+def _pack(ne: int, m: Monomial) -> int:
+    return sum(_unit(ne, t) for t in m.even + m.odd)
+
+
+def _unpack(ne: int, m: int) -> Monomial:
+    odd, fields, t = (), m >> ne, ne
+    while fields:
+        odd += (t,) * (fields & DEGREE_LIMIT)
+        fields, t = fields >> WIDTH, t + 1
+    return _monomial(tuple(t for t in range(ne) if m >> t & 1), odd)
+
+
+def _sym_degree(ne: int, m: int) -> int:
+    """The number of odd letters of packed m: the sum of its fields."""
+    total, fields = 0, m >> ne
+    while fields:
+        total, fields = total + (fields & DEGREE_LIMIT), fields >> WIDTH
+    return total
+
+
+def _packed(ne: int, terms: Iterable[tuple[Monomial, Rat]], room: int) -> list[tuple[int, Rat | int]]:
+    """(Monomial, coefficient) terms packed, coefficients in the kernels'
+    form (``linalg._num``); ResourceLimitError for a degree that would pass
+    DEGREE_LIMIT once a product adds ``room`` to it."""
+    if max((m.degree for m, _ in terms), default=0) + room > DEGREE_LIMIT:
+        raise ResourceLimitError(f"a product of degree over {DEGREE_LIMIT} does not fit a packed monomial")
+    return [(_pack(ne, m), _num(c)) for m, c in terms]
+
+
+def _unpacked(basis: GradedBasis, acc: Mapping[int, Rat | int]) -> Cochain:
+    """The cochain of a packed kernel's accumulator (see ``_cochain``)."""
+    return _cochain(basis, {_unpack(basis.even_dim, m): x for m, x in acc.items()})
 
 
 def _format_monomial(m: Monomial, even_dim: int) -> str:
@@ -182,7 +230,7 @@ class Cochain:
     @classmethod
     def dual(cls, basis: GradedBasis, label: str) -> "Cochain":
         """The dual vector of a basis element as a degree-1 monomial."""
-        return cls.from_terms(basis, {_letters(basis.even_dim, (basis.index(label),)): Fraction(1)})
+        return cls.from_terms(basis, {_unpack(basis.even_dim, _unit(basis.even_dim, basis.index(label))): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -271,112 +319,83 @@ def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
     ascending, then lexicographic."""
     basis = _basis_of(basis, (GradedBasis,))
     _check_degree(k)
-    ne, n = basis.even_dim, basis.dim
-    out = []
-    for a in range(0, min(k, ne) + 1):
-        b = k - a
+    return [_unpack(basis.even_dim, m) for m in _enumerate(basis, k)]
+
+
+def _enumerate(basis: GradedBasis, k: int, inner: list[int] | None = None, weight: list[int] | None = None) -> dict[int, int]:
+    """The packed monomials of C^k in basis order, each mapped to its block
+    key.  Given an algebra's ``_weights`` (packed inner and block weights
+    per letter), only those of inner weight 0: per alternating degree a,
+    the odd multisets of size k - a are grouped by inner weight and each
+    even a-subset takes the group of minus its own.  A key is twice the
+    sum of the letters' block weights plus the sym-parity, its even
+    part's plus its odd part's: one addition.  Without, all of C^k."""
+    if k > DEGREE_LIMIT:
+        raise ResourceLimitError(f"degree {k} exceeds the packed monomials' limit {DEGREE_LIMIT}")
+    ne, n, out = basis.even_dim, basis.dim, {}
+    units = [_unit(ne, t) for t in range(n)]
+    for a in range(min(k, ne) + 1):
+        odd: dict[int, list[tuple[int, int]]] = {}
+        for od in itertools.combinations_with_replacement(range(ne, n), k - a):
+            key = 2 * sum(map(weight.__getitem__, od)) + (k - a) % 2 if weight else 0
+            odd.setdefault(sum(map(inner.__getitem__, od)) if inner else 0, []).append((sum(map(units.__getitem__, od)), key))
         for ev in itertools.combinations(range(ne), a):
-            for od in itertools.combinations_with_replacement(range(ne, n), b):
-                out.append(_monomial(ev, od))
+            e, w = sum(map(units.__getitem__, ev)), 2 * sum(map(weight.__getitem__, ev)) if weight else 0
+            out.update({e + o: w + key for o, key in odd.get(-sum(map(inner.__getitem__, ev)) if inner else 0, ())})
     return out
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:
-    """Super-exterior product (see ``_wedge_into`` for the rule)."""
+    """Super-exterior product.  On monomials
+
+    (E (x) O) ^ (E' (x) O') = sgn * merge(E, E') (x) merge(O, O')
+
+    with sgn = (-1)^{|O|*|E'|} times the sign of the shuffle merging E and
+    E' into increasing order: each letter of E' passes the |O| odd letters
+    and the letters of E above it.  Coinciding even indices kill the term.
+    """
     _check_cochain(a, None)
     _check_cochain(b, a.basis)
-    acc: dict[Monomial, Rat] = {}
-    _wedge_into(acc, a.terms, b.terms, 1)
-    return _cochain(a.basis, acc)
+    ne = a.basis.even_dim
+    even, acc, right = (1 << ne) - 1, {}, _packed(ne, b.terms, 0)
+    for m1, c1 in _packed(ne, a.terms, max((m.degree for m, _ in b.terms), default=0)):
+        o1 = _sym_degree(ne, m1)
+        for m2, c2 in right:
+            if not m1 & m2 & even:
+                flip = sum((m1 & even >> y + 1 << y + 1).bit_count() + o1 for y in range(ne) if m2 >> y & 1)
+                acc[m1 + m2] = acc.get(m1 + m2, 0) + (-c1 * c2 if flip & 1 else c1 * c2)
+    return _unpacked(a.basis, acc)
 
 
-def _wedge_into(
-    acc: dict[Monomial, Rat],
-    terms1: Iterable[tuple[Monomial, Rat]],
-    terms2: Iterable[tuple[Monomial, Rat]],
-    sign: int,
-) -> None:
-    """acc += sign * (terms1 ^ terms2) for a sign of +1 or -1, merged term
-    by term.
-
-    On monomials
-    (E (x) O) ^ (E' (x) O') = sgn * merge(E, E') (x) merge(O, O')
-    with sgn = (-1)^{|O|*|E'|} times the sign of the shuffle merging E
-    and E' into increasing order; coinciding even indices kill the term.
+def _contractions(ne: int, terms: Iterable[tuple[int, Rat | int]]) -> dict[int, dict[int, Rat | int]]:
+    """The contraction i_t(A) by every letter t of A, A given by packed
+    terms, each monomial once (i_t is one to one on the monomials that
+    contain t).  i_X(A)(args) = (-1)^{x * b(A)} A(X, args) for X of
+    parity x and A of Z2-degree b(A).  On a monomial of a even and b odd
+    letters, an even t at position p is deleted with (-1)^p; an odd t of
+    multiplicity mu loses one occurrence with mu * (-1)^(a+b): (-1)^a from
+    carrying the argument past the alternating slots, (-1)^b from the
+    prefactor, mu from the symmetric slots that can absorb it.
     """
-    terms2 = list(terms2)
-    for m1, c1 in terms1:
-        even1, odd1 = m1.even, m1.odd
-        for m2, c2 in terms2:
-            merged = _merge_even(even1, m2.even)
-            if merged is None:
-                continue
-            even, shuffle = merged
-            if len(odd1) * len(m2.even) % 2:
-                shuffle = -shuffle
-            odd2 = m2.odd
-            m = _monomial(even, tuple(sorted(odd1 + odd2)) if odd1 and odd2 else odd1 or odd2)
-            val = c1 * c2
-            positive = shuffle == sign
-            prev = acc.get(m)
-            if prev is None:
-                acc[m] = val if positive else -val
-            else:
-                acc[m] = prev + val if positive else prev - val
-
-
-def _merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    if not e1 or not e2:
-        return e1 or e2, 1
-    if set(e1) & set(e2):
-        return None
-    # count inversions between the blocks (each crossing is one swap)
-    inv = 0
-    for x in e1:
-        for y in e2:
-            if x > y:
-                inv += 1
-    return tuple(sorted(e1 + e2)), (-1 if inv % 2 else 1)
-
-
-def _contractions(
-    terms: Iterable[tuple[Monomial, Rat]],
-) -> dict[int, dict[Monomial, Rat]]:
-    """The contraction i_t(A) by every letter t of A, in one pass over
-    A's terms, each monomial once.  i_t is one to one on the monomials
-    that contain t, so no two terms meet in the same i_t(A).
-
-    i_X(A)(args) = (-1)^{x * b(A)} A(X, args) where x is the parity of X
-    and b(A) the Z2-degree of A.  On a monomial with even part E (length
-    a) and odd part O (length b):
-
-    * even t at position p of E: delete it, coefficient factor (-1)^p;
-    * odd t of multiplicity mu in O: delete one occurrence, coefficient
-      factor mu * (-1)^(a+b) (the (-1)^a from carrying the argument past
-      the a alternating slots, the (-1)^b from the Z2 prefactor, the mu
-      from the symmetric slots that can absorb it).
-    """
-    out: dict[int, dict[Monomial, Rat]] = {}
+    out: dict[int, dict[int, Rat | int]] = {}
     for m, c in terms:
-        even, odd = m.even, m.odd
-        for p, t in enumerate(even):
-            mm = _monomial(even[:p] + even[p + 1 :], odd)
-            out.setdefault(t, {})[mm] = -c if p % 2 else c
-        odd_sign = -1 if (len(even) + len(odd)) % 2 else 1
-        for p, t in enumerate(odd):
-            if p and odd[p - 1] == t:
-                continue  # one term per distinct odd letter
-            mm = _monomial(even, odd[:p] + odd[p + 1 :])
-            mu = odd_sign * odd.count(t)
-            out.setdefault(t, {})[mm] = c if mu == 1 else -c if mu == -1 else mu * c
+        for t in range(ne):
+            if m >> t & 1:
+                out.setdefault(t, {})[m ^ 1 << t] = -c if (m & (1 << t) - 1).bit_count() % 2 else c
+        odd_c = -c if ((m & (1 << ne) - 1).bit_count() + _sym_degree(ne, m)) % 2 else c
+        fields, t, unit = m >> ne, ne, 1 << ne
+        while fields:
+            if fields & DEGREE_LIMIT:
+                out.setdefault(t, {})[m - unit] = (fields & DEGREE_LIMIT) * odd_c
+            fields, t, unit = fields >> WIDTH, t + 1, unit << WIDTH
     return out
 
 
 def _combination(
-    parts: Iterable[tuple[Rat, Mapping[Monomial, Rat]]],
-) -> dict[Monomial, Rat]:
+    parts: Iterable[tuple[Rat, Mapping[int, Rat]]],
+) -> dict[int, Rat]:
     """sum_i x_i * A_i over (x_i, terms of A_i) pairs."""
-    acc: dict[Monomial, Rat] = {}
+    acc: dict[int, Rat] = {}
     for x, terms in parts:
         if x:
             for m, c in terms.items():
@@ -386,22 +405,32 @@ def _combination(
     return acc
 
 
-def _dual_differentials(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
-    """delta(t*) for every basis index t, coefficients in the kernels'
-    form (see ``linalg._num``).
+def _dual_differentials(g: LieSuperalgebra) -> list[list[tuple[int, int, int, Rat | int]]]:
+    """delta(t*) for every basis index t, as packed entries (even part,
+    monomial, mask, coefficient in the kernels' form, see ``linalg._num``).
 
     delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j): the
     coefficient of the monomial of (i, j) is -c_ij^t, halved when i = j
     (an odd square, whose canonical value is twice its coefficient).
+    ``_delta`` puts i_t(m) on its left, which passes the letters of i_t(m)
+    above each even letter y of the pair: the mask above y.  A pair with
+    one even letter also takes (-1)^|O| of i_t(m), which with eps_t and the
+    (-1)^deg of an odd contraction leaves (-1)^|E|: the whole mask is then
+    complemented, and is the letters up to each y, XORed, either way.  So
+    ``_delta`` relies on the grading: only an odd t has such pairs, and a
+    bracket that breaks it is refused (InputError).
     """
-    ne = g.basis.even_dim
-    images: dict[int, dict[Monomial, Rat]] = {t: {} for t in range(g.basis.dim)}
+    ne, parities, labels = g.basis.even_dim, g.basis.parities, g.basis.labels
+    images = [[] for _ in range(g.basis.dim)]
     for (i, j), br in g.constants.items():
         if i == j and i < ne:
             continue  # no canonical pair repeats an even index
-        pair = _letters(ne, (i, j))
+        pair = _unit(ne, i) + _unit(ne, j)
+        mask = ((2 << i) - 1 if i < ne else 0) ^ ((2 << j) - 1 if j < ne else 0)
         for t, v in br.items():
-            images[t][pair] = _num(Fraction(-v, 2)) if i == j else -_num(v)
+            if (parities[i] + parities[j] + parities[t]) % 2:
+                raise InputError(f"the bracket breaks the grading: [{labels[i]}, {labels[j]}] has a {labels[t]} term")
+            images[t].append((pair & (1 << ne) - 1, pair, mask, _num(Fraction(-v, 2)) if i == j else -_num(v)))
     return images
 
 
@@ -419,32 +448,42 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     (bidegree (2, |t|)) to the end, past the letters after t, all odd when
     t is, leaves (-1)^p for an even t and (-1)^(k-1) for each occurrence
     of an odd t.  The contraction i_t (``_contractions``) deletes t with (-1)^p,
-    or with mu (-1)^k for an odd t of multiplicity mu: hence eps_t.  All
-    the terms of c that contain t go into one wedge with delta(t*)
-    (``_delta``).  Degree-0 terms map to zero.  The evaluation formula on
-    every canonical (k+1)-tuple is kept in the tests as the oracle.
+    or with mu (-1)^k for an odd t of multiplicity mu: hence eps_t.  The
+    kernel is ``_delta``, on packed monomials.  Degree-0 terms map to
+    zero.  The evaluation formula on every canonical (k+1)-tuple is kept
+    in the tests as the oracle.
     """
     _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
-    return _cochain(g.basis, _delta(g, ((m, _num(x)) for m, x in c.terms)))
+    return _unpacked(g.basis, _delta(g, _packed(g.basis.even_dim, c.terms, 1)))
 
 
-def _delta(g: LieSuperalgebra, terms: Iterable[tuple[Monomial, Rat | int]]) -> dict[Monomial, Rat | int]:
-    """delta of (monomial, coefficient in the kernels' form) terms, zero-free
-    and in the kernels' form: fractional terms may sum to an integer."""
+def _delta(g: LieSuperalgebra, terms: Iterable[tuple[int, Rat | int]]) -> dict[int, Rat | int]:
+    """delta of packed (monomial, coefficient in the kernels' form) terms,
+    zero-free and in the kernels' form: fractional terms may sum to an
+    integer.  Per letter t of a monomial m: i_t(m), a bit clear with
+    (-1)^p for an even t at position p or a field decrement times the
+    multiplicity for an odd t, then one product with each entry of
+    delta(t*) (``_dual_differentials``) that shares no even letter with
+    it, its sign the parity of i_t(m) & mask.  Written apart from
+    ``_poisson``, which cross-checks it.
+    """
     ne, duals = g.basis.even_dim, g._duals
-    acc: dict[Monomial, Rat | int] = {}
-    for t, contracted in _contractions(terms).items():
-        if duals[t]:
-            _wedge_into(acc, contracted.items(), duals[t].items(), 1 if t < ne else -1)
+    acc: dict[int, Rat | int] = {}
+    get = acc.get
+    for m, c in terms:
+        # (i_t(m), its coefficient, t) for every letter t of m
+        contracted = [(m ^ 1 << t, -c if (m & (1 << t) - 1).bit_count() & 1 else c, t) for t in range(ne) if m >> t & 1]
+        fields, t, unit = m >> ne, ne, 1 << ne
+        while fields:
+            if fields & DEGREE_LIMIT:
+                contracted.append((m - unit, (fields & DEGREE_LIMIT) * c, t))
+            fields, t, unit = fields >> WIDTH, t + 1, unit << WIDTH
+        for mm, x, t in contracted:
+            for even, pair, mask, v in duals[t]:
+                if not mm & even:
+                    y, key = x * v, mm + pair
+                    acc[key] = get(key, 0) + (-y if (mm & mask).bit_count() & 1 else y)
     return {m: _num(x) for m, x in acc.items() if x}
-
-
-def _letters(even_dim: int, letters: Sequence[int]) -> Monomial:
-    """The monomial of a canonically ordered run of letters."""
-    return _monomial(
-        tuple(i for i in letters if i < even_dim),
-        tuple(i for i in letters if i >= even_dim),
-    )
 
 
 def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
@@ -463,7 +502,7 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     for (i, j), row in _combine(pairs, q.form.rows).items():  # B([e_i, e_j], .)
         for k, x in row.items():
             if k >= j:
-                m = _letters(ne, (i, j, k))
+                m = _unpack(ne, _unit(ne, i) + _unit(ne, j) + _unit(ne, k))
                 acc[m] = Fraction(x, m.mult_factor())
     return _cochain(q.basis, acc)
 
@@ -500,52 +539,80 @@ def poisson_bracket(q: QuadraticLieSuperalgebra, a: Cochain, b: Cochain) -> Coch
 @dataclass(frozen=True)
 class _PoissonLeft:
     """The left operand A of {A, .} with everything that does not depend
-    on the right operand done: ``dual[s]`` is
-    (-1)^{deg A + 1} sum_r (G^{-1})[r][s] iota_r(A)."""
+    on the right operand done: per letter s it pairs with, (the offset of
+    s's bit or field, the terms of (-1)^{deg A + 1} sum_r (G^{-1})[r][s]
+    iota_r(A) as ``_poisson`` reads them); ``degree`` is A's largest."""
 
     basis: GradedBasis
-    dual: list[dict[Monomial, Rat]]
+    dual: list[tuple[int, list[tuple[int, int, int, Rat | int]]]]
+    degree: int
 
 
 def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
-    """A prepared as the left operand of ``poisson_bracket``.  Raises
-    InputError unless q is quadratic and passes its ``require_form``."""
+    """A prepared as the left operand of ``poisson_bracket``; InputError
+    unless q is quadratic and passes its ``require_form``.  An entry L of
+    letter s goes on the left of i_s(m), passing each even letter of L
+    over those of i_s(m) below it: its mask is the letters below each even
+    letter of L, XORed, complemented for (-1)^{|O_L| |E|}.  For an odd s,
+    i_s's (-1)^deg and eps_s = -(-1)^g leave -(-1)^|E|: one more
+    complement, and the coefficient negated.
+    """
     _require_quadratic(q, "the Poisson bracket").require_form()
     _check_cochain(a, q.basis)
+    ne, dual = q.basis.even_dim, []
+    even = (1 << ne) - 1
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
-    contractions = _contractions(
-        (m, _num(c) if m.degree % 2 else -_num(c)) for m, c in a.terms
-    )
-    return _PoissonLeft(
-        q.basis,
-        [
-            _combination((x, contractions.get(r, {})) for r, x in col.items())
-            for col in q.form.inverse_columns
-        ],
-    )
+    signed = [(p, c if m.degree % 2 else -c) for (p, c), (m, _) in zip(_packed(ne, a.terms, 0), a.terms)]
+    contractions = _contractions(ne, signed)
+    for s, col in enumerate(q.form.inverse_columns):
+        entries = []
+        for left, x in _combination((x, contractions.get(r, {})) for r, x in col.items()).items():
+            if not x:
+                continue
+            mask = even if (_sym_degree(ne, left) + (s >= ne)) % 2 else 0
+            for y in range(ne):
+                mask ^= (1 << y) - 1 if left >> y & 1 else 0
+            entries.append((left & even, left, mask, -x if s >= ne else x))
+        if entries:
+            dual.append((s if s < ne else ne + WIDTH * (s - ne), entries))
+    return _PoissonLeft(q.basis, dual, max((m.degree for m, _ in a.terms), default=0))
 
 
 def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
     """scale * {A, b} for the prepared left operand A (``_poisson``)."""
     _check_cochain(b, left.basis)
-    return _cochain(b.basis, _poisson(left, [(m, _num(c)) for m, c in b.terms], scale))
+    return _unpacked(b.basis, _poisson(left, _packed(b.basis.even_dim, b.terms, max(left.degree - 2, 0)), scale))
 
 
-def _poisson(left: _PoissonLeft, terms: Sequence[tuple[Monomial, Rat | int]], scale: int) -> dict:
-    """scale * {A, terms} for the prepared left operand A, zero-free, as in
-    ``_delta``: one wedge per letter s of the terms' contractions."""
-    ne = left.basis.even_dim
-    acc: dict[Monomial, Rat | int] = {}
-    # eps_s depends on the symmetric degree g of a right term: contract
-    # the right terms of each parity of g apart
-    for parity in (0, 1):
-        right = _contractions((m, c) for m, c in terms if m.sym_degree % 2 == parity)
-        odd_sign = scale if parity else -scale
-        for s, right_s in right.items():
-            if left.dual[s]:
-                _wedge_into(acc, left.dual[s].items(), right_s.items(), scale if s < ne else odd_sign)
-    return {m: x for m, x in acc.items() if x}
+def _poisson(left: _PoissonLeft, terms: Sequence[tuple[int, Rat | int]], scale: int) -> dict[int, Rat | int]:
+    """scale * {A, terms} (scale +-1) for the prepared left operand A,
+    packed as in ``_delta``, zero-free and in the kernels' form.  Per
+    letter s of A's table that a right monomial m contains: i_s(m), then
+    one product with each of s's entries that shares no even letter with
+    it, its sign the parity of i_s(m) & mask.  Written apart from
+    ``_delta``, with its own table and its own loop over letters.
+    """
+    ne, dual = left.basis.even_dim, left.dual
+    acc: dict[int, Rat | int] = {}
+    get = acc.get
+    for m, c in terms:
+        c = c if scale == 1 else -c
+        for shift, entries in dual:
+            unit = 1 << shift
+            if shift < ne:
+                if not m & unit:
+                    continue
+                mm, x = m ^ unit, -c if (m & unit - 1).bit_count() & 1 else c
+            elif m >> shift & DEGREE_LIMIT:
+                mm, x = m - unit, (m >> shift & DEGREE_LIMIT) * c
+            else:
+                continue
+            for even, other, mask, v in entries:
+                if not mm & even:
+                    y, key = x * v, mm + other
+                    acc[key] = get(key, 0) + (-y if (mm & mask).bit_count() & 1 else y)
+    return {m: _num(x) for m, x in acc.items() if x}
 
 
 def differential_via_poisson(q: QuadraticLieSuperalgebra, c: Cochain) -> Cochain:

@@ -14,7 +14,6 @@ built and eliminated, and the others are counted.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,18 +22,20 @@ from weakref import WeakValueDictionary
 
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
+    DEGREE_LIMIT,
     Cochain,
     Monomial,
     _basis_of,
-    _cochain,
     _check_cochain,
+    _cochain,
     _combination,
     _contractions,
     _delta,
-    _letters,
-    _monomial,
+    _enumerate,
+    _packed,
     _poisson,
-    monomials_of_degree,
+    _unit,
+    _unpack,
 )
 from .errors import EngineError, InputError, ResourceLimitError
 from .linalg import Echelon, Rat, _check_degree, _frac, _num, reduced_kernel
@@ -73,30 +74,45 @@ def cochain_dimension(basis: GradedBasis, k: int) -> int:
 
 @dataclass(frozen=True)
 class CochainBasis:
-    """Deterministic ordered monomial basis of C^k."""
+    """Deterministic ordered monomial basis of C^k, or of the part of it a
+    complex builds: ``keys`` are its monomials packed (``cochains._pack``)
+    in basis order, and ``index`` maps each to its position.  The API's
+    ``Monomial``s, ``monomials`` and their ``_index``, are decoded on
+    first read."""
 
     degree: int
-    monomials: tuple[Monomial, ...]
+    keys: tuple[int, ...]
+    basis: GradedBasis = field(repr=False)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.keys)}
+
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        return tuple(_unpack(self.basis.even_dim, m) for m in self.keys)
 
     @cached_property
     def _index(self) -> dict[Monomial, int]:
-        """Monomial -> position, built once, on first use."""
+        """Monomial -> position, where a cochain's terms are looked up."""
         return {m: i for i, m in enumerate(self.monomials)}
 
     @property
     def dimension(self) -> int:
-        return len(self.monomials)
+        return len(self.keys)
 
 
 def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
     basis = _basis_of(g, (GradedBasis, LieSuperalgebra, QuadraticLieSuperalgebra))
-    return CochainBasis(degree=k, monomials=tuple(monomials_of_degree(basis, k)))
+    _check_degree(k)
+    return CochainBasis(k, tuple(_enumerate(basis, k)), basis)
 
 
 @dataclass(frozen=True)
 class DifferentialMatrix:
     """delta_k as columns {target index: nonzero}, one per source monomial,
-    in the kernels' form (``linalg._num``) or, at the API, as Fractions."""
+    in the kernels' form (``linalg._num``) or, at the API, as Fractions;
+    a complex's view shares its source and target ``CochainBasis``."""
 
     source: CochainBasis
     target: CochainBasis
@@ -127,26 +143,34 @@ def _certified_torus(g: LieSuperalgebra) -> list[tuple[dict[int, Rat | int], tup
     acyclic: c = delta(-i_x c / s) for every cocycle c there.
     """
     torus, ne, labels = inner_torus(g), g.basis.even_dim, g.basis.labels
-    for t, image in g._duals.items() if torus else ():
-        contractions = _contractions(image.items())
+    for t, image in enumerate(g._duals) if torus else ():
+        terms = [(m, v) for _, m, _, v in image]
+        contractions = _contractions(ne, terms)
         for x, w in torus:
             got = _combination((a, contractions.get(i, {})) for i, a in x.items())
-            if {m: c for m, c in got.items() if c} != ({_letters(ne, (t,)): -w[t]} if w[t] else {}):
+            if {m: c for m, c in got.items() if c} != ({_unit(ne, t): -w[t]} if w[t] else {}):
                 raise EngineError(f"i_x delta({labels[t]}*) != -w t*: the inner torus is wrong")
-        if _delta(g, image.items()):
+        if _delta(g, terms):
             raise InputError(f"delta(delta({labels[t]}*)) != 0, so the bracket fails super Jacobi")
     return torus
 
 
-def _block_weights(g: LieSuperalgebra) -> list[tuple[int, ...]]:
-    """Per letter t: its ``diagonal_weights`` coordinates, then w_t for
-    each (x, w) of the inner torus, each column scaled once by a positive
-    int to ints, then its parity.  ad x is a diagonal derivation, so a
-    column w splits no block: it only carries the inner weight into every
-    block key (``Complex.built``)."""
-    columns = [*zip(*(row[:-1] for row in diagonal_weights(g))), *(w for _, w in g._torus)]
-    scales = [lcm(*(x.denominator for x in col)) for col in columns]
-    return [(*(int(col[t] * s) for col, s in zip(columns, scales)), p) for t, p in enumerate(g.basis.parities)]
+def _block_weights(g: LieSuperalgebra) -> tuple[list[int], list[int]]:
+    """Per letter t, two packed ints: its inner weight, w_t for each
+    (x, w) of the inner torus, and its block weight, those then its
+    ``diagonal_weights`` coordinates.  Each column is scaled once by a
+    positive int to ints and given a field wide enough that a sum over
+    DEGREE_LIMIT letters stays inside it, so the packed sum of letters'
+    weights is the packed vector of their sums, and equal sums are equal
+    ints.  ad x is a diagonal derivation, so a column w splits no block:
+    it only carries the inner weight into every block key
+    (``Complex.built``)."""
+    columns = [*(w for _, w in g._torus), *zip(*(row[:-1] for row in diagonal_weights(g)))]
+    columns = [[int(x * lcm(*(y.denominator for y in col))) for x in col] for col in columns]
+    shift = (2 * DEGREE_LIMIT * max((abs(x) for col in columns for x in col), default=0)).bit_length() + 1
+    inner, weight = ([sum(col[t] << shift * i for i, col in enumerate(cols)) for t in range(g.basis.dim)]
+                     for cols in (columns[: len(g._torus)], columns))
+    return inner, weight
 
 
 class Complex:
@@ -166,35 +190,23 @@ class Complex:
         self.algebra = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
         self._sized = -1  # the largest k_max check_size passed
         self._built: dict[int, CochainBasis] = {}
-        self._keys: dict[int, dict[Monomial, tuple[int, ...]]] = {}  # the block keys of built(k), with a torus
+        self._keys: dict[int, dict[int, int]] = {}  # the block keys of built(k), with a torus
         # degree -> (delta_k, built with the cross-check or not)
         self._deltas: dict[int, tuple[DifferentialMatrix, bool]] = {}
         self._images: dict[int, Echelon] = {}
 
     def built(self, k: int) -> CochainBasis:
-        """The monomials of C^k of inner weight 0, in basis order, or C^k
-        itself without an inner torus: the source of delta_k and the target
-        of delta_{k-1}, made once, on first use.  With an inner torus, per
-        alternating degree a, the odd multisets of size k - a are grouped by
-        inner weight and each even a-subset takes the group of minus its
-        own; ``_keys[k]`` keeps each one's block key (the sums of its
-        letters' ``_block_weights``, the last taken mod 2), which delta keeps."""
-        if k not in self._built and not self.algebra._torus:
-            self._built[k] = CochainBasis(k, tuple(monomials_of_degree(self.basis, k)))
-        elif k not in self._built:
-            weights, s, ne, keys = self.algebra._weights, len(self.algebra._torus), self.basis.even_dim, {}
-            zero = (0,) * len(weights[0])  # the key of 1, so an empty part sums too
-            for a in range(min(k, ne) + 1):
-                odd: dict[tuple[int, ...], list] = {}
-                for od in itertools.combinations_with_replacement(range(ne, self.basis.dim), k - a):
-                    w = tuple(map(sum, zip(zero, *map(weights.__getitem__, od))))
-                    odd.setdefault(w[-1 - s : -1], []).append((od, w))
-                for ev in itertools.combinations(range(ne), a):
-                    w = tuple(map(sum, zip(zero, *map(weights.__getitem__, ev))))
-                    for od, v in odd.get(tuple(-x for x in w[-1 - s : -1]), ()):
-                        *lam, p = map(int.__add__, w, v)
-                        keys[_monomial(ev, od)] = (*lam, p % 2)
-            self._keys[k], self._built[k] = keys, CochainBasis(k, tuple(keys))
+        """The packed monomials of C^k of inner weight 0, in basis order, or
+        C^k itself without an inner torus (``_enumerate``): the source of
+        delta_k and the target of delta_{k-1}, made once, on first use.
+        With an inner torus ``_keys[k]`` keeps each one's block key, which
+        delta keeps."""
+        if k not in self._built:
+            torus = self.algebra._torus
+            keys = _enumerate(self.basis, k, *self.algebra._weights) if torus else _enumerate(self.basis, k)
+            if torus:
+                self._keys[k] = keys
+            self._built[k] = CochainBasis(k, tuple(keys), self.basis)
         return self._built[k]
 
     def acyclic_dim(self, k: int) -> int:
@@ -211,9 +223,12 @@ class Complex:
 
     def check_size(self, k_max: int, what: str = "k_max") -> None:
         """Refuse, before any work, a k_max that is not a degree (named
-        ``what`` in the message) and a dim C^k over ``MONOMIAL_LIMIT`` for
-        k <= k_max + 1."""
+        ``what`` in the message), a k_max + 1 past the degree a packed
+        monomial holds (``cochains.DEGREE_LIMIT``) and a dim C^k over
+        ``MONOMIAL_LIMIT`` for k <= k_max + 1."""
         _check_degree(k_max, what)
+        if k_max >= DEGREE_LIMIT:
+            raise ResourceLimitError(f"delta_{k_max} reaches degree {k_max + 1}, past the packed monomials' limit {DEGREE_LIMIT}")
         if k_max > self._sized:
             for k in range(k_max + 2):
                 if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
@@ -239,16 +254,16 @@ class Complex:
         if hit is not None and (hit[1] or not verify):
             return hit[0]
         self.check_size(k)
-        q, g = self.q, self.algebra
+        q, g, ne = self.q, self.algebra, self.basis.even_dim
         three = verify and isinstance(q, QuadraticLieSuperalgebra) and q._three_form_left
         src, tgt = self.built(k), self.built(k + 1)
-        index, columns, keys, target_keys = tgt._index, [], self._keys.get(k), self._keys.get(k + 1)
-        for m in src.monomials:
+        index, columns, keys, target_keys = tgt.index, [], self._keys.get(k), self._keys.get(k + 1)
+        for m in src.keys:
             image = _delta(g, ((m, 1),))
             if three and image != _poisson(three, ((m, 1),), -1):
-                raise EngineError(f"differential_direct and differential_via_poisson disagree on {m} in degree {k}")
+                raise EngineError(f"differential_direct and differential_via_poisson disagree on {_unpack(ne, m)} in degree {k}")
             if keys is not None and any(target_keys.get(mm) != keys[m] for mm in image):
-                raise EngineError(f"delta of {m} leaves its weight block {keys[m]}: the torus or delta is wrong")
+                raise EngineError(f"delta of {_unpack(ne, m)} leaves its weight block: the torus or delta is wrong")
             columns.append({index[mm]: x for mm, x in image.items()})
         d = DifferentialMatrix(src, tgt, tuple(columns))
         self._deltas[k] = (d, verify)
@@ -422,19 +437,19 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
             rest.append((m, a))
     if any(any(_combination(parts).values()) for parts in kept.values()):
         return False
-    return not rest or not _delta(cx.algebra, ((m, _num(a)) for m, a in rest))
+    return not rest or not _delta(cx.algebra, _packed(cx.basis.even_dim, rest, 1))
 
 
-def _split(cx: Complex, k: int, c: Cochain) -> tuple[dict[int, Rat | int], list[tuple[Monomial, Rat | int]]]:
+def _split(cx: Complex, k: int, c: Cochain) -> tuple[dict[int, Rat | int], list[tuple[int, Rat | int]]]:
     """c's terms in ``cx.built(k)`` as {index: value} over it, and the
-    others as (monomial, value) pairs, values in the kernels' form."""
+    others packed for ``_delta``, values in the kernels' form."""
     index, built, rest = cx.built(k)._index, {}, []
     for m, a in c.terms:
         if (i := index.get(m)) is None:
-            rest.append((m, _num(a)))
+            rest.append((m, a))
         else:
             built[i] = _num(a)
-    return built, rest
+    return built, _packed(cx.basis.even_dim, rest, 1)
 
 
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:

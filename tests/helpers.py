@@ -35,6 +35,12 @@ algebra's ``_weights`` on each call, and ``built_by_filter`` the built part
 of C^k with its keys as the engine made it before it enumerated the
 monomials of inner weight 0 directly: all of C^k listed, each keyed, those
 of inner weight 0 kept.
+``wedge_into``, ``merge_even``, ``contractions_by_tuples``,
+``delta_by_tuples`` and ``poisson_by_tuples`` (with
+``dual_differentials_by_tuples`` and ``poisson_left_by_tuples``, their
+tables) are the kernels on ``Monomial`` tuples that the engine's packed
+kernels replaced: sorted merges of the parts and a count of the shuffle's
+inversions.  The packed kernels must give the same dictionaries.
 ``contract_vector`` is the contraction with a coordinate vector, and
 ``alt_degree`` the alternating degree of a monomial, both once public.
 ``parity_of_vector``, ``coefficient``, ``form_value`` and
@@ -62,6 +68,7 @@ paper's lemmas on traceless 2x2 matrices, checked by acceptance C10.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
@@ -72,7 +79,7 @@ from superquad.cochains import (
     _check_cochain,
     _cochain,
     _combination,
-    _contractions,
+    _monomial,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -87,8 +94,8 @@ from superquad.extensions import (
     _grading_violations,
     validate_extension_datum,
 )
-from superquad.linalg import Echelon, Rat, _sparse_rows, rank, rat, reduced_kernel
-from superquad.quadratic import validate_quadratic
+from superquad.linalg import Echelon, Rat, _num, _sparse_rows, rank, rat, reduced_kernel
+from superquad.quadratic import _require_quadratic, validate_quadratic
 from superquad.sp2 import Sp2Element, classify, commutator
 
 QUADRATIC_KEYS = (
@@ -192,8 +199,134 @@ def contract_vector(c: Cochain, vector) -> Cochain:
     parity = parity_of_vector(c.basis, v)
     if parity is None and any(x != 0 for x in v):
         raise InputError("contraction vector must be parity-homogeneous")
-    contractions = _contractions(c.terms)
+    contractions = contractions_by_tuples(c.terms)
     return _cochain(c.basis, _combination((x, contractions.get(i, {})) for i, x in enumerate(v)))
+
+
+def wedge_into(
+    acc: dict[Monomial, Rat],
+    terms1: Iterable[tuple[Monomial, Rat]],
+    terms2: Iterable[tuple[Monomial, Rat]],
+    sign: int,
+) -> None:
+    """acc += sign * (terms1 ^ terms2) for a sign of +1 or -1, merged term
+    by term.
+
+    On monomials
+    (E (x) O) ^ (E' (x) O') = sgn * merge(E, E') (x) merge(O, O')
+    with sgn = (-1)^{|O|*|E'|} times the sign of the shuffle merging E
+    and E' into increasing order; coinciding even indices kill the term.
+    """
+    terms2 = list(terms2)
+    for m1, c1 in terms1:
+        even1, odd1 = m1.even, m1.odd
+        for m2, c2 in terms2:
+            merged = merge_even(even1, m2.even)
+            if merged is None:
+                continue
+            even, shuffle = merged
+            if len(odd1) * len(m2.even) % 2:
+                shuffle = -shuffle
+            odd2 = m2.odd
+            m = _monomial(even, tuple(sorted(odd1 + odd2)) if odd1 and odd2 else odd1 or odd2)
+            val = c1 * c2
+            positive = shuffle == sign
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = val if positive else -val
+            else:
+                acc[m] = prev + val if positive else prev - val
+
+
+def merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+    if not e1 or not e2:
+        return e1 or e2, 1
+    if set(e1) & set(e2):
+        return None
+    # count inversions between the blocks (each crossing is one swap)
+    inv = 0
+    for x in e1:
+        for y in e2:
+            if x > y:
+                inv += 1
+    return tuple(sorted(e1 + e2)), (-1 if inv % 2 else 1)
+
+
+def wedge_by_tuples(a: Cochain, b: Cochain) -> Cochain:
+    acc: dict[Monomial, Rat] = {}
+    wedge_into(acc, a.terms, b.terms, 1)
+    return _cochain(a.basis, acc)
+
+
+def contractions_by_tuples(
+    terms: Iterable[tuple[Monomial, Rat]],
+) -> dict[int, dict[Monomial, Rat]]:
+    """The contraction i_t(A) by every letter t of A, in one pass over
+    A's terms (the sign rules of ``cochains._contractions``)."""
+    out: dict[int, dict[Monomial, Rat]] = {}
+    for m, c in terms:
+        even, odd = m.even, m.odd
+        for p, t in enumerate(even):
+            mm = _monomial(even[:p] + even[p + 1 :], odd)
+            out.setdefault(t, {})[mm] = -c if p % 2 else c
+        odd_sign = -1 if (len(even) + len(odd)) % 2 else 1
+        for p, t in enumerate(odd):
+            if p and odd[p - 1] == t:
+                continue  # one term per distinct odd letter
+            mm = _monomial(even, odd[:p] + odd[p + 1 :])
+            mu = odd_sign * odd.count(t)
+            out.setdefault(t, {})[mm] = c if mu == 1 else -c if mu == -1 else mu * c
+    return out
+
+
+def dual_differentials_by_tuples(g: LieSuperalgebra) -> dict[int, dict[Monomial, Rat]]:
+    """delta(t*) for every basis index t, keyed by Monomial."""
+    ne = g.basis.even_dim
+    images: dict[int, dict[Monomial, Rat]] = {t: {} for t in range(g.basis.dim)}
+    for (i, j), br in g.constants.items():
+        if i == j and i < ne:
+            continue  # no canonical pair repeats an even index
+        pair = Monomial(tuple(x for x in (i, j) if x < ne), tuple(x for x in (i, j) if x >= ne))
+        for t, v in br.items():
+            images[t][pair] = _num(Fraction(-v, 2)) if i == j else -_num(v)
+    return images
+
+
+def delta_by_tuples(g: LieSuperalgebra, terms: Iterable[tuple[Monomial, Rat]]) -> dict[Monomial, Rat]:
+    """delta of (Monomial, coefficient) terms, zero-free: every term that
+    contains a letter t goes into one wedge with delta(t*), signed eps_t."""
+    ne, duals = g.basis.even_dim, dual_differentials_by_tuples(g)
+    acc: dict[Monomial, Rat] = {}
+    for t, contracted in contractions_by_tuples(terms).items():
+        if duals[t]:
+            wedge_into(acc, contracted.items(), duals[t].items(), 1 if t < ne else -1)
+    return {m: x for m, x in acc.items() if x}
+
+
+def poisson_left_by_tuples(q: QuadraticLieSuperalgebra, a: Cochain) -> list[dict[Monomial, Rat]]:
+    """A as the left operand of {A, .}: per letter s,
+    (-1)^{deg A + 1} sum_r (G^{-1})[r][s] iota_r(A)."""
+    _require_quadratic(q, "the Poisson bracket").require_form()
+    contractions = contractions_by_tuples((m, c if m.degree % 2 else -c) for m, c in a.terms)
+    return [
+        _combination((x, contractions.get(r, {})) for r, x in col.items())
+        for col in q.form.inverse_columns
+    ]
+
+
+def poisson_by_tuples(q: QuadraticLieSuperalgebra, left, terms: Iterable[tuple[Monomial, Rat]], scale: int) -> dict:
+    """scale * {A, terms} for A prepared by ``poisson_left_by_tuples``,
+    zero-free: one wedge per letter s of the terms' contractions."""
+    ne, terms, acc = q.basis.even_dim, list(terms), {}
+    # eps_s depends on the symmetric degree g of a right term: contract
+    # the right terms of each parity of g apart
+    for parity in (0, 1):
+        right = contractions_by_tuples((m, c) for m, c in terms if m.sym_degree % 2 == parity)
+        odd_sign = scale if parity else -scale
+        for s, right_s in right.items():
+            if left[s]:
+                wedge_into(acc, left[s].items(), right_s.items(), scale if s < ne else odd_sign)
+    return {m: x for m, x in acc.items() if x}
 
 
 def koszul(d1: tuple[int, int], d2: tuple[int, int]) -> int:
@@ -403,22 +536,23 @@ def block_partition(q, k: int) -> tuple[set[frozenset[Monomial]], tuple[Monomial
     return {frozenset(b) for b in blocks.values()}, tuple(built)
 
 
-def block_key(cx, m: Monomial) -> tuple[int, ...]:
-    """The block key of m in the complex ``cx``: the sums of its letters'
-    ``_weights`` (kept on cx's algebra), the last one (its odd letters)
-    taken mod 2."""
-    weights = cx.algebra._weights
-    zero = (0,) * len(weights[0])  # the key of 1, so an empty monomial sums too
-    *lam, odd = map(sum, zip(zero, *map(weights.__getitem__, m.even + m.odd)))
-    return (*lam, odd % 2)
+def block_key(cx, m: Monomial) -> int:
+    """The block key of m in the complex ``cx`` as the engine makes it:
+    twice the sum of its letters' packed block weights (the second of
+    the ``_weights`` kept on cx's algebra) plus its number of odd letters
+    mod 2."""
+    return 2 * sum(cx.algebra._weights[1][t] for t in m.even + m.odd) + len(m.odd) % 2
 
 
-def built_by_filter(cx, k: int) -> dict[Monomial, tuple[int, ...]]:
-    """The monomials of C^k of inner weight 0 (the torus entries of
-    ``block_key``), in basis order, each with its key."""
-    s = len(cx.algebra._torus)
-    keys = {m: block_key(cx, m) for m in monomials_of_degree(cx.basis, k)}
-    return {m: key for m, key in keys.items() if not any(key[-1 - s : -1])}
+def built_by_filter(cx, k: int) -> dict[Monomial, int]:
+    """The monomials of C^k of inner weight 0 (the sum of their letters'
+    packed inner weights, the first of ``_weights``, is 0), in basis
+    order, each with its key; all of C^k without an inner torus."""
+    monomials = monomials_of_degree(cx.basis, k)
+    if not cx.algebra._torus:
+        return dict.fromkeys(monomials, 0)
+    inner = cx.algebra._weights[0]
+    return {m: block_key(cx, m) for m in monomials if not sum(inner[t] for t in m.even + m.odd)}
 
 
 def is_coboundary_full(q, c: Cochain) -> bool:

@@ -269,7 +269,7 @@ def test_poisson_checks_the_size_first(tmp_path, capsys, monkeypatch):
     # module, and enumerates the monomials itself
     cochains, cli = (importlib.import_module(f"superquad.{m}") for m in ("cochains", "cli"))
     monkeypatch.setattr(cochains, "associated_three_form", no_work)
-    monkeypatch.setattr(cli, "monomials_of_degree", no_work)
+    monkeypatch.setattr(cli, "cochain_basis", no_work)
     assert main(["poisson", str(path), "--max-degree", "5"]) == 2
     assert "exceeds the monomial limit" in capsys.readouterr().err
 

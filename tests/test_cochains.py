@@ -14,19 +14,28 @@ from helpers import (
     coefficient,
     contract_vector,
     coordinates,
+    delta_by_tuples,
     differential_by_evaluation,
     evaluate,
     form_value,
     koszul,
     mono,
+    poisson_by_tuples,
+    poisson_left_by_tuples,
     random_homogeneous,
+    wedge_by_tuples,
 )
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra, validate_super_jacobi
 from superquad.cochains import (
     Cochain,
     Monomial,
+    _cochain,
+    _delta,
+    _pack,
+    _poisson,
     _poisson_left,
+    _unpack,
     associated_three_form,
     differential_direct,
     differential_via_poisson,
@@ -34,7 +43,7 @@ from superquad.cochains import (
     poisson_bracket,
     wedge,
 )
-from superquad.cohomology import class_vector, differential_matrix, is_coboundary, is_cocycle
+from superquad.cohomology import class_vector, cochain_basis, differential_matrix, is_coboundary, is_cocycle
 from superquad.errors import InputError
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 
@@ -206,6 +215,16 @@ def test_monomial_hash_and_equality_agree_however_built():
     assert len({*kernel_made[:5], *public[3:8]}) == 8
     assert Monomial(even=(0,), odd=()) != Monomial(even=(), odd=(0,))
     assert Monomial(even=(0,), odd=()) != ((0,), ())
+
+
+def test_monomial_degree_is_set_once_however_built():
+    public = Monomial(even=(0, 1), odd=(2, 2, 3))
+    decoded = _unpack(2, _pack(2, public))
+    assert decoded == public and decoded is not public
+    for m in (public, decoded):
+        # an attribute of the object, read without a call
+        assert vars(m)["degree"] == m.degree == 5
+    assert "degree" not in vars(Monomial)
 
 
 def test_evaluation_normalization():
@@ -594,3 +613,62 @@ def test_contraction_by_a_vector_of_mixed_parity_is_refused():
     c = mono(q, even_labels=("X0",), odd_labels=("X1",))
     with pytest.raises(InputError, match="contraction vector must be parity-homogeneous"):
         contract_vector(c, [1, 0, 1, 0])
+
+
+# ------------------------------------------------------------ packed kernels
+
+
+@pytest.mark.parametrize(
+    "key, k_max",
+    [*(pytest.param(key, 3, id=f"{key}-3") for key in catalog_keys()), pytest.param("g_8_2_9_s", 6, id="g_8_2_9_s-6")],
+)
+def test_packed_kernels_match_the_tuple_kernels_column_by_column(key, k_max):
+    """delta and -{I, .} of every monomial of C^0..C^k_max, packed
+    (``_delta``, ``_poisson`` with I's side as q keeps it) and on Monomial
+    tuples (the oracle's own tables): the same dictionaries, the packed
+    ones in the kernels' form (an int exactly when integral)."""
+    q = build(key)
+    g = getattr(q, "algebra", q)
+    ne, quadratic = g.basis.even_dim, g is not q
+    left = poisson_left_by_tuples(q, q._three_form) if quadratic else None
+    columns = 0
+    for k in range(k_max + 1):
+        for m in cochain_basis(g, k).keys:
+            mono_m = _unpack(ne, m)
+            images = [(_delta(g, [(m, 1)]), delta_by_tuples(g, [(mono_m, Fraction(1))]))]
+            if quadratic:
+                images.append((_poisson(q._three_form_left, [(m, 1)], -1), poisson_by_tuples(q, left, [(mono_m, Fraction(1))], -1)))
+            for packed, oracle in images:
+                assert {_unpack(ne, mm): x for mm, x in packed.items()} == oracle, (key, mono_m)
+                assert all((type(x) is int) == (x.denominator == 1) for x in packed.values()), (key, mono_m)
+            columns += 1
+    assert columns == sum(len(cochain_basis(g, k).keys) for k in range(k_max + 1))
+
+
+KERNEL_ALGEBRAS = {key: build(key) for key in ("g_4_1_s", "g_6_s", "g_6_2", "g_8_2_5_s", "g_dec", "h")}
+
+
+@st.composite
+def kernel_operands(draw):
+    """An algebra of ``KERNEL_ALGEBRAS`` and two seeded cochains over it,
+    of mixed degrees up to 3, some terms with fractional coefficients."""
+    q = KERNEL_ALGEBRAS[draw(st.sampled_from(sorted(KERNEL_ALGEBRAS)))]
+    monomials = [m for k in range(4) for m in monomials_of_degree(q.basis, k)]
+
+    def cochain():
+        picked = draw(st.lists(st.sampled_from(monomials), max_size=6, unique=True))
+        return Cochain.from_terms(q.basis, {m: draw(coefficients) for m in picked})
+
+    return q, cochain(), cochain()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_operands())
+def test_public_kernels_match_the_tuple_kernels_on_random_cochains(ops):
+    q, a, b = ops
+    g = getattr(q, "algebra", q)
+    assert wedge(a, b) == wedge_by_tuples(a, b)
+    assert differential_direct(g, a) == _cochain(g.basis, delta_by_tuples(g, a.terms))
+    if g is not q:
+        oracle = poisson_by_tuples(q, poisson_left_by_tuples(q, a), b.terms, 1)
+        assert poisson_bracket(q, a, b) == _cochain(q.basis, oracle)

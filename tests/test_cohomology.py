@@ -19,6 +19,7 @@ from helpers import (
     built_by_filter,
     contract_vector,
     coordinates,
+    delta_by_tuples,
     doubled_odd_form,
     from_coordinates,
     full_differential,
@@ -29,14 +30,19 @@ from helpers import (
 )
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
+from superquad.cli import main
 from superquad.cochains import (
+    DEGREE_LIMIT,
     Cochain,
     Monomial,
+    _pack,
+    _poisson,
     associated_three_form,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
     poisson_bracket,
+    wedge,
 )
 from superquad.cohomology import (
     CochainBasis,
@@ -57,8 +63,8 @@ from superquad.cohomology import (
 from superquad.errors import EngineError, InputError, ResourceLimitError
 from superquad.extensions import is_skew_superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import Echelon, _sparse_rows, rank
-from superquad.quadratic import validate_quadratic
-from superquad.serialization import loads
+from superquad.quadratic import QuadraticLieSuperalgebra, validate_quadratic
+from superquad.serialization import loads, save
 
 
 def test_cochain_dimension_matches_enumeration():
@@ -411,7 +417,7 @@ def test_every_cohomology_entry_point_checks_the_size_first(monkeypatch):
     monkeypatch.setattr(module, "DifferentialMatrix", no_elimination)
     monkeypatch.setattr(module, "Echelon", no_elimination)
     monkeypatch.setattr(module, "cochain_basis", no_elimination)
-    monkeypatch.setattr(module, "monomials_of_degree", no_elimination)
+    monkeypatch.setattr(module, "_enumerate", no_elimination)
     c = Cochain.from_terms(basis, {Monomial(even=(), odd=(0,) * 6): Fraction(1)})
     with pytest.raises(ResourceLimitError):
         cohomology(g, 6)
@@ -489,7 +495,7 @@ TABLES = (
     "_poisson_left",
     "_dual_differentials",
     "CochainBasis",
-    "monomials_of_degree",
+    "_enumerate",
     "DifferentialMatrix",
 )
 
@@ -502,13 +508,13 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     # one complex: each table once (the inner torus and the block weights
     # too), the built parts of C^0..C^4 once each (C^0 and C^1 for the
     # dimensions of their acyclic blocks), delta_2 and delta_3; with an
-    # inner torus no C^k is listed in full
+    # inner torus each built part is enumerated by inner weight
     once = dict.fromkeys((*TABLES[:3], *tables[-2:]), 1)
-    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "DifferentialMatrix": 2}
+    assert calls == {**once, "CochainBasis": 5, "_enumerate": 5, "DifferentialMatrix": 2}
     table = betti_table(q, 3)
     assert table[3] == result and table[3]._complex is result._complex
     # while the result holds it, the same complex: only delta_0 and delta_1
-    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 0, "DifferentialMatrix": 2 + 2}
+    assert calls == {**once, "CochainBasis": 5, "_enumerate": 5, "DifferentialMatrix": 2 + 2}
     # with no result alive, a second complex: the built parts of C^0..C^4
     # and delta_0..delta_3 again, but the tables q keeps, the inner torus
     # and the block weights among them, are not built again
@@ -516,7 +522,7 @@ def test_cohomology_builds_the_cross_check_data_once(monkeypatch):
     del result, table
     gc.collect()
     assert betti_table(q, 3)[3].betti == b3
-    assert calls == {**once, "CochainBasis": 5 + 5, "monomials_of_degree": 0, "DifferentialMatrix": 4 + 4}
+    assert calls == {**once, "CochainBasis": 5 + 5, "_enumerate": 5 + 5, "DifferentialMatrix": 4 + 4}
 
 
 def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
@@ -525,7 +531,7 @@ def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     table = betti_table(q, 3)
     # no inner torus: each built part is all of its C^k, listed once
     once = dict.fromkeys(TABLES[:3], 1)
-    assert calls == {**once, "CochainBasis": 5, "monomials_of_degree": 5, "DifferentialMatrix": 4}
+    assert calls == {**once, "CochainBasis": 5, "_enumerate": 5, "DifferentialMatrix": 4}
     # the held results keep one complex, which keeps each delta_k; H^k is
     # derived from them again
     cx = table[0]._complex
@@ -536,12 +542,13 @@ def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     assert calls["DifferentialMatrix"] == 4
 
 
-@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s", "g_8_2_9_s"])
+@pytest.mark.parametrize("key", catalog_keys())
 def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key):
     """betti_table converts no entry of delta on its way to the quotient:
     the cohomology module calls neither ``_frac`` nor ``_sparse_rows``.
     differential_matrix is a view of the kept delta_k: the same entries,
-    each a Fraction, where the complex keeps the kernels' form."""
+    each a Fraction, where the complex keeps the kernels' form, as the
+    -{I, .} side of the cross-check gives it too."""
     module = importlib.import_module("superquad.cohomology")
     calls = {"_frac": 0, "_sparse_rows": 0}
     for name in calls:
@@ -553,27 +560,30 @@ def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key
 
             monkeypatch.setattr(module, name, counted)
     q = build(key)
-    table = betti_table(q, 4)
+    table = betti_table(q, 3)
     assert calls == {"_frac": 0, "_sparse_rows": 0}
     cx = table[0]._complex
-    for k in range(5):
+    for k in range(4):
         kept = cx.delta(k)
         d = differential_matrix(q, k)
         assert cx.delta(k) is kept and d.source is kept.source and d.target is kept.target
         assert d.columns == kept.columns
         assert all(type(x) is Fraction for col in d.columns for x in col.values())
         assert all((type(x) is int) == (x.denominator == 1) for col in kept.columns for x in col.values())
+        for m in kept.source.keys if isinstance(q, QuadraticLieSuperalgebra) else ():
+            values = _poisson(q._three_form_left, ((m, 1),), -1).values()
+            assert all((type(x) is int) == (x.denominator == 1) for x in values), (k, m)
 
 
 def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
-    calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights", "monomials_of_degree"))
+    calls = _count_calls(monkeypatch, ("_dual_differentials", "diagonal_weights", "_enumerate"))
     q = build("g_6_s")
     cx = _complex(q)  # held: every call given q reads it
     c = differential_direct(q.algebra, mono(q.basis, odd_labels=("X1",)))
     assert is_coboundary(q, c)
     # delta_1 enumerates C^1 and its target C^2; g_6_s has no inner
     # torus, so no block key is read and the diagonal weights are never made
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "monomials_of_degree": 2}
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "_enumerate": 2}
     res = cohomology(q, 2, verify=False)
     assert res._complex is cx
     for i, rep in enumerate(res.representatives):
@@ -582,7 +592,7 @@ def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
         unit = [Fraction(int(j == i)) for j in range(res.betti)]
         assert class_vector(q, query, result=res) == unit
         assert class_vector(q, query, result=cohomology(q, 2, verify=False)) == unit
-    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "monomials_of_degree": 3}
+    assert calls == {"_dual_differentials": 1, "diagonal_weights": 0, "_enumerate": 3}
 
 
 def _seeded_queries(q, k: int, reps, rng: random.Random, count: int) -> list[Cochain]:
@@ -642,7 +652,7 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     # and delta_2 off its columns: only terms outside the built parts, of
     # nonzero inner weight, are differentiated term by term
     cx = res._complex
-    assert all(terms and all(m not in cx.built(m.degree)._index for m, _ in terms) for terms in direct)
+    assert all(terms and all(m not in cx.built(2).index for m, _ in terms) for terms in direct)
     assert bool(direct) == (key in TORUS_KEYS)
 
 
@@ -917,7 +927,8 @@ def test_the_built_parts_are_those_of_the_filter_oracle(key, degrees):
     for k in degrees:
         want = built_by_filter(cx, k)
         assert cx.built(k).monomials == tuple(want), (key, k)
-        assert cx._keys.get(k) == (want if cx.algebra._torus else None), (key, k)
+        packed = {_pack(cx.basis.even_dim, m): block for m, block in want.items()}
+        assert cx._keys.get(k) == (packed if cx.algebra._torus else None), (key, k)
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["nonzero-inner-weight", "another-built-block"])
@@ -928,11 +939,11 @@ def test_block_certificate_catches_an_injected_term_of_another_block(monkeypatch
     q, k = build("g_8_2_5_s"), 2
     cx = _complex(q)
     cx.built(k + 1)
-    m0, targets = cx.built(k).monomials[0], cx._keys[k + 1]
+    m0, targets = cx.built(k).keys[0], cx._keys[k + 1]
     if inside:
         stray = next(m for m, key in targets.items() if key != cx._keys[k][m0])
     else:
-        stray = next(m for m in monomials_of_degree(q.basis, k + 1) if m not in targets)
+        stray = next(m for m in cochain_basis(q, k + 1).keys if m not in targets)
     module = importlib.import_module("superquad.cohomology")
     original = module._delta
 
@@ -1104,6 +1115,16 @@ def test_a_bracket_that_fails_jacobi_is_refused_before_pruning():
         betti_table(g, 1)
 
 
+def test_a_bracket_that_breaks_the_grading_is_refused_by_the_delta_kernel():
+    # a, b even and u odd, [a, b] = u: the packed delta kernel's signs
+    # rest on the grading, so delta(t*) is never built from such a bracket
+    basis = GradedBasis(labels=("a", "b", "u"), parities=(0, 0, 1))
+    g = LieSuperalgebra.from_label_table(basis, [("a", "b", {"u": 1})])
+    for call in (lambda: betti_table(g, 1), lambda: differential_direct(g, Cochain.dual(basis, "u"))):
+        with pytest.raises(InputError, match=r"the bracket breaks the grading: \[a, b\] has a u term"):
+            call()
+
+
 @pytest.mark.parametrize("k", [-1, 1.5, "2", True, None])
 def test_every_degree_is_checked_alike(k):
     q = build("g_4_1_s")
@@ -1218,3 +1239,50 @@ def test_a_nonzero_constant_is_no_coboundary():
     q = build("g_4_1_s")
     c = Cochain.from_terms(q.basis, {Monomial(even=(), odd=()): Fraction(3)})
     assert is_cocycle(q, c) and not is_coboundary(q, c)
+
+
+def test_the_field_width_bounds_the_degree(tmp_path, capsys):
+    """x, y even and s odd, [s, s] = x: dim C^k <= 4 in every degree, so
+    the monomial guard never fires, and delta(x* s^(k-1)) = -1/2 s^(k+1)
+    fills s's field.  DEGREE_LIMIT - 1 is the largest degree delta can
+    start from: it runs and matches the tuple kernels; the next is refused
+    before any work, from the API and from the CLI."""
+    basis = GradedBasis(labels=("x", "y", "s"), parities=(0, 0, 1))
+    g = LieSuperalgebra.from_label_table(basis, [("s", "s", {"x": 1})])
+    top = DEGREE_LIMIT - 1
+    assert max(cochain_dimension(basis, k) for k in range(DEGREE_LIMIT + 2)) == 4
+    res = cohomology(g, top)
+    ranks = {}
+    for k in (top - 1, top):
+        d = differential_matrix(g, k)
+        assert d.source.monomials == tuple(monomials_of_degree(basis, k))
+        for m, col in zip(d.source.monomials, d.columns):
+            assert {d.target.monomials[i]: x for i, x in col.items()} == delta_by_tuples(g, [(m, Fraction(1))]), m
+        ranks[k] = rank(d.columns)
+    assert Monomial((), (2,) * DEGREE_LIMIT) in d.target.monomials
+    assert (res.dim_cochains, res.betti) == (4, 4 - ranks[top] - ranks[top - 1])
+    s, below = Cochain.dual(basis, "s"), Cochain.from_terms(basis, {Monomial((), (2,) * top): 1})
+    assert wedge(below, s) == Cochain.from_terms(basis, {Monomial((), (2,) * DEGREE_LIMIT): 1})
+    # s^top = delta(-2 x* s^(top-2)), and x* s^(top-1) is no cocycle
+    assert is_cocycle(g, below) and is_coboundary(g, below)
+    assert not is_cocycle(g, mono(basis, ("x",), ("s",) * (top - 1)))
+    full = wedge(below, s)
+    for refused in (
+        lambda: cohomology(g, DEGREE_LIMIT),
+        lambda: betti_table(g, DEGREE_LIMIT),
+        lambda: differential_matrix(g, DEGREE_LIMIT),
+        lambda: cochain_basis(g, DEGREE_LIMIT + 1),
+        lambda: differential_direct(g, full),
+        lambda: is_cocycle(g, full),
+        lambda: wedge(full, s),
+        lambda: is_coboundary(g, wedge(full, Cochain.dual(basis, "y"))),
+    ):
+        with pytest.raises(ResourceLimitError, match="packed monomial"):
+            refused()
+    path = tmp_path / "s_squared.json"
+    save(path, g)
+    assert main(["betti", str(path), "--max-degree", str(top)]) == 0
+    assert f"b_{top} = {res.betti}" in capsys.readouterr().out
+    assert main(["betti", str(path), "--max-degree", str(DEGREE_LIMIT)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "packed monomials' limit 255" in err and err.count("\n") == 1
