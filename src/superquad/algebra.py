@@ -59,7 +59,7 @@ class GradedBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def even_dim(self) -> int:
         return self.parities.count(0)
 

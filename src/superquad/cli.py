@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import catalog, serialization
 from .algebra import ValidationReport, validate_lie_superalgebra
-from .cochains import _delta, _packed, _poisson, _unpacked
+from .cochains import _cochain, _delta, _poisson, _room
 from .cohomology import _complex, cochain_basis, cohomology_report
 from .errors import EngineError, InputError, ResourceLimitError
 from .extensions import Superderivation, is_skew_superderivation, one_dim_double_extension
@@ -230,14 +230,14 @@ def _cmd_poisson(args) -> int:
         )
     _complex(obj).check_size(args.max_degree)
     three = obj._three_form_left
-    i_i_zero = not _poisson(three, _packed(obj.basis.even_dim, obj._three_form.terms, 1), -1)  # -{I, I}
+    i_i_zero = not _poisson(three, _room(obj._three_form, 1), -1)  # -{I, I}
     failures: list[str] = []
     checked = 0
     for k in range(args.max_degree + 1):
         for m in cochain_basis(obj, k).keys:
             checked += 1
             if _delta(obj.algebra, ((m, 1),)) != _poisson(three, ((m, 1),), -1):
-                failures.append(str(_unpacked(obj.basis, {m: 1})))
+                failures.append(str(_cochain(obj.basis, {m: 1})))
     ok = i_i_zero and not failures
     if args.format == "json":
         doc = {

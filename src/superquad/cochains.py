@@ -37,10 +37,12 @@ letter t, and above the even bits each odd letter has a WIDTH-bit field
 holding its multiplicity.  A product is an AND (a shared even letter
 kills it) and one addition, a shuffle sign the parity of a popcount
 against a mask, i_t a bit clear or a field decrement.  A field holds at
-most DEGREE_LIMIT, so whatever packs refuses a monomial whose product
-would pass it (ResourceLimitError), and no field overflows into the
-next.  ``Monomial`` is the API's form: user cochains, representatives,
-``CochainBasis.monomials`` and printing.
+most DEGREE_LIMIT: the constructors refuse a monomial past it and every
+product checks its room first (ResourceLimitError), so no field overflows
+into the next.  A Cochain is its packed terms (``Cochain.keys``), which the
+kernels read and return, and arithmetic merges them without sorting;
+``Monomial`` is only constructor input, ``Cochain.terms`` (decoded on first
+read), ``CochainBasis.monomials`` and printing.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
@@ -109,9 +113,6 @@ class Monomial:
         return out
 
 
-UNIT = Monomial(even=(), odd=())
-
-
 def _monomial(even: tuple[int, ...], odd: tuple[int, ...]) -> Monomial:
     """The monomial of parts already in order, without the order check
     (for the kernels, which build monomials only from ordered parts)."""
@@ -146,18 +147,23 @@ def _sym_degree(ne: int, m: int) -> int:
     return total
 
 
-def _packed(ne: int, terms: Iterable[tuple[Monomial, Rat]], room: int) -> list[tuple[int, Rat | int]]:
-    """(Monomial, coefficient) terms packed, coefficients in the kernels'
-    form (``linalg._num``); ResourceLimitError for a degree that would pass
-    DEGREE_LIMIT once a product adds ``room`` to it."""
-    if max((m.degree for m, _ in terms), default=0) + room > DEGREE_LIMIT:
+def _degree_of(ne: int, m: int) -> int:
+    """The degree of packed m: its even bits plus its odd fields."""
+    return (m & (1 << ne) - 1).bit_count() + _sym_degree(ne, m)
+
+
+def _top(c: Cochain) -> int:
+    """The largest degree of c's terms, 0 for the zero cochain."""
+    ne = c.basis.even_dim
+    return max((_degree_of(ne, m) for m in c.keys), default=0)
+
+
+def _room(c: Cochain, room: int) -> Iterable[tuple[int, Rat | int]]:
+    """c's (packed monomial, value) pairs, once a product that adds ``room``
+    to their degree is known to fit a packed monomial (ResourceLimitError)."""
+    if _top(c) + room > DEGREE_LIMIT:
         raise ResourceLimitError(f"a product of degree over {DEGREE_LIMIT} does not fit a packed monomial")
-    return [(_pack(ne, m), _num(c)) for m, c in terms]
-
-
-def _unpacked(basis: GradedBasis, acc: Mapping[int, Rat | int]) -> Cochain:
-    """The cochain of a packed kernel's accumulator (see ``_cochain``)."""
-    return _cochain(basis, {_unpack(basis.even_dim, m): x for m, x in acc.items()})
+    return c.keys.items()
 
 
 def _format_monomial(m: Monomial, even_dim: int) -> str:
@@ -171,70 +177,91 @@ def _format_monomial(m: Monomial, even_dim: int) -> str:
     return " ⊗ ".join(parts)
 
 
-def _term(term: object) -> tuple[Monomial, Rat]:
-    """A cochain term (Monomial, coefficient), its coefficient made exact
-    (``rat``); InputError for anything of another shape."""
+def _term(basis: GradedBasis, term: object) -> tuple[int, Rat | int]:
+    """A cochain term (Monomial, coefficient) over ``basis``, packed, the
+    coefficient exact (``rat``) in the kernels' form; InputError for another
+    shape or an index out of range, ResourceLimitError past DEGREE_LIMIT."""
     if not isinstance(term, (tuple, list)) or len(term) != 2:
         raise InputError("each cochain term must be a (Monomial, coefficient) pair")
-    if term[0].__class__ is not Monomial:
-        raise InputError(f"a Cochain's monomials must be Monomials, not {type(term[0]).__name__}")
-    return term[0], rat(term[1])
+    m, c = term
+    if m.__class__ is not Monomial:
+        raise InputError(f"a Cochain's monomials must be Monomials, not {type(m).__name__}")
+    ne, n = basis.even_dim, basis.dim
+    if any(not (0 <= i < ne) for i in m.even):
+        raise InputError("even index out of range")
+    if any(not (ne <= j < n) for j in m.odd):
+        raise InputError("odd index out of range")
+    if m.degree > DEGREE_LIMIT:
+        raise ResourceLimitError(f"a monomial of degree {m.degree} does not fit a packed monomial")
+    return _pack(ne, m), _num(rat(c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Cochain:
-    """Sparse rational combination of monomials over a fixed basis."""
+    """Sparse rational combination of monomials over a fixed basis.
+
+    ``keys``, read-only, maps each packed monomial (``_pack``) to its nonzero
+    coefficient in the kernels' form (``linalg._num``): what the kernels read
+    and return, and equality and the hash compare.  ``terms``, the (Monomial,
+    Fraction) pairs sorted by ``Monomial.sort_key``, is decoded on first read."""
 
     basis: GradedBasis
-    terms: tuple[tuple[Monomial, Rat], ...]
+    keys: Mapping[int, Rat | int]
 
-    def __post_init__(self):
-        if not isinstance(self.basis, GradedBasis) or not isinstance(self.terms, (tuple, list)):
+    def __init__(self, basis: GradedBasis, terms: Sequence[tuple[Monomial, Rat]]):
+        if not isinstance(basis, GradedBasis) or not isinstance(terms, (tuple, list)):
             raise InputError("a Cochain takes a GradedBasis and a tuple of (Monomial, coefficient) terms")
-        ne = self.basis.even_dim
-        n = self.basis.dim
-        terms: dict[Monomial, Rat] = {}
-        for term in self.terms:
-            m, c = _term(term)
-            if m in terms:
-                raise InputError("duplicate monomial in cochain terms")
-            if c == 0:
-                raise InputError("zero coefficient stored in cochain")
-            if any(not (0 <= i < ne) for i in m.even):
-                raise InputError("even index out of range")
-            if any(not (ne <= j < n) for j in m.odd):
-                raise InputError("odd index out of range")
-            terms[m] = c
-        object.__setattr__(self, "terms", _terms(terms))
+        keys = dict(_term(basis, term) for term in terms)
+        if len(keys) < len(terms):
+            raise InputError("duplicate monomial in cochain terms")
+        if not all(keys.values()):
+            raise InputError("zero coefficient stored in cochain")
+        self.__dict__.update(basis=basis, keys=MappingProxyType(keys))
 
     @classmethod
     def from_terms(cls, basis: GradedBasis, terms: Mapping[Monomial, Rat] | Iterable[tuple[Monomial, Rat]]) -> "Cochain":
-        acc: dict[Monomial, Rat] = {}
+        basis = _basis_of(basis, (GradedBasis,))
         pairs = terms.items() if hasattr(terms, "items") else terms
         if not isinstance(pairs, Iterable):
             raise InputError(f"cochain terms are a mapping or pairs, not {type(terms).__name__}")
+        acc: dict[int, Rat | int] = {}
         for term in pairs:
-            m, c = _term(term)
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return cls(basis, [(m, c) for m, c in acc.items() if c])
+            m, c = _term(basis, term)
+            acc[m] = acc.get(m, 0) + c
+        return _cochain(basis, acc)
 
     @classmethod
     def zero(cls, basis: GradedBasis) -> "Cochain":
-        return cls(basis=basis, terms=())
+        return cls(basis, ())
 
     @classmethod
     def unit(cls, basis: GradedBasis) -> "Cochain":
-        return cls.from_terms(basis, {UNIT: Fraction(1)})
+        return _cochain(_basis_of(basis, (GradedBasis,)), {0: 1})
 
     @classmethod
     def dual(cls, basis: GradedBasis, label: str) -> "Cochain":
         """The dual vector of a basis element as a degree-1 monomial."""
-        return cls.from_terms(basis, {_unpack(basis.even_dim, _unit(basis.even_dim, basis.index(label))): Fraction(1)})
+        basis = _basis_of(basis, (GradedBasis,))
+        return _cochain(basis, {_unit(basis.even_dim, basis.index(label)): 1})
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Monomial, Rat], ...]:
+        ne = self.basis.even_dim
+        terms = ((_unpack(ne, m), _frac(c)) for m, c in self.keys.items())
+        return tuple(sorted(terms, key=lambda kv: kv[0].sort_key()))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
+
+    def __hash__(self) -> int:
+        return hash((self.basis, frozenset(self.keys.items())))
+
+    def __repr__(self) -> str:
+        return f"Cochain(basis={self.basis!r}, terms={self.terms!r})"
+
+    def __reduce__(self):
+        return _cochain, (self.basis, dict(self.keys))
 
     def __add__(self, other: "Cochain") -> "Cochain":
         return self._plus(other, 1)
@@ -243,58 +270,35 @@ class Cochain:
         return self._plus(other, -1)
 
     def _plus(self, other: "Cochain", sign: int) -> "Cochain":
-        """self + sign * other for a sign of +1 or -1, merged term by term."""
+        """self + sign * other for a sign of +1 or -1, merged key by key."""
         _check_cochain(other, self.basis)
-        acc = dict(self.terms)
-        for m, c in other.terms if sign == 1 else ((m, -c) for m, c in other.terms):
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
+        acc = self.keys.copy()
+        for m, c in other.keys.items():
+            acc[m] = acc.get(m, 0) + sign * c
         return _cochain(self.basis, acc)
 
     def __neg__(self) -> "Cochain":
-        return _sorted_cochain(self.basis, tuple((m, -v) for m, v in self.terms))
+        return _cochain(self.basis, {m: -x for m, x in self.keys.items()})
 
     def scale(self, c: Rat) -> "Cochain":
-        """c * self; anything ``rat`` refuses, a float among them, is an
-        InputError.  A nonzero c keeps the monomials, so the terms stay
-        sorted and nonzero."""
-        c = rat(c)
-        if c == 0:
-            return Cochain.zero(self.basis)
-        return _sorted_cochain(self.basis, tuple((m, c * v) for m, v in self.terms))
+        """c * self; InputError for anything ``rat`` refuses, a float among them."""
+        c = _num(rat(c))
+        return _cochain(self.basis, {m: c * x for m, x in self.keys.items()})
 
     def __rmul__(self, c) -> "Cochain":
         return self.scale(c)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         ne = self.basis.even_dim
-        parts = []
-        for m, c in self.terms:
-            parts.append(f"{rat_str(c)} * {_format_monomial(m, ne)}")
-        return "  +  ".join(parts)
+        return "  +  ".join(f"{rat_str(c)} * {_format_monomial(m, ne)}" for m, c in self.terms) or "0"
 
 
-def _terms(acc: Mapping[Monomial, Rat | int]) -> tuple[tuple[Monomial, Rat], ...]:
-    """The terms of an accumulator: zero entries dropped, every coefficient
-    a Fraction, sorted."""
-    terms = ((m, _frac(c)) for m, c in acc.items() if c)
-    return tuple(sorted(terms, key=lambda kv: kv[0].sort_key()))
-
-
-def _cochain(basis: GradedBasis, acc: Mapping[Monomial, Rat | int]) -> Cochain:
-    """The cochain of a kernel's accumulator, without the checks of
-    ``Cochain(...)``: the kernels make each monomial once, in range, from
-    the letters of checked cochains and of the algebra."""
-    return _sorted_cochain(basis, _terms(acc))
-
-
-def _sorted_cochain(basis: GradedBasis, terms: tuple[tuple[Monomial, Rat], ...]) -> Cochain:
-    """The cochain of terms already in the form ``_terms`` returns, without
-    the checks of ``Cochain(...)``."""
+def _cochain(basis: GradedBasis, acc: Mapping[int, Rat | int]) -> Cochain:
+    """The cochain of an accumulator {packed monomial: value}, zeros dropped,
+    values in the kernels' form, without the checks of ``Cochain(...)``: the
+    kernels make monomials in range and within DEGREE_LIMIT."""
     c = object.__new__(Cochain)
-    c.__dict__.update(basis=basis, terms=terms)
+    c.__dict__.update(basis=basis, keys=MappingProxyType({m: _num(x) for m, x in acc.items() if x}))
     return c
 
 
@@ -357,14 +361,14 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
     _check_cochain(a, None)
     _check_cochain(b, a.basis)
     ne = a.basis.even_dim
-    even, acc, right = (1 << ne) - 1, {}, _packed(ne, b.terms, 0)
-    for m1, c1 in _packed(ne, a.terms, max((m.degree for m, _ in b.terms), default=0)):
+    even, acc, right = (1 << ne) - 1, {}, b.keys.items()
+    for m1, c1 in _room(a, _top(b)):
         o1 = _sym_degree(ne, m1)
         for m2, c2 in right:
             if not m1 & m2 & even:
                 flip = sum((m1 & even >> y + 1 << y + 1).bit_count() + o1 for y in range(ne) if m2 >> y & 1)
                 acc[m1 + m2] = acc.get(m1 + m2, 0) + (-c1 * c2 if flip & 1 else c1 * c2)
-    return _unpacked(a.basis, acc)
+    return _cochain(a.basis, acc)
 
 
 def _contractions(ne: int, terms: Iterable[tuple[int, Rat | int]]) -> dict[int, dict[int, Rat | int]]:
@@ -454,7 +458,7 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     in the tests as the oracle.
     """
     _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
-    return _unpacked(g.basis, _delta(g, _packed(g.basis.even_dim, c.terms, 1)))
+    return _cochain(g.basis, _delta(g, _room(c, 1)))
 
 
 def _delta(g: LieSuperalgebra, terms: Iterable[tuple[int, Rat | int]]) -> dict[int, Rat | int]:
@@ -498,12 +502,11 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     _require_quadratic(q, "associated_three_form").require_form()
     ne = q.basis.even_dim
     pairs = {(i, j): terms for (i, j), terms in q.algebra.bracket_table.items() if i <= j}
-    acc: dict[Monomial, Rat] = {}
+    acc: dict[int, Rat] = {}
     for (i, j), row in _combine(pairs, q.form.rows).items():  # B([e_i, e_j], .)
         for k, x in row.items():
-            if k >= j:
-                m = _unpack(ne, _unit(ne, i) + _unit(ne, j) + _unit(ne, k))
-                acc[m] = Fraction(x, m.mult_factor())
+            if k >= j:  # a repeated letter is odd; i = k repeats it thrice
+                acc[_unit(ne, i) + _unit(ne, j) + _unit(ne, k)] = Fraction(x, 6 if i == k else 2 if i == j or j == k else 1)
     return _cochain(q.basis, acc)
 
 
@@ -563,7 +566,7 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     even = (1 << ne) - 1
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
-    signed = [(p, c if m.degree % 2 else -c) for (p, c), (m, _) in zip(_packed(ne, a.terms, 0), a.terms)]
+    signed = [(m, c if _degree_of(ne, m) % 2 else -c) for m, c in a.keys.items()]
     contractions = _contractions(ne, signed)
     for s, col in enumerate(q.form.inverse_columns):
         entries = []
@@ -576,16 +579,16 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
             entries.append((left & even, left, mask, -x if s >= ne else x))
         if entries:
             dual.append((s if s < ne else ne + WIDTH * (s - ne), entries))
-    return _PoissonLeft(q.basis, dual, max((m.degree for m, _ in a.terms), default=0))
+    return _PoissonLeft(q.basis, dual, _top(a))
 
 
 def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
     """scale * {A, b} for the prepared left operand A (``_poisson``)."""
     _check_cochain(b, left.basis)
-    return _unpacked(b.basis, _poisson(left, _packed(b.basis.even_dim, b.terms, max(left.degree - 2, 0)), scale))
+    return _cochain(b.basis, _poisson(left, _room(b, max(left.degree - 2, 0)), scale))
 
 
-def _poisson(left: _PoissonLeft, terms: Sequence[tuple[int, Rat | int]], scale: int) -> dict[int, Rat | int]:
+def _poisson(left: _PoissonLeft, terms: Iterable[tuple[int, Rat | int]], scale: int) -> dict[int, Rat | int]:
     """scale * {A, terms} (scale +-1) for the prepared left operand A,
     packed as in ``_delta``, zero-free and in the kernels' form.  Per
     letter s of A's table that a right monomial m contains: i_s(m), then

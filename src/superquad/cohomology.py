@@ -30,15 +30,16 @@ from .cochains import (
     _cochain,
     _combination,
     _contractions,
+    _degree_of,
     _delta,
     _enumerate,
-    _packed,
     _poisson,
+    _room,
     _unit,
     _unpack,
 )
 from .errors import EngineError, InputError, ResourceLimitError
-from .linalg import Echelon, Rat, _check_degree, _frac, _num, reduced_kernel
+from .linalg import Echelon, Rat, _check_degree, _frac, reduced_kernel
 from .quadratic import QuadraticLieSuperalgebra
 
 __all__ = [
@@ -77,8 +78,7 @@ class CochainBasis:
     """Deterministic ordered monomial basis of C^k, or of the part of it a
     complex builds: ``keys`` are its monomials packed (``cochains._pack``)
     in basis order, and ``index`` maps each to its position.  The API's
-    ``Monomial``s, ``monomials`` and their ``_index``, are decoded on
-    first read."""
+    ``Monomial``s, ``monomials``, are decoded on first read."""
 
     degree: int
     keys: tuple[int, ...]
@@ -91,11 +91,6 @@ class CochainBasis:
     @cached_property
     def monomials(self) -> tuple[Monomial, ...]:
         return tuple(_unpack(self.basis.even_dim, m) for m in self.keys)
-
-    @cached_property
-    def _index(self) -> dict[Monomial, int]:
-        """Monomial -> position, where a cochain's terms are looked up."""
-        return {m: i for i, m in enumerate(self.monomials)}
 
     @property
     def dimension(self) -> int:
@@ -347,7 +342,7 @@ class CohomologyResult:
 
 
 def _degree(c: Cochain, what: str) -> int:
-    degrees = {m.degree for m, _ in c.terms}
+    degrees = {_degree_of(c.basis.even_dim, m) for m in c.keys}
     if len(degrees) != 1:
         raise InputError(f"{what} requires a Z-homogeneous cochain")
     return degrees.pop()
@@ -395,7 +390,7 @@ def cohomology(
         dim_cocycles=n_z + acyclic,
         dim_coboundaries=n_b + acyclic,
         betti=n_z - n_b,
-        representatives=tuple(_cochain(cx.basis, {src.monomials[i]: x for i, x in v.items()}) for v in reps),
+        representatives=tuple(_cochain(cx.basis, {src.keys[i]: x for i, x in v.items()}) for v in reps),
         _complex=cx,
         _quotient=quotient,
     )
@@ -427,29 +422,30 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     built here.
     """
     cx = _complex(q, c)
-    kept: dict[int, list[tuple[Rat, dict[int, Rat]]]] = {}
-    rest = []
-    for m, a in c.terms:
-        hit = cx._deltas.get(k := m.degree)  # (delta_k, verified) or None
-        if hit and (i := hit[0].source._index.get(m)) is not None:
-            kept.setdefault(k, []).append((_num(a), hit[0].columns[i]))
+    ne, kept, rest = cx.basis.even_dim, {}, []
+    for m, a in _room(c, 1):
+        hit = cx._deltas.get(k := _degree_of(ne, m))  # (delta_k, verified) or None
+        if hit and (i := hit[0].source.index.get(m)) is not None:
+            kept.setdefault(k, []).append((a, hit[0].columns[i]))
         else:
             rest.append((m, a))
     if any(any(_combination(parts).values()) for parts in kept.values()):
         return False
-    return not rest or not _delta(cx.algebra, _packed(cx.basis.even_dim, rest, 1))
+    return not rest or not _delta(cx.algebra, rest)
 
 
 def _split(cx: Complex, k: int, c: Cochain) -> tuple[dict[int, Rat | int], list[tuple[int, Rat | int]]]:
     """c's terms in ``cx.built(k)`` as {index: value} over it, and the
-    others packed for ``_delta``, values in the kernels' form."""
-    index, built, rest = cx.built(k)._index, {}, []
-    for m, a in c.terms:
+    others for ``_delta``, once delta of them fits a packed monomial."""
+    index, built, rest = cx.built(k).index, {}, []
+    for m, a in c.keys.items():
         if (i := index.get(m)) is None:
             rest.append((m, a))
         else:
-            built[i] = _num(a)
-    return built, _packed(cx.basis.even_dim, rest, 1)
+            built[i] = a
+    if rest:
+        _room(c, 1)  # c is of degree k, as rest is
+    return built, rest
 
 
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:

@@ -77,9 +77,9 @@ from superquad.cochains import (
     Cochain,
     Monomial,
     _check_cochain,
-    _cochain,
     _combination,
     _monomial,
+    _unpack,
     differential_direct,
     differential_via_poisson,
     monomials_of_degree,
@@ -200,7 +200,7 @@ def contract_vector(c: Cochain, vector) -> Cochain:
     if parity is None and any(x != 0 for x in v):
         raise InputError("contraction vector must be parity-homogeneous")
     contractions = contractions_by_tuples(c.terms)
-    return _cochain(c.basis, _combination((x, contractions.get(i, {})) for i, x in enumerate(v)))
+    return Cochain.from_terms(c.basis, _combination((x, contractions.get(i, {})) for i, x in enumerate(v)))
 
 
 def wedge_into(
@@ -255,7 +255,7 @@ def merge_even(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[tuple[int, ...
 def wedge_by_tuples(a: Cochain, b: Cochain) -> Cochain:
     acc: dict[Monomial, Rat] = {}
     wedge_into(acc, a.terms, b.terms, 1)
-    return _cochain(a.basis, acc)
+    return Cochain.from_terms(a.basis, acc)
 
 
 def contractions_by_tuples(
@@ -457,11 +457,11 @@ def representatives_by_rank(d_k, d_prev) -> list[list[Rat]]:
 
 def coordinates(cb: CochainBasis, c: Cochain) -> dict[int, Rat]:
     """c as {position in cb: coefficient}; InputError for a term outside cb."""
-    idx, vec = cb._index, {}
-    for m, coeff in c.terms:
+    idx, vec = cb.index, {}
+    for m, coeff in c.keys.items():
         if m not in idx:
-            raise InputError(f"cochain term {m} does not live in C^{cb.degree}")
-        vec[idx[m]] = coeff
+            raise InputError(f"cochain term {_unpack(c.basis.even_dim, m)} does not live in C^{cb.degree}")
+        vec[idx[m]] = Fraction(coeff)
     return vec
 
 

@@ -46,6 +46,13 @@ def test_basis_index_unknown_label():
         basis.index("zz")
 
 
+def test_basis_keeps_even_dim_out_of_eq_hash_and_repr():
+    read, fresh = (GradedBasis(labels=("a", "b", "s"), parities=(0, 0, 1)) for _ in range(2))
+    assert read.even_dim == 2 and read.__dict__["even_dim"] == 2  # counted once, then kept
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert "even_dim" not in repr(read)
+
+
 def test_from_index_table_rejects_duplicate_pairs():
     basis = GradedBasis(labels=("a", "b", "c"), parities=(0, 0, 0))
     rows = [

@@ -1,5 +1,8 @@
 """Super-exterior algebra: evaluation, wedge, contraction, differential,
 and the Poisson bracket against an independent rule-based oracle."""
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -30,7 +33,6 @@ from superquad.algebra import GradedBasis, LieSuperalgebra, validate_super_jacob
 from superquad.cochains import (
     Cochain,
     Monomial,
-    _cochain,
     _delta,
     _pack,
     _poisson,
@@ -131,6 +133,18 @@ def test_public_cochain_constructors_store_fractions():
     later = Monomial(even=(1,), odd=(2,))
     assert Cochain(b, [(later, 1), (m, 1)]) == Cochain.from_terms(b, {m: 1, later: 1})
     assert Cochain.dual(b, "X0").scale("1/2") == Fraction(1, 2) * Cochain.dual(b, "X0")
+    # a value type: the form of a coefficient does not matter, and a cochain
+    # a kernel makes equals and hashes like the one the constructors make
+    public, kernel = Cochain(b, [(m, 2)]), 2 * wedge(Cochain.dual(b, "X0"), Cochain.dual(b, "X1"))
+    assert Cochain.from_terms(b, {m: 2}) == Cochain.from_terms(b, {m: Fraction(2)}) == public == kernel
+    assert len({public, kernel, Cochain(b, [(m, Fraction(2))])}) == 1 and {public: 1}[kernel] == 1
+    assert repr(kernel) == f"Cochain(basis={b!r}, terms=((Monomial(even=(0,), odd=(2,)), Fraction(2, 1)),))"
+    assert [f.name for f in dataclasses.fields(Cochain)] == ["basis", "keys"]
+    assert pickle.loads(pickle.dumps(kernel)) == kernel and copy.deepcopy(kernel) == kernel
+    with pytest.raises(TypeError):
+        kernel.keys[_pack(2, m)] = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kernel.keys = {}
 
 
 ARITHMETIC_BASES = {key: build(key).basis for key in ("g_4_1_s", "g_6_s", "g_6_2", "h")}
@@ -668,7 +682,7 @@ def test_public_kernels_match_the_tuple_kernels_on_random_cochains(ops):
     q, a, b = ops
     g = getattr(q, "algebra", q)
     assert wedge(a, b) == wedge_by_tuples(a, b)
-    assert differential_direct(g, a) == _cochain(g.basis, delta_by_tuples(g, a.terms))
+    assert differential_direct(g, a) == Cochain.from_terms(g.basis, delta_by_tuples(g, a.terms))
     if g is not q:
         oracle = poisson_by_tuples(q, poisson_left_by_tuples(q, a), b.terms, 1)
-        assert poisson_bracket(q, a, b) == _cochain(q.basis, oracle)
+        assert poisson_bracket(q, a, b) == Cochain.from_terms(q.basis, oracle)

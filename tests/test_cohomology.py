@@ -204,7 +204,7 @@ def test_is_coboundary_agrees_with_the_full_delta_oracle(key):
                 assert not got
         if key not in TORUS_KEYS or k == 1:  # C^0 is all of inner weight 0
             continue
-        built, below = _complex(q).built(k)._index, _complex(q).built(k - 1)._index
+        built, below = set(_complex(q).built(k).monomials), _complex(q).built(k - 1).monomials
         db = differential_direct(g, _sampled(g, rng, list(below)))
         c = db + differential_direct(g, _sampled(g, rng, [m for m in lower if m not in below]))
         assert is_coboundary(q, c) and is_coboundary_full(q, c), (k, str(c))
@@ -463,8 +463,8 @@ def test_cochain_basis_coordinates_round_trip():
     )
     vec = coordinates(cb, c)
     assert vec == {cb.monomials.index(m): x for m, x in c.terms}
-    assert cb._index == {m: i for i, m in enumerate(cb.monomials)}
-    assert cb._index is cb._index  # built once
+    assert cb.index == {_pack(basis.even_dim, m): i for i, m in enumerate(cb.monomials)}
+    assert cb.index is cb.index  # built once
     back = from_coordinates(cb, basis, vec)
     assert (back - c).is_zero
     for bad in (-1, cb.dimension):
@@ -664,7 +664,7 @@ def test_a_class_query_tests_the_cocycle_once(monkeypatch, key):
     only when that fails; the terms outside it are decided by delta."""
     q = build(key)
     res = cohomology(q, 2, verify=False)
-    index = res._complex.built(2)._index
+    index = set(res._complex.built(2).monomials)
     module = importlib.import_module("superquad.cohomology")
     tested, original = [], module.is_cocycle
     monkeypatch.setattr(module, "is_cocycle", lambda q, c: tested.append(c) or original(q, c))
@@ -687,6 +687,26 @@ def test_a_class_query_tests_the_cocycle_once(monkeypatch, key):
     # g_6_s has no inner torus: every non-cocycle fails in its built part;
     # on g_8_2_5_s every seeded one fails in its terms of nonzero inner weight
     assert kinds == {(True, False), (False, key not in TORUS_KEYS)}
+
+
+@pytest.mark.parametrize("key", ["g_6_s", "g_8_2_5_s"])
+def test_representatives_and_class_queries_decode_no_monomial(monkeypatch, key):
+    """A cochain is its packed terms: betti_table with representatives, and
+    is_cocycle, is_coboundary and class_vector on each representative,
+    decode no monomial (``cochains._unpack``); reading ``terms`` and
+    printing do."""
+    q = build(key)
+    calls = _count_calls(monkeypatch, ("_unpack",))
+    results = betti_table(q, 3)
+    reps = [(r, i, c) for r in results for i, c in enumerate(r.representatives)]
+    assert len(reps) > 3
+    for r, i, c in reps:
+        assert is_cocycle(q, c) and not is_coboundary(q, c)
+        assert class_vector(q, c, result=r) == [Fraction(j == i) for j in range(r.betti)]
+    assert calls["_unpack"] == 0
+    first, last = reps[0][2], reps[-1][2]
+    assert first.terms and calls["_unpack"] == len(first.keys)
+    assert str(last) and calls["_unpack"] == len(first.keys) + len(last.keys)
 
 
 @pytest.mark.parametrize("key", catalog_keys())
@@ -720,7 +740,7 @@ def test_is_cocycle_matches_the_direct_differential(key):
             for q in (cold, partial, full):
                 assert is_cocycle(q, c) == want, (key, str(c))
             answers.append(want)
-            inside = {m in cx.built(m.degree)._index for m, _ in c.terms if m.degree < 5}
+            inside = {_pack(g.basis.even_dim, m) in cx.built(m.degree).index for m, _ in c.terms if m.degree < 5}
             split |= inside == {True, False}
     assert True in answers and False in answers
     assert split == (key in TORUS_KEYS)
@@ -891,8 +911,8 @@ def test_differential_matrix_is_the_built_block_of_the_full_one(key):
             image = {full.target.monomials[i]: x for i, x in whole.items()}
             # the whole delta keeps every block key
             assert all(block_key(cx, mm) == block_key(cx, m) for mm in image), (key, k, m)
-            if m in d.source._index:
-                col = d.columns[d.source._index[m]]
+            if (j := d.source.index.get(_pack(q.basis.even_dim, m))) is not None:
+                col = d.columns[j]
                 assert {d.target.monomials[i]: x for i, x in col.items()} == image, (key, k, m)
 
 
@@ -1047,7 +1067,7 @@ def test_the_cartan_witness_matches_the_rank_oracle(key):
     rng = random.Random(f"cartan witness {key}")
     answers = []
     for k in (2, 3, 4):
-        built = _complex(q).built(k)._index
+        built = set(_complex(q).built(k).monomials)
         lower, same = monomials_of_degree(g.basis, k - 1), monomials_of_degree(g.basis, k)
         for i in range(30):
             b = {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for m in rng.sample(lower, 3)}
@@ -1276,6 +1296,9 @@ def test_the_field_width_bounds_the_degree(tmp_path, capsys):
         lambda: is_cocycle(g, full),
         lambda: wedge(full, s),
         lambda: is_coboundary(g, wedge(full, Cochain.dual(basis, "y"))),
+        # no field can overflow: a cochain past the limit is never built
+        lambda: Cochain(basis, [(Monomial((), (2,) * (DEGREE_LIMIT + 1)), 1)]),
+        lambda: Cochain.from_terms(basis, {Monomial((0,), (2,) * DEGREE_LIMIT): 1}),
     ):
         with pytest.raises(ResourceLimitError, match="packed monomial"):
             refused()
