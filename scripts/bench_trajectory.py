@@ -9,8 +9,10 @@ Usage:
 Each checkout is a directory holding ``perfbench/`` and ``src/``.  For
 every workload of the change's ``BENCHMARK.json`` and each of ``SEEDS``,
 the script runs each checkout's own ``perfbench/run.py --trace 0`` for
-``SECONDS`` per run, ``RUNS`` times, parent and change alternating, and
-records the median of each end-to-end metric.  Five scale cases (``SCALE``),
+``SECONDS`` per run, as ``RUNS`` pairs of parent and change, the side that
+runs first alternating from pair to pair, and records the median of each
+end-to-end metric, the quartiles of ``job_s`` on each side and the number
+of pairs whose ``job_s`` the change won.  Five scale cases (``SCALE``),
 all with the ``-{I,.}`` cross-check, run in a fresh process per run on
 each checkout's ``src/``: ``betti_table(build("g_8_2_5_s"), 12)``,
 ``betti_table(q, 6)`` over all 17 catalog keys, and three frontier
@@ -36,7 +38,7 @@ import sys
 import time
 from pathlib import Path
 
-RUNS = 3
+RUNS = 10
 SCALE_PAIRS = 10
 SECONDS = 5.0
 SEEDS = (1, 7919)
@@ -109,10 +111,17 @@ def main() -> int:
     for w in (w["name"] for w in spec["workloads"]):
         for seed in SEEDS:
             samples: dict[str, list] = {side: [] for side in trees}
-            for _ in range(RUNS):
-                for side, tree in trees.items():
-                    samples[side].append(run_workload(tree, w, seed))
-            workloads.setdefault(w, {})[str(seed)] = {side: medians(s) for side, s in samples.items()}
+            for pair in range(RUNS):
+                for side in sorted(trees, reverse=bool(pair % 2)):
+                    samples[side].append(run_workload(trees[side], w, seed))
+            entry = {side: medians(s) for side, s in samples.items()}
+            for side, s in samples.items():
+                q1, _, q3 = statistics.quantiles([x["job_s"] for x in s], n=4, method="inclusive")
+                entry[side].update(job_s_q1=q1, job_s_q3=q3)
+            entry["change_wins_job_s"] = sum(
+                c["job_s"] < p["job_s"] for p, c in zip(samples["parent"], samples["change"])
+            )
+            workloads.setdefault(w, {})[str(seed)] = entry
             print(w, seed, workloads[w][str(seed)], file=sys.stderr)
     scale: dict = {}
     for name, setup in SCALE.items():
@@ -130,7 +139,7 @@ def main() -> int:
             "runs": RUNS,
             "scale_pairs": SCALE_PAIRS,
             "seconds": SECONDS,
-            "statistic": "median over runs, parent and change alternating",
+            "statistic": "median over pairs, the side that runs first alternating",
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

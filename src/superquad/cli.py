@@ -9,7 +9,6 @@ validate the algebra first and exit 1 on a violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -66,10 +65,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _violations_payload(report: ValidationReport) -> list[dict]:
     return [
         {
@@ -104,7 +99,7 @@ def _cmd_list(args) -> int:
                 for e in entries
             ],
         }
-        _emit(_json_dump(doc), None)
+        _emit(serialization._json_text(doc), None)
         return 0
     lines = []
     for e in entries:
@@ -156,7 +151,7 @@ def _cmd_validate(args) -> int:
         name = obj.algebra.name if quadratic else obj.name
         if name:
             doc["name"] = name
-        _emit(_json_dump(doc), None)
+        _emit(serialization._json_text(doc), None)
         return 0 if report.ok else 1
     if report.ok:
         _emit(f"{kind}: OK\n", None)
@@ -208,7 +203,7 @@ def _cohomology_common(args, representatives: bool) -> int:
     if not representatives:
         report["kind"] = "betti"
     if args.format == "json":
-        _emit(_json_dump(report), getattr(args, "output", None))
+        _emit(serialization._json_text(report), getattr(args, "output", None))
     else:
         _emit(_betti_text(report, representatives), getattr(args, "output", None))
     return 0
@@ -253,7 +248,7 @@ def _cmd_poisson(args) -> int:
         name = obj.algebra.name
         if name:
             doc["name"] = name
-        _emit(_json_dump(doc), None)
+        _emit(serialization._json_text(doc), None)
         return 0 if ok else 1
     lines = [f"associated 3-form I = {obj._three_form}"]
     lines.append(f"{{I, I}} = 0: {'OK' if i_i_zero else 'FAIL'}")
@@ -270,13 +265,7 @@ def _cmd_poisson(args) -> int:
 
 def _load_derivation_matrix(path: str) -> Superderivation:
     """The even map in the JSON file at path, not yet sized to the algebra."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from None
+    doc = serialization._parse(serialization._read(path), f" in {path}")
     return Superderivation(matrix=doc, degree=0)
 
 

@@ -57,7 +57,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError, ResourceLimitError
-from .linalg import Rat, _check_degree, _combine, _frac, _num, rat, rat_str
+from .linalg import Rat, _check_degree, _frac, _num, rat, rat_str
 from .quadratic import QuadraticLieSuperalgebra, _require_quadratic
 
 WIDTH = 8  # the bits of an odd letter's field in a packed monomial
@@ -158,11 +158,16 @@ def _top(c: Cochain) -> int:
     return max((_degree_of(ne, m) for m in c.keys), default=0)
 
 
+def _fits(degree: int) -> None:
+    """ResourceLimitError unless a product of this degree fits a packed monomial."""
+    if degree > DEGREE_LIMIT:
+        raise ResourceLimitError(f"a product of degree over {DEGREE_LIMIT} does not fit a packed monomial")
+
+
 def _room(c: Cochain, room: int) -> Iterable[tuple[int, Rat | int]]:
     """c's (packed monomial, value) pairs, once a product that adds ``room``
-    to their degree is known to fit a packed monomial (ResourceLimitError)."""
-    if _top(c) + room > DEGREE_LIMIT:
-        raise ResourceLimitError(f"a product of degree over {DEGREE_LIMIT} does not fit a packed monomial")
+    to their degree is known to fit a packed monomial (``_fits``)."""
+    _fits(_top(c) + room)
     return c.keys.items()
 
 
@@ -501,11 +506,10 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     """
     _require_quadratic(q, "associated_three_form").require_form()
     ne = q.basis.even_dim
-    pairs = {(i, j): terms for (i, j), terms in q.algebra.bracket_table.items() if i <= j}
     acc: dict[int, Rat] = {}
-    for (i, j), row in _combine(pairs, q.form.rows).items():  # B([e_i, e_j], .)
+    for (i, j), row in q._bracket_form.items():  # B([e_i, e_j], .)
         for k, x in row.items():
-            if k >= j:  # a repeated letter is odd; i = k repeats it thrice
+            if i <= j <= k:  # a repeated letter is odd; i = k repeats it thrice
                 acc[_unit(ne, i) + _unit(ne, j) + _unit(ne, k)] = Fraction(x, 6 if i == k else 2 if i == j or j == k else 1)
     return _cochain(q.basis, acc)
 

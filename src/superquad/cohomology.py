@@ -33,6 +33,7 @@ from .cochains import (
     _degree_of,
     _delta,
     _enumerate,
+    _fits,
     _poisson,
     _room,
     _unit,
@@ -422,13 +423,15 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     built here.
     """
     cx = _complex(q, c)
-    ne, kept, rest = cx.basis.even_dim, {}, []
-    for m, a in _room(c, 1):
-        hit = cx._deltas.get(k := _degree_of(ne, m))  # (delta_k, verified) or None
+    ne, kept, rest, top = cx.basis.even_dim, {}, [], 0
+    for m, a in c.keys.items():
+        top = max(top, k := _degree_of(ne, m))
+        hit = cx._deltas.get(k)  # (delta_k, verified) or None
         if hit and (i := hit[0].source.index.get(m)) is not None:
             kept.setdefault(k, []).append((a, hit[0].columns[i]))
         else:
             rest.append((m, a))
+    _fits(top + 1)
     if any(any(_combination(parts).values()) for parts in kept.values()):
         return False
     return not rest or not _delta(cx.algebra, rest)

@@ -18,7 +18,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _num, _sparse_rows, rat, reduced_kernel
+from .linalg import Rat, _combine, _exact_rows, _frac, _num, _sparse_rows, reduced_kernel
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -64,7 +64,7 @@ class Superderivation:
         if not (isinstance(m, (list, tuple))
                 and all(isinstance(row, (list, tuple)) and len(row) == len(m) for row in m)):
             raise InputError("superderivation matrix must be square: a list or tuple of n rows of n values")
-        object.__setattr__(self, "matrix", tuple(tuple(rat(v) for v in row) for row in m))
+        object.__setattr__(self, "matrix", _exact_rows(m))
 
     @cached_property
     def columns(self) -> list[dict[int, Rat]]:
@@ -205,7 +205,12 @@ def skew_superderivation_space(
 ) -> list[Superderivation]:
     """Reduced echelon basis of the skew-supersymmetric superderivations of
     a degree: the kernel of the defect (see ``_defects``) on the entries
-    (i, j) with parity(i) = parity(j) + degree, in row-major order."""
+    (i, j) with parity(i) = parity(j) + degree, in row-major order.
+
+    A one-term row pins its entry to 0, so those entries leave the system
+    and only the distinct rows on the other entries are eliminated: the
+    kernel there, with the pinned entries 0, is the same space, and its
+    reduced echelon basis is unique."""
     _require_quadratic(q, "a skew superderivation")
     _check_z2_degree(degree)
     n = q.basis.dim
@@ -216,12 +221,20 @@ def skew_superderivation_space(
     for k, slot in enumerate(slots):
         for key, v in unit(*slot).items():
             rows.setdefault(key, {})[k] = v
+    pinned = {k for row in rows.values() if len(row) == 1 for k in row}
+    free = [k for k in range(len(slots)) if k not in pinned]
+    column = {k: c for c, k in enumerate(free)}
+    system: dict[tuple, dict[int, Rat]] = {}  # each distinct row once, keyed by its items
+    for row in rows.values():
+        if len(row) > 1 and (r := {column[k]: v for k, v in row.items() if k in column}):
+            system.setdefault(tuple(r.items()), r)
+    zero = Fraction(0)
     out: list[Superderivation] = []
-    for v in reduced_kernel(list(rows.values()), len(slots)):
-        matrix = [[Fraction(0)] * n for _ in range(n)]
-        for k, x in v.items():
-            i, j = slots[k]
-            matrix[i][j] = x
+    for v in reduced_kernel(list(system.values()), len(free)):
+        matrix = [[zero] * n for _ in range(n)]
+        for c, x in v.items():
+            i, j = slots[free[c]]
+            matrix[i][j] = _frac(x)
         out.append(Superderivation(matrix=matrix, degree=degree))
     return out
 

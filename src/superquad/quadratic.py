@@ -23,7 +23,7 @@ from .algebra import (
     validate_grading_and_skew,
 )
 from .errors import InputError
-from .linalg import Echelon, Rat, _combine, _num, _sparse_rows, rank, rat
+from .linalg import Echelon, Rat, _combine, _exact_rows, _num, _sparse_rows, rank, rat
 
 if TYPE_CHECKING:
     from .cochains import Cochain, _PoissonLeft
@@ -41,9 +41,7 @@ class BilinearForm:
         if not (isinstance(gram, (list, tuple)) and len(gram) == n
                 and all(isinstance(row, (list, tuple)) and len(row) == n for row in gram)):
             raise InputError(f"Gram matrix must be {n} lists or tuples of {n} values, one per basis vector")
-        # forms built by the catalog and the loaders hold Fractions already: only the rest needs rat
-        gram = tuple(tuple(v if type(v) is Fraction else rat(v) for v in row) for row in gram)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", _exact_rows(gram))
 
     @classmethod
     def from_pairs(
@@ -117,7 +115,14 @@ class QuadraticLieSuperalgebra:
         """Every rule of ``validate_quadratic`` but super Jacobi, which the
         cohomology's B^k in Z^k check catches: the grading of the bracket
         and the form's axioms, kept apart.  Run once per object."""
-        return tuple(validate_grading_and_skew(self.algebra)), tuple(validate_form(self.algebra, self.form))
+        return tuple(validate_grading_and_skew(self.algebra)), tuple(_form_check(self.algebra, self.form, self._bracket_form))
+
+    @cached_property
+    def _bracket_form(self) -> dict[tuple[int, int], dict[int, Rat]]:
+        """B([e_i, e_j], .) as {(i, j): {k: B([e_i, e_j], e_k)}} for every
+        nonzero bracket of ``bracket_table``, in the kernels' form, built
+        once per object: the form check and I (``_three_form``) read it."""
+        return _combine(self.algebra.bracket_table, self.form.rows)
 
     @cached_property
     def _three_form(self) -> Cochain:
@@ -153,12 +158,17 @@ def _require_quadratic(q, what: str) -> QuadraticLieSuperalgebra:
 
 def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
     """Check evenness, supersymmetry, invariance, non-degeneracy of B."""
+    return _form_check(g, form, _combine(g.bracket_table, form.rows))
+
+
+def _form_check(g: LieSuperalgebra, form: BilinearForm, left: dict) -> list[Violation]:
+    """``validate_form``, given left = B([e_i, e_j], .) (``_bracket_form``)."""
     out: list[Violation] = []
     basis = g.basis
     n = basis.dim
     p = basis.parities
     labels = basis.labels
-    rows, cols = form.rows, form.columns
+    rows = form.rows
     for i in range(n):
         for j in range(i, n):
             gij = rows[i].get(j, 0)
@@ -181,27 +191,30 @@ def validate_form(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
                         ),
                     )
                 )
-    # invariance B([x,y],z) = B(x,[y,z]) on all basis triples: both sides
-    # vanish off the union of the supports of B([e_i,e_j],.) and B(.,[e_j,e_k])
-    table = g.bracket_table
-    left = _combine(table, rows)  # (i, j) -> {k: B([e_i,e_j],e_k)}
-    right = _combine(table, cols)  # (j, k) -> {i: B(e_i,[e_j,e_k])}
-    triples = {(i, j, k) for (i, j), row in left.items() for k in row}
-    triples.update((i, j, k) for (j, k), col in right.items() for i in col)
-    for i, j, k in sorted(triples):
-        lhs = left.get((i, j), {}).get(k, 0)
-        rhs = right.get((j, k), {}).get(i, 0)
-        if lhs != rhs:
-            out.append(
-                Violation(
-                    rule="invariance",
-                    witness=(labels[i], labels[j], labels[k]),
-                    message=(
-                        f"B([{labels[i]}, {labels[j]}], {labels[k]}) = {lhs} but "
-                        f"B({labels[i]}, [{labels[j]}, {labels[k]}]) = {rhs}"
-                    ),
+    # invariance B([x,y],z) = B(x,[y,z]) on all basis triples, both sides
+    # keyed by triple, zeros left out.  An even supersymmetric B has
+    # B(e_i, e_t) = (-1)^|e_i| B(e_t, e_i), so then B(e_i, [e_j, e_k]) is
+    # read off B([e_j, e_k], e_i); otherwise it is summed from B's columns
+    lhs = {(i, j, k): x for (i, j), row in left.items() for k, x in row.items()}
+    if out:
+        right = _combine(g.bracket_table, form.columns)  # (j, k) -> {i: B(e_i,[e_j,e_k])}
+        rhs = {(i, j, k): x for (j, k), col in right.items() for i, x in col.items()}
+    else:
+        rhs = {(i, j, k): -x if p[i] else x for (j, k), row in left.items() for i, x in row.items()}
+    if lhs != rhs:
+        for i, j, k in sorted(lhs.keys() | rhs.keys()):
+            a, b = lhs.get((i, j, k), 0), rhs.get((i, j, k), 0)
+            if a != b:
+                out.append(
+                    Violation(
+                        rule="invariance",
+                        witness=(labels[i], labels[j], labels[k]),
+                        message=(
+                            f"B([{labels[i]}, {labels[j]}], {labels[k]}) = {a} but "
+                            f"B({labels[i]}, [{labels[j]}, {labels[k]}]) = {b}"
+                        ),
+                    )
                 )
-            )
     gram_rank = rank(rows)
     if gram_rank != n:
         out.append(

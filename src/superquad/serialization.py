@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError
@@ -133,9 +134,12 @@ def algebra_from_dict(doc: Mapping):
             terms[k] = terms[k] + c if k in terms else c
         i, j = basis.index(entry["left"]), basis.index(entry["right"])
         rows.append((i, j, terms))
-    g = LieSuperalgebra.from_index_table(
-        basis, rows, name=str(doc.get("name", "") or "")
-    )
+    name = doc.get("name")
+    if name is None:
+        name = ""
+    elif not isinstance(name, str):
+        raise InputError(f"'name' must be a string, not {type(name).__name__}")
+    g = LieSuperalgebra.from_index_table(basis, rows, name=name)
     if doc.get("form") is None:
         return g
     entries = _objects(doc["form"], "'form'", ("left", "right", "value"))
@@ -145,16 +149,67 @@ def algebra_from_dict(doc: Mapping):
     return QuadraticLieSuperalgebra(algebra=g, form=form)
 
 
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, for the values
+    the package writes: dicts with string keys, lists, tuples, strings,
+    ints, bools and None (any other value is ``json.dumps``'s).  Both quote
+    strings with the C ``encode_basestring_ascii``; what this skips is the
+    pure-Python generator walk that ``json`` falls back to whenever an
+    indent is set, and its check for circular references, which a freshly
+    built document cannot hold."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, pad: str, out: list[str]) -> None:
+    """Append x's JSON text to out, its lines after the first led by pad."""
+    if type(x) is str:
+        out.append(_quote(x))
+    elif type(x) is int:
+        out.append(repr(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner, sep = pad + "  ", "{"
+        for k, v in x.items():
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _write(v, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner, sep = pad + "  ", "["
+        for v in x:
+            out.append(sep + inner)
+            _write(v, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    else:  # a bool, None, a float: the same text at any indent
+        out.append(json.dumps(x))
+
+
 def dumps(obj) -> str:
-    return json.dumps(algebra_to_dict(obj), indent=2) + "\n"
+    return _json_text(algebra_to_dict(obj))
+
+
+def _parse(text: str, where: str = ""):
+    """The JSON value in text; InputError when it is malformed or nested
+    too deeply for the decoder to read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON{where}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"malformed JSON{where}: nested too deeply to read") from None
 
 
 def loads(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from None
-    return algebra_from_dict(doc)
+    return algebra_from_dict(_parse(text))
 
 
 def save(path: str, obj) -> None:
@@ -162,10 +217,14 @@ def save(path: str, obj) -> None:
         fh.write(dumps(obj))
 
 
-def load(path: str):
+def _read(path: str) -> str:
+    """The text of the UTF-8 file at path; InputError when it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return loads(text)
+
+
+def load(path: str):
+    return loads(_read(path))

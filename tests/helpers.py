@@ -54,6 +54,14 @@ The ``*_by_triples``/``*_by_pairs`` validators are the dense loops the
 engine's bracket-table checks replaced: one ``bracket_pair`` or
 ``form_value`` per basis triple or pair.  They must report the same
 violations, in the same order, with the same messages.
+``validate_form_by_union_walk`` is the form check as the engine ran it
+before it compared the two sides of invariance as triple-keyed dicts: both
+sides summed from B's rows and columns, then one walk over the sorted union
+of their triples.  The two must report the same violations, in the same
+order, with the same messages.
+``skew_superderivation_space_unpruned`` is the reduced kernel of the whole
+defect system, every row and every entry kept, as the engine eliminated it
+before it dropped the entries pinned by one-term rows and the repeated rows.
 ``super_jacobi_by_table_triples`` is the loop over every basis triple
 that the engine's sparse super Jacobi check replaced, reading the bracket
 table; ``random_table_algebra`` makes seeded tables on at most 3|3
@@ -90,11 +98,12 @@ from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
+    _defects,
     _extension_labels,
     _grading_violations,
     validate_extension_datum,
 )
-from superquad.linalg import Echelon, Rat, _num, _sparse_rows, rank, rat, reduced_kernel
+from superquad.linalg import Echelon, Rat, _combine, _num, _sparse_rows, rank, rat, reduced_kernel
 from superquad.quadratic import _require_quadratic, validate_quadratic
 from superquad.sp2 import Sp2Element, classify, commutator
 
@@ -885,12 +894,12 @@ def count_validator_passes(monkeypatch) -> dict[str, list[int]]:
     import superquad.quadratic as quadratic_module
 
     passes: dict[str, list[int]] = {"jacobi": [], "form": []}
-    jacobi, form = algebra_module.validate_super_jacobi, quadratic_module.validate_form
+    jacobi, form = algebra_module.validate_super_jacobi, quadratic_module._form_check
     monkeypatch.setattr(
         algebra_module, "validate_super_jacobi", lambda g: passes["jacobi"].append(g.dim) or jacobi(g)
     )
     monkeypatch.setattr(
-        quadratic_module, "validate_form", lambda g, b: passes["form"].append(g.dim) or form(g, b)
+        quadratic_module, "_form_check", lambda g, b, left: passes["form"].append(g.dim) or form(g, b, left)
     )
     return passes
 
@@ -975,6 +984,83 @@ def validate_form_by_triples(g: LieSuperalgebra, form: BilinearForm) -> list[Vio
                 message=f"Gram matrix has rank {rank([list(r) for r in gram])} < {n}",
             )
         )
+    return out
+
+
+def validate_form_by_union_walk(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
+    """Evenness and supersymmetry by pairs, invariance by one walk over the
+    sorted union of the triples where B([e_i,e_j],e_k) or B(e_i,[e_j,e_k])
+    is nonzero, then the rank of the Gram matrix."""
+    out: list[Violation] = []
+    basis = g.basis
+    n = basis.dim
+    p = basis.parities
+    labels = basis.labels
+    rows, cols = form.rows, form.columns
+    for i in range(n):
+        for j in range(i, n):
+            gij = rows[i].get(j, 0)
+            if p[i] != p[j] and gij:
+                out.append(
+                    Violation(
+                        rule="even",
+                        witness=(labels[i], labels[j]),
+                        message=f"B({labels[i]}, {labels[j]}) pairs opposite parities but is nonzero",
+                    )
+                )
+            if rows[j].get(i, 0) != (-gij if p[i] and p[j] else gij):
+                out.append(
+                    Violation(
+                        rule="supersymmetry",
+                        witness=(labels[i], labels[j]),
+                        message=(
+                            f"B({labels[j]}, {labels[i]}) != "
+                            f"(-1)^(|{labels[i]}||{labels[j]}|) B({labels[i]}, {labels[j]})"
+                        ),
+                    )
+                )
+    table = g.bracket_table
+    left = _combine(table, rows)  # (i, j) -> {k: B([e_i,e_j],e_k)}
+    right = _combine(table, cols)  # (j, k) -> {i: B(e_i,[e_j,e_k])}
+    triples = {(i, j, k) for (i, j), row in left.items() for k in row}
+    triples.update((i, j, k) for (j, k), col in right.items() for i in col)
+    for i, j, k in sorted(triples):
+        lhs = left.get((i, j), {}).get(k, 0)
+        rhs = right.get((j, k), {}).get(i, 0)
+        if lhs != rhs:
+            out.append(
+                Violation(
+                    rule="invariance",
+                    witness=(labels[i], labels[j], labels[k]),
+                    message=(
+                        f"B([{labels[i]}, {labels[j]}], {labels[k]}) = {lhs} but "
+                        f"B({labels[i]}, [{labels[j]}, {labels[k]}]) = {rhs}"
+                    ),
+                )
+            )
+    gram_rank = rank(rows)
+    if gram_rank != n:
+        out.append(Violation(rule="nondegenerate", witness=(), message=f"Gram matrix has rank {gram_rank} < {n}"))
+    return out
+
+
+def skew_superderivation_space_unpruned(q: QuadraticLieSuperalgebra, degree: int) -> list[Superderivation]:
+    """The reduced kernel of the defect (``_defects``) on every entry (i, j)
+    with parity(i) = parity(j) + degree, every row of the system kept."""
+    n, p = q.basis.dim, q.basis.parities
+    slots = [(i, j) for i in range(n) for j in range(n) if p[i] == (p[j] + degree) % 2]
+    unit = _defects(q, degree)
+    rows: dict[tuple, dict[int, Rat]] = {}
+    for k, slot in enumerate(slots):
+        for key, v in unit(*slot).items():
+            rows.setdefault(key, {})[k] = v
+    out = []
+    for v in reduced_kernel(list(rows.values()), len(slots)):
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for k, x in v.items():
+            i, j = slots[k]
+            matrix[i][j] = Fraction(x)
+        out.append(Superderivation(matrix=matrix, degree=degree))
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import NON_JACOBI_DOC, QUADRATIC_KEYS, doubled_odd_form
+from helpers import NON_JACOBI_DOC, QUADRATIC_KEYS, doubled_odd_form, validate_form_by_union_walk
 import superquad
 from superquad import validate_quadratic
 from superquad import cli
@@ -17,6 +17,7 @@ from superquad.extensions import skew_superderivation_space
 from superquad.catalog import build
 from superquad.errors import EngineError, InputError
 from superquad.linalg import rat_str
+from superquad.quadratic import validate_form
 from superquad.serialization import (
     algebra_to_dict,
     loads,
@@ -125,6 +126,18 @@ def test_validate_prints_every_violation_in_order(tmp_path, capsys):
     assert [
         (v["rule"], v["witness"], v["message"]) for v in doc["violations"]
     ] == JACOBI_AND_INVARIANCE_VIOLATIONS
+
+
+def test_the_form_check_reports_what_the_union_walk_reports():
+    """The invalid quadratic documents of this file, and the doubled odd
+    form: same invariance violations as the walk over the sorted union of
+    triples, same order and messages."""
+    broken = loads(json.dumps(JACOBI_AND_INVARIANCE_DOC))
+    for q in (broken, doubled_odd_form()):
+        want = validate_form_by_union_walk(q.algebra, q.form)
+        assert want and validate_form(q.algebra, q.form) == want
+    invariance = [v for v in JACOBI_AND_INVARIANCE_VIOLATIONS if v[0] == "invariance"]
+    assert [(v.rule, list(v.witness), v.message) for v in validate_form(broken.algebra, broken.form)] == invariance
 
 
 def test_float_form_value_is_an_input_error(tmp_path, capsys):
@@ -528,3 +541,52 @@ def test_the_module_entry_point_exits_with_the_code_of_main(capsys):
     assert (bad.returncode, bad.stdout) == (2, "")
     [line] = bad.stderr.splitlines()
     assert line.startswith("error: unknown catalog key 'nope'") and "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--format", "json"],
+        ["validate", "g_8_2_5_s", "--format", "json"],
+        ["validate", "{broken}", "--format", "json"],
+        ["betti", "g_6_s", "--format", "json"],
+        ["cohomology", "g_4_1_s", "--format", "json"],
+        ["poisson", "g_4_1_s", "--format", "json"],
+        ["export", "g_dec"],
+        ["double-extend", "g_4_1_s", "--derivation", "{deriv}"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_every_json_report_is_what_json_dumps_with_indent_2_writes(argv, tmp_path, capsys):
+    """Each verb's JSON goes through one emitter; it writes the bytes that
+    ``json.dumps(doc, indent=2)`` does, the \u2297 of a cochain and an
+    invalid document's violations included."""
+    broken, deriv = tmp_path / "broken_quadratic.json", tmp_path / "deriv.json"
+    broken.write_text(json.dumps(JACOBI_AND_INVARIANCE_DOC))
+    d = skew_superderivation_space(build("g_4_1_s"), 0)[0]
+    deriv.write_text(json.dumps([[rat_str(x) for x in row] for row in d.matrix]))
+    main([a.format(broken=broken, deriv=deriv) for a in argv])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert ("\\u2297" in out) == (argv[0] in ("poisson", "cohomology"))
+
+
+@pytest.mark.parametrize("content", ["[" * 100000, '{"basis": ' + "[" * 100000, b"\xff\xfe[]"], ids=["list", "object", "bytes"])
+@pytest.mark.parametrize("verb", ["validate", "double-extend"])
+def test_an_unreadable_json_file_is_one_error_line_and_exit_2(tmp_path, content, verb):
+    """Nested past the decoder's depth, or not UTF-8: an input error, never
+    a traceback (whose exit code 1 would read as a validation failure)."""
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    argv = ["validate", str(path)] if verb == "validate" else ["double-extend", "g_4_1_s", "--derivation", str(path)]
+    run = _run_module(*argv)
+    assert (run.returncode, run.stdout) == (2, "")
+    [line] = run.stderr.splitlines()
+    where = "" if verb == "validate" else f" in {path}"
+    if isinstance(content, bytes):
+        assert line.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    else:
+        assert line == f"error: malformed JSON{where}: nested too deeply to read"

@@ -1309,3 +1309,28 @@ def test_the_field_width_bounds_the_degree(tmp_path, capsys):
     assert main(["betti", str(path), "--max-degree", str(DEGREE_LIMIT)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "packed monomials' limit 255" in err and err.count("\n") == 1
+
+
+def test_is_cocycle_reads_each_degree_once_and_checks_the_largest(monkeypatch):
+    """is_cocycle finds each term's degree once, in the pass that sorts the
+    terms, and checks the room of the largest before any sum: a cochain
+    whose top term fills s's field is refused even when a lower term alone
+    shows it is no cocycle, and one a degree lower is answered."""
+    module = importlib.import_module("superquad.cohomology")
+    basis = GradedBasis(labels=("x", "y", "s"), parities=(0, 0, 1))
+    g = LieSuperalgebra.from_label_table(basis, [("s", "s", {"x": 1})])
+    cohomology(g, 2)  # delta_0..delta_2 kept: x* s is read off delta_2's columns
+    low = mono(basis, ("x",), ("s",))
+    assert not is_cocycle(g, low)
+    full = Cochain.from_terms(basis, {Monomial((), (2,) * DEGREE_LIMIT): 1})
+    with pytest.raises(ResourceLimitError, match="packed monomial"):
+        is_cocycle(g, low + full)
+    below = Cochain.from_terms(basis, {Monomial((), (2,) * (DEGREE_LIMIT - 1)): 1})
+    seen, degree_of = [], module._degree_of
+    for name in ("superquad.cochains", "superquad.cohomology"):
+        monkeypatch.setattr(
+            importlib.import_module(name), "_degree_of", lambda ne, m: seen.append(m) or degree_of(ne, m)
+        )
+    c = low + below + Cochain.dual(basis, "y")
+    assert not is_cocycle(g, c)
+    assert sorted(seen) == sorted(c.keys)

@@ -13,6 +13,7 @@ from helpers import (
     form_value,
     perturbed,
     skew_superderivation_by_pairs,
+    skew_superderivation_space_unpruned,
 )
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra, ValidationReport, Violation
@@ -183,6 +184,16 @@ def test_skew_superderivation_space_dimensions():
     for key, dims in SKEW_DIMS.items():
         q = build(key)
         assert tuple(len(skew_superderivation_space(q, d)) for d in (0, 1)) == dims, key
+
+
+def test_the_pruned_system_gives_the_space_of_the_whole_system():
+    """Without the entries pinned by one-term rows and without repeated
+    rows, the reduced echelon basis is the same matrices in the same order."""
+    for q in (abelian_quadratic(), *map(build, QUADRATIC_KEYS)):
+        for degree in (0, 1):
+            space = skew_superderivation_space(q, degree)
+            assert space == skew_superderivation_space_unpruned(q, degree), (q.algebra.name, degree)
+            assert all(type(x) is Fraction for d in space for row in d.matrix for x in row)
 
 
 def test_skew_checks_need_a_form():

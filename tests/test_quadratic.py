@@ -4,8 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import count_validator_passes, perturbed, super_jacobi_by_triples, validate_form_by_triples
+from helpers import (
+    QUADRATIC_KEYS,
+    count_validator_passes,
+    perturbed,
+    super_jacobi_by_triples,
+    validate_form_by_triples,
+    validate_form_by_union_walk,
+)
 from superquad import (
     Cochain,
     algebra_to_dict,
@@ -155,13 +163,13 @@ def test_a_catalog_algebra_is_form_checked_once(monkeypatch):
     import superquad.quadratic as quadratic
 
     calls = []
-    original = quadratic.validate_form
+    original = quadratic._form_check
 
-    def counted(g, form):
+    def counted(g, form, left):
         calls.append(g)
-        return original(g, form)
+        return original(g, form, left)
 
-    monkeypatch.setattr(quadratic, "validate_form", counted)
+    monkeypatch.setattr(quadratic, "_form_check", counted)
     q = build("g_8_2_5_s")
     betti_table(q, 2)
     assert calls == [q.algebra]
@@ -175,6 +183,38 @@ def test_validate_quadratic_lists_grading_then_jacobi_then_form():
             q = perturbed(key, rng)
             want = validate_lie_superalgebra(q.algebra).violations + tuple(validate_form(q.algebra, q.form))
             assert validate_quadratic(q).violations == want, key
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(QUADRATIC_KEYS),
+    st.lists(
+        st.tuples(
+            st.integers(0, 11),
+            st.integers(0, 11),
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3)]),
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+)
+def test_fuzzed_gram_entries_give_the_union_walks_violations(key, edits):
+    """Gram entries moved, each alone or with its supersymmetric partner
+    (so B stays even and supersymmetric, or stops being either): the form
+    check reports the union walk's violations, in its order, word for word,
+    read from the algebra's own B([e_i, e_j], .) too."""
+    q = build(key)
+    n, p = q.dim, q.basis.parities
+    gram = [list(row) for row in q.form.gram]
+    for i, j, value, paired in edits:
+        i, j = i % n, j % n
+        gram[i][j] = value
+        if paired:
+            gram[j][i] = -value if p[i] and p[j] else value
+    form = BilinearForm(basis=q.basis, gram=gram)
+    want = validate_form_by_union_walk(q.algebra, form)
+    assert validate_form(q.algebra, form) == want
+    assert validate_quadratic(QuadraticLieSuperalgebra(q.algebra, form)).violations == tuple(want)
 
 
 def test_validators_match_dense_oracles_on_perturbed_catalog():

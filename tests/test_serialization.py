@@ -17,6 +17,7 @@ from superquad.extensions import Superderivation, one_dim_double_extension, skew
 from superquad.linalg import rat, rat_str
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 from superquad.serialization import (
+    _json_text,
     algebra_from_dict,
     algebra_to_dict,
     dumps,
@@ -69,6 +70,69 @@ def test_rational_literal_values(text, value):
 def test_rational_literal_errors(text, message):
     with pytest.raises(InputError, match=message):
         rat(text)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("1.5", "not an exact rational literal: '1.5'"),
+        ("1/0", "zero denominator: '1/0'"),
+        ("", "not an exact rational literal: ''"),
+        ("9" * 4400, "rational literal of 4400 characters is too long"),
+    ],
+    ids=lambda x: x if len(x) < 20 else f"{x[:8]}...({len(x)})",
+)
+def test_every_literal_refusal_holds_after_valid_literals_are_read(bad, message):
+    """A document refuses a bad literal each time, in the same words, next
+    to the valid literals it read before and reads again after."""
+    doc = algebra_to_dict(build("g_8_2_5_s"))
+    assert loads(json.dumps(doc)) == build("g_8_2_5_s")
+    doc["brackets"][-1]["terms"][0]["coeff"] = bad
+    for _ in range(2):
+        with pytest.raises(InputError, match=message):
+            loads(json.dumps(doc))
+        with pytest.raises(InputError, match=message):
+            rat(bad)
+    assert rat("-7/2") == Fraction(-7, 2) and type(rat(" 5 ")) is Fraction
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, 5, ["x"], True, 1.5])
+def test_a_name_that_is_not_a_string_is_an_input_error(name):
+    doc = algebra_to_dict(build("g_4_1_s"))
+    doc["name"] = name
+    with pytest.raises(InputError, match=f"'name' must be a string, not {type(name).__name__}"):
+        loads(json.dumps(doc))
+    doc["name"] = None  # null, like an absent name, is the empty one
+    assert loads(json.dumps(doc)).algebra.name == ""
+
+
+def test_the_emitter_writes_every_catalog_document_as_json_dumps_does():
+    for key in catalog_keys():
+        doc = algebra_to_dict(build(key))
+        assert _json_text(doc) == dumps(build(key)) == json.dumps(doc, indent=2) + "\n", key
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", "\u2297", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", "\u2028\U0001d11e"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_the_emitter_writes_what_json_dumps_with_indent_2_writes(doc):
+    """Escapes, non-ASCII text, empty lists and dicts, tuples, bools, None,
+    big ints and floats: byte for byte."""
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_round_trip_every_catalog_entry():
