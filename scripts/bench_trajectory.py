@@ -11,8 +11,17 @@ every workload of the change's ``BENCHMARK.json`` and each of ``SEEDS``,
 the script runs each checkout's own ``perfbench/run.py --trace 0`` for
 ``SECONDS`` per run, as ``RUNS`` pairs of parent and change, the side that
 runs first alternating from pair to pair, and records the median of each
-end-to-end metric, the quartiles of ``job_s`` on each side and the number
-of pairs whose ``job_s`` the change won.  Five scale cases (``SCALE``),
+end-to-end metric, the quartiles of ``job_s`` and of ``setup_s`` on each
+side and the number of pairs whose ``job_s``, and whose ``setup_s``, the
+change won.  Start-up cost gets its own case, run first, before anything
+can leave bytecode in ``src/``: a fresh process times
+``import superquad, superquad.cli`` on each checkout's ``src/``, as
+``IMPORT_PAIRS`` pairs alternating like the others, once with bytecode
+off (``PYTHONDONTWRITEBYTECODE=1``, so ``src/`` is compiled on every
+import, as in the benchmark's rounds) and once with the bytecode of a
+private ``PYTHONPYCACHEPREFIX`` warmed by one import first; the file
+holds the median and quartiles per side and the pairs the change won.
+Five scale cases (``SCALE``),
 all with the ``-{I,.}`` cross-check, run in a fresh process per run on
 each checkout's ``src/``: ``betti_table(build("g_8_2_5_s"), 12)``,
 ``betti_table(q, 6)`` over all 17 catalog keys, and three frontier
@@ -35,11 +44,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 RUNS = 10
 SCALE_PAIRS = 10
+IMPORT_PAIRS = 10
 SECONDS = 5.0
 SEEDS = (1, 7919)
 SCALE = {
@@ -59,6 +70,7 @@ SCALE_RUN = (
     "    betti_table(q, k)\n"
     "print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
 )
+IMPORT_RUN = "import time\nt = time.perf_counter()\nimport superquad, superquad.cli\nprint(time.perf_counter() - t)\n"
 
 
 def run_workload(tree: Path, workload: str, seed: int) -> dict:
@@ -80,9 +92,27 @@ def run_scale(tree: Path, setup: str) -> tuple[float, float]:
     return seconds, rss_mb
 
 
+def run_import(tree: Path, cache: Path | None) -> float:
+    """Seconds of ``import superquad, superquad.cli`` in a fresh process on
+    tree's ``src/``: with bytecode off for ``cache`` None, else with the
+    bytecode kept under the directory ``cache``."""
+    if (tree / "src" / "superquad" / "__pycache__").exists():
+        raise SystemExit(f"{tree}/src/superquad holds a __pycache__: the import would not compile src/")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    if cache is not None:
+        del env["PYTHONDONTWRITEBYTECODE"]
+        env["PYTHONPYCACHEPREFIX"] = str(cache)
+    out = subprocess.run([sys.executable, "-c", IMPORT_RUN], env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+def quartiles(seconds: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3}
+
+
 def spread(runs: list[tuple[float, float]]) -> dict:
-    q1, median, q3 = statistics.quantiles([s for s, _ in runs], n=4, method="inclusive")
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "peak_rss_mb": statistics.median(m for _, m in runs)}
+    return {**quartiles([s for s, _ in runs]), "peak_rss_mb": statistics.median(m for _, m in runs)}
 
 
 def run_tier1(tree: Path) -> dict:
@@ -107,6 +137,19 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     started = time.time()
+    imports: dict = {}
+    with tempfile.TemporaryDirectory() as caches:
+        for bytecode in ("off", "cached"):
+            cache = {side: None if bytecode == "off" else Path(caches, side) for side in trees}
+            for side, tree in trees.items():
+                run_import(tree, cache[side])  # warms the cache; with bytecode off, one untimed run too
+            times: dict[str, list] = {side: [] for side in trees}
+            for pair in range(IMPORT_PAIRS):
+                for side in sorted(trees, reverse=bool(pair % 2)):
+                    times[side].append(run_import(trees[side], cache[side]))
+            imports[bytecode] = {side: quartiles(t) for side, t in times.items()}
+            imports[bytecode]["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
+            print("import", bytecode, imports[bytecode], file=sys.stderr)
     workloads: dict = {}
     for w in (w["name"] for w in spec["workloads"]):
         for seed in SEEDS:
@@ -115,12 +158,13 @@ def main() -> int:
                 for side in sorted(trees, reverse=bool(pair % 2)):
                     samples[side].append(run_workload(trees[side], w, seed))
             entry = {side: medians(s) for side, s in samples.items()}
-            for side, s in samples.items():
-                q1, _, q3 = statistics.quantiles([x["job_s"] for x in s], n=4, method="inclusive")
-                entry[side].update(job_s_q1=q1, job_s_q3=q3)
-            entry["change_wins_job_s"] = sum(
-                c["job_s"] < p["job_s"] for p, c in zip(samples["parent"], samples["change"])
-            )
+            for metric in ("job_s", "setup_s"):
+                for side, s in samples.items():
+                    q1, _, q3 = statistics.quantiles([x[metric] for x in s], n=4, method="inclusive")
+                    entry[side].update({f"{metric}_q1": q1, f"{metric}_q3": q3})
+                entry[f"change_wins_{metric}"] = sum(
+                    c[metric] < p[metric] for p, c in zip(samples["parent"], samples["change"])
+                )
             workloads.setdefault(w, {})[str(seed)] = entry
             print(w, seed, workloads[w][str(seed)], file=sys.stderr)
     scale: dict = {}
@@ -138,6 +182,7 @@ def main() -> int:
         "settings": {
             "runs": RUNS,
             "scale_pairs": SCALE_PAIRS,
+            "import_pairs": IMPORT_PAIRS,
             "seconds": SECONDS,
             "statistic": "median over pairs, the side that runs first alternating",
             "python": platform.python_version(),
@@ -146,6 +191,7 @@ def main() -> int:
             "wall_s": round(time.time() - started, 1),
         },
         "end_to_end": workloads,
+        "import_superquad_and_cli": imports,
         "scale_with_cross_check": scale,
         "tier1": tier1,
     }

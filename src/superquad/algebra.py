@@ -19,11 +19,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen
 from .errors import InputError
 from .linalg import Echelon, Rat, _frac, _num, _sparse_rows, rat, rat_str, reduced_kernel
 
@@ -33,27 +33,26 @@ if TYPE_CHECKING:
 Vector = tuple[Rat, ...]
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(Frozen):
     """Ordered homogeneous basis, all even vectors before all odd ones."""
 
-    labels: tuple[str, ...]
-    parities: tuple[int, ...]
+    _fields = ("labels", "parities")
 
-    def __post_init__(self):
-        if not (isinstance(self.labels, tuple) and isinstance(self.parities, tuple)):
+    def __init__(self, labels: tuple[str, ...], parities: tuple[int, ...]):
+        if not (isinstance(labels, tuple) and isinstance(parities, tuple)):
             raise InputError("labels and parities must be tuples")
-        if len(self.labels) != len(self.parities):
+        if len(labels) != len(parities):
             raise InputError("labels and parities must have equal length")
-        for label, p in zip(self.labels, self.parities):
+        for label, p in zip(labels, parities):
             if not (isinstance(label, str) and label):
                 raise InputError(f"basis label {label!r} is not a non-empty string")
             if type(p) is not int or p not in (0, 1):
                 raise InputError(f"parity {p!r} of {label!r}: parities must be 0 or 1")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise InputError("basis labels must be distinct")
-        if list(self.parities) != sorted(self.parities):
+        if list(parities) != sorted(parities):
             raise InputError("even basis vectors must precede odd ones")
+        self.__dict__.update(labels=labels, parities=parities)
 
     @property
     def dim(self) -> int:
@@ -94,8 +93,7 @@ def _table_rows(basis: GradedBasis, table: object) -> Iterator[tuple[object, obj
         yield row
 
 
-@dataclass(frozen=True)
-class LieSuperalgebra:
+class LieSuperalgebra(Frozen):
     """Structure-constant presentation of a Lie superalgebra.
 
     ``constants[(i, j)][k]`` is the coefficient of basis vector k in
@@ -105,17 +103,15 @@ class LieSuperalgebra:
     i (an even diagonal bracket is forced to vanish).
     """
 
-    basis: GradedBasis
-    constants: Mapping[tuple[int, int], Mapping[int, Rat]]
-    name: str = ""
+    _fields = ("basis", "constants", "name")
 
-    def __post_init__(self):
-        if not isinstance(self.basis, GradedBasis):
-            raise InputError(f"basis must be a GradedBasis, not {type(self.basis).__name__}")
-        if not isinstance(self.constants, Mapping):
-            raise InputError(f"constants must be a mapping, not {type(self.constants).__name__}")
-        n = self.basis.dim
-        for key, terms in self.constants.items():
+    def __init__(self, basis: GradedBasis, constants: Mapping[tuple[int, int], Mapping[int, Rat]], name: str = ""):
+        if not isinstance(basis, GradedBasis):
+            raise InputError(f"basis must be a GradedBasis, not {type(basis).__name__}")
+        if not isinstance(constants, Mapping):
+            raise InputError(f"constants must be a mapping, not {type(constants).__name__}")
+        n = basis.dim
+        for key, terms in constants.items():
             if not (type(key) is tuple and len(key) == 2 and _is_index(key[0], n)
                     and _is_index(key[1], n) and key[0] <= key[1]):
                 raise InputError(f"constant key {key!r} out of range or unordered")
@@ -126,6 +122,7 @@ class LieSuperalgebra:
                     raise InputError(f"constant target {k!r} out of range")
                 if not isinstance(c, Fraction) or c == 0:
                     raise InputError(f"constant for {key}->{k} must be a nonzero Fraction")
+        self.__dict__.update(basis=basis, constants=constants, name=name)
 
     @classmethod
     def from_index_table(
@@ -252,16 +249,18 @@ class LieSuperalgebra:
         return v
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    witness: tuple
-    message: str
+class Violation(Frozen):
+    _fields = ("rule", "witness", "message")
+
+    def __init__(self, rule: str, witness: tuple, message: str):
+        self.__dict__.update(rule=rule, witness=witness, message=message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Frozen):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -421,12 +420,13 @@ def inner_torus(
     return torus
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of the underlying graded vector space, rows in RREF."""
 
-    ambient: GradedBasis
-    rows: tuple[Vector, ...]
+    _fields = ("ambient", "rows")
+
+    def __init__(self, ambient: GradedBasis, rows: tuple[Vector, ...]):
+        self.__dict__.update(ambient=ambient, rows=rows)
 
     @property
     def dim(self) -> int:

@@ -7,9 +7,9 @@ brackets follow from invariance of B and are solved for, not hand-entered.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from .errors import EngineError, InputError
 from .extensions import Superderivation, central_reduction
@@ -28,21 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParameterSpec:
-    name: str
-    default: Rat
-    constraint: str  # human-readable; enforcement lives in the builder
-    integer: bool = False
+class ParameterSpec(Frozen):
+    """``constraint`` is human-readable; enforcement lives in the builder."""
+
+    _fields = ("name", "default", "constraint", "integer")
+
+    def __init__(self, name: str, default: Rat, constraint: str, integer: bool = False):
+        self.__dict__.update(name=name, default=default, constraint=constraint, integer=integer)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    description: str
-    params: tuple[ParameterSpec, ...]
-    quadratic: bool
-    builder: Callable[[dict[str, Rat]], object]
+class CatalogEntry(Frozen):
+    _fields = ("key", "description", "params", "quadratic", "builder")
+
+    def __init__(self, key: str, description: str, params: tuple[ParameterSpec, ...], quadratic: bool,
+                 builder: Callable[[dict[str, Rat]], object]):
+        self.__dict__.update(key=key, description=description, params=params, quadratic=quadratic, builder=builder)
 
 
 def _normalize_params(
@@ -561,16 +561,16 @@ def build(key: str, params: Mapping[str, object] | None = None):
 
 
 # --------------------------------------------------- reconstruction recipes
-@dataclass(frozen=True)
-class OneDimExtensionRecipe:
+class OneDimExtensionRecipe(Frozen):
     """Data rebuilding a catalog entry as a one-dimensional double
-    extension of its central reduction."""
+    extension of its central reduction; ``labels`` are (new even
+    generator, new central vector)."""
 
-    key: str
-    base: QuadraticLieSuperalgebra
-    derivation: Superderivation
-    labels: tuple[str, str]  # (new even generator, new central vector)
-    catalog_order: tuple[str, ...]
+    _fields = ("key", "base", "derivation", "labels", "catalog_order")
+
+    def __init__(self, key: str, base: QuadraticLieSuperalgebra, derivation: Superderivation,
+                 labels: tuple[str, str], catalog_order: tuple[str, ...]):
+        self.__dict__.update(key=key, base=base, derivation=derivation, labels=labels, catalog_order=catalog_order)
 
 
 def reconstruction_datum(

@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from ._frozen import Frozen
 from .algebra import GradedBasis, LieSuperalgebra
 from .errors import InputError, ResourceLimitError
 from .linalg import Rat, _check_degree, _frac, _num, rat, rat_str
@@ -64,8 +64,7 @@ WIDTH = 8  # the bits of an odd letter's field in a packed monomial
 DEGREE_LIMIT = (1 << WIDTH) - 1  # the largest multiplicity, and degree, a packed monomial holds
 
 
-@dataclass(frozen=True, eq=False)
-class Monomial:
+class Monomial(Frozen):
     """Basis cochain: strictly increasing even part, sorted odd part.
 
     Indices are positions in the algebra's full basis list, so even
@@ -74,15 +73,14 @@ class Monomial:
     query reads each term's degree several times.
     """
 
-    even: tuple[int, ...]
-    odd: tuple[int, ...]
+    _fields = ("even", "odd")
 
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.even, self.even[1:])):
+    def __init__(self, even: tuple[int, ...], odd: tuple[int, ...]):
+        if any(a >= b for a, b in zip(even, even[1:])):
             raise InputError("even indices must be strictly increasing")
-        if any(a > b for a, b in zip(self.odd, self.odd[1:])):
+        if any(a > b for a, b in zip(odd, odd[1:])):
             raise InputError("odd indices must be weakly increasing")
-        self.__dict__.update(_hash=hash((self.even, self.odd)), degree=len(self.even) + len(self.odd))
+        self.__dict__.update(even=even, odd=odd, _hash=hash((even, odd)), degree=len(even) + len(odd))
 
     def __eq__(self, other):
         if other.__class__ is not Monomial:
@@ -201,8 +199,7 @@ def _term(basis: GradedBasis, term: object) -> tuple[int, Rat | int]:
     return _pack(ne, m), _num(rat(c))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Cochain:
+class Cochain(Frozen):
     """Sparse rational combination of monomials over a fixed basis.
 
     ``keys``, read-only, maps each packed monomial (``_pack``) to its nonzero
@@ -210,8 +207,7 @@ class Cochain:
     and return, and equality and the hash compare.  ``terms``, the (Monomial,
     Fraction) pairs sorted by ``Monomial.sort_key``, is decoded on first read."""
 
-    basis: GradedBasis
-    keys: Mapping[int, Rat | int]
+    _fields = ("basis", "keys")
 
     def __init__(self, basis: GradedBasis, terms: Sequence[tuple[Monomial, Rat]]):
         if not isinstance(basis, GradedBasis) or not isinstance(terms, (tuple, list)):
@@ -543,16 +539,16 @@ def poisson_bracket(q: QuadraticLieSuperalgebra, a: Cochain, b: Cochain) -> Coch
     return _bracket(_poisson_left(q, a), b, 1)
 
 
-@dataclass(frozen=True)
-class _PoissonLeft:
+class _PoissonLeft(Frozen):
     """The left operand A of {A, .} with everything that does not depend
     on the right operand done: per letter s it pairs with, (the offset of
     s's bit or field, the terms of (-1)^{deg A + 1} sum_r (G^{-1})[r][s]
     iota_r(A) as ``_poisson`` reads them); ``degree`` is A's largest."""
 
-    basis: GradedBasis
-    dual: list[tuple[int, list[tuple[int, int, int, Rat | int]]]]
-    degree: int
+    _fields = ("basis", "dual", "degree")
+
+    def __init__(self, basis: GradedBasis, dual: list[tuple[int, list[tuple[int, int, int, Rat | int]]]], degree: int):
+        self.__dict__.update(basis=basis, dual=dual, degree=degree)
 
 
 def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:

@@ -14,12 +14,12 @@ built and eliminated, and the others are counted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 from weakref import WeakValueDictionary
 
+from ._frozen import Frozen
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
 from .cochains import (
     DEGREE_LIMIT,
@@ -74,16 +74,17 @@ def cochain_dimension(basis: GradedBasis, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CochainBasis:
+class CochainBasis(Frozen):
     """Deterministic ordered monomial basis of C^k, or of the part of it a
     complex builds: ``keys`` are its monomials packed (``cochains._pack``)
     in basis order, and ``index`` maps each to its position.  The API's
     ``Monomial``s, ``monomials``, are decoded on first read."""
 
-    degree: int
-    keys: tuple[int, ...]
-    basis: GradedBasis = field(repr=False)
+    _fields = ("degree", "keys", "basis")
+    _shown = ("degree", "keys")
+
+    def __init__(self, degree: int, keys: tuple[int, ...], basis: GradedBasis):
+        self.__dict__.update(degree=degree, keys=keys, basis=basis)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -104,15 +105,15 @@ def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
     return CochainBasis(k, tuple(_enumerate(basis, k)), basis)
 
 
-@dataclass(frozen=True)
-class DifferentialMatrix:
+class DifferentialMatrix(Frozen):
     """delta_k as columns {target index: nonzero}, one per source monomial,
     in the kernels' form (``linalg._num``) or, at the API, as Fractions;
     a complex's view shares its source and target ``CochainBasis``."""
 
-    source: CochainBasis
-    target: CochainBasis
-    columns: tuple[dict[int, Rat | int], ...]
+    _fields = ("source", "target", "columns")
+
+    def __init__(self, source: CochainBasis, target: CochainBasis, columns: tuple[dict[int, Rat | int], ...]):
+        self.__dict__.update(source=source, target=target, columns=columns)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -326,20 +327,19 @@ class _Quotient(Echelon):
         return self.add(v)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    degree: int
-    dim_cochains: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    betti: int
-    representatives: tuple[Cochain, ...]
-    _complex: None | Complex = field(default=None, compare=False, repr=False)
-    _quotient: None | _Quotient = field(default=None, compare=False, repr=False)
+class CohomologyResult(Frozen):
+    """H^k; ``_complex`` and ``_quotient``, which class queries read, are
+    neither compared nor shown."""
 
-    def __post_init__(self) -> None:
-        if self.betti != self.dim_cocycles - self.dim_coboundaries:
+    _fields = ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries", "betti", "representatives")
+
+    def __init__(self, degree: int, dim_cochains: int, dim_cocycles: int, dim_coboundaries: int, betti: int,
+                 representatives: tuple[Cochain, ...], _complex: None | Complex = None, _quotient: None | _Quotient = None):
+        if betti != dim_cocycles - dim_coboundaries:
             raise EngineError("betti must equal dim cocycles - dim coboundaries")
+        self.__dict__.update(degree=degree, dim_cochains=dim_cochains, dim_cocycles=dim_cocycles,
+                             dim_coboundaries=dim_coboundaries, betti=betti, representatives=representatives,
+                             _complex=_complex, _quotient=_quotient)
 
 
 def _degree(c: Cochain, what: str) -> int:

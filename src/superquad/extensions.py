@@ -6,10 +6,11 @@ superderivations of g into a quadratic structure on h (+) g (+) h*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
+from ._frozen import Frozen
 from .algebra import (
     GradedBasis,
     LieSuperalgebra,
@@ -48,23 +49,20 @@ def _check_z2_degree(degree: object) -> None:
         raise InputError("superderivation degree must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class Superderivation:
+class Superderivation(Frozen):
     """A homogeneous endomorphism candidate of degree alpha (0 or 1).
 
     The matrix acts on coordinate columns: (D v)_i = sum_j m[i][j] v_j.
     """
 
-    matrix: tuple[tuple[Rat, ...], ...]
-    degree: int
+    _fields = ("matrix", "degree")
 
-    def __post_init__(self) -> None:
-        _check_z2_degree(self.degree)
-        m = self.matrix
-        if not (isinstance(m, (list, tuple))
-                and all(isinstance(row, (list, tuple)) and len(row) == len(m) for row in m)):
+    def __init__(self, matrix: tuple[tuple[Rat, ...], ...], degree: int):
+        _check_z2_degree(degree)
+        if not (isinstance(matrix, (list, tuple))
+                and all(isinstance(row, (list, tuple)) and len(row) == len(matrix) for row in matrix)):
             raise InputError("superderivation matrix must be square: a list or tuple of n rows of n values")
-        object.__setattr__(self, "matrix", _exact_rows(m))
+        self.__dict__.update(matrix=_exact_rows(matrix), degree=degree)
 
     @cached_property
     def columns(self) -> list[dict[int, Rat]]:
@@ -104,52 +102,61 @@ def _grading_violations(
     return out
 
 
-def _defects(q_or_g, degree: int):
-    """The defect of the matrix unit E_rs (D e_s = e_r), as a function
-    unit(r, s) -> {key: nonzero in the kernels' form}.
+def _defects(q_or_g, degree: int, slots: list[tuple[int, int]]) -> dict[int, dict[int, Rat | int]]:
+    """The defect system of a D of this degree whose entries at ``slots``
+    (r, s) are the unknowns: key -> {slot index: coefficient}, zero-free, in
+    the kernels' form (see ``linalg._num``), summed in one pass over the
+    bracket table and the Gram rows.
 
-    Both rules are linear in D's entries, so the defect of any D of this
-    degree is sum D[r][s] unit(r, s), and D passes iff it is zero:
+    Both rules are linear in D's entries, so D passes iff
+    sum_k D[slots[k]] row[k] is zero in every row.  A key packs (rule, i,
+    j, t) as ((rule * n + i) * n + j) * n + t, so keys sort as the tuples do:
 
-    * Leibniz, keys (0, i, j, t) for i <= j: the t-th coordinate of
+    * Leibniz, rule 0, for i <= j: the t-th coordinate of
       D[e_i,e_j] - [De_i,e_j] - (-1)^{alpha x_i}[e_i,De_j];
-    * skew, keys (1, i, j, 0), only when q_or_g carries a form:
+    * skew, rule 1, t = 0, only when q_or_g carries a form:
       B(De_i,e_j) + (-1)^{alpha x_i} B(e_i,De_j).
     """
     quadratic = isinstance(q_or_g, QuadraticLieSuperalgebra)
     g = q_or_g.algebra if quadratic else q_or_g
-    p, by_first = g.basis.parities, g._by_first  # by_first: a -> (j, [e_a, e_j])
+    n, p = g.basis.dim, g.basis.parities
     sign = [-1 if degree and x else 1 for x in p]
-    by_target: dict[int, list] = {}  # t -> (i, j, c_ij^t) for i <= j
-    for (i, j), terms in g.bracket_table.items():
-        if i <= j:
-            for t, c in terms.items():
-                by_target.setdefault(t, []).append((i, j, c))
+    by_row: list[list[tuple[int, int]]] = [[] for _ in p]  # r -> (s, slot index): D e_s has e_r
+    by_col: list[list[tuple[int, int]]] = [[] for _ in p]  # s -> (r, slot index)
+    for k, (r, s) in enumerate(slots):
+        by_row[r].append((s, k))
+        by_col[s].append((r, k))
+    m, acc = len(slots), {}  # key * m + slot index -> coefficient
+    get = acc.get
+    for (a, b), terms in g.bracket_table.items():
+        f = -sign[b] if p[a] and p[b] else sign[b]  # [e_b, e_a] = -(-1)^{x_a x_b}[e_a, e_b]
+        for t, c in terms.items():
+            for r, k in by_col[t] if a <= b else ():  # D[e_a, e_b] at e_t = e_r
+                x = ((a * n + b) * n + r) * m + k
+                acc[x] = get(x, 0) + c
+            for s, k in by_row[a]:  # D e_s = e_a
+                if s <= b:  # -[D e_s, e_b]
+                    x = ((s * n + b) * n + t) * m + k
+                    acc[x] = get(x, 0) - c
+                if b <= s:  # -(-1)^{alpha x_b}[e_b, D e_s]
+                    x = ((b * n + s) * n + t) * m + k
+                    acc[x] = get(x, 0) + f * c
     if quadratic:
-        gram_rows = q_or_g.form.rows  # r -> {j: B(e_r, e_j)}
-        gram_cols = q_or_g.form.columns  # r -> {i: B(e_i, e_r)}
-
-    def unit(r: int, s: int) -> dict[tuple[int, int, int, int], Rat]:
-        out: dict[tuple[int, int, int, int], Rat] = {}
-        for i, j, c in by_target.get(s, ()):  # D[e_i, e_j]
-            out[0, i, j, r] = out.get((0, i, j, r), 0) + c
-        for j, terms in by_first.get(r, ()):  # -[D e_s, e_j]
-            if j >= s:
-                for t, c in terms.items():
-                    out[0, s, j, t] = out.get((0, s, j, t), 0) - c
-        for i, terms in by_first.get(r, ()):  # -(-1)^{alpha x_i}[e_i, D e_s]
-            if i <= s:  # [e_i, e_r] = -(-1)^{x_i x_r}[e_r, e_i]
-                f = -sign[i] if p[i] and p[r] else sign[i]
-                for t, c in terms.items():
-                    out[0, i, s, t] = out.get((0, i, s, t), 0) + f * c
-        if quadratic:
-            for j, v in gram_rows[r].items():  # B(D e_s, e_j)
-                out[1, s, j, 0] = out.get((1, s, j, 0), 0) + v
-            for i, v in gram_cols[r].items():  # (-1)^{alpha x_i} B(e_i, D e_s)
-                out[1, i, s, 0] = out.get((1, i, s, 0), 0) + sign[i] * v
-        return {key: _num(v) for key, v in out.items() if v}
-
-    return unit
+        skew = n ** 3
+        for i, gram_row in enumerate(q_or_g.form.rows):
+            for j, v in gram_row.items():
+                for s, k in by_row[i]:  # B(D e_s, e_j), D e_s = e_i
+                    x = (skew + (s * n + j) * n) * m + k
+                    acc[x] = get(x, 0) + v
+                for s, k in by_row[j]:  # (-1)^{alpha x_i} B(e_i, D e_s), D e_s = e_j
+                    x = (skew + (i * n + s) * n) * m + k
+                    acc[x] = get(x, 0) + sign[i] * v
+    rows: defaultdict[int, dict[int, Rat | int]] = defaultdict(dict)
+    for x, v in acc.items():
+        if v:
+            key, k = divmod(x, m)
+            rows[key][k] = _num(v)
+    return rows
 
 
 def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
@@ -163,13 +170,11 @@ def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
     if d.dim != basis.dim:
         raise InputError(f"derivation matrix is {d.dim}x{d.dim}, but the algebra has dimension {basis.dim}")
     violations = _grading_violations(basis, d.matrix, degree)
-    unit = _defects(q_or_g, degree)
-    defect: dict[tuple[int, int, int, int], Rat] = {}
-    for s, column in enumerate(d.columns):
-        for r, x in column.items():
-            for key, v in unit(r, s).items():
-                defect[key] = defect.get(key, 0) + x * v
-    for rule, i, j in sorted({key[:3] for key, v in defect.items() if v}):
+    n, entries = basis.dim, [(r, s, x) for s, column in enumerate(d.columns) for r, x in column.items()]
+    rows = _defects(q_or_g, degree, [(r, s) for r, s, _ in entries])
+    failing = {key // n for key, row in rows.items() if sum(entries[k][2] * v for k, v in row.items())}
+    for rule_i, j in sorted(divmod(key, n) for key in failing):
+        rule, i = divmod(rule_i, n)
         a, b = basis.labels[i], basis.labels[j]
         violations.append(
             Violation(
@@ -216,11 +221,7 @@ def skew_superderivation_space(
     n = q.basis.dim
     p = q.basis.parities
     slots = [(i, j) for i in range(n) for j in range(n) if p[i] == (p[j] + degree) % 2]
-    unit = _defects(q, degree)
-    rows: dict[tuple[int, int, int, int], dict[int, Rat]] = {}  # defect key -> {slot: coefficient}
-    for k, slot in enumerate(slots):
-        for key, v in unit(*slot).items():
-            rows.setdefault(key, {})[k] = v
+    rows = _defects(q, degree, slots)
     pinned = {k for row in rows.values() if len(row) == 1 for k in row}
     free = [k for k in range(len(slots)) if k not in pinned]
     column = {k: c for c, k in enumerate(free)}
@@ -252,18 +253,16 @@ def ad_superderivation(q: QuadraticLieSuperalgebra, label: str) -> Superderivati
     )
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
+class ExtensionDatum(Frozen):
     """Input package for a double extension: h, (g, B), psi, gamma."""
 
-    base: QuadraticLieSuperalgebra
-    h: LieSuperalgebra
-    psi: tuple[Superderivation, ...]
-    gamma: BilinearForm | None = None
+    _fields = ("base", "h", "psi", "gamma")
 
-    def __post_init__(self) -> None:
-        if len(self.psi) != self.h.basis.dim:
+    def __init__(self, base: QuadraticLieSuperalgebra, h: LieSuperalgebra, psi: tuple[Superderivation, ...],
+                 gamma: BilinearForm | None = None):
+        if len(psi) != h.basis.dim:
             raise InputError("psi must assign one derivation per h basis vector")
+        self.__dict__.update(base=base, h=h, psi=psi, gamma=gamma)
 
 
 def validate_extension_datum(d: ExtensionDatum) -> ValidationReport:

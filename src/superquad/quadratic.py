@@ -9,11 +9,11 @@ inverse Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ._frozen import Frozen
 from .algebra import (
     GradedBasis,
     LieSuperalgebra,
@@ -29,19 +29,17 @@ if TYPE_CHECKING:
     from .cochains import Cochain, _PoissonLeft
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Frozen):
     """Bilinear form on a graded basis, stored as a dense Gram matrix."""
 
-    basis: GradedBasis
-    gram: tuple[tuple[Rat, ...], ...]
+    _fields = ("basis", "gram")
 
-    def __post_init__(self):
-        n, gram = self.basis.dim, self.gram
+    def __init__(self, basis: GradedBasis, gram: tuple[tuple[Rat, ...], ...]):
+        n = basis.dim
         if not (isinstance(gram, (list, tuple)) and len(gram) == n
                 and all(isinstance(row, (list, tuple)) and len(row) == n for row in gram)):
             raise InputError(f"Gram matrix must be {n} lists or tuples of {n} values, one per basis vector")
-        object.__setattr__(self, "gram", _exact_rows(gram))
+        self.__dict__.update(basis=basis, gram=_exact_rows(gram))
 
     @classmethod
     def from_pairs(
@@ -93,14 +91,13 @@ class BilinearForm:
         return [{j - n: _num(x) for j, x in echelon.rows[p].items() if j >= n} for p in range(n)]
 
 
-@dataclass(frozen=True)
-class QuadraticLieSuperalgebra:
-    algebra: LieSuperalgebra
-    form: BilinearForm
+class QuadraticLieSuperalgebra(Frozen):
+    _fields = ("algebra", "form")
 
-    def __post_init__(self):
-        if self.form.basis is not self.algebra.basis and self.form.basis != self.algebra.basis:
+    def __init__(self, algebra: LieSuperalgebra, form: BilinearForm):
+        if form.basis is not algebra.basis and form.basis != algebra.basis:
             raise InputError("form and algebra must share one basis")
+        self.__dict__.update(algebra=algebra, form=form)
 
     @property
     def basis(self) -> GradedBasis:

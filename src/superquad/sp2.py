@@ -9,10 +9,10 @@ rational discriminant rather than radicals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._frozen import Frozen
 from .linalg import Rat, rat
 
 __all__ = [
@@ -27,18 +27,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sp2Element:
+class Sp2Element(Frozen):
     """The matrix ((a, b), (c, -a))."""
 
-    a: Rat
-    b: Rat
-    c: Rat
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "b", rat(self.b))
-        object.__setattr__(self, "c", rat(self.c))
+    def __init__(self, a: Rat, b: Rat, c: Rat):
+        self.__dict__.update(a=rat(a), b=rat(b), c=rat(c))
 
     @property
     def is_zero(self) -> bool:

@@ -98,7 +98,6 @@ from superquad.errors import EngineError, InputError
 from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
-    _defects,
     _extension_labels,
     _grading_violations,
     validate_extension_datum,
@@ -1044,12 +1043,58 @@ def validate_form_by_union_walk(g: LieSuperalgebra, form: BilinearForm) -> list[
     return out
 
 
+def defects_by_unit(q_or_g, degree: int):
+    """The defect of the matrix unit E_rs (D e_s = e_r), as a function
+    unit(r, s) -> {(rule, i, j, t): nonzero in the kernels' form}, built
+    per unit: ``extensions._defects`` builds the whole system in one pass.
+
+    * Leibniz, rule 0, for i <= j: the t-th coordinate of
+      D[e_i,e_j] - [De_i,e_j] - (-1)^{alpha x_i}[e_i,De_j];
+    * skew, rule 1, t = 0, only when q_or_g carries a form:
+      B(De_i,e_j) + (-1)^{alpha x_i} B(e_i,De_j).
+    """
+    quadratic = isinstance(q_or_g, QuadraticLieSuperalgebra)
+    g = q_or_g.algebra if quadratic else q_or_g
+    p, by_first = g.basis.parities, g._by_first  # by_first: a -> (j, [e_a, e_j])
+    sign = [-1 if degree and x else 1 for x in p]
+    by_target: dict[int, list] = {}  # t -> (i, j, c_ij^t) for i <= j
+    for (i, j), terms in g.bracket_table.items():
+        if i <= j:
+            for t, c in terms.items():
+                by_target.setdefault(t, []).append((i, j, c))
+    if quadratic:
+        gram_rows = q_or_g.form.rows  # r -> {j: B(e_r, e_j)}
+        gram_cols = q_or_g.form.columns  # r -> {i: B(e_i, e_r)}
+
+    def unit(r: int, s: int) -> dict[tuple[int, int, int, int], Rat]:
+        out: dict[tuple[int, int, int, int], Rat] = {}
+        for i, j, c in by_target.get(s, ()):  # D[e_i, e_j]
+            out[0, i, j, r] = out.get((0, i, j, r), 0) + c
+        for j, terms in by_first.get(r, ()):  # -[D e_s, e_j]
+            if j >= s:
+                for t, c in terms.items():
+                    out[0, s, j, t] = out.get((0, s, j, t), 0) - c
+        for i, terms in by_first.get(r, ()):  # -(-1)^{alpha x_i}[e_i, D e_s]
+            if i <= s:  # [e_i, e_r] = -(-1)^{x_i x_r}[e_r, e_i]
+                f = -sign[i] if p[i] and p[r] else sign[i]
+                for t, c in terms.items():
+                    out[0, i, s, t] = out.get((0, i, s, t), 0) + f * c
+        if quadratic:
+            for j, v in gram_rows[r].items():  # B(D e_s, e_j)
+                out[1, s, j, 0] = out.get((1, s, j, 0), 0) + v
+            for i, v in gram_cols[r].items():  # (-1)^{alpha x_i} B(e_i, D e_s)
+                out[1, i, s, 0] = out.get((1, i, s, 0), 0) + sign[i] * v
+        return {key: _num(v) for key, v in out.items() if v}
+
+    return unit
+
+
 def skew_superderivation_space_unpruned(q: QuadraticLieSuperalgebra, degree: int) -> list[Superderivation]:
-    """The reduced kernel of the defect (``_defects``) on every entry (i, j)
-    with parity(i) = parity(j) + degree, every row of the system kept."""
+    """The reduced kernel of the defect (``defects_by_unit``) on every entry
+    (i, j) with parity(i) = parity(j) + degree, every row of the system kept."""
     n, p = q.basis.dim, q.basis.parities
     slots = [(i, j) for i in range(n) for j in range(n) if p[i] == (p[j] + degree) % 2]
-    unit = _defects(q, degree)
+    unit = defects_by_unit(q, degree)
     rows: dict[tuple, dict[int, Rat]] = {}
     for k, slot in enumerate(slots):
         for key, v in unit(*slot).items():

@@ -1,7 +1,6 @@
 """Super-exterior algebra: evaluation, wedge, contraction, differential,
 and the Poisson bracket against an independent rule-based oracle."""
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -139,12 +138,13 @@ def test_public_cochain_constructors_store_fractions():
     assert Cochain.from_terms(b, {m: 2}) == Cochain.from_terms(b, {m: Fraction(2)}) == public == kernel
     assert len({public, kernel, Cochain(b, [(m, Fraction(2))])}) == 1 and {public: 1}[kernel] == 1
     assert repr(kernel) == f"Cochain(basis={b!r}, terms=((Monomial(even=(0,), odd=(2,)), Fraction(2, 1)),))"
-    assert [f.name for f in dataclasses.fields(Cochain)] == ["basis", "keys"]
+    assert sorted(vars(Cochain(b, [(m, 2)]))) == sorted(vars(2 * Cochain.dual(b, "X0"))) == ["basis", "keys"]
     assert pickle.loads(pickle.dumps(kernel)) == kernel and copy.deepcopy(kernel) == kernel
     with pytest.raises(TypeError):
         kernel.keys[_pack(2, m)] = 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         kernel.keys = {}
+    assert kernel.keys == {_pack(2, m): 2} and kernel == public
 
 
 ARITHMETIC_BASES = {key: build(key).basis for key in ("g_4_1_s", "g_6_s", "g_6_2", "h")}

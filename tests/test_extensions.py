@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     QUADRATIC_KEYS,
     count_validator_passes,
+    defects_by_unit,
     derivation_column,
     double_extension_dense,
     doubled_odd_form,
@@ -222,14 +223,24 @@ def test_space_members_are_independent_and_valid():
 
 
 def test_every_defect_value_is_in_the_kernels_form():
-    """unit(r, s) gives reduced_kernel an int wherever a value is integral,
-    also where fractional terms sum to an integer."""
+    """The one-pass defect system over every entry is the sum of the matrix
+    units' defects, each built on its own (``defects_by_unit``), with or
+    without the form, and gives reduced_kernel an int wherever a value is
+    integral, also where fractional terms sum to an integer."""
     for key in QUADRATIC_KEYS:
         q = build(key)
-        for degree in (0, 1):
-            unit = _defects(q, degree)
-            values = [x for r in range(q.dim) for s in range(q.dim) for x in unit(r, s).values()]
-            assert all(x and (type(x) is int) == (x.denominator == 1) for x in values), (key, degree)
+        n = q.dim
+        slots = [(r, s) for r in range(n) for s in range(n)]
+        for q_or_g in (q, q.algebra):
+            for degree in (0, 1):
+                rows = _defects(q_or_g, degree, slots)
+                unit, expected = defects_by_unit(q_or_g, degree), {}
+                for k, slot in enumerate(slots):
+                    for (rule, i, j, t), v in unit(*slot).items():
+                        expected.setdefault(((rule * n + i) * n + j) * n + t, {})[k] = v
+                assert rows == expected, (key, degree)
+                values = [x for row in rows.values() for x in row.values()]
+                assert all(x and (type(x) is int) == (x.denominator == 1) for x in values), (key, degree)
 
 
 def test_ad_is_a_skew_superderivation():
