@@ -82,15 +82,21 @@ from .serialization import (
     loads,
     save,
 )
-from .sp2 import (
-    H,
-    Sp2Element,
-    X,
-    Y,
-    classify,
-    commutator,
-    normal_form,
-    rational_sqrt,
-)
 
 __version__ = "0.1.0"
+
+# sp2 has no engine caller: its names are imported on first use
+_SP2 = ("H", "Sp2Element", "X", "Y", "classify", "commutator", "normal_form", "rational_sqrt")
+
+
+def __getattr__(name: str):
+    if name not in _SP2:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sp2
+
+    globals().update({n: getattr(sp2, n) for n in _SP2})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SP2})

@@ -124,6 +124,11 @@ class LieSuperalgebra(Frozen):
                     raise InputError(f"constant for {key}->{k} must be a nonzero Fraction")
         self.__dict__.update(basis=basis, constants=constants, name=name)
 
+    def __hash__(self) -> int:
+        # equal constants are equal as frozensets of (pair, frozenset of terms)
+        constants = frozenset((key, frozenset(terms.items())) for key, terms in self.constants.items())
+        return hash((self.basis, constants, self.name))
+
     @classmethod
     def from_index_table(
         cls,

@@ -152,8 +152,7 @@ def _degree_of(ne: int, m: int) -> int:
 
 def _top(c: Cochain) -> int:
     """The largest degree of c's terms, 0 for the zero cochain."""
-    ne = c.basis.even_dim
-    return max((_degree_of(ne, m) for m in c.keys), default=0)
+    return max(c._degrees, default=0)
 
 
 def _fits(degree: int) -> None:
@@ -205,7 +204,11 @@ class Cochain(Frozen):
     ``keys``, read-only, maps each packed monomial (``_pack``) to its nonzero
     coefficient in the kernels' form (``linalg._num``): what the kernels read
     and return, and equality and the hash compare.  ``terms``, the (Monomial,
-    Fraction) pairs sorted by ``Monomial.sort_key``, is decoded on first read."""
+    Fraction) pairs sorted by ``Monomial.sort_key``, is decoded on first read,
+    and ``_degrees``, the keys split by degree, is made on its first read; a
+    class query keeps its split against a complex on the cochain
+    (``cohomology._part``).  None of them is a field: equality, the hash, the
+    repr and pickling read only ``basis`` and ``keys``."""
 
     _fields = ("basis", "keys")
 
@@ -233,7 +236,7 @@ class Cochain(Frozen):
 
     @classmethod
     def zero(cls, basis: GradedBasis) -> "Cochain":
-        return cls(basis, ())
+        return _wrap(_basis_of(basis, (GradedBasis,)), {})
 
     @classmethod
     def unit(cls, basis: GradedBasis) -> "Cochain":
@@ -250,6 +253,17 @@ class Cochain(Frozen):
         ne = self.basis.even_dim
         terms = ((_unpack(ne, m), _frac(c)) for m, c in self.keys.items())
         return tuple(sorted(terms, key=lambda kv: kv[0].sort_key()))
+
+    @cached_property
+    def _degrees(self) -> dict[int, dict[int, Rat | int]]:
+        """``keys`` split by degree, {k: {packed monomial: value}}, in one pass."""
+        ne, out = self.basis.even_dim, {}
+        for m, c in self.keys.items():
+            if (part := out.get(k := _degree_of(ne, m))) is None:
+                out[k] = {m: c}
+            else:
+                part[m] = c
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -271,20 +285,28 @@ class Cochain(Frozen):
         return self._plus(other, -1)
 
     def _plus(self, other: "Cochain", sign: int) -> "Cochain":
-        """self + sign * other for a sign of +1 or -1, merged key by key."""
+        """self + sign * other for a sign of +1 or -1, merged key by key:
+        only a merged entry can become zero or integral."""
         _check_cochain(other, self.basis)
         acc = self.keys.copy()
+        get = acc.get
         for m, c in other.keys.items():
-            acc[m] = acc.get(m, 0) + sign * c
-        return _cochain(self.basis, acc)
+            c = c if sign == 1 else -c
+            if (x := get(m)) is None:
+                acc[m] = c
+            elif x := x + c:
+                acc[m] = _num(x)
+            else:
+                del acc[m]
+        return _wrap(self.basis, acc)
 
     def __neg__(self) -> "Cochain":
-        return _cochain(self.basis, {m: -x for m, x in self.keys.items()})
+        return _wrap(self.basis, {m: -x for m, x in self.keys.items()})
 
     def scale(self, c: Rat) -> "Cochain":
         """c * self; InputError for anything ``rat`` refuses, a float among them."""
         c = _num(rat(c))
-        return _cochain(self.basis, {m: c * x for m, x in self.keys.items()})
+        return _wrap(self.basis, {m: _num(c * x) for m, x in self.keys.items()} if c else {})
 
     def __rmul__(self, c) -> "Cochain":
         return self.scale(c)
@@ -298,8 +320,14 @@ def _cochain(basis: GradedBasis, acc: Mapping[int, Rat | int]) -> Cochain:
     """The cochain of an accumulator {packed monomial: value}, zeros dropped,
     values in the kernels' form, without the checks of ``Cochain(...)``: the
     kernels make monomials in range and within DEGREE_LIMIT."""
+    return _wrap(basis, {m: _num(x) for m, x in acc.items() if x})
+
+
+def _wrap(basis: GradedBasis, keys: dict[int, Rat | int]) -> Cochain:
+    """The cochain whose keys are ``keys`` as they are: zero-free and in the
+    kernels' form already, as a kernel's output is."""
     c = object.__new__(Cochain)
-    c.__dict__.update(basis=basis, keys=MappingProxyType({m: _num(x) for m, x in acc.items() if x}))
+    c.__dict__.update(basis=basis, keys=MappingProxyType(keys))
     return c
 
 
@@ -459,7 +487,7 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     in the tests as the oracle.
     """
     _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
-    return _cochain(g.basis, _delta(g, _room(c, 1)))
+    return _wrap(g.basis, _delta(g, _room(c, 1)))
 
 
 def _delta(g: LieSuperalgebra, terms: Iterable[tuple[int, Rat | int]]) -> dict[int, Rat | int]:
@@ -585,7 +613,7 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
 def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
     """scale * {A, b} for the prepared left operand A (``_poisson``)."""
     _check_cochain(b, left.basis)
-    return _cochain(b.basis, _poisson(left, _room(b, max(left.degree - 2, 0)), scale))
+    return _wrap(b.basis, _poisson(left, _room(b, max(left.degree - 2, 0)), scale))
 
 
 def _poisson(left: _PoissonLeft, terms: Iterable[tuple[int, Rat | int]], scale: int) -> dict[int, Rat | int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from weakref import WeakValueDictionary
+from weakref import WeakValueDictionary, ref
 
 from ._frozen import Frozen
 from .algebra import GradedBasis, LieSuperalgebra, diagonal_weights, inner_torus
@@ -30,12 +30,11 @@ from .cochains import (
     _cochain,
     _combination,
     _contractions,
-    _degree_of,
     _delta,
     _enumerate,
     _fits,
     _poisson,
-    _room,
+    _top,
     _unit,
     _unpack,
 )
@@ -343,10 +342,9 @@ class CohomologyResult(Frozen):
 
 
 def _degree(c: Cochain, what: str) -> int:
-    degrees = {_degree_of(c.basis.even_dim, m) for m in c.keys}
-    if len(degrees) != 1:
+    if len(degrees := c._degrees) != 1:
         raise InputError(f"{what} requires a Z-homogeneous cochain")
-    return degrees.pop()
+    return next(iter(degrees))
 
 
 def cohomology(
@@ -410,55 +408,73 @@ def betti_table(
     return [cohomology(q, k, verify=verify) for k in range(k_max + 1)]
 
 
+def _part(cx: Complex, c: Cochain, k: int) -> list:
+    """c's degree-k terms split against ``cx.built(k)``: [those in it as
+    {index: value}, the others as (packed monomial, value) pairs, whether
+    delta of the others is 0 (None until ``_rest_closed`` asks)].  The
+    split is kept on c with a weak reference to cx, so that the class
+    queries on c share it; a dead complex, or another one, splits again."""
+    held = c.__dict__.get("_split")
+    if held is None or held[0]() is not cx:
+        held = c.__dict__["_split"] = (ref(cx), {})
+    if (part := held[1].get(k)) is None:
+        index, built, rest = cx.built(k).index, {}, []
+        for m, a in c._degrees.get(k, {}).items():
+            if (i := index.get(m)) is None:
+                rest.append((m, a))
+            else:
+                built[i] = a
+        part = held[1][k] = [built, rest, None]
+    return part
+
+
+def _rest_closed(cx: Complex, part: list, k: int) -> bool:
+    """Whether delta of the degree-k terms of a ``_part`` outside the built
+    part is 0: one call of ``differential_direct``'s kernel, on first ask,
+    once delta of them is known to fit a packed monomial."""
+    if part[2] is None:
+        if part[1]:
+            _fits(k + 1)
+        part[2] = not part[1] or not _delta(cx.algebra, part[1])
+    return part[2]
+
+
 def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff delta(c) = 0; c may mix degrees.
 
     delta keeps the degree and the block key (``Complex.built``), so the
     terms of c in each ``Complex.built(k)`` map into built(k + 1) and the
-    others outside it: each part is checked on its own.  A term of
-    built(k) whose delta_k the complex already keeps is read off that
-    delta_k's columns, one exact sparse sum per degree.  Every other term
-    (of nonzero inner weight, or of a degree with no delta_k kept) goes
+    others outside it: each part is checked on its own.  In a degree whose
+    delta_k the complex already keeps, c's split (``_part``) is read: its
+    built part off delta_k's columns, one exact sparse sum per degree, and
+    the rest by ``_rest_closed``.  The terms of every other degree go
     through one call of ``differential_direct``'s kernel.  No delta is
     built here.
     """
     cx = _complex(q, c)
-    ne, kept, rest, top = cx.basis.even_dim, {}, [], 0
-    for m, a in c.keys.items():
-        top = max(top, k := _degree_of(ne, m))
-        hit = cx._deltas.get(k)  # (delta_k, verified) or None
-        if hit and (i := hit[0].source.index.get(m)) is not None:
-            kept.setdefault(k, []).append((a, hit[0].columns[i]))
-        else:
-            rest.append((m, a))
-    _fits(top + 1)
-    if any(any(_combination(parts).values()) for parts in kept.values()):
+    _fits(_top(c) + 1)
+    kept, cold = [], []
+    for k, terms in c._degrees.items():
+        if (hit := cx._deltas.get(k)) is None:  # (delta_k, verified) or None
+            cold.extend(terms.items())
+            continue
+        columns, part = hit[0].columns, _part(cx, c, k)
+        if any(_combination((a, columns[i]) for i, a in part[0].items()).values()):
+            return False
+        kept.append((k, part))
+    if not all(_rest_closed(cx, part, k) for k, part in kept):
         return False
-    return not rest or not _delta(cx.algebra, rest)
-
-
-def _split(cx: Complex, k: int, c: Cochain) -> tuple[dict[int, Rat | int], list[tuple[int, Rat | int]]]:
-    """c's terms in ``cx.built(k)`` as {index: value} over it, and the
-    others for ``_delta``, once delta of them fits a packed monomial."""
-    index, built, rest = cx.built(k).index, {}, []
-    for m, a in c.keys.items():
-        if (i := index.get(m)) is None:
-            rest.append((m, a))
-        else:
-            built[i] = a
-    if rest:
-        _room(c, 1)  # c is of degree k, as rest is
-    return built, rest
+    return not cold or not _delta(cx.algebra, cold)
 
 
 def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> bool:
     """True iff c = delta(b) for some cochain b (c must be Z-homogeneous).
 
     delta keeps the block key (``Complex.built``).  c's terms in the built
-    part are reduced against B^k there (``Complex.image``).  The others lie
-    in blocks of nonzero inner weight, which are acyclic
+    part (``_part``) are reduced against B^k there (``Complex.image``).  The
+    others lie in blocks of nonzero inner weight, which are acyclic
     (``_certified_torus``): they are a coboundary exactly when delta of
-    them is 0, one differential.
+    them is 0 (``_rest_closed``).
     """
     cx = _complex(q, c)
     if c.is_zero:
@@ -467,8 +483,8 @@ def is_coboundary(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> 
     if k == 0:
         return False
     cx.check_size(k - 1)
-    built, rest = _split(cx, k, c)
-    return not cx.image(k - 1, False).remainder(built) and not (rest and _delta(cx.algebra, rest))
+    part = _part(cx, c, k)
+    return not cx.image(k - 1, False).remainder(dict(part[0])) and _rest_closed(cx, part, k)
 
 
 def class_vector(
@@ -501,11 +517,10 @@ def class_vector(
     k = _degree(c, "class_vector")
     if result.degree != k:
         raise InputError(f"result is for degree {result.degree}, not {k}")
-    built, rest = _split(rcx, k, c)
-    quotient = result._quotient
-    v, n = quotient.remainder(built), quotient.n
+    part, quotient = _part(rcx, c, k), result._quotient
+    v, n = quotient.remainder(dict(part[0])), quotient.n
     failed = min(v, default=n) < n
-    if rest and _delta(rcx.algebra, rest) or failed and not is_cocycle(rcx.q, c):
+    if not _rest_closed(rcx, part, k) or failed and not is_cocycle(rcx.q, c):
         raise InputError("class_vector requires a cocycle")
     if failed:
         raise EngineError("cocycle does not decompose over B + representatives")

@@ -28,6 +28,7 @@ from superquad import (
     reconstruction_datum,
 )
 from superquad.extensions import ExtensionDatum
+from superquad.serialization import dumps, loads
 
 PUBLIC_NAMES = [
     "BilinearForm",
@@ -163,6 +164,10 @@ VALUE_TYPES = {
 }
 
 
+# the types that hold an algebra, whose constants are a dict
+HASHED = ("ExtensionDatum", "LieSuperalgebra", "OneDimExtensionRecipe", "QuadraticLieSuperalgebra")
+
+
 def _hash(x: object) -> object:
     """x's hash, or TypeError when x holds an unhashable field."""
     try:
@@ -186,6 +191,12 @@ def test_value_types_keep_the_dataclass_contract(name):
     assert positional == keyword == obj and not positional != obj and obj != other
     assert obj.__eq__(object()) is NotImplemented
     assert _hash(positional) == _hash(keyword) == _hash(obj)
+    if name in HASHED:  # an algebra and what holds one hash, alike for equal instances
+        again = make("g_8_2_5_s")
+        assert again is not obj and again == obj and _hash(again) == _hash(obj) != TypeError
+        if name in ("LieSuperalgebra", "QuadraticLieSuperalgebra"):
+            read = loads(dumps(obj))
+            assert read is not obj and read == obj and _hash(read) == _hash(obj)
     if name == "CohomologyResult":
         assert bare == obj and bare._complex is None and obj._complex is not None
     # the repr of the dataclass these types were
@@ -204,10 +215,24 @@ def test_value_types_keep_the_dataclass_contract(name):
         assert type(copied) is cls and copied == obj and _hash(copied) == _hash(obj)
 
 
-def test_importing_the_package_and_its_cli_loads_no_dataclasses():
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this package."""
     src = str(Path(superquad.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, superquad, superquad.cli; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses():
+    assert _fresh("import sys, superquad, superquad.cli; print('dataclasses' in sys.modules)") == "False"
+
+
+def test_sp2_is_imported_on_first_use():
+    code = (
+        "import sys, superquad, superquad.cli\n"
+        "print('superquad.sp2' in sys.modules)\n"
+        "print(superquad.normal_form(superquad.X)[0])\n"
+        "print('superquad.sp2' in sys.modules, superquad.X is sys.modules['superquad.sp2'].X)"
+    )
+    assert _fresh(code).splitlines() == ["False", "nilpotent", "True True"]

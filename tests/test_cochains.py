@@ -147,6 +147,25 @@ def test_public_cochain_constructors_store_fractions():
     assert kernel.keys == {_pack(2, m): 2} and kernel == public
 
 
+def test_the_degree_split_is_kept_but_never_compared():
+    """``Cochain._degrees`` groups the keys by degree on first read and
+    keeps them; equality, the hash, the repr, pickle and deepcopy read
+    only the fields, and a fresh cochain holds nothing else."""
+    q = build("g_8_2_5_s")
+    c, twin = (q._three_form + Cochain.dual(q.basis, "Z1") - Cochain.unit(q.basis).scale(3) for _ in range(2))
+    assert sorted(vars(c)) == sorted(vars(twin)) == ["basis", "keys"]
+    degrees = c._degrees
+    assert c._degrees is degrees and sorted(vars(c)) == ["_degrees", "basis", "keys"]
+    want = {}
+    for m, x in twin.terms:
+        want.setdefault(m.degree, {})[_pack(q.basis.even_dim, m)] = x
+    assert degrees == want and sorted(degrees) == [0, 1, 3]
+    assert c == twin and twin == c and hash(c) == hash(twin)
+    assert repr(c) == repr(twin) and pickle.dumps(c) == pickle.dumps(twin)
+    for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert copied == c and hash(copied) == hash(c) and sorted(vars(copied)) == ["basis", "keys"]
+
+
 ARITHMETIC_BASES = {key: build(key).basis for key in ("g_4_1_s", "g_6_s", "g_6_2", "h")}
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -197,6 +216,8 @@ def test_cochain_arithmetic_matches_from_terms_and_passes_the_public_checks(ops)
         keys = [m.sort_key() for m, _ in result.terms]
         assert keys == sorted(keys)
         assert all(type(c) is Fraction and c != 0 for _, c in result.terms)
+        # the keys stay zero-free and in the kernels' form: an int when integral
+        assert all(x and (type(x) is int) == (x.denominator == 1) for x in result.keys.values())
     assert (a - a).is_zero and (a + -a).is_zero and (b - b).is_zero
 
 

@@ -763,6 +763,94 @@ def test_a_cold_is_cocycle_builds_no_delta(monkeypatch, key):
     assert is_cocycle(q, Cochain.zero(q.basis)) and calls["_delta"] == len(queries)
 
 
+def _two_lambdas() -> tuple:
+    """g_8_2_5_s at lam = 1 and 3: one basis, other constants, other built
+    parts of C^2; and class queries made from each one's H^2."""
+    one, three = build("g_8_2_5_s"), build("g_8_2_5_s", {"lam": 3})
+    queries = []
+    for q in (one, three):
+        reps = cohomology(q, 2, verify=False).representatives
+        queries += _seeded_queries(q, 2, reps, random.Random(f"two {q.algebra.constants == one.algebra.constants}"), 12)
+    return one, three, queries
+
+
+def _answers(q, c: Cochain, res: CohomologyResult) -> tuple:
+    """(is_cocycle, is_coboundary, class_vector or None for a non-cocycle)."""
+    cocycle, coboundary = is_cocycle(q, c), is_coboundary(q, c)
+    try:
+        return cocycle, coboundary, class_vector(q, c, result=res)
+    except InputError:
+        return cocycle, coboundary, None
+
+
+def _checked(q, c: Cochain, got: tuple) -> None:
+    """got, the answers of ``_answers``, against the oracles."""
+    cocycle, coboundary, vector = got
+    assert cocycle == differential_direct(q.algebra, c).is_zero, str(c)
+    assert coboundary == is_coboundary_by_rank(q, c), str(c)
+    assert (vector is None) == (not cocycle) and (not cocycle or coboundary == (not any(vector))), str(c)
+
+
+def test_one_cochain_queried_against_two_algebras_gets_each_ones_answer():
+    """A cochain keeps its split for the complex that asked last: queried
+    against two live complexes of one basis, in turn, it gets each
+    algebra's answers."""
+    one, three, queries = _two_lambdas()
+    held = [cohomology(q, 2, verify=False) for q in (one, three)]
+    differ = 0
+    for c in queries:
+        got = [_answers(q, c, res) for q, res in (*zip((one, three), held), (one, held[0]))]
+        for q, answers in zip((one, three, one), got):
+            _checked(q, c, answers)
+        assert got[0] == got[2]
+        differ += got[0][:2] != got[1][:2]
+    assert differ > 5
+
+
+def test_a_split_for_a_dead_complex_is_made_again(monkeypatch):
+    """Once no result holds the complex a cochain was split against, the
+    next query builds a new complex and splits the cochain again, even
+    where a complex of another algebra takes the dead one's place."""
+    one, three, queries = _two_lambdas()
+    res = cohomology(one, 2, verify=False)
+    for c in queries:
+        _checked(one, c, _answers(one, c, res))
+    live = ref(res._complex)
+    del res
+    gc.collect()
+    assert live() is None
+    complexes, init = [], Complex.__init__
+
+    def counted(self, q):
+        complexes.append(q)
+        init(self, q)
+
+    monkeypatch.setattr(Complex, "__init__", counted)
+    res = cohomology(three, 2, verify=False)
+    for c in queries:
+        _checked(three, c, _answers(three, c, res))
+    assert complexes == [three]
+
+
+def test_a_class_query_differentiates_the_rest_at_most_once(monkeypatch):
+    """is_cocycle, is_coboundary and class_vector on one cochain and one
+    live complex share its split: delta of its terms outside the built
+    part is taken once, when there are any, and never when there are not."""
+    q = build("g_8_2_5_s")
+    res = cohomology(q, 2, verify=False)
+    index = res._complex.built(2).index
+    calls = _count_calls(monkeypatch, ("_delta",))
+    queries = _seeded_queries(q, 2, res.representatives, random.Random("at most once"), 34)
+    rests = 0
+    for c in queries:
+        calls["_delta"] = 0
+        _answers(q, c, res)
+        rest = any(m not in index for m in c.keys)
+        assert calls["_delta"] == rest, str(c)
+        rests += rest
+    assert rests > 20
+
+
 def test_a_plain_algebra_gets_a_new_complex_once_no_result_holds_one(monkeypatch):
     calls = _count_calls(monkeypatch, ("_dual_differentials",))
     complexes, init = [], Complex.__init__
@@ -1317,11 +1405,12 @@ def test_the_field_width_bounds_the_degree(tmp_path, capsys):
 
 
 def test_is_cocycle_reads_each_degree_once_and_checks_the_largest(monkeypatch):
-    """is_cocycle finds each term's degree once, in the pass that sorts the
-    terms, and checks the room of the largest before any sum: a cochain
-    whose top term fills s's field is refused even when a lower term alone
-    shows it is no cocycle, and one a degree lower is answered."""
-    module = importlib.import_module("superquad.cohomology")
+    """is_cocycle finds each term's degree once, in the pass that splits the
+    terms by degree (``Cochain._degrees``), and checks the room of the
+    largest before any sum: a cochain whose top term fills s's field is
+    refused even when a lower term alone shows it is no cocycle, and one a
+    degree lower is answered."""
+    module = importlib.import_module("superquad.cochains")
     basis = GradedBasis(labels=("x", "y", "s"), parities=(0, 0, 1))
     g = LieSuperalgebra.from_label_table(basis, [("s", "s", {"x": 1})])
     cohomology(g, 2)  # delta_0..delta_2 kept: x* s is read off delta_2's columns
@@ -1332,10 +1421,7 @@ def test_is_cocycle_reads_each_degree_once_and_checks_the_largest(monkeypatch):
         is_cocycle(g, low + full)
     below = Cochain.from_terms(basis, {Monomial((), (2,) * (DEGREE_LIMIT - 1)): 1})
     seen, degree_of = [], module._degree_of
-    for name in ("superquad.cochains", "superquad.cohomology"):
-        monkeypatch.setattr(
-            importlib.import_module(name), "_degree_of", lambda ne, m: seen.append(m) or degree_of(ne, m)
-        )
+    monkeypatch.setattr(module, "_degree_of", lambda ne, m: seen.append(m) or degree_of(ne, m))
     c = low + below + Cochain.dual(basis, "y")
     assert not is_cocycle(g, c)
     assert sorted(seen) == sorted(c.keys)

@@ -55,3 +55,12 @@ def test_golden_outputs_match_the_manifest(tmp_path, capsys):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     want = {name: digest for digest, name in (line.split("  ", 1) for line in GOLDEN.read_text().splitlines())}
     assert sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name)) == []
+
+
+def test_every_mutant_replaces_text_that_occurs_once_in_its_file(capsys):
+    mutate = runpy.run_path(str(SCRIPTS / "mutate.py"))
+    for name in mutate["MUTANTS"]:
+        path, text = mutate["mutated"](SCRIPTS.parent, name)
+        assert text != path.read_text(), name
+    assert mutate["main"](["no_such_mutant"]) == 2
+    assert "unknown mutant(s): no_such_mutant" in capsys.readouterr().err
