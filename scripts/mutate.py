@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 COCHAINS, COHOMOLOGY = "src/superquad/cochains.py", "src/superquad/cohomology.py"
+EXTENSIONS, QUADRATIC = "src/superquad/extensions.py", "src/superquad/quadratic.py"
 
 # name: (file, the text replaced, its replacement)
 MUTANTS = {
@@ -52,6 +53,10 @@ MUTANTS = {
     "check_size_limit": (COHOMOLOGY, "if k_max >= DEGREE_LIMIT:", "if k_max > DEGREE_LIMIT:"),
     "split_for_another_complex": (COHOMOLOGY, "if held is None or held[0]() is not cx:", "if held is None:"),
     "degrees_all_in_one": (COCHAINS, "out.get(k := _degree_of(ne, m))", "out.get(k := 1)"),
+    "form_walk_skips_lower_entries": (QUADRATIC, "{(i, j) if i <= j else (j, i) for i, row in enumerate(rows) for j in row}",
+                                      "{(i, j) for i, row in enumerate(rows) for j in row if i <= j}"),
+    "form_even_rule": (QUADRATIC, "if p[i] != p[j] and gij:", "if False:"),
+    "direct_vs_general_form_rows": (EXTENSIONS, "        or general.form.rows != direct.form.rows\n", ""),
 }
 
 

@@ -66,10 +66,15 @@ class GradedBasis(Frozen):
     def odd_dim(self) -> int:
         return self.parities.count(1)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """{label: its position}, built on first read."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputError(f"unknown basis label {label!r}") from None
 
 

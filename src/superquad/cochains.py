@@ -594,7 +594,7 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     even = (1 << ne) - 1
     # (-1)^{deg A + 1} depends only on the degree of a left term, so it
     # goes into the left coefficients before contracting
-    signed = [(m, c if _degree_of(ne, m) % 2 else -c) for m, c in a.keys.items()]
+    signed = [(m, c if k % 2 else -c) for k, part in a._degrees.items() for m, c in part.items()]
     contractions = _contractions(ne, signed)
     for s, col in enumerate(q.form.inverse_columns):
         entries = []

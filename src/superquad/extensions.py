@@ -418,19 +418,15 @@ def _assemble(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     algebra = LieSuperalgebra.from_index_table(
         new_basis, [(a, b, terms) for (a, b), terms in rows.items()]
     )
-    total = 2 * nh + ng
-    gram: list[list[Rat]] = [[Fraction(0)] * total for _ in range(total)]
+    form_rows: list[dict[int, Rat]] = [{} for _ in range(2 * nh + ng)]
     for i, row in enumerate(gram_rows):
-        for j, v in row.items():
-            gram[gi[i]][gi[j]] = v
-    if d.gamma is not None:
-        for i, row in enumerate(d.gamma.rows):
-            for j, v in row.items():
-                gram[hi[i]][hi[j]] = v
+        form_rows[gi[i]] = {gi[j]: v for j, v in row.items()}
+    for i, row in enumerate(d.gamma.rows if d.gamma is not None else ()):
+        form_rows[hi[i]] = {hi[j]: v for j, v in row.items()}
     for k in range(nh):  # f(W) and (-1)^{xy} g(Z)
-        gram[fi[k]][hi[k]] = 1
-        gram[hi[k]][fi[k]] = -1 if hp[k] else 1
-    form = BilinearForm(basis=new_basis, gram=tuple(tuple(r) for r in gram))
+        form_rows[fi[k]][hi[k]] = 1
+        form_rows[hi[k]][fi[k]] = -1 if hp[k] else 1
+    form = BilinearForm(basis=new_basis, rows=form_rows)
     return QuadraticLieSuperalgebra(algebra=algebra, form=form)
 
 
@@ -461,9 +457,8 @@ def one_dim_double_extension(
     The basis is e, the evens of g, f, the odds of g.  Built directly from
     the displayed formulas and through the general constructor (where f
     is labelled e*); the two must agree exactly.  Having equal constants,
-    Gram matrix (compared by its nonzeros) and parities, they pass or fail
-    the same rules, so only the direct one is validated, and it keeps that
-    result.
+    form rows and parities, they pass or fail the same rules, so only the
+    direct one is validated, and it keeps that result.
     """
     _require_quadratic(q, "one_dim_double_extension")
     if not isinstance(deriv, Superderivation):
@@ -498,17 +493,16 @@ def one_dim_double_extension(
     algebra = LieSuperalgebra.from_index_table(
         basis, [(a, b, terms) for (a, b), terms in rows.items()]
     )
-    gram: list[list[Rat]] = [[Fraction(0)] * (ng + 2) for _ in range(ng + 2)]
-    gram[0][ne + 1] = gram[ne + 1][0] = Fraction(1)
+    form_rows: list[dict[int, Rat]] = [{} for _ in range(ng + 2)]
+    form_rows[0], form_rows[ne + 1] = {ne + 1: 1}, {0: 1}  # B~(e, f) = 1
     for i, row in enumerate(q.form.rows):
-        for j, v in row.items():
-            gram[new[i]][new[j]] = v  # BilinearForm makes an int a Fraction
-    direct = QuadraticLieSuperalgebra(algebra, BilinearForm(basis, gram))
+        form_rows[new[i]] = {new[j]: v for j, v in row.items()}
+    direct = QuadraticLieSuperalgebra(algebra, BilinearForm(basis, form_rows))
     if (
         general.basis.labels != basis.labels[: ne + 1] + (e_label + "*",) + basis.labels[ne + 2 :]
         or general.basis.parities != basis.parities
         or general.algebra.constants != algebra.constants
-        or general.form.rows != direct.form.rows  # equal nonzeros, equal Gram matrices
+        or general.form.rows != direct.form.rows
     ):
         raise EngineError(
             "one-dimensional double extension: direct formulas and the "
@@ -533,7 +527,7 @@ def central_reduction(
     tell an input error (q invalid) from an engine fault.
     """
     _require_quadratic(q, "central_reduction")
-    basis, gram = q.basis, q.form.gram
+    basis = q.basis
     iz, ix = basis.index(z), basis.index(x)
     if basis.parities[iz] or basis.parities[ix]:
         raise InputError(f"central_reduction needs even {z} and {x}")
@@ -558,7 +552,8 @@ def central_reduction(
     base = QuadraticLieSuperalgebra(
         algebra=LieSuperalgebra(basis=sub, constants=constants),
         form=BilinearForm(
-            basis=sub, gram=tuple(tuple(gram[i][j] for j in keep) for i in keep)
+            basis=sub,
+            rows=[{new[j]: v for j, v in q.form.rows[i].items() if j in new} for i in keep],
         ),
     )
     ad = ad_superderivation(q, x).matrix
@@ -572,7 +567,7 @@ def central_reduction(
     except (InputError, EngineError):
         _require_valid(q)
         raise
-    if rebuilt.algebra.constants != q.algebra.constants or rebuilt.form.gram != gram:
+    if rebuilt.algebra.constants != q.algebra.constants or rebuilt.form != q.form:
         _require_valid(q)
         raise EngineError(
             f"central reduction by ({z}, {x}): the double extension of the "

@@ -1,17 +1,18 @@
 """Invariant bilinear forms and quadratic Lie superalgebras.
 
 A quadratic Lie superalgebra carries an even, supersymmetric, invariant,
-non-degenerate bilinear form B.  This module stores B as a Gram matrix
-over the graded basis, with its nonzeros by row and by column, validates
-the four axioms exactly, and gives the Poisson bracket the columns of the
-inverse Gram matrix.
+non-degenerate bilinear form B.  This module stores B by its nonzeros
+only, row by row over the graded basis (the columns are built from the
+rows when first read), so a form costs its number of nonzeros, not n².
+It validates the four axioms exactly, and gives the Poisson bracket the
+columns of the inverse Gram matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
 from .algebra import (
@@ -19,27 +20,44 @@ from .algebra import (
     LieSuperalgebra,
     ValidationReport,
     Violation,
+    _is_index,
     reorder_basis,
     validate_grading_and_skew,
 )
 from .errors import InputError
-from .linalg import Echelon, Rat, _combine, _exact_rows, _num, _sparse_rows, rank, rat
+from .linalg import Echelon, Rat, _combine, _num, rank, rat
 
 if TYPE_CHECKING:
     from .cochains import Cochain, _PoissonLeft
 
 
 class BilinearForm(Frozen):
-    """Bilinear form on a graded basis, stored as a dense Gram matrix."""
+    """Bilinear form on a graded basis, stored as its nonzero rows:
+    ``rows[i]`` is B(e_i, .) as {j: B(e_i, e_j)}, zeros left out, in the
+    kernels' form (see ``linalg._num``).  Read the rows, never change them
+    in place."""
 
-    _fields = ("basis", "gram")
+    _fields = ("basis", "rows")
 
-    def __init__(self, basis: GradedBasis, gram: tuple[tuple[Rat, ...], ...]):
+    def __init__(self, basis: GradedBasis, rows: Sequence[Mapping[int, object]]):
         n = basis.dim
-        if not (isinstance(gram, (list, tuple)) and len(gram) == n
-                and all(isinstance(row, (list, tuple)) and len(row) == n for row in gram)):
-            raise InputError(f"Gram matrix must be {n} lists or tuples of {n} values, one per basis vector")
-        self.__dict__.update(basis=basis, gram=_exact_rows(gram))
+        if not (isinstance(rows, (list, tuple)) and len(rows) == n
+                and all(isinstance(row, Mapping) for row in rows)):
+            raise InputError(f"form rows must be {n} mappings {{column: value}}, one per basis vector")
+        out = []
+        for i, row in enumerate(rows):
+            entry = {}
+            for j, x in row.items():
+                if not _is_index(j, n):
+                    raise InputError(f"form column {j!r} of row {i} out of range")
+                if v := rat(x):
+                    entry[j] = _num(v)
+            out.append(entry)
+        self.__dict__.update(basis=basis, rows=tuple(out))
+
+    def __hash__(self) -> int:
+        # equal rows are equal as frozensets of their nonzeros
+        return hash((self.basis, tuple(frozenset(row.items()) for row in self.rows)))
 
     @classmethod
     def from_pairs(
@@ -49,31 +67,24 @@ class BilinearForm(Frozen):
 
         Each unordered pair may be given once; the supersymmetric partner
         entry B(y, x) = (-1)**(|x||y|) B(x, y) is filled in automatically.
-        Conflicting duplicate values are an error.
+        Conflicting duplicate values, a given zero among them, are an error.
         """
-        n, p = basis.dim, basis.parities
-        gram: list[list[Rat | None]] = [[None] * n for _ in range(n)]
+        p, given = basis.parities, {}
         for a, b, value in pairs:
             i, j = basis.index(a), basis.index(b)
             v = rat(value)
             for (r, c, val) in ((i, j, v), (j, i, -v if p[i] and p[j] else v)):
-                if gram[r][c] is not None and gram[r][c] != val:
+                if given.setdefault((r, c), val) != val:
                     raise InputError(f"conflicting values for B({basis.labels[r]}, {basis.labels[c]})")
-                gram[r][c] = val
-        zero = Fraction(0)
-        return cls(basis=basis, gram=tuple(tuple(zero if v is None else v for v in row) for row in gram))
-
-    @cached_property
-    def rows(self) -> list[dict[int, Rat]]:
-        """B(e_i, .) as {j: B(e_i, e_j)} for each i, in the kernels' form
-        (see ``linalg._num``), built once per form: read it, never reduce
-        it in place."""
-        return _sparse_rows(self.gram)
+        rows: list[dict[int, Rat]] = [{} for _ in p]
+        for (r, c), val in given.items():
+            rows[r][c] = val
+        return cls(basis=basis, rows=rows)
 
     @cached_property
     def columns(self) -> list[dict[int, Rat]]:
         """B(., e_j) as {i: B(e_i, e_j)} for each j, like ``rows``."""
-        cols: list[dict[int, Rat]] = [{} for _ in self.gram]
+        cols: list[dict[int, Rat]] = [{} for _ in self.rows]
         for i, row in enumerate(self.rows):
             for j, x in row.items():
                 cols[j][i] = x
@@ -166,28 +177,29 @@ def _form_check(g: LieSuperalgebra, form: BilinearForm, left: dict) -> list[Viol
     p = basis.parities
     labels = basis.labels
     rows = form.rows
-    for i in range(n):
-        for j in range(i, n):
-            gij = rows[i].get(j, 0)
-            if p[i] != p[j] and gij:
-                out.append(
-                    Violation(
-                        rule="even",
-                        witness=(labels[i], labels[j]),
-                        message=f"B({labels[i]}, {labels[j]}) pairs opposite parities but is nonzero",
-                    )
+    # only a pair with a nonzero at (i, j) or (j, i) can break evenness or
+    # supersymmetry: walk those, as (min, max), in order
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, row in enumerate(rows) for j in row}):
+        gij = rows[i].get(j, 0)
+        if p[i] != p[j] and gij:
+            out.append(
+                Violation(
+                    rule="even",
+                    witness=(labels[i], labels[j]),
+                    message=f"B({labels[i]}, {labels[j]}) pairs opposite parities but is nonzero",
                 )
-            if rows[j].get(i, 0) != (-gij if p[i] and p[j] else gij):
-                out.append(
-                    Violation(
-                        rule="supersymmetry",
-                        witness=(labels[i], labels[j]),
-                        message=(
-                            f"B({labels[j]}, {labels[i]}) != "
-                            f"(-1)^(|{labels[i]}||{labels[j]}|) B({labels[i]}, {labels[j]})"
-                        ),
-                    )
+            )
+        if rows[j].get(i, 0) != (-gij if p[i] and p[j] else gij):
+            out.append(
+                Violation(
+                    rule="supersymmetry",
+                    witness=(labels[i], labels[j]),
+                    message=(
+                        f"B({labels[j]}, {labels[i]}) != "
+                        f"(-1)^(|{labels[i]}||{labels[j]}|) B({labels[i]}, {labels[j]})"
+                    ),
                 )
+            )
     # invariance B([x,y],z) = B(x,[y,z]) on all basis triples, both sides
     # keyed by triple, zeros left out.  An even supersymmetric B has
     # B(e_i, e_t) = (-1)^|e_i| B(e_t, e_i), so then B(e_i, [e_j, e_k]) is
@@ -236,9 +248,8 @@ def reorder_quadratic(
     q: QuadraticLieSuperalgebra, new_labels: Sequence[str]
 ) -> QuadraticLieSuperalgebra:
     g2 = reorder_basis(q.algebra, new_labels)
-    old_index = {lab: i for i, lab in enumerate(q.basis.labels)}
-    gram = tuple(
-        tuple(q.form.gram[old_index[a]][old_index[b]] for b in new_labels)
-        for a in new_labels
-    )
-    return QuadraticLieSuperalgebra(algebra=g2, form=BilinearForm(basis=g2.basis, gram=gram))
+    new = [g2.basis.index(lab) for lab in q.basis.labels]
+    rows: list[dict[int, Rat]] = [{} for _ in new]
+    for i, row in enumerate(q.form.rows):
+        rows[new[i]] = {new[j]: v for j, v in row.items()}
+    return QuadraticLieSuperalgebra(algebra=g2, form=BilinearForm(basis=g2.basis, rows=rows))

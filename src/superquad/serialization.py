@@ -51,48 +51,26 @@ def algebra_to_dict(obj) -> dict:
         g, form = obj, None
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
-    basis = g.basis
+    labels = g.basis.labels
     doc: dict = {}
     if g.name:
         doc["name"] = g.name
-    doc["basis"] = [
-        {"label": basis.labels[i], "parity": basis.parities[i]}
-        for i in range(basis.dim)
+    doc["basis"] = [{"label": a, "parity": p} for a, p in zip(labels, g.basis.parities)]
+    doc["brackets"] = [
+        {
+            "left": labels[i],
+            "right": labels[j],
+            "terms": [{"coeff": rat_str(terms[k]), "basis": labels[k]} for k in sorted(terms)],
+        }
+        for (i, j), terms in sorted(g.constants.items())
     ]
-    brackets = []
-    for i in range(basis.dim):
-        for j in range(i, basis.dim):
-            terms = g.constants.get((i, j))
-            if not terms:
-                continue
-            brackets.append(
-                {
-                    "left": basis.labels[i],
-                    "right": basis.labels[j],
-                    "terms": [
-                        {
-                            "coeff": rat_str(terms[k]),
-                            "basis": basis.labels[k],
-                        }
-                        for k in sorted(terms)
-                    ],
-                }
-            )
-    doc["brackets"] = brackets
     if form is not None:
-        entries = []
-        for i in range(basis.dim):
-            for j in range(i, basis.dim):
-                v = form.gram[i][j]
-                if v != 0:
-                    entries.append(
-                        {
-                            "left": basis.labels[i],
-                            "right": basis.labels[j],
-                            "value": rat_str(v),
-                        }
-                    )
-        doc["form"] = entries
+        doc["form"] = [
+            {"left": labels[i], "right": labels[j], "value": rat_str(row[j])}
+            for i, row in enumerate(form.rows)
+            for j in sorted(row)
+            if j >= i
+        ]
     return doc
 
 

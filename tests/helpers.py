@@ -58,7 +58,11 @@ violations, in the same order, with the same messages.
 before it compared the two sides of invariance as triple-keyed dicts: both
 sides summed from B's rows and columns, then one walk over the sorted union
 of their triples.  The two must report the same violations, in the same
-order, with the same messages.
+order, with the same messages.  Its evenness and supersymmetry rules are
+``form_pairs_dense``, the walk over every pair i <= j that the engine ran
+before it walked only the pairs with a nonzero entry.  ``dense_gram`` is a
+form's n x n Gram matrix, which ``BilinearForm`` once kept as a field, and
+``gram_form`` the form of a given Gram matrix.
 ``skew_superderivation_space_unpruned`` is the reduced kernel of the whole
 defect system, every row and every entry kept, as the engine eliminated it
 before it dropped the entries pinned by one-term rows and the repeated rows.
@@ -141,6 +145,17 @@ NON_JACOBI_DOC = {
 }
 
 
+def dense_gram(form: BilinearForm) -> tuple[tuple[Fraction, ...], ...]:
+    """The n x n Gram matrix of form, every entry a Fraction."""
+    n = form.basis.dim
+    return tuple(tuple(Fraction(row.get(j, 0)) for j in range(n)) for row in form.rows)
+
+
+def gram_form(basis: GradedBasis, gram) -> BilinearForm:
+    """The form on basis whose Gram matrix is gram, n rows of n values."""
+    return BilinearForm(basis, [dict(enumerate(row)) for row in gram])
+
+
 def doubled_odd_form(key: str = "g_4_1_s") -> QuadraticLieSuperalgebra:
     """A catalog algebra with its odd Gram block doubled: the form stays
     non-degenerate and supersymmetric but is no longer invariant."""
@@ -148,9 +163,9 @@ def doubled_odd_form(key: str = "g_4_1_s") -> QuadraticLieSuperalgebra:
     p = q.basis.parities
     gram = tuple(
         tuple(2 * x if p[i] and p[j] else x for j, x in enumerate(row))
-        for i, row in enumerate(q.form.gram)
+        for i, row in enumerate(dense_gram(q.form))
     )
-    return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, gram))
+    return QuadraticLieSuperalgebra(q.algebra, gram_form(q.basis, gram))
 
 
 def mono(q_or_basis, even_labels=(), odd_labels=(), coeff=1) -> Cochain:
@@ -184,10 +199,10 @@ def coefficient(c: Cochain, m: Monomial) -> Rat:
 
 def form_value(form: BilinearForm, x, y) -> Rat:
     """B(x, y) of two dense coordinate vectors, read off the Gram matrix."""
-    total = Fraction(0)
+    total, gram = Fraction(0), dense_gram(form)
     for i, xi in enumerate(x):
         if xi:
-            total += xi * sum(form.gram[i][j] * yj for j, yj in enumerate(y) if yj)
+            total += xi * sum(gram[i][j] * yj for j, yj in enumerate(y) if yj)
     return total
 
 
@@ -676,15 +691,16 @@ class PoissonOracle:
         self.basis = q.basis
         ne = self.basis.even_dim
         n = self.basis.dim
+        gram = dense_gram(q.form)
         even_inv = (
-            inverse_dense([[q.form.gram[i][j] for j in range(ne)] for i in range(ne)])
+            inverse_dense([[gram[i][j] for j in range(ne)] for i in range(ne)])
             if ne
             else []
         )
         odd_inv = (
             inverse_dense(
                 [
-                    [q.form.gram[i][j] for j in range(ne, n)]
+                    [gram[i][j] for j in range(ne, n)]
                     for i in range(ne, n)
                 ]
             )
@@ -800,13 +816,12 @@ def perturbed(key: str, rng: random.Random) -> QuadraticLieSuperalgebra:
         del constants[i, j]
     algebra = LieSuperalgebra(basis=g.basis, constants=constants, name=g.name)
     if isinstance(obj, QuadraticLieSuperalgebra):
-        gram = [list(row) for row in obj.form.gram]
+        gram = [list(row) for row in dense_gram(obj.form)]
     else:
         gram = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     r, c = rng.randrange(n), rng.randrange(n)
     gram[r][c] += Fraction(rng.choice((-1, 1, 2)))
-    form = BilinearForm(basis=g.basis, gram=tuple(map(tuple, gram)))
-    return QuadraticLieSuperalgebra(algebra=algebra, form=form)
+    return QuadraticLieSuperalgebra(algebra=algebra, form=gram_form(g.basis, gram))
 
 
 def _double_bracket(g: LieSuperalgebra, i: int, j: int, k: int) -> dict[int, Rat]:
@@ -933,7 +948,7 @@ def validate_form_by_triples(g: LieSuperalgebra, form: BilinearForm) -> list[Vio
     n = basis.dim
     p = basis.parities
     labels = basis.labels
-    gram = form.gram
+    gram = dense_gram(form)
     for i in range(n):
         for j in range(i, n):
             if p[i] != p[j] and gram[i][j] != 0:
@@ -986,16 +1001,12 @@ def validate_form_by_triples(g: LieSuperalgebra, form: BilinearForm) -> list[Vio
     return out
 
 
-def validate_form_by_union_walk(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
-    """Evenness and supersymmetry by pairs, invariance by one walk over the
-    sorted union of the triples where B([e_i,e_j],e_k) or B(e_i,[e_j,e_k])
-    is nonzero, then the rank of the Gram matrix."""
+def form_pairs_dense(basis: GradedBasis, form: BilinearForm) -> list[Violation]:
+    """The evenness and supersymmetry rules of the form check on every pair
+    i <= j of basis vectors, as the engine ran them before it walked only
+    the pairs where B(e_i, e_j) or B(e_j, e_i) is nonzero."""
     out: list[Violation] = []
-    basis = g.basis
-    n = basis.dim
-    p = basis.parities
-    labels = basis.labels
-    rows, cols = form.rows, form.columns
+    n, p, labels, rows = basis.dim, basis.parities, basis.labels, form.rows
     for i in range(n):
         for j in range(i, n):
             gij = rows[i].get(j, 0)
@@ -1018,6 +1029,16 @@ def validate_form_by_union_walk(g: LieSuperalgebra, form: BilinearForm) -> list[
                         ),
                     )
                 )
+    return out
+
+
+def validate_form_by_union_walk(g: LieSuperalgebra, form: BilinearForm) -> list[Violation]:
+    """Evenness and supersymmetry by pairs, invariance by one walk over the
+    sorted union of the triples where B([e_i,e_j],e_k) or B(e_i,[e_j,e_k])
+    is nonzero, then the rank of the Gram matrix."""
+    n, labels = g.basis.dim, g.basis.labels
+    rows, cols = form.rows, form.columns
+    out = form_pairs_dense(g.basis, form)
     table = g.bracket_table
     left = _combine(table, rows)  # (i, j) -> {k: B([e_i,e_j],e_k)}
     right = _combine(table, cols)  # (j, k) -> {i: B(e_i,[e_j,e_k])}
@@ -1274,15 +1295,16 @@ def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
     algebra = LieSuperalgebra.from_index_table(new_basis, table)
     # the extended form
     gram = [[Fraction(0)] * total for _ in range(total)]
+    base_gram, gamma_gram = dense_gram(base.form), d.gamma and dense_gram(d.gamma)
     for inew in range(total):
         for jnew in range(total):
             i, j = order[inew], order[jnew]
             x, y = old_parity(i), old_parity(j)
             v = Fraction(0)
             if i < nh and j < nh:
-                v = d.gamma.gram[i][j] if d.gamma is not None else Fraction(0)
+                v = gamma_gram[i][j] if d.gamma is not None else Fraction(0)
             elif nh <= i < nh + ng and nh <= j < nh + ng:
-                v = base.form.gram[i - nh][j - nh]
+                v = base_gram[i - nh][j - nh]
             elif i >= nh + ng and j < nh:
                 # f(W)
                 v = Fraction(1) if i - nh - ng == j else Fraction(0)
@@ -1290,8 +1312,7 @@ def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
                 sign = -1 if (x * y) % 2 else 1
                 v = Fraction(sign) if j - nh - ng == i else Fraction(0)
             gram[inew][jnew] = v
-    form = BilinearForm(basis=new_basis, gram=tuple(tuple(r) for r in gram))
-    out = QuadraticLieSuperalgebra(algebra=algebra, form=form)
+    out = QuadraticLieSuperalgebra(algebra=algebra, form=gram_form(new_basis, gram))
     check = validate_quadratic(out)
     if not check.ok:
         first = check.violations[0]

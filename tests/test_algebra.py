@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS, count_validator_passes, perturbed, random_table_algebra, super_jacobi_by_table_triples
+from helpers import QUADRATIC_KEYS, count_validator_passes, dense_gram, perturbed, random_table_algebra, super_jacobi_by_table_triples
 from superquad import build, catalog_keys, is_superderivation, validate_quadratic
 from superquad.algebra import (
     GradedBasis,
@@ -49,8 +49,12 @@ def test_basis_index_unknown_label():
 def test_basis_keeps_even_dim_out_of_eq_hash_and_repr():
     read, fresh = (GradedBasis(labels=("a", "b", "s"), parities=(0, 0, 1)) for _ in range(2))
     assert read.even_dim == 2 and read.__dict__["even_dim"] == 2  # counted once, then kept
+    assert read.index("s") == 2 and read.__dict__["_positions"] == {"a": 0, "b": 1, "s": 2}
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
-    assert "even_dim" not in repr(read)
+    assert "even_dim" not in repr(read) and "_positions" not in repr(read)
+    for label in ("c", 0, ["a"], None):
+        with pytest.raises(InputError, match="unknown basis label"):
+            read.index(label)
 
 
 def test_from_index_table_rejects_duplicate_pairs():
@@ -254,7 +258,7 @@ def test_reorder_quadratic_round_trip():
     assert validate_quadratic(q2).ok
     back = reorder_quadratic(q2, labels)
     assert back.algebra.constants == q.algebra.constants
-    assert back.form.gram == q.form.gram
+    assert dense_gram(back.form) == dense_gram(q.form)
 
 
 # rank of the torus of diagonal derivations, per catalog key at default parameters

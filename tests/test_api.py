@@ -158,14 +158,14 @@ VALUE_TYPES = {
     ),
     "Superderivation": (lambda k: reconstruction_datum(_eight(k)).derivation, ("matrix", "degree"), None, {}),
     "ExtensionDatum": (_extension, ("base", "h", "psi", "gamma"), None, {"gamma": None}),
-    "BilinearForm": (lambda k: build(k).form, ("basis", "gram"), None, {}),
+    "BilinearForm": (lambda k: build(k).form, ("basis", "rows"), None, {}),
     "QuadraticLieSuperalgebra": (build, ("algebra", "form"), None, {}),
     "Sp2Element": (lambda k: X.scale(build(k).dim), ("a", "b", "c"), None, {}),
 }
 
 
-# the types that hold an algebra, whose constants are a dict
-HASHED = ("ExtensionDatum", "LieSuperalgebra", "OneDimExtensionRecipe", "QuadraticLieSuperalgebra")
+# the types that hold an algebra or a form, whose constants and rows are dicts
+HASHED = ("BilinearForm", "ExtensionDatum", "LieSuperalgebra", "OneDimExtensionRecipe", "QuadraticLieSuperalgebra")
 
 
 def _hash(x: object) -> object:

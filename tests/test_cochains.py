@@ -20,6 +20,7 @@ from helpers import (
     differential_by_evaluation,
     evaluate,
     form_value,
+    gram_form,
     koszul,
     mono,
     poisson_by_tuples,
@@ -61,8 +62,8 @@ def dense_abelian() -> QuadraticLieSuperalgebra:
 
 def rescaled(q: QuadraticLieSuperalgebra, x: Fraction) -> QuadraticLieSuperalgebra:
     """q with B scaled by x: I scales by x and G^-1 by 1/x."""
-    gram = tuple(tuple(x * v for v in row) for row in q.form.gram)
-    return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, gram))
+    rows = [{j: x * v for j, v in row.items()} for row in q.form.rows]
+    return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, rows))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -568,7 +569,7 @@ def test_poisson_bracket_rejects_a_malformed_form():
         gram = [row[:] for row in good]
         for (i, j), x in entries.items():
             gram[i][j] = x
-        q = QuadraticLieSuperalgebra(g, BilinearForm(basis, tuple(map(tuple, gram))))
+        q = QuadraticLieSuperalgebra(g, gram_form(basis, gram))
         with pytest.raises(InputError, match=message):
             poisson_bracket(q, a, b)
         with pytest.raises(InputError, match=message):

@@ -142,13 +142,19 @@ def test_one_dim_double_extension_checks_its_arguments():
 
 
 @pytest.mark.parametrize(
-    "gram",
-    [5, None, (5, 5), ((0, 1), 5), {0: (0, 1), 1: (1, 0)}, ((0, 1), {0: 1, 1: 0})],
+    "rows",
+    [5, None, (5, 5), ((0, 1), 5), {0: (0, 1), 1: (1, 0)}, ((0, 1), {0: 1, 1: 0}), ({0: 1},), ({1: 1}, {0: 1}, {})],
     ids=repr,
 )
-def test_gram_must_be_square_rows(gram):
-    with pytest.raises(InputError, match="Gram matrix must be 2 lists or tuples of 2 values"):
-        BilinearForm(AB, gram=gram)
+def test_form_rows_are_one_mapping_per_basis_vector(rows):
+    with pytest.raises(InputError, match="form rows must be 2 mappings"):
+        BilinearForm(AB, rows=rows)
+
+
+@pytest.mark.parametrize("column", [2, -1, True, 1.0, "b", None], ids=repr)
+def test_form_columns_are_basis_indices(column):
+    with pytest.raises(InputError, match="out of range"):
+        BilinearForm(AB, rows=({column: 1}, {}))
 
 
 @pytest.mark.parametrize(

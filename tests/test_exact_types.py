@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUADRATIC_KEYS, check_commuting_dependence, evaluate
+from helpers import QUADRATIC_KEYS, check_commuting_dependence, evaluate, gram_form
 from superquad import (
-    BilinearForm,
     Cochain,
     GradedBasis,
     LieSuperalgebra,
@@ -77,7 +76,8 @@ def test_quadratic_values_are_fractions(key):
     if d0:
         ext = one_dim_double_extension(q, d0[0])
         assert all(all_fractions(terms.values()) for terms in ext.algebra.constants.values())
-        assert all(all_fractions(row) for row in ext.form.gram)
+        # the form keeps its nonzeros in the kernels' form: an int, or a Fraction that is no integer
+        assert all(x and (type(x) is int) == (x.denominator == 1) for row in ext.form.rows for x in row.values())
 
 
 def half_scaled_g_4_1_s() -> QuadraticLieSuperalgebra:
@@ -86,7 +86,7 @@ def half_scaled_g_4_1_s() -> QuadraticLieSuperalgebra:
     basis = GradedBasis(labels=("X0", "Y0", "X1", "Y1"), parities=(0, 0, 1, 1))
     g = LieSuperalgebra.from_index_table(basis, [(3, 3, {0: -1}), (1, 3, {2: -1})])
     gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-    return QuadraticLieSuperalgebra(g, BilinearForm(basis, gram))
+    return QuadraticLieSuperalgebra(g, gram_form(basis, gram))
 
 
 def test_linear_algebra_of_int_matrices_returns_fractions():
@@ -158,7 +158,7 @@ def test_poisson_bracket_of_an_int_form_divides_through_fraction():
     # B(A, B) = 1 and B(U, V) = 2 given as ints: {u*, v*} = (G^-1)[u][v]
     basis = GradedBasis(labels=("A", "B", "U", "V"), parities=(0, 0, 1, 1))
     gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 2), (0, 0, -2, 0))
-    q = QuadraticLieSuperalgebra(LieSuperalgebra(basis, {}), BilinearForm(basis, gram))
+    q = QuadraticLieSuperalgebra(LieSuperalgebra(basis, {}), gram_form(basis, gram))
     a, b, u, v = (Cochain.dual(basis, label) for label in basis.labels)
     one = Cochain.unit(basis)
     assert poisson_bracket(q, a, b) == one

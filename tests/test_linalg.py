@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import inverse_dense, mat_mul, nullspace_dense, rref_dense
+from helpers import gram_form, inverse_dense, mat_mul, nullspace_dense, rref_dense
 from superquad import BilinearForm, GradedBasis
 from superquad.algebra import Subspace
 from superquad.errors import InputError
@@ -56,7 +56,7 @@ def dense(rows, cols: int) -> list[list[Fraction]]:
 def even_form(m) -> BilinearForm:
     """m as the Gram matrix of a form on an all-even basis."""
     basis = GradedBasis(labels=tuple(f"e{i}" for i in range(len(m))), parities=(0,) * len(m))
-    return BilinearForm(basis, tuple(map(tuple, m)))
+    return gram_form(basis, m)
 
 
 @st.composite

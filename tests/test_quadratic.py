@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     QUADRATIC_KEYS,
     count_validator_passes,
+    dense_gram,
+    form_pairs_dense,
+    gram_form,
     perturbed,
     super_jacobi_by_triples,
     validate_form_by_triples,
@@ -52,11 +55,11 @@ def abelian(labels, parities):
 def test_from_pairs_fills_supersymmetric_partner():
     basis = GradedBasis(labels=("a", "b"), parities=(0, 0))
     f = BilinearForm.from_pairs(basis, [("a", "b", 1)])
-    assert f.gram[0][1] == 1 and f.gram[1][0] == 1
+    assert dense_gram(f)[0][1] == 1 and dense_gram(f)[1][0] == 1
 
     basis_odd = GradedBasis(labels=("u", "v"), parities=(1, 1))
     f2 = BilinearForm.from_pairs(basis_odd, [("u", "v", 1)])
-    assert f2.gram[0][1] == 1 and f2.gram[1][0] == -1  # antisymmetric on odds
+    assert dense_gram(f2)[0][1] == 1 and dense_gram(f2)[1][0] == -1  # antisymmetric on odds
 
 
 def test_from_pairs_rejects_conflicting_entries():
@@ -68,21 +71,21 @@ def test_from_pairs_rejects_conflicting_entries():
 def test_validate_form_even_rule():
     g = abelian(("a", "u"), (0, 1))
     gram = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    violations = validate_form(g, BilinearForm(basis=g.basis, gram=tuple(map(tuple, gram))))
+    violations = validate_form(g, gram_form(g.basis, gram))
     assert any(v.rule == "even" for v in violations)
 
 
 def test_validate_form_supersymmetry_rule():
     g = abelian(("u", "v"), (1, 1))
     gram = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]  # symmetric on odds: wrong
-    violations = validate_form(g, BilinearForm(basis=g.basis, gram=tuple(map(tuple, gram))))
+    violations = validate_form(g, gram_form(g.basis, gram))
     assert any(v.rule == "supersymmetry" for v in violations)
 
 
 def test_validate_form_nondegenerate_rule():
     g = abelian(("a", "b"), (0, 0))
     gram = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-    violations = validate_form(g, BilinearForm(basis=g.basis, gram=tuple(map(tuple, gram))))
+    violations = validate_form(g, gram_form(g.basis, gram))
     assert any(v.rule == "nondegenerate" for v in violations)
 
 
@@ -101,7 +104,7 @@ def test_validate_form_invariance_rule():
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(3))
         for i in range(3)
     )
-    violations = validate_form(g, BilinearForm(basis=basis, gram=gram))
+    violations = validate_form(g, gram_form(basis, gram))
     assert any(v.rule == "invariance" for v in violations)
     # the Killing-proportional form B(h,h)=2, B(x,y)=1 is invariant
     good = BilinearForm.from_pairs(basis, [("h", "h", 2), ("x", "y", 1)])
@@ -125,7 +128,7 @@ def test_one_form_check_serves_every_entry_point(rule, constants, entries, tmp_p
     for (i, j), x in entries.items():
         gram[i][j] = x
     g = LieSuperalgebra(basis=basis, constants=constants)
-    q = QuadraticLieSuperalgebra(g, BilinearForm(basis, tuple(map(tuple, gram))))
+    q = QuadraticLieSuperalgebra(g, gram_form(basis, gram))
     a, b = Cochain.dual(basis, "A"), Cochain.dual(basis, "B")
     for call in (
         lambda: associated_three_form(q),
@@ -205,16 +208,85 @@ def test_fuzzed_gram_entries_give_the_union_walks_violations(key, edits):
     read from the algebra's own B([e_i, e_j], .) too."""
     q = build(key)
     n, p = q.dim, q.basis.parities
-    gram = [list(row) for row in q.form.gram]
+    gram = [list(row) for row in dense_gram(q.form)]
     for i, j, value, paired in edits:
         i, j = i % n, j % n
         gram[i][j] = value
         if paired:
             gram[j][i] = -value if p[i] and p[j] else value
-    form = BilinearForm(basis=q.basis, gram=gram)
+    form = gram_form(q.basis, gram)
     want = validate_form_by_union_walk(q.algebra, form)
     assert validate_form(q.algebra, form) == want
     assert validate_quadratic(QuadraticLieSuperalgebra(q.algebra, form)).violations == tuple(want)
+
+
+def sparse_edit(q: QuadraticLieSuperalgebra, edits) -> BilinearForm:
+    """q's form with entries moved: an edit (i, j, value, False) gives
+    B(e_i, e_j) = value to ``from_pairs``, which fills in the partner (a
+    zero value removes the pair), one with True, or one ``from_pairs``
+    refuses (a nonzero on an odd diagonal), sets row i's entry j alone."""
+    n, labels, p = q.dim, q.basis.labels, q.basis.parities
+    given = {(i, j): x for i, row in enumerate(q.form.rows) for j, x in row.items() if i <= j}
+    alone = {}
+    for i, j, value, one_sided in edits:
+        i, j = i % n, j % n
+        if one_sided or (i == j and p[i] and value):
+            alone[i, j] = value
+        else:
+            given.pop((j, i), None)
+            given[i, j] = value
+    form = BilinearForm.from_pairs(q.basis, [(labels[i], labels[j], x) for (i, j), x in given.items()])
+    rows = [dict(row) for row in form.rows]
+    for (i, j), value in alone.items():
+        rows[i][j] = value
+    return BilinearForm(q.basis, rows)
+
+
+def assert_sparse_check_is_the_pair_walk(q: QuadraticLieSuperalgebra, form: BilinearForm) -> list:
+    """The form check on the nonzero pairs gives the dense pair walk's
+    evenness and supersymmetry violations, and the union walk's list, in
+    their order, word for word; returns the form check's list."""
+    got = validate_form(q.algebra, form)
+    assert [v for v in got if v.rule in ("even", "supersymmetry")] == form_pairs_dense(q.basis, form)
+    assert got == validate_form_by_union_walk(q.algebra, form)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(QUADRATIC_KEYS),
+    st.lists(
+        st.tuples(
+            st.integers(0, 11),
+            st.integers(0, 11),
+            st.sampled_from([0, 1, -1, Fraction(1, 2), 3]),
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+)
+def test_sparse_form_edits_give_the_dense_pair_walks_violations(key, edits):
+    q = build(key)
+    assert_sparse_check_is_the_pair_walk(q, sparse_edit(q, edits))
+
+
+def test_the_sparse_pair_walk_sees_each_kind_of_fault():
+    q = build("g_4_1_s")  # X0 Y0 | X1 Y1, B(X0, Y0) = B(X1, Y1) = 1
+    cases = [
+        # set only at (j, i), below the diagonal: B(X1, Y0) = 1, B(Y0, X1) = 0
+        ([(2, 1, 1, True)], [("supersymmetry", ("Y0", "X1"))]),
+        # set only at (j, i) within a block: B(Y0, X0) = 2 against B(X0, Y0) = 1
+        ([(1, 0, 2, True)], [("supersymmetry", ("X0", "Y0"))]),
+        # a nonzero between opposite parities, its partner filled in
+        ([(0, 2, 1, False)], [("even", ("X0", "X1"))]),
+        # a zero given in from_pairs: the pair is gone, and so is the rank
+        ([(2, 3, 0, False)], [("nondegenerate", ())]),
+    ]
+    for edits, want in cases:
+        got = assert_sparse_check_is_the_pair_walk(q, sparse_edit(q, edits))
+        assert [(v.rule, v.witness) for v in got if v.rule != "invariance"] == want, edits
+    with pytest.raises(InputError, match="conflicting values for B"):
+        BilinearForm.from_pairs(q.basis, [("X0", "Y0", 0), ("Y0", "X0", 1)])
 
 
 def test_validators_match_dense_oracles_on_perturbed_catalog():
@@ -253,7 +325,7 @@ def test_validate_quadratic_checks_each_algebra_once(monkeypatch):
             # a new object with the same tables is checked in full, once
             twin = QuadraticLieSuperalgebra(
                 algebra=LieSuperalgebra(basis=q.basis, constants=dict(q.algebra.constants)),
-                form=BilinearForm(basis=q.basis, gram=q.form.gram),
+                form=BilinearForm(basis=q.basis, rows=q.form.rows),
             )
             passes["jacobi"].clear()
             passes["form"].clear()
@@ -266,9 +338,9 @@ def test_validate_quadratic_checks_each_algebra_once(monkeypatch):
 
 def test_float_gram_entries_are_rejected():
     q = build("g_4_1_s")
-    gram = tuple(tuple(float(x) for x in row) for row in q.form.gram)
+    gram = tuple(tuple(float(x) for x in row) for row in dense_gram(q.form))
     with pytest.raises(InputError):
-        BilinearForm(basis=q.basis, gram=gram)
+        gram_form(q.basis, gram)
 
 
 def test_one_inexact_gram_entry_among_fractions_is_rejected():
@@ -276,21 +348,21 @@ def test_one_inexact_gram_entry_among_fractions_is_rejected():
     for bad in (0.5, "9" * 5000, "1/0", "0.5"):
         gram = tuple(
             tuple(bad if (i, j) == (1, 2) else x for j, x in enumerate(row))
-            for i, row in enumerate(q.form.gram)
+            for i, row in enumerate(dense_gram(q.form))
         )
         with pytest.raises(InputError):
-            BilinearForm(basis=q.basis, gram=gram)
-    # Fraction entries are taken as they are, not coerced again
-    form = BilinearForm(basis=q.basis, gram=q.form.gram)
-    assert all(x is y for row, old in zip(form.gram, q.form.gram) for x, y in zip(row, old))
+            gram_form(q.basis, gram)
+    # entries in the kernels' form are taken as they are, not coerced again
+    form = BilinearForm(basis=q.basis, rows=q.form.rows)
+    assert all(x is y for row, old in zip(form.rows, q.form.rows) for x, y in zip(row.values(), old.values()))
 
 
-def test_gram_entries_are_normalised_to_fractions():
+def test_gram_entries_are_normalised_to_the_kernels_form():
     q = build("g_4_1_s")
-    gram = tuple(tuple(int(x) if x.denominator == 1 else str(x) for x in row) for row in q.form.gram)
-    form = BilinearForm(basis=q.basis, gram=gram)
-    assert form.gram == q.form.gram
-    assert all(type(x) is Fraction for row in form.gram for x in row)
+    gram = tuple(tuple(int(x) if x.denominator == 1 else str(x) for x in row) for row in dense_gram(q.form))
+    form = gram_form(q.basis, gram)
+    assert form == q.form and dense_gram(form) == dense_gram(q.form)
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) and x for row in form.rows for x in row.values())
 
 
 @pytest.mark.parametrize(

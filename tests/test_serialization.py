@@ -2,12 +2,13 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_validator_passes
+from helpers import count_validator_passes, dense_gram
 from superquad import build, validate_quadratic
 from superquad.algebra import GradedBasis, LieSuperalgebra, validate_lie_superalgebra
 from superquad.catalog import catalog_keys, get_entry
@@ -24,6 +25,26 @@ from superquad.serialization import (
     load,
     loads,
 )
+
+
+def test_a_large_diagonal_form_costs_its_size_not_n_squared():
+    # an abelian even algebra on 2,000 letters with B(e_i, e_i) = 1: a
+    # dense n x n form would hold 4,000,000 entries (tens of MiB)
+    n = 2000
+    text = json.dumps({
+        "basis": [{"label": f"e{i}", "parity": 0} for i in range(n)],
+        "brackets": [],
+        "form": [{"left": f"e{i}", "right": f"e{i}", "value": "1"} for i in range(n)],
+    })
+    tracemalloc.start()
+    try:
+        q = loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"loads peaked at {peak / 2**20:.1f} MiB"
+    assert loads(dumps(q)) == q
+    q.require_form()
 
 
 def test_rational_literals():
@@ -143,7 +164,7 @@ def test_round_trip_every_catalog_entry():
         if get_entry(key).quadratic:
             assert isinstance(back, QuadraticLieSuperalgebra)
             assert back.algebra.constants == obj.algebra.constants
-            assert back.form.gram == obj.form.gram
+            assert back.form == obj.form and dense_gram(back.form) == dense_gram(obj.form)
             assert validate_quadratic(back).ok
         else:
             assert back.constants == obj.constants
@@ -303,11 +324,16 @@ def test_fuzzed_bracket_rows_build_or_raise_input_error(row):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_values | st.lists(st.lists(_scalars, min_size=2, max_size=2), min_size=2, max_size=2), st.booleans())
-def test_fuzzed_gram_and_derivation_matrices_build_or_raise_input_error(matrix, as_tuples):
+@given(
+    _values | st.lists(st.lists(_scalars, min_size=2, max_size=2), min_size=2, max_size=2),
+    _values | st.lists(_terms, min_size=2, max_size=2),
+    st.booleans(),
+)
+def test_fuzzed_gram_and_derivation_matrices_build_or_raise_input_error(matrix, rows, as_tuples):
     if as_tuples:
-        matrix = _tuples(matrix)
-    _build_or_input_error(lambda: BilinearForm(_AB, gram=matrix))
+        matrix, rows = _tuples(matrix), _tuples(rows)
+    _build_or_input_error(lambda: BilinearForm(_AB, rows=matrix))
+    _build_or_input_error(lambda: BilinearForm(_AB, rows=rows))
     _build_or_input_error(lambda: Superderivation(matrix=matrix, degree=0))
 
 
