@@ -93,7 +93,7 @@ def _table_rows(basis: GradedBasis, table: object) -> Iterator[tuple[object, obj
     for row in table:
         if not (isinstance(row, (list, tuple)) and len(row) == 3):
             raise InputError(f"bracket row {row!r} is not (i, j, {{k: coeff}})")
-        if not isinstance(row[2], Mapping):
+        if not (type(row[2]) is dict or isinstance(row[2], Mapping)):
             raise InputError(f"bracket terms for ({row[0]!r}, {row[1]!r}) must be a mapping {{k: coeff}}")
         yield row
 
@@ -120,12 +120,12 @@ class LieSuperalgebra(Frozen):
             if not (type(key) is tuple and len(key) == 2 and _is_index(key[0], n)
                     and _is_index(key[1], n) and key[0] <= key[1]):
                 raise InputError(f"constant key {key!r} out of range or unordered")
-            if not (isinstance(terms, Mapping) and terms):
+            if not ((type(terms) is dict or isinstance(terms, Mapping)) and terms):
                 raise InputError(f"constant entry for {key} must be a nonempty mapping")
             for k, c in terms.items():
                 if not _is_index(k, n):
                     raise InputError(f"constant target {k!r} out of range")
-                if not isinstance(c, Fraction) or c == 0:
+                if not ((type(c) is Fraction or isinstance(c, Fraction)) and c):
                     raise InputError(f"constant for {key}->{k} must be a nonzero Fraction")
         self.__dict__.update(basis=basis, constants=constants, name=name)
 
@@ -145,26 +145,31 @@ class LieSuperalgebra(Frozen):
 
         Rows with i > j are folded onto (j, i) using skew supersymmetry.
         Listing the same unordered pair twice is rejected rather than
-        silently summed: duplicate rows are almost always typos.
+        silently summed: duplicate rows are almost always typos.  Folding
+        checks every rule of the constructor, which is then not called.
         """
         constants: dict[tuple[int, int], dict[int, Rat]] = {}
         seen: set[tuple[int, int]] = set()
         for i, j, terms in _table_rows(basis, table):
-            if not (_is_index(i, basis.dim) and _is_index(j, basis.dim)):
+            n = basis.dim
+            if not (_is_index(i, n) and _is_index(j, n)):
                 raise InputError(f"bracket indices ({i!r}, {j!r}) out of range")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i <= j else (j, i)
             if key in seen:
                 raise InputError(f"duplicate bracket entry for pair {key}")
             seen.add(key)
             negate = i > j and not (basis.parities[i] and basis.parities[j])
             entry: dict[int, Rat] = {}
             for k, c in terms.items():
-                coeff = rat(c)
-                if coeff != 0:
+                if coeff := rat(c):
+                    if not _is_index(k, n):
+                        raise InputError(f"constant target {k!r} out of range")
                     entry[k] = -coeff if negate else coeff
             if entry:
                 constants[key] = entry
-        return cls(basis=basis, constants=constants, name=name)
+        g = cls.__new__(cls)
+        g.__dict__.update(basis=basis, constants=constants, name=name)
+        return g
 
     @classmethod
     def from_label_table(

@@ -85,7 +85,7 @@ def _grading_violations(
     out: list[Violation] = []
     for j in range(basis.dim):
         for i in range(basis.dim):
-            if matrix[i][j] == 0:
+            if not matrix[i][j]:
                 continue
             if basis.parities[i] != (basis.parities[j] + degree) % 2:
                 out.append(

@@ -33,8 +33,13 @@ def rat(value) -> Rat:
 
     Accepts Fraction, int, or a string "p" / "p/q".  Floats, decimal
     strings and bools are rejected: silent binary rounding, or True read
-    as 1, has no place in an exact engine.
+    as 1, has no place in an exact engine.  A Fraction or an int is
+    caught by its exact type first; their subclasses by ``isinstance``.
     """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -97,7 +102,8 @@ def _sparse_rows(m: Rows) -> list[dict[int, Rat]]:
     ``_num``), for Echelon to reduce in place."""
     try:
         return [
-            {j: _num(x) for j, x in (r.items() if isinstance(r, Mapping) else enumerate(r)) if x}
+            {j: _num(x) for j, x in (r.items() if type(r) is dict or isinstance(r, Mapping)
+                                     else enumerate(r)) if x}
             for r in m
         ]
     except AttributeError:  # a float, or anything else without a denominator

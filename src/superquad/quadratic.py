@@ -42,7 +42,7 @@ class BilinearForm(Frozen):
     def __init__(self, basis: GradedBasis, rows: Sequence[Mapping[int, object]]):
         n = basis.dim
         if not (isinstance(rows, (list, tuple)) and len(rows) == n
-                and all(isinstance(row, Mapping) for row in rows)):
+                and all(type(row) is dict or isinstance(row, Mapping) for row in rows)):
             raise InputError(f"form rows must be {n} mappings {{column: value}}, one per basis vector")
         out = []
         for i, row in enumerate(rows):
@@ -74,7 +74,7 @@ class BilinearForm(Frozen):
             i, j = basis.index(a), basis.index(b)
             v = rat(value)
             for (r, c, val) in ((i, j, v), (j, i, -v if p[i] and p[j] else v)):
-                if given.setdefault((r, c), val) != val:
+                if (old := given.setdefault((r, c), val)) is not val and old != val:
                     raise InputError(f"conflicting values for B({basis.labels[r]}, {basis.labels[c]})")
         rows: list[dict[int, Rat]] = [{} for _ in p]
         for (r, c), val in given.items():

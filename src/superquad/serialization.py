@@ -18,7 +18,8 @@ strings ("p", "-p", "p/q").  A document with a "form" field loads as a
 QuadraticLieSuperalgebra.  The loader checks only the document's shape;
 each rule of the basis, the bracket and the form, and its message, comes
 from the constructor (``GradedBasis``, ``LieSuperalgebra.from_index_table``,
-``BilinearForm.from_pairs``), and each rational is read by ``rat``.  An
+``BilinearForm.from_pairs``), and each distinct literal of a document is
+read by ``rat`` once, through a memo local to the call.  An
 axiom-violating table loads and is then reported by the validator.
 """
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _objects(value: object, what: str, keys: tuple[str, ...]) -> list:
     if not (
         isinstance(value, list)
         and all(
-            isinstance(x, Mapping) and all(k in x for k in keys)
+            (type(x) is dict or isinstance(x, Mapping)) and all(k in x for k in keys)
             for x in value
         )
     ):
@@ -103,12 +104,19 @@ def algebra_from_dict(doc: Mapping):
         labels=tuple(x["label"] for x in items),
         parities=tuple(x["parity"] for x in items),
     )
+    literals: dict[str, Fraction] = {}  # this document's literal strings, each parsed once
+
+    def read(x: object) -> Fraction:  # strings only: 1, 1.0 and True are one dict key
+        if type(x) is str:
+            return literals[x] if x in literals else literals.setdefault(x, rat(x))
+        return rat(x)
+
     rows = []
     brackets = doc.get("brackets", [])
     for entry in _objects(brackets, "'brackets'", ("left", "right", "terms")):
         terms: dict[int, Fraction] = {}
         for term in _objects(entry["terms"], "'terms'", ("coeff", "basis")):
-            k, c = basis.index(term["basis"]), rat(term["coeff"])
+            k, c = basis.index(term["basis"]), read(term["coeff"])
             terms[k] = terms[k] + c if k in terms else c
         i, j = basis.index(entry["left"]), basis.index(entry["right"])
         rows.append((i, j, terms))
@@ -122,7 +130,7 @@ def algebra_from_dict(doc: Mapping):
         return g
     entries = _objects(doc["form"], "'form'", ("left", "right", "value"))
     form = BilinearForm.from_pairs(
-        basis, [(e["left"], e["right"], e["value"]) for e in entries]
+        basis, ((e["left"], e["right"], read(e["value"])) for e in entries)
     )
     return QuadraticLieSuperalgebra(algebra=g, form=form)
 

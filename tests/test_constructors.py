@@ -4,6 +4,7 @@ from_index_table and from_label_table, BilinearForm, Superderivation,
 one_dim_double_extension's arguments and rat, and each must
 end as InputError, never as a traceback or a silent wrong value."""
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -13,6 +14,7 @@ from superquad.algebra import center, derived_series, diagonal_weights, inner_to
 from superquad.errors import InputError
 from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import rat
+from superquad.serialization import algebra_from_dict, algebra_to_dict
 
 AB = GradedBasis(labels=("a", "b"), parities=(0, 0))
 ONE = Fraction(1)
@@ -61,6 +63,9 @@ def test_graded_basis_rules(labels, parities, message):
         ({(0, 1): 5}, r"constant entry for \(0, 1\) must be a nonempty mapping"),
         ({(0, 1): {True: ONE}}, "constant target True out of range"),
         ({(0, 1): {0.0: ONE}}, "constant target 0.0 out of range"),
+        ({(0, 1): {2: ONE}}, "constant target 2 out of range"),
+        ({(0, 1): {1: Fraction(0)}}, r"constant for \(0, 1\)->1 must be a nonzero Fraction"),
+        ({(0, 1): {1: 1.0}}, r"constant for \(0, 1\)->1 must be a nonzero Fraction"),
     ],
     ids=repr,
 )
@@ -72,6 +77,8 @@ def test_lie_superalgebra_takes_int_indices_in_range(constants, message):
 @pytest.mark.parametrize(
     "row, message",
     [
+        ((0, 1, {2: 1}), "constant target 2 out of range"),
+        ((0, 1, {-1: 1}), "constant target -1 out of range"),
         ((0, 1, {1.5: 1}), "constant target 1.5 out of range"),
         ((0, 1, {"1": 1}), "constant target '1' out of range"),
         ((0.5, 1, {0: 1}), r"bracket indices \(0.5, 1\) out of range"),
@@ -87,6 +94,58 @@ def test_lie_superalgebra_takes_int_indices_in_range(constants, message):
 def test_from_index_table_rules(row, message):
     with pytest.raises(InputError, match=message):
         LieSuperalgebra.from_index_table(AB, [row])
+
+
+def test_from_index_table_checks_each_term_as_it_folds_a_row():
+    # a zero coefficient is dropped before its target is read, as the
+    # constructor never sees it; the first fault in table order is reported
+    g = LieSuperalgebra.from_index_table(AB, [(0, 1, {0: 0, 7: 0, 1: 2})])
+    assert g.constants == {(0, 1): {1: Fraction(2)}}
+    assert LieSuperalgebra.from_index_table(AB, [(1, 0, {"x": Fraction(0)})]).constants == {}
+    with pytest.raises(InputError, match="constant target 2 out of range"):
+        LieSuperalgebra.from_index_table(AB, [(0, 1, {2: 1}), (1, 0, {0: 1})])
+
+
+class _Fraction(Fraction):
+    """A Fraction subclass: it must take the isinstance path, not the exact-type one."""
+
+
+class _Int(int):
+    pass
+
+
+ABC = GradedBasis(labels=("a", "b", "c"), parities=(0, 0, 0))
+
+
+def test_a_mapping_or_fraction_subclass_builds_what_a_dict_or_fraction_builds():
+    proxy = MappingProxyType
+    plain = LieSuperalgebra(ABC, {(0, 1): {2: Fraction(3, 2)}})
+    assert LieSuperalgebra(ABC, {(0, 1): proxy({2: _Fraction(3, 2)})}) == plain
+    assert LieSuperalgebra(ABC, proxy({(0, 1): {2: Fraction(3, 2)}})) == plain
+    assert LieSuperalgebra.from_index_table(ABC, [(0, 1, proxy({2: _Fraction(3, 2)}))]) == plain
+    assert LieSuperalgebra.from_index_table(ABC, [(1, 0, proxy({2: _Fraction(-3, 2)}))]) == plain
+    assert LieSuperalgebra.from_index_table(ABC, [(0, 1, {2: _Int(3)})]).constants == {(0, 1): {2: 3}}
+    rows = [{0: Fraction(1)}, {2: Fraction(1, 2)}, {1: Fraction(1, 2)}]
+    form = BilinearForm(ABC, rows)
+    assert BilinearForm(ABC, [proxy({j: _Fraction(x) for j, x in row.items()}) for row in rows]) == form
+    assert BilinearForm(ABC, tuple(map(proxy, rows))) == form
+    assert rat(_Fraction(3, 2)) == Fraction(3, 2) and rat(_Int(3)) == 3 and type(rat(_Int(3))) is Fraction
+    with pytest.raises(InputError, match=r"constant for \(0, 1\)->2 must be a nonzero Fraction"):
+        LieSuperalgebra(ABC, {(0, 1): proxy({2: _Fraction(0)})})
+    with pytest.raises(InputError, match="constant target 5 out of range"):
+        LieSuperalgebra.from_index_table(ABC, [(0, 1, proxy({5: _Fraction(1)}))])
+
+
+def test_a_document_of_read_only_mappings_loads_as_its_dicts_do():
+    q = build("g_4_1_s")
+    doc = algebra_to_dict(q)
+
+    def frozen(x):
+        if isinstance(x, dict):
+            return MappingProxyType({k: frozen(v) for k, v in x.items()})
+        return [frozen(v) for v in x] if isinstance(x, list) else x
+
+    assert algebra_from_dict(frozen(doc)) == algebra_from_dict(doc) == q
 
 
 @pytest.mark.parametrize(

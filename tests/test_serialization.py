@@ -117,6 +117,58 @@ def test_every_literal_refusal_holds_after_valid_literals_are_read(bad, message)
     assert rat("-7/2") == Fraction(-7, 2) and type(rat(" 5 ")) is Fraction
 
 
+def _repeated_literal_document(n: int) -> str:
+    """An abelian even algebra on n letters whose n form values and n - 1
+    bracket coefficients all read "3/7" (the brackets break no rule the
+    loader checks: the validator would refuse them)."""
+    return json.dumps({
+        "basis": [{"label": f"e{i}", "parity": 0} for i in range(n)],
+        "brackets": [{"left": "e0", "right": f"e{i}", "terms": [{"coeff": "3/7", "basis": "e0"}]}
+                     for i in range(1, n)],
+        "form": [{"left": f"e{i}", "right": f"e{i}", "value": "3/7"} for i in range(n)],
+    })
+
+
+def test_a_literal_is_parsed_once_per_document_and_no_state_outlives_it(monkeypatch):
+    import superquad.serialization as serialization
+
+    parsed = []
+
+    def counting_rat(value):
+        if isinstance(value, str):
+            parsed.append(value)
+        return rat(value)
+
+    monkeypatch.setattr(serialization, "rat", counting_rat)
+    text = _repeated_literal_document(40)
+    first = loads(text)
+    assert parsed == ["3/7"]
+    assert all(row == {i: Fraction(3, 7)} for i, row in enumerate(first.form.rows))
+    assert all(terms == {0: Fraction(3, 7)} for terms in first.algebra.constants.values())
+    second = loads(text)  # a second document parses its literal again
+    assert parsed == ["3/7", "3/7"] and second == first
+
+
+@pytest.mark.parametrize(
+    "first, then, message",
+    [
+        (1, True, "not an exact rational: True of type bool"),
+        (1, 1.0, "not an exact rational: 1.0 of type float"),
+    ],
+    ids=repr,
+)
+def test_a_literal_read_before_does_not_let_an_equal_key_through(first, then, message):
+    """1, 1.0 and True are one dict key: a literal the document read before
+    must not stand in for a bool or a float read after it."""
+    doc = {
+        "basis": [{"label": "a", "parity": 0}, {"label": "b", "parity": 0}],
+        "brackets": [{"left": "a", "right": "b", "terms": [{"coeff": first, "basis": "a"}]}],
+        "form": [{"left": "a", "right": "a", "value": then}, {"left": "b", "right": "b", "value": 1}],
+    }
+    with pytest.raises(InputError, match=message):
+        loads(json.dumps(doc))
+
+
 @pytest.mark.parametrize("name", [{"a": 1}, 5, ["x"], True, 1.5])
 def test_a_name_that_is_not_a_string_is_an_input_error(name):
     doc = algebra_to_dict(build("g_4_1_s"))
