@@ -44,8 +44,7 @@ MUTANTS = {
     "torus_weight_check": (COHOMOLOGY, "if {m: c for m, c in got.items() if c} != ({_unit(ne, t): -w[t]} if w[t] else {}):",
                            "if False:"),
     "torus_jacobi_check": (COHOMOLOGY, "        if _delta(g, terms):", "        if False:"),
-    "block_key_check": (COHOMOLOGY, "if keys is not None and any(target_keys.get(mm) != keys[m] for mm in image):",
-                        "if False:"),
+    "block_key_check": (COHOMOLOGY, "if key is not None and target_keys.get(mm) != key:", "if False:"),
     "poisson_cross_check": (COHOMOLOGY, "if three and image != _poisson(three, ((m, 1),), -1):", "if False:"),
     "rank_nullity_check": (COHOMOLOGY, "if src.dimension != len(cx.image(k, verify).rows) + n_z:", "if False:"),
     "boundaries_in_cocycles_check": (COHOMOLOGY, "if n_b + len(reps) > n_z:", "if False:"),
@@ -58,6 +57,9 @@ MUTANTS = {
     "check_size_limit": (COHOMOLOGY, "if k_max >= DEGREE_LIMIT:", "if k_max > DEGREE_LIMIT:"),
     "split_for_another_complex": (COHOMOLOGY, "if held is None or held[0]() is not cx:", "if held is None:"),
     "degrees_all_in_one": (COCHAINS, "out.get(k := _degree_of(ne, m))", "out.get(k := 1)"),
+    "join_inner_weight_sign": (COCHAINS, "for o, key in odd.get(-i, ()):", "for o, key in odd.get(i, ()):"),
+    "odd_key_without_sym_parity": (COCHAINS, "append((part, w + (k - a) % 2))", "append((part, w))"),
+    "table_of_another_size": (COCHAINS, "(even := evens.get(a))", "(even := evens.get(a - 1))"),
     "form_walk_skips_lower_entries": (QUADRATIC, "{(i, j) if i <= j else (j, i) for i, row in enumerate(rows) for j in row}",
                                       "{(i, j) for i, row in enumerate(rows) for j in row if i <= j}"),
     "form_even_rule": (QUADRATIC, "if p[i] != p[j] and gij:", "if False:"),

@@ -83,6 +83,12 @@ def _is_index(x: object, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
+def _check_name(name: object) -> None:
+    """InputError unless an algebra's name is a str, which ``dumps`` writes."""
+    if not isinstance(name, str):
+        raise InputError(f"'name' must be a string, not {type(name).__name__}")
+
+
 def _table_rows(basis: GradedBasis, table: object) -> Iterator[tuple[object, object, Mapping]]:
     """The rows of a bracket table, each checked to be a triple (a, b, terms)
     with a mapping of terms, for a basis that is a ``GradedBasis``."""
@@ -115,6 +121,7 @@ class LieSuperalgebra(Frozen):
             raise InputError(f"basis must be a GradedBasis, not {type(basis).__name__}")
         if not isinstance(constants, Mapping):
             raise InputError(f"constants must be a mapping, not {type(constants).__name__}")
+        _check_name(name)
         n = basis.dim
         for key, terms in constants.items():
             if not (type(key) is tuple and len(key) == 2 and _is_index(key[0], n)
@@ -148,6 +155,7 @@ class LieSuperalgebra(Frozen):
         silently summed: duplicate rows are almost always typos.  Folding
         checks every rule of the constructor, which is then not called.
         """
+        _check_name(name)
         constants: dict[tuple[int, int], dict[int, Rat]] = {}
         seen: set[tuple[int, int]] = set()
         for i, j, terms in _table_rows(basis, table):

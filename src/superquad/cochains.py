@@ -352,29 +352,34 @@ def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
     ascending, then lexicographic."""
     basis = _basis_of(basis, (GradedBasis,))
     _check_degree(k)
-    return [_unpack(basis.even_dim, m) for m in _enumerate(basis, k)]
+    return [_unpack(basis.even_dim, m) for m in _enumerate(basis, k, {}, {})]
 
 
-def _enumerate(basis: GradedBasis, k: int, inner: list[int] | None = None, weight: list[int] | None = None) -> dict[int, int]:
-    """The packed monomials of C^k in basis order, each mapped to its block
-    key.  Given an algebra's ``_weights`` (packed inner and block weights
-    per letter), only those of inner weight 0: per alternating degree a,
-    the odd multisets of size k - a are grouped by inner weight and each
-    even a-subset takes the group of minus its own.  A key is twice the
-    sum of the letters' block weights plus the sym-parity, its even
-    part's plus its odd part's: one addition.  Without, all of C^k."""
+def _enumerate(basis: GradedBasis, k: int, evens: dict, odds: dict, inner: list[int] | None = None,
+               weight: list[int] | None = None) -> dict[int, int]:
+    """The packed monomials of C^k of inner weight 0 (all without weights) in
+    basis order, each mapped to its block key, the sum of its parts': per
+    alternating degree a, ascending, each even a-subset takes the odd
+    (k - a)-multisets of minus its inner weight.  The tables, each size
+    listed on first use, lexicographic: evens[a] (packed, twice the block
+    weight, inner weight), odds[s] {inner weight: [(packed, twice the block
+    weight + s % 2)]}, summed from ``_weights`` (packed per letter, or 0)."""
     if k > DEGREE_LIMIT:
         raise ResourceLimitError(f"degree {k} exceeds the packed monomials' limit {DEGREE_LIMIT}")
     ne, n, out = basis.even_dim, basis.dim, {}
-    units = [_unit(ne, t) for t in range(n)]
+    columns = [_unit(ne, t) for t in range(n)], [2 * x for x in weight or [0] * n], inner or [0] * n
     for a in range(min(k, ne) + 1):
-        odd: dict[int, list[tuple[int, int]]] = {}
-        for od in itertools.combinations_with_replacement(range(ne, n), k - a):
-            key = 2 * sum(map(weight.__getitem__, od)) + (k - a) % 2 if weight else 0
-            odd.setdefault(sum(map(inner.__getitem__, od)) if inner else 0, []).append((sum(map(units.__getitem__, od)), key))
-        for ev in itertools.combinations(range(ne), a):
-            e, w = sum(map(units.__getitem__, ev)), 2 * sum(map(weight.__getitem__, ev)) if weight else 0
-            out.update({e + o: w + key for o, key in odd.get(-sum(map(inner.__getitem__, ev)) if inner else 0, ())})
+        if (odd := odds.get(k - a)) is None:
+            odd = odds[k - a] = {}
+            for part, w, i in zip(*(map(sum, itertools.combinations_with_replacement(c[ne:], k - a)) for c in columns)):
+                odd.setdefault(i, []).append((part, w + (k - a) % 2))
+        if not odd:
+            continue  # no odd multiset of that size: no even subset is listed
+        if (even := evens.get(a)) is None:
+            even = evens[a] = list(zip(*(map(sum, itertools.combinations(c[:ne], a)) for c in columns)))
+        for e, w, i in even:
+            for o, key in odd.get(-i, ()):
+                out[e + o] = w + key
     return out
 
 

@@ -101,7 +101,7 @@ class CochainBasis(Frozen):
 def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
     basis = _basis_of(g, (GradedBasis, LieSuperalgebra, QuadraticLieSuperalgebra))
     _check_degree(k)
-    return CochainBasis(k, tuple(_enumerate(basis, k)), basis)
+    return CochainBasis(k, tuple(_enumerate(basis, k, {}, {})), basis)
 
 
 class DifferentialMatrix(Frozen):
@@ -162,7 +162,7 @@ def _block_weights(g: LieSuperalgebra) -> tuple[list[int], list[int]]:
     it only carries the inner weight into every block key
     (``Complex.built``)."""
     columns = [*(w for _, w in g._torus), *zip(*(row[:-1] for row in diagonal_weights(g)))]
-    columns = [[int(x * lcm(*(y.denominator for y in col))) for x in col] for col in columns]
+    columns = [[x.numerator * (s // x.denominator) for x in col] for col in columns for s in [lcm(*(y.denominator for y in col))]]
     shift = (2 * DEGREE_LIMIT * max((abs(x) for col in columns for x in col), default=0)).bit_length() + 1
     inner, weight = ([sum(col[t] << shift * i for i, col in enumerate(cols)) for t in range(g.basis.dim)]
                      for cols in (columns[: len(g._torus)], columns))
@@ -173,7 +173,10 @@ class Complex:
     """The cochain complex C(g) of the algebra ``q``, delta = -{I, .} when
     it is quadratic.  It keeps only per-degree parts, each built once, on
     first use: the built part of each C^k (``built``), each delta_k
-    (``delta``) and the echelon of its columns (``image``).  Every
+    (``delta``) and the echelon of its columns (``image``).  The built
+    parts join two tables kept by size, listed once each: the even
+    a-subsets (``_evens``) and the odd s-multisets by inner weight
+    (``_odds``); ``check_size`` computes each dim C^k once (``_dims``).  Every
     function of this module reaches it through ``_complex``: one complex
     per algebra object, alive while a caller or a CohomologyResult holds
     it.  Algebras are treated as immutable values.  ``check_size`` is the
@@ -184,7 +187,8 @@ class Complex:
         self.basis = _basis_of(q, (QuadraticLieSuperalgebra, LieSuperalgebra))
         self.q = q
         self.algebra = q.algebra if isinstance(q, QuadraticLieSuperalgebra) else q
-        self._sized = -1  # the largest k_max check_size passed
+        self._dims: list[int] = []  # dim C^k for each k below its length, computed once by check_size
+        self._evens, self._odds = {}, {}  # the even and odd tables _enumerate lists built(k) from, by size
         self._built: dict[int, CochainBasis] = {}
         self._keys: dict[int, dict[int, int]] = {}  # the block keys of built(k), with a torus
         # degree -> (delta_k, built with the cross-check or not)
@@ -199,7 +203,7 @@ class Complex:
         delta keeps."""
         if k not in self._built:
             torus = self.algebra._torus
-            keys = _enumerate(self.basis, k, *self.algebra._weights) if torus else _enumerate(self.basis, k)
+            keys = _enumerate(self.basis, k, self._evens, self._odds, *(self.algebra._weights if torus else ()))
             if torus:
                 self._keys[k] = keys
             self._built[k] = CochainBasis(k, tuple(keys), self.basis)
@@ -213,7 +217,7 @@ class Complex:
         if not self.algebra._torus:
             return 0
         return sum(
-            (-1) ** (k - 1 - j) * (cochain_dimension(self.basis, j) - self.built(j).dimension)
+            (-1) ** (k - 1 - j) * (self._dims[j] - self.built(j).dimension)
             for j in range(k)
         )
 
@@ -221,15 +225,14 @@ class Complex:
         """Refuse, before any work, a k_max that is not a degree (named
         ``what`` in the message), a k_max + 1 past the degree a packed
         monomial holds (``cochains.DEGREE_LIMIT``) and a dim C^k over
-        ``MONOMIAL_LIMIT`` for k <= k_max + 1."""
+        ``MONOMIAL_LIMIT`` for k <= k_max + 1, each kept in ``_dims``."""
         _check_degree(k_max, what)
         if k_max >= DEGREE_LIMIT:
             raise ResourceLimitError(f"delta_{k_max} reaches degree {k_max + 1}, past the packed monomials' limit {DEGREE_LIMIT}")
-        if k_max > self._sized:
-            for k in range(k_max + 2):
-                if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
-                    raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {MONOMIAL_LIMIT}")
-            self._sized = k_max
+        for k in range(len(self._dims), k_max + 2):
+            if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
+                raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {MONOMIAL_LIMIT}")
+            self._dims.append(dim)
 
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k from ``built(k)`` to ``built(k + 1)``, built on first use
@@ -258,9 +261,12 @@ class Complex:
             image = _delta(g, ((m, 1),))
             if three and image != _poisson(three, ((m, 1),), -1):
                 raise EngineError(f"differential_direct and differential_via_poisson disagree on {_unpack(ne, m)} in degree {k}")
-            if keys is not None and any(target_keys.get(mm) != keys[m] for mm in image):
-                raise EngineError(f"delta of {_unpack(ne, m)} leaves its weight block: the torus or delta is wrong")
-            columns.append({index[mm]: x for mm, x in image.items()})
+            column, key = {}, None if keys is None else keys[m]
+            for mm, x in image.items():
+                if key is not None and target_keys.get(mm) != key:
+                    raise EngineError(f"delta of {_unpack(ne, m)} leaves its weight block: the torus or delta is wrong")
+                column[index[mm]] = x
+            columns.append(column)
         d = DifferentialMatrix(src, tgt, tuple(columns))
         self._deltas[k] = (d, verify)
         return d
@@ -385,7 +391,7 @@ def cohomology(
     acyclic = cx.acyclic_dim(k)
     return CohomologyResult(
         degree=k,
-        dim_cochains=cochain_dimension(cx.basis, k),
+        dim_cochains=cx._dims[k],
         dim_cocycles=n_z + acyclic,
         dim_coboundaries=n_b + acyclic,
         betti=n_z - n_b,

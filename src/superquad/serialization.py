@@ -121,11 +121,7 @@ def algebra_from_dict(doc: Mapping):
         i, j = basis.index(entry["left"]), basis.index(entry["right"])
         rows.append((i, j, terms))
     name = doc.get("name")
-    if name is None:
-        name = ""
-    elif not isinstance(name, str):
-        raise InputError(f"'name' must be a string, not {type(name).__name__}")
-    g = LieSuperalgebra.from_index_table(basis, rows, name=name)
+    g = LieSuperalgebra.from_index_table(basis, rows, name="" if name is None else name)
     if doc.get("form") is None:
         return g
     entries = _objects(doc["form"], "'form'", ("left", "right", "value"))

@@ -35,6 +35,9 @@ algebra's ``_weights`` on each call, and ``built_by_filter`` the built part
 of C^k with its keys as the engine made it before it enumerated the
 monomials of inner weight 0 directly: all of C^k listed, each keyed, those
 of inner weight 0 kept.
+``enumerate_by_degree`` lists the monomials of C^k, with their block keys,
+as the engine did before each complex kept its even and odd tables: every
+even subset and odd multiset listed again for each degree.
 ``wedge_into``, ``merge_even``, ``contractions_by_tuples``,
 ``delta_by_tuples`` and ``poisson_by_tuples`` (with
 ``dual_differentials_by_tuples`` and ``poisson_left_by_tuples``, their
@@ -79,6 +82,7 @@ paper's lemmas on traceless 2x2 matrices, checked by acceptance C10.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterable
 from fractions import Fraction
@@ -86,11 +90,13 @@ from fractions import Fraction
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
 from superquad.algebra import GradedBasis, Violation, _sparse_str, diagonal_weights, inner_torus
 from superquad.cochains import (
+    DEGREE_LIMIT,
     Cochain,
     Monomial,
     _check_cochain,
     _combination,
     _monomial,
+    _unit,
     _unpack,
     differential_direct,
     differential_via_poisson,
@@ -98,7 +104,7 @@ from superquad.cochains import (
     wedge,
 )
 from superquad.cohomology import CochainBasis, CohomologyResult, DifferentialMatrix, _Quotient, cochain_basis
-from superquad.errors import EngineError, InputError
+from superquad.errors import EngineError, InputError, ResourceLimitError
 from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
@@ -576,6 +582,30 @@ def built_by_filter(cx, k: int) -> dict[Monomial, int]:
         return dict.fromkeys(monomials, 0)
     inner = cx.algebra._weights[0]
     return {m: block_key(cx, m) for m in monomials if not sum(inner[t] for t in m.even + m.odd)}
+
+
+def enumerate_by_degree(basis: GradedBasis, k: int, inner: list[int] | None = None,
+                        weight: list[int] | None = None) -> dict[int, int]:
+    """The packed monomials of C^k in basis order, each mapped to its block
+    key.  Given an algebra's ``_weights`` (packed inner and block weights
+    per letter), only those of inner weight 0: per alternating degree a,
+    the odd multisets of size k - a are grouped by inner weight and each
+    even a-subset takes the group of minus its own.  A key is twice the
+    sum of the letters' block weights plus the sym-parity, its even
+    part's plus its odd part's: one addition.  Without, all of C^k."""
+    if k > DEGREE_LIMIT:
+        raise ResourceLimitError(f"degree {k} exceeds the packed monomials' limit {DEGREE_LIMIT}")
+    ne, n, out = basis.even_dim, basis.dim, {}
+    units = [_unit(ne, t) for t in range(n)]
+    for a in range(min(k, ne) + 1):
+        odd: dict[int, list[tuple[int, int]]] = {}
+        for od in itertools.combinations_with_replacement(range(ne, n), k - a):
+            key = 2 * sum(map(weight.__getitem__, od)) + (k - a) % 2 if weight else 0
+            odd.setdefault(sum(map(inner.__getitem__, od)) if inner else 0, []).append((sum(map(units.__getitem__, od)), key))
+        for ev in itertools.combinations(range(ne), a):
+            e, w = sum(map(units.__getitem__, ev)), 2 * sum(map(weight.__getitem__, ev)) if weight else 0
+            out.update({e + o: w + key for o, key in odd.get(-sum(map(inner.__getitem__, ev)) if inner else 0, ())})
+    return out
 
 
 def is_coboundary_full(q, c: Cochain) -> bool:

@@ -1,11 +1,14 @@
 """Exact Betti numbers, cocycle/coboundary tests, representatives."""
 import gc
 import importlib
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from types import SimpleNamespace
 from weakref import ref
 
 import pytest
@@ -20,6 +23,7 @@ from helpers import (
     coordinates,
     delta_by_tuples,
     doubled_odd_form,
+    enumerate_by_degree,
     from_coordinates,
     full_differential,
     is_coboundary_by_rank,
@@ -36,6 +40,7 @@ from superquad.cochains import (
     Monomial,
     _pack,
     _poisson,
+    _unpack,
     associated_three_form,
     differential_direct,
     differential_via_poisson,
@@ -541,6 +546,56 @@ def test_a_held_result_builds_each_table_and_delta_once(monkeypatch):
     assert calls["DifferentialMatrix"] == 4
 
 
+def test_each_even_and_odd_table_is_built_once_per_complex(monkeypatch):
+    """A complex lists each even a-subset table and each odd s-multiset
+    table once (``cochains._enumerate``), whatever the degrees that read it.
+    Counted by the itertools calls that list them: one per column of a
+    table (packed parts, block weights, inner weights), so three a table."""
+    listed = []
+
+    def recording(name):
+        original = getattr(itertools, name)
+
+        def listing(letters, size):
+            listed.append((name, size))
+            return original(letters, size)
+
+        return listing
+
+    names = ("combinations", "combinations_with_replacement")
+    module = importlib.import_module("superquad.cochains")
+    monkeypatch.setattr(module, "itertools", SimpleNamespace(**{name: recording(name) for name in names}))
+
+    def tables() -> tuple[dict[int, int], dict[int, int]]:
+        """{size: times listed} of the even and of the odd tables."""
+        return tuple({size: count / 3 for size, count in Counter(s for n, s in listed if n == name).items()}
+                     for name in names)
+
+    q = build("g_8_2_5_s")  # 6 even and 2 odd letters, with an inner torus
+    table = betti_table(q, 4)
+    # built(0..5): the even a-subsets and the odd s-multisets for a, s <= 5
+    once = dict.fromkeys(range(6), 1)
+    assert tables() == (once, once)
+    assert betti_table(q, 4) == table and cohomology(q, 2) == table[2]
+    assert tables() == (once, once)
+    # with no result alive, a new complex lists its own tables, once each
+    del table
+    gc.collect()
+    betti_table(q, 3)
+    twice = {**dict.fromkeys(range(5), 2), 5: 1}
+    assert tables() == (twice, twice)
+    # cochain_basis lists the tables of the bare basis on each call
+    listed.clear()
+    cochain_basis(q, 3)
+    cochain_basis(q, 3)
+    assert tables() == (dict.fromkeys(range(4), 2), dict.fromkeys(range(4), 2))
+    # without an odd letter, no even table is listed for a degree it cannot reach
+    listed.clear()
+    even = GradedBasis(labels=("a", "b", "c"), parities=(0, 0, 0))
+    assert cochain_basis(even, 2).dimension == 3
+    assert tables() == ({2: 1}, {0: 1, 1: 1, 2: 1})
+
+
 @pytest.mark.parametrize("key", catalog_keys())
 def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key):
     """betti_table converts no entry of delta on its way to the quotient:
@@ -1036,6 +1091,31 @@ def test_the_built_parts_are_those_of_the_filter_oracle(key, degrees):
         assert cx.built(k).monomials == tuple(want), (key, k)
         packed = {_pack(cx.basis.even_dim, m): block for m, block in want.items()}
         assert cx._keys.get(k) == (packed if cx.algebra._torus else None), (key, k)
+
+
+def test_the_complex_tables_list_what_the_per_degree_enumeration_listed():
+    """built(k) is joined from the even and odd tables its complex keeps:
+    the same packed monomials in the same order, with the same block keys,
+    as listing every even subset and odd multiset again for each degree
+    (``enumerate_by_degree``).  cochain_basis and monomials_of_degree join
+    throwaway tables of a bare basis, with the same result, and a degree
+    past DEGREE_LIMIT is refused as before."""
+    for key, top in [*((key, 7) for key in catalog_keys()), ("g_6_s", 12)]:
+        cx = _complex(build(key))
+        weights = cx.algebra._weights if cx.algebra._torus else ()
+        for k in range(top + 1):
+            want = enumerate_by_degree(cx.basis, k, *weights)
+            assert cx.built(k).keys == tuple(want), (key, k)
+            assert cx._keys.get(k) == (want if weights else None), (key, k)
+    basis = GradedBasis(labels=("a", "b", "c", "x", "y", "z"), parities=(0, 0, 0, 1, 1, 1))
+    for k in range(8):
+        want = enumerate_by_degree(basis, k)
+        assert cochain_basis(basis, k).keys == tuple(want), k
+        assert monomials_of_degree(basis, k) == [_unpack(3, m) for m in want], k
+    past = f"degree {DEGREE_LIMIT + 1} exceeds the packed monomials' limit {DEGREE_LIMIT}$"
+    for enumerate_ in (enumerate_by_degree, cochain_basis, monomials_of_degree):
+        with pytest.raises(ResourceLimitError, match=past):
+            enumerate_(basis, DEGREE_LIMIT + 1)
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["nonzero-inner-weight", "another-built-block"])

@@ -3,6 +3,7 @@ probes reach every check of GradedBasis, LieSuperalgebra and its
 from_index_table and from_label_table, BilinearForm, Superderivation,
 one_dim_double_extension's arguments and rat, and each must
 end as InputError, never as a traceback or a silent wrong value."""
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -14,7 +15,7 @@ from superquad.algebra import center, derived_series, diagonal_weights, inner_to
 from superquad.errors import InputError
 from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import rat
-from superquad.serialization import algebra_from_dict, algebra_to_dict
+from superquad.serialization import algebra_from_dict, algebra_to_dict, load, save
 
 AB = GradedBasis(labels=("a", "b"), parities=(0, 0))
 ONE = Fraction(1)
@@ -170,6 +171,34 @@ def test_a_document_of_read_only_mappings_loads_as_its_dicts_do():
 def test_lie_superalgebra_checks_its_fields_and_tables(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("name", [5, ["x"], None, b"x"], ids=repr)
+def test_every_constructor_refuses_a_name_that_is_not_a_string(name):
+    """A name that is not a str is refused with the message of ``loads``:
+    5 would be written by ``dumps`` and refused by ``loads``, and ["x"]
+    would make an algebra whose hash raises TypeError."""
+    message = re.escape(f"'name' must be a string, not {type(name).__name__}")
+    for make in (
+        lambda: LieSuperalgebra(AB, {}, name=name),
+        lambda: LieSuperalgebra.from_index_table(AB, [(0, 1, {0: 1})], name=name),
+        lambda: LieSuperalgebra.from_label_table(AB, [("a", "b", {"a": 1})], name=name),
+    ):
+        with pytest.raises(InputError, match=message):
+            make()
+
+
+def test_a_named_algebra_is_read_back_as_it_was_saved(tmp_path):
+    path = tmp_path / "named.json"
+    for g in (
+        LieSuperalgebra.from_label_table(AB, [("a", "b", {"a": 1})], name="solvable"),
+        LieSuperalgebra(AB, {(0, 1): {0: ONE}}, name="solvable"),
+        build("g_4_1_s"),
+    ):
+        save(str(path), g)
+        back = load(str(path))
+        assert back == g and hash(back) == hash(g)
+        assert getattr(back, "algebra", back).name == getattr(g, "algebra", g).name != ""
 
 
 @pytest.mark.parametrize(
