@@ -63,6 +63,7 @@ MUTANTS = {
     "form_walk_skips_lower_entries": (QUADRATIC, "{(i, j) if i <= j else (j, i) for i, row in enumerate(rows) for j in row}",
                                       "{(i, j) for i, row in enumerate(rows) for j in row if i <= j}"),
     "form_even_rule": (QUADRATIC, "if p[i] != p[j] and gij:", "if False:"),
+    "grading_parity_test": (EXTENSIONS, "if p[i] != (p[j] + degree) % 2):", "if p[i] != p[j]):"),
     "direct_vs_general_form_rows": (EXTENSIONS, "        or general.form.rows != direct.form.rows\n", ""),
     "index_table_target_check": (ALGEBRA, "                    if not _is_index(k, n):", "                    if False:"),
     "index_table_keeps_zeros": (ALGEBRA, "if coeff := rat(c):", "if (coeff := rat(c)) or True:"),

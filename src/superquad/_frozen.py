@@ -6,7 +6,7 @@ from __future__ import annotations
 class Frozen:
     """A frozen value.  ``_fields`` names the fields, in constructor order,
     that equality, the hash and the repr read; ``_shown``, when a class sets
-    it, the ones the repr reads instead.  A subclass's ``__init__`` stores
+    it, the attributes the repr reads instead.  A subclass's ``__init__`` stores
     its fields through ``self.__dict__``, where ``cached_property`` keeps
     its values too; assigning or deleting an attribute raises AttributeError."""
 
@@ -27,8 +27,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        d = self.__dict__
-        shown = ", ".join([f"{f}={d[f]!r}" for f in self._shown or self._fields])
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown or self._fields])
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: object):

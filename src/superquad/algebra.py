@@ -2,8 +2,9 @@
 
 A finite-dimensional Lie superalgebra over the rationals is stored as a
 graded basis together with the structure constants of the bracket.  The
-basis is a flat list of labelled vectors, even vectors first; elements
-are coordinate vectors over ``Fraction``.
+basis is a flat list of labelled vectors, even vectors first.  The
+engine reads the bracket from the sparse ``bracket_table``; only the
+``Subspace`` rows it returns are dense coordinate tuples of ``Fraction``.
 
 Conventions used throughout the package:
 
@@ -252,25 +253,6 @@ class LieSuperalgebra(Frozen):
 
         return _block_weights(self)
 
-    def bracket(self, x: Sequence[Rat], y: Sequence[Rat]) -> list[Rat]:
-        """Bracket of two coordinate vectors."""
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in self.bracket_pair(i, j).items():
-                    out[k] += xi * yj * c
-        return out
-
-    def basis_vector(self, i: int) -> list[Rat]:
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
-
 
 class Violation(Frozen):
     _fields = ("rule", "witness", "message")
@@ -457,35 +439,43 @@ class Subspace(Frozen):
 
     @classmethod
     def from_vectors(cls, ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
-        rows = Echelon(_sparse_rows(vectors)).rows
-        return cls(
-            ambient=ambient,
-            rows=tuple(tuple(_frac(rows[p].get(j, 0)) for j in range(ambient.dim)) for p in sorted(rows)),
-        )
+        return _subspace(ambient, Echelon(_sparse_rows(vectors)).rows)
+
+
+def _subspace(ambient: GradedBasis, rows: Mapping[int, Mapping[int, Rat | int]]) -> Subspace:
+    """The Subspace of reduced rows given as {pivot: {column: nonzero}}, each
+    row a dense tuple of Fractions, by pivot."""
+    return Subspace(ambient, tuple(tuple(_frac(rows[p].get(j, 0)) for j in range(ambient.dim)) for p in sorted(rows)))
 
 
 def derived_series(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[Subspace]:
     """Derived series g ⊇ [g,g] ⊇ [[g,g],[g,g]] ⊇ ... until it stabilizes.
 
+    Each term after g is one ``Echelon`` of the brackets [a, b] of every
+    pair of the last term's reduced rows, read off the bracket table.
     Until it stabilizes each term is strictly smaller than the one before,
     so the loop breaks within g.dim + 1 steps."""
     g = _lie(g)
-    ambient = g.basis
-    current = Subspace.from_vectors(ambient, [g.basis_vector(i) for i in range(g.dim)])
-    series = [current]
-    for _ in range(g.dim + 1):
-        vectors = []
-        rows = [list(r) for r in current.rows]
+    table = g.bracket_table
+
+    def brackets(rows: list[dict[int, Rat | int]]) -> Iterator[dict[int, Rat | int]]:
         for a in rows:
             for b in rows:
-                vectors.append(g.bracket(a, b))
-        nxt = Subspace.from_vectors(ambient, vectors)
-        series.append(nxt)
-        if nxt.dim == current.dim:
+                acc: dict[int, Rat | int] = {}
+                for i, x in a.items():
+                    for j, y in b.items():
+                        for k, c in table.get((i, j), {}).items():
+                            acc[k] = acc.get(k, 0) + x * y * c
+                yield {k: v for k, v in acc.items() if v}
+
+    current = {i: {i: 1} for i in range(g.dim)}
+    series = [_subspace(g.basis, current)]
+    for _ in range(g.dim + 1):
+        nxt = Echelon(brackets(list(current.values()))).rows
+        series.append(_subspace(g.basis, nxt))
+        if len(nxt) in (len(current), 0):
             break
         current = nxt
-        if nxt.dim == 0:
-            break
     return series
 
 
@@ -504,7 +494,7 @@ def center(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> Subspace:
     g = _lie(g)
     n = g.dim
     ne = g.basis.even_dim
-    rows: list[tuple[Rat, ...]] = []
+    rows: dict[int, dict[int, Rat | int]] = {}  # pivot -> row
     for lo, hi in ((0, ne), (ne, n)):
         system: list[dict[int, Rat]] = []
         for j in range(n):
@@ -513,9 +503,9 @@ def center(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> Subspace:
                 for k, c in g.bracket_table.get((i, j), {}).items():
                     cols.setdefault(k, {})[i - lo] = c
             system.extend(cols.values())
-        kernel = reduced_kernel(system, hi - lo)
-        rows.extend(tuple(_frac(v.get(t - lo, 0)) for t in range(n)) for v in kernel)
-    return Subspace(ambient=g.basis, rows=tuple(rows))
+        for v in reduced_kernel(system, hi - lo):
+            rows[lo + min(v)] = {lo + t: x for t, x in v.items()}
+    return _subspace(g.basis, rows)
 
 
 def reorder_basis(g: LieSuperalgebra, new_labels: Sequence[str]) -> LieSuperalgebra:

@@ -7,6 +7,7 @@ superderivations of g into a quadratic structure on h (+) g (+) h*.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -19,7 +20,7 @@ from .algebra import (
     validate_lie_superalgebra,
 )
 from .errors import EngineError, InputError
-from .linalg import Rat, _combine, _exact_rows, _frac, _num, _sparse_rows, reduced_kernel
+from .linalg import Rat, _combine, _frac, _num, rat, reduced_kernel
 from .quadratic import (
     BilinearForm,
     QuadraticLieSuperalgebra,
@@ -50,55 +51,72 @@ def _check_z2_degree(degree: object) -> None:
 
 
 class Superderivation(Frozen):
-    """A homogeneous endomorphism candidate of degree alpha (0 or 1).
+    """A homogeneous endomorphism candidate of degree alpha (0 or 1), stored
+    as its nonzero columns: ``columns[s]`` is D e_s as {r: D[r][s]}, zeros
+    left out, in the kernels' form (see ``linalg._num``).  Read the
+    columns, never change them in place.
 
-    The matrix acts on coordinate columns: (D v)_i = sum_j m[i][j] v_j.
+    ``Superderivation(matrix, degree)`` takes the n x n matrix acting on
+    coordinate columns, (D v)_i = sum_j m[i][j] v_j, each entry an exact
+    rational (``rat``); ``matrix`` gives it back as Fractions.
     """
 
-    _fields = ("matrix", "degree")
+    _fields = ("columns", "degree")
+    _shown = ("matrix", "degree")
 
-    def __init__(self, matrix: tuple[tuple[Rat, ...], ...], degree: int):
+    def __init__(self, matrix: Sequence[Sequence[object]], degree: int):
         _check_z2_degree(degree)
         if not (isinstance(matrix, (list, tuple))
                 and all(isinstance(row, (list, tuple)) and len(row) == len(matrix) for row in matrix)):
             raise InputError("superderivation matrix must be square: a list or tuple of n rows of n values")
-        self.__dict__.update(matrix=_exact_rows(matrix), degree=degree)
+        columns: list[dict[int, Rat | int]] = [{} for _ in matrix]
+        for r, row in enumerate(matrix):
+            for s, x in enumerate(row):
+                if v := rat(x):
+                    columns[s][r] = _num(v)
+        self.__dict__.update(columns=tuple(columns), degree=degree)
+
+    @classmethod
+    def _of_columns(cls, columns: Sequence[dict[int, Rat | int]], degree: int) -> "Superderivation":
+        """The derivation with these zero-free columns in the kernels' form; the dicts are neither checked nor copied."""
+        d = cls.__new__(cls)
+        d.__dict__.update(columns=tuple(columns), degree=degree)
+        return d
+
+    def __hash__(self) -> int:
+        # equal columns are equal as frozensets of their nonzeros
+        return hash((tuple(frozenset(col.items()) for col in self.columns), self.degree))
 
     @cached_property
-    def columns(self) -> list[dict[int, Rat]]:
-        """D e_s as {r: D[r][s]} for each s, in the kernels' form (see
-        ``linalg._num``), built once: read it, never reduce it in place."""
-        cols: list[dict[int, Rat]] = [{} for _ in self.matrix]
-        for r, row in enumerate(_sparse_rows(self.matrix)):
-            for s, x in row.items():
-                cols[s][r] = x
-        return cols
+    def matrix(self) -> tuple[tuple[Rat, ...], ...]:
+        """The n x n matrix m[r][s] = D[r][s], every entry a Fraction, built
+        once per object."""
+        zero = Fraction(0)
+        rows = [[zero] * self.dim for _ in self.columns]
+        for s, col in enumerate(self.columns):
+            for r, x in col.items():
+                rows[r][s] = _frac(x)
+        return tuple(map(tuple, rows))
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.columns)
 
 
-def _grading_violations(
-    basis: GradedBasis, matrix: tuple[tuple[Rat, ...], ...], degree: int
-) -> list[Violation]:
+def _grading_violations(basis: GradedBasis, d: Superderivation) -> list[Violation]:
+    """One violation per nonzero D[i][j] with parity(i) != parity(j) +
+    degree, by column j, then row i."""
     out: list[Violation] = []
-    for j in range(basis.dim):
-        for i in range(basis.dim):
-            if not matrix[i][j]:
-                continue
-            if basis.parities[i] != (basis.parities[j] + degree) % 2:
-                out.append(
-                    Violation(
-                        rule="superderivation-grading",
-                        witness=(basis.labels[i], basis.labels[j]),
-                        message=(
-                            f"entry ({i},{j}) maps parity {basis.parities[j]} "
-                            f"into parity {basis.parities[i]}, but the degree "
-                            f"is {degree}"
-                        ),
-                    )
+    p, degree = basis.parities, d.degree
+    for j, col in enumerate(d.columns):
+        for i in sorted(i for i in col if p[i] != (p[j] + degree) % 2):
+            out.append(
+                Violation(
+                    rule="superderivation-grading",
+                    witness=(basis.labels[i], basis.labels[j]),
+                    message=f"entry ({i},{j}) maps parity {p[j]} into parity {p[i]}, but the degree is {degree}",
                 )
+            )
     return out
 
 
@@ -169,7 +187,7 @@ def _derivation_report(q_or_g, matrix, degree: int) -> ValidationReport:
     basis = q_or_g.basis
     if d.dim != basis.dim:
         raise InputError(f"derivation matrix is {d.dim}x{d.dim}, but the algebra has dimension {basis.dim}")
-    violations = _grading_violations(basis, d.matrix, degree)
+    violations = _grading_violations(basis, d)
     n, entries = basis.dim, [(r, s, x) for s, column in enumerate(d.columns) for r, x in column.items()]
     rows = _defects(q_or_g, degree, [(r, s) for r, s, _ in entries])
     failing = {key // n for key, row in rows.items() if sum(entries[k][2] * v for k, v in row.items())}
@@ -229,28 +247,24 @@ def skew_superderivation_space(
     for row in rows.values():
         if len(row) > 1 and (r := {column[k]: v for k, v in row.items() if k in column}):
             system.setdefault(tuple(r.items()), r)
-    zero = Fraction(0)
     out: list[Superderivation] = []
     for v in reduced_kernel(list(system.values()), len(free)):
-        matrix = [[zero] * n for _ in range(n)]
+        columns: list[dict[int, Rat | int]] = [{} for _ in range(n)]
         for c, x in v.items():
             i, j = slots[free[c]]
-            matrix[i][j] = _frac(x)
-        out.append(Superderivation(matrix=matrix, degree=degree))
+            columns[j][i] = x
+        out.append(Superderivation._of_columns(columns, degree))
     return out
 
 
 def ad_superderivation(q: QuadraticLieSuperalgebra, label: str) -> Superderivation:
     """ad(X) for a homogeneous basis vector X, packaged with its degree;
-    column j is [X, e_j]."""
+    column j is [X, e_j], read off X's row of the bracket table."""
     idx = q.basis.index(label)
-    matrix = [[Fraction(0)] * q.dim for _ in range(q.dim)]
-    for j in range(q.dim):
-        for r, c in q.algebra.bracket_pair(idx, j).items():
-            matrix[r][j] = c
-    return Superderivation(
-        matrix=tuple(map(tuple, matrix)), degree=q.basis.parities[idx]
-    )
+    columns: list[dict[int, Rat | int]] = [{} for _ in range(q.dim)]
+    for j, terms in q.algebra._by_first.get(idx, ()):
+        columns[j] = dict(terms)
+    return Superderivation._of_columns(columns, q.basis.parities[idx])
 
 
 class ExtensionDatum(Frozen):
@@ -260,19 +274,25 @@ class ExtensionDatum(Frozen):
 
     def __init__(self, base: QuadraticLieSuperalgebra, h: LieSuperalgebra, psi: tuple[Superderivation, ...],
                  gamma: BilinearForm | None = None):
+        _require_quadratic(base, "the base of an extension datum")
+        if not isinstance(h, LieSuperalgebra):
+            raise InputError(f"h must be a LieSuperalgebra, not {type(h).__name__}")
+        if not (isinstance(psi, (list, tuple)) and all(isinstance(d, Superderivation) for d in psi)):
+            raise InputError("psi must be a tuple of Superderivations")
         if len(psi) != h.basis.dim:
             raise InputError("psi must assign one derivation per h basis vector")
-        self.__dict__.update(base=base, h=h, psi=psi, gamma=gamma)
+        if any(d.dim != base.dim for d in psi):
+            raise InputError("psi matrices must match the base dimension")
+        if not (gamma is None or isinstance(gamma, BilinearForm) and gamma.basis == h.basis):
+            raise InputError("gamma must be a bilinear form on the h basis, or None")
+        self.__dict__.update(base=base, h=h, psi=tuple(psi), gamma=gamma)
 
 
 def validate_extension_datum(d: ExtensionDatum) -> ValidationReport:
     violations: list[Violation] = []
     violations.extend(validate_lie_superalgebra(d.h).violations)
-    basis = d.base.basis
     hbasis = d.h.basis
     for k, dk in enumerate(d.psi):
-        if dk.dim != basis.dim:
-            raise InputError("psi matrices must match the base dimension")
         if dk.degree != hbasis.parities[k]:
             violations.append(
                 Violation(
@@ -322,8 +342,6 @@ def validate_extension_datum(d: ExtensionDatum) -> ValidationReport:
                     )
                 )
     if d.gamma is not None:
-        if d.gamma.basis != hbasis:
-            raise InputError("gamma must be a bilinear form on the h basis")
         for v in validate_form(d.h, d.gamma):
             if v.rule == "nondegenerate":
                 continue  # gamma may be degenerate (and is usually zero)
@@ -556,9 +574,9 @@ def central_reduction(
             rows=[{new[j]: v for j, v in q.form.rows[i].items() if j in new} for i in keep],
         ),
     )
-    ad = ad_superderivation(q, x).matrix
-    deriv = Superderivation(
-        matrix=tuple(tuple(ad[i][j] for j in keep) for i in keep), degree=0
+    ad = ad_superderivation(q, x).columns
+    deriv = Superderivation._of_columns(
+        [{new[r]: c for r, c in ad[s].items() if r in new} for s in keep], 0
     )
     try:
         rebuilt = reorder_quadratic(

@@ -69,15 +69,6 @@ def rat_str(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _exact_rows(m: Sequence[Sequence[object]]) -> tuple[tuple[Rat, ...], ...]:
-    """The rows of m as tuples of Fractions: each entry goes through ``rat``
-    unless every entry is a Fraction already."""
-    rows = tuple(map(tuple, m))
-    if {type(v) for row in rows for v in row} - {Fraction}:
-        rows = tuple(tuple(map(rat, row)) for row in rows)
-    return rows
-
-
 def _check_degree(k, what: str = "cochain degree") -> None:
     """Raise InputError unless k is an int (not a bool) and k >= 0: the
     check of every public function that takes a degree."""

@@ -50,6 +50,13 @@ inversions.  The packed kernels must give the same dictionaries.
 ``derivation_column`` are the dense readers that ``GradedBasis``,
 ``Cochain``, ``BilinearForm`` and ``Superderivation`` once carried as
 methods, when only these oracles read them.
+``basis_vector`` and ``bracket`` are the dense coordinate vectors and
+their bracket that ``LieSuperalgebra`` once carried as methods;
+``derived_series_dense`` is the derived series on them, as the engine
+built it before it bracketed sparse rows through the bracket table, and
+``grading_violations_dense`` the grading rule of a superderivation read
+off its dense matrix, as the engine ran it before a derivation kept only
+its nonzero columns.
 ``coordinates`` and ``from_coordinates`` map a cochain to its coordinates
 in a ``CochainBasis`` and back, as that class's methods did before the
 engine kept delta_k's columns and made its representatives itself.
@@ -88,7 +95,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from superquad import BilinearForm, LieSuperalgebra, QuadraticLieSuperalgebra, build
-from superquad.algebra import GradedBasis, Violation, _sparse_str, diagonal_weights, inner_torus
+from superquad.algebra import GradedBasis, Subspace, Violation, _sparse_str, diagonal_weights, inner_torus
 from superquad.cochains import (
     DEGREE_LIMIT,
     Cochain,
@@ -109,7 +116,6 @@ from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
     _extension_labels,
-    _grading_violations,
     validate_extension_datum,
 )
 from superquad.linalg import Echelon, Rat, _combine, _num, _sparse_rows, rank, rat, reduced_kernel
@@ -215,6 +221,66 @@ def form_value(form: BilinearForm, x, y) -> Rat:
 def derivation_column(d: Superderivation, j: int) -> list[Rat]:
     """D e_j as a dense coordinate vector."""
     return [row[j] for row in d.matrix]
+
+
+def basis_vector(g: LieSuperalgebra, i: int) -> list[Rat]:
+    """e_i as a dense coordinate vector."""
+    v = [Fraction(0)] * g.dim
+    v[i] = Fraction(1)
+    return v
+
+
+def bracket(g: LieSuperalgebra, x, y) -> list[Rat]:
+    """[x, y] of two dense coordinate vectors, one ``bracket_pair`` per pair
+    of nonzero coordinates."""
+    out = [Fraction(0)] * g.dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            for k, c in g.bracket_pair(i, j).items():
+                out[k] += xi * yj * c
+    return out
+
+
+def derived_series_dense(g: LieSuperalgebra) -> list[Subspace]:
+    """The derived series from dense vectors: each term the span of ``bracket``
+    of every pair of the last term's rows, through ``Subspace.from_vectors``."""
+    current = Subspace.from_vectors(g.basis, [basis_vector(g, i) for i in range(g.dim)])
+    series = [current]
+    for _ in range(g.dim + 1):
+        nxt = Subspace.from_vectors(g.basis, [bracket(g, a, b) for a in current.rows for b in current.rows])
+        series.append(nxt)
+        if nxt.dim == current.dim or nxt.dim == 0:
+            break
+        current = nxt
+    return series
+
+
+def grading_violations_dense(basis: GradedBasis, matrix, degree: int) -> list[Violation]:
+    """The grading rule of a superderivation on its dense matrix: one
+    violation per nonzero entry (i, j) with parity(i) != parity(j) + degree,
+    column by column."""
+    out: list[Violation] = []
+    for j in range(basis.dim):
+        for i in range(basis.dim):
+            if not matrix[i][j]:
+                continue
+            if basis.parities[i] != (basis.parities[j] + degree) % 2:
+                out.append(
+                    Violation(
+                        rule="superderivation-grading",
+                        witness=(basis.labels[i], basis.labels[j]),
+                        message=(
+                            f"entry ({i},{j}) maps parity {basis.parities[j]} "
+                            f"into parity {basis.parities[i]}, but the degree "
+                            f"is {degree}"
+                        ),
+                    )
+                )
+    return out
 
 
 def contract_vector(c: Cochain, vector) -> Cochain:
@@ -1164,7 +1230,7 @@ def superderivation_by_pairs(g: LieSuperalgebra, d: Superderivation) -> list[Vio
     """Grading, then D[X,Y] = [DX,Y] + (-1)^{alpha x}[X,DY] on dense vectors."""
     basis = g.basis
     degree = d.degree
-    violations = _grading_violations(basis, d.matrix, degree)
+    violations = grading_violations_dense(basis, d.matrix, degree)
     for i in range(basis.dim):
         for j in range(i, basis.dim):
             x = basis.parities[i]
@@ -1173,9 +1239,9 @@ def superderivation_by_pairs(g: LieSuperalgebra, d: Superderivation) -> list[Vio
                 col = derivation_column(d, t)
                 for r in range(basis.dim):
                     lhs[r] += c * col[r]
-            rhs = g.bracket(derivation_column(d, i), g.basis_vector(j))
+            rhs = bracket(g, derivation_column(d, i), basis_vector(g, j))
             sign = -1 if (degree * x) % 2 else 1
-            second = g.bracket(g.basis_vector(i), derivation_column(d, j))
+            second = bracket(g, basis_vector(g, i), derivation_column(d, j))
             rhs = [rhs[r] + sign * second[r] for r in range(basis.dim)]
             if lhs != rhs:
                 violations.append(
@@ -1202,8 +1268,8 @@ def skew_superderivation_by_pairs(
         x = basis.parities[i]
         sign = -1 if (d.degree * x) % 2 else 1
         for j in range(basis.dim):
-            lhs = form_value(q.form, derivation_column(d, i), q.algebra.basis_vector(j))
-            rhs = form_value(q.form, q.algebra.basis_vector(i), derivation_column(d, j))
+            lhs = form_value(q.form, derivation_column(d, i), basis_vector(q.algebra, j))
+            rhs = form_value(q.form, basis_vector(q.algebra, i), derivation_column(d, j))
             if lhs != -sign * rhs:
                 violations.append(
                     Violation(
@@ -1305,7 +1371,7 @@ def double_extension_dense(d: ExtensionDatum) -> QuadraticLieSuperalgebra:
                 z = h.basis.parities[k]
                 sign = -1 if ((x + y) * z) % 2 else 1
                 val = form_value(
-                    base.form, derivation_column(d.psi[k], i - nh), base.algebra.basis_vector(j - nh)
+                    base.form, derivation_column(d.psi[k], i - nh), basis_vector(base.algebra, j - nh)
                 )
                 add(nh + ng + k, Fraction(sign) * val)
         # g with h*, h* with h*, and anything else: zero

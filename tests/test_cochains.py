@@ -12,7 +12,9 @@ from helpers import (
     QUADRATIC_KEYS,
     PoissonOracle,
     alt_degree,
+    basis_vector,
     bidegree,
+    bracket,
     coefficient,
     contract_vector,
     coordinates,
@@ -496,9 +498,9 @@ def test_associated_three_form_is_evaluation_faithful():
         n = g.dim
         for i in range(n):
             for j in range(n):
-                lij = g.bracket(g.basis_vector(i), g.basis_vector(j))
+                lij = bracket(g, basis_vector(g, i), basis_vector(g, j))
                 for k in range(n):
-                    want = form_value(q.form, lij, g.basis_vector(k))
+                    want = form_value(q.form, lij, basis_vector(g, k))
                     assert evaluate(I, (i, j, k)) == want
 
 

@@ -1,7 +1,7 @@
 """Each input rule belongs to the constructor that relies on it: these
 probes reach every check of GradedBasis, LieSuperalgebra and its
 from_index_table and from_label_table, BilinearForm, Superderivation,
-one_dim_double_extension's arguments and rat, and each must
+ExtensionDatum, one_dim_double_extension's arguments and rat, and each must
 end as InputError, never as a traceback or a silent wrong value."""
 import re
 from fractions import Fraction
@@ -13,7 +13,7 @@ from helpers import contract_vector
 from superquad import BilinearForm, Cochain, GradedBasis, LieSuperalgebra, build
 from superquad.algebra import center, derived_series, diagonal_weights, inner_torus, is_solvable
 from superquad.errors import InputError
-from superquad.extensions import Superderivation, one_dim_double_extension, skew_superderivation_space
+from superquad.extensions import ExtensionDatum, Superderivation, one_dim_double_extension, skew_superderivation_space
 from superquad.linalg import rat
 from superquad.serialization import algebra_from_dict, algebra_to_dict, load, save
 
@@ -253,6 +253,34 @@ def test_form_columns_are_basis_indices(column):
 def test_superderivation_matrix_must_be_square_rows(matrix):
     with pytest.raises(InputError, match="superderivation matrix must be square"):
         Superderivation(matrix=matrix, degree=0)
+
+
+def _datum(**fields) -> ExtensionDatum:
+    """An extension datum of g_4_1_s by an even line, with ``fields`` replaced."""
+    q = build("g_4_1_s")
+    h = LieSuperalgebra(GradedBasis(("Z",), (0,)), {})
+    return ExtensionDatum(**{"base": q, "h": h, "psi": (skew_superderivation_space(q, 0)[0],), **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"base": "g_4_1_s"}, "the base of an extension datum needs a quadratic Lie superalgebra, not a str"),
+        ({"base": build("g_4_1_s").algebra}, "needs a quadratic Lie superalgebra, not a LieSuperalgebra"),
+        ({"h": "h"}, "h must be a LieSuperalgebra, not str"),
+        ({"h": build("g_4_1_s")}, "h must be a LieSuperalgebra, not QuadraticLieSuperalgebra"),
+        ({"psi": ("x",)}, "psi must be a tuple of Superderivations"),
+        ({"psi": 5}, "psi must be a tuple of Superderivations"),
+        ({"psi": ((ONE,),)}, "psi must be a tuple of Superderivations"),
+        ({"gamma": "gamma"}, "gamma must be a bilinear form on the h basis, or None"),
+        ({"gamma": 0}, "gamma must be a bilinear form on the h basis, or None"),
+        ({"psi": (Superderivation(((ONE,),), 0),)}, "psi matrices must match the base dimension"),
+    ],
+    ids=repr,
+)
+def test_extension_datum_refuses_malformed_fields(fields, message):
+    with pytest.raises(InputError, match=message):
+        _datum(**fields)
 
 
 _LIE_READERS = [inner_torus, center, derived_series, is_solvable, diagonal_weights]

@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     QUADRATIC_KEYS,
+    basis_vector,
+    bracket,
     count_validator_passes,
     defects_by_unit,
     dense_gram,
@@ -13,6 +15,7 @@ from helpers import (
     double_extension_dense,
     doubled_odd_form,
     form_value,
+    grading_violations_dense,
     perturbed,
     skew_superderivation_by_pairs,
     skew_superderivation_space_unpruned,
@@ -24,6 +27,7 @@ from superquad.extensions import (
     ExtensionDatum,
     Superderivation,
     _defects,
+    _grading_violations,
     ad_superderivation,
     central_reduction,
     double_extension,
@@ -251,9 +255,47 @@ def test_ad_is_a_skew_superderivation():
         parity = q.basis.parities[q.basis.index(label)]
         assert d.degree == parity
         assert is_skew_superderivation(q, d, parity).ok
-        x = q.algebra.basis_vector(q.basis.index(label))
+        x = basis_vector(q.algebra, q.basis.index(label))
         for j in range(q.dim):
-            assert derivation_column(d, j) == q.algebra.bracket(x, q.algebra.basis_vector(j))
+            assert derivation_column(d, j) == bracket(q.algebra, x, basis_vector(q.algebra, j))
+
+
+def test_the_matrix_view_is_built_once_and_rebuilds_the_derivation():
+    for key in QUADRATIC_KEYS:
+        q = build(key)
+        ads = [ad_superderivation(q, label) for label in (q.basis.labels[0], q.basis.labels[-1])]
+        for d in [*skew_superderivation_space(q, 0), *skew_superderivation_space(q, 1), *ads]:
+            assert d.matrix is d.matrix, key
+            assert all(type(x) is Fraction for row in d.matrix for x in row), key
+            again = Superderivation(d.matrix, d.degree)
+            assert again == d and hash(again) == hash(d) and again.matrix == d.matrix, key
+            assert again.columns == tuple({r: x for r, x in enumerate(col) if x} for col in zip(*d.matrix)), key
+
+
+def test_an_ill_graded_matrix_gives_the_dense_grading_violations():
+    basis = GradedBasis(labels=("a", "b", "x", "y"), parities=(0, 0, 1, 1))
+    full = [[Fraction(i + 4 * j + 1) for j in range(4)] for i in range(4)]
+    for degree in (0, 1):
+        d = Superderivation(full, degree)
+        expected = grading_violations_dense(basis, full, degree)
+        assert _grading_violations(basis, d) == expected and len(expected) == 8
+        # columns whose rows came in descending order report in the same order
+        shuffled = Superderivation._of_columns([dict(reversed(col.items())) for col in d.columns], degree)
+        assert _grading_violations(basis, shuffled) == expected
+    assert [v.witness for v in _grading_violations(basis, Superderivation(full, 1))] == [
+        ("a", "a"), ("b", "a"), ("a", "b"), ("b", "b"), ("x", "x"), ("y", "x"), ("x", "y"), ("y", "y")
+    ]
+    assert _grading_violations(basis, Superderivation(full, 0))[0].message == (
+        "entry (2,0) maps parity 0 into parity 1, but the degree is 0"
+    )
+    rng = random.Random("grading")
+    for key in QUADRATIC_KEYS:
+        q = build(key)
+        n = q.dim
+        for degree in (0, 1):
+            matrix = [[Fraction(rng.choice((0, 0, 1, -2))) for _ in range(n)] for _ in range(n)]
+            got = _grading_violations(q.basis, Superderivation(matrix, degree))
+            assert got == grading_violations_dense(q.basis, matrix, degree), (key, degree)
 
 
 def test_ad_lies_in_the_even_skew_space():
@@ -381,6 +423,7 @@ def test_central_reduction_inverts_the_one_dimensional_extension():
         assert base.algebra.constants == q.algebra.constants, key
         assert base.form == q.form and dense_gram(base.form) == dense_gram(q.form), key
         assert deriv.matrix == d.matrix and deriv.degree == 0, key
+        assert deriv == d and hash(deriv) == hash(d), key  # built from columns and from a dense matrix
 
 
 def test_extension_certificates_fire(monkeypatch):
