@@ -35,6 +35,7 @@ SELF_CHECK = "tests/test_scripts.py::test_every_mutant_replaces_text_that_occurs
 COCHAINS, COHOMOLOGY = "src/superquad/cochains.py", "src/superquad/cohomology.py"
 EXTENSIONS, QUADRATIC = "src/superquad/extensions.py", "src/superquad/quadratic.py"
 ALGEBRA, SERIALIZATION = "src/superquad/algebra.py", "src/superquad/serialization.py"
+LINALG = "src/superquad/linalg.py"
 
 # name: (file, the text replaced, its replacement)
 MUTANTS = {
@@ -68,6 +69,8 @@ MUTANTS = {
     "index_table_target_check": (ALGEBRA, "                    if not _is_index(k, n):", "                    if False:"),
     "index_table_keeps_zeros": (ALGEBRA, "if coeff := rat(c):", "if (coeff := rat(c)) or True:"),
     "literal_memo_any_key": (SERIALIZATION, "        if type(x) is str:", "        if True:"),
+    "echelon_index_misses_fill": (LINALG, "cols[j].add(p)", "pass"),
+    "delta_view_not_unscaled": (COHOMOLOGY, "{i: Fraction(x, n) for i, x in c.items()}", "{i: Fraction(x) for i, x in c.items()}"),
 }
 
 

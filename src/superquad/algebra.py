@@ -426,12 +426,13 @@ def inner_torus(
 
 
 class Subspace(Frozen):
-    """Subspace of the underlying graded vector space, rows in RREF."""
+    """Subspace of the underlying graded vector space, rows in RREF, each
+    kept as a tuple of Fractions (``_vectors``)."""
 
     _fields = ("ambient", "rows")
 
     def __init__(self, ambient: GradedBasis, rows: tuple[Vector, ...]):
-        self.__dict__.update(ambient=ambient, rows=rows)
+        self.__dict__.update(ambient=ambient, rows=_vectors(ambient, rows))
 
     @property
     def dim(self) -> int:
@@ -439,7 +440,27 @@ class Subspace(Frozen):
 
     @classmethod
     def from_vectors(cls, ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
-        return _subspace(ambient, Echelon(_sparse_rows(vectors)).rows)
+        return _subspace(ambient, Echelon(_sparse_rows(_vectors(ambient, vectors))).rows)
+
+
+def _vectors(ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> tuple[Vector, ...]:
+    """``vectors`` as tuples of Fractions, or InputError unless ambient is a
+    GradedBasis and each vector a sequence of ambient.dim ints or
+    Fractions."""
+    if not isinstance(ambient, GradedBasis):
+        raise InputError(f"ambient must be a GradedBasis, not {type(ambient).__name__}")
+    if isinstance(vectors, (str, bytes, Mapping)) or not isinstance(vectors, Iterable):
+        raise InputError(f"vectors must be an iterable of sequences, not {type(vectors).__name__}")
+    out = []
+    for v in vectors:
+        if isinstance(v, (str, bytes)) or not isinstance(v, Sequence):
+            raise InputError(f"a vector must be a sequence of exact rationals, not {type(v).__name__}")
+        if len(v) != ambient.dim:
+            raise InputError(f"a vector of length {len(v)} in a space of dimension {ambient.dim}")
+        if not all(type(x) is int or isinstance(x, Fraction) for x in v):
+            raise InputError("vector entries must be exact rationals (int or Fraction)")
+        out.append(tuple(map(_frac, v)))
+    return tuple(out)
 
 
 def _subspace(ambient: GradedBasis, rows: Mapping[int, Mapping[int, Rat | int]]) -> Subspace:

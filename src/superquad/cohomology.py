@@ -2,9 +2,9 @@
 
 One ``Complex`` per algebra holds what the engine reads more than once
 per degree: the built parts of the cochain spaces and each delta_k as
-exact sparse columns between them.  What depends on the algebra alone
-(its bracket table, delta(t*), the inner torus, I and I's side of
-{I, .}) is kept on the algebra object.  Kernels, images and
+exact sparse integral columns between them (N * delta_k, with its N).
+What depends on the algebra alone (its bracket table, delta(t*), the
+inner torus, I and I's side of {I, .}) is kept on the algebra object.  Kernels, images and
 quotients are computed by exact sparse elimination over the rationals.
 
 When some even x has a diagonal ad x with a nonzero weight (the inner
@@ -105,13 +105,17 @@ def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
 
 class DifferentialMatrix(Frozen):
     """delta_k as columns {target index: nonzero}, one per source monomial,
-    in the kernels' form (``linalg._num``) or, at the API, as Fractions;
-    a complex's view shares its source and target ``CochainBasis``."""
+    times ``scale``: the columns are scale * delta_k.  A complex keeps
+    N * delta_k with N the least positive int that makes every entry an
+    int (``Complex.delta``); at the API the scale is 1 and every entry a
+    Fraction.  A complex's view shares its source and target
+    ``CochainBasis``."""
 
-    _fields = ("source", "target", "columns")
+    _fields = ("source", "target", "columns", "scale")
 
-    def __init__(self, source: CochainBasis, target: CochainBasis, columns: tuple[dict[int, Rat | int], ...]):
-        self.__dict__.update(source=source, target=target, columns=columns)
+    def __init__(self, source: CochainBasis, target: CochainBasis, columns: tuple[dict[int, Rat | int], ...],
+                 scale: int = 1):
+        self.__dict__.update(source=source, target=target, columns=columns, scale=scale)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -119,10 +123,10 @@ class DifferentialMatrix(Frozen):
 
     @property
     def entries(self) -> tuple[tuple[Rat, ...], ...]:
-        """The dense matrix, built on each access."""
-        zero = Fraction(0)
+        """The dense matrix of delta_k, built on each access."""
+        s = self.scale
         return tuple(
-            tuple(col.get(i, zero) for col in self.columns) for i in range(self.target.dimension)
+            tuple(Fraction(col.get(i, 0), s) for col in self.columns) for i in range(self.target.dimension)
         )
 
 
@@ -247,6 +251,13 @@ class Complex:
         with the same key.  Certificate, with an inner torus: every term of
         every column has its source's key among those ``built`` keeps for
         C^{k+1}, or the torus or delta is wrong (EngineError).
+
+        Both checks read the columns as built.  The complex then keeps
+        N * delta_k, N the lcm of the entries' denominators (1 when all
+        are ints), every entry an int, with N as its ``scale``.  N * delta_k
+        has the kernel and the image of delta_k, so the eliminations
+        (``image``, ``cohomology``) and ``is_cocycle`` read these integral
+        columns as they are.
         """
         hit = self._deltas.get(k)
         if hit is not None and (hit[1] or not verify):
@@ -266,14 +277,18 @@ class Complex:
                     raise EngineError(f"delta of {_unpack(ne, m)} leaves its weight block: the torus or delta is wrong")
                 column[index[mm]] = x
             columns.append(column)
-        d = DifferentialMatrix(src, tgt, tuple(columns))
+        if (n := lcm(*{x.denominator for c in columns for x in c.values() if type(x) is not int})) > 1:
+            columns = [{i: x * n if type(x) is int else x.numerator * (n // x.denominator) for i, x in c.items()}
+                       for c in columns]
+        d = DifferentialMatrix(src, tgt, tuple(columns), n)
         self._deltas[k] = (d, verify)
         return d
 
     def image(self, k: int, verify: bool = True) -> Echelon:
-        """The echelon of copies of delta_k's columns, B^{k+1} on the built
-        part of C^{k+1}, eliminated once, on first use.  A rebuild of delta_k
-        with the cross-check has the same columns, so it keeps serving."""
+        """The echelon of copies of the kept columns of N * delta_k, B^{k+1}
+        on the built part of C^{k+1}, eliminated once, on first use.  A
+        rebuild of delta_k with the cross-check has the same columns, so it
+        keeps serving."""
         d = self.delta(k, verify)
         if k not in self._images:
             self._images[k] = Echelon(dict(c) for c in d.columns)
@@ -303,10 +318,12 @@ def differential_matrix(
     verify: bool = True,
 ) -> DifferentialMatrix:
     """delta_k from the built part of C^k to that of C^{k+1}, with every
-    entry a Fraction: a view of the delta_k the complex of q builds and
-    keeps (``Complex.delta``, with its cross-check and certificate)."""
+    entry a Fraction: a view of the N * delta_k the complex of q builds and
+    keeps (``Complex.delta``, with its cross-check and certificate), each
+    entry divided by N."""
     d = _complex(q).delta(k, verify)
-    return DifferentialMatrix(d.source, d.target, tuple({i: _frac(x) for i, x in c.items()} for c in d.columns))
+    n = d.scale
+    return DifferentialMatrix(d.source, d.target, tuple({i: Fraction(x, n) for i, x in c.items()} for c in d.columns))
 
 
 class _Quotient(Echelon):
@@ -452,7 +469,8 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     others outside it: each part is checked on its own.  In a degree whose
     delta_k the complex already keeps, c's split (``_part``) is read: its
     built part off delta_k's columns, one exact sparse sum per degree, and
-    the rest by ``_rest_closed``.  The terms of every other degree go
+    the rest by ``_rest_closed``; the kept columns are N * delta_k, which
+    is 0 where delta_k is.  The terms of every other degree go
     through one call of ``differential_direct``'s kernel.  No delta is
     built here.
     """

@@ -741,6 +741,39 @@ def rref_dense(m) -> tuple[list[list[Rat]], list[int]]:
     return work[:r], pivots
 
 
+def echelon_add_by_scan(rows: dict[int, dict[int, Rat]], v: dict[int, Rat], limit: float = float("inf")) -> bool:
+    """``Echelon.add`` without the column index: v reduced in place against
+    ``rows`` ({pivot: row}, reduced echelon); if a nonzero is left before
+    ``limit``, v becomes the row of its leftmost column, scaled to 1, and
+    the new pivot is looked up in every kept row and cleared from it."""
+
+    def subtract(w: dict[int, Rat], a: Rat, row: dict[int, Rat]) -> None:
+        for j, x in row.items():
+            if y := w.get(j, 0) - a * x:
+                w[j] = y
+            else:
+                del w[j]
+
+    for p in [j for j in v if j in rows]:
+        subtract(v, v[p], rows[p])
+    pivot = min(v, default=limit)
+    if pivot >= limit:
+        return False
+    lead = v[pivot]
+    if lead == 1:
+        new = v
+    elif lead == -1:
+        new = {j: -x for j, x in v.items()}
+    else:
+        inv = Fraction(1, lead)
+        new = {j: _num(x * inv) for j, x in v.items()}
+    for row in rows.values():
+        if a := row.get(pivot):
+            subtract(row, a, new)
+    rows[pivot] = new
+    return True
+
+
 def nullspace_dense(m, cols: int) -> list[list[Rat]]:
     """Reference right-kernel basis read off ``rref_dense``: one vector per
     free column f, ascending, 1 at f and minus R[i][f] at pivot i."""

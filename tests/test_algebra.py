@@ -268,6 +268,36 @@ def test_subspace_membership():
     assert rank([*s.rows, [Fraction(1), Fraction(0)]]) > s.dim
 
 
+def test_a_subspace_refuses_vectors_that_do_not_fit_its_ambient():
+    basis = GradedBasis(labels=("a", "b"), parities=(0, 0))
+    with pytest.raises(InputError, match="length 3 in a space of dimension 2"):
+        Subspace.from_vectors(basis, [[0, 0, 1]])
+    with pytest.raises(InputError, match="length 1 in a space of dimension 2"):
+        Subspace(basis, ((Fraction(1),),))
+    for junk in ("junk", 5, None, {0: 1}):
+        with pytest.raises(InputError, match="iterable of sequences"):
+            Subspace(basis, junk)
+        with pytest.raises(InputError, match="iterable of sequences"):
+            Subspace.from_vectors(basis, junk)
+    for row in ("ab", {0: 1, 1: 0}, 7):
+        with pytest.raises(InputError, match="sequence of exact rationals"):
+            Subspace.from_vectors(basis, [row])
+    for row in ((0.5, 1), (True, 0), ("1", 0), (None, 0)):
+        with pytest.raises(InputError, match="exact rationals"):
+            Subspace(basis, (row,))
+        with pytest.raises(InputError, match="exact rationals"):
+            Subspace.from_vectors(basis, [row])
+    for ambient in (("a", "b"), None, build("g_6_s")):
+        with pytest.raises(InputError, match="must be a GradedBasis"):
+            Subspace(ambient, ())
+        with pytest.raises(InputError, match="must be a GradedBasis"):
+            Subspace.from_vectors(ambient, [])
+    # ints are read as Fractions, and a well-formed subspace builds as before
+    s = Subspace(basis, ((1, 0),))
+    assert s.rows == ((Fraction(1), Fraction(0)),) and all(type(x) is Fraction for x in s.rows[0])
+    assert Subspace.from_vectors(basis, ([2, 0], (0, Fraction(1, 2)))).rows == ((1, 0), (0, 1))
+
+
 def test_reorder_quadratic_round_trip():
     q = build("g_6_1")
     labels = list(q.basis.labels)

@@ -148,7 +148,8 @@ VALUE_TYPES = {
     "Cochain": (lambda k: build(k)._three_form, ("basis", "terms"), None, {}),
     "_PoissonLeft": (lambda k: build(k)._three_form_left, ("basis", "dual", "degree"), None, {}),
     "CochainBasis": (lambda k: cochain_basis(build(k), 2), ("degree", "keys", "basis"), ("degree", "keys"), {}),
-    "DifferentialMatrix": (lambda k: differential_matrix(build(k), 1), ("source", "target", "columns"), None, {}),
+    "DifferentialMatrix": (lambda k: differential_matrix(build(k), 1), ("source", "target", "columns", "scale"), None,
+                           {"scale": 1}),
     "CohomologyResult": (
         lambda k: cohomology(build(k), 3),
         ("degree", "dim_cochains", "dim_cocycles", "dim_coboundaries", "betti", "representatives",

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 from types import SimpleNamespace
 from weakref import ref
 
@@ -600,9 +600,10 @@ def test_each_even_and_odd_table_is_built_once_per_complex(monkeypatch):
 def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key):
     """betti_table converts no entry of delta on its way to the quotient:
     the cohomology module calls neither ``_frac`` nor ``_sparse_rows``.
-    differential_matrix is a view of the kept delta_k: the same entries,
-    each a Fraction, where the complex keeps the kernels' form, as the
-    -{I, .} side of the cross-check gives it too."""
+    The complex keeps N * delta_k with every entry an int, N the least
+    positive int that makes them so; differential_matrix is a view of it,
+    the same columns divided by N, each entry a Fraction.  The -{I, .}
+    side of the cross-check gives the kernels' form too."""
     module = importlib.import_module("superquad.cohomology")
     calls = {"_frac": 0, "_sparse_rows": 0}
     for name in calls:
@@ -621,12 +622,16 @@ def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key
         kept = cx.delta(k)
         d = differential_matrix(q, k)
         assert cx.delta(k) is kept and d.source is kept.source and d.target is kept.target
-        assert d.columns == kept.columns
-        assert all(type(x) is Fraction for col in d.columns for x in col.values())
-        assert all((type(x) is int) == (x.denominator == 1) for col in kept.columns for x in col.values())
+        assert all(type(x) is int for col in kept.columns for x in col.values())
+        assert d.scale == 1 and all(type(x) is Fraction for col in d.columns for x in col.values())
+        assert [{i: Fraction(x, kept.scale) for i, x in col.items()} for col in kept.columns] == list(d.columns)
+        # the least such scale: the lcm of the view's denominators
+        assert kept.scale == lcm(*(x.denominator for col in d.columns for x in col.values()))
         for m in kept.source.keys if isinstance(q, QuadraticLieSuperalgebra) else ():
             values = _poisson(q._three_form_left, ((m, 1),), -1).values()
             assert all((type(x) is int) == (x.denominator == 1) for x in values), (k, m)
+    if key == "g_8_2_9_s":
+        assert cx.delta(1).scale == 2
 
 
 def test_class_queries_on_one_complex_build_the_tables_once(monkeypatch):
@@ -676,9 +681,9 @@ def test_class_queries_on_a_plain_algebra_read_the_complex_its_result_holds(monk
     module = importlib.import_module("superquad.cohomology")
     built, original = [], module.DifferentialMatrix
 
-    def recorded(source, target, columns):  # one per delta_k built
+    def recorded(source, target, columns, scale):  # one per delta_k built
         built.append(source.degree)
-        return original(source, target, columns)
+        return original(source, target, columns, scale)
 
     monkeypatch.setattr(module, "DifferentialMatrix", recorded)
     q = build(key)

@@ -1,15 +1,17 @@
 """Exact linear algebra over Fraction: the sparse ``Echelon`` and what is
 built on it, each against the dense oracles of ``helpers``."""
+import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gram_form, inverse_dense, mat_mul, nullspace_dense, rref_dense
+from helpers import echelon_add_by_scan, gram_form, inverse_dense, mat_mul, nullspace_dense, rref_dense
 from superquad import BilinearForm, GradedBasis
 from superquad.algebra import Subspace
 from superquad.errors import InputError
-from superquad.linalg import Echelon, _num, rank, rat, rat_str, reduced_kernel
+from superquad.linalg import _INDEX_FROM, Echelon, _num, rank, rat, rat_str, reduced_kernel
 
 fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -137,6 +139,51 @@ def test_elimination_matches_the_dense_oracle(mc):
     # rank copies {column: nonzero} rows: they are not reduced in place
     rows_in = sparse(m)
     assert rank(rows_in) == len(reduced) and rows_in == sparse(m)
+
+
+def _banded_rows(rng: random.Random, n: int, cols: int, tags: bool) -> list[dict[int, Fraction]]:
+    """n seeded sparse rows in ``cols`` columns, int and Fraction entries,
+    mostly near a random column, with copies of earlier rows mixed in; with
+    ``tags`` row i also holds a 1 in column cols + i, as ``_Quotient`` and
+    ``BilinearForm.inverse_columns`` feed them."""
+    rows = []
+    for i in range(n):
+        if rows and rng.random() < 0.1:
+            row = {j: x for j, x in rng.choice(rows).items() if j < cols}
+        else:
+            start, row = rng.randrange(cols), {}
+            for _ in range(rng.randint(1, 4)):
+                j = min(cols - 1, start + rng.randrange(6)) if rng.random() < 0.9 else rng.randrange(cols)
+                row[j] = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+        if tags:
+            row[cols + i] = 1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("tags", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 7, _INDEX_FROM - 1, _INDEX_FROM, _INDEX_FROM + 1, 60, 120, 200])
+def test_the_column_index_keeps_the_rows_of_the_scan(n, tags):
+    """Echelon.add, which indexes its rows by column from ``_INDEX_FROM``
+    rows on, makes the rows of the add that scans every kept row
+    (``echelon_add_by_scan``), and after every add its index lists under
+    each column exactly the pivots of the rows nonzero there."""
+    rng = random.Random(f"column index {n} {tags}")
+    cols = rng.randint(n // 2 + 1, n + 20)
+    limit = cols if tags else inf
+    echelon, oracle = Echelon(limit=limit), {}
+    for row in _banded_rows(rng, n, cols, tags):
+        assert echelon.add(dict(row)) == echelon_add_by_scan(oracle, dict(row), limit)
+        assert echelon.rows == oracle
+        index = echelon._cols
+        assert (index is None) == (len(oracle) < _INDEX_FROM)
+        held: dict[int, set[int]] = {}
+        for p, r in oracle.items():
+            for j in r:
+                held.setdefault(j, set()).add(p)
+        assert index is None or {j: s for j, s in index.items() if s} == held
+    if n >= 2 * _INDEX_FROM:  # the index was built and kept up
+        assert echelon._cols is not None
 
 
 @settings(max_examples=80, deadline=None)

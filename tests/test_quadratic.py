@@ -1,6 +1,7 @@
 """Invariant bilinear forms."""
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -394,3 +395,28 @@ def test_a_form_on_another_basis_is_refused():
     other = GradedBasis(labels=("a", "c"), parities=(0, 0))
     with pytest.raises(InputError, match="form and algebra must share one basis"):
         QuadraticLieSuperalgebra(algebra=g, form=BilinearForm.from_pairs(other, [("a", "c", 1)]))
+
+
+def test_the_form_check_of_a_large_diagonal_form_is_linear():
+    """require_form on an abelian algebra of n = 8,000 even letters with
+    B(e_i, e_i) = 1 makes O(n) dict lookups.  Its nondegeneracy check
+    eliminates n rows that need no elimination; an elimination that looked
+    the new pivot up in every kept row would make n^2 / 2 of them (32
+    million), and the count stops the check at the bound."""
+    n = 8000
+    g = abelian([f"e{i}" for i in range(n)], [0] * n)
+    q = QuadraticLieSuperalgebra(algebra=g, form=BilinearForm(g.basis, [{i: 1} for i in range(n)]))
+    bound, lookups = 8 * n, [0]
+
+    def count(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "get" and type(getattr(arg, "__self__", None)) is dict:
+            lookups[0] += 1
+            if lookups[0] > bound:
+                raise AssertionError(f"require_form made more than {bound} dict lookups")
+
+    sys.setprofile(count)
+    try:
+        q.require_form()
+    finally:
+        sys.setprofile(None)
+    assert n <= lookups[0] <= bound
