@@ -42,11 +42,14 @@ MUTANTS = {
     "delta_sign": (COCHAINS, "-c if (m & (1 << t) - 1).bit_count() & 1 else c, t)",
                    "c if (m & (1 << t) - 1).bit_count() & 1 else c, t)"),
     "acyclic_count_sign": (COHOMOLOGY, "(-1) ** (k - 1 - j)", "(-1) ** (k - j)"),
-    "torus_weight_check": (COHOMOLOGY, "if {m: c for m, c in got.items() if c} != ({_unit(ne, t): -w[t]} if w[t] else {}):",
+    "torus_weight_check": (COHOMOLOGY,
+                           "if {m: c for m, c in got.items() if c} != ({_unit(ne, t): -scale * w[t]} if w[t] else {}):",
                            "if False:"),
     "torus_jacobi_check": (COHOMOLOGY, "        if _delta(g, terms):", "        if False:"),
     "block_key_check": (COHOMOLOGY, "if key is not None and target_keys.get(mm) != key:", "if False:"),
-    "poisson_cross_check": (COHOMOLOGY, "if three and image != _poisson(three, ((m, 1),), -1):", "if False:"),
+    "poisson_cross_check": (COHOMOLOGY, "if three and image != _poisson(three, ((m, b),), -1):", "if False:"),
+    "cross_check_drops_poisson_scale": (COHOMOLOGY, "image != _poisson(three, ((m, b),), -1)",
+                                        "image != _poisson(three, ((m, 1),), -1)"),
     "rank_nullity_check": (COHOMOLOGY, "if src.dimension != len(cx.image(k, verify).rows) + n_z:", "if False:"),
     "boundaries_in_cocycles_check": (COHOMOLOGY, "if n_b + len(reps) > n_z:", "if False:"),
     "is_coboundary_ignores_rest": (COHOMOLOGY, "remainder(dict(part[0])) and _rest_closed(cx, part, k)",
@@ -70,6 +73,7 @@ MUTANTS = {
     "index_table_keeps_zeros": (ALGEBRA, "if coeff := rat(c):", "if (coeff := rat(c)) or True:"),
     "literal_memo_any_key": (SERIALIZATION, "        if type(x) is str:", "        if True:"),
     "echelon_index_misses_fill": (LINALG, "cols[j].add(p)", "pass"),
+    "direct_not_unscaled": (COCHAINS, "_unscaled(_delta(g, _room(c, 1)), g._duals[1])", "_delta(g, _room(c, 1))"),
     "delta_view_not_unscaled": (COHOMOLOGY, "{i: Fraction(x, n) for i, x in c.items()}", "{i: Fraction(x) for i, x in c.items()}"),
 }
 

@@ -233,8 +233,9 @@ class LieSuperalgebra(Frozen):
         return by_first
 
     @cached_property
-    def _duals(self) -> list[list[tuple[int, int, int, Rat | int]]]:
-        """delta(t*) for every letter t, packed (``cochains._dual_differentials``), built once."""
+    def _duals(self) -> tuple[list[list[tuple[int, int, int, int]]], int]:
+        """S * delta(t*) for every letter t, packed, every coefficient an int,
+        and S (``cochains._dual_differentials``), built once."""
         from .cochains import _dual_differentials
 
         return _dual_differentials(self)
@@ -426,13 +427,15 @@ def inner_torus(
 
 
 class Subspace(Frozen):
-    """Subspace of the underlying graded vector space, rows in RREF, each
-    kept as a tuple of Fractions (``_vectors``)."""
+    """Subspace of the underlying graded vector space: the span of the rows
+    it is given, kept as its basis in RREF, each row a tuple of Fractions.
+    The constructor reduces the rows (``_vectors``, then ``Echelon``), so
+    equal spans make equal subspaces, whatever rows spanned them."""
 
     _fields = ("ambient", "rows")
 
     def __init__(self, ambient: GradedBasis, rows: tuple[Vector, ...]):
-        self.__dict__.update(ambient=ambient, rows=_vectors(ambient, rows))
+        self.__dict__.update(ambient=ambient, rows=_dense(ambient, Echelon(_sparse_rows(_vectors(ambient, rows))).rows))
 
     @property
     def dim(self) -> int:
@@ -440,7 +443,7 @@ class Subspace(Frozen):
 
     @classmethod
     def from_vectors(cls, ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> "Subspace":
-        return _subspace(ambient, Echelon(_sparse_rows(_vectors(ambient, vectors))).rows)
+        return cls(ambient, vectors)
 
 
 def _vectors(ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> tuple[Vector, ...]:
@@ -463,10 +466,18 @@ def _vectors(ambient: GradedBasis, vectors: Iterable[Sequence[Rat]]) -> tuple[Ve
     return tuple(out)
 
 
+def _dense(ambient: GradedBasis, rows: Mapping[int, Mapping[int, Rat | int]]) -> tuple[Vector, ...]:
+    """Reduced rows given as {pivot: {column: nonzero}}, each a dense tuple
+    of Fractions, by pivot."""
+    return tuple(tuple(_frac(rows[p].get(j, 0)) for j in range(ambient.dim)) for p in sorted(rows))
+
+
 def _subspace(ambient: GradedBasis, rows: Mapping[int, Mapping[int, Rat | int]]) -> Subspace:
-    """The Subspace of reduced rows given as {pivot: {column: nonzero}}, each
-    row a dense tuple of Fractions, by pivot."""
-    return Subspace(ambient, tuple(tuple(_frac(rows[p].get(j, 0)) for j in range(ambient.dim)) for p in sorted(rows)))
+    """The Subspace of rows already reduced, {pivot: {column: nonzero}},
+    without a second elimination."""
+    s = object.__new__(Subspace)
+    s.__dict__.update(ambient=ambient, rows=_dense(ambient, rows))
+    return s
 
 
 def derived_series(g: LieSuperalgebra | QuadraticLieSuperalgebra) -> list[Subspace]:

@@ -43,6 +43,11 @@ into the next.  A Cochain is its packed terms (``Cochain.keys``), which the
 kernels read and return, and arithmetic merges them without sorting;
 ``Monomial`` is only constructor input, ``Cochain.terms`` (decoded on first
 read), ``CochainBasis.monomials`` and printing.
+
+The kernels' two tables, delta(t*) and I's side of {I, .}, are kept
+integral, each times its scale (the least positive int that does it), so
+that fed ints the kernels multiply only ints; the public functions divide
+the scale back out.
 """
 
 from __future__ import annotations
@@ -443,9 +448,11 @@ def _combination(
     return acc
 
 
-def _dual_differentials(g: LieSuperalgebra) -> list[list[tuple[int, int, int, Rat | int]]]:
-    """delta(t*) for every basis index t, as packed entries (even part,
-    monomial, mask, coefficient in the kernels' form, see ``linalg._num``).
+def _dual_differentials(g: LieSuperalgebra) -> tuple[list[list[tuple[int, int, int, int]]], int]:
+    """S * delta(t*) for every basis index t, as packed entries (even part,
+    monomial, mask, int coefficient), and S, the lcm of the entries'
+    denominators, each entry made an int from its numerator and
+    denominator, with no Fraction built.
 
     delta(t*) has value -[e_i, e_j]_t on each canonical pair (i, j): the
     coefficient of the monomial of (i, j) is -c_ij^t, halved when i = j
@@ -459,7 +466,7 @@ def _dual_differentials(g: LieSuperalgebra) -> list[list[tuple[int, int, int, Ra
     bracket that breaks it is refused (InputError).
     """
     ne, parities, labels = g.basis.even_dim, g.basis.parities, g.basis.labels
-    images = [[] for _ in range(g.basis.dim)]
+    entries = []  # (t, even part, monomial, mask, numerator, denominator)
     for (i, j), br in g.constants.items():
         if i == j and i < ne:
             continue  # no canonical pair repeats an even index
@@ -468,8 +475,29 @@ def _dual_differentials(g: LieSuperalgebra) -> list[list[tuple[int, int, int, Ra
         for t, v in br.items():
             if (parities[i] + parities[j] + parities[t]) % 2:
                 raise InputError(f"the bracket breaks the grading: [{labels[i]}, {labels[j]}] has a {labels[t]} term")
-            images[t].append((pair & (1 << ne) - 1, pair, mask, _num(Fraction(-v, 2)) if i == j else -_num(v)))
-    return images
+            p, d = -v.numerator, v.denominator
+            if i == j:
+                p, d = (p // 2, d) if p % 2 == 0 else (p, 2 * d)
+            entries.append((t, pair & (1 << ne) - 1, pair, mask, p, d))
+    scale = math.lcm(*(d for *_, d in entries))
+    images = [[] for _ in range(g.basis.dim)]
+    for t, even, pair, mask, p, d in entries:
+        images[t].append((even, pair, mask, p * (scale // d)))
+    return images, scale
+
+
+def _unscaled(acc: dict[int, int | Rat], scale: int) -> dict[int, Rat | int]:
+    """A kernel's output acc, zero-free, divided by the scale of the table
+    it read, in the kernels' form."""
+    return acc if scale == 1 else {m: _num(Fraction(x, scale)) for m, x in acc.items()}
+
+
+def _common_scale(scale: int, left: _PoissonLeft) -> tuple[int, int]:
+    """(L/S, L/M), L = lcm(S, M), S the scale of delta(t*) and M that of
+    I's side of {I, .}: fed them, ``_delta`` and ``_poisson`` both give
+    L * delta of a monomial, two int dicts the cross-check compares."""
+    n = math.lcm(scale, left.scale)
+    return n // scale, n // left.scale
 
 
 def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
@@ -487,25 +515,27 @@ def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     t is, leaves (-1)^p for an even t and (-1)^(k-1) for each occurrence
     of an odd t.  The contraction i_t (``_contractions``) deletes t with (-1)^p,
     or with mu (-1)^k for an odd t of multiplicity mu: hence eps_t.  The
-    kernel is ``_delta``, on packed monomials.  Degree-0 terms map to
+    kernel is ``_delta``, on packed monomials; it reads delta(t*) kept as
+    S * delta(t*), and S is divided out here.  Degree-0 terms map to
     zero.  The evaluation formula on every canonical (k+1)-tuple is kept
     in the tests as the oracle.
     """
     _check_cochain(c, _basis_of(g, (LieSuperalgebra,)))
-    return _wrap(g.basis, _delta(g, _room(c, 1)))
+    return _wrap(g.basis, _unscaled(_delta(g, _room(c, 1)), g._duals[1]))
 
 
 def _delta(g: LieSuperalgebra, terms: Iterable[tuple[int, Rat | int]]) -> dict[int, Rat | int]:
-    """delta of packed (monomial, coefficient in the kernels' form) terms,
-    zero-free and in the kernels' form: fractional terms may sum to an
-    integer.  Per letter t of a monomial m: i_t(m), a bit clear with
-    (-1)^p for an even t at position p or a field decrement times the
-    multiplicity for an odd t, then one product with each entry of
-    delta(t*) (``_dual_differentials``) that shares no even letter with
-    it, its sign the parity of i_t(m) & mask.  Written apart from
-    ``_poisson``, which cross-checks it.
+    """S * delta of packed (monomial, coefficient in the kernels' form)
+    terms, S the scale of g's delta(t*) table (``_dual_differentials``),
+    zero-free and in the kernels' form: ints in, ints out, and fractional
+    terms may sum to an integer.  Per letter t of a monomial m: i_t(m), a
+    bit clear with (-1)^p for an even t at position p or a field decrement
+    times the multiplicity for an odd t, then one product with each entry
+    of S * delta(t*) that shares no even letter with it, its sign the
+    parity of i_t(m) & mask.  Written apart from ``_poisson``, which
+    cross-checks it.
     """
-    ne, duals = g.basis.even_dim, g._duals
+    ne, duals = g.basis.even_dim, g._duals[0]
     acc: dict[int, Rat | int] = {}
     get = acc.get
     for m, c in terms:
@@ -575,13 +605,16 @@ def poisson_bracket(q: QuadraticLieSuperalgebra, a: Cochain, b: Cochain) -> Coch
 class _PoissonLeft(Frozen):
     """The left operand A of {A, .} with everything that does not depend
     on the right operand done: per letter s it pairs with, (the offset of
-    s's bit or field, the terms of (-1)^{deg A + 1} sum_r (G^{-1})[r][s]
-    iota_r(A) as ``_poisson`` reads them); ``degree`` is A's largest."""
+    s's bit or field, the terms of ``scale`` * (-1)^{deg A + 1} sum_r
+    (G^{-1})[r][s] iota_r(A) as ``_poisson`` reads them, every coefficient
+    an int); ``degree`` is A's largest, and ``scale`` the least positive
+    int that makes every entry an int."""
 
-    _fields = ("basis", "dual", "degree")
+    _fields = ("basis", "dual", "degree", "scale")
 
-    def __init__(self, basis: GradedBasis, dual: list[tuple[int, list[tuple[int, int, int, Rat | int]]]], degree: int):
-        self.__dict__.update(basis=basis, dual=dual, degree=degree)
+    def __init__(self, basis: GradedBasis, dual: list[tuple[int, list[tuple[int, int, int, int]]]], degree: int,
+                 scale: int):
+        self.__dict__.update(basis=basis, dual=dual, degree=degree, scale=scale)
 
 
 def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
@@ -591,7 +624,9 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
     over those of i_s(m) below it: its mask is the letters below each even
     letter of L, XORed, complemented for (-1)^{|O_L| |E|}.  For an odd s,
     i_s's (-1)^deg and eps_s = -(-1)^g leave -(-1)^|E|: one more
-    complement, and the coefficient negated.
+    complement, and the coefficient negated.  The entries are kept times
+    M, the lcm of their denominators, each made an int from its numerator
+    and denominator.
     """
     _require_quadratic(q, "the Poisson bracket").require_form()
     _check_cochain(a, q.basis)
@@ -612,28 +647,33 @@ def _poisson_left(q: QuadraticLieSuperalgebra, a: Cochain) -> _PoissonLeft:
             entries.append((left & even, left, mask, -x if s >= ne else x))
         if entries:
             dual.append((s if s < ne else ne + WIDTH * (s - ne), entries))
-    return _PoissonLeft(q.basis, dual, _top(a))
+    scale = math.lcm(*(x.denominator for _, entries in dual for *_, x in entries))
+    dual = [(shift, [(e, left, mask, x.numerator * (scale // x.denominator)) for e, left, mask, x in entries])
+            for shift, entries in dual]
+    return _PoissonLeft(q.basis, dual, _top(a), scale)
 
 
-def _bracket(left: _PoissonLeft, b: Cochain, scale: int) -> Cochain:
-    """scale * {A, b} for the prepared left operand A (``_poisson``)."""
+def _bracket(left: _PoissonLeft, b: Cochain, sign: int) -> Cochain:
+    """sign * {A, b} for the prepared left operand A (``_poisson``), its
+    table's scale divided out."""
     _check_cochain(b, left.basis)
-    return _wrap(b.basis, _poisson(left, _room(b, max(left.degree - 2, 0)), scale))
+    return _wrap(b.basis, _unscaled(_poisson(left, _room(b, max(left.degree - 2, 0)), sign), left.scale))
 
 
-def _poisson(left: _PoissonLeft, terms: Iterable[tuple[int, Rat | int]], scale: int) -> dict[int, Rat | int]:
-    """scale * {A, terms} (scale +-1) for the prepared left operand A,
-    packed as in ``_delta``, zero-free and in the kernels' form.  Per
-    letter s of A's table that a right monomial m contains: i_s(m), then
-    one product with each of s's entries that shares no even letter with
-    it, its sign the parity of i_s(m) & mask.  Written apart from
-    ``_delta``, with its own table and its own loop over letters.
+def _poisson(left: _PoissonLeft, terms: Iterable[tuple[int, Rat | int]], sign: int) -> dict[int, Rat | int]:
+    """sign * M * {A, terms} (sign +-1) for the prepared left operand A,
+    M its ``scale``, packed as in ``_delta``, zero-free and in the
+    kernels' form: ints in, ints out.  Per letter s of A's table that a
+    right monomial m contains: i_s(m), then one product with each of s's
+    entries that shares no even letter with it, its sign the parity of
+    i_s(m) & mask.  Written apart from ``_delta``, with its own table and
+    its own loop over letters.
     """
     ne, dual = left.basis.even_dim, left.dual
     acc: dict[int, Rat | int] = {}
     get = acc.get
     for m, c in terms:
-        c = c if scale == 1 else -c
+        c = c if sign == 1 else -c
         for shift, entries in dual:
             unit = 1 << shift
             if shift < ne:
@@ -654,5 +694,6 @@ def _poisson(left: _PoissonLeft, terms: Iterable[tuple[int, Rat | int]], scale: 
 def differential_via_poisson(q: QuadraticLieSuperalgebra, c: Cochain) -> Cochain:
     """delta = -{I, .}, I the associated 3-form, from I's side of {I, .} as q
     keeps it (``QuadraticLieSuperalgebra._three_form_left``); the minus sign
-    goes into the accumulation of the bracket."""
+    goes into the accumulation of the bracket, and the side's scale M is
+    divided out (``_bracket``)."""
     return _bracket(_require_quadratic(q, "differential_via_poisson")._three_form_left, c, -1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, gcd, lcm
 from weakref import WeakValueDictionary, ref
 
 from ._frozen import Frozen
@@ -29,6 +29,7 @@ from .cochains import (
     _check_cochain,
     _cochain,
     _combination,
+    _common_scale,
     _delta,
     _enumerate,
     _fits,
@@ -134,7 +135,8 @@ def _certified_torus(g: LieSuperalgebra) -> list[tuple[dict[int, Rat | int], tup
     """The inner torus of g (``inner_torus``): pairs (x, w), [x, e_t] = w_t e_t.
 
     Certificate, on every build: i_x delta(t*) = -w_t t* for each x and
-    letter t.  i_x t* is a constant, so this is Cartan's
+    letter t, read as i_x (S delta(t*)) = -S w_t t* off the kept table
+    (``cochains._dual_differentials``).  i_x t* is a constant, so this is Cartan's
     L_x = delta i_x + i_x delta on the generators, and both sides are even
     derivations: L_x multiplies a monomial by minus the sum w(m) of its
     letters' weights (its inner weight).  With delta(delta(t*)) = 0 for
@@ -142,12 +144,13 @@ def _certified_torus(g: LieSuperalgebra) -> list[tuple[dict[int, Rat | int], tup
     acyclic: c = delta(-i_x c / s) for every cocycle c there.
     """
     torus, ne, labels = inner_torus(g), g.basis.even_dim, g.basis.labels
-    for t, image in enumerate(g._duals) if torus else ():
+    duals, scale = g._duals
+    for t, image in enumerate(duals) if torus else ():
         terms = [(m, v) for _, m, _, v in image]
         for x, w in torus:  # i_x by x's letters, all even: i_{e_i} deletes i at position p with (-1)^p
             got = _combination((a, {m ^ 1 << i: -c if (m & (1 << i) - 1).bit_count() % 2 else c
                                     for m, c in terms if m >> i & 1}) for i, a in x.items())
-            if {m: c for m, c in got.items() if c} != ({_unit(ne, t): -w[t]} if w[t] else {}):
+            if {m: c for m, c in got.items() if c} != ({_unit(ne, t): -scale * w[t]} if w[t] else {}):
                 raise EngineError(f"i_x delta({labels[t]}*) != -w t*: the inner torus is wrong")
         if _delta(g, terms):
             raise InputError(f"delta(delta({labels[t]}*)) != 0, so the bracket fails super Jacobi")
@@ -242,9 +245,9 @@ class Complex:
         and once more if the cross-check is asked for and the first build
         had none; no other code makes its columns.  Column j is the
         zero-free accumulator of ``differential_direct``'s kernel on source
-        monomial j, kept as it comes, {target index: int | Fraction}.  When
-        ``verify`` is true and q is quadratic, the accumulator of
-        -{I, monomial} (``differential_via_poisson``'s kernel) must equal it.
+        monomial j, {target index: int}.  When ``verify`` is true and q is
+        quadratic, the accumulator of -{I, monomial}
+        (``differential_via_poisson``'s kernel) must equal it.
 
         delta keeps the weight of every diagonal derivation and the
         sym-parity (Hochschild-Serre), so it maps each block into the block
@@ -252,12 +255,15 @@ class Complex:
         every column has its source's key among those ``built`` keeps for
         C^{k+1}, or the torus or delta is wrong (EngineError).
 
-        Both checks read the columns as built.  The complex then keeps
-        N * delta_k, N the lcm of the entries' denominators (1 when all
-        are ints), every entry an int, with N as its ``scale``.  N * delta_k
-        has the kernel and the image of delta_k, so the eliminations
-        (``image``, ``cohomology``) and ``is_cocycle`` read these integral
-        columns as they are.
+        The kernels' tables are integral, delta(t*) times S and I's side
+        times M: fed L/S and L/M, L = lcm(S, M) (``cochains._common_scale``;
+        L = S without the cross-check), both give L * delta_k in ints, which
+        both checks read.  A gcd pass then divides the columns by gcd(L,
+        every entry): the complex keeps N * delta_k, N the least positive
+        int that makes every entry an int, as its ``scale``, whether the
+        cross-check ran or not.  N * delta_k has the kernel and the image
+        of delta_k, so the eliminations (``image``, ``cohomology``) and
+        ``is_cocycle`` read these integral columns as they are.
         """
         hit = self._deltas.get(k)
         if hit is not None and (hit[1] or not verify):
@@ -265,11 +271,12 @@ class Complex:
         self.check_size(k)
         q, g, ne = self.q, self.algebra, self.basis.even_dim
         three = verify and isinstance(q, QuadraticLieSuperalgebra) and q._three_form_left
+        a, b = _common_scale(g._duals[1], three) if three else (1, None)
         src, tgt = self.built(k), self.built(k + 1)
         index, columns, keys, target_keys = tgt.index, [], self._keys.get(k), self._keys.get(k + 1)
         for m in src.keys:
-            image = _delta(g, ((m, 1),))
-            if three and image != _poisson(three, ((m, 1),), -1):
+            image = _delta(g, ((m, a),))
+            if three and image != _poisson(three, ((m, b),), -1):
                 raise EngineError(f"differential_direct and differential_via_poisson disagree on {_unpack(ne, m)} in degree {k}")
             column, key = {}, None if keys is None else keys[m]
             for mm, x in image.items():
@@ -277,10 +284,14 @@ class Complex:
                     raise EngineError(f"delta of {_unpack(ne, m)} leaves its weight block: the torus or delta is wrong")
                 column[index[mm]] = x
             columns.append(column)
-        if (n := lcm(*{x.denominator for c in columns for x in c.values() if type(x) is not int})) > 1:
-            columns = [{i: x * n if type(x) is int else x.numerator * (n // x.denominator) for i, x in c.items()}
-                       for c in columns]
-        d = DifferentialMatrix(src, tgt, tuple(columns), n)
+        common = n = a * g._duals[1]  # gcd(L, every entry): N = L / common
+        for column in columns:
+            if common == 1:
+                break
+            common = gcd(common, *column.values())
+        if common > 1:
+            columns = [{i: x // common for i, x in c.items()} for c in columns]
+        d = DifferentialMatrix(src, tgt, tuple(columns), n // common)
         self._deltas[k] = (d, verify)
         return d
 
@@ -452,8 +463,9 @@ def _part(cx: Complex, c: Cochain, k: int) -> list:
 
 def _rest_closed(cx: Complex, part: list, k: int) -> bool:
     """Whether delta of the degree-k terms of a ``_part`` outside the built
-    part is 0: one call of ``differential_direct``'s kernel, on first ask,
-    once delta of them is known to fit a packed monomial."""
+    part is 0: one call of ``differential_direct``'s kernel, S * delta,
+    zero where delta is, on first ask, once delta of them is known to fit
+    a packed monomial."""
     if part[2] is None:
         if part[1]:
             _fits(k + 1)
@@ -471,8 +483,8 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     built part off delta_k's columns, one exact sparse sum per degree, and
     the rest by ``_rest_closed``; the kept columns are N * delta_k, which
     is 0 where delta_k is.  The terms of every other degree go
-    through one call of ``differential_direct``'s kernel.  No delta is
-    built here.
+    through one call of ``differential_direct``'s kernel, S * delta, 0
+    where delta is too.  No delta is built here.
     """
     cx = _complex(q, c)
     _fits(_top(c) + 1)

@@ -409,18 +409,18 @@ def poisson_left_by_tuples(q: QuadraticLieSuperalgebra, a: Cochain) -> list[dict
     ]
 
 
-def poisson_by_tuples(q: QuadraticLieSuperalgebra, left, terms: Iterable[tuple[Monomial, Rat]], scale: int) -> dict:
-    """scale * {A, terms} for A prepared by ``poisson_left_by_tuples``,
+def poisson_by_tuples(q: QuadraticLieSuperalgebra, left, terms: Iterable[tuple[Monomial, Rat]], sign: int) -> dict:
+    """sign * {A, terms} for A prepared by ``poisson_left_by_tuples``,
     zero-free: one wedge per letter s of the terms' contractions."""
     ne, terms, acc = q.basis.even_dim, list(terms), {}
     # eps_s depends on the symmetric degree g of a right term: contract
     # the right terms of each parity of g apart
     for parity in (0, 1):
         right = contractions_by_tuples((m, c) for m, c in terms if m.sym_degree % 2 == parity)
-        odd_sign = scale if parity else -scale
+        odd_sign = sign if parity else -sign
         for s, right_s in right.items():
             if left[s]:
-                wedge_into(acc, left[s].items(), right_s.items(), scale if s < ne else odd_sign)
+                wedge_into(acc, left[s].items(), right_s.items(), sign if s < ne else odd_sign)
     return {m: x for m, x in acc.items() if x}
 
 

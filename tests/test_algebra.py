@@ -268,6 +268,16 @@ def test_subspace_membership():
     assert rank([*s.rows, [Fraction(1), Fraction(0)]]) > s.dim
 
 
+def test_a_subspace_built_by_hand_is_the_reduced_span_of_its_rows():
+    basis = GradedBasis(labels=("a", "b"), parities=(0, 0))
+    s = Subspace(basis, ((2, 0), (2, 0)))
+    assert s.dim == 1 and s.rows == ((Fraction(1), Fraction(0)),)
+    assert s == Subspace.from_vectors(basis, ((2, 0), (2, 0))) and hash(s) == hash(Subspace.from_vectors(basis, [[1, 0]]))
+    # rows out of order, unreduced or zero: the same span, the same subspace
+    assert Subspace(basis, ((0, 3), (1, 1), (0, 0))) == Subspace(basis, ((1, 0), (0, 1)))
+    assert Subspace(basis, ((0, 0),)) == Subspace(basis, ()) and Subspace(basis, ()).dim == 0
+
+
 def test_a_subspace_refuses_vectors_that_do_not_fit_its_ambient():
     basis = GradedBasis(labels=("a", "b"), parities=(0, 0))
     with pytest.raises(InputError, match="length 3 in a space of dimension 2"):

@@ -146,7 +146,7 @@ VALUE_TYPES = {
                               ("key", "base", "derivation", "labels", "catalog_order"), None, {}),
     "Monomial": (lambda k: build(k)._three_form.terms[0][0], ("even", "odd"), None, {}),
     "Cochain": (lambda k: build(k)._three_form, ("basis", "terms"), None, {}),
-    "_PoissonLeft": (lambda k: build(k)._three_form_left, ("basis", "dual", "degree"), None, {}),
+    "_PoissonLeft": (lambda k: build(k)._three_form_left, ("basis", "dual", "degree", "scale"), None, {}),
     "CochainBasis": (lambda k: cochain_basis(build(k), 2), ("degree", "keys", "basis"), ("degree", "keys"), {}),
     "DifferentialMatrix": (lambda k: differential_matrix(build(k), 1), ("source", "target", "columns", "scale"), None,
                            {"scale": 1}),

@@ -1,6 +1,7 @@
 """Super-exterior algebra: evaluation, wedge, contraction, differential,
 and the Poisson bracket against an independent rule-based oracle."""
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from helpers import (
     coordinates,
     delta_by_tuples,
     differential_by_evaluation,
+    dual_differentials_by_tuples,
     evaluate,
     form_value,
     gram_form,
@@ -33,8 +35,10 @@ from helpers import (
 from superquad import build, catalog_keys
 from superquad.algebra import GradedBasis, LieSuperalgebra, validate_super_jacobi
 from superquad.cochains import (
+    WIDTH,
     Cochain,
     Monomial,
+    _PoissonLeft,
     _delta,
     _pack,
     _poisson,
@@ -47,7 +51,15 @@ from superquad.cochains import (
     poisson_bracket,
     wedge,
 )
-from superquad.cohomology import class_vector, cochain_basis, differential_matrix, is_coboundary, is_cocycle
+from superquad.cohomology import (
+    _complex,
+    betti_table,
+    class_vector,
+    cochain_basis,
+    differential_matrix,
+    is_coboundary,
+    is_cocycle,
+)
 from superquad.errors import InputError
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 
@@ -66,6 +78,16 @@ def rescaled(q: QuadraticLieSuperalgebra, x: Fraction) -> QuadraticLieSuperalgeb
     """q with B scaled by x: I scales by x and G^-1 by 1/x."""
     rows = [{j: x * v for j, v in row.items()} for row in q.form.rows]
     return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, rows))
+
+
+def on_scaled_basis(q: QuadraticLieSuperalgebra, d: list[Fraction]) -> QuadraticLieSuperalgebra:
+    """q written on the basis d_i e_i: [d_i e_i, d_j e_j] = sum_k (d_i d_j / d_k) c_ij^k d_k e_k
+    and B(d_i e_i, d_j e_j) = d_i d_j B_ij, an isomorphic quadratic algebra."""
+    g = q.algebra
+    constants = {(i, j): {k: Fraction(c) * d[i] * d[j] / d[k] for k, c in terms.items()}
+                 for (i, j), terms in g.constants.items()}
+    rows = [{j: Fraction(x) * d[i] * d[j] for j, x in row.items()} for i, row in enumerate(q.form.rows)]
+    return QuadraticLieSuperalgebra(LieSuperalgebra(g.basis, constants), BilinearForm(g.basis, rows))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -663,8 +685,8 @@ def test_contraction_by_a_vector_of_mixed_parity_is_refused():
 def test_packed_kernels_match_the_tuple_kernels_column_by_column(key, k_max):
     """delta and -{I, .} of every monomial of C^0..C^k_max, packed
     (``_delta``, ``_poisson`` with I's side as q keeps it) and on Monomial
-    tuples (the oracle's own tables): the same dictionaries, the packed
-    ones in the kernels' form (an int exactly when integral)."""
+    tuples (the oracle's own tables): the packed ones, every raw entry an
+    int, are their table's scale times the oracle's dictionaries."""
     q = build(key)
     g = getattr(q, "algebra", q)
     ne, quadratic = g.basis.even_dim, g is not q
@@ -673,14 +695,86 @@ def test_packed_kernels_match_the_tuple_kernels_column_by_column(key, k_max):
     for k in range(k_max + 1):
         for m in cochain_basis(g, k).keys:
             mono_m = _unpack(ne, m)
-            images = [(_delta(g, [(m, 1)]), delta_by_tuples(g, [(mono_m, Fraction(1))]))]
+            images = [(_delta(g, [(m, 1)]), g._duals[1], delta_by_tuples(g, [(mono_m, Fraction(1))]))]
             if quadratic:
-                images.append((_poisson(q._three_form_left, [(m, 1)], -1), poisson_by_tuples(q, left, [(mono_m, Fraction(1))], -1)))
-            for packed, oracle in images:
-                assert {_unpack(ne, mm): x for mm, x in packed.items()} == oracle, (key, mono_m)
-                assert all((type(x) is int) == (x.denominator == 1) for x in packed.values()), (key, mono_m)
+                three = q._three_form_left
+                images.append((_poisson(three, [(m, 1)], -1), three.scale,
+                               poisson_by_tuples(q, left, [(mono_m, Fraction(1))], -1)))
+            for packed, scale, oracle in images:
+                assert {_unpack(ne, mm): Fraction(x, scale) for mm, x in packed.items()} == oracle, (key, mono_m)
+                assert all(type(x) is int for x in packed.values()), (key, mono_m)
             columns += 1
     assert columns == sum(len(cochain_basis(g, k).keys) for k in range(k_max + 1))
+
+
+@pytest.mark.parametrize("key", catalog_keys())
+def test_the_kernel_tables_are_integral_with_their_least_scales(key):
+    """delta(t*) is kept as S * delta(t*) and I's side of {I, .} as M times
+    its entries, every entry an int, S and M the least that do it.  I's side
+    for a letter s is +-delta(s*) itself ({I, s*} = -delta(s*)), so on an
+    algebra that passes the form check M = S."""
+    q = build(key)
+    g = getattr(q, "algebra", q)
+    ne = g.basis.even_dim
+    images, s = g._duals
+    assert all(type(v) is int for image in images for *_, v in image)
+    oracle = dual_differentials_by_tuples(g)
+    assert s == math.lcm(*(Fraction(x).denominator for image in oracle.values() for x in image.values()))
+    for t, image in enumerate(images):
+        assert {_unpack(ne, pair): Fraction(v, s) for _, pair, _, v in image} == oracle[t], (key, t)
+    if g is q:
+        return
+    three = q._three_form_left
+    assert all(type(v) is int for _, entries in three.dual for *_, v in entries)
+    left = poisson_left_by_tuples(q, q._three_form)
+    assert three.scale == math.lcm(*(Fraction(x).denominator for side in left for x in side.values())) == s
+    for shift, entries in three.dual:
+        letter, sign = (shift, 1) if shift < ne else (ne + (shift - ne) // WIDTH, -1)
+        assert {_unpack(ne, m): Fraction(sign * v, three.scale) for _, m, _, v in entries} == left[letter], (key, letter)
+
+
+def test_tables_kept_at_a_larger_scale_give_the_same_differentials():
+    """The kernels carry their tables' scales, whatever they are: with
+    delta(t*) kept at 5 S and I's side at 3 M on g_8_2_5_s (S = M = 2),
+    the cross-check feeds L/S = 3 and L/M = 5 (L = 30), the torus
+    certificate reads -5 S w_t, each delta_k comes out at its least N, and
+    the public differentials divide their table's scale out."""
+    q, fresh = build("g_8_2_5_s"), build("g_8_2_5_s")
+    g = q.algebra
+    images, s = g._duals
+    assert "_torus" not in g.__dict__  # certified below, on the table kept at 5 S
+    g.__dict__["_duals"] = [[(e, pair, mask, 5 * v) for e, pair, mask, v in image] for image in images], 5 * s
+    three = q._three_form_left
+    q.__dict__["_three_form_left"] = _PoissonLeft(
+        three.basis, [(shift, [(e, m, mask, 3 * v) for e, m, mask, v in entries]) for shift, entries in three.dual],
+        three.degree, 3 * three.scale)
+    assert g._torus == fresh.algebra._torus
+    for k in range(4):
+        assert differential_matrix(q, k) == differential_matrix(fresh, k)
+        kept, least = _complex(q).delta(k), _complex(fresh).delta(k)
+        assert (kept.columns, kept.scale) == (least.columns, least.scale)
+    for k in range(4):
+        for m in monomials_of_degree(q.basis, k)[::3]:
+            c = Cochain.from_terms(q.basis, {m: Fraction(1, 3)})
+            direct = differential_direct(fresh.algebra, c)
+            assert differential_direct(g, c) == direct == differential_via_poisson(q, c), (k, m)
+
+
+def test_the_public_differentials_match_the_evaluation_oracle_on_a_scaled_basis():
+    """g_8_2_5_s on the basis (e_0, ..., e_6, e_7 / 3): constants with
+    ninths and odd Gram entries +-1/3, so S = M = 18.  The public
+    differentials, with their table's scale divided out, are the evaluation
+    formula's, and the Betti numbers are those of g_8_2_5_s."""
+    base = build("g_8_2_5_s")
+    q = on_scaled_basis(base, [Fraction(1)] * 7 + [Fraction(1, 3)])
+    g = q.algebra
+    assert g._duals[1] == q._three_form_left.scale == 18
+    assert q.form.rows[6] == {7: Fraction(1, 3)}
+    for k in range(4):
+        for m in monomials_of_degree(q.basis, k)[::2]:
+            c = Cochain.from_terms(q.basis, {m: Fraction(2, 5)})
+            assert differential_direct(g, c) == differential_by_evaluation(g, c) == differential_via_poisson(q, c), (k, m)
+    assert [r.betti for r in betti_table(q, 4)] == [r.betti for r in betti_table(base, 4)]
 
 
 KERNEL_ALGEBRAS = {key: build(key) for key in ("g_4_1_s", "g_6_s", "g_6_2", "g_8_2_5_s", "g_dec", "h")}
