@@ -47,9 +47,10 @@ MUTANTS = {
                            "if False:"),
     "torus_jacobi_check": (COHOMOLOGY, "        if _delta(g, terms):", "        if False:"),
     "block_key_check": (COHOMOLOGY, "if key is not None and target_keys.get(mm) != key:", "if False:"),
-    "poisson_cross_check": (COHOMOLOGY, "if three and image != _poisson(three, ((m, b),), -1):", "if False:"),
-    "cross_check_drops_poisson_scale": (COHOMOLOGY, "image != _poisson(three, ((m, b),), -1)",
-                                        "image != _poisson(three, ((m, 1),), -1)"),
+    "poisson_cross_check": (COHOMOLOGY, "if three and image != _poisson(three, ((m, 1),), -1):", "if False:"),
+    "cross_check_feeds_poisson_2": (COHOMOLOGY, "image != _poisson(three, ((m, 1),), -1)",
+                                    "image != _poisson(three, ((m, 2),), -1)"),
+    "kept_scale_not_s": (COHOMOLOGY, "tuple(columns), g._duals[1])", "tuple(columns), 1)"),
     "rank_nullity_check": (COHOMOLOGY, "if src.dimension != len(cx.image(k, verify).rows) + n_z:", "if False:"),
     "boundaries_in_cocycles_check": (COHOMOLOGY, "if n_b + len(reps) > n_z:", "if False:"),
     "is_coboundary_ignores_rest": (COHOMOLOGY, "remainder(dict(part[0])) and _rest_closed(cx, part, k)",
@@ -60,6 +61,7 @@ MUTANTS = {
                                 "if False:"),
     "check_size_limit": (COHOMOLOGY, "if k_max >= DEGREE_LIMIT:", "if k_max > DEGREE_LIMIT:"),
     "split_for_another_complex": (COHOMOLOGY, "if held is None or held[0]() is not cx:", "if held is None:"),
+    "enumeration_unguarded": (COCHAINS, "    _listable(basis, k)\n", ""),
     "degrees_all_in_one": (COCHAINS, "out.get(k := _degree_of(ne, m))", "out.get(k := 1)"),
     "join_inner_weight_sign": (COCHAINS, "for o, key in odd.get(-i, ()):", "for o, key in odd.get(i, ()):"),
     "odd_key_without_sym_parity": (COCHAINS, "append((part, w + (k - a) % 2))", "append((part, w))"),
@@ -74,7 +76,7 @@ MUTANTS = {
     "literal_memo_any_key": (SERIALIZATION, "        if type(x) is str:", "        if True:"),
     "echelon_index_misses_fill": (LINALG, "cols[j].add(p)", "pass"),
     "direct_not_unscaled": (COCHAINS, "_unscaled(_delta(g, _room(c, 1)), g._duals[1])", "_delta(g, _room(c, 1))"),
-    "delta_view_not_unscaled": (COHOMOLOGY, "{i: Fraction(x, n) for i, x in c.items()}", "{i: Fraction(x) for i, x in c.items()}"),
+    "delta_view_not_unscaled": (COHOMOLOGY, "{i: Fraction(x, s) for i, x in c.items()}", "{i: Fraction(x) for i, x in c.items()}"),
 }
 
 

@@ -47,7 +47,9 @@ read), ``CochainBasis.monomials`` and printing.
 The kernels' two tables, delta(t*) and I's side of {I, .}, are kept
 integral, each times its scale (the least positive int that does it), so
 that fed ints the kernels multiply only ints; the public functions divide
-the scale back out.
+the scale back out.  I's side for a letter s is +-delta(s*), so the two
+scales are one, S: fed the same ints, the kernels give the same dict,
+which the cross-check compares as it comes.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .quadratic import QuadraticLieSuperalgebra, _require_quadratic
 
 WIDTH = 8  # the bits of an odd letter's field in a packed monomial
 DEGREE_LIMIT = (1 << WIDTH) - 1  # the largest multiplicity, and degree, a packed monomial holds
+MONOMIAL_LIMIT = 200000  # the largest dim C^k that is listed
 
 
 class Monomial(Frozen):
@@ -95,25 +98,8 @@ class Monomial(Frozen):
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def sym_degree(self) -> int:
-        return len(self.odd)
-
     def sort_key(self) -> tuple:
         return (self.degree, len(self.even), self.even, self.odd)
-
-    def mult_factor(self) -> int:
-        """prod over distinct odd indices of (multiplicity)!"""
-        out = 1
-        run = 1
-        for a, b in zip(self.odd, self.odd[1:]):
-            if a == b:
-                run += 1
-            else:
-                out *= math.factorial(run)
-                run = 1
-        out *= math.factorial(run)
-        return out
 
 
 def _monomial(even: tuple[int, ...], odd: tuple[int, ...]) -> Monomial:
@@ -352,9 +338,35 @@ def _basis_of(x: object, kinds: tuple[type, ...]) -> GradedBasis:
     return x if isinstance(x, GradedBasis) else x.basis
 
 
+def cochain_dimension(basis: GradedBasis, k: int) -> int:
+    """dim C^k = sum_m C(dim even, m) * C(dim odd + k - m - 1, k - m)."""
+    basis = _basis_of(basis, (GradedBasis,))
+    _check_degree(k)
+    p, q = basis.even_dim, basis.odd_dim
+    total = 0
+    for m in range(0, min(p, k) + 1):
+        d = k - m  # symmetric degree; q variables admit C(q+d-1, d) monomials
+        sym = 1 if d == 0 else (math.comb(q + d - 1, d) if q > 0 else 0)
+        total += math.comb(p, m) * sym
+    return total
+
+
+def _listable(basis: GradedBasis, k: int) -> int:
+    """dim C^k, once C^k may be listed: ResourceLimitError for a degree past
+    the packed monomials' DEGREE_LIMIT or a dim C^k over MONOMIAL_LIMIT.
+    The monomial guard of every enumeration (``_enumerate``) and of
+    ``cohomology.Complex.check_size``."""
+    if k > DEGREE_LIMIT:
+        raise ResourceLimitError(f"degree {k} exceeds the packed monomials' limit {DEGREE_LIMIT}")
+    if (dim := cochain_dimension(basis, k)) > MONOMIAL_LIMIT:
+        raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {MONOMIAL_LIMIT}")
+    return dim
+
+
 def monomials_of_degree(basis: GradedBasis, k: int) -> list[Monomial]:
     """Deterministic monomial enumeration of C^k: by alternating degree
-    ascending, then lexicographic."""
+    ascending, then lexicographic; ResourceLimitError, before any is
+    listed, past the monomial guard (``_listable``)."""
     basis = _basis_of(basis, (GradedBasis,))
     _check_degree(k)
     return [_unpack(basis.even_dim, m) for m in _enumerate(basis, k, {}, {})]
@@ -368,9 +380,9 @@ def _enumerate(basis: GradedBasis, k: int, evens: dict, odds: dict, inner: list[
     (k - a)-multisets of minus its inner weight.  The tables, each size
     listed on first use, lexicographic: evens[a] (packed, twice the block
     weight, inner weight), odds[s] {inner weight: [(packed, twice the block
-    weight + s % 2)]}, summed from ``_weights`` (packed per letter, or 0)."""
-    if k > DEGREE_LIMIT:
-        raise ResourceLimitError(f"degree {k} exceeds the packed monomials' limit {DEGREE_LIMIT}")
+    weight + s % 2)]}, summed from ``_weights`` (packed per letter, or 0).
+    Nothing is listed past the monomial guard (``_listable``)."""
+    _listable(basis, k)
     ne, n, out = basis.even_dim, basis.dim, {}
     columns = [_unit(ne, t) for t in range(n)], [2 * x for x in weight or [0] * n], inner or [0] * n
     for a in range(min(k, ne) + 1):
@@ -492,14 +504,6 @@ def _unscaled(acc: dict[int, int | Rat], scale: int) -> dict[int, Rat | int]:
     return acc if scale == 1 else {m: _num(Fraction(x, scale)) for m, x in acc.items()}
 
 
-def _common_scale(scale: int, left: _PoissonLeft) -> tuple[int, int]:
-    """(L/S, L/M), L = lcm(S, M), S the scale of delta(t*) and M that of
-    I's side of {I, .}: fed them, ``_delta`` and ``_poisson`` both give
-    L * delta of a monomial, two int dicts the cross-check compares."""
-    n = math.lcm(scale, left.scale)
-    return n // scale, n // left.scale
-
-
 def differential_direct(g: LieSuperalgebra, c: Cochain) -> Cochain:
     """The differential, one wedge per letter t of c:
 
@@ -558,7 +562,8 @@ def associated_three_form(q: QuadraticLieSuperalgebra) -> Cochain:
     """The cochain I of bidegree (3, even) with I(X,Y,Z) = B([X,Y],Z).
 
     The coefficient of the monomial of a canonical triple i <= j <= k is
-    B([e_i,e_j],e_k) / mult_factor, its value there.  The form check
+    B([e_i,e_j],e_k) over the factorials of its odd multiplicities (the
+    evaluation convention), its value there.  The form check
     (``QuadraticLieSuperalgebra.require_form``) makes that I: invariance
     and supersymmetry give every other ordering its value, and the grading
     keeps a repeated even letter and an odd I out.
@@ -608,7 +613,8 @@ class _PoissonLeft(Frozen):
     s's bit or field, the terms of ``scale`` * (-1)^{deg A + 1} sum_r
     (G^{-1})[r][s] iota_r(A) as ``_poisson`` reads them, every coefficient
     an int); ``degree`` is A's largest, and ``scale`` the least positive
-    int that makes every entry an int."""
+    int that makes every entry an int.  For I's side of {I, .} it is the
+    scale S of delta(t*), as I's side for s is +-delta(s*)."""
 
     _fields = ("basis", "dual", "degree", "scale")
 

@@ -2,7 +2,8 @@
 
 One ``Complex`` per algebra holds what the engine reads more than once
 per degree: the built parts of the cochain spaces and each delta_k as
-exact sparse integral columns between them (N * delta_k, with its N).
+exact sparse integral columns between them (S * delta_k, S the scale
+of the algebra's delta(t*) table).
 What depends on the algebra alone (its bracket table, delta(t*), the
 inner torus, I and I's side of {I, .}) is kept on the algebra object.  Kernels, images and
 quotients are computed by exact sparse elimination over the rationals.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import lcm
 from weakref import WeakValueDictionary, ref
 
 from ._frozen import Frozen
@@ -29,14 +30,15 @@ from .cochains import (
     _check_cochain,
     _cochain,
     _combination,
-    _common_scale,
     _delta,
     _enumerate,
     _fits,
+    _listable,
     _poisson,
     _top,
     _unit,
     _unpack,
+    cochain_dimension,
 )
 from .errors import EngineError, InputError, ResourceLimitError
 from .linalg import Echelon, Rat, _check_degree, _frac, reduced_kernel
@@ -56,22 +58,6 @@ __all__ = [
     "class_vector",
     "cohomology_report",
 ]
-
-MONOMIAL_LIMIT = 200000
-
-
-def cochain_dimension(basis: GradedBasis, k: int) -> int:
-    """dim C^k = sum_m C(dim even, m) * C(dim odd + k - m - 1, k - m)."""
-    basis = _basis_of(basis, (GradedBasis,))
-    _check_degree(k)
-    p, q = basis.even_dim, basis.odd_dim
-    total = 0
-    for m in range(0, min(p, k) + 1):
-        d = k - m  # symmetric degree; q variables admit C(q+d-1, d) monomials
-        sym = 1 if d == 0 else (comb(q + d - 1, d) if q > 0 else 0)
-        total += comb(p, m) * sym
-    return total
-
 
 class CochainBasis(Frozen):
     """Deterministic ordered monomial basis of C^k, or of the part of it a
@@ -99,6 +85,9 @@ class CochainBasis(Frozen):
 
 
 def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
+    """C^k in basis order (``monomials_of_degree``); ResourceLimitError,
+    before any monomial is listed, past the monomial guard
+    (``cochains._listable``)."""
     basis = _basis_of(g, (GradedBasis, LieSuperalgebra, QuadraticLieSuperalgebra))
     _check_degree(k)
     return CochainBasis(k, tuple(_enumerate(basis, k, {}, {})), basis)
@@ -107,8 +96,8 @@ def cochain_basis(g: LieSuperalgebra | GradedBasis, k: int) -> CochainBasis:
 class DifferentialMatrix(Frozen):
     """delta_k as columns {target index: nonzero}, one per source monomial,
     times ``scale``: the columns are scale * delta_k.  A complex keeps
-    N * delta_k with N the least positive int that makes every entry an
-    int (``Complex.delta``); at the API the scale is 1 and every entry a
+    S * delta_k in ints, S the scale of the algebra's delta(t*) table
+    (``Complex.delta``); at the API the scale is 1 and every entry a
     Fraction.  A complex's view shares its source and target
     ``CochainBasis``."""
 
@@ -231,14 +220,13 @@ class Complex:
         """Refuse, before any work, a k_max that is not a degree (named
         ``what`` in the message), a k_max + 1 past the degree a packed
         monomial holds (``cochains.DEGREE_LIMIT``) and a dim C^k over
-        ``MONOMIAL_LIMIT`` for k <= k_max + 1, each kept in ``_dims``."""
+        ``cochains.MONOMIAL_LIMIT`` for k <= k_max + 1 (``cochains._listable``),
+        each kept in ``_dims``."""
         _check_degree(k_max, what)
         if k_max >= DEGREE_LIMIT:
             raise ResourceLimitError(f"delta_{k_max} reaches degree {k_max + 1}, past the packed monomials' limit {DEGREE_LIMIT}")
         for k in range(len(self._dims), k_max + 2):
-            if (dim := cochain_dimension(self.basis, k)) > MONOMIAL_LIMIT:
-                raise ResourceLimitError(f"dim C^{k} = {dim} exceeds the monomial limit {MONOMIAL_LIMIT}")
-            self._dims.append(dim)
+            self._dims.append(_listable(self.basis, k))
 
     def delta(self, k: int, verify: bool = True) -> DifferentialMatrix:
         """delta_k from ``built(k)`` to ``built(k + 1)``, built on first use
@@ -256,14 +244,13 @@ class Complex:
         C^{k+1}, or the torus or delta is wrong (EngineError).
 
         The kernels' tables are integral, delta(t*) times S and I's side
-        times M: fed L/S and L/M, L = lcm(S, M) (``cochains._common_scale``;
-        L = S without the cross-check), both give L * delta_k in ints, which
-        both checks read.  A gcd pass then divides the columns by gcd(L,
-        every entry): the complex keeps N * delta_k, N the least positive
-        int that makes every entry an int, as its ``scale``, whether the
-        cross-check ran or not.  N * delta_k has the kernel and the image
-        of delta_k, so the eliminations (``image``, ``cohomology``) and
-        ``is_cocycle`` read these integral columns as they are.
+        times M, and both kernels are fed the coefficient 1: S * delta_k
+        and M * delta_k in ints, compared as they come, so equality also
+        certifies M = S (I's side for s is +-delta(s*)).  The complex keeps
+        S * delta_k, with S as its ``scale``, whether the cross-check ran or
+        not.  S * delta_k has the kernel and the image of delta_k, so the
+        eliminations (``image``, ``cohomology``) and ``is_cocycle`` read
+        these integral columns as they are.
         """
         hit = self._deltas.get(k)
         if hit is not None and (hit[1] or not verify):
@@ -271,12 +258,11 @@ class Complex:
         self.check_size(k)
         q, g, ne = self.q, self.algebra, self.basis.even_dim
         three = verify and isinstance(q, QuadraticLieSuperalgebra) and q._three_form_left
-        a, b = _common_scale(g._duals[1], three) if three else (1, None)
         src, tgt = self.built(k), self.built(k + 1)
         index, columns, keys, target_keys = tgt.index, [], self._keys.get(k), self._keys.get(k + 1)
         for m in src.keys:
-            image = _delta(g, ((m, a),))
-            if three and image != _poisson(three, ((m, b),), -1):
+            image = _delta(g, ((m, 1),))
+            if three and image != _poisson(three, ((m, 1),), -1):
                 raise EngineError(f"differential_direct and differential_via_poisson disagree on {_unpack(ne, m)} in degree {k}")
             column, key = {}, None if keys is None else keys[m]
             for mm, x in image.items():
@@ -284,19 +270,12 @@ class Complex:
                     raise EngineError(f"delta of {_unpack(ne, m)} leaves its weight block: the torus or delta is wrong")
                 column[index[mm]] = x
             columns.append(column)
-        common = n = a * g._duals[1]  # gcd(L, every entry): N = L / common
-        for column in columns:
-            if common == 1:
-                break
-            common = gcd(common, *column.values())
-        if common > 1:
-            columns = [{i: x // common for i, x in c.items()} for c in columns]
-        d = DifferentialMatrix(src, tgt, tuple(columns), n // common)
+        d = DifferentialMatrix(src, tgt, tuple(columns), g._duals[1])
         self._deltas[k] = (d, verify)
         return d
 
     def image(self, k: int, verify: bool = True) -> Echelon:
-        """The echelon of copies of the kept columns of N * delta_k, B^{k+1}
+        """The echelon of copies of the kept columns of S * delta_k, B^{k+1}
         on the built part of C^{k+1}, eliminated once, on first use.  A
         rebuild of delta_k with the cross-check has the same columns, so it
         keeps serving."""
@@ -329,12 +308,12 @@ def differential_matrix(
     verify: bool = True,
 ) -> DifferentialMatrix:
     """delta_k from the built part of C^k to that of C^{k+1}, with every
-    entry a Fraction: a view of the N * delta_k the complex of q builds and
+    entry a Fraction: a view of the S * delta_k the complex of q builds and
     keeps (``Complex.delta``, with its cross-check and certificate), each
-    entry divided by N."""
+    entry divided by S."""
     d = _complex(q).delta(k, verify)
-    n = d.scale
-    return DifferentialMatrix(d.source, d.target, tuple({i: Fraction(x, n) for i, x in c.items()} for c in d.columns))
+    s = d.scale
+    return DifferentialMatrix(d.source, d.target, tuple({i: Fraction(x, s) for i, x in c.items()} for c in d.columns))
 
 
 class _Quotient(Echelon):
@@ -481,7 +460,7 @@ def is_cocycle(q: QuadraticLieSuperalgebra | LieSuperalgebra, c: Cochain) -> boo
     others outside it: each part is checked on its own.  In a degree whose
     delta_k the complex already keeps, c's split (``_part``) is read: its
     built part off delta_k's columns, one exact sparse sum per degree, and
-    the rest by ``_rest_closed``; the kept columns are N * delta_k, which
+    the rest by ``_rest_closed``; the kept columns are S * delta_k, which
     is 0 where delta_k is.  The terms of every other degree go
     through one call of ``differential_direct``'s kernel, S * delta, 0
     where delta is too.  No delta is built here.

@@ -90,6 +90,7 @@ paper's lemmas on traceless 2x2 matrices, checked by acceptance C10.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Iterable
 from fractions import Fraction
@@ -191,11 +192,22 @@ def mono(q_or_basis, even_labels=(), odd_labels=(), coeff=1) -> Cochain:
 
 def bidegree(m: Monomial) -> tuple[int, int]:
     """Z x Z2 bidegree (total degree, parity of the symmetric degree)."""
-    return (m.degree, m.sym_degree % 2)
+    return (m.degree, sym_degree(m) % 2)
 
 
 def alt_degree(m: Monomial) -> int:
     return len(m.even)
+
+
+def sym_degree(m: Monomial) -> int:
+    """The symmetric degree of m: its number of odd letters."""
+    return len(m.odd)
+
+
+def mult_factor(m: Monomial) -> int:
+    """prod over distinct odd indices of (multiplicity)!: the value of m on
+    its canonical argument tuple."""
+    return math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(m.odd))
 
 
 def parity_of_vector(basis: GradedBasis, v) -> int | None:
@@ -416,7 +428,7 @@ def poisson_by_tuples(q: QuadraticLieSuperalgebra, left, terms: Iterable[tuple[M
     # eps_s depends on the symmetric degree g of a right term: contract
     # the right terms of each parity of g apart
     for parity in (0, 1):
-        right = contractions_by_tuples((m, c) for m, c in terms if m.sym_degree % 2 == parity)
+        right = contractions_by_tuples((m, c) for m, c in terms if sym_degree(m) % 2 == parity)
         odd_sign = sign if parity else -sign
         for s, right_s in right.items():
             if left[s]:
@@ -478,7 +490,7 @@ def evaluate(c: Cochain, args) -> Rat:
     value = coefficient(c, target)
     if value == 0:
         return Fraction(0)
-    return sign * value * target.mult_factor()
+    return sign * value * mult_factor(target)
 
 
 def from_values(basis, k: int, value_fn) -> Cochain:
@@ -488,7 +500,7 @@ def from_values(basis, k: int, value_fn) -> Cochain:
     for m in monomials_of_degree(basis, k):
         v = value_fn(m.even + m.odd)
         if v != 0:
-            terms[m] = Fraction(v, m.mult_factor())
+            terms[m] = Fraction(v, mult_factor(m))
     return Cochain.from_terms(basis, terms)
 
 

@@ -25,11 +25,13 @@ from helpers import (
     evaluate,
     form_value,
     gram_form,
+    inverse_dense,
     koszul,
     mono,
     poisson_by_tuples,
     poisson_left_by_tuples,
     random_homogeneous,
+    sym_degree,
     wedge_by_tuples,
 )
 from superquad import build, catalog_keys
@@ -60,7 +62,7 @@ from superquad.cohomology import (
     is_coboundary,
     is_cocycle,
 )
-from superquad.errors import InputError
+from superquad.errors import EngineError, InputError
 from superquad.quadratic import BilinearForm, QuadraticLieSuperalgebra
 
 
@@ -80,14 +82,35 @@ def rescaled(q: QuadraticLieSuperalgebra, x: Fraction) -> QuadraticLieSuperalgeb
     return QuadraticLieSuperalgebra(q.algebra, BilinearForm(q.basis, rows))
 
 
-def on_scaled_basis(q: QuadraticLieSuperalgebra, d: list[Fraction]) -> QuadraticLieSuperalgebra:
-    """q written on the basis d_i e_i: [d_i e_i, d_j e_j] = sum_k (d_i d_j / d_k) c_ij^k d_k e_k
-    and B(d_i e_i, d_j e_j) = d_i d_j B_ij, an isomorphic quadratic algebra."""
-    g = q.algebra
-    constants = {(i, j): {k: Fraction(c) * d[i] * d[j] / d[k] for k, c in terms.items()}
-                 for (i, j), terms in g.constants.items()}
-    rows = [{j: Fraction(x) * d[i] * d[j] for j, x in row.items()} for i, row in enumerate(q.form.rows)]
+def on_changed_basis(q: QuadraticLieSuperalgebra, p: list[list[Fraction]]) -> QuadraticLieSuperalgebra:
+    """q written on the basis f_j = sum_i p[i][j] e_i, p invertible and
+    block diagonal (even, odd): [f_i, f_j] has the coordinates p^-1 [p_i, p_j]
+    (p_i column i of p) and B(f_i, f_j) = B(p_i, p_j), an isomorphic
+    quadratic algebra."""
+    g, n = q.algebra, q.basis.dim
+    cols, inv = [[row[j] for row in p] for j in range(n)], inverse_dense(p)
+    constants = {}
+    for i in range(n):
+        for j in range(i, n):
+            br = bracket(g, cols[i], cols[j])
+            if terms := {k: x for k in range(n) if (x := sum(inv[k][r] * br[r] for r in range(n)))}:
+                constants[i, j] = terms
+    rows = [{j: x for j in range(n) if (x := form_value(q.form, cols[i], cols[j]))} for i in range(n)]
     return QuadraticLieSuperalgebra(LieSuperalgebra(g.basis, constants), BilinearForm(g.basis, rows))
+
+
+def random_block_change(basis: GradedBasis, rng: random.Random) -> list[list[Fraction]]:
+    """An invertible block-diagonal (even, odd) matrix, every entry of its
+    two blocks +-{1, 2, 3} / {1, 2, 3}."""
+    n, ne = basis.dim, basis.even_dim
+    while True:
+        p = [[Fraction(rng.choice((-1, 1)) * rng.choice((1, 2, 3)), rng.choice((1, 2, 3))) if (i < ne) == (j < ne)
+              else Fraction(0) for j in range(n)] for i in range(n)]
+        try:
+            inverse_dense(p)
+        except InputError:
+            continue
+        return p
 
 
 # ---------------------------------------------------------------- evaluation
@@ -373,7 +396,7 @@ def test_contraction_against_evaluation():
             c = Cochain.from_terms(b, {m: Fraction(1)})
             for i in idx:
                 contracted = contract_vector(c, [Fraction(j == i) for j in idx])
-                sign = -1 if (b.parities[i] * m.sym_degree) % 2 else 1
+                sign = -1 if (b.parities[i] * sym_degree(m)) % 2 else 1
                 for args in _tuples(b.dim, k - 1):
                     assert evaluate(contracted, args) == sign * evaluate(
                         c, (i,) + args
@@ -381,7 +404,7 @@ def test_contraction_against_evaluation():
             # and by a parity-homogeneous combination of basis vectors
             for parity, v in ((0, (1, -2, 0, 0)), (1, (0, 0, 3, -1))):
                 contracted = contract_vector(c, [Fraction(x) for x in v])
-                sign = -1 if (parity * m.sym_degree) % 2 else 1
+                sign = -1 if (parity * sym_degree(m)) % 2 else 1
                 for args in _tuples(b.dim, k - 1):
                     assert evaluate(contracted, args) == sign * sum(
                         x * evaluate(c, (i,) + args) for i, x in enumerate(v)
@@ -479,7 +502,7 @@ def test_differential_matches_evaluation_oracle():
         if g.basis.odd_dim < 2:
             continue
         pool = monomials_of_degree(g.basis, 4)
-        fourth_powers += sum(len(set(m.odd)) == 1 and m.sym_degree == 4 for m in pool)
+        fourth_powers += sum(len(set(m.odd)) == 1 and sym_degree(m) == 4 for m in pool)
         c = Cochain.from_terms(g.basis, {m: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for m in pool})
         assert differential_direct(g, c) == differential_by_evaluation(g, c), obj
     # the fourth power of every odd letter: 2 on each of 12 catalog keys,
@@ -562,7 +585,7 @@ def test_poisson_bracket_matches_rule_based_oracle():
     firsts = {}
     for k in (1, 2, 3):
         for m in monomials_of_degree(q.basis, k):
-            firsts.setdefault((alt_degree(m), m.sym_degree), m)
+            firsts.setdefault((alt_degree(m), sym_degree(m)), m)
     assert len(firsts) == 9
     mixed = Cochain.from_terms(
         q.basis, {m: Fraction((-1) ** n * (n + 1), 2) for n, m in enumerate(firsts.values())}
@@ -733,12 +756,14 @@ def test_the_kernel_tables_are_integral_with_their_least_scales(key):
         assert {_unpack(ne, m): Fraction(sign * v, three.scale) for _, m, _, v in entries} == left[letter], (key, letter)
 
 
-def test_tables_kept_at_a_larger_scale_give_the_same_differentials():
-    """The kernels carry their tables' scales, whatever they are: with
-    delta(t*) kept at 5 S and I's side at 3 M on g_8_2_5_s (S = M = 2),
-    the cross-check feeds L/S = 3 and L/M = 5 (L = 30), the torus
-    certificate reads -5 S w_t, each delta_k comes out at its least N, and
-    the public differentials divide their table's scale out."""
+def test_tables_kept_at_a_larger_scale_fail_the_cross_check():
+    """The cross-check compares the kernels' raw outputs, so it certifies
+    that both tables are kept at one scale: with delta(t*) kept at 5 S and
+    I's side at 3 M on g_8_2_5_s (S = M = 2), every delta_k with a nonzero
+    column fails it (EngineError).  Each reader still carries its own
+    table's scale: the torus certificate reads -5 S w_t, delta_k without
+    the cross-check is kept as 5 S * delta_k, and the public differentials
+    divide their table's scale out."""
     q, fresh = build("g_8_2_5_s"), build("g_8_2_5_s")
     g = q.algebra
     images, s = g._duals
@@ -750,9 +775,13 @@ def test_tables_kept_at_a_larger_scale_give_the_same_differentials():
         three.degree, 3 * three.scale)
     assert g._torus == fresh.algebra._torus
     for k in range(4):
-        assert differential_matrix(q, k) == differential_matrix(fresh, k)
-        kept, least = _complex(q).delta(k), _complex(fresh).delta(k)
-        assert (kept.columns, kept.scale) == (least.columns, least.scale)
+        assert differential_matrix(q, k, verify=False) == differential_matrix(fresh, k)
+        kept, least = _complex(q).delta(k, verify=False), _complex(fresh).delta(k)
+        assert kept.columns == tuple({i: 5 * x for i, x in col.items()} for col in least.columns)
+        assert kept.scale == 5 * least.scale == 5 * s
+    for k in range(1, 4):
+        with pytest.raises(EngineError, match="disagree"):
+            _complex(q).delta(k)
     for k in range(4):
         for m in monomials_of_degree(q.basis, k)[::3]:
             c = Cochain.from_terms(q.basis, {m: Fraction(1, 3)})
@@ -766,7 +795,7 @@ def test_the_public_differentials_match_the_evaluation_oracle_on_a_scaled_basis(
     differentials, with their table's scale divided out, are the evaluation
     formula's, and the Betti numbers are those of g_8_2_5_s."""
     base = build("g_8_2_5_s")
-    q = on_scaled_basis(base, [Fraction(1)] * 7 + [Fraction(1, 3)])
+    q = on_changed_basis(base, [[Fraction(int(i == j), 3 if i == j == 7 else 1) for j in range(8)] for i in range(8)])
     g = q.algebra
     assert g._duals[1] == q._three_form_left.scale == 18
     assert q.form.rows[6] == {7: Fraction(1, 3)}
@@ -775,6 +804,18 @@ def test_the_public_differentials_match_the_evaluation_oracle_on_a_scaled_basis(
             c = Cochain.from_terms(q.basis, {m: Fraction(2, 5)})
             assert differential_direct(g, c) == differential_by_evaluation(g, c) == differential_via_poisson(q, c), (k, m)
     assert [r.betti for r in betti_table(q, 4)] == [r.betti for r in betti_table(base, 4)]
+
+
+@pytest.mark.parametrize("key", QUADRATIC_KEYS)
+def test_betti_numbers_do_not_depend_on_the_basis(key):
+    """Each quadratic key on a seeded random block-diagonal basis: its
+    delta(t*) table and I's side of {I, .} keep one scale (S = M), so the
+    cross-check, on, passes, and the Betti numbers to degree 3 are the
+    catalog basis's."""
+    q = build(key)
+    changed = on_changed_basis(q, random_block_change(q.basis, random.Random(QUADRATIC_KEYS.index(key))))
+    assert changed.algebra._duals[1] == changed._three_form_left.scale
+    assert [r.betti for r in betti_table(changed, 3)] == [r.betti for r in betti_table(q, 3)]
 
 
 KERNEL_ALGEBRAS = {key: build(key) for key in ("g_4_1_s", "g_6_s", "g_6_2", "g_8_2_5_s", "g_dec", "h")}

@@ -442,6 +442,26 @@ def test_resource_limit_guard():
         cohomology_report(q, 3)
 
 
+def test_the_enumerators_keep_the_monomial_guard(monkeypatch):
+    """cochain_basis and monomials_of_degree refuse a dim C^k over the
+    monomial limit before they list any monomial, with the message of the
+    guard Complex.check_size makes: g_6_s has dim C^65 = 191,686, which
+    both list, and dim C^66 = 200,531, which all three refuse."""
+    q = build("g_6_s")
+    assert [cochain_dimension(q.basis, k) for k in (65, 66)] == [191686, 200531]
+    assert cochain_basis(q, 65).dimension == len(monomials_of_degree(q.basis, 65)) == 191686
+
+    class Unlisted:
+        def __getattr__(self, name):
+            raise AssertionError("a monomial was listed")
+
+    monkeypatch.setattr(importlib.import_module("superquad.cochains"), "itertools", Unlisted())
+    past = r"dim C\^66 = 200531 exceeds the monomial limit 200000$"
+    for refused in (lambda: cochain_basis(q, 66), lambda: monomials_of_degree(q.basis, 66), lambda: betti_table(q, 80)):
+        with pytest.raises(ResourceLimitError, match=past):
+            refused()
+
+
 def test_report_schema():
     r = cohomology_report(build("g_4_1_s"), 2)
     assert r["schema"] == 1
@@ -600,9 +620,9 @@ def test_each_even_and_odd_table_is_built_once_per_complex(monkeypatch):
 def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key):
     """betti_table converts no entry of delta on its way to the quotient:
     the cohomology module calls neither ``_frac`` nor ``_sparse_rows``.
-    The complex keeps N * delta_k with every entry an int, N the least
-    positive int that makes them so; differential_matrix is a view of it,
-    the same columns divided by N, each entry a Fraction.  The -{I, .}
+    The complex keeps S * delta_k with every entry an int, S the scale of
+    the algebra's delta(t*) table; differential_matrix is a view of it,
+    the same columns divided by S, each entry a Fraction.  The -{I, .}
     side of the cross-check gives the kernels' form too."""
     module = importlib.import_module("superquad.cohomology")
     calls = {"_frac": 0, "_sparse_rows": 0}
@@ -625,8 +645,9 @@ def test_delta_keeps_the_kernels_form_from_assembly_to_quotient(monkeypatch, key
         assert all(type(x) is int for col in kept.columns for x in col.values())
         assert d.scale == 1 and all(type(x) is Fraction for col in d.columns for x in col.values())
         assert [{i: Fraction(x, kept.scale) for i, x in col.items()} for col in kept.columns] == list(d.columns)
-        # the least such scale: the lcm of the view's denominators
-        assert kept.scale == lcm(*(x.denominator for col in d.columns for x in col.values()))
+        # the table's scale, whatever the view's denominators
+        assert kept.scale == cx.algebra._duals[1]
+        assert kept.scale % lcm(*(x.denominator for col in d.columns for x in col.values())) == 0
         for m in kept.source.keys if isinstance(q, QuadraticLieSuperalgebra) else ():
             values = _poisson(q._three_form_left, ((m, 1),), -1).values()
             assert all((type(x) is int) == (x.denominator == 1) for x in values), (k, m)
